@@ -344,7 +344,7 @@ let make_obs oo ~app ~dims ~strategy ~seed ~params =
             ~overheads:(machine_overheads Diva_simnet.Machine.gcel) ()
         in
         Diva_obs.Streaming.write_header oc header;
-        let write e = Diva_obs.Trace.write_event oc e in
+        let write = Diva_obs.Trace.write_event oc in
         ( (if buffering then Diva_obs.Trace.tee write
            else Diva_obs.Trace.stream write),
           Some oc )
@@ -885,7 +885,7 @@ let analyze_cmd =
                 (Diva_obs.Streaming.make_header ~params ~app:app_name ~dims
                    ~strategy:(Runner.name strategy) ~seed
                    ~overheads:(machine_overheads Diva_simnet.Machine.gcel) ());
-              ( Diva_obs.Trace.tee (fun e -> Diva_obs.Trace.write_event oc e),
+              ( Diva_obs.Trace.tee (Diva_obs.Trace.write_event oc),
                 Some oc )
         in
         let obs =

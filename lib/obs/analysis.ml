@@ -46,7 +46,7 @@ type chain_link = {
   cl_local : bool;
   cl_inject : float;
   cl_handled : float option;
-  cl_xfers : (float * float) list;  (* (start, finish), arrival order *)
+  cl_xfers : float array;  (* (start, finish) pairs, flattened, arrival order *)
 }
 
 let chain_link_of_msg (m : Spans.msg) =
@@ -54,8 +54,33 @@ let chain_link_of_msg (m : Spans.msg) =
     cl_local = m.Spans.local;
     cl_inject = m.Spans.inject;
     cl_handled = m.Spans.handled;
-    cl_xfers = List.map (fun (_, s, f) -> (s, f)) m.Spans.xfers;
+    cl_xfers =
+      Array.of_list (List.concat_map (fun (_, s, f) -> [ s; f ]) m.Spans.xfers);
   }
+
+(* Labels of clipped segments, in precedence order. *)
+let l_startup = 0
+let l_transfer = 1
+let l_cpu = 2
+
+(* The highest-precedence label with a live segment in [live] (indexed by
+   label), or 3 for none. *)
+let top_live live =
+  if live.(l_startup) > 0 then l_startup
+  else if live.(l_transfer) > 0 then l_transfer
+  else if live.(l_cpu) > 0 then l_cpu
+  else 3
+
+(* The same, from the segments themselves: for a midpoint that is not in
+   its interval, which happens only when [a +. b] overflows. *)
+let top_at ~lo ~hi ~label n mid =
+  let rec live l i =
+    i < n && ((label.(i) = l && lo.(i) <= mid && mid < hi.(i)) || live l (i + 1))
+  in
+  if live l_startup 0 then l_startup
+  else if live l_transfer 0 then l_transfer
+  else if live l_cpu 0 then l_cpu
+  else 3
 
 (* Exact decomposition of one transaction's blocking window [t0, t0+dur]:
    every message on the completing causal chain contributes labeled time
@@ -66,6 +91,15 @@ let chain_link_of_msg (m : Spans.msg) =
    header propagation). By construction every term is non-negative (up to
    float rounding) and the four sum exactly to [dur].
 
+   The sweep sorts the boundary events once and keeps one live-segment
+   counter per label. An elementary interval [a, b) between consecutive
+   distinct boundary points is labeled by the segments live at its
+   midpoint [(a +. b) /. 2.0], exactly as the segment test
+   [x <= mid && mid < y] would: no endpoint lies strictly inside, so a
+   midpoint in [a, b) sees the counters after the events at [a], and a
+   midpoint that rounded onto [b] (adjacent doubles) sees them after the
+   events at [b]. Intervals are summed left to right.
+
    The clipping makes the result insensitive to events emitted after the
    completion event: any link crossing emitted later (a post-completion
    retransmission) starts at or after [t0 +. dur] and clips to nothing, so
@@ -73,41 +107,74 @@ let chain_link_of_msg (m : Spans.msg) =
    event computes the same cost bit for bit. *)
 let decompose_chain ov ~t0 ~dur links =
   let t1 = t0 +. dur in
-  let segs = ref [] in
-  let add label a b =
+  let cap =
+    List.fold_left
+      (fun n l -> n + if l.cl_local then 1 else 2 + (Array.length l.cl_xfers / 2))
+      0 links
+  in
+  let lo = Array.make cap 0.0 and hi = Array.make cap 0.0 in
+  let label = Array.make cap 0 in
+  let n = ref 0 in
+  let add l a b =
     let a = Float.max a t0 and b = Float.min b t1 in
-    if b > a then segs := (label, a, b) :: !segs
+    if b > a then begin
+      lo.(!n) <- a;
+      hi.(!n) <- b;
+      label.(!n) <- l;
+      incr n
+    end
   in
   List.iter
     (fun l ->
-      if l.cl_local then add `Cpu (l.cl_inject -. ov.local_overhead) l.cl_inject
+      if l.cl_local then add l_cpu (l.cl_inject -. ov.local_overhead) l.cl_inject
       else begin
-        add `Startup (l.cl_inject -. ov.send_overhead) l.cl_inject;
-        List.iter (fun (s, f) -> add `Transfer s f) l.cl_xfers;
+        add l_startup (l.cl_inject -. ov.send_overhead) l.cl_inject;
+        for k = 0 to (Array.length l.cl_xfers / 2) - 1 do
+          add l_transfer l.cl_xfers.(2 * k) l.cl_xfers.((2 * k) + 1)
+        done;
         match l.cl_handled with
-        | Some h -> add `Startup (h -. ov.recv_overhead) h
+        | Some h -> add l_startup (h -. ov.recv_overhead) h
         | None -> ()
       end)
     links;
-  let pts =
-    List.sort_uniq Float.compare
-      (t0 :: t1 :: List.concat_map (fun (_, a, b) -> [ a; b ]) !segs)
-  in
+  let n = !n in
+  (* Boundary events: [e < n] opens segment [e], [n <= e < 2n] closes
+     segment [e - n], and the last two are the window's ends. *)
+  let m = (2 * n) + 2 in
+  let at = Array.make m t0 in
+  Array.blit lo 0 at 0 n;
+  Array.blit hi 0 at n n;
+  at.(m - 1) <- t1;
+  let order = Array.init m Fun.id in
+  Array.sort (fun i j -> Float.compare at.(i) at.(j)) order;
+  let live = Array.make 3 0 in
   let startup = ref 0.0 and transfer = ref 0.0 and cpu = ref 0.0 in
-  let rec sweep = function
-    | a :: (b :: _ as rest) ->
-        let mid = (a +. b) /. 2.0 in
-        let active l =
-          List.exists (fun (l', x, y) -> l' = l && x <= mid && mid < y) !segs
-        in
-        let d = b -. a in
-        if active `Startup then startup := !startup +. d
-        else if active `Transfer then transfer := !transfer +. d
-        else if active `Cpu then cpu := !cpu +. d;
-        sweep rest
-    | _ -> ()
-  in
-  sweep pts;
+  let i = ref 0 and a = ref 0.0 in
+  while !i < m do
+    let b = at.(order.(!i)) in
+    let top_before = top_live live in
+    while !i < m && Float.compare at.(order.(!i)) b = 0 do
+      let e = order.(!i) in
+      if e < n then live.(label.(e)) <- live.(label.(e)) + 1
+      else if e < 2 * n then live.(label.(e - n)) <- live.(label.(e - n)) - 1;
+      incr i
+    done;
+    (* Every point but the first closes the interval [!a, b). *)
+    if Float.compare at.(order.(0)) b <> 0 then begin
+      let a' = !a in
+      let mid = (a' +. b) /. 2.0 in
+      let top =
+        if a' <= mid && mid < b then top_before
+        else if mid = b then top_live live
+        else top_at ~lo ~hi ~label n mid
+      in
+      let d = b -. a' in
+      if top = l_startup then startup := !startup +. d
+      else if top = l_transfer then transfer := !transfer +. d
+      else if top = l_cpu then cpu := !cpu +. d
+    end;
+    a := b
+  done;
   {
     startup_us = !startup;
     transfer_us = !transfer;

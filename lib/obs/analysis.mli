@@ -34,7 +34,9 @@ type chain_link = {
   cl_local : bool;
   cl_inject : float;
   cl_handled : float option;
-  cl_xfers : (float * float) list;  (** (start, finish), arrival order *)
+  cl_xfers : float array;
+      (** link occupancies as (start, finish) pairs, flattened, in arrival
+          order *)
 }
 
 val chain_link_of_msg : Spans.msg -> chain_link

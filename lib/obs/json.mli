@@ -1,9 +1,13 @@
-(** Minimal JSON document builder (writer only, no parser).
+(** Minimal JSON documents: builder, writer and a reader for what the
+    writer emits.
 
     The observability artifacts — Chrome traces, run manifests, benchmark
-    snapshots — are plain JSON files; this module avoids a dependency on an
-    external JSON library. Non-finite floats serialise as [null] so the
-    output is always standard-compliant. *)
+    snapshots, event traces — are plain JSON files; this module avoids a
+    dependency on an external JSON library. Non-finite floats serialise as
+    [null] so the output is always standard-compliant. Integers and
+    integral floats below 1e15 print through a digit loop and escape-free
+    strings are copied whole, because event traces write hundreds of
+    thousands of lines. *)
 
 type t =
   | Null
@@ -35,7 +39,8 @@ val member : string -> t -> t option
 (** Object field lookup; [None] on missing keys and non-objects. *)
 
 val to_int : t -> int option
-(** Also accepts integral floats (the writer prints [2.0] as [2]). *)
+(** Also accepts integral floats (the writer prints [2.0] as [2]), but
+    [None] for floats outside [[min_int, max_int]] such as [1e300]. *)
 
 val to_float : t -> float option
 (** Accepts [Int] too. *)

@@ -31,7 +31,10 @@ type srec = {
   r_sent : float;
   r_inject : float;
   mutable r_handled : float option;
-  mutable r_rev_xfers : (float * float) list;  (* (start, finish), newest first *)
+  (* Link crossings as (start, finish) pairs in arrival order: the first
+     [2 * r_nx] cells. Unboxed, so a crossing costs two words, not ten. *)
+  mutable r_xfers : float array;
+  mutable r_nx : int;
 }
 
 type t = {
@@ -122,6 +125,17 @@ let push_xfer t ~link ~size ~start ~finish =
   t.x_finish.(t.x_n) <- finish;
   t.x_n <- t.x_n + 1
 
+let push_rec_xfer r ~start ~finish =
+  let k = 2 * r.r_nx in
+  if k = Array.length r.r_xfers then begin
+    let a = Array.make (max 4 (2 * k)) 0.0 in
+    Array.blit r.r_xfers 0 a 0 k;
+    r.r_xfers <- a
+  end;
+  r.r_xfers.(k) <- start;
+  r.r_xfers.(k + 1) <- finish;
+  r.r_nx <- r.r_nx + 1
+
 let ring_mem t txn = Hashtbl.mem t.ring_set txn
 
 let ring_push t txn =
@@ -160,9 +174,11 @@ let side_of_rec (r : srec) : Spans.side =
     s_inject = r.r_inject;
     s_handled = r.r_handled;
     s_xfer_us =
-      List.fold_left
-        (fun acc (s, f) -> acc +. (f -. s))
-        0.0 (List.rev r.r_rev_xfers);
+      (let acc = ref 0.0 in
+       for k = 0 to r.r_nx - 1 do
+         acc := !acc +. (r.r_xfers.((2 * k) + 1) -. r.r_xfers.(2 * k))
+       done;
+       !acc);
   }
 
 let chain_link_of_rec (r : srec) : Analysis.chain_link =
@@ -170,7 +186,7 @@ let chain_link_of_rec (r : srec) : Analysis.chain_link =
     Analysis.cl_local = r.r_local;
     cl_inject = r.r_inject;
     cl_handled = r.r_handled;
-    cl_xfers = List.rev r.r_rev_xfers;
+    cl_xfers = Array.sub r.r_xfers 0 (2 * r.r_nx);
   }
 
 (* Same guards as [Spans.chain]: parent ids are strictly smaller than
@@ -243,7 +259,8 @@ let feed t e =
             (* A local message's handler runs at [inject]; there is no
                separate delivery event. *)
             r_handled = (if local then Some inject else None);
-            r_rev_xfers = [];
+            r_xfers = [||];
+            r_nx = 0;
           };
         (match Hashtbl.find_opt t.pending txn with
         | Some ids -> ids := id :: !ids
@@ -263,7 +280,7 @@ let feed t e =
         t.t_end <- Float.max t.t_end finish;
         if t.num_windows > 0 then push_xfer t ~link ~size ~start ~finish;
         match Hashtbl.find_opt t.msgs msg with
-        | Some r -> r.r_rev_xfers <- (start, finish) :: r.r_rev_xfers
+        | Some r -> push_rec_xfer r ~start ~finish
         | None -> ()
       end
   | Trace.Msg_deliver { id; handled; _ } ->
@@ -479,131 +496,163 @@ let file_sink oc h =
 (* Event decoding                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let event_of_json j =
-  let what = "event" in
-  let int k = field ~what ~key:k Json.to_int j in
-  let flt k = field ~what ~key:k Json.to_float j in
-  let str k = field ~what ~key:k Json.to_str j in
-  let boo k = field ~what ~key:k Json.to_bool j in
-  let* tag = str "e" in
-  match tag with
+(* Slot of every member name an event line can carry; [-1] for the rest. *)
+let event_slot = function
+  | "e" -> 0 | "ts" -> 1 | "id" -> 2 | "par" -> 3 | "txn" -> 4 | "inj" -> 5
+  | "lv" -> 6 | "src" -> 7 | "dst" -> 8 | "sz" -> 9 | "loc" -> 10 | "h" -> 11
+  | "s" -> 12 | "f" -> 13 | "lk" -> 14 | "msg" -> 15 | "v" -> 16
+  | "name" -> 17 | "own" -> 18 | "dur" -> 19 | "n" -> 20 | "op" -> 21
+  | "hit" -> 22 | "cb" -> 23 | "tn" -> 24 | "why" -> 25 | "from" -> 26
+  | "to" -> 27 | "att" -> 28
+  | _ -> -1
+
+exception Bad_event of string
+
+let bad_event fmt = Printf.ksprintf (fun msg -> raise (Bad_event msg)) fmt
+
+(* One pass over the line's members files each known one into its slot;
+   the first occurrence wins, as with [Json.member]. *)
+let rec fill_slots slots seen = function
+  | [] -> ()
+  | (k, v) :: kvs ->
+      let i = event_slot k in
+      if i >= 0 && seen land (1 lsl i) = 0 then begin
+        slots.(i) <- v;
+        fill_slots slots (seen lor (1 lsl i)) kvs
+      end
+      else fill_slots slots seen kvs
+
+let slot conv slots key =
+  match conv slots.(event_slot key) with
+  | Some v -> v
+  | None -> bad_event "event: missing or malformed %S field" key
+
+let int = slot Json.to_int
+let flt = slot Json.to_float
+let str = slot Json.to_str
+let boo = slot Json.to_bool
+
+(* The decoders read slots in the order they always checked fields, so the
+   first missing or malformed one is the one reported. *)
+let decode_event sl =
+  match str sl "e" with
   | "send" ->
-      let* ts = flt "ts" in
-      let* id = int "id" in
-      let* parent = int "par" in
-      let* txn = int "txn" in
-      let* inject = flt "inj" in
-      let* level = int "lv" in
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* size = int "sz" in
-      let* local = boo "loc" in
-      Ok
-        (Trace.Msg_send
-           { ts; id; parent; txn; inject; level; src; dst; size; local })
+      let ts = flt sl "ts" in
+      let id = int sl "id" in
+      let parent = int sl "par" in
+      let txn = int sl "txn" in
+      let inject = flt sl "inj" in
+      let level = int sl "lv" in
+      let src = int sl "src" in
+      let dst = int sl "dst" in
+      let size = int sl "sz" in
+      let local = boo sl "loc" in
+      Trace.Msg_send { ts; id; parent; txn; inject; level; src; dst; size; local }
   | "dlv" ->
-      let* ts = flt "ts" in
-      let* id = int "id" in
-      let* txn = int "txn" in
-      let* handled = flt "h" in
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* size = int "sz" in
-      Ok (Trace.Msg_deliver { ts; id; txn; handled; src; dst; size })
+      let ts = flt sl "ts" in
+      let id = int sl "id" in
+      let txn = int sl "txn" in
+      let handled = flt sl "h" in
+      let src = int sl "src" in
+      let dst = int sl "dst" in
+      let size = int sl "sz" in
+      Trace.Msg_deliver { ts; id; txn; handled; src; dst; size }
   | "xfer" ->
-      let* start = flt "s" in
-      let* finish = flt "f" in
-      let* link = int "lk" in
-      let* msg = int "msg" in
-      let* txn = int "txn" in
-      let* level = int "lv" in
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* size = int "sz" in
-      Ok
-        (Trace.Link_xfer
-           { start; finish; link; msg; txn; level; src; dst; size })
+      let start = flt sl "s" in
+      let finish = flt sl "f" in
+      let link = int sl "lk" in
+      let msg = int sl "msg" in
+      let txn = int sl "txn" in
+      let level = int sl "lv" in
+      let src = int sl "src" in
+      let dst = int sl "dst" in
+      let size = int sl "sz" in
+      Trace.Link_xfer { start; finish; link; msg; txn; level; src; dst; size }
   | "var" ->
-      let* ts = flt "ts" in
-      let* var = int "v" in
-      let* var_name = str "name" in
-      let* size = int "sz" in
-      let* owner = int "own" in
-      Ok (Trace.Var_decl { ts; var; var_name; size; owner })
+      let ts = flt sl "ts" in
+      let var = int sl "v" in
+      let var_name = str sl "name" in
+      let size = int sl "sz" in
+      let owner = int sl "own" in
+      Trace.Var_decl { ts; var; var_name; size; owner }
   | "dsm" ->
-      let* ts = flt "ts" in
-      let* dur = flt "dur" in
-      let* node = int "n" in
-      let* var = int "v" in
-      let* var_name = str "name" in
-      let* code = str "op" in
-      let* op =
+      let ts = flt sl "ts" in
+      let dur = flt sl "dur" in
+      let node = int sl "n" in
+      let var = int sl "v" in
+      let var_name = str sl "name" in
+      let code = str sl "op" in
+      let op =
         match Trace.op_of_code code with
-        | Some op -> Ok op
-        | None -> Error (Printf.sprintf "event: unknown op code %S" code)
+        | Some op -> op
+        | None -> bad_event "event: unknown op code %S" code
       in
-      let* size = int "sz" in
-      let* hit = boo "hit" in
-      let* txn = int "txn" in
-      let* completed_by = int "cb" in
-      Ok
-        (Trace.Dsm_access
-           { ts; dur; node; var; var_name; op; size; hit; txn; completed_by })
+      let size = int sl "sz" in
+      let hit = boo sl "hit" in
+      let txn = int sl "txn" in
+      let completed_by = int sl "cb" in
+      Trace.Dsm_access
+        { ts; dur; node; var; var_name; op; size; hit; txn; completed_by }
   | "cadd" ->
-      let* ts = flt "ts" in
-      let* node = int "n" in
-      let* var = int "v" in
-      let* var_name = str "name" in
-      let* tnode = int "tn" in
-      let* level = int "lv" in
-      Ok (Trace.Copy_add { ts; node; var; var_name; tnode; level })
+      let ts = flt sl "ts" in
+      let node = int sl "n" in
+      let var = int sl "v" in
+      let var_name = str sl "name" in
+      let tnode = int sl "tn" in
+      let level = int sl "lv" in
+      Trace.Copy_add { ts; node; var; var_name; tnode; level }
   | "cdrop" ->
-      let* ts = flt "ts" in
-      let* node = int "n" in
-      let* var = int "v" in
-      let* var_name = str "name" in
-      let* tnode = int "tn" in
-      let* level = int "lv" in
-      let* code = str "why" in
-      let* reason =
+      let ts = flt sl "ts" in
+      let node = int sl "n" in
+      let var = int sl "v" in
+      let var_name = str sl "name" in
+      let tnode = int sl "tn" in
+      let level = int sl "lv" in
+      let code = str sl "why" in
+      let reason =
         match Trace.drop_of_code code with
-        | Some r -> Ok r
-        | None -> Error (Printf.sprintf "event: unknown drop reason %S" code)
+        | Some r -> r
+        | None -> bad_event "event: unknown drop reason %S" code
       in
-      Ok (Trace.Copy_drop { ts; node; var; var_name; tnode; level; reason })
+      Trace.Copy_drop { ts; node; var; var_name; tnode; level; reason }
   | "remap" ->
-      let* ts = flt "ts" in
-      let* var = int "v" in
-      let* var_name = str "name" in
-      let* tnode = int "tn" in
-      let* level = int "lv" in
-      let* from_node = int "from" in
-      let* to_node = int "to" in
-      Ok (Trace.Remap { ts; var; var_name; tnode; level; from_node; to_node })
+      let ts = flt sl "ts" in
+      let var = int sl "v" in
+      let var_name = str sl "name" in
+      let tnode = int sl "tn" in
+      let level = int sl "lv" in
+      let from_node = int sl "from" in
+      let to_node = int sl "to" in
+      Trace.Remap { ts; var; var_name; tnode; level; from_node; to_node }
   | "lost" ->
-      let* ts = flt "ts" in
-      let* msg = int "msg" in
-      let* txn = int "txn" in
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* size = int "sz" in
-      let* code = str "why" in
-      let* reason =
+      let ts = flt sl "ts" in
+      let msg = int sl "msg" in
+      let txn = int sl "txn" in
+      let src = int sl "src" in
+      let dst = int sl "dst" in
+      let size = int sl "sz" in
+      let code = str sl "why" in
+      let reason =
         match Trace.loss_of_code code with
-        | Some r -> Ok r
-        | None -> Error (Printf.sprintf "event: unknown loss reason %S" code)
+        | Some r -> r
+        | None -> bad_event "event: unknown loss reason %S" code
       in
-      Ok (Trace.Msg_lost { ts; msg; txn; src; dst; size; reason })
+      Trace.Msg_lost { ts; msg; txn; src; dst; size; reason }
   | "retry" ->
-      let* ts = flt "ts" in
-      let* msg = int "msg" in
-      let* txn = int "txn" in
-      let* src = int "src" in
-      let* dst = int "dst" in
-      let* size = int "sz" in
-      let* attempt = int "att" in
-      Ok (Trace.Msg_retry { ts; msg; txn; src; dst; size; attempt })
-  | other -> Error (Printf.sprintf "event: unknown tag %S" other)
+      let ts = flt sl "ts" in
+      let msg = int sl "msg" in
+      let txn = int sl "txn" in
+      let src = int sl "src" in
+      let dst = int sl "dst" in
+      let size = int sl "sz" in
+      let attempt = int sl "att" in
+      Trace.Msg_retry { ts; msg; txn; src; dst; size; attempt }
+  | other -> bad_event "event: unknown tag %S" other
+
+let event_of_json j =
+  let slots = Array.make 29 Json.Null in
+  (match j with Json.Obj kvs -> fill_slots slots 0 kvs | _ -> ());
+  match decode_event slots with e -> Ok e | exception Bad_event msg -> Error msg
 
 let event_of_line ~lineno line =
   let* j =
@@ -631,8 +680,9 @@ let with_lines path f =
     | exception Sys_error e -> Error e
 
 (* First non-blank line is the header; every later non-blank line is one
-   event, applied in order. *)
-let iter_file path ~f =
+   event, applied in order to the consumer [start] builds from the header.
+   Returns the header and what [start] returned beside the consumer. *)
+let read_file path ~start =
   with_lines path (fun ic ->
       let rec next_line lineno =
         match input_line ic with
@@ -644,15 +694,18 @@ let iter_file path ~f =
       | None -> Error "empty trace file"
       | Some (header_line, hline) ->
           let* header = parse_header header_line in
+          let acc, f = start header in
           let rec go lineno =
             match next_line lineno with
-            | None -> Ok header
+            | None -> Ok (header, acc)
             | Some (line, lineno) ->
                 let* e = event_of_line ~lineno line in
                 f e;
                 go (lineno + 1)
           in
           go (hline + 1))
+
+let iter_file path ~f = Result.map fst (read_file path ~start:(fun _ -> ((), f)))
 
 let probe path =
   with_lines path (fun ic ->
@@ -661,23 +714,18 @@ let probe path =
       | line -> Result.map (fun (_ : header) -> ()) (parse_header line))
 
 (* Full offline post-mortem in a single pass over the file: the analyzer
-   retains each link crossing as four scalars and bins them into windows
-   at [finalize], once the end time is known. Returns the header, the
-   summary — bit-identical to [Analysis.summarize] over the same events —
-   and the peak message-record residency. *)
+   is built from the header's overheads, retains each link crossing as
+   four scalars and bins them into windows at [finalize], once the end
+   time is known. Returns the header, the summary — bit-identical to
+   [Analysis.summarize] over the same events — and the peak
+   message-record residency. *)
 let analyze_file ?top_k ?num_windows ?ring path =
-  let* header =
-    Result.map_error
-      (fun e -> e)
-      (with_lines path (fun ic ->
-           match input_line ic with
-           | exception End_of_file -> Error "empty trace file"
-           | line -> parse_header line))
+  let* header, t =
+    read_file path ~start:(fun h ->
+        let t = create ?top_k ?num_windows ?ring h.h_overheads in
+        (t, feed t))
   in
-  let t = create ?top_k ?num_windows ?ring header.h_overheads in
-  let* _ = iter_file path ~f:(feed t) in
   Ok (header, finalize t, t.peak)
-
 
 (* ------------------------------------------------------------------ *)
 (* Multi-run merge / compaction                                         *)

@@ -255,8 +255,13 @@ let event_to_json e =
           ("txn", Int txn); ("src", Int src); ("dst", Int dst);
           ("sz", Int size); ("att", Int attempt) ]
 
-let write_event oc e =
-  let b = Buffer.create 160 in
-  Json.to_buffer b (event_to_json e);
-  Buffer.add_char b '\n';
-  Buffer.output_buffer oc b
+(* The buffer belongs to the partial application [write_event oc]: a sink
+   built from it reuses one buffer for every line, and sinks on different
+   domains never share one. *)
+let write_event oc =
+  let b = Buffer.create 256 in
+  fun e ->
+    Buffer.clear b;
+    Json.to_buffer b (event_to_json e);
+    Buffer.add_char b '\n';
+    Buffer.output_buffer oc b

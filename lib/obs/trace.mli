@@ -231,4 +231,6 @@ val loss_of_code : string -> loss_reason option
 val event_to_json : event -> Json.t
 
 val write_event : out_channel -> event -> unit
-(** Write one event as a single JSON line. *)
+(** Write one event as a single JSON line. [write_event oc] is a writer
+    that reuses one line buffer; hand that to one sink rather than
+    applying both arguments per event. *)

@@ -219,6 +219,157 @@ let test_to_json_roundtrip () =
           "top_links"; "windows"; "ops" ]
   | Ok _ -> Alcotest.fail "analysis.json is not an object"
 
+(* ------------------------------------------------------------------ *)
+(* Cost sweep vs the quadratic reference                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The sweep as it was before the sort-based rewrite: for every pair of
+   consecutive boundary points, scan every segment at the midpoint. *)
+let reference_decompose_chain (ov : Analysis.overheads) ~t0 ~dur links =
+  let t1 = t0 +. dur in
+  let segs = ref [] in
+  let add label a b =
+    let a = Float.max a t0 and b = Float.min b t1 in
+    if b > a then segs := (label, a, b) :: !segs
+  in
+  List.iter
+    (fun (l : Analysis.chain_link) ->
+      if l.Analysis.cl_local then
+        add `Cpu (l.Analysis.cl_inject -. ov.Analysis.local_overhead)
+          l.Analysis.cl_inject
+      else begin
+        add `Startup (l.Analysis.cl_inject -. ov.Analysis.send_overhead)
+          l.Analysis.cl_inject;
+        let x = l.Analysis.cl_xfers in
+        for k = 0 to (Array.length x / 2) - 1 do
+          add `Transfer x.(2 * k) x.((2 * k) + 1)
+        done;
+        match l.Analysis.cl_handled with
+        | Some h -> add `Startup (h -. ov.Analysis.recv_overhead) h
+        | None -> ()
+      end)
+    links;
+  let pts =
+    List.sort_uniq Float.compare
+      (t0 :: t1 :: List.concat_map (fun (_, a, b) -> [ a; b ]) !segs)
+  in
+  let startup = ref 0.0 and transfer = ref 0.0 and cpu = ref 0.0 in
+  let rec sweep = function
+    | a :: (b :: _ as rest) ->
+        let mid = (a +. b) /. 2.0 in
+        let active l =
+          List.exists (fun (l', x, y) -> l' = l && x <= mid && mid < y) !segs
+        in
+        let d = b -. a in
+        if active `Startup then startup := !startup +. d
+        else if active `Transfer then transfer := !transfer +. d
+        else if active `Cpu then cpu := !cpu +. d;
+        sweep rest
+    | _ -> ()
+  in
+  sweep pts;
+  {
+    Analysis.startup_us = !startup;
+    transfer_us = !transfer;
+    queue_us = dur -. (!startup +. !transfer +. !cpu);
+    cpu_us = !cpu;
+  }
+
+let same_bits (a : Analysis.cost) (b : Analysis.cost) =
+  List.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    [ a.startup_us; a.transfer_us; a.queue_us; a.cpu_us ]
+    [ b.startup_us; b.transfer_us; b.queue_us; b.cpu_us ]
+
+(* Points drawn from a small pool so segments share endpoints, each
+   possibly nudged by a few ulps: around adjacent doubles [(a +. b) /. 2.0]
+   rounds onto an endpoint, the case the sweep must classify exactly as
+   the segment test does. Rarely, values near [max_float] make the
+   midpoint overflow. *)
+let gen_point =
+  QCheck.Gen.(
+    let base =
+      frequency
+        [ (6, map (fun k -> float_of_int k *. 0.5) (int_range 0 40));
+          (2, map (fun k -> 1e6 +. float_of_int k) (int_range 0 8));
+          (2, oneofl [ 1.0; 3.0; 1024.0; 0.1; 7.3 ]);
+          (1, map (fun k -> 1.5e308 +. (float_of_int k *. 1e306)) (int_range 0 20)) ]
+    in
+    let rec nudge n f =
+      if n > 0 then nudge (n - 1) (Float.succ f)
+      else if n < 0 then nudge (n + 1) (Float.pred f)
+      else f
+    in
+    map2 (fun f n -> if n > 3 then f else nudge n f) base (int_range (-3) 10))
+
+let gen_chain =
+  QCheck.Gen.(
+    let link =
+      map
+        (fun ((local, inject), (handled, xfers)) ->
+          { Analysis.cl_local = local; cl_inject = inject; cl_handled = handled;
+            cl_xfers =
+              Array.of_list (List.concat_map (fun (s, f) -> [ s; f ]) xfers) })
+        (pair
+           (pair (frequencyl [ (1, true); (3, false) ]) gen_point)
+           (pair (opt gen_point) (list_size (int_bound 4) (pair gen_point gen_point))))
+    in
+    let ov =
+      map
+        (fun (s, (r, l)) ->
+          { Analysis.send_overhead = s; recv_overhead = r; local_overhead = l })
+        (pair gen_point (pair gen_point gen_point))
+    in
+    quad ov gen_point
+      (frequency [ (6, gen_point); (1, map Float.neg gen_point) ])
+      (list_size (int_bound 6) link))
+
+let print_chain (ov, t0, dur, links) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "ov=(%h,%h,%h) t0=%h dur=%h\n" ov.Analysis.send_overhead
+    ov.Analysis.recv_overhead ov.Analysis.local_overhead t0 dur;
+  List.iter
+    (fun (l : Analysis.chain_link) ->
+      Printf.bprintf b "  local=%b inject=%h handled=%s xfers=[%s]\n"
+        l.Analysis.cl_local l.Analysis.cl_inject
+        (match l.Analysis.cl_handled with
+        | Some h -> Printf.sprintf "%h" h
+        | None -> "-")
+        (String.concat ";"
+           (Array.to_list (Array.map (Printf.sprintf "%h") l.Analysis.cl_xfers))))
+    links;
+  Buffer.contents b
+
+let prop_sweep_matches_reference =
+  QCheck.Test.make ~name:"sort-based sweep = quadratic reference, bit for bit"
+    ~count:3000
+    (QCheck.make ~print:print_chain gen_chain)
+    (fun (ov, t0, dur, links) ->
+      same_bits
+        (Analysis.decompose_chain ov ~t0 ~dur links)
+        (reference_decompose_chain ov ~t0 ~dur links))
+
+(* Adjacent doubles whose midpoint rounds up onto the right endpoint: the
+   segment test then credits [a, b) to whatever is live from [b] on, not
+   to the transfer that actually covers it. The sweep must agree. *)
+let test_sweep_midpoint_rounds_up () =
+  let a = Float.succ 1.0 in
+  let b = Float.succ a in
+  let c = Float.succ b in
+  Alcotest.(check bool) "midpoint rounds onto b" true ((a +. b) /. 2.0 = b);
+  let ov =
+    { Analysis.send_overhead = c -. b; recv_overhead = 0.0; local_overhead = 0.0 }
+  in
+  let links =
+    [ { Analysis.cl_local = false; cl_inject = c; cl_handled = None;
+        cl_xfers = [| a; b |] } ]
+  in
+  let got = Analysis.decompose_chain ov ~t0:1.0 ~dur:(c -. 1.0) links in
+  let want = reference_decompose_chain ov ~t0:1.0 ~dur:(c -. 1.0) links in
+  Alcotest.(check bool) "bit-equal to the reference" true (same_bits got want);
+  Alcotest.(check bool) "[a, b) counted as startup" true
+    (got.Analysis.startup_us = c -. a && got.Analysis.transfer_us = 0.0)
+
 let suite =
   [
     Alcotest.test_case "decomposition sums to latency" `Quick
@@ -234,4 +385,7 @@ let suite =
       test_op_table_counts;
     Alcotest.test_case "analysis.json round-trips" `Quick
       test_to_json_roundtrip;
+    Alcotest.test_case "sweep midpoint rounding onto an endpoint" `Quick
+      test_sweep_midpoint_rounds_up;
+    QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
   ]

@@ -66,6 +66,21 @@ let test_schedule_validate () =
     (Schedule.make ~rto_us:0.0
        [ Schedule.Msg_drop { prob = 0.1; w = { t0 = 0.0; t1 = 1.0 } } ])
 
+(* An integral float outside the int range is not an integer field. *)
+let test_schedule_rejects_out_of_range_int () =
+  let doc node =
+    Printf.sprintf
+      "{\"format\":\"diva-faults\",\"version\":1,\"events\":[{\"kind\":\"node_pause\",\"node\":%s,\"from\":0,\"until\":1}]}"
+      node
+  in
+  (match Schedule.of_string (doc "2") with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "well-formed schedule rejected: %s" e);
+  match Schedule.of_string (doc "1e300") with
+  | Ok _ -> Alcotest.fail "\"node\":1e300 was accepted"
+  | Error e ->
+      Alcotest.(check string) "error" "fault event needs an integer \"node\"" e
+
 let test_generate_deterministic () =
   let g () = Schedule.generate ~seed:5 ~num_nodes:16 ~num_links:48 () in
   let a = g () and b = g () in
@@ -353,4 +368,6 @@ let suite =
       test_chaos_campaign;
     Alcotest.test_case "chaos campaign: full strategy registry" `Slow
       test_chaos_registry_zoo;
+    Alcotest.test_case "schedule rejects out-of-range int" `Quick
+      test_schedule_rejects_out_of_range_int;
   ]

@@ -265,6 +265,118 @@ let test_json_writer () =
     "{\"s\":\"a\\\"b\\\\c\\nd\\tcontrol:\\u0001\",\"i\":-3,\"f\":1.5,\"big\":301292,\"nan\":null,\"l\":[null,true]}"
     (Json.to_string doc)
 
+(* The writer as it was before integers and integral floats went through
+   a digit loop: [string_of_int] for ints, this for floats. The writer
+   must still emit exactly these bytes. *)
+let reference_float_repr f =
+  if not (Float.is_finite f) then "null"
+  else if f = 0.0 then "0"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+
+let edge_ints =
+  [ min_int; min_int + 1; max_int; max_int - 1; 0; -1; 1; -9; 9; -10; 10;
+    -99; 100; 999_999_999_999_999_999; -1_000_000_000_000_000_000 ]
+
+let gen_int =
+  QCheck.Gen.(
+    frequency
+      [ (2, oneofl edge_ints); (3, int); (2, map (fun i -> -abs i) int);
+        (2, int_range (-100_000) 100_000) ])
+
+let edge_floats =
+  [ 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15; Float.pred 1e15; Float.succ 1e15;
+    -0.0; 0.0; Float.nan; Float.infinity; Float.neg_infinity;
+    Float.min_float; Float.pred Float.min_float; Float.succ 0.0;
+    -.Float.succ 0.0; Float.max_float; 0.1; 1.5; 301292.0; -2.5e-7 ]
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [ (2, oneofl edge_floats);
+        (* every exponent, subnormals and non-finite values included *)
+        (3, map Int64.float_of_bits int64);
+        (2, map (fun i -> float_of_int (i mod 1_000_000_000_000_000)) int);
+        (2, float_range (-1e6) 1e6) ])
+
+let prop_int_bytes =
+  QCheck.Test.make ~name:"json ints print like string_of_int" ~count:2000
+    (QCheck.make ~print:string_of_int gen_int)
+    (fun i -> Json.to_string (Json.Int i) = string_of_int i)
+
+let prop_float_bytes =
+  QCheck.Test.make ~name:"json floats print like the Printf reference"
+    ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_float)
+    (fun f -> Json.to_string (Json.Float f) = reference_float_repr f)
+
+(* JSON documents that read back as themselves: floats are finite and
+   non-integral (integral ones read back as [Int]), strings are arbitrary
+   bytes. *)
+let gen_doc ~exact =
+  let open QCheck.Gen in
+  let scalar =
+    frequency
+      [ (1, return Json.Null); (1, map (fun b -> Json.Bool b) bool);
+        (3, map (fun i -> Json.Int i) gen_int);
+        ( 3,
+          map
+            (fun f ->
+              if exact && not (Float.is_finite f && not (Float.is_integer f))
+              then Json.Float 0.25
+              else Json.Float f)
+            gen_float );
+        (2, map (fun s -> Json.String s) (string_size (int_bound 12))) ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then scalar
+         else
+           frequency
+             [ (2, scalar);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (int_bound 4)
+                      (pair (string_size (int_bound 6)) (self (n / 4))))) ])
+
+let prop_roundtrip =
+  QCheck.Test.make ~name:"json of_string (to_string j) = j" ~count:1000
+    (QCheck.make ~print:Json.to_string (gen_doc ~exact:true))
+    (fun j -> Json.of_string (Json.to_string j) = Ok j)
+
+let prop_reprint =
+  QCheck.Test.make ~name:"json reprinting a parsed document is stable"
+    ~count:1000
+    (QCheck.make ~print:Json.to_string (gen_doc ~exact:false))
+    (fun j ->
+      let s = Json.to_string j in
+      match Json.of_string s with
+      | Ok j' -> Json.to_string j' = s
+      | Error _ -> false)
+
+(* Integral floats outside the int range must not read back as some
+   wrapped int: a damaged trace field is rejected, not silently 0. *)
+let test_json_to_int_range () =
+  let check what want f =
+    Alcotest.(check (option int)) what want (Json.to_int (Json.Float f))
+  in
+  check "1e300" None 1e300;
+  check "-9.3e18" None (-9.3e18);
+  check "2^62" None 4611686018427387904.0;
+  check "-2^62 is min_int" (Some min_int) (-4611686018427387904.0);
+  check "-3.0" (Some (-3)) (-3.0);
+  check "nan" None Float.nan;
+  check "fractional" None 2.5;
+  Alcotest.(check (option int)) "parsed 1e300" None
+    (Option.bind (Result.to_option (Json.of_string "1e300")) Json.to_int)
+
 let suite =
   [
     Alcotest.test_case "link aggregation = Link_stats" `Quick
@@ -280,4 +392,9 @@ let suite =
     Alcotest.test_case "prometheus export" `Quick test_prometheus_export;
     Alcotest.test_case "chrome export golden file" `Quick test_chrome_golden;
     Alcotest.test_case "json writer escaping" `Quick test_json_writer;
+    Alcotest.test_case "json to_int range" `Quick test_json_to_int_range;
+    QCheck_alcotest.to_alcotest prop_int_bytes;
+    QCheck_alcotest.to_alcotest prop_float_bytes;
+    QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_reprint;
   ]

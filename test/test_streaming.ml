@@ -210,6 +210,30 @@ let test_event_codec_roundtrip () =
   List.iter roundtrip_event events;
   List.iter roundtrip_event synthetic_events
 
+(* A damaged integer field must reject the line, not read back as a
+   wrapped int. *)
+let test_event_rejects_out_of_range_int () =
+  let decode line =
+    Result.bind (Json.of_string line) Streaming.event_of_json
+  in
+  let line id =
+    Printf.sprintf
+      "{\"e\":\"dlv\",\"ts\":1,\"id\":%s,\"txn\":0,\"h\":2,\"src\":0,\"dst\":1,\"sz\":8}"
+      id
+  in
+  (match decode (line "3") with
+  | Ok (Trace.Msg_deliver { id = 3; _ }) -> ()
+  | Ok _ -> Alcotest.fail "well-formed line decoded to the wrong event"
+  | Error e -> Alcotest.failf "well-formed line rejected: %s" e);
+  List.iter
+    (fun id ->
+      match decode (line id) with
+      | Ok _ -> Alcotest.failf "\"id\":%s was accepted" id
+      | Error e ->
+          Alcotest.(check string)
+            ("error for " ^ id) "event: missing or malformed \"id\" field" e)
+    [ "1e300"; "-9.3e18" ]
+
 let sample_header () =
   Streaming.make_header
     ~params:[ ("block", Json.Int 64) ]
@@ -364,6 +388,8 @@ let suite =
       test_peak_residency_bounded;
     Alcotest.test_case "event codec round-trip" `Quick
       test_event_codec_roundtrip;
+    Alcotest.test_case "event rejects out-of-range int" `Quick
+      test_event_rejects_out_of_range_int;
     Alcotest.test_case "header round-trip and rejection" `Quick
       test_header_roundtrip;
     Alcotest.test_case "offline file analysis round-trip" `Quick
