@@ -143,7 +143,6 @@ type obs_opts = {
   metrics_file : string option;
   prom_file : string option;
   manifest_file : string option;
-  record_file : string option;
   events_file : string option;
   prof_file : string option;
   flight_file : string option;
@@ -206,16 +205,6 @@ let obs_opts_t =
       & info [ "sample-interval" ] ~docv:"US"
           ~doc:"Metrics sampling interval in simulated microseconds.")
   in
-  let record =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "record" ] ~docv:"FILE"
-          ~doc:
-            "Record the run's DSM access stream as a replayable JSONL trace \
-             (see docs/WORKLOAD.md). Feed it back with $(b,divasim workload \
-             --replay FILE).")
-  in
   let events =
     Arg.(
       value
@@ -225,7 +214,9 @@ let obs_opts_t =
             "Record the run's full causal event stream as a versioned JSONL \
              trace (see docs/OBSERVABILITY.md), streamed line by line as the \
              simulation runs. Post-mortem it later with $(b,divasim analyze \
-             --offline FILE) — no re-simulation needed.")
+             --offline FILE) — no re-simulation needed — or re-run its DSM \
+             access stream under another strategy with $(b,divasim workload \
+             --replay FILE).")
   in
   let prof =
     Arg.(
@@ -284,14 +275,14 @@ let obs_opts_t =
              travel in a reliable ack/retry envelope while faults are \
              active; the run report gains a $(b,faults) section.")
   in
-  let mk trace_file metrics_file prom_file manifest_file record_file
-      events_file prof_file flight_file ticker sample_us fault_sched =
-    { trace_file; metrics_file; prom_file; manifest_file; record_file;
-      events_file; prof_file; flight_file; ticker; sample_us; fault_sched }
+  let mk trace_file metrics_file prom_file manifest_file events_file prof_file
+      flight_file ticker sample_us fault_sched =
+    { trace_file; metrics_file; prom_file; manifest_file; events_file;
+      prof_file; flight_file; ticker; sample_us; fault_sched }
   in
   Term.(
-    const mk $ trace $ metrics $ prom $ manifest $ record $ events $ prof
-    $ flight $ ticker $ sample $ faults)
+    const mk $ trace $ metrics $ prom $ manifest $ events $ prof $ flight
+    $ ticker $ sample $ faults)
 
 (* Fail on an unwritable artifact destination before the (possibly long)
    simulation runs, not after. *)
@@ -309,7 +300,6 @@ let preflight oo =
   check oo.metrics_file;
   check oo.prom_file;
   check oo.manifest_file;
-  check oo.record_file;
   check oo.events_file;
   check oo.prof_file;
   check oo.flight_file
@@ -319,6 +309,24 @@ let machine_overheads (m : Diva_simnet.Machine.t) =
     recv_overhead = m.Diva_simnet.Machine.recv_overhead;
     local_overhead = m.Diva_simnet.Machine.local_overhead }
 
+(* An event-trace argument ([--offline], [--replay]): existence and header
+   (format + version) are validated at argument-parse time; the body
+   parses after. *)
+let trace_file_conv =
+  let parse s =
+    match Diva_obs.Streaming.probe s with
+    | Ok () -> Ok s
+    | Error e -> Error (`Msg e)
+  in
+  Arg.conv (parse, fun ppf s -> Format.fprintf ppf "%s" s)
+
+let read_replay path =
+  match Workload.Replay.read path with
+  | Ok t -> t
+  | Error e ->
+      Printf.eprintf "divasim: %s\n" e;
+      exit 1
+
 (* The run's armed flight recorder, if any — the uncaught-exception dump
    in [main] needs a way to reach it after the command function has blown
    through the stack. *)
@@ -326,12 +334,12 @@ let armed_flight : Diva_obs.Flight.t option ref = ref None
 
 (* [--events] streams each event to disk as it is emitted, so the header
    (app, mesh, strategy, seed, machine overheads) must be known before the
-   run; the runners always simulate the GCel machine model. When another
-   artifact needs the in-memory event list too, the sink tees; with
+   run; the runners always simulate the GCel machine model. When the
+   Chrome trace needs the in-memory event list too, the sink tees; with
    [--events] alone, recording costs O(1) memory. *)
 let make_obs oo ~app ~dims ~strategy ~seed ~params =
   preflight oo;
-  let buffering = oo.trace_file <> None || oo.record_file <> None in
+  let buffering = oo.trace_file <> None in
   let trace, events_oc =
     match oo.events_file with
     | None ->
@@ -466,22 +474,10 @@ let write_artifacts oo (obs : Runner.obs) ~events_oc ~app ~dims ~strategy ~seed
         Diva_obs.Json.to_file path doc;
         Printf.printf "prof     -> %s\n" path
     | _ -> ());
-    (match oo.manifest_file with
+    match oo.manifest_file with
     | Some path ->
         Diva_obs.Json.to_file path (manifest ());
         Printf.printf "manifest -> %s\n" path
-    | None -> ());
-    match oo.record_file with
-    | Some path ->
-        let t =
-          Workload.Dsm_trace.of_events ~dims ~seed
-            ~meta:[ ("app", app); ("strategy", strategy) ]
-            (Diva_obs.Trace.events obs.Runner.obs_trace)
-        in
-        Workload.Dsm_trace.write path t;
-        Printf.printf "record   -> %s (%d ops, %d vars)\n" path
-          (List.length t.Workload.Dsm_trace.ops)
-          (List.length t.Workload.Dsm_trace.decls)
     | None -> ()
   with Sys_error e ->
     Printf.eprintf "divasim: %s\n" e;
@@ -664,27 +660,17 @@ let analyze_cmd =
   let replay =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some trace_file_conv) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:
-            "Analyze a recorded DSM trace (produced by $(b,--record)) \
-             replayed against the chosen strategy instead of running an \
-             app inline.")
-  in
-  (* Existence and header (format + version) are validated at argument-parse
-     time, like the workload command's --replay. *)
-  let offline_conv =
-    let parse s =
-      match Diva_obs.Streaming.probe s with
-      | Ok () -> Ok s
-      | Error e -> Error (`Msg e)
-    in
-    Arg.conv (parse, fun ppf s -> Format.fprintf ppf "%s" s)
+            "Analyze the DSM access stream of a saved event trace (produced \
+             by $(b,--events)) replayed against the chosen strategy instead \
+             of running an app inline.")
   in
   let offline =
     Arg.(
       value
-      & opt (some offline_conv) None
+      & opt (some trace_file_conv) None
       & info [ "offline" ] ~docv:"FILE"
           ~doc:
             "Post-mortem a saved event trace (produced by $(b,--events)) \
@@ -701,9 +687,9 @@ let analyze_cmd =
           Error
             (`Msg
                "--replay and --offline cannot be combined: --replay \
-                re-simulates a recorded DSM access trace under the chosen \
-                strategy, --offline post-processes a saved event trace \
-                without simulating anything. Pick one.")
+                re-simulates a saved trace's DSM accesses under the chosen \
+                strategy, --offline post-processes the saved trace without \
+                simulating anything. Pick one.")
       | Some p, None -> Ok (`Replay p)
       | None, Some p -> Ok (`Offline p)
       | None, None -> Ok `Inline
@@ -827,14 +813,10 @@ let analyze_cmd =
         let app_name, dims, params, go =
           match input with
           | `Replay path ->
-              let tr =
-                match Workload.Dsm_trace.read path with
-                | Ok t -> t
-                | Error e -> failwith e
-              in
+              let tr = read_replay path in
               let s = require_dsm_strategy strategy in
               ( "replay",
-                tr.Workload.Dsm_trace.dims,
+                tr.Workload.Replay.dims,
                 [ ("replay", Diva_obs.Json.String path) ],
                 fun obs on_net ->
                   ignore
@@ -876,16 +858,26 @@ let analyze_cmd =
                         (Runner.run_barnes_hut_nd ~seed ~obs ~on_net ~dims ~cfg
                            s) ))
         in
+        (* The analyzer rides the run as its trace sink, so no event list
+           is buffered; --events writes each event to the file on the
+           way. *)
+        let overheads = machine_overheads Diva_simnet.Machine.gcel in
+        let analyzer =
+          Diva_obs.Streaming.create ~top_k:top ~num_windows:wins overheads
+        in
+        let feed = Diva_obs.Streaming.feed analyzer in
         let trace, events_oc =
           match events with
-          | None -> (Diva_obs.Trace.create (), None)
+          | None -> (Diva_obs.Trace.stream feed, None)
           | Some epath ->
               let oc = open_out epath in
               Diva_obs.Streaming.write_header oc
                 (Diva_obs.Streaming.make_header ~params ~app:app_name ~dims
-                   ~strategy:(Runner.name strategy) ~seed
-                   ~overheads:(machine_overheads Diva_simnet.Machine.gcel) ());
-              ( Diva_obs.Trace.tee (Diva_obs.Trace.write_event oc),
+                   ~strategy:(Runner.name strategy) ~seed ~overheads ());
+              let write = Diva_obs.Trace.write_event oc in
+              ( Diva_obs.Trace.stream (fun e ->
+                    write e;
+                    feed e),
                 Some oc )
         in
         let obs =
@@ -899,11 +891,7 @@ let analyze_cmd =
           | Some n -> n
           | None -> failwith "internal error: the run never reached the network"
         in
-        let ov = machine_overheads (Network.machine net) in
-        let summary =
-          Diva_obs.Analysis.summarize ~top_k:top ~num_windows:wins ov
-            (Diva_obs.Trace.events trace)
-        in
+        let summary = Diva_obs.Streaming.finalize analyzer in
         Printf.printf "analyze %s, %s mesh, strategy %s, seed %d\n\n" app_name
           (mesh_str dims) (Runner.name strategy) seed;
         print_string (Diva_obs.Analysis.render_summary summary);
@@ -932,9 +920,10 @@ let analyze_cmd =
        ~man:
          [ `S Manpage.s_description;
            `P
-             "Runs an application (or replays a recorded trace) with causal \
-              tracing enabled, folds the event stream into per-transaction \
-              span trees, and reports where the time went: the last-finishing \
+             "Runs an application (or replays a saved trace's DSM accesses) \
+              with causal tracing enabled, folds the event stream as it is \
+              emitted, in memory bounded by the number of concurrent \
+              transactions, and reports where the time went: the last-finishing \
               processor's critical path split into startup / transfer / queue \
               / cpu microseconds, traffic grouped by access-tree level, the \
               top-K congested directed links, and a per-operation latency and \
@@ -1024,16 +1013,6 @@ let burst_conv =
     | _ -> Error (`Msg "burst is OPS:GAP_US, e.g. 20:500")
   in
   Arg.conv (parse, fun ppf (n, g) -> Format.fprintf ppf "%d:%g" n g)
-
-(* Existence and header (format + version) are checked at argument-parse
-   time via {!Workload.Dsm_trace.probe}; the body parses after. *)
-let replay_conv =
-  let parse s =
-    match Workload.Dsm_trace.probe s with
-    | Ok () -> Ok s
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun ppf s -> Format.fprintf ppf "%s" s)
 
 let print_workload_result name (r : Workload.Generator.result) =
   Printf.printf "-- %s --\n" name;
@@ -1127,12 +1106,13 @@ let workload_cmd =
   let replay =
     Arg.(
       value
-      & opt (some replay_conv) None
+      & opt (some trace_file_conv) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:
-            "Instead of generating load, replay the recorded DSM trace \
-             $(docv) (produced by $(b,--record)) against the chosen strategy \
-             and seed. Generator options are ignored.")
+            "Instead of generating load, replay the DSM access stream of the \
+             event trace $(docv) (written by $(b,--events) on any command) \
+             against the chosen strategy and seed. Generator options are \
+             ignored.")
   in
   let replay_mode =
     Arg.(
@@ -1196,14 +1176,10 @@ let workload_cmd =
     else
       match replay with
       | Some path ->
-          let tr =
-            match Workload.Dsm_trace.read path with
-            | Ok t -> t
-            | Error e -> failwith e
-          in
+          let tr = read_replay path in
           let strategy = require_dsm_strategy strategy in
           let obs, events_oc =
-            make_obs oo ~app:"workload-replay" ~dims:tr.Workload.Dsm_trace.dims
+            make_obs oo ~app:"workload-replay" ~dims:tr.Workload.Replay.dims
               ~strategy:(Dsm.strategy_name strategy) ~seed
               ~params:[ ("replay", Diva_obs.Json.String path) ]
           in
@@ -1214,15 +1190,15 @@ let workload_cmd =
           in
           Printf.printf "replay %s (%s, %d ops on %s), strategy %s\n" path
             (Workload.Replay.mode_name replay_mode)
-            (List.length tr.Workload.Dsm_trace.ops)
+            (Workload.Replay.num_ops tr)
             (String.concat "x"
-               (List.map string_of_int (Array.to_list tr.Workload.Dsm_trace.dims)))
+               (List.map string_of_int (Array.to_list tr.Workload.Replay.dims)))
             (Dsm.strategy_name strategy);
           print_measurements r.Workload.Generator.measurements;
           print_faults !faults;
           print_string (Workload.Latency.render r.Workload.Generator.latency);
           write_artifacts oo obs ~events_oc ~app:"workload-replay"
-            ~dims:tr.Workload.Dsm_trace.dims ~strategy:(Dsm.strategy_name strategy)
+            ~dims:tr.Workload.Replay.dims ~strategy:(Dsm.strategy_name strategy)
             ~seed
             ~params:[ ("replay", Diva_obs.Json.String path) ]
             ~measurements:
@@ -1862,8 +1838,8 @@ let serve_cmd =
               steps the offered load and reports the load-latency knee; \
               $(b,--scenario) switches the key-popularity phase schedule. \
               Composes with $(b,--faults), $(b,--events) (post-mortem via \
-              $(b,divasim analyze --offline)), $(b,--record) and the other \
-              observability artifacts." ])
+              $(b,divasim analyze --offline), replay via $(b,divasim workload \
+              --replay)) and the other observability artifacts." ])
     Term.(
       const run $ mesh_t $ strategy_t $ keys $ value_size $ clients $ rate
       $ horizon_ms $ arrival $ scenario $ zipf $ read_ratio $ sweep $ sweep_out

@@ -1,4 +1,5 @@
-(* Critical-path extraction and cost attribution over span trees.
+(* Cost attribution and the run summary: the math and the report types
+   {!Streaming}'s fold produces.
 
    The machine's overhead constants arrive as parameters: [Diva_obs] sits
    below the simulator in the dependency order, so it cannot read
@@ -37,26 +38,13 @@ let op_name = function
   | Trace.Barrier -> "barrier"
   | Trace.Reduce -> "reduce"
 
-let txn_end (x : Spans.txn) = x.Spans.t_start +. x.Spans.t_dur
-
-(* Strategy-neutral view of one completing-chain message: what the
-   decomposition sweep needs, detached from where the records live (full
-   {!Spans} tables or a streaming analyzer's retained prefix). *)
+(* One completing-chain message: what the decomposition sweep needs. *)
 type chain_link = {
   cl_local : bool;
   cl_inject : float;
   cl_handled : float option;
   cl_xfers : float array;  (* (start, finish) pairs, flattened, arrival order *)
 }
-
-let chain_link_of_msg (m : Spans.msg) =
-  {
-    cl_local = m.Spans.local;
-    cl_inject = m.Spans.inject;
-    cl_handled = m.Spans.handled;
-    cl_xfers =
-      Array.of_list (List.concat_map (fun (_, s, f) -> [ s; f ]) m.Spans.xfers);
-  }
 
 (* Labels of clipped segments, in precedence order. *)
 let l_startup = 0
@@ -103,8 +91,8 @@ let top_at ~lo ~hi ~label n mid =
    The clipping makes the result insensitive to events emitted after the
    completion event: any link crossing emitted later (a post-completion
    retransmission) starts at or after [t0 +. dur] and clips to nothing, so
-   a streaming analyzer that retires the transaction at its completion
-   event computes the same cost bit for bit. *)
+   an analyzer that retires the transaction at its completion event
+   computes the same cost as one that kept every record. *)
 let decompose_chain ov ~t0 ~dur links =
   let t1 = t0 +. dur in
   let cap =
@@ -182,44 +170,45 @@ let decompose_chain ov ~t0 ~dur links =
     cpu_us = !cpu;
   }
 
-let decompose ov spans (txn : Spans.txn) =
-  decompose_chain ov ~t0:txn.Spans.t_start ~dur:txn.Spans.t_dur
-    (List.map chain_link_of_msg (Spans.chain spans txn))
+(* Snapshot of a side-branch message (e.g. an invalidation fan-out hop)
+   as it stood when its transaction's completion event passed. *)
+type side = {
+  s_local : bool;
+  s_sent : float;
+  s_inject : float;
+  s_handled : float option;
+  s_xfer_us : float;
+}
 
-(* Cost of one side-branch message (e.g. an invalidation fan-out hop) from
-   its at-completion snapshot. Side branches run concurrently with the
-   blocking window, so their terms are attributed per message rather than
-   swept as a timeline: overheads -> startup, link occupancy -> transfer,
-   local handler cost -> cpu, and the dead time between issue and
-   injection (CPU queueing) -> queue. A message still in flight at
-   completion is charged for what it had consumed by then. *)
-let side_cost ov (s : Spans.side) =
-  if s.Spans.s_local then
+(* Side branches run concurrently with the blocking window, so their
+   terms are attributed per message rather than swept as a timeline:
+   overheads -> startup, link occupancy -> transfer, local handler cost ->
+   cpu, and the dead time between issue and injection (CPU queueing) ->
+   queue. A message still in flight at completion is charged for what it
+   had consumed by then. *)
+let side_cost ov s =
+  if s.s_local then
     {
       startup_us = 0.0;
       transfer_us = 0.0;
-      queue_us =
-        Float.max 0.0 (s.Spans.s_inject -. s.Spans.s_sent -. ov.local_overhead);
+      queue_us = Float.max 0.0 (s.s_inject -. s.s_sent -. ov.local_overhead);
       cpu_us = ov.local_overhead;
     }
   else
-    match s.Spans.s_handled with
+    match s.s_handled with
     | Some h ->
         let startup = ov.send_overhead +. ov.recv_overhead in
         {
           startup_us = startup;
-          transfer_us = s.Spans.s_xfer_us;
-          queue_us =
-            Float.max 0.0 (h -. s.Spans.s_sent -. startup -. s.Spans.s_xfer_us);
+          transfer_us = s.s_xfer_us;
+          queue_us = Float.max 0.0 (h -. s.s_sent -. startup -. s.s_xfer_us);
           cpu_us = 0.0;
         }
     | None ->
         {
           startup_us = ov.send_overhead;
-          transfer_us = s.Spans.s_xfer_us;
-          queue_us =
-            Float.max 0.0
-              (s.Spans.s_inject -. s.Spans.s_sent -. ov.send_overhead);
+          transfer_us = s.s_xfer_us;
+          queue_us = Float.max 0.0 (s.s_inject -. s.s_sent -. ov.send_overhead);
           cpu_us = 0.0;
         }
 
@@ -227,105 +216,17 @@ let sides_cost ov sides =
   List.fold_left (fun a s -> add_cost a (side_cost ov s)) zero_cost sides
 
 (* ------------------------------------------------------------------ *)
-(* Whole-run critical path                                              *)
-(* ------------------------------------------------------------------ *)
-
-type critical_path = {
-  cp_node : int;  (** the last-finishing processor *)
-  cp_end : float;  (** when its final transaction completed *)
-  cp_txns : int list;  (** transaction ids along its timeline *)
-  cp_cost : cost;
-      (** the node's whole timeline: blocking decompositions plus
-          inter-transaction gaps (application compute) as [cpu_us] *)
-}
-
-(* The makespan is decided by the last-finishing processor; its timeline —
-   application compute between transactions plus each transaction's
-   blocking decomposition — explains where the run's wall-clock went. *)
-let critical_path ov spans =
-  match Spans.txns spans with
-  | [] -> None
-  | all ->
-      let last =
-        List.fold_left
-          (fun acc t -> if txn_end t > txn_end acc then t else acc)
-          (List.hd all) all
-      in
-      let node = last.Spans.t_node in
-      let mine =
-        List.filter
-          (fun (t : Spans.txn) ->
-            t.Spans.t_node = node && txn_end t <= txn_end last)
-          all
-      in
-      let mine =
-        List.sort (fun a b -> Float.compare a.Spans.t_start b.Spans.t_start) mine
-      in
-      let cost, _ =
-        List.fold_left
-          (fun (c, prev_end) t ->
-            let gap = Float.max 0.0 (t.Spans.t_start -. prev_end) in
-            let c = { c with cpu_us = c.cpu_us +. gap } in
-            (add_cost c (decompose ov spans t), txn_end t))
-          (zero_cost, 0.0) mine
-      in
-      Some
-        {
-          cp_node = node;
-          cp_end = txn_end last;
-          cp_txns = List.map (fun t -> t.Spans.t_id) mine;
-          cp_cost = cost;
-        }
-
-(* ------------------------------------------------------------------ *)
-(* Traffic profiles                                                     *)
+(* Run summary                                                          *)
 (* ------------------------------------------------------------------ *)
 
 type level_row = {
-  lv_level : int;  (** access-tree depth; -1 collects untagged traffic *)
+  lv_level : int;
   lv_msgs : int;
   lv_bytes : int;
-  lv_local : int;  (** how many of the messages were same-processor hops *)
-  lv_crossings : int;  (** directed-link crossings *)
-  lv_link_bytes : int;  (** bytes weighted by links crossed *)
+  lv_local : int;
+  lv_crossings : int;
+  lv_link_bytes : int;
 }
-
-let level_profile spans =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (m : Spans.msg) ->
-      let r =
-        match Hashtbl.find_opt tbl m.Spans.level with
-        | Some r -> r
-        | None ->
-            let r =
-              ref
-                {
-                  lv_level = m.Spans.level;
-                  lv_msgs = 0;
-                  lv_bytes = 0;
-                  lv_local = 0;
-                  lv_crossings = 0;
-                  lv_link_bytes = 0;
-                }
-            in
-            Hashtbl.add tbl m.Spans.level r;
-            r
-      in
-      let nx = List.length m.Spans.xfers in
-      r :=
-        {
-          !r with
-          lv_msgs = !r.lv_msgs + 1;
-          lv_bytes = !r.lv_bytes + m.Spans.size;
-          lv_local = (!r.lv_local + if m.Spans.local then 1 else 0);
-          lv_crossings = !r.lv_crossings + nx;
-          lv_link_bytes = !r.lv_link_bytes + (nx * m.Spans.size);
-        })
-    (Spans.msgs spans);
-  List.sort
-    (fun a b -> compare a.lv_level b.lv_level)
-    (Hashtbl.fold (fun _ r acc -> !r :: acc) tbl [])
 
 type link_row = {
   lk_link : int;
@@ -334,316 +235,21 @@ type link_row = {
   lk_busy_us : float;
 }
 
-let link_rows spans =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (m : Spans.msg) ->
-      List.iter
-        (fun (link, s, f) ->
-          let msgs, bytes, busy =
-            Option.value ~default:(0, 0, 0.0) (Hashtbl.find_opt tbl link)
-          in
-          Hashtbl.replace tbl link
-            (msgs + 1, bytes + m.Spans.size, busy +. (f -. s)))
-        m.Spans.xfers)
-    (Spans.msgs spans);
-  Hashtbl.fold
-    (fun link (msgs, bytes, busy) acc ->
-      { lk_link = link; lk_msgs = msgs; lk_bytes = bytes; lk_busy_us = busy }
-      :: acc)
-    tbl []
-
-let top_links ?(k = 10) spans =
-  let rows =
-    List.sort
-      (fun a b ->
-        match compare b.lk_bytes a.lk_bytes with
-        | 0 -> compare a.lk_link b.lk_link
-        | c -> c)
-      (link_rows spans)
-  in
-  List.filteri (fun i _ -> i < k) rows
-
 type window = {
   w_start : float;
   w_finish : float;
   w_link_bytes : (int * float) list;
-      (** per-link bytes attributed to the window, overlap-proportional;
-          ascending link id, zero links omitted *)
 }
-
-let end_time spans =
-  List.fold_left
-    (fun acc (m : Spans.msg) ->
-      let acc =
-        List.fold_left (fun acc (_, _, f) -> Float.max acc f) acc m.Spans.xfers
-      in
-      match m.Spans.handled with Some h -> Float.max acc h | None -> acc)
-    0.0 (Spans.msgs spans)
-
-let windows ?(n = 8) spans =
-  let t_end = end_time spans in
-  if t_end <= 0.0 || n <= 0 then []
-  else begin
-    let w = t_end /. float_of_int n in
-    let tables = Array.init n (fun _ -> Hashtbl.create 32) in
-    List.iter
-      (fun (m : Spans.msg) ->
-        List.iter
-          (fun (link, s, f) ->
-            if f > s then
-              let rate = float_of_int m.Spans.size /. (f -. s) in
-              let first = max 0 (int_of_float (s /. w))
-              and last = min (n - 1) (int_of_float (f /. w)) in
-              for i = first to last do
-                let lo = Float.max s (float_of_int i *. w)
-                and hi = Float.min f (float_of_int (i + 1) *. w) in
-                if hi > lo then
-                  let prev =
-                    Option.value ~default:0.0 (Hashtbl.find_opt tables.(i) link)
-                  in
-                  Hashtbl.replace tables.(i) link (prev +. (rate *. (hi -. lo)))
-              done)
-          m.Spans.xfers)
-      (Spans.msgs spans);
-    List.init n (fun i ->
-        {
-          w_start = float_of_int i *. w;
-          w_finish = float_of_int (i + 1) *. w;
-          w_link_bytes =
-            List.sort compare
-              (Hashtbl.fold (fun l b acc -> (l, b) :: acc) tables.(i) []);
-        })
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Per-operation cost table                                             *)
-(* ------------------------------------------------------------------ *)
 
 type op_row = {
   or_op : Trace.dsm_op;
-  or_count : int;  (** miss-path transactions of this kind *)
+  or_count : int;
   or_mean_us : float;
   or_max_us : float;
-  or_cost : cost;  (** summed decomposition over all of them *)
-  or_side_msgs : int;  (** side-branch messages (invalidation fan-out &c.) *)
-  or_side_cost : cost;  (** summed side-branch attribution *)
+  or_cost : cost;
+  or_side_msgs : int;
+  or_side_cost : cost;
 }
-
-let op_order = [ Trace.Read; Write; Lock; Unlock; Barrier; Reduce ]
-
-let op_table ov spans =
-  List.filter_map
-    (fun op ->
-      let mine =
-        List.filter (fun (t : Spans.txn) -> t.Spans.t_op = op) (Spans.txns spans)
-      in
-      match mine with
-      | [] -> None
-      | _ ->
-          let n = List.length mine in
-          let sum_dur =
-            List.fold_left (fun a t -> a +. t.Spans.t_dur) 0.0 mine
-          in
-          let max_dur =
-            List.fold_left (fun a t -> Float.max a t.Spans.t_dur) 0.0 mine
-          in
-          let cost =
-            List.fold_left
-              (fun a t -> add_cost a (decompose ov spans t))
-              zero_cost mine
-          in
-          let side_msgs =
-            List.fold_left
-              (fun a t -> a + List.length (Spans.sides spans t))
-              0 mine
-          in
-          let side =
-            List.fold_left
-              (fun a t -> add_cost a (sides_cost ov (Spans.sides spans t)))
-              zero_cost mine
-          in
-          Some
-            {
-              or_op = op;
-              or_count = n;
-              or_mean_us = sum_dur /. float_of_int n;
-              or_max_us = max_dur;
-              or_cost = cost;
-              or_side_msgs = side_msgs;
-              or_side_cost = side;
-            })
-    op_order
-
-(* ------------------------------------------------------------------ *)
-(* Canonical event folds shared by batch and streaming                  *)
-(* ------------------------------------------------------------------ *)
-
-(* End of network activity, folded from the event stream itself: the last
-   link release (acks excluded, matching span-based traffic accounting),
-   the last handler run, the last local handler. Unlike the span-based
-   {!end_time} this sees every delivery of a retransmitted message, so
-   batch and streaming agree on it by construction. *)
-let end_time_events events =
-  List.fold_left
-    (fun acc e ->
-      match e with
-      | Trace.Link_xfer { finish; msg; _ } when msg >= 0 -> Float.max acc finish
-      | Trace.Msg_deliver { handled; id; _ } when id >= 0 -> Float.max acc handled
-      | Trace.Msg_send { inject; local = true; _ } -> Float.max acc inject
-      | _ -> acc)
-    0.0 events
-
-(* Incremental per-window per-link byte attribution. Needs the run's end
-   time up front to place window boundaries, so streaming uses it as a
-   second pass (over the saved trace file or the replayed event list). *)
-module Windows_fold = struct
-  type t = { n : int; w : float; tables : (int, float) Hashtbl.t array }
-
-  let create ~n ~t_end =
-    if n <= 0 || t_end <= 0.0 then { n = 0; w = 0.0; tables = [||] }
-    else
-      {
-        n;
-        w = t_end /. float_of_int n;
-        tables = Array.init n (fun _ -> Hashtbl.create 32);
-      }
-
-  let feed_xfer t ~link ~size ~start:s ~finish:f =
-    if t.n > 0 && f > s then begin
-      let rate = float_of_int size /. (f -. s) in
-      let first = max 0 (int_of_float (s /. t.w))
-      and last = min (t.n - 1) (int_of_float (f /. t.w)) in
-      for i = first to last do
-        let lo = Float.max s (float_of_int i *. t.w)
-        and hi = Float.min f (float_of_int (i + 1) *. t.w) in
-        if hi > lo then
-          let prev =
-            Option.value ~default:0.0 (Hashtbl.find_opt t.tables.(i) link)
-          in
-          Hashtbl.replace t.tables.(i) link (prev +. (rate *. (hi -. lo)))
-      done
-    end
-
-  let feed t e =
-    match e with
-    | Trace.Link_xfer { link; msg; size; start; finish; _ } when msg >= 0 ->
-        feed_xfer t ~link ~size ~start ~finish
-    | _ -> ()
-
-  let rows t =
-    List.init t.n (fun i ->
-        {
-          w_start = float_of_int i *. t.w;
-          w_finish = float_of_int (i + 1) *. t.w;
-          w_link_bytes =
-            List.sort compare
-              (Hashtbl.fold (fun l b acc -> (l, b) :: acc) t.tables.(i) []);
-        })
-end
-
-(* Mutable accumulator for the per-operation table and the whole-run
-   critical path, fed one completed transaction at a time in completion
-   (= stream emission) order. Both the batch summarizer and the streaming
-   analyzer drive it, so their float sums see identical operand order. *)
-module Txn_fold = struct
-  type op_acc = {
-    mutable oa_count : int;
-    mutable oa_sum_dur : float;
-    mutable oa_max_dur : float;
-    mutable oa_cost : cost;
-    mutable oa_side_msgs : int;
-    mutable oa_side_cost : cost;
-  }
-
-  type node_acc = {
-    mutable na_cost : cost;
-    mutable na_end : float;  (* previous transaction's end on this node *)
-    mutable na_txns : int;
-  }
-
-  type t = {
-    ops : (Trace.dsm_op, op_acc) Hashtbl.t;
-    nodes : (int, node_acc) Hashtbl.t;
-    mutable n_txns : int;
-    mutable best : (int * float) option;  (* (node, end): first strict max *)
-  }
-
-  let create () =
-    { ops = Hashtbl.create 8; nodes = Hashtbl.create 64; n_txns = 0;
-      best = None }
-
-  let feed t ~node ~op ~t_start ~dur ~chain_cost ~side_msgs ~side_cost =
-    t.n_txns <- t.n_txns + 1;
-    let oa =
-      match Hashtbl.find_opt t.ops op with
-      | Some oa -> oa
-      | None ->
-          let oa =
-            { oa_count = 0; oa_sum_dur = 0.0; oa_max_dur = 0.0;
-              oa_cost = zero_cost; oa_side_msgs = 0; oa_side_cost = zero_cost }
-          in
-          Hashtbl.add t.ops op oa;
-          oa
-    in
-    oa.oa_count <- oa.oa_count + 1;
-    oa.oa_sum_dur <- oa.oa_sum_dur +. dur;
-    oa.oa_max_dur <- Float.max oa.oa_max_dur dur;
-    oa.oa_cost <- add_cost oa.oa_cost chain_cost;
-    oa.oa_side_msgs <- oa.oa_side_msgs + side_msgs;
-    oa.oa_side_cost <- add_cost oa.oa_side_cost side_cost;
-    let na =
-      match Hashtbl.find_opt t.nodes node with
-      | Some na -> na
-      | None ->
-          let na = { na_cost = zero_cost; na_end = 0.0; na_txns = 0 } in
-          Hashtbl.add t.nodes node na;
-          na
-    in
-    (* Same fold as {!critical_path}: gaps between a node's transactions
-       are application compute (cpu), then the blocking decomposition.
-       Completion order per node equals start order (a node's fiber blocks
-       on one transaction at a time), so no sort is needed. *)
-    let gap = Float.max 0.0 (t_start -. na.na_end) in
-    na.na_cost <-
-      add_cost { na.na_cost with cpu_us = na.na_cost.cpu_us +. gap } chain_cost;
-    na.na_end <- t_start +. dur;
-    na.na_txns <- na.na_txns + 1;
-    let e = t_start +. dur in
-    match t.best with
-    | Some (_, best_end) when e <= best_end -> ()
-    | _ -> t.best <- Some (node, e)
-
-  let op_rows t =
-    List.filter_map
-      (fun op ->
-        Option.map
-          (fun oa ->
-            {
-              or_op = op;
-              or_count = oa.oa_count;
-              or_mean_us = oa.oa_sum_dur /. float_of_int oa.oa_count;
-              or_max_us = oa.oa_max_dur;
-              or_cost = oa.oa_cost;
-              or_side_msgs = oa.oa_side_msgs;
-              or_side_cost = oa.oa_side_cost;
-            })
-          (Hashtbl.find_opt t.ops op))
-      op_order
-
-  let num_txns t = t.n_txns
-
-  let critical t =
-    Option.map
-      (fun (node, e) ->
-        let na = Hashtbl.find t.nodes node in
-        (node, e, na.na_txns, na.na_cost))
-      t.best
-end
-
-(* ------------------------------------------------------------------ *)
-(* Run summary                                                          *)
-(* ------------------------------------------------------------------ *)
 
 type critical_summary = {
   sc_node : int;
@@ -662,72 +268,6 @@ type summary = {
   sm_windows : window list;
   sm_ops : op_row list;
 }
-
-(* Per-link totals folded in event-emission order — under faults a
-   retransmission's crossings interleave with other messages', and the
-   emission order is the one order batch and streaming naturally share. *)
-let link_rows_events events =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      match e with
-      | Trace.Link_xfer { link; msg; size; start; finish; _ } when msg >= 0 ->
-          let msgs, bytes, busy =
-            Option.value ~default:(0, 0, 0.0) (Hashtbl.find_opt tbl link)
-          in
-          Hashtbl.replace tbl link
-            (msgs + 1, bytes + size, busy +. (finish -. start))
-      | _ -> ())
-    events;
-  Hashtbl.fold
-    (fun link (msgs, bytes, busy) acc ->
-      { lk_link = link; lk_msgs = msgs; lk_bytes = bytes; lk_busy_us = busy }
-      :: acc)
-    tbl []
-
-let sort_top_links ~k rows =
-  let rows =
-    List.sort
-      (fun a b ->
-        match compare b.lk_bytes a.lk_bytes with
-        | 0 -> compare a.lk_link b.lk_link
-        | c -> c)
-      rows
-  in
-  List.filteri (fun i _ -> i < k) rows
-
-(* The canonical batch analysis: full span tables in memory, folded in
-   the same canonical orders the bounded-memory streaming analyzer uses
-   (completion order for transactions, emission order for link traffic),
-   so {!Streaming} reproduces it bit for bit. *)
-let summarize ?(top_k = 10) ?(num_windows = 8) ov events =
-  let spans = Spans.build events in
-  let fold = Txn_fold.create () in
-  List.iter
-    (fun (t : Spans.txn) ->
-      let sides = Spans.sides spans t in
-      Txn_fold.feed fold ~node:t.Spans.t_node ~op:t.Spans.t_op
-        ~t_start:t.Spans.t_start ~dur:t.Spans.t_dur
-        ~chain_cost:(decompose ov spans t)
-        ~side_msgs:(List.length sides) ~side_cost:(sides_cost ov sides))
-    (Spans.txns_completed spans);
-  let t_end = end_time_events events in
-  let wf = Windows_fold.create ~n:num_windows ~t_end in
-  List.iter (Windows_fold.feed wf) events;
-  {
-    sm_num_txns = Txn_fold.num_txns fold;
-    sm_num_msgs = Spans.num_msgs spans;
-    sm_end_us = t_end;
-    sm_critical =
-      Option.map
-        (fun (node, e, n, cost) ->
-          { sc_node = node; sc_end = e; sc_txns = n; sc_cost = cost })
-        (Txn_fold.critical fold);
-    sm_levels = level_profile spans;
-    sm_top_links = sort_top_links ~k:top_k (link_rows_events events);
-    sm_windows = Windows_fold.rows wf;
-    sm_ops = Txn_fold.op_rows fold;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                              *)
@@ -788,33 +328,6 @@ let op_row_json r =
       ("side_cost", cost_json r.or_side_cost);
     ]
 
-let to_json ?(meta = []) ?(top_k = 10) ?(num_windows = 8) ov spans =
-  let critical =
-    match critical_path ov spans with
-    | None -> Json.Null
-    | Some cp ->
-        Json.Obj
-          [
-            ("node", Json.Int cp.cp_node);
-            ("end_us", Json.Float cp.cp_end);
-            ("txns", Json.Int (List.length cp.cp_txns));
-            ("cost", cost_json cp.cp_cost);
-          ]
-  in
-  Json.Obj
-    (meta
-    @ [
-        ("num_txns", Json.Int (List.length (Spans.txns spans)));
-        ("num_msgs", Json.Int (Spans.num_msgs spans));
-        ("critical_path", critical);
-        ("levels", Json.List (List.map level_row_json (level_profile spans)));
-        ("top_links",
-         Json.List (List.map link_row_json (top_links ~k:top_k spans)));
-        ("windows",
-         Json.List (List.map window_json (windows ~n:num_windows spans)));
-        ("ops", Json.List (List.map op_row_json (op_table ov spans)));
-      ])
-
 let summary_to_json ?(meta = []) s =
   let critical =
     match s.sm_critical with
@@ -850,57 +363,6 @@ let render_cost c =
     c.startup_us (pct c.startup_us t) c.transfer_us (pct c.transfer_us t)
     c.queue_us (pct c.queue_us t) c.cpu_us (pct c.cpu_us t)
 
-let render_sections b ~levels ~links ~ops =
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  if levels <> [] then begin
-    pf "\ntraffic by access-tree level (-1 = untagged):\n";
-    pf "  %5s %8s %12s %7s %10s %12s\n" "level" "msgs" "bytes" "local"
-      "crossings" "link-bytes";
-    List.iter
-      (fun r ->
-        pf "  %5d %8d %12d %7d %10d %12d\n" r.lv_level r.lv_msgs r.lv_bytes
-          r.lv_local r.lv_crossings r.lv_link_bytes)
-      levels
-  end;
-  if links <> [] then begin
-    pf "\ntop %d congested directed links:\n" (List.length links);
-    pf "  %6s %8s %12s %12s\n" "link" "msgs" "bytes" "busy-us";
-    List.iter
-      (fun r ->
-        pf "  %6d %8d %12d %12.0f\n" r.lk_link r.lk_msgs r.lk_bytes
-          r.lk_busy_us)
-      links
-  end;
-  if ops <> [] then begin
-    pf "\nper-operation cost decomposition (miss path):\n";
-    pf "  %-8s %7s %10s %10s   %s\n" "op" "count" "mean-us" "max-us"
-      "cost decomposition";
-    List.iter
-      (fun r ->
-        pf "  %-8s %7d %10.0f %10.0f   %s\n" (op_name r.or_op) r.or_count
-          r.or_mean_us r.or_max_us (render_cost r.or_cost);
-        if r.or_side_msgs > 0 then
-          pf "  %-8s %7s side branches: %d msgs, %s\n" "" "" r.or_side_msgs
-            (render_cost r.or_side_cost))
-      ops
-  end
-
-let render ?(top_k = 10) ov spans =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "transactions: %d   messages: %d\n"
-    (List.length (Spans.txns spans))
-    (Spans.num_msgs spans);
-  (match critical_path ov spans with
-  | None -> pf "critical path: (no transactions)\n"
-  | Some cp ->
-      pf "critical path: node %d, makespan %.0f us over %d transactions\n"
-        cp.cp_node cp.cp_end (List.length cp.cp_txns);
-      pf "  %s\n" (render_cost cp.cp_cost));
-  render_sections b ~levels:(level_profile spans)
-    ~links:(top_links ~k:top_k spans) ~ops:(op_table ov spans);
-  Buffer.contents b
-
 let render_summary s =
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
@@ -911,5 +373,36 @@ let render_summary s =
       pf "critical path: node %d, makespan %.0f us over %d transactions\n"
         c.sc_node c.sc_end c.sc_txns;
       pf "  %s\n" (render_cost c.sc_cost));
-  render_sections b ~levels:s.sm_levels ~links:s.sm_top_links ~ops:s.sm_ops;
+  if s.sm_levels <> [] then begin
+    pf "\ntraffic by access-tree level (-1 = untagged):\n";
+    pf "  %5s %8s %12s %7s %10s %12s\n" "level" "msgs" "bytes" "local"
+      "crossings" "link-bytes";
+    List.iter
+      (fun r ->
+        pf "  %5d %8d %12d %7d %10d %12d\n" r.lv_level r.lv_msgs r.lv_bytes
+          r.lv_local r.lv_crossings r.lv_link_bytes)
+      s.sm_levels
+  end;
+  if s.sm_top_links <> [] then begin
+    pf "\ntop %d congested directed links:\n" (List.length s.sm_top_links);
+    pf "  %6s %8s %12s %12s\n" "link" "msgs" "bytes" "busy-us";
+    List.iter
+      (fun r ->
+        pf "  %6d %8d %12d %12.0f\n" r.lk_link r.lk_msgs r.lk_bytes
+          r.lk_busy_us)
+      s.sm_top_links
+  end;
+  if s.sm_ops <> [] then begin
+    pf "\nper-operation cost decomposition (miss path):\n";
+    pf "  %-8s %7s %10s %10s   %s\n" "op" "count" "mean-us" "max-us"
+      "cost decomposition";
+    List.iter
+      (fun r ->
+        pf "  %-8s %7d %10.0f %10.0f   %s\n" (op_name r.or_op) r.or_count
+          r.or_mean_us r.or_max_us (render_cost r.or_cost);
+        if r.or_side_msgs > 0 then
+          pf "  %-8s %7s side branches: %d msgs, %s\n" "" "" r.or_side_msgs
+            (render_cost r.or_side_cost))
+      s.sm_ops
+  end;
   Buffer.contents b

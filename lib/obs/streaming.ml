@@ -1,30 +1,28 @@
-(* Bounded-memory streaming analysis: fold the live event stream into the
-   same {!Analysis.summary} the batch path produces — bit for bit — while
-   retiring each transaction's message records the moment its completion
-   event passes. Peak residency is O(concurrent transactions x protocol
-   fan-out), independent of run length; {!peak_msgs} exposes the
-   high-water mark so harnesses can assert it.
+(* The analysis engine: fold a run's event stream into an
+   {!Analysis.summary} in one pass, retiring each transaction's message
+   records the moment its completion event passes. Peak residency is
+   O(concurrent transactions x protocol fan-out), independent of run
+   length; {!peak_msgs} exposes the high-water mark so harnesses can
+   assert it. The same fold runs live (as a trace sink), over an
+   in-memory list and over a saved trace file, so all three give the same
+   summary bit for bit.
 
-   Why the folds agree with batch exactly (floats included):
+   Why eager retirement loses nothing:
    - The simulator emits eagerly: a transaction's chain messages have
      their sends, crossings and deliveries in the stream before the
      transaction's [Dsm_access], so the records retained at completion
      hold everything {!Analysis.decompose_chain} clips into the blocking
      window. Crossings emitted later (post-completion retransmissions)
      start at or after the window's end and clip to nothing.
-   - Per-operation and critical-path sums are fed through the shared
-     {!Analysis.Txn_fold} in completion order on both sides; link and
-     window sums fold in emission order on both sides.
-   - Side-branch snapshots are taken at the completion event on both
-     sides ({!Spans.build} takes the identical cut). *)
+   - Side branches are defined as snapshots at the completion event.
+   - Per-operation and critical-path sums fold in completion order; link
+     and window sums fold in emission order. *)
 
 module Ids = Set.Make (Int)
 
-(* Retained state of one in-flight message of a pending transaction.
-   Mirrors the slice of [Spans.msg] the cost math reads; freed when the
-   transaction completes. *)
+(* Retained state of one in-flight message of a pending transaction;
+   freed when the transaction completes. *)
 type srec = {
-  r_id : int;
   r_parent : int;
   r_txn : int;
   r_local : bool;
@@ -36,6 +34,107 @@ type srec = {
   mutable r_xfers : float array;
   mutable r_nx : int;
 }
+
+let op_order = [ Trace.Read; Write; Lock; Unlock; Barrier; Reduce ]
+
+(* Accumulator for the per-operation table and the whole-run critical
+   path, fed one completed transaction at a time in completion order. *)
+module Txn_fold = struct
+  type op_acc = {
+    mutable oa_count : int;
+    mutable oa_sum_dur : float;
+    mutable oa_max_dur : float;
+    mutable oa_cost : Analysis.cost;
+    mutable oa_side_msgs : int;
+    mutable oa_side_cost : Analysis.cost;
+  }
+
+  type node_acc = {
+    mutable na_cost : Analysis.cost;
+    mutable na_end : float;  (* previous transaction's end on this node *)
+    mutable na_txns : int;
+  }
+
+  type t = {
+    ops : (Trace.dsm_op, op_acc) Hashtbl.t;
+    nodes : (int, node_acc) Hashtbl.t;
+    mutable n_txns : int;
+    mutable best : (int * float) option;  (* (node, end): first strict max *)
+  }
+
+  let create () =
+    { ops = Hashtbl.create 8; nodes = Hashtbl.create 64; n_txns = 0;
+      best = None }
+
+  let feed t ~node ~op ~t_start ~dur ~chain_cost ~side_msgs ~side_cost =
+    t.n_txns <- t.n_txns + 1;
+    let oa =
+      match Hashtbl.find_opt t.ops op with
+      | Some oa -> oa
+      | None ->
+          let oa =
+            { oa_count = 0; oa_sum_dur = 0.0; oa_max_dur = 0.0;
+              oa_cost = Analysis.zero_cost; oa_side_msgs = 0;
+              oa_side_cost = Analysis.zero_cost }
+          in
+          Hashtbl.add t.ops op oa;
+          oa
+    in
+    oa.oa_count <- oa.oa_count + 1;
+    oa.oa_sum_dur <- oa.oa_sum_dur +. dur;
+    oa.oa_max_dur <- Float.max oa.oa_max_dur dur;
+    oa.oa_cost <- Analysis.add_cost oa.oa_cost chain_cost;
+    oa.oa_side_msgs <- oa.oa_side_msgs + side_msgs;
+    oa.oa_side_cost <- Analysis.add_cost oa.oa_side_cost side_cost;
+    let na =
+      match Hashtbl.find_opt t.nodes node with
+      | Some na -> na
+      | None ->
+          let na = { na_cost = Analysis.zero_cost; na_end = 0.0; na_txns = 0 } in
+          Hashtbl.add t.nodes node na;
+          na
+    in
+    (* The node's timeline: gaps between its transactions are application
+       compute (cpu), then the blocking decomposition. Completion order
+       per node equals start order (a node's fiber blocks on one
+       transaction at a time), so no sort is needed. *)
+    let gap = Float.max 0.0 (t_start -. na.na_end) in
+    na.na_cost <-
+      Analysis.add_cost
+        { na.na_cost with cpu_us = na.na_cost.cpu_us +. gap }
+        chain_cost;
+    na.na_end <- t_start +. dur;
+    na.na_txns <- na.na_txns + 1;
+    let e = t_start +. dur in
+    match t.best with
+    | Some (_, best_end) when e <= best_end -> ()
+    | _ -> t.best <- Some (node, e)
+
+  let op_rows t =
+    List.filter_map
+      (fun op ->
+        Option.map
+          (fun oa ->
+            {
+              Analysis.or_op = op;
+              or_count = oa.oa_count;
+              or_mean_us = oa.oa_sum_dur /. float_of_int oa.oa_count;
+              or_max_us = oa.oa_max_dur;
+              or_cost = oa.oa_cost;
+              or_side_msgs = oa.oa_side_msgs;
+              or_side_cost = oa.oa_side_cost;
+            })
+          (Hashtbl.find_opt t.ops op))
+      op_order
+
+  let critical t =
+    Option.map
+      (fun (node, e) ->
+        let na = Hashtbl.find t.nodes node in
+        { Analysis.sc_node = node; sc_end = e; sc_txns = na.na_txns;
+          sc_cost = na.na_cost })
+      t.best
+end
 
 type t = {
   ov : Analysis.overheads;
@@ -51,19 +150,15 @@ type t = {
   (* event-self-contained folds *)
   levels : (int, level_acc) Hashtbl.t;
   links : (int, link_acc) Hashtbl.t;
-  txn_fold : Analysis.Txn_fold.t;
+  txn_fold : Txn_fold.t;
   (* Every link crossing, four scalars each, in emission order: window
-     boundaries need the end time, so binning must wait for [finalize].
-     Replaying these through {!Analysis.Windows_fold} there performs the
-     identical float operations in the identical order as a second pass
-     over the file would, keeping the summary bit-identical while the
-     analysis itself stays single-pass. Empty when [num_windows <= 0]. *)
+     boundaries need the end time, so binning waits for [finalize].
+     Empty when [num_windows <= 0]. *)
   mutable x_link : int array;
   mutable x_size : int array;
   mutable x_start : float array;
   mutable x_finish : float array;
   mutable x_n : int;
-  mutable n_events : int;
   mutable n_msgs : int;
   mutable t_end : float;
   mutable peak : int;
@@ -97,13 +192,12 @@ let create ?(top_k = 10) ?(num_windows = 8) ?(ring = 1024) ov =
     ring_len = 0;
     levels = Hashtbl.create 8;
     links = Hashtbl.create 64;
-    txn_fold = Analysis.Txn_fold.create ();
+    txn_fold = Txn_fold.create ();
     x_link = [||];
     x_size = [||];
     x_start = [||];
     x_finish = [||];
     x_n = 0;
-    n_events = 0;
     n_msgs = 0;
     t_end = 0.0;
     peak = 0;
@@ -165,11 +259,9 @@ let link_acc t link =
       Hashtbl.add t.links link a;
       a
 
-(* Same snapshot {!Spans.build} takes at a completion event. *)
-let side_of_rec (r : srec) : Spans.side =
+let side_of_rec (r : srec) : Analysis.side =
   {
-    Spans.s_id = r.r_id;
-    s_local = r.r_local;
+    Analysis.s_local = r.r_local;
     s_sent = r.r_sent;
     s_inject = r.r_inject;
     s_handled = r.r_handled;
@@ -189,10 +281,13 @@ let chain_link_of_rec (r : srec) : Analysis.chain_link =
     cl_xfers = Array.sub r.r_xfers 0 (2 * r.r_nx);
   }
 
-(* Same guards as [Spans.chain]: parent ids are strictly smaller than
-   child ids, and the walk stops at the first message outside the
-   transaction — for us also the first retired message, which is the same
-   thing (every message of a pending transaction is still live). *)
+(* The completing chain: from the message that unblocked the fiber, walk
+   [parent] links backwards while still inside the transaction. Parent ids
+   are strictly smaller than child ids (issue order), so the walk
+   terminates; the first message outside the transaction — for us also the
+   first retired one, which is the same thing, since every message of a
+   pending transaction is still live — belongs to the operation that
+   merely unparked this one and is excluded. *)
 let chain_ids t txn_id completed_by =
   let rec go acc prev id =
     if id < 0 || id >= prev then acc
@@ -226,7 +321,7 @@ let complete t ~node ~op ~ts ~dur ~txn ~completed_by =
         else Option.map side_of_rec (Hashtbl.find_opt t.msgs id))
       ids
   in
-  Analysis.Txn_fold.feed t.txn_fold ~node ~op ~t_start:ts ~dur ~chain_cost
+  Txn_fold.feed t.txn_fold ~node ~op ~t_start:ts ~dur ~chain_cost
     ~side_msgs:(List.length sides)
     ~side_cost:(Analysis.sides_cost t.ov sides);
   (* Retire: free every record of the transaction and remember its id so
@@ -236,7 +331,6 @@ let complete t ~node ~op ~ts ~dur ~txn ~completed_by =
   ring_push t txn
 
 let feed t e =
-  t.n_events <- t.n_events + 1;
   match e with
   | Trace.Msg_send { ts; id; parent; txn; inject; level; size; local; _ } ->
       t.n_msgs <- t.n_msgs + 1;
@@ -250,7 +344,6 @@ let feed t e =
       if txn >= 0 && not (ring_mem t txn) then begin
         Hashtbl.replace t.msgs id
           {
-            r_id = id;
             r_parent = parent;
             r_txn = txn;
             r_local = local;
@@ -269,6 +362,8 @@ let feed t e =
         if live > t.peak then t.peak <- live
       end
   | Trace.Link_xfer { start; finish; link; msg; level; size; _ } ->
+      (* Acks ([msg = -1]) have no send of their own and are not counted
+         as traffic. *)
       if msg >= 0 then begin
         let la = level_acc t level in
         la.la_crossings <- la.la_crossings + 1;
@@ -298,12 +393,8 @@ let feed t e =
   | _ -> ()
 
 let sink t = Trace.stream (feed t)
-let events_seen t = t.n_events
-let num_msgs t = t.n_msgs
 let live_msgs t = Hashtbl.length t.msgs
 let peak_msgs t = t.peak
-let end_time t = t.t_end
-let num_windows t = t.num_windows
 
 let level_rows t =
   List.sort
@@ -321,51 +412,77 @@ let level_rows t =
          :: acc)
        t.levels [])
 
-let link_rows t =
-  Hashtbl.fold
-    (fun link a acc ->
-      {
-        Analysis.lk_link = link;
-        lk_msgs = a.lka_msgs;
-        lk_bytes = a.lka_bytes;
-        lk_busy_us = a.lka_busy;
-      }
-      :: acc)
-    t.links []
-
-(* Replay the retained crossings through a fresh fold now that the end
-   time is known: same operands, same order as a second pass over the
-   source, so the rows are bit-identical to the batch path. *)
-let fold_windows t =
-  let wf = Analysis.Windows_fold.create ~n:t.num_windows ~t_end:t.t_end in
-  for i = 0 to t.x_n - 1 do
-    Analysis.Windows_fold.feed_xfer wf ~link:t.x_link.(i) ~size:t.x_size.(i)
-      ~start:t.x_start.(i) ~finish:t.x_finish.(i)
-  done;
-  Analysis.Windows_fold.rows wf
-
-let finalize ?windows t =
-  let windows =
-    match windows with Some ws -> ws | None -> fold_windows t
+let top_links t =
+  let rows =
+    Hashtbl.fold
+      (fun link a acc ->
+        {
+          Analysis.lk_link = link;
+          lk_msgs = a.lka_msgs;
+          lk_bytes = a.lka_bytes;
+          lk_busy_us = a.lka_busy;
+        }
+        :: acc)
+      t.links []
   in
+  List.filteri
+    (fun i _ -> i < t.top_k)
+    (List.sort
+       (fun (a : Analysis.link_row) b ->
+         match compare b.lk_bytes a.lk_bytes with
+         | 0 -> compare a.lk_link b.lk_link
+         | c -> c)
+       rows)
+
+(* Bin the retained crossings into [num_windows] equal windows over
+   [0, t_end], now that the end time is known: each crossing's bytes are
+   spread over the windows it overlaps in proportion to the overlap. *)
+let windows t =
+  let n = t.num_windows in
+  if n <= 0 || t.t_end <= 0.0 then []
+  else begin
+    let w = t.t_end /. float_of_int n in
+    let tables = Array.init n (fun _ -> Hashtbl.create 32) in
+    for x = 0 to t.x_n - 1 do
+      let s = t.x_start.(x) and f = t.x_finish.(x) in
+      if f > s then begin
+        let link = t.x_link.(x) in
+        let rate = float_of_int t.x_size.(x) /. (f -. s) in
+        let first = max 0 (int_of_float (s /. w))
+        and last = min (n - 1) (int_of_float (f /. w)) in
+        for i = first to last do
+          let lo = Float.max s (float_of_int i *. w)
+          and hi = Float.min f (float_of_int (i + 1) *. w) in
+          if hi > lo then
+            let prev =
+              Option.value ~default:0.0 (Hashtbl.find_opt tables.(i) link)
+            in
+            Hashtbl.replace tables.(i) link (prev +. (rate *. (hi -. lo)))
+        done
+      end
+    done;
+    List.init n (fun i ->
+        {
+          Analysis.w_start = float_of_int i *. w;
+          w_finish = float_of_int (i + 1) *. w;
+          w_link_bytes =
+            List.sort compare
+              (Hashtbl.fold (fun l b acc -> (l, b) :: acc) tables.(i) []);
+        })
+  end
+
+let finalize t =
   {
-    Analysis.sm_num_txns = Analysis.Txn_fold.num_txns t.txn_fold;
+    Analysis.sm_num_txns = t.txn_fold.Txn_fold.n_txns;
     sm_num_msgs = t.n_msgs;
     sm_end_us = t.t_end;
-    sm_critical =
-      Option.map
-        (fun (node, e, n, cost) ->
-          { Analysis.sc_node = node; sc_end = e; sc_txns = n; sc_cost = cost })
-        (Analysis.Txn_fold.critical t.txn_fold);
+    sm_critical = Txn_fold.critical t.txn_fold;
     sm_levels = level_rows t;
-    sm_top_links = Analysis.sort_top_links ~k:t.top_k (link_rows t);
-    sm_windows = windows;
-    sm_ops = Analysis.Txn_fold.op_rows t.txn_fold;
+    sm_top_links = top_links t;
+    sm_windows = windows t;
+    sm_ops = Txn_fold.op_rows t.txn_fold;
   }
 
-(* One pass over an in-memory event list — windows fold from the retained
-   crossings at [finalize]. Returns the summary and the peak
-   message-record residency. *)
 let analyze_events ?top_k ?num_windows ?ring ov events =
   let t = create ?top_k ?num_windows ?ring ov in
   List.iter (feed t) events;
@@ -679,46 +796,45 @@ let with_lines path f =
     | r -> Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) r
     | exception Sys_error e -> Error e
 
-(* First non-blank line is the header; every later non-blank line is one
-   event, applied in order to the consumer [start] builds from the header.
-   Returns the header and what [start] returned beside the consumer. *)
+(* The next non-blank line, numbered from [lineno] (the number of the
+   line about to be read). Blank lines are skipped everywhere. *)
+let rec next_line ic lineno =
+  match input_line ic with
+  | exception End_of_file -> None
+  | line when String.trim line = "" -> next_line ic (lineno + 1)
+  | line -> Some (line, lineno)
+
+(* The first non-blank line is the header: returns it and its number. *)
+let read_header ic =
+  match next_line ic 1 with
+  | None -> Error "empty trace file"
+  | Some (line, lineno) -> Result.map (fun h -> (h, lineno)) (parse_header line)
+
+(* Every line after the header is one event, applied in order to the
+   consumer [start] builds from the header. Returns the header and what
+   [start] returned beside the consumer. *)
 let read_file path ~start =
   with_lines path (fun ic ->
-      let rec next_line lineno =
-        match input_line ic with
-        | exception End_of_file -> None
-        | line when String.trim line = "" -> next_line (lineno + 1)
-        | line -> Some (line, lineno)
+      let* header, hline = read_header ic in
+      let acc, f = start header in
+      let rec go lineno =
+        match next_line ic lineno with
+        | None -> Ok (header, acc)
+        | Some (line, lineno) ->
+            let* e = event_of_line ~lineno line in
+            f e;
+            go (lineno + 1)
       in
-      match next_line 1 with
-      | None -> Error "empty trace file"
-      | Some (header_line, hline) ->
-          let* header = parse_header header_line in
-          let acc, f = start header in
-          let rec go lineno =
-            match next_line lineno with
-            | None -> Ok (header, acc)
-            | Some (line, lineno) ->
-                let* e = event_of_line ~lineno line in
-                f e;
-                go (lineno + 1)
-          in
-          go (hline + 1))
+      go (hline + 1))
 
 let iter_file path ~f = Result.map fst (read_file path ~start:(fun _ -> ((), f)))
-
-let probe path =
-  with_lines path (fun ic ->
-      match input_line ic with
-      | exception End_of_file -> Error "empty trace file"
-      | line -> Result.map (fun (_ : header) -> ()) (parse_header line))
+let probe path = with_lines path (fun ic -> Result.map ignore (read_header ic))
 
 (* Full offline post-mortem in a single pass over the file: the analyzer
    is built from the header's overheads, retains each link crossing as
    four scalars and bins them into windows at [finalize], once the end
-   time is known. Returns the header, the summary — bit-identical to
-   [Analysis.summarize] over the same events — and the peak
-   message-record residency. *)
+   time is known. Returns the header, the summary — bit-identical to the
+   live run's — and the peak message-record residency. *)
 let analyze_file ?top_k ?num_windows ?ring path =
   let* header, t =
     read_file path ~start:(fun h ->
@@ -774,39 +890,32 @@ type cursor = {
 
 let cursor_advance c =
   let rec go () =
-    match input_line c.mu_ic with
-    | exception End_of_file ->
+    match next_line c.mu_ic (c.mu_lineno + 1) with
+    | None ->
         c.mu_cur <- None;
         Ok ()
-    | line ->
-        c.mu_lineno <- c.mu_lineno + 1;
-        if String.trim line = "" then go ()
-        else
-          let* e =
-            Result.map_error
-              (fun e -> Printf.sprintf "%s: %s" c.mu_path e)
-              (event_of_line ~lineno:c.mu_lineno line)
-          in
-          if keep_event ~quiescence:c.mu_quiescence e then begin
-            c.mu_cur <- Some e;
-            Ok ()
-          end
-          else go ()
+    | Some (line, lineno) ->
+        c.mu_lineno <- lineno;
+        let* e =
+          Result.map_error
+            (fun e -> Printf.sprintf "%s: %s" c.mu_path e)
+            (event_of_line ~lineno line)
+        in
+        if keep_event ~quiescence:c.mu_quiescence e then begin
+          c.mu_cur <- Some e;
+          Ok ()
+        end
+        else go ()
   in
   go ()
 
-(* Open one input positioned just past its header line. *)
+(* Open one input positioned just past its header line (already validated
+   by the caller). *)
 let open_cursor ~run ~quiescence path =
   match open_in path with
   | exception Sys_error e -> Error e
   | ic ->
-      let rec skip lineno =
-        match input_line ic with
-        | exception End_of_file -> lineno
-        | line when String.trim line = "" -> skip (lineno + 1)
-        | _ -> lineno + 1
-      in
-      let lineno = skip 0 in
+      let lineno = match next_line ic 1 with Some (_, n) -> n | None -> 0 in
       Ok
         {
           mu_run = run;
@@ -832,12 +941,7 @@ let merge_files ?(compact = false) ~inputs ~output () =
       List.fold_left
         (fun acc path ->
           let* acc = acc in
-          let* h =
-            with_lines path (fun ic ->
-                match input_line ic with
-                | exception End_of_file -> Error "empty trace file"
-                | line -> parse_header line)
-          in
+          let* h = with_lines path (fun ic -> Result.map fst (read_header ic)) in
           let* total, quiescence =
             if compact then scan_run path else Ok (0, 0.0)
           in

@@ -1,43 +1,41 @@
-(** Bounded-memory streaming analysis and the on-disk JSONL trace format.
+(** The analysis engine and the on-disk JSONL trace format.
 
-    The batch pipeline ({!Spans.build} + {!Analysis}) holds every message
-    record of a run in memory, which caps how big a run can be dissected
-    after the fact. This engine folds the same event stream incrementally:
+    One fold turns a run's event stream into an {!Analysis.summary}:
     traffic profiles are event-self-contained sums, and each transaction
     is decomposed — completing chain and side branches — the moment its
     completion event passes, after which its message records are freed.
     Peak residency is O(concurrent transactions x protocol fan-out),
     independent of run length, and {!peak_msgs} exposes the high-water
-    mark so harnesses can assert boundedness.
-
-    The resulting {!Analysis.summary} is bit-identical (floats included)
-    to [Analysis.summarize] over the same events: both sides fold
-    transactions in completion order and traffic in emission order, take
-    side-branch snapshots at the completion event, and the window
-    clipping of {!Analysis.decompose_chain} makes post-completion
-    retransmission crossings invisible to cost attribution (tested).
+    mark so harnesses can assert boundedness. The fold runs live as a
+    trace sink ({!sink}, what [divasim analyze] attaches to the run), over
+    an in-memory list ({!analyze_events}) and over a saved trace file
+    ({!analyze_file}); all three give the same summary bit for bit
+    (floats included). The window clipping of
+    {!Analysis.decompose_chain} makes post-completion retransmission
+    crossings invisible to cost attribution, so retiring early loses
+    nothing (tested against a keep-everything reference).
 
     The second half of the module is a versioned JSONL trace format —
     header line plus one compact JSON event per line — written by a
-    {!Trace.stream} sink during the run ({!file_sink}) and re-analyzed
-    later by {!analyze_file} without re-simulating. *)
+    {!Trace.stream} sink during the run ({!file_sink}), re-analyzed later
+    by {!analyze_file} without re-simulating, and replayed by
+    [Diva_workload.Replay]. *)
 
 type t
 
 val create :
   ?top_k:int -> ?num_windows:int -> ?ring:int -> Analysis.overheads -> t
-(** [ring] (default 1024) bounds the set of recently-completed transaction
-    ids remembered to keep stray post-completion sends from repopulating
-    the record table; eviction can only delay freeing such a record until
-    {!finalize}, never change computed values. *)
+(** [top_k] (default 10) links are reported, over [num_windows]
+    (default 8) equal time windows. [ring] (default 1024) bounds the set
+    of recently-completed transaction ids remembered to keep stray
+    post-completion sends from repopulating the record table; eviction can
+    only delay freeing such a record until the end, never change computed
+    values. *)
 
 val feed : t -> Trace.event -> unit
 
 val sink : t -> Trace.sink
 (** [Trace.stream (feed t)]: attach the analyzer directly to a run. *)
-
-val events_seen : t -> int
-val num_msgs : t -> int
 
 val live_msgs : t -> int
 (** Message records currently retained (messages of not-yet-completed
@@ -46,19 +44,11 @@ val live_msgs : t -> int
 val peak_msgs : t -> int
 (** High-water mark of {!live_msgs} — the analyzer's peak residency. *)
 
-val end_time : t -> float
-(** {!Analysis.end_time_events} of the stream so far — the time basis for
-    the window boundaries placed at {!finalize}. *)
-
-val num_windows : t -> int
-
-val finalize : ?windows:Analysis.window list -> t -> Analysis.summary
-(** Non-destructive. When [windows] is omitted, the windowed link series
-    is folded here from the crossings retained during the pass (four
-    scalars per crossing; none retained when [num_windows <= 0]) — the
-    same operands in the same order a second {!Analysis.Windows_fold}
-    pass over the source would see, so the rows are bit-identical.
-    Passing [windows] overrides that with externally computed rows. *)
+val finalize : t -> Analysis.summary
+(** Non-destructive. The windowed link series is binned here, from the
+    crossings retained during the pass (four scalars per crossing; none
+    retained when [num_windows <= 0]), once the run's end time is
+    known. *)
 
 val analyze_events :
   ?top_k:int ->
@@ -72,13 +62,14 @@ val analyze_events :
 
 (** {2 On-disk JSONL trace format}
 
-    Line 1 is a header object [{"format":"diva-event-trace","version":1,
+    The first line is a header object [{"format":"diva-event-trace","version":1,
     "app":...,"dims":[...],"strategy":...,"seed":...,"overheads":
     {"send_us":...,"recv_us":...,"local_us":...},"params":{...}}]; every
     later line is one event encoded by {!Trace.event_to_json}. Floats are
     printed round-trip exactly ({!Json}), so offline analysis of a saved
     trace is bit-identical to analyzing the live run. Readers reject
-    unknown formats and versions newer than {!current_version}. *)
+    unknown formats and versions newer than {!current_version}, and skip
+    blank lines everywhere, before the header included. *)
 
 val format_name : string
 val current_version : int
@@ -119,11 +110,11 @@ val event_of_json : Json.t -> (Trace.event, string) result
 
 val iter_file : string -> f:(Trace.event -> unit) -> (header, string) result
 (** Parse the header, then apply [f] to every event line in order,
-    reading one line at a time. Blank lines are skipped. *)
+    reading one line at a time. *)
 
 val probe : string -> (unit, string) result
-(** Validate that the file exists and its first line is a parseable
-    header of a supported version — cheap enough for argument parsing. *)
+(** Validate that the file exists and starts with a parseable header of a
+    supported version — cheap enough for argument parsing. *)
 
 val analyze_file :
   ?top_k:int ->

@@ -66,7 +66,7 @@ type event =
     }
       (** The message's tail arrived at the destination at [ts]. Under
           faults a retransmitted message can be delivered more than once
-          (span builders keep the first). *)
+          (analyzers keep the first). *)
   | Link_xfer of {
       start : float;
       finish : float;
@@ -115,7 +115,7 @@ type event =
           (** id of the message whose handler unblocked the fiber; [-1]
               for hits and synchronously-completed operations. Walking its
               [parent] chain backwards yields the transaction's critical
-              path (see {!Diva_obs.Analysis}). *)
+              path (see {!Diva_obs.Streaming}). *)
     }
       (** One shared-memory operation issued by [node]'s fiber: [ts] is the
           issue time, [dur] the blocking latency (0 for hits). *)
@@ -189,7 +189,8 @@ val stream : (event -> unit) -> sink
 
 val tee : (event -> unit) -> sink
 (** Buffer like {!create} and also forward to the callback — for writing
-    a trace file while keeping the in-memory batch path available. *)
+    a trace file while keeping the in-memory event list (e.g. for the
+    Chrome trace). *)
 
 val enabled : sink -> bool
 (** Instrumentation sites test this before constructing an event. *)

@@ -138,8 +138,8 @@ val set_trace : t -> Diva_obs.Trace.sink -> unit
     Every message carries a unique id, the id of the message whose handler
     issued it ([parent]) and the DSM transaction it serves ([txn]); the
     trio appears on every {!Diva_obs.Trace} message event, turning the
-    flat event stream into per-transaction span trees
-    ({!Diva_obs.Spans}). The context is maintained unconditionally but
+    flat event stream into per-transaction causal chains
+    ({!Diva_obs.Streaming}). The context is maintained unconditionally but
     read only by tracing, so traced runs stay bit-identical to untraced
     ones. *)
 

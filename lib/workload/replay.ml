@@ -1,106 +1,160 @@
 module Network = Diva_simnet.Network
 module Dsm = Diva_core.Dsm
 module Trace = Diva_obs.Trace
+module Streaming = Diva_obs.Streaming
 module Runner = Diva_harness.Runner
 
 type mode = Closed_loop | Open_loop
 
 let mode_name = function Closed_loop -> "closed-loop" | Open_loop -> "open-loop"
 
-(* Recorded inter-op gap: issue time minus the previous op's completion on
-   the same processor (0 before the first op — closed loop from the start). *)
-let with_gaps ops =
-  let prev_end = Hashtbl.create 64 in
-  List.map
-    (fun (o : Dsm_trace.op) ->
-      let last =
-        Option.value ~default:o.Dsm_trace.o_ts
-          (Hashtbl.find_opt prev_end o.Dsm_trace.o_proc)
-      in
-      Hashtbl.replace prev_end o.Dsm_trace.o_proc
-        (o.Dsm_trace.o_ts +. o.Dsm_trace.o_dur);
-      (o, Float.max 0.0 (o.Dsm_trace.o_ts -. last)))
-    ops
+type t = { dims : int array; seed : int; events : Trace.event list }
 
-let run ?(obs = Runner.null_obs) ?on_net ?seed ?(mode = Closed_loop) ~strategy
-    (tr : Dsm_trace.t) =
-  let procs = Dsm_trace.num_procs tr in
-  let seed = Option.value ~default:tr.Dsm_trace.seed seed in
-  let net = Network.create_nd ~seed ~dims:tr.Dsm_trace.dims () in
+let replayed = function Trace.Var_decl _ | Trace.Dsm_access _ -> true | _ -> false
+
+let of_events ~dims ~seed events =
+  { dims = Array.copy dims; seed; events = List.filter replayed events }
+
+let num_procs t = Array.fold_left ( * ) 1 t.dims
+
+let num_ops t =
+  List.fold_left
+    (fun n e -> match e with Trace.Dsm_access _ -> n + 1 | _ -> n)
+    0 t.events
+
+(* Everything [run] relies on, so a damaged trace is an [Error], not an
+   exception halfway through a simulation. Variables are all created
+   before the run starts, so an access may precede its declaration. *)
+let check t =
+  let procs = num_procs t in
+  let declared = Hashtbl.create 64 in
+  List.iter
+    (function
+      | Trace.Var_decl { var; _ } -> Hashtbl.replace declared var ()
+      | _ -> ())
+    t.events;
+  let rec go = function
+    | [] -> Ok ()
+    | Trace.Var_decl { var; owner; size; _ } :: rest ->
+        if owner < 0 || owner >= procs then
+          Error
+            (Printf.sprintf
+               "variable %d has owner %d outside the %d-processor mesh" var
+               owner procs)
+        else if size < 0 then
+          Error (Printf.sprintf "variable %d has negative size %d" var size)
+        else go rest
+    | Trace.Dsm_access { node; op; var; _ } :: rest ->
+        if node < 0 || node >= procs then
+          Error
+            (Printf.sprintf "operation on processor %d outside the %d-processor mesh"
+               node procs)
+        else if
+          (match op with
+          | Trace.Read | Trace.Write | Trace.Lock | Trace.Unlock -> true
+          | Trace.Barrier | Trace.Reduce -> false)
+          && not (Hashtbl.mem declared var)
+        then
+          Error
+            (Printf.sprintf "%s of undeclared variable %d"
+               (Diva_obs.Analysis.op_name op) var)
+        else go rest
+    | _ :: rest -> go rest
+  in
+  if Array.exists (fun d -> d < 1) t.dims then
+    Error "mesh dimensions must be positive"
+  else go t.events
+
+let read path =
+  let kept = ref [] in
+  Result.bind
+    (Streaming.iter_file path ~f:(fun e ->
+         if replayed e then kept := e :: !kept))
+    (fun (h : Streaming.header) ->
+      let t =
+        { dims = h.Streaming.h_dims; seed = h.Streaming.h_seed;
+          events = List.rev !kept }
+      in
+      Result.map
+        (fun () -> t)
+        (Result.map_error (fun e -> Printf.sprintf "%s: %s" path e) (check t)))
+
+(* One recorded operation, with the gap before it: issue time minus the
+   previous op's completion on the same processor (0 before the first op
+   — closed loop from the start). *)
+type op = { proc : int; op : Trace.dsm_op; var : int; size : int; gap : float }
+
+let program_ops t =
+  let prev_end = Hashtbl.create 64 in
+  List.filter_map
+    (function
+      | Trace.Dsm_access { node; op; var; size; ts; dur; _ } ->
+          let last = Option.value ~default:ts (Hashtbl.find_opt prev_end node) in
+          Hashtbl.replace prev_end node (ts +. dur);
+          Some { proc = node; op; var; size; gap = Float.max 0.0 (ts -. last) }
+      | _ -> None)
+    t.events
+
+let run ?(obs = Runner.null_obs) ?on_net ?seed ?(mode = Closed_loop) ~strategy t =
+  (match check t with Ok () -> () | Error e -> invalid_arg ("Replay.run: " ^ e));
+  let procs = num_procs t in
+  let seed = Option.value ~default:t.seed seed in
+  let net = Network.create_nd ~seed ~dims:t.dims () in
   Runner.install_obs net obs;
   let dsm = Dsm.create net ~strategy () in
-  (* Recreate every variable up front, in recorded id order, so the ids the
-     DSM assigns coincide with the recorded ones. Creation is free in the
-     simulated cost model, so early creation does not perturb replay even
-     for traces of applications that allocated dynamically. *)
-  let vars = Hashtbl.create (List.length tr.Dsm_trace.decls) in
-  List.iter
-    (fun (d : Dsm_trace.decl) ->
-      if d.Dsm_trace.d_owner < 0 || d.Dsm_trace.d_owner >= procs then
-        invalid_arg
-          (Printf.sprintf "Replay.run: variable %d has owner %d outside the %d-processor mesh"
-             d.Dsm_trace.d_var d.Dsm_trace.d_owner procs);
-      Hashtbl.replace vars d.Dsm_trace.d_var
-        (Dsm.create_var dsm ~name:d.Dsm_trace.d_name ~owner:d.Dsm_trace.d_owner
-           ~size:d.Dsm_trace.d_size 0))
-    tr.Dsm_trace.decls;
-  let var o =
-    match Hashtbl.find_opt vars o.Dsm_trace.o_var with
-    | Some v -> v
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Replay.run: op references undeclared variable %d"
-             o.Dsm_trace.o_var)
-  in
-  (* One reducer per recorded wire size, created in deterministic order. *)
-  let reduce_sizes =
-    List.sort_uniq compare
+  (* Recreate every variable up front, in recorded id order. Creation is
+     free in the simulated cost model, so early creation does not perturb
+     replay even for traces of applications that allocated dynamically. *)
+  let decls =
+    List.stable_sort
+      (fun (a, _, _, _) (b, _, _, _) -> compare a b)
       (List.filter_map
-         (fun (o : Dsm_trace.op) ->
-           if o.Dsm_trace.o_op = Trace.Reduce then Some o.Dsm_trace.o_size
-           else None)
-         tr.Dsm_trace.ops)
+         (function
+           | Trace.Var_decl { var; var_name; size; owner; _ } ->
+               Some (var, var_name, size, owner)
+           | _ -> None)
+         t.events)
   in
+  let vars = Hashtbl.create (List.length decls) in
+  List.iter
+    (fun (var, name, size, owner) ->
+      Hashtbl.replace vars var (Dsm.create_var dsm ~name ~owner ~size 0))
+    decls;
+  let ops = program_ops t in
+  (* One reducer per recorded wire size, created in deterministic order. *)
   let reducers = Hashtbl.create 4 in
   List.iter
     (fun size ->
       Hashtbl.replace reducers size
         (Dsm.reducer dsm ~combine:(fun a _ -> (a : int)) ~size))
-    reduce_sizes;
+    (List.sort_uniq compare
+       (List.filter_map
+          (fun o -> if o.op = Trace.Reduce then Some o.size else None)
+          ops));
   (* Partition into per-processor programs, preserving order. *)
   let programs = Array.make procs [] in
-  List.iter
-    (fun ((o : Dsm_trace.op), gap) ->
-      if o.Dsm_trace.o_proc < 0 || o.Dsm_trace.o_proc >= procs then
-        invalid_arg
-          (Printf.sprintf "Replay.run: op on processor %d outside the %d-processor mesh"
-             o.Dsm_trace.o_proc procs);
-      programs.(o.Dsm_trace.o_proc) <-
-        (o, gap) :: programs.(o.Dsm_trace.o_proc))
-    (with_gaps tr.Dsm_trace.ops);
+  List.iter (fun o -> programs.(o.proc) <- o :: programs.(o.proc)) ops;
   Array.iteri (fun p ops -> programs.(p) <- List.rev ops) programs;
-  let samples =
-    Array.make (max 1 (List.length tr.Dsm_trace.ops)) 0.0
-  in
+  let samples = Array.make (max 1 (List.length ops)) 0.0 in
   let n_samples = ref 0 in
   let fiber p =
     List.iter
-      (fun ((o : Dsm_trace.op), gap) ->
+      (fun o ->
         (match mode with
-        | Open_loop when gap > 0.0 -> Network.compute net p gap
+        | Open_loop when o.gap > 0.0 -> Network.compute net p o.gap
         | _ -> ());
         let t0 = Network.now net in
-        (match o.Dsm_trace.o_op with
-        | Trace.Read -> ignore (Dsm.read dsm p (var o) : int)
-        | Trace.Write -> Dsm.write dsm p (var o) 0
-        | Trace.Lock -> Dsm.lock dsm p (var o)
-        | Trace.Unlock -> Dsm.unlock dsm p (var o)
+        (match o.op with
+        | Trace.Read -> ignore (Dsm.read dsm p (Hashtbl.find vars o.var) : int)
+        | Trace.Write -> Dsm.write dsm p (Hashtbl.find vars o.var) 0
+        | Trace.Lock -> Dsm.lock dsm p (Hashtbl.find vars o.var)
+        | Trace.Unlock -> Dsm.unlock dsm p (Hashtbl.find vars o.var)
         | Trace.Barrier -> Dsm.barrier dsm p
         | Trace.Reduce ->
-            ignore (Dsm.reduce dsm p (Hashtbl.find reducers o.Dsm_trace.o_size) 0 : int));
+            ignore (Dsm.reduce dsm p (Hashtbl.find reducers o.size) 0 : int));
         (* Latency is reported over data operations only, matching the
            synthetic generator, so replay and generation are comparable. *)
-        match o.Dsm_trace.o_op with
+        match o.op with
         | Trace.Read | Trace.Write ->
             samples.(!n_samples) <- Network.now net -. t0;
             incr n_samples

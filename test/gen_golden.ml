@@ -8,6 +8,13 @@
 module Runner = Diva_harness.Runner
 module Trace = Diva_obs.Trace
 module Streaming = Diva_obs.Streaming
+module Workload = Diva_workload
+
+let gcel_overheads =
+  let m = Diva_simnet.Machine.gcel in
+  { Diva_obs.Analysis.send_overhead = m.Diva_simnet.Machine.send_overhead;
+    recv_overhead = m.Diva_simnet.Machine.recv_overhead;
+    local_overhead = m.Diva_simnet.Machine.local_overhead }
 
 let () =
   let tr = Trace.create () in
@@ -21,16 +28,11 @@ let () =
   (* Same fixed run, encoded as the versioned JSONL event-trace format
      (header + one event per line); the golden test replays the encoding
      byte for byte. The header must match test_streaming.golden_header. *)
-  let m = Diva_simnet.Machine.gcel in
   let header =
     Streaming.make_header
       ~params:[ ("block", Diva_obs.Json.Int 64) ]
       ~app:"matmul" ~dims:[| 2; 2 |] ~strategy:"4-ary" ~seed:17
-      ~overheads:
-        { Diva_obs.Analysis.send_overhead = m.Diva_simnet.Machine.send_overhead;
-          recv_overhead = m.Diva_simnet.Machine.recv_overhead;
-          local_overhead = m.Diva_simnet.Machine.local_overhead }
-      ()
+      ~overheads:gcel_overheads ()
   in
   let path = "test/data/golden_events_2x2.jsonl" in
   let oc = open_out_bin path in
@@ -57,12 +59,7 @@ let () =
         Streaming.make_header
           ~params:[ ("block", Diva_obs.Json.Int 64) ]
           ~app:"matmul" ~dims:[| 2; 2 |] ~strategy:name ~seed:17
-          ~overheads:
-            { Diva_obs.Analysis.send_overhead =
-                m.Diva_simnet.Machine.send_overhead;
-              recv_overhead = m.Diva_simnet.Machine.recv_overhead;
-              local_overhead = m.Diva_simnet.Machine.local_overhead }
-          ()
+          ~overheads:gcel_overheads ()
       in
       let path = Printf.sprintf "test/data/golden_events_2x2_%s.jsonl" name in
       let oc = open_out_bin path in
@@ -70,4 +67,30 @@ let () =
       List.iter (Trace.emit sink) (Trace.events tr);
       close_out oc;
       Printf.printf "wrote %s (%d events)\n" path (Trace.count tr))
-    [ "prefetch_tree"; "adaptive_repl"; "capacity_lru"; "capacity_freq" ]
+    [ "prefetch_tree"; "adaptive_repl"; "capacity_lru"; "capacity_freq" ];
+  (* The replay golden: a synthetic workload's event trace cut down to the
+     lines replay reads (header, [var], [dsm]), which keeps it small; the
+     regression test in test_workload.ml must build the same header. *)
+  let spec =
+    Workload.Spec.make ~num_vars:32 ~var_size:32 ~lock_every:8
+      ~phases:[ Workload.Spec.phase ~read_ratio:0.8 40 ]
+      ~seed:11 ()
+  in
+  let strategy = Diva_core.Dsm.access_tree ~arity:4 () in
+  let tr = Trace.create () in
+  ignore
+    (Workload.Generator.run
+       ~obs:{ Runner.null_obs with Runner.obs_trace = tr }
+       ~dims:[| 4; 4 |] ~strategy spec);
+  let header =
+    Streaming.make_header ~params:(Workload.Spec.to_params spec) ~app:"workload"
+      ~dims:[| 4; 4 |] ~strategy:(Diva_core.Dsm.strategy_name strategy) ~seed:11
+      ~overheads:gcel_overheads ()
+  in
+  let t = Workload.Replay.of_events ~dims:[| 4; 4 |] ~seed:11 (Trace.events tr) in
+  let path = "test/data/golden_workload_4x4.jsonl" in
+  let oc = open_out_bin path in
+  let sink = Streaming.file_sink oc header in
+  List.iter (Trace.emit sink) t.Workload.Replay.events;
+  close_out oc;
+  Printf.printf "wrote %s (%d ops)\n" path (Workload.Replay.num_ops t)

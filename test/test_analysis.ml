@@ -1,7 +1,9 @@
-(* Tests for causal span trees (Diva_obs.Spans) and critical-path cost
-   attribution (Diva_obs.Analysis): the decomposition must sum exactly to
-   the measured blocking latency for every transaction of every app under
-   both strategies, and causal chains must be contiguous in time. *)
+(* Tests for critical-path cost attribution (Diva_obs.Analysis, folded by
+   Diva_obs.Streaming): the decomposition must sum exactly to the measured
+   blocking latency for every transaction of every app under both
+   strategies, causal chains must be contiguous in time, and the engine,
+   which retires each transaction's records at completion, must agree bit
+   for bit with a reference that keeps every message of the run. *)
 
 module Network = Diva_simnet.Network
 module Machine = Diva_simnet.Machine
@@ -9,12 +11,12 @@ module Dsm = Diva_core.Dsm
 module Runner = Diva_harness.Runner
 module Barnes_hut = Diva_apps.Barnes_hut
 module Trace = Diva_obs.Trace
-module Spans = Diva_obs.Spans
 module Analysis = Diva_obs.Analysis
+module Streaming = Diva_obs.Streaming
 
 let eps = 1e-6
 
-(* Run one app with causal tracing on and return (overheads, spans). *)
+(* Run one app with causal tracing on and return (overheads, events). *)
 let traced_run run =
   let trace = Trace.create () in
   let obs = { Runner.null_obs with Runner.obs_trace = trace } in
@@ -28,7 +30,10 @@ let traced_run run =
       recv_overhead = m.Machine.recv_overhead;
       local_overhead = m.Machine.local_overhead }
   in
-  (ov, Spans.build (Trace.events trace))
+  (ov, Trace.events trace)
+
+let summarize ?num_windows ov events =
+  fst (Streaming.analyze_events ?num_windows ov events)
 
 (* Every app of the paper, small enough for the test suite. *)
 let apps =
@@ -56,24 +61,107 @@ let apps =
 let both_strategies =
   [ ("fixed-home", Dsm.Fixed_home); ("4-ary", Dsm.access_tree ~arity:4 ()) ]
 
+(* ------------------------------------------------------------------ *)
+(* Keep-everything reference                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One message of the run with everything the stream ever says about it,
+   including crossings emitted after its transaction completed. *)
+type msg = {
+  id : int;
+  parent : int;
+  txn : int;
+  sent : float;
+  local : bool;
+  inject : float;
+  mutable handled : float option;
+  mutable xfers : float list;  (* (start, finish) pairs, flattened, reversed *)
+}
+
+type txn = {
+  t_id : int;
+  t_op : Trace.dsm_op;
+  t_start : float;
+  t_dur : float;
+  t_completed_by : int;
+  t_chain : msg list;  (* causal (oldest-first) order *)
+}
+
+(* The run's transactions in completion order, each with its completing
+   chain: from the message that unblocked the fiber, walk [parent] links
+   backwards while still inside the transaction. *)
+let reference_txns events =
+  let msgs = Hashtbl.create 1024 in
+  List.iter
+    (function
+      | Trace.Msg_send { ts; id; parent; txn; inject; local; _ } ->
+          Hashtbl.replace msgs id
+            { id; parent; txn; sent = ts; local; inject;
+              handled = (if local then Some inject else None); xfers = [] }
+      | Trace.Link_xfer { start; finish; msg; _ } -> (
+          match Hashtbl.find_opt msgs msg with
+          | Some m -> m.xfers <- finish :: start :: m.xfers
+          | None -> ())
+      | Trace.Msg_deliver { id; handled; _ } -> (
+          match Hashtbl.find_opt msgs id with
+          | Some m when m.handled = None -> m.handled <- Some handled
+          | _ -> ())
+      | _ -> ())
+    events;
+  let chain txn completed_by =
+    let rec go acc prev id =
+      if id < 0 || id >= prev then acc
+      else
+        match Hashtbl.find_opt msgs id with
+        | Some m when m.txn = txn -> go (m :: acc) id m.parent
+        | _ -> acc
+    in
+    go [] max_int completed_by
+  in
+  List.filter_map
+    (function
+      | Trace.Dsm_access { ts; dur; op; txn; completed_by; _ } when txn >= 0 ->
+          Some
+            { t_id = txn; t_op = op; t_start = ts; t_dur = dur;
+              t_completed_by = completed_by; t_chain = chain txn completed_by }
+      | _ -> None)
+    events
+
+let decompose ov t =
+  Analysis.decompose_chain ov ~t0:t.t_start ~dur:t.t_dur
+    (List.map
+       (fun m ->
+         { Analysis.cl_local = m.local; cl_inject = m.inject;
+           cl_handled = m.handled;
+           cl_xfers = Array.of_list (List.rev m.xfers) })
+       t.t_chain)
+
+let same_bits (a : Analysis.cost) (b : Analysis.cost) =
+  List.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    [ a.startup_us; a.transfer_us; a.queue_us; a.cpu_us ]
+    [ b.startup_us; b.transfer_us; b.queue_us; b.cpu_us ]
+
 (* The tentpole invariant: startup + transfer + queue + cpu = t_dur exactly,
-   and no term is negative, for every transaction of every app x strategy. *)
+   and no term is negative, for every transaction of every app x strategy.
+   Summed per operation in completion order, the reference's costs are
+   also the engine's op rows, bit for bit: retiring each transaction's
+   records at completion loses nothing the decomposition reads. *)
 let test_decomposition_sums () =
   List.iter
     (fun (app, run) ->
       List.iter
         (fun (sname, strategy) ->
-          let ov, spans = traced_run (run strategy) in
-          let txns = Spans.txns spans in
+          let ov, events = traced_run (run strategy) in
+          let txns = reference_txns events in
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s has transactions" app sname)
             true (txns <> []);
+          let per_op = Hashtbl.create 8 in
           List.iter
-            (fun (t : Spans.txn) ->
-              let c = Analysis.decompose ov spans t in
-              let where =
-                Printf.sprintf "%s/%s txn %d" app sname t.Spans.t_id
-              in
+            (fun t ->
+              let c = decompose ov t in
+              let where = Printf.sprintf "%s/%s txn %d" app sname t.t_id in
               List.iter
                 (fun (term, v) ->
                   if v < -.eps then
@@ -83,11 +171,33 @@ let test_decomposition_sums () =
                   ("queue", c.Analysis.queue_us);
                   ("cpu", c.Analysis.cpu_us) ];
               let total = Analysis.total_cost c in
-              let tol = eps *. Float.max 1.0 t.Spans.t_dur in
-              if Float.abs (total -. t.Spans.t_dur) > tol then
+              let tol = eps *. Float.max 1.0 t.t_dur in
+              if Float.abs (total -. t.t_dur) > tol then
                 Alcotest.failf "%s: decomposition %g <> latency %g" where
-                  total t.Spans.t_dur)
-            txns)
+                  total t.t_dur;
+              let n, sum =
+                Option.value ~default:(0, Analysis.zero_cost)
+                  (Hashtbl.find_opt per_op t.t_op)
+              in
+              Hashtbl.replace per_op t.t_op (n + 1, Analysis.add_cost sum c))
+            txns;
+          let rows = (summarize ov events).Analysis.sm_ops in
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s op kinds" app sname)
+            (Hashtbl.length per_op) (List.length rows);
+          List.iter
+            (fun (r : Analysis.op_row) ->
+              let n, sum = Hashtbl.find per_op r.Analysis.or_op in
+              let what =
+                Printf.sprintf "%s/%s %s" app sname
+                  (Analysis.op_name r.Analysis.or_op)
+              in
+              Alcotest.(check int) (what ^ " count") n r.Analysis.or_count;
+              Alcotest.(check bool)
+                (what ^ " cost = keep-everything reference, bit for bit")
+                true
+                (same_bits sum r.Analysis.or_cost))
+            rows)
         both_strategies)
     apps
 
@@ -98,100 +208,109 @@ let test_decomposition_sums () =
 let test_chain_contiguity () =
   List.iter
     (fun (sname, strategy) ->
-      let _, spans = traced_run ((List.assoc "matmul" apps) strategy) in
+      let _, events = traced_run ((List.assoc "matmul" apps) strategy) in
       List.iter
-        (fun (t : Spans.txn) ->
-          let chain = Spans.chain spans t in
+        (fun t ->
           List.iter
-            (fun (m : Spans.msg) ->
+            (fun m ->
               Alcotest.(check int)
                 (Printf.sprintf "%s: chain msg in txn" sname)
-                t.Spans.t_id m.Spans.txn)
-            chain;
-          (match List.rev chain with
+                t.t_id m.txn)
+            t.t_chain;
+          (match List.rev t.t_chain with
           | last :: _ ->
               Alcotest.(check int)
                 (Printf.sprintf "%s: chain ends at completer" sname)
-                t.Spans.t_completed_by last.Spans.id
+                t.t_completed_by last.id
           | [] -> ());
           let rec pairs = function
-            | (a : Spans.msg) :: (b :: _ as rest) ->
-                (match a.Spans.handled with
+            | a :: (b :: _ as rest) ->
+                (match a.handled with
                 | Some h ->
                     Alcotest.(check (float eps))
                       (Printf.sprintf "%s: child issued at parent handler"
                          sname)
-                      h b.Spans.sent
+                      h b.sent
                 | None ->
                     Alcotest.failf "%s: chain crosses an unhandled message"
                       sname);
                 pairs rest
             | _ -> ()
           in
-          pairs chain)
-        (Spans.txns spans))
+          pairs t.t_chain)
+        (reference_txns events))
     both_strategies
 
 (* The critical-path timeline starts at 0 and covers gaps as cpu, so its
    total equals the makespan. *)
 let test_critical_path_covers_makespan () =
-  let ov, spans =
+  let ov, events =
     traced_run ((List.assoc "matmul" apps) (Dsm.access_tree ~arity:4 ()))
   in
-  match Analysis.critical_path ov spans with
+  match (summarize ov events).Analysis.sm_critical with
   | None -> Alcotest.fail "no critical path on a traced run"
-  | Some cp ->
-      Alcotest.(check bool) "has transactions" true (cp.Analysis.cp_txns <> []);
+  | Some c ->
+      Alcotest.(check bool) "has transactions" true (c.Analysis.sc_txns > 0);
       Alcotest.(check (float 1e-3))
-        "timeline total = makespan" cp.Analysis.cp_end
-        (Analysis.total_cost cp.Analysis.cp_cost)
+        "timeline total = makespan" c.Analysis.sc_end
+        (Analysis.total_cost c.Analysis.sc_cost)
+
+let count p events = List.length (List.filter p events)
 
 (* Level rows partition the messages; link-bytes are bytes x crossings. *)
 let test_level_profile_partitions () =
-  let _, spans =
+  let ov, events =
     traced_run ((List.assoc "matmul" apps) (Dsm.access_tree ~arity:4 ()))
   in
-  let rows = Analysis.level_profile spans in
-  let msgs = List.fold_left (fun a r -> a + r.Analysis.lv_msgs) 0 rows in
-  Alcotest.(check int) "levels partition msgs" (Spans.num_msgs spans) msgs;
+  let s = summarize ov events in
+  let msgs =
+    List.fold_left (fun a r -> a + r.Analysis.lv_msgs) 0 s.Analysis.sm_levels
+  in
+  Alcotest.(check int) "levels partition msgs" s.Analysis.sm_num_msgs msgs;
+  Alcotest.(check int) "every send counted"
+    (count (function Trace.Msg_send _ -> true | _ -> false) events)
+    msgs;
   let tagged =
     List.exists (fun r -> r.Analysis.lv_level >= 0 && r.Analysis.lv_msgs > 0)
-      rows
+      s.Analysis.sm_levels
   in
   Alcotest.(check bool) "access tree tags levels" true tagged
 
 (* Window attribution is overlap-proportional, so summed over all windows
    it conserves every occupancy's bytes. *)
 let test_windows_conserve_bytes () =
-  let _, spans =
-    traced_run ((List.assoc "bitonic" apps) Dsm.Fixed_home)
-  in
+  let ov, events = traced_run ((List.assoc "bitonic" apps) Dsm.Fixed_home) in
   let expect =
     List.fold_left
-      (fun a (m : Spans.msg) ->
-        a +. float_of_int (m.Spans.size * List.length m.Spans.xfers))
-      0.0 (Spans.msgs spans)
+      (fun a e ->
+        match e with
+        | Trace.Link_xfer { msg; size; _ } when msg >= 0 ->
+            a +. float_of_int size
+        | _ -> a)
+      0.0 events
   in
   let got =
     List.fold_left
       (fun a w ->
         List.fold_left (fun a (_, b) -> a +. b) a w.Analysis.w_link_bytes)
       0.0
-      (Analysis.windows ~n:5 spans)
+      (summarize ~num_windows:5 ov events).Analysis.sm_windows
   in
   Alcotest.(check bool) "windowed bytes conserve link traffic" true
     (Float.abs (got -. expect) <= 1e-6 *. Float.max 1.0 expect)
 
 (* The op table groups the same transactions the decomposition walks. *)
 let test_op_table_counts () =
-  let ov, spans =
-    traced_run ((List.assoc "matmul" apps) Dsm.Fixed_home)
-  in
-  let rows = Analysis.op_table ov spans in
+  let ov, events = traced_run ((List.assoc "matmul" apps) Dsm.Fixed_home) in
+  let s = summarize ov events in
+  let rows = s.Analysis.sm_ops in
   let n = List.fold_left (fun a r -> a + r.Analysis.or_count) 0 rows in
   Alcotest.(check int) "op rows partition txns"
-    (List.length (Spans.txns spans))
+    (count
+       (function Trace.Dsm_access { txn; _ } -> txn >= 0 | _ -> false)
+       events)
     n;
+  Alcotest.(check int) "summary counts them too" s.Analysis.sm_num_txns n;
   List.iter
     (fun r ->
       Alcotest.(check bool) "mean <= max" true
@@ -200,13 +319,14 @@ let test_op_table_counts () =
 
 (* analysis.json must be valid JSON and round-trip through the parser. *)
 let test_to_json_roundtrip () =
-  let ov, spans =
+  let ov, events =
     traced_run ((List.assoc "matmul" apps) (Dsm.access_tree ~arity:4 ()))
   in
+  let summary, _ = Streaming.analyze_events ~top_k:5 ~num_windows:3 ov events in
   let j =
-    Analysis.to_json
+    Analysis.summary_to_json
       ~meta:[ ("app", Diva_obs.Json.String "matmul") ]
-      ~top_k:5 ~num_windows:3 ov spans
+      summary
   in
   let s = Diva_obs.Json.to_string j in
   match Diva_obs.Json.of_string s with
@@ -215,8 +335,10 @@ let test_to_json_roundtrip () =
       List.iter
         (fun k ->
           Alcotest.(check bool) (k ^ " present") true (List.mem_assoc k fields))
-        [ "app"; "num_txns"; "num_msgs"; "critical_path"; "levels";
-          "top_links"; "windows"; "ops" ]
+        [ "app"; "num_txns"; "num_msgs"; "end_us"; "critical_path"; "levels";
+          "top_links"; "windows"; "ops" ];
+      Alcotest.(check string) "reprints identically" s
+        (Diva_obs.Json.to_string (Diva_obs.Json.Obj fields))
   | Ok _ -> Alcotest.fail "analysis.json is not an object"
 
 (* ------------------------------------------------------------------ *)
@@ -274,12 +396,6 @@ let reference_decompose_chain (ov : Analysis.overheads) ~t0 ~dur links =
     queue_us = dur -. (!startup +. !transfer +. !cpu);
     cpu_us = !cpu;
   }
-
-let same_bits (a : Analysis.cost) (b : Analysis.cost) =
-  List.for_all2
-    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-    [ a.startup_us; a.transfer_us; a.queue_us; a.cpu_us ]
-    [ b.startup_us; b.transfer_us; b.queue_us; b.cpu_us ]
 
 (* Points drawn from a small pool so segments share endpoints, each
    possibly nudged by a few ulps: around adjacent doubles [(a +. b) /. 2.0]

@@ -330,11 +330,18 @@ let test_engine_faults_compose () =
   Alcotest.(check bool) "loss leaves a mark" true (a <> clean)
 
 (* Composition with the event-trace pipeline: a traced service run feeds
-   the same single-pass streaming analyzer used by `analyze --offline`,
-   and tracing never perturbs the run. *)
+   the analyzer used by `analyze` live and by `analyze --offline` after
+   the fact, and tracing never perturbs the run. *)
 let test_engine_event_stream () =
   let spec = small_spec ~rate:600.0 () in
-  let tr = Trace.create () in
+  let gcel = Diva_simnet.Machine.gcel in
+  let live =
+    Diva_obs.Streaming.create ~num_windows:4
+      { Diva_obs.Analysis.send_overhead = gcel.Diva_simnet.Machine.send_overhead;
+        recv_overhead = gcel.Diva_simnet.Machine.recv_overhead;
+        local_overhead = gcel.Diva_simnet.Machine.local_overhead }
+  in
+  let tr = Trace.tee (Diva_obs.Streaming.feed live) in
   let captured = ref None in
   let traced =
     Engine.run
@@ -358,9 +365,8 @@ let test_engine_event_stream () =
   let summary, _peak =
     Diva_obs.Streaming.analyze_events ~num_windows:4 ov events
   in
-  let batch = Diva_obs.Analysis.summarize ~num_windows:4 ov events in
-  Alcotest.(check bool) "streaming analysis matches batch" true
-    (summary = batch)
+  Alcotest.(check bool) "live analysis matches the recorded stream's" true
+    (summary = Diva_obs.Streaming.finalize live)
 
 (* ------------------------------------------------------------------ *)
 (* Saturation sweep                                                     *)

@@ -1,10 +1,11 @@
-(* Tests for the bounded-memory streaming analyzer (Diva_obs.Streaming):
-   streaming output must be bit-identical to the batch Spans.build +
-   Analysis path for every app x strategy (faults included), the JSONL
-   trace format must round-trip exactly, peak analysis residency must stay
-   bounded while batch memory grows with trace length, and the
-   bench-history drift gate must catch compounded slow drifts that each
-   individually pass the per-PR tolerance. *)
+(* Tests for the analysis engine (Diva_obs.Streaming): the analyzer
+   riding a run as its trace sink must report bit for bit what a fold over
+   the finished event list and over the saved trace file report, for every
+   app x strategy (faults included); the JSONL trace format must
+   round-trip exactly; peak analysis residency must stay bounded while the
+   event stream grows with run length; and the bench-history drift gate
+   must catch compounded slow drifts that each individually pass the
+   per-PR tolerance. *)
 
 module Network = Diva_simnet.Network
 module Machine = Diva_simnet.Machine
@@ -15,7 +16,6 @@ module Workload = Diva_workload
 module Schedule = Diva_faults.Schedule
 module Json = Diva_obs.Json
 module Trace = Diva_obs.Trace
-module Spans = Diva_obs.Spans
 module Analysis = Diva_obs.Analysis
 module Streaming = Diva_obs.Streaming
 module Bench_gate = Diva_harness.Bench_gate
@@ -25,9 +25,10 @@ let overheads_of (m : Machine.t) =
     recv_overhead = m.Machine.recv_overhead;
     local_overhead = m.Machine.local_overhead }
 
-(* Run one app with causal tracing on; return (overheads, events). *)
-let traced_events ?(faults = Schedule.empty) run =
-  let trace = Trace.create () in
+(* Run one app with causal tracing on; return (overheads, events). [live]
+   also sees every event as it is emitted. *)
+let traced_events ?(faults = Schedule.empty) ?(live = ignore) run =
+  let trace = Trace.tee live in
   let obs =
     { Runner.null_obs with Runner.obs_trace = trace; obs_faults = faults }
   in
@@ -63,19 +64,23 @@ let both_strategies =
 
 let summary_string s = Json.to_string (Analysis.summary_to_json s)
 
-(* The tentpole property: the streaming fold retires each transaction the
-   moment it completes, yet every float of the summary — cost sums,
-   critical path, windows — matches the full-span batch path bit for
-   bit. *)
+(* [divasim analyze] attaches the analyzer to the run as its sink; here
+   it also forgets completed transactions as fast as possible (a one-entry
+   ring). Every float of its summary — cost sums, critical path, windows —
+   must match a fold over the finished event list bit for bit. *)
+let live_and_batch ?faults run =
+  let live = Streaming.create ~ring:1 (overheads_of Machine.gcel) in
+  let ov, events = traced_events ?faults ~live:(Streaming.feed live) run in
+  let batch, peak = Streaming.analyze_events ov events in
+  (Streaming.finalize live, batch, peak, events)
+
 let test_stream_equals_batch () =
   List.iter
     (fun (app_name, run) ->
       List.iter
         (fun (sname, strategy) ->
           let label = app_name ^ "/" ^ sname in
-          let ov, events = traced_events (run strategy) in
-          let batch = Analysis.summarize ov events in
-          let streamed, peak = Streaming.analyze_events ov events in
+          let streamed, batch, peak, _ = live_and_batch (run strategy) in
           Alcotest.(check string)
             (label ^ " summary") (summary_string batch)
             (summary_string streamed);
@@ -91,8 +96,8 @@ let test_stream_equals_batch_faulted () =
     Schedule.make ~seed:9
       [ Schedule.Msg_drop { prob = 0.1; w = { t0 = 0.0; t1 = 1e9 } } ]
   in
-  let ov, events =
-    traced_events ~faults:sched (fun ~obs ~on_net ->
+  let streamed, batch, _, events =
+    live_and_batch ~faults:sched (fun ~obs ~on_net ->
         ignore
           (Runner.run_matmul ~obs ~on_net ~rows:4 ~cols:4 ~block:64
              (Runner.Strategy (Dsm.access_tree ~arity:4 ()))))
@@ -100,13 +105,11 @@ let test_stream_equals_batch_faulted () =
   Alcotest.(check bool)
     "schedule actually lost messages" true
     (List.exists (function Trace.Msg_lost _ -> true | _ -> false) events);
-  let batch = Analysis.summarize ov events in
-  let streamed, _ = Streaming.analyze_events ov events in
   Alcotest.(check string)
     "faulted summary" (summary_string batch) (summary_string streamed)
 
-(* Streaming memory must not scale with run length: an 8x longer workload
-   grows the event stream (and batch span tables) proportionally, while
+(* Analysis memory must not scale with run length: an 8x longer workload
+   grows the event stream (and its message count) proportionally, while
    the analyzer's peak record residency stays at the concurrency level of
    the mesh. *)
 let workload_events ops =
@@ -129,8 +132,9 @@ let test_peak_residency_bounded () =
   let large = workload_events 400 in
   Alcotest.(check bool) "event stream grew with run length" true
     (List.length large > 3 * List.length small);
-  Alcotest.(check bool) "batch span tables grew with run length" true
-    (Spans.num_msgs (Spans.build large) > 3 * Spans.num_msgs (Spans.build small));
+  let sends = List.filter (function Trace.Msg_send _ -> true | _ -> false) in
+  Alcotest.(check bool) "message count grew with run length" true
+    (List.length (sends large) > 3 * List.length (sends small));
   let _, p_small = Streaming.analyze_events ov small in
   let _, p_large = Streaming.analyze_events ov large in
   Alcotest.(check bool)
@@ -290,9 +294,21 @@ let test_offline_file_roundtrip () =
       Alcotest.(check int) "header seed" 17 h.Streaming.h_seed;
       Alcotest.(check string)
         "offline summary bit-identical"
-        (summary_string (Analysis.summarize ov events))
+        (summary_string (fst (Streaming.analyze_events ov events)))
         (summary_string summary);
       Alcotest.(check bool) "peak > 0" true (peak > 0));
+  (* Blank lines are skipped by every reader, before the header too. *)
+  let padded = Filename.temp_file "diva_events" ".jsonl" in
+  Out_channel.with_open_bin padded (fun oc ->
+      output_string oc "\n \n";
+      output_string oc (In_channel.with_open_bin path In_channel.input_all));
+  (match (Streaming.probe padded, Streaming.analyze_file padded) with
+  | Ok (), Ok (_, summary, _) ->
+      Alcotest.(check string) "leading blank lines skipped"
+        (summary_string (fst (Streaming.analyze_events ov events)))
+        (summary_string summary)
+  | Error e, _ | _, Error e -> Alcotest.failf "padded trace rejected: %s" e);
+  Sys.remove padded;
   Sys.remove path
 
 (* Golden file: the JSONL encoding of a fixed small run must stay

@@ -7,8 +7,9 @@ module Trace = Diva_obs.Trace
 module Spec = Diva_workload.Spec
 module Sampler = Diva_workload.Sampler
 module Generator = Diva_workload.Generator
-module Dsm_trace = Diva_workload.Dsm_trace
 module Replay = Diva_workload.Replay
+module Streaming = Diva_obs.Streaming
+module Json = Diva_obs.Json
 module Latency = Diva_workload.Latency
 module Prng = Diva_util.Prng
 
@@ -22,6 +23,14 @@ let small_spec =
 let traced_obs () =
   let tr = Trace.create () in
   (tr, { Runner.null_obs with Runner.obs_trace = tr })
+
+let event_lines events =
+  String.concat ""
+    (List.map (fun e -> Json.to_string (Trace.event_to_json e) ^ "\n") events)
+
+let data_op = function
+  | Trace.Dsm_access { op = Trace.Read | Trace.Write; _ } -> true
+  | _ -> false
 
 let check_meas name (a : Runner.measurements) (b : Runner.measurements) =
   Alcotest.(check int) (name ^ ": total msgs") a.Runner.total_msgs b.Runner.total_msgs;
@@ -38,11 +47,7 @@ let test_generator_determinism () =
   let capture () =
     let sink, obs = traced_obs () in
     let r = Generator.run ~obs ~dims:[| 4; 4 |] ~strategy:strategy_4ary small_spec in
-    let t =
-      Dsm_trace.of_events ~dims:[| 4; 4 |] ~seed:Spec.(small_spec.seed)
-        (Trace.events sink)
-    in
-    (r, Dsm_trace.to_string t)
+    (r, event_lines (Trace.events sink))
   in
   let r1, t1 = capture () in
   let r2, t2 = capture () in
@@ -56,23 +61,15 @@ let test_generator_op_count () =
   ignore
     (Generator.run ~obs ~dims:[| 4; 4 |] ~strategy:strategy_4ary small_spec
       : Generator.result);
-  let t = Dsm_trace.of_events ~dims:[| 4; 4 |] ~seed:0 (Trace.events sink) in
-  let data_ops =
-    List.length
-      (List.filter
-         (fun (o : Dsm_trace.op) ->
-           match o.Dsm_trace.o_op with
-           | Trace.Read | Trace.Write -> true
-           | _ -> false)
-         t.Dsm_trace.ops)
-  in
+  let events = Trace.events sink in
   (* 16 procs x 60 ops; lock/unlock/barriers come on top. *)
-  Alcotest.(check int) "data ops" (16 * 60) data_ops;
+  Alcotest.(check int) "data ops" (16 * 60)
+    (List.length (List.filter data_op events));
   let locks =
     List.length
       (List.filter
-         (fun (o : Dsm_trace.op) -> o.Dsm_trace.o_op = Trace.Lock)
-         t.Dsm_trace.ops)
+         (function Trace.Dsm_access { op = Trace.Lock; _ } -> true | _ -> false)
+         events)
   in
   Alcotest.(check int) "locks (every 15th of 60)" (16 * 4) locks
 
@@ -84,8 +81,10 @@ let replay_roundtrip strategy =
     Runner.run_matmul ~seed:17 ~obs ~rows:4 ~cols:4 ~block:64
       (Runner.Strategy strategy)
   in
-  let t = Dsm_trace.of_events ~dims:[| 4; 4 |] ~seed:17 (Trace.events sink) in
-  Alcotest.(check int) "all vars declared" 16 (List.length t.Dsm_trace.decls);
+  let t = Replay.of_events ~dims:[| 4; 4 |] ~seed:17 (Trace.events sink) in
+  Alcotest.(check int) "all vars declared" 16
+    (List.length
+       (List.filter (function Trace.Var_decl _ -> true | _ -> false) t.Replay.events));
   let r = Replay.run ~mode:Replay.Closed_loop ~strategy t in
   check_meas "replay" m0 r.Generator.measurements
 
@@ -98,7 +97,7 @@ let test_replay_synthetic () =
   let sink, obs = traced_obs () in
   let r0 = Generator.run ~obs ~dims:[| 4; 4 |] ~strategy:strategy_4ary small_spec in
   let t =
-    Dsm_trace.of_events ~dims:[| 4; 4 |] ~seed:Spec.(small_spec.seed)
+    Replay.of_events ~dims:[| 4; 4 |] ~seed:Spec.(small_spec.seed)
       (Trace.events sink)
   in
   let r = Replay.run ~strategy:strategy_4ary t in
@@ -116,7 +115,7 @@ let test_open_loop_slower () =
   ignore
     (Generator.run ~obs ~dims:[| 2; 2 |] ~strategy:strategy_4ary spec
       : Generator.result);
-  let t = Dsm_trace.of_events ~dims:[| 2; 2 |] ~seed:7 (Trace.events sink) in
+  let t = Replay.of_events ~dims:[| 2; 2 |] ~seed:7 (Trace.events sink) in
   let closed = Replay.run ~mode:Replay.Closed_loop ~strategy:strategy_4ary t in
   let open_ = Replay.run ~mode:Replay.Open_loop ~strategy:strategy_4ary t in
   Alcotest.(check bool)
@@ -130,64 +129,123 @@ let test_open_loop_slower () =
   Alcotest.(check bool) "open >= recorded duration" true
     (open_.Generator.measurements.Runner.time
     >= List.fold_left
-         (fun acc (o : Dsm_trace.op) -> Float.max acc o.Dsm_trace.o_ts)
-         0.0 t.Dsm_trace.ops)
+         (fun acc e ->
+           match e with
+           | Trace.Dsm_access { ts; _ } -> Float.max acc ts
+           | _ -> acc)
+         0.0 t.Replay.events)
 
-(* Serialization round-trips through text and through a file. *)
+let gcel_header ?(params = []) ~app ~dims ~strategy ~seed () =
+  let m = Diva_simnet.Machine.gcel in
+  Streaming.make_header ~params ~app ~dims ~strategy ~seed
+    ~overheads:
+      { Diva_obs.Analysis.send_overhead = m.Diva_simnet.Machine.send_overhead;
+        recv_overhead = m.Diva_simnet.Machine.recv_overhead;
+        local_overhead = m.Diva_simnet.Machine.local_overhead }
+    ()
+
+let with_temp_file contents f =
+  let path = Filename.temp_file "diva_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+(* A run recorded as an event trace (what [--events] writes) reads back
+   as the same replay program, through text and through a file, and
+   replays to the same measurements. *)
 let test_trace_roundtrip () =
   let sink, obs = traced_obs () in
   ignore
     (Generator.run ~obs ~dims:[| 2; 2 |] ~strategy:strategy_4ary small_spec
       : Generator.result);
-  let t =
-    Dsm_trace.of_events ~dims:[| 2; 2 |] ~seed:5
-      ~meta:[ ("app", "workload"); ("strategy", "4-ary") ]
-      (Trace.events sink)
+  let events = Trace.events sink in
+  let t = Replay.of_events ~dims:[| 2; 2 |] ~seed:5 events in
+  let header =
+    gcel_header ~app:"workload" ~dims:[| 2; 2 |] ~strategy:"4-ary" ~seed:5 ()
   in
-  let s = Dsm_trace.to_string t in
-  (match Dsm_trace.of_string s with
-  | Error e -> Alcotest.fail e
-  | Ok t' ->
-      Alcotest.(check string) "text round-trip" s (Dsm_trace.to_string t');
-      Alcotest.(check (list (pair string string))) "meta" t.Dsm_trace.meta
-        t'.Dsm_trace.meta;
-      Alcotest.(check int) "ops" (List.length t.Dsm_trace.ops)
-        (List.length t'.Dsm_trace.ops));
-  let path = Filename.temp_file "diva_trace" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Dsm_trace.write path t;
-      (match Dsm_trace.probe path with
+  let text =
+    Json.to_string (Streaming.header_json header) ^ "\n" ^ event_lines events
+  in
+  with_temp_file text (fun path ->
+      (match Streaming.probe path with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("probe: " ^ e));
-      match Dsm_trace.read path with
+      match Replay.read path with
       | Error e -> Alcotest.fail e
       | Ok t' ->
-          Alcotest.(check string) "file round-trip" s (Dsm_trace.to_string t'))
+          Alcotest.(check (array int)) "dims" t.Replay.dims t'.Replay.dims;
+          Alcotest.(check int) "seed" 5 t'.Replay.seed;
+          Alcotest.(check int) "ops" (Replay.num_ops t) (Replay.num_ops t');
+          Alcotest.(check string) "text round-trip" (event_lines t.Replay.events)
+            (event_lines t'.Replay.events);
+          check_meas "file replay"
+            (Replay.run ~strategy:strategy_4ary t).Generator.measurements
+            (Replay.run ~strategy:strategy_4ary t').Generator.measurements)
 
+(* Every damaged input is an [Error] naming the problem, never an
+   exception: foreign formats (a diva-dsm-trace header included) or
+   future versions, bad lines, and programs replay could not execute. *)
 let test_trace_errors () =
-  let fails = function
-    | Error (_ : string) -> ()
-    | Ok (_ : Dsm_trace.t) -> Alcotest.fail "expected an error"
+  let header dims =
+    Json.to_string
+      (Streaming.header_json
+         (gcel_header ~app:"workload" ~dims ~strategy:"4-ary" ~seed:1 ()))
   in
-  fails (Dsm_trace.of_string "");
-  fails (Dsm_trace.of_string "{\"format\":\"something-else\",\"version\":1}");
-  fails
-    (Dsm_trace.of_string
-       "{\"format\":\"diva-dsm-trace\",\"version\":99,\"dims\":[2,2],\"seed\":1}");
-  fails (Dsm_trace.of_string "not json at all");
-  (match
-     Dsm_trace.of_string
-       "{\"format\":\"diva-dsm-trace\",\"version\":99,\"dims\":[2,2],\"seed\":1}"
-   with
-  | Error e ->
-      Alcotest.(check bool) "version error names the version" true
-        (String.contains e '9')
-  | Ok _ -> Alcotest.fail "expected version error");
-  match Dsm_trace.probe "/nonexistent/trace.jsonl" with
+  let var own =
+    Printf.sprintf {|{"e":"var","ts":0,"v":0,"name":"x","sz":8,"own":%d}|} own
+  in
+  let read_ok node v =
+    Printf.sprintf
+      {|{"e":"dsm","ts":1,"dur":0,"n":%d,"v":%d,"name":"x","op":"r","sz":8,"hit":true,"txn":-1,"cb":-1}|}
+      node v
+  in
+  let fails ?expect what contents =
+    with_temp_file contents (fun path ->
+        match Replay.read path with
+        | Ok _ -> Alcotest.failf "%s: expected an error" what
+        | Error e -> (
+            match expect with
+            | Some sub ->
+                let n = String.length sub in
+                let rec has i =
+                  i + n <= String.length e && (String.sub e i n = sub || has (i + 1))
+                in
+                if not (has 0) then
+                  Alcotest.failf "%s: error %S does not mention %S" what e sub
+            | None -> ()))
+  in
+  fails "empty file" "";
+  fails "foreign format" ~expect:"not an event trace"
+    "{\"format\":\"diva-dsm-trace\",\"version\":1,\"dims\":[2,2],\"seed\":1}\n";
+  fails "future version" ~expect:"99"
+    "{\"format\":\"diva-event-trace\",\"version\":99}\n";
+  fails "not json" "not json at all\n";
+  fails "bad body line" ~expect:"line 3"
+    (header [| 2; 2 |] ^ "\n" ^ var 0 ^ "\n{\"e\":\"dsm\"}\n");
+  fails "owner outside the mesh" ~expect:"owner 4"
+    (header [| 2; 2 |] ^ "\n" ^ var 4 ^ "\n");
+  fails "op outside the mesh" ~expect:"processor 7"
+    (header [| 2; 2 |] ^ "\n" ^ var 0 ^ "\n"
+    ^ read_ok 7 0 ^ "\n");
+  fails "undeclared variable" ~expect:"undeclared variable 3"
+    (header [| 2; 2 |] ^ "\n" ^ read_ok 1 3 ^ "\n");
+  fails "non-positive mesh" (header [| 0; 2 |] ^ "\n");
+  fails "negative variable size" ~expect:"negative size"
+    (header [| 2; 2 |] ^ "\n"
+    ^ {|{"e":"var","ts":0,"v":0,"name":"x","sz":-1,"own":0}|} ^ "\n");
+  (* The same well-formed program is accepted. *)
+  with_temp_file
+    (header [| 2; 2 |] ^ "\n" ^ var 0 ^ "\n"
+    ^ read_ok 1 0 ^ "\n")
+    (fun path ->
+      match Replay.read path with
+      | Ok t -> Alcotest.(check int) "one op" 1 (Replay.num_ops t)
+      | Error e -> Alcotest.failf "well-formed trace rejected: %s" e);
+  match Replay.read "/nonexistent/trace.jsonl" with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "probe of missing file succeeded"
+  | Ok _ -> Alcotest.fail "read of a missing file succeeded"
 
 (* Zipf sampling: rank-0 keys dominate more as the exponent grows; uniform
    sampling covers the key space evenly. *)
@@ -344,12 +402,14 @@ let test_latency_report () =
   Alcotest.(check bool) "fields carry p99" true
     (List.mem_assoc "lat_p99_us" fields)
 
-(* Golden-trace regression: the committed JSONL trace in test/data must be
-   reproduced byte for byte by today's generator, and replay it
-   deterministically. Regenerate with
+(* Golden-trace regression: the committed replay trace in test/data must
+   be reproduced byte for byte by today's generator, and replay
+   deterministically. It is the header plus the [var] and [dsm] lines —
+   the ones replay reads — of
      divasim workload --mesh 4x4 --strategy 4-ary --vars 32 --var-size 32 \
-       --ops 40 --read-ratio 0.8 --lock-every 8 --seed 11 --record FILE
-   if an intentional behaviour change invalidates it. *)
+       --ops 40 --read-ratio 0.8 --lock-every 8 --seed 11 --events FILE
+   and test/gen_golden.exe regenerates it if an intentional behaviour
+   change invalidates it. *)
 let golden_path = "data/golden_workload_4x4.jsonl"
 
 let test_golden_trace () =
@@ -363,17 +423,17 @@ let test_golden_trace () =
   ignore
     (Generator.run ~obs ~dims:[| 4; 4 |] ~strategy:strategy_4ary spec
       : Generator.result);
-  let t =
-    Dsm_trace.of_events ~dims:[| 4; 4 |] ~seed:11
-      ~meta:
-        [ ("app", "workload");
-          ("strategy", Diva_core.Dsm.strategy_name strategy_4ary) ]
-      (Trace.events sink)
+  let t = Replay.of_events ~dims:[| 4; 4 |] ~seed:11 (Trace.events sink) in
+  let header =
+    gcel_header ~params:(Spec.to_params spec) ~app:"workload" ~dims:[| 4; 4 |]
+      ~strategy:(Diva_core.Dsm.strategy_name strategy_4ary) ~seed:11 ()
   in
   Alcotest.(check string) "regenerated trace matches the committed golden"
-    golden (Dsm_trace.to_string t);
+    golden
+    (Json.to_string (Streaming.header_json header) ^ "\n"
+    ^ event_lines t.Replay.events);
   let tr =
-    match Dsm_trace.read golden_path with
+    match Replay.read golden_path with
     | Ok t -> t
     | Error e -> Alcotest.failf "cannot read golden trace: %s" e
   in
