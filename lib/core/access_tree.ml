@@ -3,6 +3,7 @@ module Deco = Diva_mesh.Decomposition
 module Embedding = Diva_mesh.Embedding
 module Network = Diva_simnet.Network
 module Trace = Diva_obs.Trace
+module Int_table = Diva_util.Int_table
 
 type body =
   | Rreq of { origin : int }
@@ -16,18 +17,16 @@ type body =
   | Ltok
   | Rmove  (* state transfer of a remapped tree node; no handler action *)
 
-type Network.payload +=
-  | At of { var_id : int; from : int; tnode : int; body : body }
-
 (* Per-(variable, tree-node) protocol state. Created lazily: a missing
-   entry means the node has never been touched, in which case its copy flag
-   and its pointers are derivable from the variable's initial owner. *)
+   entry means the node has never been touched, in which case its pointers
+   are derivable from the variable's initial owner. Whether the node holds
+   a copy is recorded in the variable's [copies] bitmap, not here. *)
 type tstate = {
-  mutable has_copy : bool;
   mutable toward : int;  (* neighbour toward the copy component; -1 = copy *)
   mutable comp_edges : int list;  (* neighbours believed to be in the component *)
   mutable read_pending : bool;  (* forwarded a read, reply not yet back *)
   mutable parked : int list;  (* origins combined onto the in-flight reply *)
+  mutable readers : (Value.t -> unit) list;  (* reads issued at this leaf, newest first *)
   mutable inv_waiting : int;  (* outstanding invalidation acks *)
   mutable inv_pred : int;  (* where to ack once [inv_waiting] drains; -1 = here *)
   (* Raymond's token-based mutual exclusion, on the same tree. *)
@@ -35,6 +34,8 @@ type tstate = {
   mutable lqueue : int list;  (* FIFO of requesting directions (or self) *)
   mutable lasked : bool;
   mutable locked : bool;
+  mutable lock_k : (unit -> unit) option;  (* acquirer waiting at this leaf *)
+  mutable place : int;  (* mesh node simulating this tree node, remaps included *)
   mutable last_use : int;  (* LRU tick *)
   mutable use_count : int;  (* lifetime touches, for frequency eviction *)
   mutable traffic : int;  (* messages served, for the remapping variant *)
@@ -59,8 +60,10 @@ type wtxn = {
   mutable w_u : int;  (* component node coordinating the invalidation *)
 }
 
-(* Per-variable transaction control: writes are serialized against each
-   other and against in-flight reads; cache hits bypass this entirely. *)
+(* Per-variable control block, reached from the variable's slot and
+   carried by every protocol message: transaction control (writes are
+   serialized against each other and against in-flight reads; cache hits
+   bypass this entirely) plus all of the variable's tree-node state. *)
 type ctl = {
   var : Types.var;
   mutable ncopies : int;
@@ -68,11 +71,17 @@ type ctl = {
   mutable writing : bool;
   pending : op Queue.t;
   mutable wtxn : wtxn option;
-  readers : (int, (Value.t -> unit) list) Hashtbl.t;  (* origin leaf -> ks *)
-  mutable touched : int list;  (* materialised state keys, for [retire] *)
+  states : tstate Int_table.t;  (* tree node -> state, materialised ones *)
+  copies : Bytes.t;  (* one bit per tree node: does it hold a copy? *)
   mutable pushes : int;  (* speculative Rpush messages in flight *)
   mutable retired : bool;  (* retire deferred until the pushes land *)
+  mutable gone : bool;  (* retired: the state is dropped *)
 }
+
+type Types.slot += Tree of ctl
+
+type Network.payload +=
+  | At of { ctl : ctl; from : int; tnode : int; body : body }
 
 type t = {
   net : Network.t;
@@ -84,14 +93,9 @@ type t = {
   eviction : Strategy.eviction;
   prefetch : bool;
   remap_rng : Diva_util.Prng.t;
-  placement_override : (int, int) Hashtbl.t;  (* state key -> mesh node *)
-  placement_cache : (int, int) Hashtbl.t;  (* state key -> default placement *)
   mutable remap_count : int;
-  vars : (int, ctl) Hashtbl.t;
-  states : (int, tstate) Hashtbl.t;  (* var_id * num_tree_nodes + tnode *)
-  lock_waiters : (int, unit -> unit) Hashtbl.t;  (* same key, at leaves *)
   mem_used : int array;  (* bytes per processor, only if capacity is set *)
-  held : (int, unit) Hashtbl.t array;  (* per processor: state keys of copies *)
+  held : (int, ctl) Hashtbl.t array;  (* per processor: state key -> its variable *)
   mutable lru_tick : int;
   mutable eviction_count : int;
 }
@@ -108,12 +112,7 @@ let create net deco ~embedding ?capacity ?(combining = true) ?remap_threshold
     eviction;
     prefetch;
     remap_rng = Diva_util.Prng.split (Network.rng net);
-    placement_override = Hashtbl.create 64;
-    placement_cache = Hashtbl.create 4096;
     remap_count = 0;
-    vars = Hashtbl.create 1024;
-    states = Hashtbl.create 4096;
-    lock_waiters = Hashtbl.create 64;
     mem_used = Array.make (Network.num_nodes net) 0;
     held =
       (match capacity with
@@ -123,87 +122,101 @@ let create net deco ~embedding ?capacity ?(combining = true) ?remap_threshold
     eviction_count = 0;
   }
 
-let key t var_id tnode = (var_id * t.deco.Deco.num_tree_nodes) + tnode
-
-(* Placement is consulted on every protocol message (twice per
-   [send_tree]), but [Embedding.place_lazy] recomputes the embedding rule
-   recursively from the tree root — for the regular rule that is one
-   coordinate-array round-trip per ancestor level, per call. Memoize the
-   (deterministic) default placement per state key; remapping overrides
-   still take precedence and are checked first. *)
-let place t (var : Types.var) tnode =
-  let k = key t var.Types.id tnode in
-  if Hashtbl.length t.placement_override > 0 && Hashtbl.mem t.placement_override k
-  then Hashtbl.find t.placement_override k
-  else
-    match Hashtbl.find t.placement_cache k with
-    | p -> p
-    | exception Not_found ->
-        let p = Embedding.place_lazy t.embedding t.deco ~seed:var.Types.seed tnode in
-        Hashtbl.add t.placement_cache k p;
-        p
+(* Keys of the per-processor [held] registries. Their hash order breaks
+   eviction ties, so it is part of the capacity goldens. *)
+let key t (ctl : ctl) tnode = (ctl.var.Types.id * t.deco.Deco.num_tree_nodes) + tnode
 let leaf t p = t.deco.Deco.leaf_of_proc.(p)
 
+let has_copy ctl tnode =
+  Char.code (Bytes.get ctl.copies (tnode lsr 3)) land (1 lsl (tnode land 7)) <> 0
+
+let set_copy ctl tnode on =
+  let i = tnode lsr 3 and bit = 1 lsl (tnode land 7) in
+  let b = Char.code (Bytes.get ctl.copies i) in
+  Bytes.set ctl.copies i (Char.unsafe_chr (if on then b lor bit else b land lnot bit))
+
+(* Template for fresh states (copied, never mutated) and the filler of
+   empty [Int_table] slots. *)
+let no_state =
+  { toward = -1; comp_edges = []; read_pending = false; parked = [];
+    readers = []; inv_waiting = 0; inv_pred = -1; tok_toward = -1; lqueue = [];
+    lasked = false; locked = false; lock_k = None; place = -1; last_use = 0;
+    use_count = 0; traffic = 0 }
+
 let get_ctl t (var : Types.var) =
-  match Hashtbl.find t.vars var.Types.id with
-  | c -> c
-  | exception Not_found ->
+  match var.Types.slot with
+  | Tree c -> c
+  | _ ->
       let c =
         { var; ncopies = 1; reading = 0; writing = false;
-          pending = Queue.create (); wtxn = None; readers = Hashtbl.create 2;
-          touched = []; pushes = 0; retired = false }
+          pending = Queue.create (); wtxn = None;
+          states = Int_table.create ~dummy:no_state 4;
+          copies = Bytes.make ((t.deco.Deco.num_tree_nodes + 7) / 8) '\000';
+          pushes = 0; retired = false; gone = false }
       in
-      Hashtbl.add t.vars var.Types.id c;
+      set_copy c (leaf t var.Types.owner) true;
+      var.Types.slot <- Tree c;
       c
 
+(* The placement is computed once, when the state is materialised: the
+   embedding rule walks from the tree root, one level per ancestor. *)
 let get_state t (ctl : ctl) tnode =
-  let k = key t ctl.var.Types.id tnode in
-  match Hashtbl.find t.states k with
+  match Int_table.find ctl.states tnode with
   | s -> s
   | exception Not_found ->
       let owner_leaf = leaf t ctl.var.Types.owner in
-      let is_home = tnode = owner_leaf in
       let toward =
-        if is_home then -1 else Deco.next_hop t.deco ~from:tnode ~target:owner_leaf
+        if tnode = owner_leaf then -1
+        else Deco.next_hop t.deco ~from:tnode ~target:owner_leaf
       in
-      let s =
-        { has_copy = is_home; toward; comp_edges = []; read_pending = false;
-          parked = []; inv_waiting = 0; inv_pred = -1; tok_toward = toward;
-          lqueue = []; lasked = false; locked = false; last_use = 0;
-          use_count = 0; traffic = 0 }
+      let place =
+        Embedding.place_lazy t.embedding t.deco ~seed:ctl.var.Types.seed tnode
       in
-      Hashtbl.add t.states k s;
-      ctl.touched <- k :: ctl.touched;
+      let s = { no_state with toward; tok_toward = toward; place } in
+      Int_table.add ctl.states tnode s;
       s
 
-let touch t st =
-  t.lru_tick <- t.lru_tick + 1;
-  st.last_use <- t.lru_tick;
-  st.use_count <- st.use_count + 1
+let place t (var : Types.var) tnode =
+  match var.Types.slot with
+  | Tree ctl when Int_table.mem ctl.states tnode ->
+      (Int_table.find ctl.states tnode).place
+  | _ -> Embedding.place_lazy t.embedding t.deco ~seed:var.Types.seed tnode
 
-let trace_copy_add t (ctl : ctl) tnode =
+(* LRU/LFU bookkeeping. Only the eviction score reads it, so it is
+   skipped when memory is unbounded. *)
+let touch t st =
+  match t.capacity with
+  | None -> ()
+  | Some _ ->
+      t.lru_tick <- t.lru_tick + 1;
+      st.last_use <- t.lru_tick;
+      st.use_count <- st.use_count + 1
+
+let trace_copy_add t (ctl : ctl) tnode st =
   let tr = Network.trace t.net in
   if Trace.enabled tr then
     Trace.emit tr
       (Trace.Copy_add
-         { ts = Network.now t.net; node = place t ctl.var tnode;
+         { ts = Network.now t.net; node = st.place;
            var = ctl.var.Types.id; var_name = ctl.var.Types.name; tnode;
            level = t.deco.Deco.depth.(tnode) })
 
-let trace_copy_drop t (ctl : ctl) tnode reason =
+let trace_copy_drop t (ctl : ctl) tnode st reason =
   let tr = Network.trace t.net in
   if Trace.enabled tr then
     Trace.emit tr
       (Trace.Copy_drop
-         { ts = Network.now t.net; node = place t ctl.var tnode;
+         { ts = Network.now t.net; node = st.place;
            var = ctl.var.Types.id; var_name = ctl.var.Types.name; tnode;
            level = t.deco.Deco.depth.(tnode); reason })
 
+(* Materialising the destination's state here rather than on arrival
+   changes nothing: an untouched node's state is a function of the owner
+   and the node alone. *)
 let send_tree t (ctl : ctl) ~from ~tnode ~size body =
-  let src = place t ctl.var from and dst = place t ctl.var tnode in
+  let src = (get_state t ctl from).place and dst = (get_state t ctl tnode).place in
   Network.tag_level t.net t.deco.Deco.depth.(tnode);
-  Network.send t.net ~src ~dst ~size
-    (At { var_id = ctl.var.Types.id; from; tnode; body })
+  Network.send t.net ~src ~dst ~size (At { ctl; from; tnode; body })
 
 let send_ctl t ctl ~from ~tnode body =
   send_tree t ctl ~from ~tnode ~size:Types.control_size body
@@ -219,89 +232,86 @@ let send_data t ctl ~from ~tnode body =
    a component leaf), it is not the last copy, and no transaction is
    touching it. Eviction is silent: the remaining neighbour keeps a stale
    component edge, which the invalidation handler tolerates. *)
-let evictable _t (ctl : ctl) st =
-  st.has_copy && ctl.ncopies > 1
+let evictable (ctl : ctl) tnode st =
+  has_copy ctl tnode && ctl.ncopies > 1
   && (not ctl.writing)
   && (not st.read_pending)
   && st.parked = []
   && st.inv_waiting = 0
   && List.length st.comp_edges <= 1
 
-(* Scan only the copies held at [proc] (the per-processor registry), not
-   the global state table. The victim minimizes the policy's score: the
-   LRU tick, or the lifetime touch count (ties broken by the LRU tick, so
-   frequency eviction stays deterministic). *)
+(* Scan only the copies held at [proc] (the per-processor registry). The
+   victim minimizes the policy's score: the LRU tick, or the lifetime
+   touch count (ties broken by the LRU tick, so frequency eviction stays
+   deterministic). *)
 let score t st =
   match t.eviction with
   | Strategy.Lru -> (st.last_use, 0)
   | Strategy.Freq -> (st.use_count, st.last_use)
 
 let evict t proc =
+  let nt = t.deco.Deco.num_tree_nodes in
   let best = ref None in
   Hashtbl.iter
-    (fun k () ->
-      match Hashtbl.find_opt t.states k with
-      | None -> ()
-      | Some st ->
-          if st.has_copy then begin
-            let var_id = k / t.deco.Deco.num_tree_nodes in
-            match Hashtbl.find_opt t.vars var_id with
-            | Some ctl when evictable t ctl st -> (
-                match !best with
-                | Some (_, _, _, sc) when sc <= score t st -> ()
-                | _ -> best := Some (k, ctl, st, score t st))
-            | _ -> ()
-          end)
+    (fun k ctl ->
+      let tnode = k mod nt in
+      match Int_table.find ctl.states tnode with
+      | exception Not_found -> ()
+      | st when evictable ctl tnode st -> (
+          match !best with
+          | Some (_, _, _, sc) when sc <= score t st -> ()
+          | _ -> best := Some (tnode, ctl, st, score t st))
+      | _ -> ())
     t.held.(proc);
   match !best with
   | None -> false
-  | Some (k, ctl, st, _) ->
-      trace_copy_drop t ctl (k mod t.deco.Deco.num_tree_nodes) Trace.Evicted;
-      st.has_copy <- false;
+  | Some (tnode, ctl, st, _) ->
+      trace_copy_drop t ctl tnode st Trace.Evicted;
+      set_copy ctl tnode false;
       st.toward <- (match st.comp_edges with e :: _ -> e | [] -> assert false);
       st.comp_edges <- [];
       ctl.ncopies <- ctl.ncopies - 1;
       t.mem_used.(proc) <- t.mem_used.(proc) - ctl.var.Types.data_size;
-      Hashtbl.remove t.held.(proc) k;
+      Hashtbl.remove t.held.(proc) (key t ctl tnode);
       t.eviction_count <- t.eviction_count + 1;
       true
 
-let account_copy t (ctl : ctl) tnode =
+let account_copy t (ctl : ctl) tnode st =
   match t.capacity with
   | None -> ()
   | Some cap ->
-      let proc = place t ctl.var tnode in
+      let proc = st.place in
       t.mem_used.(proc) <- t.mem_used.(proc) + ctl.var.Types.data_size;
-      Hashtbl.replace t.held.(proc) (key t ctl.var.Types.id tnode) ();
+      Hashtbl.replace t.held.(proc) (key t ctl tnode) ctl;
       let continue = ref true in
       while t.mem_used.(proc) > cap && !continue do
         continue := evict t proc
       done
 
-let unaccount_copy t (ctl : ctl) tnode =
+let unaccount_copy t (ctl : ctl) tnode st =
   match t.capacity with
   | None -> ()
   | Some _ ->
-      let proc = place t ctl.var tnode in
+      let proc = st.place in
       t.mem_used.(proc) <- t.mem_used.(proc) - ctl.var.Types.data_size;
-      Hashtbl.remove t.held.(proc) (key t ctl.var.Types.id tnode)
+      Hashtbl.remove t.held.(proc) (key t ctl tnode)
 
 let add_copy t ctl tnode st =
-  if not st.has_copy then begin
-    st.has_copy <- true;
+  if not (has_copy ctl tnode) then begin
+    set_copy ctl tnode true;
     st.toward <- -1;
     ctl.ncopies <- ctl.ncopies + 1;
     touch t st;
-    trace_copy_add t ctl tnode;
-    account_copy t ctl tnode
+    trace_copy_add t ctl tnode st;
+    account_copy t ctl tnode st
   end
 
 let remove_copy t ctl tnode st =
-  if st.has_copy then begin
-    st.has_copy <- false;
+  if has_copy ctl tnode then begin
+    set_copy ctl tnode false;
     ctl.ncopies <- ctl.ncopies - 1;
-    trace_copy_drop t ctl tnode Trace.Invalidated;
-    unaccount_copy t ctl tnode
+    trace_copy_drop t ctl tnode st Trace.Invalidated;
+    unaccount_copy t ctl tnode st
   end
 
 let add_edge st nb = if not (List.mem nb st.comp_edges) then st.comp_edges <- nb :: st.comp_edges
@@ -310,11 +320,11 @@ let add_edge st nb = if not (List.mem nb st.comp_edges) then st.comp_edges <- nb
 (* Transaction gating                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let complete_reads _t ctl tnode =
-  match Hashtbl.find_opt ctl.readers tnode with
-  | None -> ()
-  | Some ks ->
-      Hashtbl.remove ctl.readers tnode;
+let complete_reads ctl st =
+  match st.readers with
+  | [] -> ()
+  | ks ->
+      st.readers <- [];
       ctl.reading <- ctl.reading - List.length ks;
       let v = ctl.var.Types.value in
       List.iter (fun k -> k v) (List.rev ks)
@@ -340,12 +350,11 @@ let rec process_queue t ctl =
 and start_read t ctl p k =
   ctl.reading <- ctl.reading + 1;
   let origin = leaf t p in
-  let ks = Option.value ~default:[] (Hashtbl.find_opt ctl.readers origin) in
-  Hashtbl.replace ctl.readers origin (k :: ks);
   let st = get_state t ctl origin in
-  if st.has_copy then begin
+  st.readers <- k :: st.readers;
+  if has_copy ctl origin then begin
     touch t st;
-    complete_reads t ctl origin;
+    complete_reads ctl st;
     process_queue t ctl
   end
   else if st.read_pending then
@@ -362,7 +371,7 @@ and start_write t ctl p value k =
   let origin = leaf t p in
   ctl.wtxn <- Some { w_origin = origin; w_value = value; w_done = k; w_u = origin };
   let st = get_state t ctl origin in
-  if st.has_copy then begin
+  if has_copy ctl origin then begin
     touch t st;
     begin_invalidation t ctl origin
   end
@@ -408,7 +417,7 @@ and complete_write t ctl =
 
 let on_rreq t ctl ~tnode ~origin =
   let st = get_state t ctl tnode in
-  if st.has_copy then begin
+  if has_copy ctl tnode then begin
     touch t st;
     let nxt = Deco.next_hop t.deco ~from:tnode ~target:origin in
     add_edge st nxt;
@@ -431,7 +440,7 @@ let prefetch_children t ctl tnode st =
   Array.iter
     (fun c ->
       let cs = get_state t ctl c in
-      if (not cs.has_copy) && not cs.read_pending then begin
+      if (not (has_copy ctl c)) && not cs.read_pending then begin
         ctl.reading <- ctl.reading + 1;
         ctl.pushes <- ctl.pushes + 1;
         cs.read_pending <- true;
@@ -469,7 +478,7 @@ let rec on_rrep ?(push = true) t ctl ~from ~tnode ~origins =
      speculation to one level beyond the paths actually walked. *)
   if push && t.prefetch then prefetch_children t ctl tnode st;
   (* Completions last: they may resume fibers that issue new operations. *)
-  complete_reads t ctl tnode;
+  complete_reads ctl st;
   process_queue t ctl
 
 (* A speculative copy lands: exactly a reply with no origins to serve
@@ -485,24 +494,27 @@ and on_rpush t ctl ~from ~tnode =
   end
   else on_rrep ~push:false t ctl ~from ~tnode ~origins:[]
 
+(* Drop every state of the variable and detach the control block; the
+   next access (if any) starts from a fresh singleton at the owner. *)
 and finish_retire t ctl =
-  List.iter
-    (fun k ->
-      (match (t.capacity, Hashtbl.find_opt t.states k) with
-      | Some _, Some st when st.has_copy ->
-          let tnode = k mod t.deco.Deco.num_tree_nodes in
-          let proc = place t ctl.var tnode in
-          t.mem_used.(proc) <- t.mem_used.(proc) - ctl.var.Types.data_size;
-          Hashtbl.remove t.held.(proc) k
-      | _ -> ());
-      Hashtbl.remove t.placement_override k;
-      Hashtbl.remove t.states k)
-    ctl.touched;
-  Hashtbl.remove t.vars ctl.var.Types.id
+  (match t.capacity with
+  | None -> ()
+  | Some _ ->
+      Int_table.iter
+        (fun tnode st ->
+          if has_copy ctl tnode then begin
+            let proc = st.place in
+            t.mem_used.(proc) <- t.mem_used.(proc) - ctl.var.Types.data_size;
+            Hashtbl.remove t.held.(proc) (key t ctl tnode)
+          end)
+        ctl.states);
+  Int_table.reset ctl.states;
+  ctl.gone <- true;
+  ctl.var.Types.slot <- Types.No_slot
 
 let on_wreq t ctl ~tnode ~origin =
   let st = get_state t ctl tnode in
-  if st.has_copy then begin
+  if has_copy ctl tnode then begin
     touch t st;
     begin_invalidation t ctl tnode
   end
@@ -510,7 +522,7 @@ let on_wreq t ctl ~tnode ~origin =
 
 let on_winv t ctl ~from ~tnode =
   let st = get_state t ctl tnode in
-  if not st.has_copy then begin
+  if not (has_copy ctl tnode) then begin
     (* Stale component edge left behind by a silent LRU eviction. *)
     st.toward <- from;
     send_ctl t ctl ~from:tnode ~tnode:from Wack
@@ -566,9 +578,9 @@ let rec assign_privilege t ctl tnode =
     st.lasked <- false;
     if next = tnode then begin
       st.locked <- true;
-      match Hashtbl.find_opt t.lock_waiters (key t ctl.var.Types.id tnode) with
+      match st.lock_k with
       | Some k ->
-          Hashtbl.remove t.lock_waiters (key t ctl.var.Types.id tnode);
+          st.lock_k <- None;
           k ()
       | None -> assert false
     end
@@ -602,7 +614,7 @@ let lock t p var ~k =
   let ctl = get_ctl t var in
   let tnode = leaf t p in
   let st = get_state t ctl tnode in
-  Hashtbl.replace t.lock_waiters (key t var.Types.id tnode) k;
+  st.lock_k <- Some k;
   st.lqueue <- st.lqueue @ [ tnode ];
   assign_privilege t ctl tnode;
   make_request t ctl tnode
@@ -623,14 +635,16 @@ let unlock t p var =
 
 let cached t p var =
   let ctl = get_ctl t var in
-  let st = get_state t ctl (leaf t p) in
-  if st.has_copy then touch t st;
-  st.has_copy
+  let tnode = leaf t p in
+  if has_copy ctl tnode then begin
+    (match t.capacity with None -> () | Some _ -> touch t (get_state t ctl tnode));
+    true
+  end
+  else false
 
 let sole_copy t p var =
   let ctl = get_ctl t var in
-  let st = get_state t ctl (leaf t p) in
-  st.has_copy && ctl.ncopies = 1 && (not ctl.writing) && ctl.reading = 0
+  has_copy ctl (leaf t p) && ctl.ncopies = 1 && (not ctl.writing) && ctl.reading = 0
   && Queue.is_empty ctl.pending
 
 let read t p var ~k =
@@ -668,21 +682,20 @@ let maybe_remap t (ctl : ctl) tnode =
             sm.Deco.origin
         in
         let fresh = Mesh.node_at_nd mesh coords in
-        let old = place t ctl.var tnode in
+        let old = st.place in
         if fresh <> old then begin
           (* Move the node's state (and copy, if any). *)
-          let size =
-            if st.has_copy then Types.data_size ctl.var else Types.control_size
-          in
+          let copy = has_copy ctl tnode in
+          let size = if copy then Types.data_size ctl.var else Types.control_size in
           (match t.capacity with
-          | Some _ when st.has_copy ->
-              let k = key t ctl.var.Types.id tnode in
+          | Some _ when copy ->
+              let k = key t ctl tnode in
               t.mem_used.(old) <- t.mem_used.(old) - ctl.var.Types.data_size;
               Hashtbl.remove t.held.(old) k;
               t.mem_used.(fresh) <- t.mem_used.(fresh) + ctl.var.Types.data_size;
-              Hashtbl.replace t.held.(fresh) k ()
+              Hashtbl.replace t.held.(fresh) k ctl
           | _ -> ());
-          Hashtbl.replace t.placement_override (key t ctl.var.Types.id tnode) fresh;
+          st.place <- fresh;
           t.remap_count <- t.remap_count + 1;
           let tr = Network.trace t.net in
           if Trace.enabled tr then
@@ -694,19 +707,14 @@ let maybe_remap t (ctl : ctl) tnode =
                    to_node = fresh });
           Network.tag_level t.net t.deco.Deco.depth.(tnode);
           Network.send t.net ~src:old ~dst:fresh ~size
-            (At { var_id = ctl.var.Types.id; from = tnode; tnode; body = Rmove })
+            (At { ctl; from = tnode; tnode; body = Rmove })
         end
       end
 
 let handle t (msg : Network.msg) =
   match msg.Network.m_payload with
-  | At { var_id; from; tnode; body } ->
-      let ctl =
-        match Hashtbl.find t.vars var_id with
-        | c -> c
-        | exception Not_found ->
-            failwith "Access_tree.handle: message for unknown variable"
-      in
+  | At { ctl; from; tnode; body } ->
+      if ctl.gone then failwith "Access_tree.handle: message for a retired variable";
       (match body with
       | Rreq { origin } -> on_rreq t ctl ~tnode ~origin
       | Rrep { origins } -> on_rrep t ctl ~from ~tnode ~origins
@@ -722,29 +730,26 @@ let handle t (msg : Network.msg) =
       true
   | _ -> false
 
-let ncopies t var = (get_ctl t var).ncopies
+let ncopies _t (var : Types.var) =
+  match var.Types.slot with Tree ctl -> ctl.ncopies | _ -> 1
 
-let copy_holders t var =
-  let acc = ref [] in
-  let nt = t.deco.Deco.num_tree_nodes in
-  Hashtbl.iter
-    (fun k st -> if st.has_copy && k / nt = var.Types.id then acc := (k mod nt) :: !acc)
-    t.states;
-  (* The initial owner's leaf may never have been materialised. *)
-  let owner_leaf = leaf t var.Types.owner in
-  if
-    (not (Hashtbl.mem t.states (key t var.Types.id owner_leaf)))
-    && not (List.mem owner_leaf !acc)
-  then acc := owner_leaf :: !acc;
-  List.sort compare !acc
+(* Tree nodes whose bit is set in the variable's copy bitmap, ascending. *)
+let copy_holders t (var : Types.var) =
+  match var.Types.slot with
+  | Tree ctl ->
+      let acc = ref [] in
+      for tnode = t.deco.Deco.num_tree_nodes - 1 downto 0 do
+        if has_copy ctl tnode then acc := tnode :: !acc
+      done;
+      !acc
+  | _ -> [ leaf t var.Types.owner ]
 
 let evictions t = t.eviction_count
 let remaps t = t.remap_count
 
 let retire t (var : Types.var) =
-  match Hashtbl.find_opt t.vars var.Types.id with
-  | None -> ()
-  | Some ctl ->
+  match var.Types.slot with
+  | Tree ctl ->
       if
         ctl.writing
         || ctl.reading - ctl.pushes > 0
@@ -754,13 +759,13 @@ let retire t (var : Types.var) =
          must outlive them (their arrival looks up the variable), so the
          actual teardown is deferred to the last push's landing. *)
       if ctl.pushes > 0 then ctl.retired <- true else finish_retire t ctl
+  | _ -> ()
 
 let deco t = t.deco
 
 let validate t (var : Types.var) =
-  match Hashtbl.find_opt t.vars var.Types.id with
-  | None -> Ok ()  (* never accessed: implicit singleton at the owner *)
-  | Some ctl ->
+  match var.Types.slot with
+  | Tree ctl ->
       let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
       if ctl.writing || ctl.reading > 0 || not (Queue.is_empty ctl.pending) then
         err "%s: transactions in flight" var.Types.name
@@ -784,7 +789,7 @@ let validate t (var : Types.var) =
               (fun h ->
                 h = first
                 || List.for_all
-                     (fun x -> List.mem x holders)
+                     (fun x -> has_copy ctl x)
                      (let rec walk cur acc =
                         if cur = first then acc
                         else
@@ -796,28 +801,32 @@ let validate t (var : Types.var) =
           in
           if not connected then err "%s: copy component disconnected" var.Types.name
           else begin
-            (* Every materialised pointer chain reaches the component. *)
+            (* Every materialised pointer chain reaches the component. A
+               node never touched points toward the owner's leaf. *)
             let nt = t.deco.Deco.num_tree_nodes in
+            let owner_leaf = leaf t var.Types.owner in
+            let toward cur =
+              match Int_table.find ctl.states cur with
+              | st -> st.toward
+              | exception Not_found ->
+                  if cur = owner_leaf then -1
+                  else Deco.next_hop t.deco ~from:cur ~target:owner_leaf
+            in
+            let rec chase cur steps =
+              if steps > nt || cur < 0 then false
+              else has_copy ctl cur || chase (toward cur) (steps + 1)
+            in
             let bad = ref None in
-            Hashtbl.iter
-              (fun k st ->
-                if k / nt = var.Types.id && not st.has_copy then begin
-                  let rec chase cur steps =
-                    if steps > nt then false
-                    else if List.mem cur holders then true
-                    else
-                      let s = get_state t ctl cur in
-                      if s.has_copy then true else chase s.toward (steps + 1)
-                  in
-                  if not (chase (k mod nt) 0) then bad := Some (k mod nt)
-                end)
-              t.states;
+            Int_table.iter
+              (fun tnode _ -> if not (chase tnode 0) then bad := Some tnode)
+              ctl.states;
             match !bad with
             | Some tn -> err "%s: pointer chain from node %d is lost" var.Types.name tn
             | None -> Ok ()
           end
         end
       end
+  | _ -> Ok ()  (* never accessed: implicit singleton at the owner *)
 
 (* ------------------------------------------------------------------ *)
 (* STRATEGY instance                                                    *)

@@ -66,7 +66,8 @@ val handle : t -> Diva_simnet.Network.msg -> bool
     belong to this protocol. *)
 
 val place : t -> Types.var -> int -> Diva_mesh.Mesh.node
-(** Mesh placement of a tree node of the variable's access tree. *)
+(** Mesh placement of a tree node of the variable's access tree, remaps
+    included. *)
 
 val cached : t -> Types.proc -> Types.var -> bool
 (** Does the processor's leaf currently hold a copy? (The fast path.) *)

@@ -118,6 +118,7 @@ let create_var t ?name ~owner ~size init =
       owner;
       seed = Prng.hash2 t.var_seed id;
       value = inj init;
+      slot = Types.No_slot;
     }
   in
   let tr = Network.trace t.network in
@@ -191,7 +192,10 @@ let read t p var =
   if hit then begin
     t.n_read_hits <- t.n_read_hits + 1;
     Network.charge t.network p t.read_hit_cost;
-    trace_op t p (Some var.v) Trace.Read ~t0:(Network.now t.network) ~hit:true;
+    (* Guarded here, not only inside [trace_op]: building the [Some] would
+       otherwise allocate on every untraced hit. *)
+    if Trace.enabled (Network.trace t.network) then
+      trace_op t p (Some var.v) Trace.Read ~t0:(Network.now t.network) ~hit:true;
     var.proj var.v.Types.value
   end
   else begin
@@ -213,7 +217,8 @@ let write t p var x =
   if sole then begin
     t.n_write_hits <- t.n_write_hits + 1;
     Network.charge t.network p t.write_hit_cost;
-    trace_op t p (Some var.v) Trace.Write ~t0:(Network.now t.network) ~hit:true;
+    if Trace.enabled (Network.trace t.network) then
+      trace_op t p (Some var.v) Trace.Write ~t0:(Network.now t.network) ~hit:true;
     var.v.Types.value <- value
   end
   else begin

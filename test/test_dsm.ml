@@ -300,3 +300,59 @@ let suite =
     Alcotest.test_case "single node mesh" `Quick test_single_node_mesh;
     Alcotest.test_case "random schedule coherence" `Quick test_random_schedule;
   ]
+
+(* An untraced read hit allocates nothing: 10 000 access-tree hits in a
+   fiber move [Gc.minor_words] exactly as much as an empty measurement. *)
+let test_untraced_hits_allocation_free () =
+  let net, dsm = make_dsm ~rows:2 ~cols:2 (Dsm.access_tree ~arity:4 ()) in
+  let v = Dsm.create_var dsm ~owner:3 ~size:8 1 in
+  let words n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Dsm.read dsm 0 v))
+    done;
+    Gc.minor_words () -. w0
+  in
+  let empty = ref nan and hits = ref nan in
+  Network.spawn net 0 (fun () ->
+      ignore (Dsm.read dsm 0 v);  (* the miss that installs the copy *)
+      empty := words 0;
+      hits := words 10_000);
+  Network.run net;
+  Alcotest.(check int) "every measured read hit" 10_000 (Dsm.read_hits dsm);
+  Alcotest.(check (float 0.0)) "minor words for 10 000 hits" !empty !hits
+
+(* Retiring a variable frees all of its protocol state. Long runs that
+   create and retire variables (Barnes-Hut rebuilds its tree every step)
+   must not grow: live words after 20 000 create/read/retire cycles exceed
+   those after 2 000 by less than 64 KiB. *)
+let live_words_after cycles =
+  let net, dsm = make_dsm ~rows:4 ~cols:4 (Dsm.access_tree ~arity:4 ()) in
+  Network.spawn net 0 (fun () ->
+      for i = 1 to cycles do
+        let v = Dsm.create_var dsm ~owner:(1 + (i mod 15)) ~size:8 i in
+        ignore (Dsm.read dsm 0 v);
+        Dsm.retire_var dsm v
+      done);
+  Network.run net;
+  Gc.compact ();
+  let live = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity (net, dsm));
+  live
+
+let test_retire_bounds_memory () =
+  let small = live_words_after 2_000 in
+  let large = live_words_after 20_000 in
+  let growth_bytes = (large - small) * (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "live growth %d bytes < 64 KiB" growth_bytes)
+    true
+    (growth_bytes < 64 * 1024)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "untraced hits allocation-free" `Quick
+        test_untraced_hits_allocation_free;
+      Alcotest.test_case "retire bounds memory" `Quick test_retire_bounds_memory;
+    ]

@@ -368,3 +368,54 @@ let suite =
       Alcotest.test_case "lock stress 8x8" `Quick
         test_concurrent_rmw_with_locks_many_procs;
     ]
+
+(* Placement under remapping: every remapped tree node is found where its
+   last [Remap] trace event moved it, and [Dsm.copy_holder_places] is the
+   set of placements of the copy-holding tree nodes. *)
+let test_remap_placements_follow_events () =
+  let net = make_net ~rows:4 ~cols:4 () in
+  let moved = Hashtbl.create 64 in
+  Network.set_trace net
+    (Diva_obs.Trace.stream (function
+      | Diva_obs.Trace.Remap { var; tnode; to_node; _ } ->
+          Hashtbl.replace moved (var, tnode) to_node
+      | _ -> ()));
+  let dsm =
+    Dsm.create net ~strategy:(Dsm.access_tree ~arity:2 ~remap_threshold:4 ()) ()
+  in
+  let vars = Array.init 4 (fun i -> Dsm.create_var dsm ~owner:(5 * i) ~size:64 0) in
+  run_procs net (fun p ->
+      for r = 1 to 4 do
+        Array.iter (fun v -> ignore (Dsm.read dsm p v)) vars;
+        Dsm.barrier dsm p;
+        if p = r then Array.iteri (fun i v -> Dsm.write dsm p v (r + i)) vars;
+        Dsm.barrier dsm p
+      done);
+  let at = at_of dsm in
+  Alcotest.(check bool) "remaps happened" true (Hashtbl.length moved > 0);
+  let by_id = Hashtbl.create 4 in
+  Array.iter (fun v -> Hashtbl.replace by_id (Dsm.typed v).Types.id v) vars;
+  Hashtbl.iter
+    (fun (var, tnode) to_node ->
+      Alcotest.(check int)
+        (Printf.sprintf "var %d, tree node %d" var tnode)
+        to_node
+        (Access_tree.place at (Dsm.typed (Hashtbl.find by_id var)) tnode))
+    moved;
+  Array.iter
+    (fun v ->
+      let tv = Dsm.typed v in
+      let places =
+        List.sort_uniq compare
+          (List.map (Access_tree.place at tv) (Access_tree.copy_holders at tv))
+      in
+      Alcotest.(check (list int)) (Dsm.var_name v ^ ": holder places") places
+        (Dsm.copy_holder_places dsm v))
+    vars
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "remap placements follow events" `Quick
+        test_remap_placements_follow_events;
+    ]
