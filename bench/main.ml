@@ -23,7 +23,6 @@ module Table = Diva_util.Table
 
 let paper_scale = ref false
 let only : string list ref = ref []
-let run_micro = ref false
 
 let selected name = !only = [] || List.mem name !only
 
@@ -524,51 +523,12 @@ let fault_degradation () =
   print_string (Table.render tbl)
 
 (* ------------------------------------------------------------------ *)
-(* Event-loop throughput                                                *)
+(* Profiler overhead                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock and events/sec over the hottest serial configurations. The
-   event count is fully deterministic — it gates exactly, like dsm_reads,
-   so an accidental protocol change shows up as a count shift even when
-   the machine is too noisy to trust wall-clock. events/sec and wall_ms
-   vary with the machine running the gate; their tolerances (Bench_gate)
-   only catch order-of-magnitude collapses. *)
-let perf_configs () =
-  let fourary = Runner.Strategy (Dsm.access_tree ~arity:4 ()) in
-  let two4 = Runner.Strategy (Dsm.access_tree ~arity:2 ~leaf_size:4 ()) in
-  let mm q block on_net =
-    ignore (Runner.run_matmul ~on_net ~rows:q ~cols:q ~block fourary)
-  in
-  let bt q keys on_net =
-    ignore (Runner.run_bitonic ~on_net ~rows:q ~cols:q ~keys two4)
-  in
-  if !paper_scale then
-    [
-      ("matmul_32x32_4ary_b1024", mm 32 1024);
-      ("matmul_16x16_4ary_b256", mm 16 256);
-      ("bitonic_16x16_2-4ary_k4096", bt 16 4096);
-    ]
-  else
-    [
-      ("matmul_16x16_4ary_b256", mm 16 256);
-      ("bitonic_16x16_2-4ary_k1024", bt 16 1024);
-    ]
-
-(* Each config runs once; wall-clock covers setup + simulation (that is
-   what a user of divasim waits for). *)
-let perf_entry run =
-  let events = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  run (fun net -> events := Diva_simnet.Sim.events_executed (Network.sim net));
-  let wall = Unix.gettimeofday () -. t0 in
-  (!events, wall)
-
-(* The self-profiler's contract is "< 3% wall-time overhead". Five
-   interleaved (bare, profiled) pairs of the standard hot config; taking
-   the minimum of each side is the least-noisy estimate either will get
-   on a shared runner. The boolean verdict gates exactly (Bench_gate
-   treats [under_3pct] like an event count); the raw walls ride along
-   with the usual order-of-magnitude-only tolerance. *)
+(* The self-profiler's contract is "< 3% wall-time overhead", checked on
+   interleaved (bare, profiled) pairs of the standard hot config; the
+   experiment exits 1 when the budget is exceeded. *)
 let prof_overhead_budget = 0.03
 
 (* (wall seconds, CPU seconds) of one run. The verdict is computed on CPU
@@ -576,7 +536,7 @@ let prof_overhead_budget = 0.03
    IS its CPU time, while wall clock additionally sees descheduling by
    co-tenants — ±3% invocation-to-invocation on a shared runner even
    under min-of-15, which would drown the <3% budget in noise. The wall
-   minima still ride along in the JSON for the order-of-magnitude gate. *)
+   minima are printed alongside for reference. *)
 let prof_overhead_measure () =
   let fourary = Runner.Strategy (Dsm.access_tree ~arity:4 ()) in
   let timed f =
@@ -629,19 +589,6 @@ let prof_overhead_measure () =
   in
   (fst !base, fst !prof, snd !base, snd !prof, ratio)
 
-let prof_overhead_doc () =
-  let base_w, prof_w, base_c, prof_c, ratio = prof_overhead_measure () in
-  let under = ratio <= 1.0 +. prof_overhead_budget in
-  let open Diva_obs.Json in
-  Obj
-    [
-      ("base_wall_ms", Float (base_w *. 1e3));
-      ("prof_wall_ms", Float (prof_w *. 1e3));
-      ("base_cpu_ms", Float (base_c *. 1e3));
-      ("prof_cpu_ms", Float (prof_c *. 1e3));
-      ("under_3pct", Int (if under then 1 else 0));
-    ]
-
 let prof_overhead () =
   banner
     "Profiler overhead (matmul 24x24 b256, 2nd-smallest of 9 interleaved pairs)";
@@ -661,67 +608,14 @@ let prof_overhead () =
   end
   else Printf.printf "prof_overhead: OK\n"
 
-let perf_doc () =
-  let open Diva_obs.Json in
-  Obj
-    (List.map
-       (fun (name, run) ->
-         let events, wall = perf_entry run in
-         ( name,
-           Obj
-             [
-               ("events", Int events);
-               ("events_per_sec", Float (float_of_int events /. wall));
-               ("wall_ms", Float (wall *. 1e3));
-             ] ))
-       (perf_configs ())
-    @ [ ("prof_overhead", prof_overhead_doc ()) ])
-
-let perf () =
-  banner "Event-loop throughput (events/sec, wall-clock)";
-  let tbl =
-    Table.create ~header:[ "config"; "events"; "wall(ms)"; "events/sec" ]
-  in
-  let entries =
-    List.map
-      (fun (name, run) ->
-        let events, wall = perf_entry run in
-        Table.add_row tbl
-          [
-            name; string_of_int events;
-            Printf.sprintf "%.1f" (wall *. 1e3);
-            Printf.sprintf "%.0f" (float_of_int events /. wall);
-          ];
-        let open Diva_obs.Json in
-        ( name,
-          Obj
-            [
-              ("events", Int events);
-              ("events_per_sec", Float (float_of_int events /. wall));
-              ("wall_ms", Float (wall *. 1e3));
-            ] ))
-      (perf_configs ())
-  in
-  print_string (Table.render tbl);
-  (* Standalone machine-readable copy for CI artifacts; the same numbers
-     are gated through the "perf" section of BENCH_diva.json. *)
-  let open Diva_obs.Json in
-  Diva_obs.Json.to_file "PERF_diva.json"
-    (Obj
-       [
-         ("schema", String "diva-perf/1");
-         ("scale", String (if !paper_scale then "paper" else "default"));
-         ("configs", Obj entries);
-       ]);
-  Printf.printf "wrote PERF_diva.json\n"
-
 (* ------------------------------------------------------------------ *)
-(* Machine-readable perf trajectory (BENCH_diva.json)                   *)
+(* Machine-readable simulated results (BENCH_diva.json)                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A fixed matrix of (app x mesh x strategy) runs whose full measurement
-   records are dumped as JSON, so successive PRs leave a comparable,
-   machine-readable benchmark trail. Deliberately modest sizes: the file is
+(* A fixed matrix of (app x mesh x strategy) runs whose full simulated
+   measurement records (event counts included) are dumped as JSON and
+   gated against committed baselines; host time is measured by
+   benchmark/run.exe, not here. Deliberately modest sizes: the file is
    regenerated by `bench --only bench_json` in seconds. Under --paper the
    matrix switches to paper-sized problems (a separate committed baseline,
    BENCH_paper_baseline.json, gates that variant nightly); the "scale"
@@ -892,7 +786,6 @@ let bench_doc () =
             ("service", Obj service);
           ] );
       ("strategies", strategies_doc ());
-      ("perf", perf_doc ());
     ]
 
 let bench_json () =
@@ -901,140 +794,37 @@ let bench_json () =
   Printf.printf "wrote BENCH_diva.json\n"
 
 (* Regression gate: rerun the bench_json matrix in memory and compare it
-   against a committed baseline. Exits non-zero on any regression,
-   missing/extra metric or shape mismatch (see Diva_harness.Bench_gate). *)
-let bench_check ~current path =
-  banner (Printf.sprintf "bench --check: comparing against %s" path);
-  let baseline =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Diva_obs.Json.of_string s with
-    | Ok j -> j
-    | Error e ->
-        Printf.eprintf "bench --check: cannot parse %s: %s\n" path e;
-        exit 2
-  in
-  let verdicts = Diva_harness.Bench_gate.compare_docs ~baseline ~current () in
-  print_string (Diva_harness.Bench_gate.render verdicts);
-  if Diva_harness.Bench_gate.failures verdicts <> [] then begin
-    Printf.printf "bench --check: FAILED against %s\n" path;
-    false
-  end
-  else begin
-    Printf.printf "bench --check: OK against %s\n" path;
-    true
-  end
-
-(* History drift gate: the same comparison, but against the oldest entry of
-   the per-commit ring, so N successive shifts that each pass the per-PR
-   tolerance still get caught once they compound past it. *)
-let bench_history ~current dir =
-  banner (Printf.sprintf "bench --history: drift check against ring %s" dir);
-  match Diva_harness.Bench_gate.drift ~dir ~current () with
-  | None ->
-      Printf.printf "bench --history: %s is empty, nothing to compare\n" dir;
-      true
-  | Some (name, verdicts) ->
-      Printf.printf "oldest ring entry: %s\n" name;
-      print_string (Diva_harness.Bench_gate.render verdicts);
-      if Diva_harness.Bench_gate.failures verdicts <> [] then begin
-        Printf.printf
-          "bench --history: DRIFT against %s/%s — small per-PR shifts have \
-           compounded past tolerance\n"
-          dir name;
-        false
+   against a committed baseline, loaded first so a bad path fails before
+   the matrix runs. Exits 2 on an unreadable baseline and 1 on any
+   regression, missing/extra metric or shape mismatch (see
+   Diva_harness.Bench_gate). *)
+let bench_check path =
+  let module Gate = Diva_harness.Bench_gate in
+  match Gate.load path with
+  | Error e ->
+      Printf.eprintf "bench --check: %s\n" e;
+      exit 2
+  | Ok baseline ->
+      banner (Printf.sprintf "bench --check: comparing against %s" path);
+      let verdicts = Gate.compare_docs ~baseline ~current:(bench_doc ()) () in
+      print_string (Gate.render verdicts);
+      if Gate.failures verdicts <> [] then begin
+        Printf.printf "bench --check: FAILED against %s\n" path;
+        exit 1
       end
-      else begin
-        Printf.printf "bench --history: OK against %s/%s\n" dir name;
-        true
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let mesh = Diva_mesh.Mesh.create ~rows:16 ~cols:16 in
-  let deco =
-    Diva_mesh.Decomposition.build mesh ~arity:Diva_mesh.Decomposition.Four
-      ~leaf_size:1
-  in
-  let route =
-    Test.make ~name:"mesh route (16x16)"
-      (Staged.stage (fun () -> ignore (Diva_mesh.Mesh.route mesh ~src:0 ~dst:255)))
-  in
-  let build =
-    Test.make ~name:"decomposition build (16x16, 4-ary)"
-      (Staged.stage (fun () ->
-           ignore
-             (Diva_mesh.Decomposition.build mesh
-                ~arity:Diva_mesh.Decomposition.Four ~leaf_size:1)))
-  in
-  let placement =
-    Test.make ~name:"lazy regular placement"
-      (Staged.stage (fun () ->
-           ignore
-             (Diva_mesh.Embedding.place_lazy Diva_mesh.Embedding.Regular deco
-                ~seed:99L 37)))
-  in
-  let heap =
-    Test.make ~name:"event queue insert+pop x100"
-      (Staged.stage (fun () ->
-           let h = Diva_util.Event_queue.create () in
-           for i = 0 to 99 do
-             Diva_util.Event_queue.insert h (float_of_int (i * 7 mod 13)) i
-           done;
-           while not (Diva_util.Event_queue.is_empty h) do
-             ignore (Diva_util.Event_queue.pop_min h)
-           done))
-  in
-  let small_sim =
-    Test.make ~name:"matmul 4x4 end-to-end sim"
-      (Staged.stage (fun () ->
-           ignore
-             (Runner.run_matmul ~rows:4 ~cols:4 ~block:64
-                (Runner.Strategy (Dsm.access_tree ~arity:4 ())))))
-  in
-  let tests = [ route; build; placement; heap; small_sim ] in
-  let benchmark test =
-    let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test
-  in
-  let analyze results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock results
-  in
-  banner "Bechamel micro-benchmarks (ns/run)";
-  List.iter
-    (fun t ->
-      let results = benchmark t in
-      let a = analyze results in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-40s %12.1f ns\n" name est
-          | _ -> Printf.printf "  %-40s (no estimate)\n" name)
-        a)
-    tests
+      else Printf.printf "bench --check: OK against %s\n" path
 
 (* ------------------------------------------------------------------ *)
 
 let check_baseline : string option ref = ref None
-let history_dir : string option ref = ref None
-let history_label : string option ref = ref None
 
 let () =
   (* Same event-loop GC tuning as the divasim CLI (see bin/divasim.ml), so
-     the throughput numbers here measure the configuration users run. *)
+     the profiler-overhead timings measure the configuration users run. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1_048_576 };
   let specs =
     [
       ("--paper", Arg.Set paper_scale, "run at the paper's full problem sizes");
-      ("--micro", Arg.Set run_micro, "also run the Bechamel micro-benchmarks");
       ( "--only",
         Arg.String (fun s -> only := String.split_on_char ',' s),
         "comma-separated experiment names (fig3..fig11, matmul_arity, ...)" );
@@ -1042,48 +832,12 @@ let () =
         Arg.String (fun s -> check_baseline := Some s),
         "FILE  compare the bench_json matrix against a committed baseline \
          and exit non-zero on regression" );
-      ( "--history",
-        Arg.String (fun s -> history_dir := Some s),
-        "DIR  compare the bench_json matrix against the oldest entry of the \
-         bench-history ring in DIR and exit non-zero on compounded drift" );
-      ( "--history-append",
-        Arg.String (fun s -> history_label := Some s),
-        "LABEL  append the current matrix to the --history ring as the \
-         newest entry (e.g. LABEL = commit sha), pruning to the last 10" );
     ]
   in
   Arg.parse specs (fun _ -> ()) "diva benchmark harness";
-  (match (!history_dir, !history_label) with
-  | None, Some _ ->
-      Printf.eprintf "bench: --history-append needs --history DIR\n";
-      exit 2
-  | _ -> ());
-  match (!check_baseline, !history_dir) with
-  | (Some _, _ | _, Some _) as _gate ->
-      (* Gate mode: one shared matrix run, every requested comparison, a
-         single combined exit code. *)
-      let current = bench_doc () in
-      let ok_check =
-        match !check_baseline with
-        | Some path -> bench_check ~current path
-        | None -> true
-      in
-      let ok_history =
-        match !history_dir with
-        | Some dir ->
-            let ok = bench_history ~current dir in
-            (match !history_label with
-            | Some label ->
-                let name =
-                  Diva_harness.Bench_gate.history_append ~dir ~label current
-                in
-                Printf.printf "bench --history-append: wrote %s/%s\n" dir name
-            | None -> ());
-            ok
-        | None -> true
-      in
-      if not (ok_check && ok_history) then exit 1
-  | None, None ->
+  match !check_baseline with
+  | Some path -> bench_check path
+  | None ->
   let experiments =
     [
       ("fig3", fig3); ("fig4", fig4); ("fig6", fig6); ("fig7", fig7);
@@ -1097,10 +851,8 @@ let () =
       ("strategies", strategy_shootout);
       ("service_knee", service_knee);
       ("faults", fault_degradation);
-      ("perf", perf);
       ("prof_overhead", prof_overhead);
       ("bench_json", bench_json);
     ]
   in
-  List.iter (fun (name, f) -> if selected name then f ()) experiments;
-  if !run_micro then micro ()
+  List.iter (fun (name, f) -> if selected name then f ()) experiments

@@ -33,10 +33,10 @@ type direction = Higher_bad | Lower_bad | Exact
 let direction metric =
   match metric with
   | "dsm_read_hits" | "ops_per_sim_sec" | "goodput_per_s"
-  | "completed_in_horizon" | "events_per_sec" ->
+  | "completed_in_horizon" ->
       Lower_bad
   | "dsm_reads" | "ops" | "arrivals" | "completions" | "requests"
-  | "offered_per_s" | "events" | "under_3pct" ->
+  | "offered_per_s" | "events" ->
       Exact
   | _ -> Higher_bad
 
@@ -76,21 +76,9 @@ let default_tolerances =
     ("completed_in_horizon", 0.10);
     ("queue_hwm", 0.25);
     ("makespan_us", 0.10);
-    (* Event-loop throughput: the event count is deterministic and gates
-       exactly, but events/sec and wall-clock depend on the machine running
-       the gate, so their tolerances only catch order-of-magnitude
-       collapses (a 10x slowdown), not CI-runner jitter. *)
+    (* The event count is deterministic, like dsm_reads: an accidental
+       protocol change shows up as a count shift. *)
     ("events", 0.0);
-    ("events_per_sec", 0.90);
-    ("wall_ms", 9.0);
-    (* Profiler overhead gate: the boolean verdict (computed on CPU time
-       against the 3% budget on the measuring machine) gates exactly; the
-       raw timings are machine-dependent like wall_ms. *)
-    ("under_3pct", 0.0);
-    ("base_wall_ms", 9.0);
-    ("prof_wall_ms", 9.0);
-    ("base_cpu_ms", 9.0);
-    ("prof_cpu_ms", 9.0);
   ]
 
 let number = function
@@ -178,73 +166,17 @@ let compare_docs ?(tolerances = default_tolerances) ~baseline ~current () =
 
 let failures vs = List.filter (fun v -> is_failure v.v_status) vs
 
-(* ------------------------------------------------------------------ *)
-(* Per-commit history ring                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* A single committed baseline only sees one PR of movement: N successive
-   +8% regressions each pass a 10% tolerance while compounding to far more.
-   The ring keeps the last [keep] bench documents (files sort by their
-   zero-padded sequence number), and [drift] compares the current run
-   against the OLDEST surviving entry under the same per-metric tolerances
-   — a slow leak has [keep] PRs of compounding to get caught in. *)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let history_entries dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then []
-  else
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".json")
-    |> List.sort compare
-    |> List.filter_map (fun f ->
-           match Json.of_string (read_file (Filename.concat dir f)) with
-           | Ok doc -> Some (f, doc)
-           | Error _ -> None)
-
-let drift ?tolerances ~dir ~current () =
-  match history_entries dir with
-  | [] -> None
-  | (name, oldest) :: _ ->
-      Some (name, compare_docs ?tolerances ~baseline:oldest ~current ())
-
-let seq_of_name f =
-  match String.index_opt f '-' with
-  | Some i -> (
-      match int_of_string_opt (String.sub f 0 i) with
-      | Some n -> n
-      | None -> 0)
-  | None -> 0
-
-let history_append ?(keep = 10) ~dir ~label current =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let names () =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".json")
-    |> List.sort compare
-  in
-  let next = List.fold_left (fun m f -> max m (seq_of_name f)) 0 (names ()) + 1 in
-  let label =
-    String.map
-      (fun c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' -> c
-        | _ -> '-')
-      (if label = "" then "run" else label)
-  in
-  let name = Printf.sprintf "%04d-%s.json" next label in
-  Json.to_file (Filename.concat dir name) current;
-  let all = names () in
-  let excess = List.length all - keep in
-  if excess > 0 then
-    List.iteri
-      (fun i f -> if i < excess then Sys.remove (Filename.concat dir f))
-      all;
-  name
+let load path =
+  match Json.of_string (read_file path) with
+  | Ok doc -> Ok doc
+  | Error e -> Error (Printf.sprintf "cannot parse %s: %s" path e)
+  | exception Sys_error e -> Error e
 
 let render vs =
   let b = Buffer.create 1024 in

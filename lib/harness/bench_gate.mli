@@ -35,34 +35,9 @@ val compare_docs :
 
 val failures : verdict list -> verdict list
 
-(** {2 Per-commit history ring}
-
-    A single committed baseline only sees one PR of movement, so a drift
-    that stays inside the per-PR tolerance on every step compounds
-    unnoticed. The ring directory keeps the last [keep] bench documents
-    ([NNNN-label.json], ordered by the zero-padded sequence number);
-    {!drift} compares the current run against the {e oldest} surviving
-    entry under the same tolerances, giving a slow leak [keep] PRs of
-    compounding to get caught in. *)
-
-val history_entries : string -> (string * Diva_obs.Json.t) list
-(** Parseable [*.json] ring entries, ascending filename (= age) order;
-    an absent directory is an empty ring. *)
-
-val drift :
-  ?tolerances:(string * float) list ->
-  dir:string ->
-  current:Diva_obs.Json.t ->
-  unit ->
-  (string * verdict list) option
-(** Compare against the oldest ring entry; [None] on an empty ring.
-    Returns the entry's filename with the verdicts. *)
-
-val history_append :
-  ?keep:int -> dir:string -> label:string -> Diva_obs.Json.t -> string
-(** Write the document as the newest ring entry (creating the directory if
-    needed), prune to the newest [keep] (default 10) entries, and return
-    the new entry's filename. [label] is sanitized into the filename. *)
+val load : string -> (Diva_obs.Json.t, string) result
+(** Read and parse a committed baseline; [Error] carries a one-line
+    message (unreadable file or malformed JSON). *)
 
 val render : verdict list -> string
 (** Non-pass verdicts, one per line, plus a summary count line. *)

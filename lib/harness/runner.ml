@@ -1,5 +1,6 @@
 module Network = Diva_simnet.Network
 module Link_stats = Diva_simnet.Link_stats
+module Sim = Diva_simnet.Sim
 module Dsm = Diva_core.Dsm
 module Matmul = Diva_apps.Matmul
 module Matmul_handopt = Diva_apps.Matmul_handopt
@@ -18,6 +19,7 @@ type measurements = {
   dsm_reads : int;
   dsm_read_hits : int;
   evictions : int;
+  events : int;
 }
 
 type strategy_choice = Strategy of Dsm.strategy | Hand_optimized
@@ -89,6 +91,7 @@ let measurement_fields (m : measurements) =
     ("dsm_reads", Int m.dsm_reads);
     ("dsm_read_hits", Int m.dsm_read_hits);
     ("evictions", Int m.evictions);
+    ("events", Int m.events);
   ]
 
 let spawn_all net f =
@@ -109,6 +112,7 @@ let collect net dsm =
     dsm_reads = (match dsm with Some d -> Dsm.reads d | None -> 0);
     dsm_read_hits = (match dsm with Some d -> Dsm.read_hits d | None -> 0);
     evictions = (match dsm with Some d -> Dsm.evictions d | None -> 0);
+    events = Sim.events_executed (Network.sim net);
   }
 
 let finish ?on_net ~obs net =
@@ -160,14 +164,14 @@ type bh_result = {
   bh_phase : Barnes_hut.phase -> measurements;
 }
 
-let aggregate_intervals dsm startups ivs =
+let aggregate_intervals dsm ~startups ~events ivs =
   match ivs with
   | [] ->
       {
         time = 0.0; congestion_msgs = 0; congestion_bytes = 0; total_msgs = 0;
         total_bytes = 0; startups; max_compute = 0.0;
         dsm_reads = Dsm.reads dsm; dsm_read_hits = Dsm.read_hits dsm;
-        evictions = Dsm.evictions dsm;
+        evictions = Dsm.evictions dsm; events;
       }
   | first :: _ ->
       let time = ref 0.0 in
@@ -192,6 +196,7 @@ let aggregate_intervals dsm startups ivs =
         dsm_reads = Dsm.reads dsm;
         dsm_read_hits = Dsm.read_hits dsm;
         evictions = Dsm.evictions dsm;
+        events;
       }
 
 let run_barnes_hut_on ?(obs = null_obs) ?on_net net ~cfg strategy =
@@ -202,11 +207,12 @@ let run_barnes_hut_on ?(obs = null_obs) ?on_net net ~cfg strategy =
   finish ?on_net ~obs net;
   let ivs = Barnes_hut.intervals app in
   let startups = Network.startups net in
+  let events = Sim.events_executed (Network.sim net) in
   {
-    bh_total = aggregate_intervals dsm startups ivs;
+    bh_total = aggregate_intervals dsm ~startups ~events ivs;
     bh_phase =
       (fun ph ->
-        aggregate_intervals dsm startups
+        aggregate_intervals dsm ~startups ~events
           (List.filter (fun iv -> iv.Barnes_hut.i_phase = ph) ivs));
   }
 

@@ -14,6 +14,9 @@ type measurements = {
   dsm_reads : int;
   dsm_read_hits : int;
   evictions : int;
+  events : int;
+      (** simulation events executed by the whole run (Barnes-Hut phases
+          included), deterministic like the other counts *)
 }
 
 type strategy_choice =

@@ -61,7 +61,15 @@ let schedule_call t at f x =
 
 let schedule_call_now t f x = Heap.insert t.queue t.clock (Call (f, x))
 
-let run_plain t =
+(* With a profiler attached, the loop adds one word store per transition
+   so the SIGPROF sampler can attribute its hits. Queue work (pop, hook,
+   clock) books to [Event_loop]; the event body itself books to
+   [Dispatch] until a deeper layer (network dispatch, protocol handler,
+   strategy callback) refines the attribution. Without one, the only cost
+   is a test of an immutable local per event. *)
+let run t =
+  let prof = t.prof in
+  (match prof with Some p -> Prof.set_sub p Prof.Event_loop | None -> ());
   while not (Heap.is_empty t.queue) do
     let at = Heap.min_priority_exn t.queue in
     let ev = Heap.pop_exn t.queue in
@@ -70,34 +78,17 @@ let run_plain t =
     | _ -> ());
     t.clock <- at;
     t.executed <- t.executed + 1;
-    match ev with Fn f -> f () | Call (f, x) -> f x
-  done
-
-(* Profiled twin of [run_plain]: same control flow plus one word store per
-   transition so the SIGPROF sampler can attribute its hits. Queue work
-   (pop, hook, clock) books to [Event_loop]; the event body itself books
-   to [Dispatch] until a deeper layer (network dispatch, protocol handler,
-   strategy callback) refines the attribution. Keeping the unprofiled
-   loop untouched means profiling costs nothing when off. *)
-let run_prof t p =
-  Prof.set_sub p Prof.Event_loop;
-  while not (Heap.is_empty t.queue) do
-    let at = Heap.min_priority_exn t.queue in
-    let ev = Heap.pop_exn t.queue in
-    (match t.advance_hook with
-    | Some h when at > t.clock -> h t.clock at
-    | _ -> ());
-    t.clock <- at;
-    t.executed <- t.executed + 1;
-    Prof.set_sub p Prof.Dispatch;
-    (match ev with Fn f -> f () | Call (f, x) -> f x);
-    (* Deeper layers may have refined the attribution; the loop-trailing
-       store doubles as the loop-top one for the next iteration. *)
-    Prof.set_sub p Prof.Event_loop
+    match prof with
+    | None -> ( match ev with Fn f -> f () | Call (f, x) -> f x)
+    | Some p ->
+        Prof.set_sub p Prof.Dispatch;
+        (match ev with Fn f -> f () | Call (f, x) -> f x);
+        (* Deeper layers may have refined the attribution; the
+           loop-trailing store doubles as the loop-top one for the next
+           iteration. *)
+        Prof.set_sub p Prof.Event_loop
   done;
-  Prof.set_sub p Prof.Host
-
-let run t = match t.prof with None -> run_plain t | Some p -> run_prof t p
+  match prof with Some p -> Prof.set_sub p Prof.Host | None -> ()
 
 let events_executed t = t.executed
 let pending t = Heap.size t.queue

@@ -24,6 +24,8 @@ let test_runner_matmul_measurements () =
   Alcotest.(check bool) "congestion <= total" true
     (m.Runner.congestion_bytes <= m.Runner.total_bytes);
   Alcotest.(check bool) "has startups" true (m.Runner.startups > 0);
+  Alcotest.(check bool) "counts events" true
+    (m.Runner.events >= m.Runner.startups);
   Alcotest.(check int) "reads = P * sqrtP * 2" (16 * 4 * 2) m.Runner.dsm_reads
 
 let test_runner_deterministic () =
@@ -192,78 +194,66 @@ let test_gate_structural_drift () =
   Alcotest.(check bool) "render names them" true
     (contains r "MISSING" && contains r "EXTRA")
 
-(* --- bench history ring -------------------------------------------- *)
+(* Event counts gate exactly, in both directions: one event more or less
+   means the protocol did something different. *)
+let test_gate_exact_events () =
+  let cell events =
+    doc
+      [ ( "matmul",
+          Json.Obj [ ("time_us", Json.Float 1000.0); ("events", Json.Int events) ]
+        ) ]
+  in
+  let baseline = cell 59441 in
+  Alcotest.(check int) "same count passes" 0
+    (List.length
+       (Gate.failures (Gate.compare_docs ~baseline ~current:baseline ())));
+  List.iter
+    (fun events ->
+      match
+        Gate.failures (Gate.compare_docs ~baseline ~current:(cell events) ())
+      with
+      | [ v ] ->
+          Alcotest.(check string) "names the count" "apps/matmul/events"
+            v.Gate.v_path;
+          Alcotest.(check bool) "is a regression" true
+            (v.Gate.v_status = Gate.Regressed)
+      | vs ->
+          Alcotest.failf "events %d: expected one failure, got %d" events
+            (List.length vs))
+    [ 59442; 59440 ]
 
-let with_ring_dir f =
-  let dir = Filename.temp_file "diva-ring" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
+let with_temp_file contents f =
+  let path = Filename.temp_file "diva-baseline" ".json" in
   Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun e -> Sys.remove (Filename.concat dir e))
-        (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () -> f dir)
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      output_string oc contents;
+      close_out oc;
+      f path)
 
-let ring_doc time = doc [ matmul_entry time 5000 40 ]
+let one_line what = function
+  | Ok _ -> Alcotest.failf "%s: expected an error" what
+  | Error e ->
+      Alcotest.(check bool) (what ^ ": non-empty") true (e <> "");
+      Alcotest.(check bool) (what ^ ": one line") false (String.contains e '\n')
 
-(* Rotation past capacity: sequence numbers keep climbing, only the newest
-   [keep] survive, and drift then gates against the oldest survivor. *)
-let test_history_rotation () =
-  with_ring_dir (fun dir ->
-      for i = 1 to 13 do
-        let name =
-          Gate.history_append ~keep:10 ~dir
-            ~label:(Printf.sprintf "c%d" i)
-            (ring_doc (1000.0 +. float_of_int i))
-        in
-        Alcotest.(check string)
-          "sequence numbering"
-          (Printf.sprintf "%04d-c%d.json" i i)
-          name
-      done;
-      let entries = Gate.history_entries dir in
-      Alcotest.(check int) "pruned to keep" 10 (List.length entries);
-      let oldest, _ = List.hd entries in
-      Alcotest.(check string) "oldest survivor is entry 4" "0004-c4.json"
-        oldest;
-      match Gate.drift ~dir ~current:(ring_doc 1004.0) () with
-      | Some (name, vs) ->
-          Alcotest.(check string) "drift reads the oldest survivor" oldest
-            name;
-          Alcotest.(check int) "identical to oldest passes" 0
-            (List.length (Gate.failures vs))
-      | None -> Alcotest.fail "ring should not be empty")
-
-let test_history_labels () =
-  with_ring_dir (fun dir ->
-      let name =
-        Gate.history_append ~dir ~label:"feat/knee sweep!" (ring_doc 1.0)
-      in
-      Alcotest.(check string) "label sanitized into the filename"
-        "0001-feat-knee-sweep-.json" name;
-      let name2 = Gate.history_append ~dir ~label:"" (ring_doc 2.0) in
-      Alcotest.(check string) "empty label gets a placeholder"
-        "0002-run.json" name2)
-
-(* A ring with exactly one entry must gate against that entry — the
-   degenerate oldest — not report emptiness. *)
-let test_history_single_entry () =
-  with_ring_dir (fun dir ->
-      Alcotest.(check bool) "empty ring yields None" true
-        (Gate.drift ~dir ~current:(ring_doc 1000.0) () = None);
-      let name = Gate.history_append ~dir ~label:"seed" (ring_doc 1000.0) in
-      (match Gate.drift ~dir ~current:(ring_doc 1000.0) () with
-      | Some (n, vs) ->
-          Alcotest.(check string) "compares the single entry" name n;
-          Alcotest.(check int) "no drift" 0 (List.length (Gate.failures vs))
-      | None -> Alcotest.fail "single-entry ring must compare");
-      match Gate.drift ~dir ~current:(ring_doc 1500.0) () with
-      | Some (_, vs) ->
-          Alcotest.(check bool) "drift past tolerance fails" true
-            (Gate.failures vs <> [])
-      | None -> Alcotest.fail "single-entry ring must compare")
+let test_gate_load () =
+  let d = doc [ matmul_entry 1000.0 5000 40 ] in
+  with_temp_file (Json.to_string d) (fun path ->
+      match Gate.load path with
+      | Ok d' ->
+          Alcotest.(check string) "round-trips" (Json.to_string d)
+            (Json.to_string d')
+      | Error e -> Alcotest.failf "valid baseline rejected: %s" e);
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "diva-no-such.json" in
+  one_line "missing file" (Gate.load missing);
+  with_temp_file "{\"apps\": {\"matmul\": " (fun path ->
+      let r = Gate.load path in
+      one_line "malformed JSON" r;
+      match r with
+      | Error e -> Alcotest.(check bool) "names the file" true (contains e path)
+      | Ok _ -> ())
 
 let test_report_tables () =
   let m =
@@ -303,13 +293,11 @@ let suite =
       test_gate_flags_regression;
     Alcotest.test_case "bench gate: direction aware" `Quick
       test_gate_direction_aware;
-    Alcotest.test_case "history ring: rotation past capacity" `Quick
-      test_history_rotation;
-    Alcotest.test_case "history ring: label sanitization" `Quick
-      test_history_labels;
-    Alcotest.test_case "history ring: single entry gates" `Quick
-      test_history_single_entry;
     Alcotest.test_case "bench gate: structural drift" `Quick
       test_gate_structural_drift;
     Alcotest.test_case "report tables" `Quick test_report_tables;
+    Alcotest.test_case "bench gate: events gate exactly" `Quick
+      test_gate_exact_events;
+    Alcotest.test_case "bench gate: load rejects bad baselines" `Quick
+      test_gate_load;
   ]

@@ -3,9 +3,7 @@
    the finished event list and over the saved trace file report, for every
    app x strategy (faults included); the JSONL trace format must
    round-trip exactly; peak analysis residency must stay bounded while the
-   event stream grows with run length; and the bench-history drift gate
-   must catch compounded slow drifts that each individually pass the
-   per-PR tolerance. *)
+   event stream grows with run length. *)
 
 module Network = Diva_simnet.Network
 module Machine = Diva_simnet.Machine
@@ -18,7 +16,6 @@ module Json = Diva_obs.Json
 module Trace = Diva_obs.Trace
 module Analysis = Diva_obs.Analysis
 module Streaming = Diva_obs.Streaming
-module Bench_gate = Diva_harness.Bench_gate
 
 let overheads_of (m : Machine.t) =
   { Analysis.send_overhead = m.Machine.send_overhead;
@@ -345,55 +342,6 @@ let test_events_golden () =
        with dune exec test/gen_golden.exe if intentional"
       path (String.length got) (String.length want)
 
-(* ------------------------------------------------------------------ *)
-(* Bench-history drift gate                                             *)
-(* ------------------------------------------------------------------ *)
-
-let bench_doc t =
-  Json.Obj [ ("apps", Json.Obj [ ("time_us", Json.Float t) ]) ]
-
-(* Three commits each drifting +8% pass every adjacent-pair check under
-   the 10% tolerance, but compound to +16.6%: only the comparison against
-   the oldest ring entry catches it. *)
-let test_history_drift () =
-  let d1 = bench_doc 100.0
-  and d2 = bench_doc 108.0
-  and d3 = bench_doc 116.64 in
-  let adjacent_ok a b =
-    Bench_gate.failures (Bench_gate.compare_docs ~baseline:a ~current:b ()) = []
-  in
-  Alcotest.(check bool) "step 1->2 passes per-PR tolerance" true
-    (adjacent_ok d1 d2);
-  Alcotest.(check bool) "step 2->3 passes per-PR tolerance" true
-    (adjacent_ok d2 d3);
-  Alcotest.(check bool) "single-baseline gate misses the compound drift" true
-    (adjacent_ok d2 d3);
-  let dir = Filename.temp_file "diva_hist" "" in
-  Sys.remove dir;
-  Alcotest.(check bool) "empty ring has no drift" true
-    (Bench_gate.drift ~dir ~current:d3 () = None);
-  ignore (Bench_gate.history_append ~dir ~label:"one" d1);
-  ignore (Bench_gate.history_append ~dir ~label:"two" d2);
-  (match Bench_gate.drift ~dir ~current:d3 () with
-  | None -> Alcotest.fail "ring has entries but drift found none"
-  | Some (name, verdicts) ->
-      Alcotest.(check string) "compared against the oldest entry"
-        "0001-one.json" name;
-      Alcotest.(check bool) "ring catches the compound drift" true
-        (Bench_gate.failures verdicts <> []));
-  (* Appending with a bounded ring prunes the oldest entries, so the
-     drift window slides forward. *)
-  ignore (Bench_gate.history_append ~keep:2 ~dir ~label:"three" d3);
-  (match Bench_gate.history_entries dir with
-  | [ (a, _); (b, _) ] ->
-      Alcotest.(check string) "oldest survivor" "0002-two.json" a;
-      Alcotest.(check string) "newest entry" "0003-three.json" b
-  | es -> Alcotest.failf "expected 2 ring entries, got %d" (List.length es));
-  List.iter
-    (fun (f, _) -> Sys.remove (Filename.concat dir f))
-    (Bench_gate.history_entries dir);
-  Sys.rmdir dir
-
 let suite =
   [
     Alcotest.test_case "streaming = batch (apps x strategies)" `Quick
@@ -411,5 +359,4 @@ let suite =
     Alcotest.test_case "offline file analysis round-trip" `Quick
       test_offline_file_roundtrip;
     Alcotest.test_case "events golden file" `Quick test_events_golden;
-    Alcotest.test_case "history ring drift gate" `Quick test_history_drift;
   ]
