@@ -150,15 +150,19 @@ let bh_nsweep () =
   if !paper_scale then [ 10000; 20000; 30000; 40000; 50000; 60000 ]
   else [ 1000; 2000; 4000; 8000 ]
 
-let bh_cache : (int * string, Runner.bh_result) Hashtbl.t = Hashtbl.create 64
+(* Keyed by mesh side, bodies and strategy spec, so the figures, the
+   bench_json matrix and the shootout share every run they have in
+   common. *)
+let bh_cache : (int * int * Dsm.strategy, Runner.bh_result) Hashtbl.t =
+  Hashtbl.create 64
 
-let bh_run ~n (sname, strategy) =
-  match Hashtbl.find_opt bh_cache (n, sname) with
+let bh_run ~q ~n strategy =
+  match Hashtbl.find_opt bh_cache (q, n, strategy) with
   | Some r -> r
   | None ->
       let cfg = Barnes_hut.default_config ~nbodies:n in
-      let r = Runner.run_barnes_hut ~rows:16 ~cols:16 ~cfg strategy in
-      Hashtbl.add bh_cache (n, sname) r;
+      let r = Runner.run_barnes_hut ~rows:q ~cols:q ~cfg strategy in
+      Hashtbl.add bh_cache (q, n, strategy) r;
       r
 
 let bh_figure ~title ~get () =
@@ -167,7 +171,7 @@ let bh_figure ~title ~get () =
     List.map
       (fun n ->
         ( string_of_int n,
-          List.map (fun (sn, s) -> (sn, get (bh_run ~n (sn, s)))) bh_strategies ))
+          List.map (fun (sn, s) -> (sn, get (bh_run ~q:16 ~n s))) bh_strategies ))
       (bh_nsweep ())
   in
   print_string (Report.absolute_table ~title:"" ~param:"bodies" ~rows ())
@@ -198,7 +202,7 @@ let fig10 () =
       (fun n ->
         ( string_of_int n,
           List.map
-            (fun (sn, s) -> (sn, (bh_run ~n (sn, s)).Runner.bh_phase Barnes_hut.Force))
+            (fun (sn, s) -> (sn, (bh_run ~q:16 ~n s).Runner.bh_phase Barnes_hut.Force))
             bh_strategies ))
       (bh_nsweep ())
   in
@@ -620,59 +624,101 @@ let prof_overhead () =
    matrix switches to paper-sized problems (a separate committed baseline,
    BENCH_paper_baseline.json, gates that variant nightly); the "scale"
    field keeps the two document families from ever gating each other. *)
-(* Strategy shootout: every registry contender on the fixed matmul
-   problem, keyed by canonical registry name. Gated as the "strategies"
-   section of BENCH_diva.json so a protocol change in any zoo contender
-   shows up in the per-PR bench gate. *)
-let shootout_mesh () = if !paper_scale then 16 else 8
-let shootout_block () = if !paper_scale then 1024 else 256
-
-let shootout_runs () =
-  let q = shootout_mesh () and block = shootout_block () in
-  List.map
-    (fun (name, spec) ->
-      (name, Runner.run_matmul ~rows:q ~cols:q ~block (Runner.Strategy spec)))
-    (Registry.contenders ())
+(* Strategy shootout: every registry contender, keyed by canonical
+   registry name, on three cells: the fixed matmul problem, Barnes-Hut as
+   in the default-scale bench_json, and a Zipf workload whose working set
+   overflows the capacity contenders' memory, so evicted copies are read
+   again. Only matmul grows under --paper: a capacity eviction scans every
+   copy its processor holds, so Barnes-Hut at 16x16 with 4000 bodies
+   runs for over 15 minutes per capacity contender. Gated as the
+   "strategies" section of BENCH_diva.json, judged by the keep-or-delete
+   rule of docs/STRATEGIES.md, and run once however many experiments read
+   it. *)
+let shootout =
+  lazy
+    (let q = if !paper_scale then 16 else 8 in
+     let mesh = Printf.sprintf "%dx%d" q q in
+     let each run =
+       List.map (fun (name, spec) -> (name, run spec)) (Registry.contenders ())
+     in
+     let zipf_cap =
+       Workload.Spec.make ~num_vars:1024 ~var_size:1024
+         ~popularity:(Workload.Spec.Zipf 0.9)
+         ~phases:[ Workload.Spec.phase ~read_ratio:0.9 200 ]
+         ~seed:1 ()
+     in
+     [
+       ( ("matmul", mesh),
+         each (fun s ->
+             let block = if !paper_scale then 1024 else 256 in
+             Runner.run_matmul ~rows:q ~cols:q ~block (Runner.Strategy s)) );
+       ( ("barnes-hut", "8x8"),
+         each (fun s -> (bh_run ~q:8 ~n:1000 s).Runner.bh_total) );
+       ( ("workload", "zipf-cap"),
+         each (fun s ->
+             (Workload.Generator.run ~dims:[| 8; 8 |] ~strategy:s zipf_cap)
+               .Workload.Generator.measurements) );
+     ])
 
 let strategies_doc () =
   let open Diva_obs.Json in
-  let q = shootout_mesh () in
+  let fields (n, m) = (n, Obj (Runner.measurement_fields m)) in
   Obj
-    [
-      ( "matmul",
-        Obj
-          [
-            ( Printf.sprintf "%dx%d" q q,
-              Obj
-                (List.map
-                   (fun (name, m) -> (name, Obj (Runner.measurement_fields m)))
-                   (shootout_runs ())) );
-          ] );
-    ]
+    (List.map
+       (fun ((section, cell), runs) ->
+         (section, Obj [ (cell, Obj (List.map fields runs)) ]))
+       (Lazy.force shootout))
+
+(* The rule: a zoo contender stays if, on some cell, its simulated time
+   or its congestion in messages is strictly the lowest within its
+   memory-model group (unbounded or capacity-bounded). *)
+let bounded name =
+  match List.assoc name (Registry.contenders ()) with
+  | Dsm.Access_tree { Diva_core.Strategy.capacity = Some _; _ } -> true
+  | _ -> false
+
+let wins name =
+  List.concat_map
+    (fun ((section, _), runs) ->
+      let lowest get =
+        List.for_all
+          (fun (n, m) ->
+            n = name || bounded n <> bounded name
+            || get (List.assoc name runs) < get m)
+          runs
+      in
+      List.filter_map
+        (fun (metric, get) -> if lowest get then Some (section ^ metric) else None)
+        [
+          (" time", fun m -> m.Runner.time);
+          (" congestion", fun m -> float_of_int m.Runner.congestion_msgs);
+        ])
+    (Lazy.force shootout)
 
 let strategy_shootout () =
-  let q = shootout_mesh () and block = shootout_block () in
-  banner
-    (Printf.sprintf "Strategy shootout: matmul %dx%d, block %d, all registry \
-                     contenders" q q block);
+  banner "Strategy shootout: simulated s / congestion msgs per cell";
+  let cells = Lazy.force shootout in
   let tbl =
     Table.create
-      ~header:[ "strategy"; "time(us)"; "msgs"; "bytes"; "read hit%"; "evict" ]
+      ~header:
+        (("contender" :: "memory" :: List.map (fun ((s, c), _) -> s ^ " " ^ c) cells)
+        @ [ "verdict" ])
   in
   List.iter
-    (fun (name, (m : Runner.measurements)) ->
+    (fun name ->
+      let cell (_, runs) =
+        let m = List.assoc name runs in
+        Printf.sprintf "%.2f / %d" (m.Runner.time /. 1e6) m.Runner.congestion_msgs
+      in
+      let verdict =
+        if not (List.mem name (Registry.zoo ())) then "paper"
+        else match wins name with [] -> "delete" | w -> "stays: " ^ String.concat ", " w
+      in
       Table.add_row tbl
-        [
-          name;
-          Printf.sprintf "%.0f" m.Runner.time;
-          string_of_int m.Runner.total_msgs;
-          string_of_int m.Runner.total_bytes;
-          Printf.sprintf "%.1f"
-            (100.0 *. float_of_int m.Runner.dsm_read_hits
-            /. float_of_int (max 1 m.Runner.dsm_reads));
-          string_of_int m.Runner.evictions;
-        ])
-    (shootout_runs ());
+        ((name :: (if bounded name then "64 KiB" else "unbounded")
+         :: List.map cell cells)
+        @ [ verdict ]))
+    (Registry.names ());
   print_string (Table.render tbl)
 
 let bench_doc () =
@@ -714,7 +760,6 @@ let bench_doc () =
       [ 4; 8; 16 ]
   in
   let nbody =
-    let cfg = Barnes_hut.default_config ~nbodies in
     List.map
       (fun q ->
         ( mesh_label q,
@@ -724,11 +769,7 @@ let bench_doc () =
                  match s with
                  | Runner.Hand_optimized -> None
                  | Runner.Strategy s ->
-                     Some
-                       ( sn,
-                         fields
-                           (Runner.run_barnes_hut ~rows:q ~cols:q ~cfg s)
-                             .Runner.bh_total ))
+                     Some (sn, fields (bh_run ~q ~n:nbodies s).Runner.bh_total))
                strategies) ))
       nbody_meshes
   in

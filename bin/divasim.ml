@@ -38,8 +38,8 @@ let mesh_conv =
         Format.fprintf fmt "%s"
           (String.concat "x" (List.map string_of_int (Array.to_list dims))) )
 
-(* Any strategy-registry name ("access_tree", "prefetch_tree",
-   "adaptive_repl", "capacity_lru", ...), the classic paper spellings
+(* Any strategy-registry name ("access_tree", "adaptive_repl",
+   "capacity_lru", ...), the classic paper spellings
    ("4-ary", "2-4-ary", "fixed-home"), or "hand-optimized"; a "+random"
    suffix selects the fully random embedding (tree strategies only). *)
 let parse_strategy s =
@@ -85,6 +85,18 @@ let strategy_conv =
   Arg.conv
     ( parse_strategy,
       fun fmt c -> Format.fprintf fmt "%s" (Runner.name c) )
+
+(* An integer flag whose range is checked while parsing, so a bad value
+   is a usage error (exit 124) rather than a library exception. *)
+let int_conv ~ok ~expected =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s (got %S)" expected s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_conv ~ok:(fun n -> n >= 1) ~expected:"a positive integer"
 
 let mesh_t =
   Arg.(
@@ -566,7 +578,7 @@ let bitonic_cmd =
 
 let nbody_cmd =
   let bodies =
-    Arg.(value & opt int 2000 & info [ "bodies" ] ~doc:"Number of bodies.")
+    Arg.(value & opt pos_int 2000 & info [ "bodies" ] ~doc:"Number of bodies.")
   in
   let steps = Arg.(value & opt int 7 & info [ "steps" ] ~doc:"Time steps.") in
   let theta =
@@ -652,7 +664,8 @@ let analyze_cmd =
     Arg.(value & opt int 1024 & info [ "keys" ] ~doc:"bitonic: keys per processor.")
   in
   let bodies =
-    Arg.(value & opt int 500 & info [ "bodies" ] ~doc:"nbody: number of bodies.")
+    Arg.(
+      value & opt pos_int 500 & info [ "bodies" ] ~doc:"nbody: number of bodies.")
   in
   let steps =
     Arg.(value & opt int 3 & info [ "steps" ] ~doc:"nbody: time steps.")
@@ -711,10 +724,13 @@ let analyze_cmd =
       & info [ "top" ] ~docv:"K" ~doc:"Congested links to report.")
   in
   let wins =
+    let cap = Diva_obs.Streaming.max_windows in
+    let range = Printf.sprintf "0..%d" cap in
     Arg.(
-      value & opt int 8
+      value
+      & opt (int_conv ~ok:(fun n -> n >= 0 && n <= cap) ~expected:range) 8
       & info [ "windows" ] ~docv:"N"
-          ~doc:"Time windows for the congestion time-lapse.")
+          ~doc:("Time windows for the congestion time-lapse, " ^ range ^ "."))
   in
   let json_out =
     Arg.(

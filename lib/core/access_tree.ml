@@ -8,7 +8,6 @@ module Int_table = Diva_util.Int_table
 type body =
   | Rreq of { origin : int }
   | Rrep of { origins : int list }
-  | Rpush  (* speculative copy pushed one level down the tree (prefetch) *)
   | Wreq of { origin : int }
   | Winv
   | Wack
@@ -73,8 +72,6 @@ type ctl = {
   mutable wtxn : wtxn option;
   states : tstate Int_table.t;  (* tree node -> state, materialised ones *)
   copies : Bytes.t;  (* one bit per tree node: does it hold a copy? *)
-  mutable pushes : int;  (* speculative Rpush messages in flight *)
-  mutable retired : bool;  (* retire deferred until the pushes land *)
   mutable gone : bool;  (* retired: the state is dropped *)
 }
 
@@ -91,7 +88,6 @@ type t = {
   combining : bool;
   remap_threshold : int option;
   eviction : Strategy.eviction;
-  prefetch : bool;
   remap_rng : Diva_util.Prng.t;
   mutable remap_count : int;
   mem_used : int array;  (* bytes per processor, only if capacity is set *)
@@ -100,22 +96,24 @@ type t = {
   mutable eviction_count : int;
 }
 
-let create net deco ~embedding ?capacity ?(combining = true) ?remap_threshold
-    ?(eviction = Strategy.Lru) ?(prefetch = false) () =
+let create net (c : Strategy.tree_config) =
+  let deco =
+    Deco.build (Network.mesh net) ~arity:(Deco.arity_of_int c.arity)
+      ~leaf_size:c.leaf_size
+  in
   {
     net;
     deco;
-    embedding;
-    capacity;
-    combining;
-    remap_threshold;
-    eviction;
-    prefetch;
+    embedding = c.embedding;
+    capacity = c.capacity;
+    combining = c.combining;
+    remap_threshold = c.remap_threshold;
+    eviction = c.eviction;
     remap_rng = Diva_util.Prng.split (Network.rng net);
     remap_count = 0;
     mem_used = Array.make (Network.num_nodes net) 0;
     held =
-      (match capacity with
+      (match c.capacity with
       | None -> [||]
       | Some _ -> Array.init (Network.num_nodes net) (fun _ -> Hashtbl.create 8));
     lru_tick = 0;
@@ -152,7 +150,7 @@ let get_ctl t (var : Types.var) =
           pending = Queue.create (); wtxn = None;
           states = Int_table.create ~dummy:no_state 4;
           copies = Bytes.make ((t.deco.Deco.num_tree_nodes + 7) / 8) '\000';
-          pushes = 0; retired = false; gone = false }
+          gone = false }
       in
       set_copy c (leaf t var.Types.owner) true;
       var.Types.slot <- Tree c;
@@ -240,6 +238,14 @@ let evictable (ctl : ctl) tnode st =
   && st.inv_waiting = 0
   && List.length st.comp_edges <= 1
 
+let unaccount_copy t (ctl : ctl) tnode st =
+  match t.capacity with
+  | None -> ()
+  | Some _ ->
+      let proc = st.place in
+      t.mem_used.(proc) <- t.mem_used.(proc) - ctl.var.Types.data_size;
+      Hashtbl.remove t.held.(proc) (key t ctl tnode)
+
 (* Scan only the copies held at [proc] (the per-processor registry). The
    victim minimizes the policy's score: the LRU tick, or the lifetime
    touch count (ties broken by the LRU tick, so frequency eviction stays
@@ -271,8 +277,7 @@ let evict t proc =
       st.toward <- (match st.comp_edges with e :: _ -> e | [] -> assert false);
       st.comp_edges <- [];
       ctl.ncopies <- ctl.ncopies - 1;
-      t.mem_used.(proc) <- t.mem_used.(proc) - ctl.var.Types.data_size;
-      Hashtbl.remove t.held.(proc) (key t ctl tnode);
+      unaccount_copy t ctl tnode st;
       t.eviction_count <- t.eviction_count + 1;
       true
 
@@ -287,14 +292,6 @@ let account_copy t (ctl : ctl) tnode st =
       while t.mem_used.(proc) > cap && !continue do
         continue := evict t proc
       done
-
-let unaccount_copy t (ctl : ctl) tnode st =
-  match t.capacity with
-  | None -> ()
-  | Some _ ->
-      let proc = st.place in
-      t.mem_used.(proc) <- t.mem_used.(proc) - ctl.var.Types.data_size;
-      Hashtbl.remove t.held.(proc) (key t ctl tnode)
 
 let add_copy t ctl tnode st =
   if not (has_copy ctl tnode) then begin
@@ -429,27 +426,7 @@ let on_rreq t ctl ~tnode ~origin =
     send_ctl t ctl ~from:tnode ~tnode:st.toward (Rreq { origin })
   end
 
-(* Tree-structured prefetching: when a read reply installs a copy at a
-   tree node, push speculative copies one level further down, into the
-   children not already covered. One extra data message per child serves
-   every later reader in that child's subtree locally (its pointer chase
-   stops at the child). Each in-flight push holds a slot on [ctl.reading]
-   so no write can start invalidating while a speculative copy is still
-   travelling — the pushed copy always joins a quiescent component. *)
-let prefetch_children t ctl tnode st =
-  Array.iter
-    (fun c ->
-      let cs = get_state t ctl c in
-      if (not (has_copy ctl c)) && not cs.read_pending then begin
-        ctl.reading <- ctl.reading + 1;
-        ctl.pushes <- ctl.pushes + 1;
-        cs.read_pending <- true;
-        add_edge st c;
-        send_data t ctl ~from:tnode ~tnode:c Rpush
-      end)
-    t.deco.Deco.children.(tnode)
-
-let rec on_rrep ?(push = true) t ctl ~from ~tnode ~origins =
+let on_rrep t ctl ~from ~tnode ~origins =
   let st = get_state t ctl tnode in
   add_copy t ctl tnode st;
   touch t st;
@@ -472,45 +449,9 @@ let rec on_rrep ?(push = true) t ctl ~from ~tnode ~origins =
       add_edge st nxt;
       send_data t ctl ~from:tnode ~tnode:nxt (Rrep { origins = os }))
     groups;
-  (* Speculative pushes before completions: the pushes take their reading
-     slots while no resumed fiber can have issued a write yet. Only reply
-     path nodes push (a pushed copy does not push further), bounding the
-     speculation to one level beyond the paths actually walked. *)
-  if push && t.prefetch then prefetch_children t ctl tnode st;
   (* Completions last: they may resume fibers that issue new operations. *)
   complete_reads ctl st;
   process_queue t ctl
-
-(* A speculative copy lands: exactly a reply with no origins to serve
-   (parked requests that raced the push are served the same way an
-   in-flight reply serves them). If the variable was retired while the
-   push travelled, drop the push and finish the deferred retire once the
-   last one lands. *)
-and on_rpush t ctl ~from ~tnode =
-  ctl.reading <- ctl.reading - 1;
-  ctl.pushes <- ctl.pushes - 1;
-  if ctl.retired then begin
-    if ctl.pushes = 0 then finish_retire t ctl
-  end
-  else on_rrep ~push:false t ctl ~from ~tnode ~origins:[]
-
-(* Drop every state of the variable and detach the control block; the
-   next access (if any) starts from a fresh singleton at the owner. *)
-and finish_retire t ctl =
-  (match t.capacity with
-  | None -> ()
-  | Some _ ->
-      Int_table.iter
-        (fun tnode st ->
-          if has_copy ctl tnode then begin
-            let proc = st.place in
-            t.mem_used.(proc) <- t.mem_used.(proc) - ctl.var.Types.data_size;
-            Hashtbl.remove t.held.(proc) (key t ctl tnode)
-          end)
-        ctl.states);
-  Int_table.reset ctl.states;
-  ctl.gone <- true;
-  ctl.var.Types.slot <- Types.No_slot
 
 let on_wreq t ctl ~tnode ~origin =
   let st = get_state t ctl tnode in
@@ -718,7 +659,6 @@ let handle t (msg : Network.msg) =
       (match body with
       | Rreq { origin } -> on_rreq t ctl ~tnode ~origin
       | Rrep { origins } -> on_rrep t ctl ~from ~tnode ~origins
-      | Rpush -> on_rpush t ctl ~from ~tnode
       | Wreq { origin } -> on_wreq t ctl ~tnode ~origin
       | Winv -> on_winv t ctl ~from ~tnode
       | Wack -> on_wack t ctl ~tnode
@@ -747,18 +687,20 @@ let copy_holders t (var : Types.var) =
 let evictions t = t.eviction_count
 let remaps t = t.remap_count
 
+(* Drop every state of the variable and detach the control block; the
+   next access (if any) starts from a fresh singleton at the owner. *)
 let retire t (var : Types.var) =
   match var.Types.slot with
   | Tree ctl ->
-      if
-        ctl.writing
-        || ctl.reading - ctl.pushes > 0
-        || not (Queue.is_empty ctl.pending)
-      then invalid_arg "Access_tree.retire: variable has transactions in flight";
-      (* Speculative pushes are not application transactions: the state
-         must outlive them (their arrival looks up the variable), so the
-         actual teardown is deferred to the last push's landing. *)
-      if ctl.pushes > 0 then ctl.retired <- true else finish_retire t ctl
+      if ctl.writing || ctl.reading > 0 || not (Queue.is_empty ctl.pending) then
+        invalid_arg "Access_tree.retire: variable has transactions in flight";
+      if t.capacity <> None then
+        Int_table.iter
+          (fun tnode st -> if has_copy ctl tnode then unaccount_copy t ctl tnode st)
+          ctl.states;
+      Int_table.reset ctl.states;
+      ctl.gone <- true;
+      var.Types.slot <- Types.No_slot
   | _ -> ()
 
 let deco t = t.deco
@@ -840,15 +782,7 @@ struct
 
   let id = "access-tree"
 
-  let create net (c : Strategy.tree_config) =
-    let deco =
-      Deco.build (Network.mesh net) ~arity:(Deco.arity_of_int c.arity)
-        ~leaf_size:c.leaf_size
-    in
-    create net deco ~embedding:c.embedding ?capacity:c.capacity
-      ~combining:c.combining ?remap_threshold:c.remap_threshold
-      ~eviction:c.eviction ~prefetch:c.prefetch ()
-
+  let create = create
   let sync_deco t = Some t.deco
   let handle = handle
   let cached = cached

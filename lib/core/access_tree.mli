@@ -33,34 +33,6 @@
 
 type t
 
-val create :
-  Diva_simnet.Network.t ->
-  Diva_mesh.Decomposition.t ->
-  embedding:Diva_mesh.Embedding.kind ->
-  ?capacity:int ->
-  ?combining:bool ->
-  ?remap_threshold:int ->
-  ?eviction:Strategy.eviction ->
-  ?prefetch:bool ->
-  unit ->
-  t
-(** [create net decomposition ~embedding ()] builds the protocol state.
-    [capacity] bounds each processor's memory module in bytes (default:
-    unbounded). [combining] (default [true]) enables read combining;
-    disabling it is an ablation in which a request arriving at a busy tree
-    node is forwarded anyway instead of waiting for the in-flight reply.
-    [remap_threshold] enables the {e remapping} of the original FOCS'97
-    strategy, which the paper deliberately omits: once a tree node of a
-    variable has served that many protocol messages, it is re-embedded onto
-    a fresh random processor of its submesh (paying one control message to
-    move its state); the [remapping] benchmark ablation tests the paper's
-    claim that this overhead is not repaid in practice.
-    [eviction] (default {!Strategy.Lru}) selects the victim policy when
-    [capacity] is set. [prefetch] (default [false]) pushes speculative
-    copies one level down the tree whenever a read reply installs a copy.
-    The protocol does not install network handlers itself: the [Dsm]
-    façade dispatches incoming messages to {!handle}. *)
-
 val handle : t -> Diva_simnet.Network.msg -> bool
 (** Process a protocol message; returns [false] if the payload does not
     belong to this protocol. *)
@@ -120,4 +92,12 @@ val validate : t -> Types.var -> (unit, string) result
 module Impl :
   Strategy.STRATEGY with type t = t and type config = Strategy.tree_config
 (** The access tree packed as a first-class strategy. [Impl.create] builds
-    its own decomposition from the config. *)
+    the protocol state, decomposition included, from the config; it
+    installs no network handler, the [Dsm] façade dispatches messages to
+    {!handle}. Two config fields are ablations: [combining = false]
+    forwards a read reaching a busy tree node instead of parking it on the
+    in-flight reply, and [remap_threshold] enables the {e remapping} of the
+    original FOCS'97 strategy, which the paper omits: a tree node that has
+    served that many protocol messages moves to a fresh random processor
+    of its submesh, paying one message to move its state. The [remapping]
+    bench ablation tests the paper's claim that this is not repaid. *)

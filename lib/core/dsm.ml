@@ -12,11 +12,10 @@ type strategy = Strategy.spec =
   | Adaptive of Strategy.adaptive_config
 
 let access_tree ?(leaf_size = 1) ?(embedding = Embedding.Regular) ?capacity
-    ?(combining = true) ?remap_threshold ?(eviction = Strategy.Lru)
-    ?(prefetch = false) ~arity () =
+    ?(combining = true) ?remap_threshold ?(eviction = Strategy.Lru) ~arity () =
   Access_tree
     { Strategy.arity; leaf_size; embedding; capacity; combining;
-      remap_threshold; eviction; prefetch }
+      remap_threshold; eviction }
 
 let adaptive ?(replicate_after = Strategy.adaptive_defaults.Strategy.replicate_after)
     ?(migrate_after = Strategy.adaptive_defaults.Strategy.migrate_after) () =

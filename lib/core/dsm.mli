@@ -21,20 +21,18 @@ val access_tree :
   ?combining:bool ->
   ?remap_threshold:int ->
   ?eviction:Strategy.eviction ->
-  ?prefetch:bool ->
   arity:int ->
   unit ->
   strategy
 (** Convenience constructor with the paper's defaults (leaf size 1, regular
-    embedding, unbounded memory, combining on, LRU eviction, no
-    prefetching). *)
+    embedding, unbounded memory, combining on, LRU eviction). *)
 
 val adaptive : ?replicate_after:int -> ?migrate_after:int -> unit -> strategy
 (** Frequency-adaptive replication with home migration; defaults from
     {!Strategy.adaptive_defaults}. *)
 
 val strategy_name : strategy -> string
-(** "2-ary", "4-16-ary", "fixed home", "4-ary+prefetch", ... *)
+(** "2-ary", "4-16-ary", "fixed home", "4-ary+cap64k", ... *)
 
 type t
 

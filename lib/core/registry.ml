@@ -27,12 +27,6 @@ let entries =
       summary = "CC-NUMA-style fixed random home with ownership";
     };
     {
-      name = "prefetch_tree";
-      spec = Strategy.Access_tree { Strategy.tree_defaults with prefetch = true };
-      summary =
-        "access tree pushing speculative copies one level down on reads";
-    };
-    {
       name = "adaptive_repl";
       spec = Strategy.Adaptive Strategy.adaptive_defaults;
       summary =
@@ -60,6 +54,9 @@ let entries =
   ]
 
 let names () = List.map (fun e -> e.name) entries
+
+let zoo () =
+  List.filter (fun n -> n <> "access_tree" && n <> "fixed_home") (names ())
 let contenders () = List.map (fun e -> (e.name, e.spec)) entries
 
 let normalize s =

@@ -17,11 +17,14 @@ val default_capacity : int
 
 val entries : entry list
 (** Every registered contender, in presentation order: [access_tree],
-    [fixed_home], [prefetch_tree], [adaptive_repl], [capacity_lru],
-    [capacity_freq]. *)
+    [fixed_home], [adaptive_repl], [capacity_lru], [capacity_freq]. *)
 
 val names : unit -> string list
 val contenders : unit -> (string * Strategy.spec) list
+
+val zoo : unit -> string list
+(** {!names} without the paper's pair ([access_tree], [fixed_home]): the
+    contenders that must earn their place in the shootout. *)
 
 val find : string -> Strategy.spec option
 (** Case-insensitive lookup; ['-'] and ['_'] are interchangeable, and the

@@ -1,8 +1,8 @@
 (* First-class data-management strategy interface.
 
    Every contender — the paper's access tree and fixed home, plus the
-   strategy-zoo additions (tree prefetching, adaptive replication with
-   home migration, capacity-bounded caching) — implements the one
+   strategy-zoo additions (adaptive replication with home migration,
+   capacity-bounded caching) — implements the one
    STRATEGY signature below and is packed into an existential [instance].
    The [Dsm] façade talks only to instances; the [Registry] maps names to
    configured [spec]s so every tool (divasim, bench, chaos, serve,
@@ -23,7 +23,6 @@ type tree_config = {
   combining : bool;  (* read combining (on by default) *)
   remap_threshold : int option;  (* FOCS'97 remapping of hot tree nodes *)
   eviction : eviction;  (* victim policy when [capacity] is set *)
-  prefetch : bool;  (* speculative copies pushed down the tree on reads *)
 }
 
 type adaptive_config = {
@@ -48,7 +47,6 @@ let tree_defaults =
     combining = true;
     remap_threshold = None;
     eviction = Lru;
-    prefetch = false;
   }
 
 let adaptive_defaults = { replicate_after = 2; migrate_after = 64 }
@@ -60,7 +58,6 @@ let tree_name (c : tree_config) =
   let base =
     Deco.strategy_name ~arity:(Deco.arity_of_int c.arity) ~leaf_size:c.leaf_size
   in
-  let base = if c.prefetch then base ^ "+prefetch" else base in
   let base =
     match c.capacity with
     | None -> base

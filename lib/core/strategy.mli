@@ -19,8 +19,6 @@ type tree_config = {
   remap_threshold : int option;
       (** enable the FOCS'97 remapping of hot tree nodes *)
   eviction : eviction;  (** victim policy when [capacity] is set *)
-  prefetch : bool;
-      (** push speculative copies one level down the tree on read replies *)
 }
 
 type adaptive_config = {
@@ -38,13 +36,13 @@ type spec =
 
 val tree_defaults : tree_config
 (** The paper's defaults: 4-ary, leaf size 1, regular embedding, unbounded
-    memory, combining on, LRU, no prefetch. *)
+    memory, combining on, LRU. *)
 
 val adaptive_defaults : adaptive_config
 
 val tree_name : tree_config -> string
 val spec_name : spec -> string
-(** "2-ary", "4-16-ary", "fixed home", "4-ary+prefetch", ... *)
+(** "2-ary", "4-16-ary", "fixed home", "4-ary+cap64k", ... *)
 
 module type STRATEGY = sig
   type t

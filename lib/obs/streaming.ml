@@ -178,8 +178,13 @@ and link_acc = {
   mutable lka_busy : float;
 }
 
+(* Binning allocates one table per window, so the count is capped. *)
+let max_windows = 10_000
+
 let create ?(top_k = 10) ?(num_windows = 8) ?(ring = 1024) ov =
   if ring <= 0 then invalid_arg "Streaming.create: ring must be positive";
+  if num_windows > max_windows then
+    invalid_arg "Streaming.create: num_windows is above max_windows";
   {
     ov;
     top_k;
@@ -836,12 +841,16 @@ let probe path = with_lines path (fun ic -> Result.map ignore (read_header ic))
    time is known. Returns the header, the summary — bit-identical to the
    live run's — and the peak message-record residency. *)
 let analyze_file ?top_k ?num_windows ?ring path =
-  let* header, t =
-    read_file path ~start:(fun h ->
-        let t = create ?top_k ?num_windows ?ring h.h_overheads in
-        (t, feed t))
-  in
-  Ok (header, finalize t, t.peak)
+  match num_windows with
+  | Some n when n > max_windows ->
+      Error (Printf.sprintf "%d windows is above the cap of %d" n max_windows)
+  | _ ->
+      let* header, t =
+        read_file path ~start:(fun h ->
+            let t = create ?top_k ?num_windows ?ring h.h_overheads in
+            (t, feed t))
+      in
+      Ok (header, finalize t, t.peak)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-run merge / compaction                                         *)

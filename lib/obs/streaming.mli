@@ -23,10 +23,15 @@
 
 type t
 
+val max_windows : int
+(** Upper bound on [num_windows] (10000): binning allocates one table per
+    window. *)
+
 val create :
   ?top_k:int -> ?num_windows:int -> ?ring:int -> Analysis.overheads -> t
 (** [top_k] (default 10) links are reported, over [num_windows]
-    (default 8) equal time windows. [ring] (default 1024) bounds the set
+    (default 8, at most {!max_windows}, else [Invalid_argument]) equal
+    time windows. [ring] (default 1024) bounds the set
     of recently-completed transaction ids remembered to keep stray
     post-completion sends from repopulating the record table; eviction can
     only delay freeing such a record until the end, never change computed
@@ -126,7 +131,7 @@ val analyze_file :
     is read once, and the windowed link series folds at the end from the
     crossings retained along the way. Returns the header, a summary
     bit-identical to analyzing the live run, and the peak message-record
-    residency. *)
+    residency. A [num_windows] above {!max_windows} is an [Error]. *)
 
 (** {2 Multi-run merge / compaction}
 

@@ -67,7 +67,7 @@ let () =
       List.iter (Trace.emit sink) (Trace.events tr);
       close_out oc;
       Printf.printf "wrote %s (%d events)\n" path (Trace.count tr))
-    [ "prefetch_tree"; "adaptive_repl"; "capacity_lru"; "capacity_freq" ];
+    (Diva_core.Registry.zoo ());
   (* The replay golden: a synthetic workload's event trace cut down to the
      lines replay reads (header, [var], [dsm]), which keeps it small; the
      regression test in test_workload.ml must build the same header. *)

@@ -21,7 +21,6 @@ let strategies =
     ("4-ary-no-combining", Diva_core.Dsm.access_tree ~arity:4 ~combining:false ());
     ("fixed-home", Diva_core.Dsm.Fixed_home);
     (* Strategy-zoo contenders. Append only: some suites index this list. *)
-    ("4-ary-prefetch", Diva_core.Dsm.access_tree ~arity:4 ~prefetch:true ());
     ("adaptive-home", Diva_core.Dsm.adaptive ());
     ("4-ary-capacity-lru", Diva_core.Dsm.access_tree ~arity:4 ~capacity:512 ());
     ("4-ary-capacity-freq",

@@ -306,8 +306,8 @@ let test_chaos_campaign () =
   Alcotest.(check bool) "some schedule actually lost messages" true
     (List.exists (fun o -> o.Chaos.lost > 0) outcomes)
 
-(* A short fault campaign over the full strategy registry — prefetching,
-   adaptive migration and capacity eviction each face injected faults
+(* A short fault campaign over the full strategy registry — adaptive
+   migration and capacity eviction each face injected faults
    with the linearizability oracle attached, and every run is replayed to
    prove schedule + seed still determine the execution. *)
 let test_chaos_registry_zoo () =

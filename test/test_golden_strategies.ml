@@ -61,9 +61,27 @@ let check_golden name () =
        dune exec test/gen_golden.exe if intentional"
       name path (String.length got) (String.length want)
 
+(* Goldens and zoo entries pair up one to one, so deleting a contender
+   cannot leave its golden behind, nor adding one skip its golden. *)
+let test_goldens_match_registry () =
+  let prefix = "golden_events_2x2_" in
+  let named f =
+    match Filename.chop_suffix_opt ~suffix:".jsonl" f with
+    | Some b when String.starts_with ~prefix b ->
+        Some (String.sub b (String.length prefix) (String.length b - String.length prefix))
+    | _ -> None
+  in
+  Alcotest.(check (list string)) "one golden per zoo contender"
+    (List.sort compare (Registry.zoo ()))
+    (List.sort compare (List.filter_map named (Array.to_list (Sys.readdir "data"))))
+
 let suite =
   List.map
     (fun name ->
       Alcotest.test_case (name ^ " matmul golden bytes") `Quick
         (check_golden name))
-    [ "prefetch_tree"; "adaptive_repl"; "capacity_lru"; "capacity_freq" ]
+    (Registry.zoo ())
+  @ [
+      Alcotest.test_case "goldens match the registry" `Quick
+        test_goldens_match_registry;
+    ]

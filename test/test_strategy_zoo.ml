@@ -1,8 +1,7 @@
 (* Unit tests for the strategy-zoo additions: the registry's name
    resolution, the decorated display names, and the observable behaviour
    that distinguishes the new contenders from the paper's pair —
-   adaptive home migration actually migrating, and tree prefetching
-   actually planting extra copies. *)
+   adaptive home migration actually migrating. *)
 
 module Dsm = Diva_core.Dsm
 module Strategy = Diva_core.Strategy
@@ -14,7 +13,6 @@ let test_registry_names () =
     [
       "access_tree";
       "fixed_home";
-      "prefetch_tree";
       "adaptive_repl";
       "capacity_lru";
       "capacity_freq";
@@ -56,7 +54,6 @@ let test_display_names () =
     [
       ("access_tree", "4-ary");
       ("fixed_home", "fixed home");
-      ("prefetch_tree", "4-ary+prefetch");
       ("adaptive_repl", "adaptive-home");
       ("capacity_lru", "4-ary+cap64k");
       ("capacity_freq", "4-ary+cap64k+freq-evict");
@@ -101,32 +98,6 @@ let test_adaptive_migration () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "post-run validate: %s" e
 
-(* Four of sixteen processors read a freshly written variable. The plain
-   tree installs copies only on the reply paths; with prefetching the
-   same run pushes speculative copies one level further down, so strictly
-   more copies exist at quiescence. *)
-let ncopies_after_partial_broadcast strategy =
-  let net, dsm = Helpers.make_dsm ~seed:9 ~rows:4 ~cols:4 strategy in
-  let v = Dsm.create_var dsm ~owner:5 ~size:256 0 in
-  Helpers.run_procs net (fun p ->
-      if p = 5 then Dsm.write dsm p v 42;
-      Dsm.barrier dsm p;
-      if p < 4 then Alcotest.(check int) "read sees write" 42 (Dsm.read dsm p v);
-      Dsm.barrier dsm p);
-  (match Dsm.validate_var dsm v with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "post-run validate: %s" e);
-  Dsm.ncopies dsm v
-
-let test_prefetch_plants_copies () =
-  let plain = ncopies_after_partial_broadcast (Dsm.access_tree ~arity:4 ()) in
-  let prefetched =
-    ncopies_after_partial_broadcast (Dsm.access_tree ~arity:4 ~prefetch:true ())
-  in
-  if prefetched <= plain then
-    Alcotest.failf "prefetch should plant extra copies (plain %d, prefetch %d)"
-      plain prefetched
-
 let suite =
   [
     Alcotest.test_case "registry names" `Quick test_registry_names;
@@ -134,6 +105,4 @@ let suite =
     Alcotest.test_case "display names" `Quick test_display_names;
     Alcotest.test_case "family ids" `Quick test_strategy_ids;
     Alcotest.test_case "adaptive home migrates" `Quick test_adaptive_migration;
-    Alcotest.test_case "prefetch plants extra copies" `Quick
-      test_prefetch_plants_copies;
   ]

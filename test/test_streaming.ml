@@ -342,6 +342,20 @@ let test_events_golden () =
        with dune exec test/gen_golden.exe if intentional"
       path (String.length got) (String.length want)
 
+(* Binning allocates per window, so the count is capped: above the cap
+   [create] raises and [analyze_file] returns an [Error]; at the cap both
+   work. *)
+let test_windows_capped () =
+  let cap = Streaming.max_windows and path = "data/golden_events_2x2.jsonl" in
+  (match Streaming.create ~num_windows:(cap + 1) (overheads_of Machine.gcel) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "create accepted too many windows");
+  match (Streaming.analyze_file ~num_windows:(cap + 1) path,
+         Streaming.analyze_file ~num_windows:cap path) with
+  | Error _, Ok (_, s, _) ->
+      Alcotest.(check int) "windows at the cap" cap (List.length s.Analysis.sm_windows)
+  | _ -> Alcotest.fail "analyze_file must reject only counts above the cap"
+
 let suite =
   [
     Alcotest.test_case "streaming = batch (apps x strategies)" `Quick
@@ -359,4 +373,5 @@ let suite =
     Alcotest.test_case "offline file analysis round-trip" `Quick
       test_offline_file_roundtrip;
     Alcotest.test_case "events golden file" `Quick test_events_golden;
+    Alcotest.test_case "window count is capped" `Quick test_windows_capped;
   ]
