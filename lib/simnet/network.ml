@@ -671,7 +671,8 @@ let spawn t node f =
       body ())
 
 let compute t node dt =
-  if dt < 0.0 then invalid_arg "Network.compute: negative time";
+  if not (dt >= 0.0 && dt < Float.infinity) then
+    invalid_arg "Network.compute: negative or non-finite time";
   t.node_compute.(node) <- t.node_compute.(node) +. dt;
   let fin = reserve_cpu t node ~from:(now t) dt in
   suspend (fun resume ->
@@ -682,7 +683,8 @@ let compute t node dt =
           resume ()))
 
 let charge t node dt =
-  if dt < 0.0 then invalid_arg "Network.charge: negative time";
+  if not (dt >= 0.0 && dt < Float.infinity) then
+    invalid_arg "Network.charge: negative or non-finite time";
   t.node_compute.(node) <- t.node_compute.(node) +. dt;
   t.pending_compute.(node) <- t.pending_compute.(node) +. dt
 

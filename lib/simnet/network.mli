@@ -90,7 +90,9 @@ val suspend : ((('a -> unit)) -> unit) -> 'a
     from an event callback, which continues the fiber with [v]. *)
 
 val compute : t -> Diva_mesh.Mesh.node -> float -> unit
-(** Occupy the node's CPU for the given time (blocks the fiber). *)
+(** Occupy the node's CPU for the given time (blocks the fiber). Raises
+    [Invalid_argument] on a negative or non-finite time, as does
+    {!charge}. *)
 
 val charge : t -> Diva_mesh.Mesh.node -> float -> unit
 (** Accumulate local computation without a scheduler round-trip; the pending

@@ -5,8 +5,16 @@
     executing domains. Each shard owns a serial event queue and clock.
     Cross-shard events must respect the engine's [lookahead] — the
     minimum model latency between shards (for a mesh: one hop) — and are
-    buffered in per-(source, destination) outboxes, drained at window
-    barriers in ascending source-shard order.
+    buffered in per-(source, destination) outboxes. At each window barrier
+    a shard drains only the outboxes that received posts in the window
+    (the first post into an empty outbox flags it in the destination's
+    row), in ascending source-shard order, FIFO within each.
+
+    Each window crosses the barrier twice. A waiting domain spins briefly
+    before it blocks, but only when the run uses no more domains than
+    [Domain.recommended_domain_count ()] (an oversubscribed run blocks at
+    once), and it backs off to blocking while its spins keep running
+    out.
 
     Because shard count, in-window execution order, outbox drain order and
     window boundaries are all functions of model state alone, a run is
@@ -37,7 +45,8 @@ val num_shards : _ t -> int
 val lookahead : _ t -> float
 
 val schedule_init : 'a t -> shard:int -> at:float -> 'a -> unit
-(** Seed an event before {!run}. [at >= 0]. *)
+(** Seed an event before {!run}. Raises [Invalid_argument] unless [at] is
+    finite and [>= 0]. *)
 
 type telemetry
 (** Per-domain wall-clock accounting of one {!run}: busy time (event
@@ -76,9 +85,9 @@ val ctx_num_shards : _ ctx -> int
 
 val ctx_schedule : 'a ctx -> at:float -> 'a -> unit
 (** Schedule on the current shard. Raises [Invalid_argument] if [at] is
-    in the shard's past. *)
+    in the shard's past or not finite. *)
 
 val ctx_post : 'a ctx -> dst:int -> at:float -> 'a -> unit
 (** Schedule on shard [dst]. Raises [Invalid_argument] if [dst] is out of
-    range or [at < now + lookahead] when [dst] differs from the current
-    shard. *)
+    range, if [at] is not finite, or if [at < now + lookahead] when [dst]
+    differs from the current shard. *)

@@ -43,11 +43,15 @@ let add_advance_hook t f =
 let set_prof t p = t.prof <- Some p
 let now t = t.clock
 
+(* Written so that a NaN fails it: a NaN time would run at once and set
+   the clock to NaN. *)
 let check_future t at =
-  if at < t.clock -. 1e-9 then
+  if not (at >= t.clock -. 1e-9 && at < Float.infinity) then
     invalid_arg
-      (Printf.sprintf "Sim.schedule: %.3f is in the past (now = %.3f)" at
-         t.clock)
+      (if Float.is_finite at then
+         Printf.sprintf "Sim.schedule: %.3f is in the past (now = %.3f)" at
+           t.clock
+       else Printf.sprintf "Sim.schedule: time %g is not finite" at)
 
 let schedule t at f =
   check_future t at;

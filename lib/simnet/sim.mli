@@ -10,8 +10,8 @@ val now : t -> float
 (** Current simulation time in microseconds. *)
 
 val schedule : t -> float -> (unit -> unit) -> unit
-(** [schedule t at f] runs [f] at simulated time [at]. [at] must not be in
-    the past. *)
+(** [schedule t at f] runs [f] at simulated time [at]. Raises
+    [Invalid_argument] if [at] is in the past or not finite. *)
 
 val schedule_now : t -> (unit -> unit) -> unit
 

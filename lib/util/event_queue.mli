@@ -1,11 +1,14 @@
 (** Min-priority queue with [float] priorities, used as the simulator's event
     queue. Implemented as a 4-ary min-heap over three parallel unboxed
-    arrays (priorities, tie-break sequence numbers, values), so neither
-    insertion nor removal allocates. Insertion order among equal priorities
-    is preserved (FIFO): the pop sequence is the lexicographic
-    (priority, insertion index) order — a total order — which makes
-    simulation runs deterministic and independent of the heap's internal
-    shape. *)
+    arrays (priorities, tie-break sequence numbers, slot indices); each
+    value sits in a slot of its own from insertion until it is popped, so
+    sifting never moves a value and neither insertion nor removal
+    allocates. A popped or cleared value is no longer referenced by the
+    queue. Insertion order among equal priorities is preserved (FIFO): the
+    pop sequence is the lexicographic (priority, insertion index) order — a
+    total order — which makes simulation runs deterministic and independent
+    of the heap's internal shape. Priorities must not be NaN, which would
+    break that order. *)
 
 type 'a t
 

@@ -99,6 +99,144 @@ let test_par_engine_same_shard_post_is_schedule () =
   Alcotest.(check (list (float 1e-9)))
     "sub-lookahead self-posts run" [ 1.5; 1.0; 0.5; 0.0 ] !hits
 
+let rejects name f =
+  match f () with
+  | () -> Alcotest.failf "%s accepted" name
+  | exception Invalid_argument _ -> ()
+
+(* A NaN or infinite time would be queued: +infinity is never executed,
+   and a NaN breaks the queue's total order. *)
+let test_par_engine_schedule_init_non_finite () =
+  let eng = Par_engine.create ~shards:2 ~lookahead:1.0 in
+  List.iter
+    (fun at ->
+      rejects (Printf.sprintf "schedule_init %g" at) (fun () ->
+          Par_engine.schedule_init eng ~shard:1 ~at ()))
+    [ Float.nan; Float.infinity; -1.0 ];
+  Par_engine.run eng ~handler:(fun _ () -> Alcotest.fail "nothing queued");
+  Alcotest.(check int) "no events" 0 (Par_engine.events_executed eng)
+
+let test_par_engine_ctx_schedule_non_finite () =
+  let eng = Par_engine.create ~shards:2 ~lookahead:1.0 in
+  Par_engine.schedule_init eng ~shard:0 ~at:0.0 true;
+  Par_engine.run eng ~handler:(fun ctx first ->
+      if first then
+        List.iter
+          (fun at ->
+            rejects (Printf.sprintf "ctx_schedule %g" at) (fun () ->
+                Par_engine.ctx_schedule ctx ~at false))
+          [ Float.nan; Float.infinity; -1.0 ]);
+  Alcotest.(check int) "only the seed ran" 1 (Par_engine.events_executed eng)
+
+let test_par_engine_ctx_post_non_finite () =
+  let eng = Par_engine.create ~shards:2 ~lookahead:1.0 in
+  Par_engine.schedule_init eng ~shard:0 ~at:0.0 true;
+  Par_engine.run eng ~handler:(fun ctx first ->
+      if first then
+        List.iter
+          (fun at ->
+            rejects (Printf.sprintf "ctx_post %g" at) (fun () ->
+                Par_engine.ctx_post ctx ~dst:1 ~at false))
+          [ Float.nan; Float.infinity ]);
+  Alcotest.(check int) "only the seed ran" 1 (Par_engine.events_executed eng)
+
+(* Fan-in: every other shard posts three messages per seed event to
+   shard 0, all for one timestamp. Shard 0 must run them in ascending
+   source order, FIFO within a source, whichever domain drained first. *)
+let fan_in_run ~domains ~shards =
+  let log = ref [] in
+  let eng = Par_engine.create ~shards ~lookahead:1.0 in
+  for s = 1 to shards - 1 do
+    Par_engine.schedule_init eng ~shard:s ~at:0.0 (s, 0);
+    Par_engine.schedule_init eng ~shard:s ~at:0.5 (s, 3)
+  done;
+  Par_engine.run ~domains eng ~handler:(fun ctx (src, k) ->
+      if Par_engine.ctx_shard ctx = 0 then log := (src, k) :: !log
+      else
+        for j = 0 to 2 do
+          Par_engine.ctx_post ctx ~dst:0 ~at:10.0 (src, k + j)
+        done);
+  List.rev !log
+
+let test_par_engine_fan_in_order () =
+  let shards = 7 in
+  let expected =
+    List.concat_map
+      (fun src -> List.init 6 (fun k -> (src, k)))
+      (List.init (shards - 1) succ)
+  in
+  let show l =
+    String.concat " " (List.map (fun (s, k) -> Printf.sprintf "%d.%d" s k) l)
+  in
+  Alcotest.(check string) "1 domain" (show expected)
+    (show (fan_in_run ~domains:1 ~shards));
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d domains = 1 domain" domains)
+        (show expected)
+        (show (fan_in_run ~domains ~shards)))
+    [ 2; 3; 4 ]
+
+(* A handler raising on one shard while the others keep posting across
+   shards: the run must stop, join every domain and re-raise on the
+   caller, at every domain count. *)
+let raising_run ~domains =
+  let eng = Par_engine.create ~shards:6 ~lookahead:1.0 in
+  for i = 0 to 5 do
+    Par_engine.schedule_init eng ~shard:i ~at:0.0 0
+  done;
+  match
+    Par_engine.run ~domains eng ~handler:(fun ctx hops ->
+        let s = Par_engine.ctx_shard ctx in
+        if s = 4 && hops >= 20 then raise (Boom hops);
+        Par_engine.ctx_post ctx ~dst:((s + 1) mod 6)
+          ~at:(Par_engine.ctx_now ctx +. 1.0)
+          (hops + 1))
+  with
+  | () -> None
+  | exception Boom h -> Some h
+
+let test_par_engine_error_all_domains () =
+  let reference = raising_run ~domains:1 in
+  Alcotest.(check (option int)) "1 domain raises" (Some 20) reference;
+  List.iter
+    (fun domains ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "%d domains raise on the caller" domains)
+        reference (raising_run ~domains))
+    [ 2; 3; 4 ]
+
+(* One shard sleeps 10 ms in each of two windows, longer than any
+   barrier spin, so the other domains fall back to blocking; the run must
+   still complete with the serial result. *)
+let slow_run ~domains =
+  let shards = 4 in
+  let logs = Array.make shards [] in
+  let eng = Par_engine.create ~shards ~lookahead:1.0 in
+  for i = 0 to shards - 1 do
+    Par_engine.schedule_init eng ~shard:i ~at:0.0 3
+  done;
+  Par_engine.run ~domains eng ~handler:(fun ctx ttl ->
+      let s = Par_engine.ctx_shard ctx in
+      logs.(s) <- (Par_engine.ctx_now ctx, ttl) :: logs.(s);
+      if s = 0 && ttl mod 2 = 1 then Unix.sleepf 0.01;
+      if ttl > 0 then
+        Par_engine.ctx_post ctx ~dst:((s + 1) mod shards)
+          ~at:(Par_engine.ctx_now ctx +. 1.0)
+          (ttl - 1));
+  (Array.to_list logs, Par_engine.events_executed eng)
+
+let test_par_engine_slow_window () =
+  let reference = slow_run ~domains:1 in
+  List.iter
+    (fun domains ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains = serial" domains)
+        true
+        (slow_run ~domains = reference))
+    [ 2; 3; 4 ]
+
 (* --- Traffic --------------------------------------------------------- *)
 
 let test_traffic_domains_identical () =
@@ -172,6 +310,18 @@ let suite =
       test_par_engine_lookahead_enforced;
     Alcotest.test_case "par_engine same-shard post" `Quick
       test_par_engine_same_shard_post_is_schedule;
+    Alcotest.test_case "par_engine schedule_init rejects non-finite" `Quick
+      test_par_engine_schedule_init_non_finite;
+    Alcotest.test_case "par_engine ctx_schedule rejects non-finite" `Quick
+      test_par_engine_ctx_schedule_non_finite;
+    Alcotest.test_case "par_engine ctx_post rejects non-finite" `Quick
+      test_par_engine_ctx_post_non_finite;
+    Alcotest.test_case "par_engine fan-in drain order" `Quick
+      test_par_engine_fan_in_order;
+    Alcotest.test_case "par_engine error across domains" `Quick
+      test_par_engine_error_all_domains;
+    Alcotest.test_case "par_engine window outlasting the spin" `Quick
+      test_par_engine_slow_window;
     Alcotest.test_case "traffic identical across domains" `Quick
       test_traffic_domains_identical;
     Alcotest.test_case "traffic drains under all patterns" `Quick

@@ -45,6 +45,49 @@ let test_sim_rejects_past () =
         (fun () -> Sim.schedule s 1.0 (fun () -> ())));
   Sim.run s
 
+(* A NaN time passes a plain [at < now] test, runs at once and sets the
+   clock to NaN; +infinity would sit in the queue past every real event. *)
+let test_sim_rejects_non_finite () =
+  let s = Sim.create () in
+  List.iter
+    (fun at ->
+      let name = Printf.sprintf "%g" at in
+      let err =
+        Invalid_argument (Printf.sprintf "Sim.schedule: time %g is not finite" at)
+      in
+      Alcotest.check_raises ("schedule " ^ name) err (fun () ->
+          Sim.schedule s at ignore);
+      Alcotest.check_raises ("schedule_call " ^ name) err (fun () ->
+          Sim.schedule_call s at ignore ()))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check int) "nothing queued" 0 (Sim.pending s)
+
+(* Allocation gate: 256 self-rescheduling [schedule_call] chains. Each
+   event allocates its [Call] block (3 words), the boxed time passed to
+   [schedule_call] and the boxed clock (2 words each): 7 words. *)
+type chain = { sim : Sim.t; step : float; mutable left : int }
+
+let rec tick c =
+  if c.left > 0 then begin
+    c.left <- c.left - 1;
+    Sim.schedule_call c.sim (Sim.now c.sim +. c.step) tick c
+  end
+
+let test_sim_alloc_gate () =
+  let sim = Sim.create () in
+  for i = 0 to 255 do
+    Sim.schedule_call sim 0.0 tick
+      { sim; step = 1.0 +. (float_of_int i *. 0.001); left = 400 }
+  done;
+  let w0 = Gc.minor_words () in
+  Sim.run sim;
+  let words =
+    (Gc.minor_words () -. w0) /. float_of_int (Sim.events_executed sim)
+  in
+  if words > 7.0 then
+    Alcotest.failf "Sim allocates %.3f words per event, over the gate of 7"
+      words
+
 let test_delivery_and_congestion () =
   let net = Network.create ~rows:1 ~cols:3 () in
   let got = ref [] in
@@ -128,6 +171,33 @@ let test_fiber_charge_flush () =
   Network.run net;
   Alcotest.(check (float 1e-9)) "charges folded in" 50.0 !finished;
   Alcotest.(check (float 1e-9)) "accounted" 50.0 (Network.compute_time net 0)
+
+let test_compute_rejects_non_finite () =
+  let net = Network.create ~rows:1 ~cols:1 () in
+  let raised = ref 0 in
+  Network.spawn net 0 (fun () ->
+      List.iter
+        (fun dt ->
+          match Network.compute net 0 dt with
+          | () -> ()
+          | exception Invalid_argument _ -> incr raised)
+        [ Float.nan; Float.infinity; -1.0 ]);
+  Network.run net;
+  Alcotest.(check int) "every bad time rejected" 3 !raised;
+  Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Network.now net);
+  Alcotest.(check (float 0.0)) "nothing accounted" 0.0
+    (Network.compute_time net 0)
+
+let test_charge_rejects_non_finite () =
+  let net = Network.create ~rows:1 ~cols:1 () in
+  List.iter
+    (fun dt ->
+      match Network.charge net 0 dt with
+      | () -> Alcotest.failf "charge %g accepted" dt
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; -1.0 ];
+  Alcotest.(check (float 0.0)) "nothing accounted" 0.0
+    (Network.compute_time net 0)
 
 let test_fiber_recv_blocks () =
   let net = Network.create ~rows:1 ~cols:2 () in
@@ -342,12 +412,19 @@ let suite =
     Alcotest.test_case "fifo same time" `Quick test_sim_fifo_same_time;
     Alcotest.test_case "nested schedule" `Quick test_sim_nested_schedule;
     Alcotest.test_case "rejects past" `Quick test_sim_rejects_past;
+    Alcotest.test_case "rejects non-finite times" `Quick
+      test_sim_rejects_non_finite;
+    Alcotest.test_case "sim allocation gate" `Quick test_sim_alloc_gate;
     Alcotest.test_case "delivery and congestion" `Quick test_delivery_and_congestion;
     Alcotest.test_case "local send free" `Quick test_local_send_free;
     Alcotest.test_case "uncontended timing" `Quick test_timing_uncontended;
     Alcotest.test_case "link contention" `Quick test_link_contention_serializes;
     Alcotest.test_case "fiber compute" `Quick test_fiber_compute_and_time;
     Alcotest.test_case "fiber charge/flush" `Quick test_fiber_charge_flush;
+    Alcotest.test_case "compute rejects non-finite" `Quick
+      test_compute_rejects_non_finite;
+    Alcotest.test_case "charge rejects non-finite" `Quick
+      test_charge_rejects_non_finite;
     Alcotest.test_case "fiber recv blocks" `Quick test_fiber_recv_blocks;
     Alcotest.test_case "fiber recv filter" `Quick test_fiber_recv_filter;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;

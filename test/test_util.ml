@@ -228,6 +228,107 @@ let test_heap_exn_and_clear () =
   Heap.insert h 1.0 "after";
   Alcotest.(check string) "usable after clear" "after" (Heap.pop_exn h)
 
+(* Popped and cleared values must not stay reachable from the queue: each
+   value's slot is emptied when it leaves. [churn] runs in its own frame so
+   that no register or stack slot of the checking code holds a value. *)
+let churn w h =
+  let n = Weak.length w / 3 in
+  let fill base =
+    for i = 0 to n - 1 do
+      let v = ref (base + i) in
+      Weak.set w (base + i) (Some v);
+      Heap.insert h (float_of_int (i mod 3)) v
+    done
+  in
+  fill 0;
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Heap.pop_exn h))
+  done;
+  fill n;
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Heap.pop_min h))
+  done;
+  fill (2 * n);
+  Heap.clear h
+
+let test_heap_releases_values () =
+  let w = Weak.create 30 in
+  let h = Heap.create () in
+  churn w h;
+  Gc.full_major ();
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then
+      Alcotest.failf "value %d is still reachable after leaving the queue" i
+  done;
+  Alcotest.(check bool) "queue still usable" true (Heap.is_empty h)
+
+(* Float values are stored boxed beside the unboxed priorities. *)
+let test_heap_float_values () =
+  let h = Heap.create () in
+  List.iter (fun x -> Heap.insert h x (x *. 0.5)) [ 3.0; 1.0; 2.0; 1.0 ];
+  let popped = List.init 4 (fun _ -> Heap.pop_exn h) in
+  Alcotest.(check (list (float 0.0))) "values" [ 0.5; 0.5; 1.0; 1.5 ] popped
+
+(* Interleaved insert / pop / clear against a stable-sorted list model:
+   slots freed by pops and clears are reused without disturbing the
+   (priority, insertion) order. *)
+let prop_heap_clear_model =
+  QCheck.Test.make ~count:300 ~name:"heap with clears matches model"
+    QCheck.(list (pair (int_range 0 9) small_nat))
+    (fun script ->
+      let h = Heap.create () in
+      let model = ref [] (* (prio, seq, value), kept sorted *) in
+      let seq = ref 0 in
+      let ok = ref true in
+      List.iter
+        (fun (op, v) ->
+          if op = 0 then begin
+            Heap.clear h;
+            model := []
+          end
+          else if op <= 3 then (
+            match (!model, Heap.is_empty h) with
+            | [], true -> ()
+            | (mp, _, mv) :: rest, false ->
+                let p = Heap.min_priority_exn h in
+                let x = Heap.pop_exn h in
+                if p <> mp || x <> string_of_int mv then ok := false
+                else model := rest
+            | _ -> ok := false)
+          else begin
+            let p = float_of_int (v mod 7) in
+            Heap.insert h p (string_of_int v);
+            model :=
+              List.merge
+                (fun (a, sa, _) (b, sb, _) -> compare (a, sa) (b, sb))
+                !model [ (p, !seq, v) ];
+            incr seq
+          end)
+        script;
+      !ok && Heap.size h = List.length !model)
+
+(* Allocation gate: a steady-depth insert + pop allocates only the test
+   loop's own two boxed floats (the priority passed to [insert] and the one
+   [min_priority_exn] returns), 4 words. The queue itself must add none. *)
+let test_heap_alloc_gate () =
+  let depth = 64 and ops = 200_000 in
+  let incs =
+    Array.init 4096 (fun i -> float_of_int (1 + (i * 7919 mod 97)) /. 10.0)
+  in
+  let q = Heap.create () in
+  for i = 0 to depth - 1 do
+    Heap.insert q incs.(i) i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to ops - 1 do
+    let now = Heap.min_priority_exn q in
+    let v = Heap.pop_exn q in
+    Heap.insert q (now +. incs.(i land 4095)) v
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int ops in
+  if words > 4.0 then
+    Alcotest.failf "insert + pop allocates %.3f words, over the gate of 4" words
+
 let test_stats () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |]);
   Alcotest.(check (float 1e-9)) "percent" 50.0 (Stats.percent 1.0 2.0);
@@ -311,6 +412,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heap_interleaved_model;
     Alcotest.test_case "heap growth past 10k" `Quick test_heap_growth;
     Alcotest.test_case "heap exn ops and clear" `Quick test_heap_exn_and_clear;
+    Alcotest.test_case "heap releases popped values" `Quick
+      test_heap_releases_values;
+    Alcotest.test_case "heap float values" `Quick test_heap_float_values;
+    QCheck_alcotest.to_alcotest prop_heap_clear_model;
+    Alcotest.test_case "heap allocation gate" `Quick test_heap_alloc_gate;
     Alcotest.test_case "stats helpers" `Quick test_stats;
     Alcotest.test_case "stats percentile" `Quick test_percentile;
     Alcotest.test_case "event_queue basics" `Quick test_event_queue_basics;
