@@ -86,8 +86,15 @@ let snapshot_json s =
       ("reissues", Int s.sn_reissues);
     ]
 
+(* The dump is a cold path: each event goes through the one line encoder
+   and is read back as a document of its own. *)
+let event_json b e =
+  Buffer.clear b;
+  Trace.add_event b e;
+  Result.get_ok (Json.of_string (Buffer.contents b))
+
 let to_json t ~reason =
-  let evs = events t in
+  let evs = List.map (event_json (Buffer.create 256)) (events t) in
   let open Json in
   Obj
     [
@@ -96,7 +103,7 @@ let to_json t ~reason =
       ("wall_unix", Float (Unix.gettimeofday ()));
       ("events_recorded", Int t.ev_total);
       ("ring_capacity", Int (Array.length t.ev_ring));
-      ("events", List (List.map Trace.event_to_json evs));
+      ("events", List evs);
       ("snapshots", List (List.map snapshot_json (snapshots t)));
     ]
 

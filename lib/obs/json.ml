@@ -116,36 +116,62 @@ let to_string j =
 
 exception Parse_error of string
 
-let num_char = function
+let[@inline] num_char = function
   | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
   | _ -> false
 
 (* The parser is a set of top-level functions over one cursor, so a parse
-   allocates only the values it returns. *)
-type cursor = { s : string; n : int; mutable pos : int }
+   allocates only the values it returns. A scanned scalar is left in the
+   cursor's registers: a reader that needs no tree ({!members}) takes it
+   from there, the tree builder wraps it. *)
+type cursor = {
+  s : string;
+  n : int;
+  mutable pos : int;
+  mutable int_v : int;
+  mutable float_v : float;
+  mutable string_v : string;
+}
 
+type kind = K_null | K_bool | K_int | K_float | K_string | K_list | K_obj
+
+let cursor s =
+  { s; n = String.length s; pos = 0; int_v = 0; float_v = 0.0; string_v = "" }
+
+let int_value c = c.int_v
+let float_value c = c.float_v
+let string_value c = c.string_v
 let fail c msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.pos))
-let at c ch = c.pos < c.n && c.s.[c.pos] = ch
 
-let skip_ws c =
+(* Event traces are hundreds of thousands of lines, so the scanning
+   loops below run on a local index with unchecked reads behind an
+   explicit [< c.n] test, and the per-member steps are inlined into
+   their callers. *)
+let[@inline] at c ch = c.pos < c.n && String.unsafe_get c.s c.pos = ch
+
+let skip_ws_from c =
+  let s = c.s and n = c.n and i = ref c.pos in
   while
-    c.pos < c.n && (match c.s.[c.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+    !i < n
+    && match String.unsafe_get s !i with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
   do
-    c.pos <- c.pos + 1
-  done
+    incr i
+  done;
+  c.pos <- !i
 
-let expect c ch =
-  if at c ch then c.pos <- c.pos + 1 else fail c (Printf.sprintf "expected '%c'" ch)
+(* Most calls find no whitespace at all. *)
+let[@inline] skip_ws c =
+  if c.pos < c.n && String.unsafe_get c.s c.pos <= ' ' then skip_ws_from c
+
+let expected c ch = fail c (Printf.sprintf "expected '%c'" ch)
+let[@inline] expect c ch = if at c ch then c.pos <- c.pos + 1 else expected c ch
 
 let rec matches c word i =
   i = String.length word || (c.s.[c.pos + i] = word.[i] && matches c word (i + 1))
 
-let literal c word v =
+let literal c word =
   let l = String.length word in
-  if c.pos + l <= c.n && matches c word 0 then begin
-    c.pos <- c.pos + l;
-    v
-  end
+  if c.pos + l <= c.n && matches c word 0 then c.pos <- c.pos + l
   else fail c (Printf.sprintf "expected %s" word)
 
 (* Decode the rest of a string with escapes into [b], up to and including
@@ -195,121 +221,210 @@ let rec unescape c b =
       c.pos <- c.pos + 1;
       unescape c b
 
+(* Consume an opening quote and the string's escape-free prefix, stopping
+   at the first quote or backslash; returns where the contents start. *)
+let[@inline] open_string c =
+  expect c '"';
+  let s = c.s and n = c.n and start = c.pos in
+  let i = ref start in
+  while
+    !i < n
+    && match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true
+  do
+    incr i
+  done;
+  c.pos <- !i;
+  start
+
+(* The string opened at [start] whose scan stopped short of its closing
+   quote, decoded through a buffer. *)
+let decode_rest c start =
+  let b = Buffer.create ((2 * (c.pos - start)) + 16) in
+  Buffer.add_substring b c.s start (c.pos - start);
+  unescape c b;
+  Buffer.contents b
+
 (* Escape-free strings are cut out of the input in place; the first
    backslash switches to decoding through a buffer. *)
 let parse_string c =
-  expect c '"';
-  let start = c.pos in
-  while c.pos < c.n && c.s.[c.pos] <> '"' && c.s.[c.pos] <> '\\' do
-    c.pos <- c.pos + 1
-  done;
+  let start = open_string c in
   if at c '"' then begin
     c.pos <- c.pos + 1;
     String.sub c.s start (c.pos - 1 - start)
   end
-  else begin
-    let b = Buffer.create ((2 * (c.pos - start)) + 16) in
-    Buffer.add_substring b c.s start (c.pos - start);
-    unescape c b;
-    Buffer.contents b
-  end
+  else decode_rest c start
 
 (* A plain integer — an optional minus and at most 18 digits, too few to
    overflow — is accumulated in place. Anything else (fractions,
    exponents, longer literals) is cut out and handed to the library
    conversions. *)
-let parse_number c =
-  let start = c.pos in
+let[@inline] number c =
+  let s = c.s and n = c.n and start = c.pos in
   let neg = at c '-' in
-  if neg then c.pos <- c.pos + 1;
-  let digits = c.pos in
-  let v = ref 0 in
+  let digits = if neg then start + 1 else start in
+  let i = ref digits and v = ref 0 in
   while
-    c.pos < c.n && c.pos - digits < 18
-    && match c.s.[c.pos] with '0' .. '9' -> true | _ -> false
+    !i < n && !i - digits < 18
+    && match String.unsafe_get s !i with '0' .. '9' -> true | _ -> false
   do
-    v := (10 * !v) + (Char.code c.s.[c.pos] - 48);
-    c.pos <- c.pos + 1
+    v := (10 * !v) + (Char.code (String.unsafe_get s !i) - 48);
+    incr i
   done;
-  if c.pos > digits && not (c.pos < c.n && num_char c.s.[c.pos]) then
-    Int (if neg then - !v else !v)
+  if !i > digits && not (!i < n && num_char (String.unsafe_get s !i)) then begin
+    c.pos <- !i;
+    c.int_v <- (if neg then - !v else !v);
+    K_int
+  end
   else begin
-    c.pos <- start;
     while c.pos < c.n && num_char c.s.[c.pos] do
       c.pos <- c.pos + 1
     done;
     let lit = String.sub c.s start (c.pos - start) in
     match int_of_string_opt lit with
-    | Some i -> Int i
+    | Some k ->
+        c.int_v <- k;
+        K_int
     | None -> (
         match float_of_string_opt lit with
-        | Some f -> Float f
+        | Some f ->
+            c.float_v <- f;
+            K_float
         | None -> fail c (Printf.sprintf "bad number %S" lit))
   end
 
-let rec parse_value c =
+let[@inline] member c st f =
+  skip_ws c;
+  let start = open_string c in
+  if at c '"' then begin
+    let len = c.pos - start in
+    c.pos <- c.pos + 1;
+    skip_ws c;
+    expect c ':';
+    f st c c.s start len
+  end
+  else begin
+    let name = decode_rest c start in
+    skip_ws c;
+    expect c ':';
+    f st c name 0 (String.length name)
+  end
+
+(* The members of the object whose opening brace is at the cursor: [f st
+   c s off len] for each, in order, with the name in [s.[off .. off+len-1]]
+   (a slice of the input unless the name has escapes) and the cursor just
+   past the colon, where [f] must consume the value. *)
+let iter_object c st f =
+  c.pos <- c.pos + 1;
+  skip_ws c;
+  if at c '}' then c.pos <- c.pos + 1
+  else begin
+    member c st f;
+    skip_ws c;
+    while at c ',' do
+      c.pos <- c.pos + 1;
+      member c st f;
+      skip_ws c
+    done;
+    expect c '}'
+  end
+
+(* The items of the list whose opening bracket is at the cursor. *)
+let iter_list c st f =
+  c.pos <- c.pos + 1;
+  skip_ws c;
+  if at c ']' then c.pos <- c.pos + 1
+  else begin
+    f st c;
+    skip_ws c;
+    while at c ',' do
+      c.pos <- c.pos + 1;
+      f st c;
+      skip_ws c
+    done;
+    expect c ']'
+  end
+
+let[@inline] value_start c =
   skip_ws c;
   if c.pos >= c.n then fail c "unexpected end of input";
-  match c.s.[c.pos] with
-  | '"' -> String (parse_string c)
-  | 't' -> literal c "true" (Bool true)
-  | 'f' -> literal c "false" (Bool false)
-  | 'n' -> literal c "null" Null
-  | '[' ->
-      c.pos <- c.pos + 1;
-      skip_ws c;
-      if at c ']' then begin
-        c.pos <- c.pos + 1;
-        List []
-      end
-      else begin
-        let items = ref [ parse_value c ] in
-        skip_ws c;
-        while at c ',' do
-          c.pos <- c.pos + 1;
-          items := parse_value c :: !items;
-          skip_ws c
-        done;
-        expect c ']';
-        List (Stdlib.List.rev !items)
-      end
-  | '{' ->
-      c.pos <- c.pos + 1;
-      skip_ws c;
-      if at c '}' then begin
-        c.pos <- c.pos + 1;
-        Obj []
-      end
-      else begin
-        let items = ref [ parse_member c ] in
-        skip_ws c;
-        while at c ',' do
-          c.pos <- c.pos + 1;
-          items := parse_member c :: !items;
-          skip_ws c
-        done;
-        expect c '}';
-        Obj (Stdlib.List.rev !items)
-      end
-  | _ -> parse_number c
+  c.s.[c.pos]
 
-and parse_member c =
+(* One value, checked against the same grammar as [parse_value] but built
+   only as far as the registers: lists and objects are skipped. *)
+let rec scan c =
+  match value_start c with
+  | '"' ->
+      c.string_v <- parse_string c;
+      K_string
+  | 't' ->
+      literal c "true";
+      c.int_v <- 1;
+      K_bool
+  | 'f' ->
+      literal c "false";
+      c.int_v <- 0;
+      K_bool
+  | 'n' ->
+      literal c "null";
+      K_null
+  | '[' ->
+      iter_list c () skip_item;
+      K_list
+  | '{' ->
+      iter_object c () skip_member;
+      K_obj
+  | _ -> number c
+
+and skip_item () c = ignore (scan c)
+and skip_member () c _ _ _ = ignore (scan c)
+
+let slice s off len =
+  if off = 0 && len = String.length s then s else String.sub s off len
+
+let rec parse_value c =
+  match value_start c with
+  | '[' ->
+      let items = ref [] in
+      iter_list c items add_item;
+      List (Stdlib.List.rev !items)
+  | '{' ->
+      let items = ref [] in
+      iter_object c items add_member;
+      Obj (Stdlib.List.rev !items)
+  | _ -> (
+      match scan c with
+      | K_null -> Null
+      | K_bool -> Bool (c.int_v = 1)
+      | K_int -> Int c.int_v
+      | K_float -> Float c.float_v
+      | K_string -> String c.string_v
+      | K_list | K_obj -> assert false (* the cases above *))
+
+and add_item items c = items := parse_value c :: !items
+and add_member items c s off len = items := (slice s off len, parse_value c) :: !items
+
+(* After the document's value, nothing but whitespace. *)
+let finish c =
   skip_ws c;
-  let k = parse_string c in
-  skip_ws c;
-  expect c ':';
-  let v = parse_value c in
-  (k, v)
+  if c.pos <> c.n then fail c "trailing garbage"
 
 let of_string s =
-  let c = { s; n = String.length s; pos = 0 } in
+  let c = cursor s in
   match
     let v = parse_value c in
-    skip_ws c;
-    if c.pos <> c.n then fail c "trailing garbage";
+    finish c;
     v
   with
   | v -> Ok v
+  | exception Parse_error msg -> Error msg
+
+let members s st f =
+  let c = cursor s in
+  match
+    if value_start c = '{' then iter_object c st f else ignore (scan c);
+    finish c
+  with
+  | () -> Ok ()
   | exception Parse_error msg -> Error msg
 
 let rec assoc key = function
@@ -321,10 +436,11 @@ let member key = function Obj kvs -> assoc key kvs | _ -> None
 (* [min_int] is -2^62 and [max_int] + 1 is 2^62, both exact doubles. *)
 let int_lo = Float.of_int min_int
 
+let fits_int f = Float.is_integer f && f >= int_lo && f < -.int_lo
+
 let to_int = function
   | Int i -> Some i
-  | Float f when Float.is_integer f && f >= int_lo && f < -.int_lo ->
-      Some (int_of_float f)
+  | Float f when fits_int f -> Some (int_of_float f)
   | _ -> None
 let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 let to_str = function String s -> Some s | _ -> None

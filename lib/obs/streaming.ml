@@ -618,41 +618,114 @@ let file_sink oc h =
 (* Event decoding                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Slot of every member name an event line can carry; [-1] for the rest. *)
-let event_slot = function
-  | "e" -> 0 | "ts" -> 1 | "id" -> 2 | "par" -> 3 | "txn" -> 4 | "inj" -> 5
-  | "lv" -> 6 | "src" -> 7 | "dst" -> 8 | "sz" -> 9 | "loc" -> 10 | "h" -> 11
-  | "s" -> 12 | "f" -> 13 | "lk" -> 14 | "msg" -> 15 | "v" -> 16
-  | "name" -> 17 | "own" -> 18 | "dur" -> 19 | "n" -> 20 | "op" -> 21
-  | "hit" -> 22 | "cb" -> 23 | "tn" -> 24 | "why" -> 25 | "from" -> 26
-  | "to" -> 27 | "att" -> 28
+(* Slot of the member name [s.[off .. off+len-1]], matched in place; [-1]
+   for names no event carries. *)
+let slot_at s off len =
+  match len with
+  | 1 -> (
+      match String.unsafe_get s off with
+      | 'e' -> 0 | 'h' -> 11 | 's' -> 12 | 'f' -> 13 | 'v' -> 16 | 'n' -> 20
+      | _ -> -1)
+  | 2 -> (
+      match (String.unsafe_get s off, String.unsafe_get s (off + 1)) with
+      | 't', 's' -> 1 | 'i', 'd' -> 2 | 'l', 'v' -> 6 | 's', 'z' -> 9
+      | 'l', 'k' -> 14 | 'o', 'p' -> 21 | 'c', 'b' -> 23 | 't', 'n' -> 24
+      | 't', 'o' -> 27
+      | _ -> -1)
+  | 3 -> (
+      match
+        ( String.unsafe_get s off,
+          String.unsafe_get s (off + 1),
+          String.unsafe_get s (off + 2) )
+      with
+      | 'p', 'a', 'r' -> 3 | 't', 'x', 'n' -> 4 | 'i', 'n', 'j' -> 5
+      | 's', 'r', 'c' -> 7 | 'd', 's', 't' -> 8 | 'l', 'o', 'c' -> 10
+      | 'm', 's', 'g' -> 15 | 'o', 'w', 'n' -> 18 | 'd', 'u', 'r' -> 19
+      | 'h', 'i', 't' -> 22 | 'w', 'h', 'y' -> 25 | 'a', 't', 't' -> 28
+      | _ -> -1)
+  | 4 -> (
+      match
+        ( String.unsafe_get s off,
+          String.unsafe_get s (off + 1),
+          String.unsafe_get s (off + 2),
+          String.unsafe_get s (off + 3) )
+      with
+      | 'n', 'a', 'm', 'e' -> 17 | 'f', 'r', 'o', 'm' -> 26
+      | _ -> -1)
   | _ -> -1
+
+let num_slots = 29
+
+(* One line's members, typed: what {!Json.scan} found in each slot and
+   its value. [seen] has bit i set once slot i is filled, so the first of
+   duplicate names wins, as with [Json.member]. One [slots] serves every
+   line of a file. *)
+type slots = {
+  mutable seen : int;
+  kinds : Json.kind array;
+  ints : int array;  (* [K_int] values, and [K_bool] as 1 / 0 *)
+  floats : float array;
+  strings : string array;
+}
+
+let slots () =
+  {
+    seen = 0;
+    kinds = Array.make num_slots Json.K_null;
+    ints = Array.make num_slots 0;
+    floats = Array.make num_slots 0.0;
+    strings = Array.make num_slots "";
+  }
+
+let fill sl c name off len =
+  let i = slot_at name off len in
+  if i < 0 || sl.seen land (1 lsl i) <> 0 then ignore (Json.scan c)
+  else begin
+    sl.seen <- sl.seen lor (1 lsl i);
+    let k = Json.scan c in
+    sl.kinds.(i) <- k;
+    match k with
+    | Json.K_int | K_bool -> sl.ints.(i) <- Json.int_value c
+    | K_float -> sl.floats.(i) <- Json.float_value c
+    | K_string -> sl.strings.(i) <- Json.string_value c
+    | K_null | K_list | K_obj -> ()
+  end
 
 exception Bad_event of string
 
 let bad_event fmt = Printf.ksprintf (fun msg -> raise (Bad_event msg)) fmt
+let malformed key = bad_event "event: missing or malformed %S field" key
 
-(* One pass over the line's members files each known one into its slot;
-   the first occurrence wins, as with [Json.member]. *)
-let rec fill_slots slots seen = function
-  | [] -> ()
-  | (k, v) :: kvs ->
-      let i = event_slot k in
-      if i >= 0 && seen land (1 lsl i) = 0 then begin
-        slots.(i) <- v;
-        fill_slots slots (seen lor (1 lsl i)) kvs
-      end
-      else fill_slots slots seen kvs
+(* What filled slot [i] on this line; an absent member reads as
+   [K_null], which no field accepts. *)
+let[@inline] kind sl i =
+  if sl.seen land (1 lsl i) <> 0 then sl.kinds.(i) else Json.K_null
 
-let slot conv slots key =
-  match conv slots.(event_slot key) with
-  | Some v -> v
-  | None -> bad_event "event: missing or malformed %S field" key
+let[@inline] slot key = slot_at key 0 (String.length key)
 
-let int = slot Json.to_int
-let flt = slot Json.to_float
-let str = slot Json.to_str
-let boo = slot Json.to_bool
+(* The field readers convert exactly as [Json.to_int], [to_float],
+   [to_str] and [to_bool] do. *)
+let int sl key =
+  let i = slot key in
+  match kind sl i with
+  | Json.K_int -> sl.ints.(i)
+  | K_float when Json.fits_int sl.floats.(i) -> int_of_float sl.floats.(i)
+  | _ -> malformed key
+
+let flt sl key =
+  let i = slot key in
+  match kind sl i with
+  | Json.K_float -> sl.floats.(i)
+  | K_int -> float_of_int sl.ints.(i)
+  | _ -> malformed key
+
+let str sl key =
+  let i = slot key in
+  match kind sl i with Json.K_string -> sl.strings.(i) | _ -> malformed key
+
+let boo sl key =
+  let i = slot key in
+  match kind sl i with Json.K_bool -> sl.ints.(i) = 1 | _ -> malformed key
 
 (* The decoders read slots in the order they always checked fields, so the
    first missing or malformed one is the one reported. *)
@@ -771,20 +844,21 @@ let decode_event sl =
       Trace.Msg_retry { ts; msg; txn; src; dst; size; attempt }
   | other -> bad_event "event: unknown tag %S" other
 
-let event_of_json j =
-  let slots = Array.make 29 Json.Null in
-  (match j with Json.Obj kvs -> fill_slots slots 0 kvs | _ -> ());
-  match decode_event slots with e -> Ok e | exception Bad_event msg -> Error msg
+(* One pass over the line's bytes fills the slots; only a line that is
+   one well-formed JSON document gets its fields checked. *)
+let decode_line sl line =
+  sl.seen <- 0;
+  match Json.members line sl fill with
+  | Error e -> Error e
+  | Ok () -> (
+      match decode_event sl with e -> Ok e | exception Bad_event msg -> Error msg)
 
-let event_of_line ~lineno line =
-  let* j =
-    Result.map_error
-      (fun e -> Printf.sprintf "line %d: %s" lineno e)
-      (Json.of_string line)
-  in
-  Result.map_error
-    (fun e -> Printf.sprintf "line %d: %s" lineno e)
-    (event_of_json j)
+let event_of_line line = decode_line (slots ()) line
+
+let numbered_event sl ~lineno line =
+  match decode_line sl line with
+  | Ok _ as ok -> ok
+  | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
 
 (* ------------------------------------------------------------------ *)
 (* File reading (line at a time — memory stays bounded)                 *)
@@ -822,11 +896,12 @@ let read_file path ~start =
   with_lines path (fun ic ->
       let* header, hline = read_header ic in
       let acc, f = start header in
+      let sl = slots () in
       let rec go lineno =
         match next_line ic lineno with
         | None -> Ok (header, acc)
         | Some (line, lineno) ->
-            let* e = event_of_line ~lineno line in
+            let* e = numbered_event sl ~lineno line in
             f e;
             go (lineno + 1)
       in
@@ -892,6 +967,7 @@ type cursor = {
   mu_run : int;
   mu_path : string;
   mu_ic : in_channel;
+  mu_slots : slots;
   mutable mu_lineno : int;
   mutable mu_cur : Trace.event option;
   mu_quiescence : float;
@@ -908,7 +984,7 @@ let cursor_advance c =
         let* e =
           Result.map_error
             (fun e -> Printf.sprintf "%s: %s" c.mu_path e)
-            (event_of_line ~lineno line)
+            (numbered_event c.mu_slots ~lineno line)
         in
         if keep_event ~quiescence:c.mu_quiescence e then begin
           c.mu_cur <- Some e;
@@ -930,6 +1006,7 @@ let open_cursor ~run ~quiescence path =
           mu_run = run;
           mu_path = path;
           mu_ic = ic;
+          mu_slots = slots ();
           mu_lineno = lineno;
           mu_cur = None;
           mu_quiescence = quiescence;
@@ -940,6 +1017,18 @@ let write_json_line oc j =
   Json.to_buffer b j;
   Buffer.add_char b '\n';
   Buffer.output_buffer oc b
+
+(* A merged event line is the event's own line with a leading ["run"]
+   member: [{"run":N,] and then the encoded object past its brace. *)
+let write_run_line oc b run e =
+  Buffer.clear b;
+  Trace.add_event b e;
+  let line = Buffer.contents b in
+  output_string oc {|{"run":|};
+  output_string oc (string_of_int run);
+  output_char oc ',';
+  output_substring oc line 1 (String.length line - 1);
+  output_char oc '\n'
 
 let merge_files ?(compact = false) ~inputs ~output () =
   if inputs = [] then Error "trace merge: no input files"
@@ -1008,7 +1097,7 @@ let merge_files ?(compact = false) ~inputs ~output () =
                     cursor_advance c)
                   (Ok ()) cursors
               in
-              let written = ref 0 in
+              let written = ref 0 and line = Buffer.create 256 in
               (* Earliest head timestamp wins; ties keep the lower run
                  index (the fold visits cursors in run order and only a
                  strictly smaller timestamp displaces the champion). *)
@@ -1033,13 +1122,7 @@ let merge_files ?(compact = false) ~inputs ~output () =
                     match c.mu_cur with
                     | None -> Ok ()
                     | Some e ->
-                        let fields =
-                          match Trace.event_to_json e with
-                          | Obj kvs -> kvs
-                          | j -> [ ("event", j) ]
-                        in
-                        write_json_line oc
-                          (Obj (("run", Int c.mu_run) :: fields));
+                        write_run_line oc line c.mu_run e;
                         incr written;
                         let* () = cursor_advance c in
                         pump ())

@@ -70,11 +70,11 @@ val analyze_events :
     The first line is a header object [{"format":"diva-event-trace","version":1,
     "app":...,"dims":[...],"strategy":...,"seed":...,"overheads":
     {"send_us":...,"recv_us":...,"local_us":...},"params":{...}}]; every
-    later line is one event encoded by {!Trace.event_to_json}. Floats are
-    printed round-trip exactly ({!Json}), so offline analysis of a saved
-    trace is bit-identical to analyzing the live run. Readers reject
-    unknown formats and versions newer than {!current_version}, and skip
-    blank lines everywhere, before the header included. *)
+    later line is one event encoded by {!Trace.add_event}. Floats are
+    printed round-trip exactly ({!Json.add_float}), so offline analysis
+    of a saved trace is bit-identical to analyzing the live run. Readers
+    reject unknown formats and versions newer than {!current_version},
+    and skip blank lines everywhere, before the header included. *)
 
 val format_name : string
 val current_version : int
@@ -111,7 +111,16 @@ val file_sink : out_channel -> header -> Trace.sink
     buffering — recording costs O(1) memory. The caller closes the
     channel after the run. *)
 
-val event_of_json : Json.t -> (Trace.event, string) result
+val event_of_line : string -> (Trace.event, string) result
+(** Decode one event line in a single pass over its bytes, building no
+    {!Json.t}: member names are matched in place and each known member's
+    value lands in a typed slot. The line must be one JSON document as
+    {!Json.of_string} reads it; members may come in any order, with any
+    whitespace, beside unknown members of any type, and the first of
+    duplicate names wins. Int fields accept integral floats inside the
+    [int] range. Errors name the first missing or malformed field in the
+    event's field order, or the unknown tag or code. File readers prefix
+    them with ["line N: "]. *)
 
 val iter_file : string -> f:(Trace.event -> unit) -> (header, string) result
 (** Parse the header, then apply [f] to every event line in order,

@@ -195,65 +195,115 @@ let loss_of_code = function
   | "crash" -> Some Loss_crashed
   | _ -> None
 
-(* Compact keys keep big traces small; the ["e"] tag discriminates. The
-   field order is fixed so the writer is byte-stable (a committed golden
-   trace guards it). *)
-let event_to_json e =
-  let open Json in
-  match e with
+(* Each member is a literal prefix — separator, quoted key, colon — then
+   the value. Compact keys keep big traces small; the ["e"] tag
+   discriminates. The field order is fixed so the writer is byte-stable
+   (committed golden traces guard it). *)
+let int b key v =
+  Buffer.add_string b key;
+  Json.add_int b v
+
+let flt b key v =
+  Buffer.add_string b key;
+  Json.add_float b v
+
+let str b key v =
+  Buffer.add_string b key;
+  Json.add_quoted b v
+
+let boo b key v =
+  Buffer.add_string b key;
+  Buffer.add_string b (if v then "true" else "false")
+
+let add_event b e =
+  (match e with
   | Msg_send { ts; id; parent; txn; inject; level; src; dst; size; local } ->
-      Obj
-        [ ("e", String "send"); ("ts", Float ts); ("id", Int id);
-          ("par", Int parent); ("txn", Int txn); ("inj", Float inject);
-          ("lv", Int level); ("src", Int src); ("dst", Int dst);
-          ("sz", Int size); ("loc", Bool local) ]
+      flt b {|{"e":"send","ts":|} ts;
+      int b {|,"id":|} id;
+      int b {|,"par":|} parent;
+      int b {|,"txn":|} txn;
+      flt b {|,"inj":|} inject;
+      int b {|,"lv":|} level;
+      int b {|,"src":|} src;
+      int b {|,"dst":|} dst;
+      int b {|,"sz":|} size;
+      boo b {|,"loc":|} local
   | Msg_deliver { ts; id; txn; handled; src; dst; size } ->
-      Obj
-        [ ("e", String "dlv"); ("ts", Float ts); ("id", Int id);
-          ("txn", Int txn); ("h", Float handled); ("src", Int src);
-          ("dst", Int dst); ("sz", Int size) ]
+      flt b {|{"e":"dlv","ts":|} ts;
+      int b {|,"id":|} id;
+      int b {|,"txn":|} txn;
+      flt b {|,"h":|} handled;
+      int b {|,"src":|} src;
+      int b {|,"dst":|} dst;
+      int b {|,"sz":|} size
   | Link_xfer { start; finish; link; msg; txn; level; src; dst; size } ->
-      Obj
-        [ ("e", String "xfer"); ("s", Float start); ("f", Float finish);
-          ("lk", Int link); ("msg", Int msg); ("txn", Int txn);
-          ("lv", Int level); ("src", Int src); ("dst", Int dst);
-          ("sz", Int size) ]
+      flt b {|{"e":"xfer","s":|} start;
+      flt b {|,"f":|} finish;
+      int b {|,"lk":|} link;
+      int b {|,"msg":|} msg;
+      int b {|,"txn":|} txn;
+      int b {|,"lv":|} level;
+      int b {|,"src":|} src;
+      int b {|,"dst":|} dst;
+      int b {|,"sz":|} size
   | Var_decl { ts; var; var_name; size; owner } ->
-      Obj
-        [ ("e", String "var"); ("ts", Float ts); ("v", Int var);
-          ("name", String var_name); ("sz", Int size); ("own", Int owner) ]
+      flt b {|{"e":"var","ts":|} ts;
+      int b {|,"v":|} var;
+      str b {|,"name":|} var_name;
+      int b {|,"sz":|} size;
+      int b {|,"own":|} owner
   | Dsm_access { ts; dur; node; var; var_name; op; size; hit; txn;
                  completed_by } ->
-      Obj
-        [ ("e", String "dsm"); ("ts", Float ts); ("dur", Float dur);
-          ("n", Int node); ("v", Int var); ("name", String var_name);
-          ("op", String (op_code op)); ("sz", Int size); ("hit", Bool hit);
-          ("txn", Int txn); ("cb", Int completed_by) ]
+      flt b {|{"e":"dsm","ts":|} ts;
+      flt b {|,"dur":|} dur;
+      int b {|,"n":|} node;
+      int b {|,"v":|} var;
+      str b {|,"name":|} var_name;
+      str b {|,"op":|} (op_code op);
+      int b {|,"sz":|} size;
+      boo b {|,"hit":|} hit;
+      int b {|,"txn":|} txn;
+      int b {|,"cb":|} completed_by
   | Copy_add { ts; node; var; var_name; tnode; level } ->
-      Obj
-        [ ("e", String "cadd"); ("ts", Float ts); ("n", Int node);
-          ("v", Int var); ("name", String var_name); ("tn", Int tnode);
-          ("lv", Int level) ]
+      flt b {|{"e":"cadd","ts":|} ts;
+      int b {|,"n":|} node;
+      int b {|,"v":|} var;
+      str b {|,"name":|} var_name;
+      int b {|,"tn":|} tnode;
+      int b {|,"lv":|} level
   | Copy_drop { ts; node; var; var_name; tnode; level; reason } ->
-      Obj
-        [ ("e", String "cdrop"); ("ts", Float ts); ("n", Int node);
-          ("v", Int var); ("name", String var_name); ("tn", Int tnode);
-          ("lv", Int level); ("why", String (drop_code reason)) ]
+      flt b {|{"e":"cdrop","ts":|} ts;
+      int b {|,"n":|} node;
+      int b {|,"v":|} var;
+      str b {|,"name":|} var_name;
+      int b {|,"tn":|} tnode;
+      int b {|,"lv":|} level;
+      str b {|,"why":|} (drop_code reason)
   | Remap { ts; var; var_name; tnode; level; from_node; to_node } ->
-      Obj
-        [ ("e", String "remap"); ("ts", Float ts); ("v", Int var);
-          ("name", String var_name); ("tn", Int tnode); ("lv", Int level);
-          ("from", Int from_node); ("to", Int to_node) ]
+      flt b {|{"e":"remap","ts":|} ts;
+      int b {|,"v":|} var;
+      str b {|,"name":|} var_name;
+      int b {|,"tn":|} tnode;
+      int b {|,"lv":|} level;
+      int b {|,"from":|} from_node;
+      int b {|,"to":|} to_node
   | Msg_lost { ts; msg; txn; src; dst; size; reason } ->
-      Obj
-        [ ("e", String "lost"); ("ts", Float ts); ("msg", Int msg);
-          ("txn", Int txn); ("src", Int src); ("dst", Int dst);
-          ("sz", Int size); ("why", String (loss_code reason)) ]
+      flt b {|{"e":"lost","ts":|} ts;
+      int b {|,"msg":|} msg;
+      int b {|,"txn":|} txn;
+      int b {|,"src":|} src;
+      int b {|,"dst":|} dst;
+      int b {|,"sz":|} size;
+      str b {|,"why":|} (loss_code reason)
   | Msg_retry { ts; msg; txn; src; dst; size; attempt } ->
-      Obj
-        [ ("e", String "retry"); ("ts", Float ts); ("msg", Int msg);
-          ("txn", Int txn); ("src", Int src); ("dst", Int dst);
-          ("sz", Int size); ("att", Int attempt) ]
+      flt b {|{"e":"retry","ts":|} ts;
+      int b {|,"msg":|} msg;
+      int b {|,"txn":|} txn;
+      int b {|,"src":|} src;
+      int b {|,"dst":|} dst;
+      int b {|,"sz":|} size;
+      int b {|,"att":|} attempt);
+  Buffer.add_char b '}'
 
 (* The buffer belongs to the partial application [write_event oc]: a sink
    built from it reuses one buffer for every line, and sinks on different
@@ -262,6 +312,6 @@ let write_event oc =
   let b = Buffer.create 256 in
   fun e ->
     Buffer.clear b;
-    Json.to_buffer b (event_to_json e);
+    add_event b e;
     Buffer.add_char b '\n';
     Buffer.output_buffer oc b

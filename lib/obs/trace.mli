@@ -216,11 +216,13 @@ val with_listener : sink -> (event -> unit) -> sink
     buffer, so keep only the wrapped value. Used by the flight recorder
     to ride along any existing sink configuration. *)
 
-(** {2 JSONL event codec}
+(** {2 JSONL event encoder}
 
     One compact JSON object per event, discriminated by the ["e"] tag,
-    with a fixed field order so the writer is byte-stable. The reader and
-    the versioned file header live in {!Streaming}. *)
+    with a fixed member order so the bytes are stable. This is the only
+    encoder of event lines: file sinks, [divasim --events], trace merging
+    and the flight recorder all write through it. The reader and the
+    versioned file header live in {!Streaming}. *)
 
 val op_code : dsm_op -> string
 val op_of_code : string -> dsm_op option
@@ -229,9 +231,13 @@ val drop_of_code : string -> drop_reason option
 val loss_code : loss_reason -> string
 val loss_of_code : string -> loss_reason option
 
-val event_to_json : event -> Json.t
+val add_event : Buffer.t -> event -> unit
+(** Append the event's JSON object, without a newline. Each member is a
+    literal key prefix followed by its value, written by {!Json}'s own
+    value writers ({!Json.add_int}, {!Json.add_float},
+    {!Json.add_quoted}); no {!Json.t} is built. *)
 
 val write_event : out_channel -> event -> unit
-(** Write one event as a single JSON line. [write_event oc] is a writer
-    that reuses one line buffer; hand that to one sink rather than
-    applying both arguments per event. *)
+(** Write one event as a single JSON line ({!add_event} plus a newline).
+    [write_event oc] is a writer that reuses one line buffer; hand that to
+    one sink rather than applying both arguments per event. *)

@@ -13,16 +13,17 @@ let min_p999_samples = 1000
 
 let of_samples samples =
   let n = Array.length samples in
+  let sorted = Stats.sorted samples in
   {
     n;
     mean_us = Stats.mean samples;
-    p50_us = Stats.percentile 50.0 samples;
-    p99_us = Stats.percentile 99.0 samples;
+    p50_us = Stats.sorted_percentile 50.0 sorted;
+    p99_us = Stats.sorted_percentile 99.0 sorted;
     (* Exact nearest-rank order statistic, never interpolation — and below
        1000 samples the 99.9th rank is just the maximum wearing a costume,
        so it is withheld entirely rather than reported as if meaningful. *)
     p999_us =
-      (if n >= min_p999_samples then Some (Stats.percentile 99.9 samples)
+      (if n >= min_p999_samples then Some (Stats.sorted_percentile 99.9 sorted)
        else None);
     max_us = (if n = 0 then 0.0 else Stats.maxf samples);
   }

@@ -1,7 +1,7 @@
 (** SLO-style tail latency summary.
 
-    All percentiles are exact nearest-rank order statistics on a sorted
-    copy of the sample set ({!Diva_util.Stats.percentile}) — never
+    All percentiles are exact nearest-rank order statistics on one sorted
+    copy of the sample set ({!Diva_util.Stats.sorted_percentile}) — never
     interpolation. The p999 additionally carries a minimum-sample guard:
     with fewer than {!min_p999_samples} observations the 99.9th rank
     degenerates to the sample maximum, so it is reported as [None]

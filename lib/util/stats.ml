@@ -8,12 +8,10 @@ let percent num den = if den = 0.0 then 0.0 else 100.0 *. num /. den
 let ratio num den = if den = 0.0 then 0.0 else num /. den
 let log2 x = Float.log x /. Float.log 2.0
 
-let percentile p a =
-  let n = Array.length a in
+let sorted_percentile p s =
+  let n = Array.length s in
   if n = 0 then 0.0
   else begin
-    let s = Array.copy a in
-    Array.sort Float.compare s;
     let p = Float.max 0.0 (Float.min 100.0 p) in
     (* The epsilon keeps float noise in p/100*n from pushing the rank past
        an exact integer product (e.g. 99.9% of 1000 must rank 999, but the
@@ -23,6 +21,13 @@ let percentile p a =
     in
     s.(max 0 (min (n - 1) (rank - 1)))
   end
+
+let sorted a =
+  let s = Array.copy a in
+  Array.sort Float.compare s;
+  s
+
+let percentile p a = sorted_percentile p (sorted a)
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 

@@ -17,6 +17,14 @@ val percentile : float -> float array -> float
     clamped to \[0, 100\]; [percentile 0.] is the minimum, [percentile 100.]
     the maximum, and the result on an empty array is 0. *)
 
+val sorted : float array -> float array
+(** A copy of the array in [Float.compare] order. *)
+
+val sorted_percentile : float -> float array -> float
+(** [sorted_percentile p s] is [percentile p a] for [s = sorted a],
+    without the copy and sort: several ranks of one sample set cost one
+    sort. *)
+
 val log2 : float -> float
 
 val is_power_of_two : int -> bool

@@ -34,3 +34,15 @@ let make_dsm ?(seed = 7) ~rows ~cols strategy =
   let net = make_net ~seed ~rows ~cols () in
   let dsm = Diva_core.Dsm.create net ~strategy () in
   (net, dsm)
+
+(* The bytes [Streaming.file_sink] writes for [header] and [events]: what
+   a recorded run leaves on disk. *)
+let trace_file_bytes header events =
+  let path = Filename.temp_file "diva_events" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          let sink = Diva_obs.Streaming.file_sink oc header in
+          List.iter (Diva_obs.Trace.emit sink) events);
+      In_channel.with_open_bin path In_channel.input_all)

@@ -2,7 +2,8 @@
 
    Each new registry strategy has a committed golden event trace of the
    fixed matmul run (2x2 mesh, block 64, seed 17); the tests re-run the
-   simulation and require the re-encoded trace to match byte for byte.
+   simulation, record it through [Streaming.file_sink] and require the
+   file to match byte for byte.
    Together with the pre-existing 4-ary and chrome goldens this pins the
    protocols' entire observable behaviour — any unintended change to
    message order, sizes, timing or trace encoding fails here.
@@ -39,15 +40,7 @@ let golden_bytes name =
           local_overhead = m.Machine.local_overhead }
       ()
   in
-  let b = Buffer.create 65536 in
-  Buffer.add_string b (Json.to_string (Streaming.header_json header));
-  Buffer.add_char b '\n';
-  List.iter
-    (fun e ->
-      Buffer.add_string b (Json.to_string (Trace.event_to_json e));
-      Buffer.add_char b '\n')
-    (Trace.events tr);
-  Buffer.contents b
+  Helpers.trace_file_bytes header (Trace.events tr)
 
 let check_golden name () =
   let got = golden_bytes name in

@@ -189,6 +189,13 @@ let test_flight_dump_first_trigger_wins () =
   (match Option.bind (Json.member "reason" doc) Json.to_str with
   | Some r -> Alcotest.(check string) "first reason wins" "first failure" r
   | None -> Alcotest.fail "dump has no reason");
+  (match Json.member "events" doc with
+  | Some (Json.List [ ev ]) ->
+      let line = Buffer.create 64 in
+      Trace.add_event line (decl 1);
+      Alcotest.(check string) "events written as trace lines"
+        (Buffer.contents line) (Json.to_string ev)
+  | _ -> Alcotest.fail "dump must hold the one recorded event");
   match Flight.report doc with
   | Ok rendered ->
       Alcotest.(check bool) "report renders" true (String.length rendered > 0)

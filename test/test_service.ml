@@ -141,6 +141,39 @@ let test_slo_p999_guard () =
   Alcotest.(check int) "empty n" 0 empty.Slo.n;
   Alcotest.(check (float 1e-9)) "empty p50" 0.0 empty.Slo.p50_us
 
+(* One sort serves every rank: each percentile [Slo.of_samples] reports
+   is bit for bit what [Stats.percentile] gives on its own sorted copy,
+   over sample sets with heavy ties, at n = 0 and n = 1, and on both sides
+   of the p999 guard. *)
+let prop_slo_one_sort =
+  let gen =
+    QCheck.Gen.(
+      let* n =
+        oneof
+          [ oneofl
+              [ 0; 1; 2; Slo.min_p999_samples - 1; Slo.min_p999_samples;
+                Slo.min_p999_samples + 1 ];
+            int_range 0 3000 ]
+      in
+      let* distinct = oneofl [ 1; 3; 50; 1_000_000 ] in
+      array_size (return n)
+        (map
+           (fun k -> (float_of_int k -. 10.0) *. 0.37)
+           (int_range 0 (distinct - 1))))
+  in
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  QCheck.Test.make ~name:"slo percentiles = Stats.percentile" ~count:200
+    (QCheck.make ~print:(fun a -> Printf.sprintf "n = %d" (Array.length a)) gen)
+    (fun a ->
+      let s = Slo.of_samples a in
+      let p q = Diva_util.Stats.percentile q a in
+      same s.Slo.p50_us (p 50.0)
+      && same s.Slo.p99_us (p 99.0)
+      &&
+      match s.Slo.p999_us with
+      | Some v -> Array.length a >= Slo.min_p999_samples && same v (p 99.9)
+      | None -> Array.length a < Slo.min_p999_samples)
+
 (* ------------------------------------------------------------------ *)
 (* Phase schedule                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -453,4 +486,5 @@ let suite =
       test_engine_event_stream;
     Alcotest.test_case "sweep knee detection" `Quick test_sweep_knee;
     Alcotest.test_case "sweep json table" `Quick test_sweep_json;
+    QCheck_alcotest.to_alcotest prop_slo_one_sort;
   ]

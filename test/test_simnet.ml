@@ -88,6 +88,41 @@ let test_sim_alloc_gate () =
     Alcotest.failf "Sim allocates %.3f words per event, over the gate of 7"
       words
 
+(* Allocation gate for message delivery: 64 handler-to-handler send
+   chains on a 16x16 mesh with uniform destinations, [Network.Empty]
+   payloads of 64 B. Each message measures 34.02 minor words; the gate
+   sits at the next half word. *)
+let test_network_alloc_gate () =
+  let net = Network.create ~seed:5 ~rows:16 ~cols:16 () in
+  let n = Network.num_nodes net in
+  let rng = Diva_util.Prng.create ~seed:13 in
+  let ops = 20_000 and chains = 64 in
+  let left = ref (ops - chains) and delivered = ref 0 in
+  let other src = (src + 1 + Diva_util.Prng.int rng (n - 1)) mod n in
+  let handler net (m : Network.msg) =
+    incr delivered;
+    if !left > 0 then begin
+      decr left;
+      Network.send net ~src:m.Network.m_dst ~dst:(other m.Network.m_dst)
+        ~size:64 Network.Empty
+    end
+  in
+  for p = 0 to n - 1 do
+    Network.set_handler net p handler
+  done;
+  Sim.schedule (Network.sim net) 0.0 (fun () ->
+      for k = 0 to chains - 1 do
+        let src = k mod n in
+        Network.send net ~src ~dst:(other src) ~size:64 Network.Empty
+      done);
+  let w0 = Gc.minor_words () in
+  Network.run net;
+  let words = (Gc.minor_words () -. w0) /. float_of_int ops in
+  Alcotest.(check int) "every message delivered" ops !delivered;
+  if words > 34.5 then
+    Alcotest.failf
+      "Network allocates %.3f words per message, over the gate of 34.5" words
+
 let test_delivery_and_congestion () =
   let net = Network.create ~rows:1 ~cols:3 () in
   let got = ref [] in
@@ -437,4 +472,5 @@ let suite =
       test_recv_tag_where_exclusive;
     Alcotest.test_case "recv tag burst linear" `Quick test_recv_tag_burst_linear;
     Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff;
+    Alcotest.test_case "network allocation gate" `Quick test_network_alloc_gate;
   ]

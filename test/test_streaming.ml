@@ -152,18 +152,50 @@ let test_peak_residency_bounded () =
 (* JSONL trace format                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let roundtrip_event e =
-  let s = Json.to_string (Trace.event_to_json e) in
-  match Json.of_string s with
-  | Error err -> Alcotest.failf "reparse failed on %s: %s" s err
-  | Ok j -> (
-      match Streaming.event_of_json j with
-      | Error err -> Alcotest.failf "decode failed on %s: %s" s err
-      | Ok e' -> if e' <> e then Alcotest.failf "event drifted through %s" s)
+let encode e =
+  let b = Buffer.create 256 in
+  Trace.add_event b e;
+  Buffer.contents b
 
-(* Constructors a small fault-free run never emits, with every enum arm. *)
+(* An event line decodes to the event it encodes (and re-encodes to the
+   same bytes), and the reference tree-path decoder agrees. *)
+let roundtrip_event e =
+  let s = encode e in
+  match Streaming.event_of_line s with
+  | Error err -> Alcotest.failf "decode failed on %s: %s" s err
+  | Ok e' ->
+      if e' <> e then Alcotest.failf "event drifted through %s" s;
+      Alcotest.(check string) "re-encoded bytes" s (encode e');
+      if Event_ref.decode s <> Ok e' then
+        Alcotest.failf "reference decoder disagrees on %s" s
+
+(* Every constructor and every enum arm, with names that need escaping
+   and the float spellings the writer has: -0.0 (written as 0),
+   negative, integral at and above 1e15, and non-integral ones. *)
 let synthetic_events =
+  let dsm op hit =
+    Trace.Dsm_access
+      { ts = 10.0; dur = (if hit then 0.0 else 2.5); node = 1; var = 4;
+        var_name = "m4"; op; size = 64; hit; txn = (if hit then -1 else 8);
+        completed_by = (if hit then -1 else 3) }
+  in
   [
+    Trace.Msg_send
+      { ts = 0.1; id = 0; parent = -1; txn = -1; inject = 1e15; level = -1;
+        src = 0; dst = 3; size = 64; local = false };
+    Trace.Msg_send
+      { ts = -0.0; id = max_int; parent = min_int; txn = 7; inject = -2.5;
+        level = 2; src = 1; dst = 1; size = 0; local = true };
+    Trace.Msg_deliver
+      { ts = 123456789012345.0; id = 4; txn = 5; handled = 1.0 /. 3.0;
+        src = 0; dst = 3; size = 64 };
+    Trace.Link_xfer
+      { start = 2.0e15; finish = 2.0e15 +. 0.5; link = 6; msg = -1; txn = -1;
+        level = -1; src = 3; dst = 0; size = 0 };
+    Trace.Var_decl
+      { ts = 0.0; var = 0; var_name = "q\"uo\\te\n\t\001\031\127 \xc3\xa9/";
+        size = 8; owner = 2 };
+    Trace.Var_decl { ts = 1e300; var = 1; var_name = ""; size = 0; owner = 0 };
     Trace.Copy_add
       { ts = 1.5; node = 2; var = 0; var_name = "m0"; tnode = 4; level = 1 };
     Trace.Copy_drop
@@ -186,37 +218,33 @@ let synthetic_events =
         reason = Trace.Loss_crashed };
     Trace.Msg_retry
       { ts = 9.0; msg = 17; txn = 5; src = 0; dst = 3; size = 64; attempt = 2 };
-    Trace.Dsm_access
-      { ts = 10.0; dur = 0.0; node = 1; var = -1; var_name = ""; op = Trace.Lock;
-        size = 0; hit = false; txn = 8; completed_by = -1 };
-    Trace.Dsm_access
-      { ts = 11.0; dur = 2.5; node = 1; var = -1; var_name = ""; op = Trace.Unlock;
-        size = 0; hit = false; txn = 9; completed_by = 3 };
-    Trace.Dsm_access
-      { ts = 12.0; dur = 30.125; node = 0; var = -1; var_name = "";
-        op = Trace.Reduce; size = 8; hit = false; txn = 10; completed_by = 4 };
+    dsm Trace.Read true;
+    dsm Trace.Read false;
+    dsm Trace.Write false;
+    dsm Trace.Lock false;
+    dsm Trace.Unlock false;
+    dsm Trace.Barrier false;
+    dsm Trace.Reduce false;
   ]
 
 let test_event_codec_roundtrip () =
-  let sched =
-    Schedule.make ~seed:9
-      [ Schedule.Msg_drop { prob = 0.1; w = { t0 = 0.0; t1 = 1e9 } } ]
-  in
-  let _, events =
-    traced_events ~faults:sched (fun ~obs ~on_net ->
-        ignore
-          (Runner.run_matmul ~obs ~on_net ~rows:4 ~cols:4 ~block:64
-             (Runner.Strategy (Dsm.access_tree ~arity:4 ()))))
-  in
-  List.iter roundtrip_event events;
-  List.iter roundtrip_event synthetic_events
+  List.iter roundtrip_event synthetic_events;
+  (* -0.0 has one spelling, and non-integral floats print round-trip
+     exactly. *)
+  let line = encode (List.nth synthetic_events 1) in
+  Alcotest.(check bool) "-0.0 written as 0" true
+    (String.starts_with ~prefix:{|{"e":"send","ts":0,|} line);
+  match Streaming.event_of_line (encode (List.nth synthetic_events 2)) with
+  | Ok (Trace.Msg_deliver { handled; _ }) ->
+      Alcotest.(check bool) "1/3 bit for bit" true
+        (Int64.equal (Int64.bits_of_float handled)
+           (Int64.bits_of_float (1.0 /. 3.0)))
+  | _ -> Alcotest.fail "delivery did not decode"
 
 (* A damaged integer field must reject the line, not read back as a
    wrapped int. *)
 let test_event_rejects_out_of_range_int () =
-  let decode line =
-    Result.bind (Json.of_string line) Streaming.event_of_json
-  in
+  let decode = Streaming.event_of_line in
   let line id =
     Printf.sprintf
       "{\"e\":\"dlv\",\"ts\":1,\"id\":%s,\"txn\":0,\"h\":2,\"src\":0,\"dst\":1,\"sz\":8}"
@@ -234,6 +262,67 @@ let test_event_rejects_out_of_range_int () =
           Alcotest.(check string)
             ("error for " ^ id) "event: missing or malformed \"id\" field" e)
     [ "1e300"; "-9.3e18" ]
+
+(* The line grammar beyond what the writer emits: member order, padding,
+   unknown members of every JSON type, duplicates (the first wins),
+   escapes in names and values, and integral floats in int fields. Each
+   case is checked against its expected outcome and against the
+   reference tree-path decoder (the same event or the same error). *)
+let test_event_line_grammar () =
+  let want =
+    Trace.Msg_deliver
+      { ts = 1.0; id = 3; txn = 0; handled = 2.5; src = 0; dst = 1; size = 8 }
+  in
+  let check what expect line =
+    let got = Streaming.event_of_line line in
+    (match (expect, got) with
+    | Some e, Ok e' when e = e' -> ()
+    | None, Error _ -> ()
+    | _, Ok _ -> Alcotest.failf "%s: %S decoded to another outcome" what line
+    | _, Error err -> Alcotest.failf "%s: %S rejected: %s" what line err);
+    match (got, Event_ref.decode line) with
+    | Ok e, Ok e' when e = e' -> ()
+    | Error m, Error m' when m = m' -> ()
+    | _ -> Alcotest.failf "%s: %S: reference decoder disagrees" what line
+  in
+  let ok = Some want in
+  check "canonical" ok
+    {|{"e":"dlv","ts":1,"id":3,"txn":0,"h":2.5,"src":0,"dst":1,"sz":8}|};
+  check "reversed" ok
+    {|{"sz":8,"dst":1,"src":0,"h":2.5,"txn":0,"id":3,"ts":1,"e":"dlv"}|};
+  check "padded" ok
+    " \t{ \"e\" :\"dlv\" ,\"ts\":1 ,\n\"id\": 3,\"txn\":0,\"h\":2.5,\"src\":0,\"dst\":1,\"sz\":8 }\r\n ";
+  check "unknown members" ok
+    {|{"x":null,"e":"dlv","y":[1,{"a":[]},"s"],"ts":1,"z":{"q":"w\n"},"id":3,"b":true,"txn":0,"f2":-1.5e3,"h":2.5,"s":"str","src":0,"dst":1,"sz":8,"loc":false}|};
+  check "first duplicate wins" ok
+    {|{"e":"dlv","ts":1,"id":3,"txn":0,"h":2.5,"src":0,"dst":1,"sz":8,"id":4,"e":"send"}|};
+  check "malformed first duplicate" None
+    {|{"e":"dlv","ts":1,"id":"3","txn":0,"h":2.5,"src":0,"dst":1,"sz":8,"id":3}|};
+  check "escaped names and values" ok
+    {|{"\u0065":"d\u006cv","t\u0073":1,"id":3,"txn":0,"h":2.5,"src":0,"dst":1,"sz":8}|};
+  check "integral floats in int fields" ok
+    {|{"e":"dlv","ts":1,"id":3.0,"txn":0e0,"h":2.5,"src":-0.0,"dst":0.1e1,"sz":8}|};
+  check "non-integral int field" None
+    {|{"e":"dlv","ts":1,"id":3.5,"txn":0,"h":2.5,"src":0,"dst":1,"sz":8}|};
+  check "bool in an int field" None
+    {|{"e":"dlv","ts":1,"id":true,"txn":0,"h":2.5,"src":0,"dst":1,"sz":8}|};
+  check "null in a float field" None
+    {|{"e":"dlv","ts":null,"id":3,"txn":0,"h":2.5,"src":0,"dst":1,"sz":8}|};
+  check "string in a float field" None
+    {|{"e":"dlv","ts":"1","id":3,"txn":0,"h":2.5,"src":0,"dst":1,"sz":8}|};
+  check "missing field" None
+    {|{"e":"dlv","ts":1,"id":3,"txn":0,"h":2.5,"src":0,"dst":1}|};
+  check "trailing garbage" None
+    {|{"e":"dlv","ts":1,"id":3,"txn":0,"h":2.5,"src":0,"dst":1,"sz":8}x|};
+  List.iter (check "not an object" None)
+    [ "[1]"; "3"; {|"dlv"|}; "null"; "{}"; ""; "[1,"; {|""x|}; "tru" ];
+  Alcotest.(check (result reject string))
+    "field error text" (Error {|event: missing or malformed "sz" field|})
+    (Result.map ignore
+       (Streaming.event_of_line {|{"e":"dlv","ts":1,"id":3,"txn":0,"h":2,"src":0,"dst":1}|}));
+  Alcotest.(check (result reject string))
+    "tag error text" (Error {|event: unknown tag "dl"|})
+    (Result.map ignore (Streaming.event_of_line {|{"e":"dl"}|}))
 
 let sample_header () =
   Streaming.make_header
@@ -308,6 +397,40 @@ let test_offline_file_roundtrip () =
   Sys.remove padded;
   Sys.remove path
 
+(* A faulted run recorded through the file sink reads back through the
+   file reader as exactly the events the run emitted, including losses,
+   retransmissions and ack crossings (no send of their own: msg -1). *)
+let test_faulted_file_roundtrip () =
+  let sched =
+    Schedule.make ~seed:9
+      [ Schedule.Msg_drop { prob = 0.1; w = { t0 = 0.0; t1 = 1e9 } } ]
+  in
+  let path = Filename.temp_file "diva_events" ".jsonl" in
+  let oc = open_out_bin path in
+  let file = Streaming.file_sink oc (sample_header ()) in
+  let _, events =
+    traced_events ~faults:sched ~live:(Trace.emit file) (fun ~obs ~on_net ->
+        ignore
+          (Runner.run_matmul ~obs ~on_net ~rows:4 ~cols:4 ~block:64
+             (Runner.Strategy (Dsm.access_tree ~arity:4 ()))))
+  in
+  close_out oc;
+  let has p = List.exists p events in
+  Alcotest.(check bool) "trace has losses" true
+    (has (function Trace.Msg_lost _ -> true | _ -> false));
+  Alcotest.(check bool) "trace has retries" true
+    (has (function Trace.Msg_retry _ -> true | _ -> false));
+  Alcotest.(check bool) "trace has ack crossings" true
+    (has (function Trace.Link_xfer { msg = -1; _ } -> true | _ -> false));
+  let back = ref [] in
+  (match Streaming.iter_file path ~f:(fun e -> back := e :: !back) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "iter_file: %s" e);
+  Sys.remove path;
+  Alcotest.(check int) "event count" (List.length events) (List.length !back);
+  if List.rev !back <> events then
+    Alcotest.fail "events read back differ from the events emitted"
+
 (* Golden file: the JSONL encoding of a fixed small run must stay
    byte-for-byte stable (regenerate with test/gen_golden.exe after an
    intentional format change). *)
@@ -323,15 +446,7 @@ let test_events_golden () =
     (Runner.run_matmul ~seed:17 ~rows:2 ~cols:2 ~block:64
        ~obs:{ Runner.null_obs with Runner.obs_trace = tr }
        (Runner.Strategy (Dsm.access_tree ~arity:4 ())));
-  let b = Buffer.create 65536 in
-  Buffer.add_string b (Json.to_string (Streaming.header_json (golden_header ())));
-  Buffer.add_char b '\n';
-  List.iter
-    (fun e ->
-      Buffer.add_string b (Json.to_string (Trace.event_to_json e));
-      Buffer.add_char b '\n')
-    (Trace.events tr);
-  let got = Buffer.contents b in
+  let got = Helpers.trace_file_bytes (golden_header ()) (Trace.events tr) in
   let path = "data/golden_events_2x2.jsonl" in
   let ic = open_in_bin path in
   let want = really_input_string ic (in_channel_length ic) in
@@ -356,6 +471,52 @@ let test_windows_capped () =
       Alcotest.(check int) "windows at the cap" cap (List.length s.Analysis.sm_windows)
   | _ -> Alcotest.fail "analyze_file must reject only counts above the cap"
 
+(* Hostile input: every prefix of every golden trace line, and every
+   single-byte replacement from an alphabet of JSON's structural and
+   numeric characters, decodes without raising, and exactly as the
+   reference tree-path decoder does: the same event, or the same
+   error. *)
+let test_line_decoder_hostile () =
+  let lines =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun f ->
+           if String.starts_with ~prefix:"golden_events_2x2" f then
+             String.split_on_char '\n'
+               (In_channel.with_open_bin (Filename.concat "data" f)
+                  In_channel.input_all)
+           else [])
+         (Array.to_list (Sys.readdir "data")))
+  in
+  let checked = ref 0 in
+  let agree what s =
+    incr checked;
+    match (Streaming.event_of_line s, Event_ref.decode s) with
+    | Ok e, Ok e' when e = e' -> ()
+    | Error m, Error m' when m = m' -> ()
+    | _ -> Alcotest.failf "%s %S: decoders disagree" what s
+    | exception exn ->
+        Alcotest.failf "%s %S raised %s" what s (Printexc.to_string exn)
+  in
+  List.iter
+    (fun line ->
+      for n = 0 to String.length line do
+        agree "prefix" (String.sub line 0 n)
+      done;
+      String.iteri
+        (fun i c ->
+          List.iter
+            (fun c' ->
+              if c' <> c then begin
+                let b = Bytes.of_string line in
+                Bytes.set b i c';
+                agree "mutant" (Bytes.to_string b)
+              end)
+            [ '"'; '\\'; '{'; '}'; ','; ':'; '-'; '.'; 'e'; '0'; ' '; '\000' ])
+        line)
+    lines;
+  Alcotest.(check bool) "inputs checked" true (!checked > 100_000)
+
 let suite =
   [
     Alcotest.test_case "streaming = batch (apps x strategies)" `Quick
@@ -374,4 +535,9 @@ let suite =
       test_offline_file_roundtrip;
     Alcotest.test_case "events golden file" `Quick test_events_golden;
     Alcotest.test_case "window count is capped" `Quick test_windows_capped;
+    Alcotest.test_case "faulted run file round-trip" `Quick
+      test_faulted_file_roundtrip;
+    Alcotest.test_case "line decoder on hostile input" `Quick
+      test_line_decoder_hostile;
+    Alcotest.test_case "event line grammar" `Quick test_event_line_grammar;
   ]

@@ -25,8 +25,13 @@ let traced_obs () =
   (tr, { Runner.null_obs with Runner.obs_trace = tr })
 
 let event_lines events =
-  String.concat ""
-    (List.map (fun e -> Json.to_string (Trace.event_to_json e) ^ "\n") events)
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun e ->
+      Trace.add_event b e;
+      Buffer.add_char b '\n')
+    events;
+  Buffer.contents b
 
 let data_op = function
   | Trace.Dsm_access { op = Trace.Read | Trace.Write; _ } -> true
@@ -165,10 +170,7 @@ let test_trace_roundtrip () =
   let header =
     gcel_header ~app:"workload" ~dims:[| 2; 2 |] ~strategy:"4-ary" ~seed:5 ()
   in
-  let text =
-    Json.to_string (Streaming.header_json header) ^ "\n" ^ event_lines events
-  in
-  with_temp_file text (fun path ->
+  with_temp_file (Helpers.trace_file_bytes header events) (fun path ->
       (match Streaming.probe path with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("probe: " ^ e));
@@ -430,8 +432,7 @@ let test_golden_trace () =
   in
   Alcotest.(check string) "regenerated trace matches the committed golden"
     golden
-    (Json.to_string (Streaming.header_json header) ^ "\n"
-    ^ event_lines t.Replay.events);
+    (Helpers.trace_file_bytes header t.Replay.events);
   let tr =
     match Replay.read golden_path with
     | Ok t -> t
