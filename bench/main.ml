@@ -33,10 +33,10 @@ let banner name = Printf.printf "\n==== %s ====\n%!" name
 (* ------------------------------------------------------------------ *)
 
 let matmul_row ~q ~block strategies =
-  let hand = Runner.run_matmul ~rows:q ~cols:q ~block Runner.Hand_optimized in
+  let hand = Runner.run_matmul ~dims:[| q; q |] ~block Runner.Hand_optimized in
   let strats =
     List.map
-      (fun (n, s) -> (n, Runner.run_matmul ~rows:q ~cols:q ~block (Runner.Strategy s)))
+      (fun (n, s) -> (n, Runner.run_matmul ~dims:[| q; q |] ~block (Runner.Strategy s)))
       strategies
   in
   (hand, strats)
@@ -85,10 +85,10 @@ let fig4 () =
 (* ------------------------------------------------------------------ *)
 
 let bitonic_row ~rows:r ~cols:c ~keys strategies =
-  let hand = Runner.run_bitonic ~rows:r ~cols:c ~keys Runner.Hand_optimized in
+  let hand = Runner.run_bitonic ~dims:[| r; c |] ~keys Runner.Hand_optimized in
   let strats =
     List.map
-      (fun (n, s) -> (n, Runner.run_bitonic ~rows:r ~cols:c ~keys (Runner.Strategy s)))
+      (fun (n, s) -> (n, Runner.run_bitonic ~dims:[| r; c |] ~keys (Runner.Strategy s)))
       strategies
   in
   (hand, strats)
@@ -161,7 +161,7 @@ let bh_run ~q ~n strategy =
   | Some r -> r
   | None ->
       let cfg = Barnes_hut.default_config ~nbodies:n in
-      let r = Runner.run_barnes_hut ~rows:q ~cols:q ~cfg strategy in
+      let r = Runner.run_barnes_hut ~dims:[| q; q |] ~cfg strategy in
       Hashtbl.add bh_cache (q, n, strategy) r;
       r
 
@@ -227,7 +227,7 @@ let fig11 () =
         ( Printf.sprintf "%dx%d (N=%d)" r cl n,
           List.map
             (fun (sn, s) ->
-              let res = Runner.run_barnes_hut ~rows:r ~cols:cl ~cfg s in
+              let res = Runner.run_barnes_hut ~dims:[| r; cl |] ~cfg s in
               (sn, res.Runner.bh_total))
             strategies ))
       meshes
@@ -309,7 +309,7 @@ let combining_ablation () =
   let n = if !paper_scale then 10000 else 2000 in
   let cfg = Barnes_hut.default_config ~nbodies:n in
   let run comb =
-    (Runner.run_barnes_hut ~rows:16 ~cols:16 ~cfg
+    (Runner.run_barnes_hut ~dims:[| 16; 16 |] ~cfg
        (Dsm.access_tree ~arity:4 ~combining:comb ()))
       .Runner.bh_phase Barnes_hut.Build
   in
@@ -333,7 +333,7 @@ let remapping_ablation () =
       | None -> Dsm.access_tree ~arity:4 ()
       | Some th -> Dsm.access_tree ~arity:4 ~remap_threshold:th ()
     in
-    (Runner.run_barnes_hut ~rows:16 ~cols:16 ~cfg s).Runner.bh_total
+    (Runner.run_barnes_hut ~dims:[| 16; 16 |] ~cfg s).Runner.bh_total
   in
   let tbl =
     Table.create ~header:[ "remapping"; "cong(msg)"; "time(s)" ]
@@ -360,7 +360,7 @@ let replacement_ablation () =
       | None -> Dsm.access_tree ~arity:2 ()
       | Some c -> Dsm.access_tree ~arity:2 ~capacity:c ()
     in
-    (Runner.run_barnes_hut ~rows:8 ~cols:8 ~cfg s).Runner.bh_total
+    (Runner.run_barnes_hut ~dims:[| 8; 8 |] ~cfg s).Runner.bh_total
   in
   let tbl =
     Table.create ~header:[ "memory"; "cong(msg)"; "time(s)"; "evictions" ]
@@ -389,7 +389,7 @@ let dimensions_ablation () =
     (fun (label, dims) ->
       List.iter
         (fun (sn, s) ->
-          let r = (Runner.run_barnes_hut_nd ~dims ~cfg s).Runner.bh_total in
+          let r = (Runner.run_barnes_hut ~dims ~cfg s).Runner.bh_total in
           Table.add_row tbl
             [ label; sn; string_of_int r.Runner.congestion_msgs;
               Table.fstr (r.Runner.time /. 1e6) ])
@@ -510,7 +510,7 @@ let fault_degradation () =
             Runner.run_matmul ~seed:3
               ~obs:{ Runner.null_obs with Runner.obs_faults = sched }
               ~on_net:(fun net -> captured := Network.faults net)
-              ~rows:8 ~cols:8 ~block:256 s
+              ~dims:[| 8; 8 |] ~block:256 s
           in
           let lost, retx =
             match !captured with
@@ -551,7 +551,7 @@ let prof_overhead_measure () =
   in
   let bare () =
     timed (fun () ->
-        ignore (Runner.run_matmul ~rows:24 ~cols:24 ~block:256 fourary))
+        ignore (Runner.run_matmul ~dims:[| 24; 24 |] ~block:256 fourary))
   in
   let profiled () =
     (* Disarm after timing: to_json is never called here, and a profiler
@@ -560,7 +560,7 @@ let prof_overhead_measure () =
     let obs = { Runner.null_obs with Runner.obs_prof = Some p } in
     let r =
       timed (fun () ->
-          ignore (Runner.run_matmul ~obs ~rows:24 ~cols:24 ~block:256 fourary))
+          ignore (Runner.run_matmul ~obs ~dims:[| 24; 24 |] ~block:256 fourary))
     in
     Diva_obs.Prof.disarm p;
     r
@@ -651,7 +651,7 @@ let shootout =
        ( ("matmul", mesh),
          each (fun s ->
              let block = if !paper_scale then 1024 else 256 in
-             Runner.run_matmul ~rows:q ~cols:q ~block (Runner.Strategy s)) );
+             Runner.run_matmul ~dims:[| q; q |] ~block (Runner.Strategy s)) );
        ( ("barnes-hut", "8x8"),
          each (fun s -> (bh_run ~q:8 ~n:1000 s).Runner.bh_total) );
        ( ("workload", "zipf-cap"),
@@ -744,7 +744,7 @@ let bench_doc () =
           Obj
             (List.map
                (fun (sn, s) ->
-                 (sn, fields (Runner.run_matmul ~rows:q ~cols:q ~block s)))
+                 (sn, fields (Runner.run_matmul ~dims:[| q; q |] ~block s)))
                strategies) ))
       [ 4; 8; 16 ]
   in
@@ -755,7 +755,7 @@ let bench_doc () =
           Obj
             (List.map
                (fun (sn, s) ->
-                 (sn, fields (Runner.run_bitonic ~rows:q ~cols:q ~keys s)))
+                 (sn, fields (Runner.run_bitonic ~dims:[| q; q |] ~keys s)))
                strategies) ))
       [ 4; 8; 16 ]
   in

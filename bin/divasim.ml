@@ -18,9 +18,8 @@ module Runner = Diva_harness.Runner
 module Barnes_hut = Diva_apps.Barnes_hut
 module Embedding = Diva_mesh.Embedding
 module Workload = Diva_workload
-module Network = Diva_simnet.Network
-module Faults = Diva_faults.Faults
 module Fault_schedule = Diva_faults.Schedule
+module Run_spec = Diva_run.Run_spec
 open Cmdliner
 
 let parse_mesh s =
@@ -136,33 +135,12 @@ let note_serial ~what domains =
        serially, --domains %d has no effect here\n"
       what domains
 
-let heatmap_t =
-  Arg.(
-    value & flag
-    & info [ "heatmap" ] ~doc:"Print the per-node traffic distribution.")
-
-let on_net_of heatmap =
-  if heatmap then
-    Some (fun net -> print_string (Diva_harness.Heatmap.render net))
-  else None
-
 (* ------------------------------------------------------------------ *)
 (* Observability artifacts                                             *)
 (* ------------------------------------------------------------------ *)
 
-type obs_opts = {
-  trace_file : string option;
-  metrics_file : string option;
-  prom_file : string option;
-  manifest_file : string option;
-  events_file : string option;
-  prof_file : string option;
-  flight_file : string option;
-  ticker : bool;
-  sample_us : float;
-  fault_sched : Fault_schedule.t;
-}
-
+(* The artifact flags every single-run command shares, parsed into the
+   executor's outputs plus the run's fault schedule. *)
 let obs_opts_t =
   let trace =
     Arg.(
@@ -287,39 +265,33 @@ let obs_opts_t =
              travel in a reliable ack/retry envelope while faults are \
              active; the run report gains a $(b,faults) section.")
   in
+  let heatmap =
+    Arg.(
+      value & flag
+      & info [ "heatmap" ] ~doc:"Print the per-node traffic distribution.")
+  in
   let mk trace_file metrics_file prom_file manifest_file events_file prof_file
-      flight_file ticker sample_us fault_sched =
-    { trace_file; metrics_file; prom_file; manifest_file; events_file;
-      prof_file; flight_file; ticker; sample_us; fault_sched }
+      flight_file ticker sample_us faults heatmap =
+    ( { Run_spec.trace_file; metrics_file; prom_file; manifest_file;
+        events_file; prof_file; flight_file; ticker; sample_us; heatmap;
+        phases = false },
+      faults )
   in
   Term.(
     const mk $ trace $ metrics $ prom $ manifest $ events $ prof $ flight
-    $ ticker $ sample $ faults)
+    $ ticker $ sample $ faults $ heatmap)
 
-(* Fail on an unwritable artifact destination before the (possibly long)
-   simulation runs, not after. *)
-let preflight oo =
-  let check = function
-    | Some path ->
-        let dir = Filename.dirname path in
-        if not (Sys.file_exists dir && Sys.is_directory dir) then (
-          Printf.eprintf "divasim: cannot write %s: %s is not a directory\n"
-            path dir;
-          exit 1)
-    | None -> ()
-  in
-  check oo.trace_file;
-  check oo.metrics_file;
-  check oo.prom_file;
-  check oo.manifest_file;
-  check oo.events_file;
-  check oo.prof_file;
-  check oo.flight_file
+let fail msg =
+  Printf.eprintf "divasim: %s\n" msg;
+  exit 1
 
-let machine_overheads (m : Diva_simnet.Machine.t) =
-  { Diva_obs.Analysis.send_overhead = m.Diva_simnet.Machine.send_overhead;
-    recv_overhead = m.Diva_simnet.Machine.recv_overhead;
-    local_overhead = m.Diva_simnet.Machine.local_overhead }
+(* Check, run and report one run; a rejected run or an unwritable
+   artifact is an error message and exit 1. *)
+let execute ?analyze out spec =
+  Result.iter_error fail (Run_spec.execute ?analyze out spec)
+
+let spec app dims strategy seed faults =
+  { Run_spec.app; dims; strategy; seed; faults }
 
 (* An event-trace argument ([--offline], [--replay]): existence and header
    (format + version) are validated at argument-parse time; the body
@@ -333,183 +305,7 @@ let trace_file_conv =
   Arg.conv (parse, fun ppf s -> Format.fprintf ppf "%s" s)
 
 let read_replay path =
-  match Workload.Replay.read path with
-  | Ok t -> t
-  | Error e ->
-      Printf.eprintf "divasim: %s\n" e;
-      exit 1
-
-(* The run's armed flight recorder, if any — the uncaught-exception dump
-   in [main] needs a way to reach it after the command function has blown
-   through the stack. *)
-let armed_flight : Diva_obs.Flight.t option ref = ref None
-
-(* [--events] streams each event to disk as it is emitted, so the header
-   (app, mesh, strategy, seed, machine overheads) must be known before the
-   run; the runners always simulate the GCel machine model. When the
-   Chrome trace needs the in-memory event list too, the sink tees; with
-   [--events] alone, recording costs O(1) memory. *)
-let make_obs oo ~app ~dims ~strategy ~seed ~params =
-  preflight oo;
-  let buffering = oo.trace_file <> None in
-  let trace, events_oc =
-    match oo.events_file with
-    | None ->
-        ( (if buffering then Diva_obs.Trace.create () else Diva_obs.Trace.null),
-          None )
-    | Some path ->
-        let oc = open_out path in
-        let header =
-          Diva_obs.Streaming.make_header ~params ~app ~dims ~strategy ~seed
-            ~overheads:(machine_overheads Diva_simnet.Machine.gcel) ()
-        in
-        Diva_obs.Streaming.write_header oc header;
-        let write = Diva_obs.Trace.write_event oc in
-        ( (if buffering then Diva_obs.Trace.tee write
-           else Diva_obs.Trace.stream write),
-          Some oc )
-  in
-  (* The flight recorder must wrap the sink BEFORE anyone stores it:
-     [Trace.with_listener] returns a fresh sink, so wrapping later would
-     leave artifact writers reading the unwrapped (empty) one. *)
-  let flight =
-    match oo.flight_file with
-    | None -> None
-    | Some path ->
-        let fl = Diva_obs.Flight.create ~path () in
-        armed_flight := Some fl;
-        Some fl
-  in
-  let trace =
-    match flight with
-    | Some fl -> Diva_obs.Flight.wrap fl trace
-    | None -> trace
-  in
-  let prof =
-    if oo.prof_file = None && not oo.ticker then None
-    else begin
-      let p = Diva_obs.Prof.create () in
-      if oo.ticker then
-        Diva_obs.Prof.set_ticker p (fun line ->
-            Printf.eprintf "\r%-78s%!" line);
-      Some p
-    end
-  in
-  ( {
-      Runner.obs_trace = trace;
-      obs_metrics =
-        (match (oo.metrics_file, oo.prom_file) with
-        | None, None -> None
-        | _ -> Some (Diva_obs.Metrics.create ()));
-      obs_sample_interval = oo.sample_us;
-      obs_faults = oo.fault_sched;
-      obs_prof = prof;
-      obs_flight = flight;
-    },
-    events_oc )
-
-(* The fault injector lives on the network, which the runners create and
-   discard internally; the [on_net] hook (also used for the heatmap) runs
-   after completion and is our one chance to capture it. *)
-let capture_faults heatmap =
-  let captured = ref None in
-  let user = on_net_of heatmap in
-  let on_net net =
-    captured := Network.faults net;
-    match user with Some f -> f net | None -> ()
-  in
-  (on_net, captured)
-
-let print_faults = function
-  | None -> ()
-  | Some f ->
-      Printf.printf
-        "faults               %d lost (%d drop, %d down, %d crash), %d \
-         retransmits, %d reissues\n"
-        (Faults.lost_total f) (Faults.lost_random f) (Faults.lost_link_down f)
-        (Faults.lost_crashed f) (Faults.retransmits f) (Faults.dsm_reissues f)
-
-let fault_json = function
-  | None -> []
-  | Some f -> [ ("faults", Diva_obs.Json.Obj (Faults.report_fields f)) ]
-
-let write_text path s =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
-
-let write_artifacts oo (obs : Runner.obs) ~events_oc ~app ~dims ~strategy ~seed
-    ~params ~measurements =
-  try
-    if oo.ticker then prerr_newline ();
-    (* to_json disarms the sampler; compute the document once and reuse it
-       for prof.json and the Perfetto counter tracks. *)
-    let prof_doc =
-      Option.map Diva_obs.Prof.to_json obs.Runner.obs_prof
-    in
-    (match (oo.events_file, events_oc) with
-    | Some path, Some oc ->
-        close_out oc;
-        Printf.printf "events   -> %s (%d events)\n" path
-          (Diva_obs.Trace.count obs.Runner.obs_trace)
-    | _ -> ());
-    let manifest () =
-      Diva_obs.Manifest.make ~app ~dims ~strategy ~seed ~params ~measurements
-    in
-    (match oo.trace_file with
-    | Some path ->
-        Diva_obs.Chrome_trace.write_file ~path
-          ~num_nodes:(Array.fold_left ( * ) 1 dims)
-          ~metadata:[ ("diva", manifest ()) ]
-          ?prof:prof_doc
-          (Diva_obs.Trace.events obs.Runner.obs_trace);
-        Printf.printf "trace    -> %s (%d events)\n" path
-          (Diva_obs.Trace.count obs.Runner.obs_trace)
-    | None -> ());
-    (match (oo.metrics_file, obs.Runner.obs_metrics) with
-    | Some path, Some m ->
-        if Filename.check_suffix path ".json" then
-          Diva_obs.Json.to_file path (Diva_obs.Metrics.to_json m)
-        else write_text path (Diva_obs.Metrics.to_csv m);
-        Printf.printf "metrics  -> %s (%d samples)\n" path
-          (Diva_obs.Metrics.num_rows m)
-    | _ -> ());
-    (match (oo.prom_file, obs.Runner.obs_metrics) with
-    | Some path, Some m ->
-        write_text path
-          (Diva_obs.Metrics.to_prometheus
-             ~labels:[ ("app", app); ("strategy", strategy) ]
-             m);
-        Printf.printf "prom     -> %s\n" path
-    | _ -> ());
-    (match (oo.prof_file, prof_doc) with
-    | Some path, Some doc ->
-        Diva_obs.Json.to_file path doc;
-        Printf.printf "prof     -> %s\n" path
-    | _ -> ());
-    match oo.manifest_file with
-    | Some path ->
-        Diva_obs.Json.to_file path (manifest ());
-        Printf.printf "manifest -> %s\n" path
-    | None -> ()
-  with Sys_error e ->
-    Printf.eprintf "divasim: %s\n" e;
-    exit 1
-
-let print_measurements (m : Runner.measurements) =
-  Printf.printf "time                 %.3f s\n" (m.Runner.time /. 1e6);
-  Printf.printf "congestion           %d messages / %d bytes\n"
-    m.Runner.congestion_msgs m.Runner.congestion_bytes;
-  Printf.printf "total load           %d messages / %d bytes\n"
-    m.Runner.total_msgs m.Runner.total_bytes;
-  Printf.printf "startups             %d\n" m.Runner.startups;
-  Printf.printf "max local compute    %.3f s\n" (m.Runner.max_compute /. 1e6);
-  if m.Runner.dsm_reads > 0 then
-    Printf.printf "reads / cache hits   %d / %d (%.1f%%)\n" m.Runner.dsm_reads
-      m.Runner.dsm_read_hits
-      (100.0 *. float_of_int m.Runner.dsm_read_hits
-      /. float_of_int (max 1 m.Runner.dsm_reads));
-  if m.Runner.evictions > 0 then
-    Printf.printf "LRU evictions        %d\n" m.Runner.evictions
+  Result.fold ~ok:Fun.id ~error:fail (Workload.Replay.read path)
 
 let matmul_cmd =
   let block =
@@ -518,63 +314,26 @@ let matmul_cmd =
   let compute =
     Arg.(value & flag & info [ "compute" ] ~doc:"Include block arithmetic.")
   in
-  let run dims strategy block compute seed heatmap oo domains =
+  let run dims strategy block compute seed (out, faults) domains =
     note_serial ~what:"matmul" domains;
-    match dims with
-    | [| rows; cols |] when rows = cols ->
-        let params =
-          [ ("block", Diva_obs.Json.Int block);
-            ("compute", Diva_obs.Json.Bool compute) ]
-        in
-        let obs, events_oc =
-          make_obs oo ~app:"matmul" ~dims ~strategy:(Runner.name strategy)
-            ~seed ~params
-        in
-        let on_net, faults = capture_faults heatmap in
-        let m =
-          Runner.run_matmul ~seed ~obs ~on_net ~rows ~cols ~block ~compute
-            strategy
-        in
-        Printf.printf "matmul %dx%d, block %d, strategy %s\n" rows cols block
-          (Runner.name strategy);
-        print_measurements m;
-        print_faults !faults;
-        write_artifacts oo obs ~events_oc ~app:"matmul" ~dims
-          ~strategy:(Runner.name strategy) ~seed ~params
-          ~measurements:(Runner.measurement_fields m @ fault_json !faults)
-    | _ -> failwith "matmul needs a square 2-D mesh"
+    execute out (spec (Matmul { block; compute }) dims strategy seed faults)
   in
   Cmd.v (Cmd.info "matmul" ~doc:"Matrix squaring (paper 3.1)")
     Term.(
-      const run $ mesh_t $ strategy_t $ block $ compute $ seed_t $ heatmap_t
-      $ obs_opts_t $ domains_t)
+      const run $ mesh_t $ strategy_t $ block $ compute $ seed_t $ obs_opts_t
+      $ domains_t)
 
 let bitonic_cmd =
   let keys =
     Arg.(value & opt int 4096 & info [ "keys" ] ~doc:"Keys per processor.")
   in
-  let run dims strategy keys seed heatmap oo domains =
+  let run dims strategy keys seed (out, faults) domains =
     note_serial ~what:"bitonic" domains;
-    let params = [ ("keys", Diva_obs.Json.Int keys) ] in
-    let obs, events_oc =
-      make_obs oo ~app:"bitonic" ~dims ~strategy:(Runner.name strategy) ~seed
-        ~params
-    in
-    let on_net, faults = capture_faults heatmap in
-    let m = Runner.run_bitonic_nd ~seed ~obs ~on_net ~dims ~keys strategy in
-    Printf.printf "bitonic %s, %d keys/proc, strategy %s\n"
-      (String.concat "x" (List.map string_of_int (Array.to_list dims)))
-      keys (Runner.name strategy);
-    print_measurements m;
-    print_faults !faults;
-    write_artifacts oo obs ~events_oc ~app:"bitonic" ~dims
-      ~strategy:(Runner.name strategy) ~seed ~params
-      ~measurements:(Runner.measurement_fields m @ fault_json !faults)
+    execute out (spec (Bitonic { keys }) dims strategy seed faults)
   in
   Cmd.v (Cmd.info "bitonic" ~doc:"Bitonic sorting (paper 3.2)")
     Term.(
-      const run $ mesh_t $ strategy_t $ keys $ seed_t $ heatmap_t $ obs_opts_t
-      $ domains_t)
+      const run $ mesh_t $ strategy_t $ keys $ seed_t $ obs_opts_t $ domains_t)
 
 let nbody_cmd =
   let bodies =
@@ -587,61 +346,23 @@ let nbody_cmd =
   let phases =
     Arg.(value & flag & info [ "phases" ] ~doc:"Print the per-phase breakdown.")
   in
-  let run dims strategy bodies steps theta phases seed heatmap oo domains =
+  let run dims strategy bodies steps theta phases seed (out, faults) domains =
     note_serial ~what:"nbody" domains;
-    let strategy =
-      match strategy with
-      | Runner.Strategy s -> s
-      | Runner.Hand_optimized ->
-          failwith "no hand-optimized baseline exists for Barnes-Hut"
-    in
     let cfg =
       { (Barnes_hut.default_config ~nbodies:bodies) with
         Barnes_hut.steps; theta }
     in
-    let params =
-      [ ("bodies", Diva_obs.Json.Int bodies);
-        ("steps", Diva_obs.Json.Int steps);
-        ("theta", Diva_obs.Json.Float theta) ]
-    in
-    let obs, events_oc =
-      make_obs oo ~app:"barnes-hut" ~dims
-        ~strategy:(Dsm.strategy_name strategy) ~seed ~params
-    in
-    let on_net, faults = capture_faults heatmap in
-    let r = Runner.run_barnes_hut_nd ~seed ~obs ~on_net ~dims ~cfg strategy in
-    Printf.printf "barnes-hut %s, %d bodies, theta %.2f, strategy %s\n"
-      (String.concat "x" (List.map string_of_int (Array.to_list dims)))
-      bodies theta
-      (Dsm.strategy_name strategy);
-    Printf.printf "-- measured steps, all phases --\n";
-    print_measurements r.Runner.bh_total;
-    print_faults !faults;
-    if phases then
-      List.iter
-        (fun ph ->
-          Printf.printf "-- phase: %s --\n" (Barnes_hut.phase_name ph);
-          print_measurements (r.Runner.bh_phase ph))
-        [ Barnes_hut.Build; Barnes_hut.Com; Barnes_hut.Partition;
-          Barnes_hut.Force; Barnes_hut.Advance; Barnes_hut.Space ];
-    write_artifacts oo obs ~events_oc ~app:"barnes-hut" ~dims
-      ~strategy:(Dsm.strategy_name strategy) ~seed ~params
-      ~measurements:
-        (Runner.measurement_fields r.Runner.bh_total @ fault_json !faults)
+    execute { out with phases }
+      (spec (Barnes_hut cfg) dims strategy seed faults)
   in
   Cmd.v (Cmd.info "nbody" ~doc:"Barnes-Hut N-body simulation (paper 3.3)")
     Term.(
       const run $ mesh_t $ strategy_t $ bodies $ steps $ theta $ phases
-      $ seed_t $ heatmap_t $ obs_opts_t $ domains_t)
+      $ seed_t $ obs_opts_t $ domains_t)
 
 (* ------------------------------------------------------------------ *)
 (* analyze: span trees, critical path, congestion profiles             *)
 (* ------------------------------------------------------------------ *)
-
-let require_dsm_strategy = function
-  | Runner.Strategy s -> s
-  | Runner.Hand_optimized ->
-      failwith "this command drives the DSM: pick a DSM strategy"
 
 let analyze_cmd =
   let app_t =
@@ -747,186 +468,41 @@ let analyze_cmd =
             "Print a per-node traffic heatmap for each time window \
              (time-lapse of where the congestion sits).")
   in
-  let mesh_str dims =
-    String.concat "x" (List.map string_of_int (Array.to_list dims))
-  in
-  let analysis_meta ~app ~dims ~strategy ~seed ~params =
-    [ ("app", Diva_obs.Json.String app);
-      ("dims",
-       Diva_obs.Json.List
-         (List.map (fun d -> Diva_obs.Json.Int d) (Array.to_list dims)));
-      ("strategy", Diva_obs.Json.String strategy);
-      ("seed", Diva_obs.Json.Int seed) ]
-    @ params
-  in
-  let write_analysis_json path meta summary =
-    try
-      Diva_obs.Json.to_file path
-        (Diva_obs.Analysis.summary_to_json ~meta summary);
-      Printf.printf "\nanalysis -> %s\n" path
-    with Sys_error e ->
-      Printf.eprintf "divasim: %s\n" e;
-      exit 1
-  in
-  let render_snapshots mesh windows =
-    List.iter
-      (fun w ->
-        print_newline ();
-        print_string
-          (Diva_harness.Heatmap.render_grid mesh
-             ~label:
-               (Printf.sprintf "window %.0f-%.0f us"
-                  w.Diva_obs.Analysis.w_start w.Diva_obs.Analysis.w_finish)
-             (Diva_harness.Heatmap.nodes_of_link_values mesh
-                w.Diva_obs.Analysis.w_link_bytes)))
-      windows
-  in
-  let run dims strategy app block keys bodies steps input events top wins
-      json_out snapshots seed domains =
+  let run dims strategy app block keys bodies steps input events top windows
+      json snapshots seed domains =
     note_serial ~what:"analyze (trace re-simulation)" domains;
+    let analyze = { Run_spec.top; windows; json; snapshots } in
+    let out = { Run_spec.no_outputs with events_file = events } in
+    let empty = Fault_schedule.empty in
     match input with
     | `Offline path -> (
-        (match events with
-        | Some _ ->
-            Printf.eprintf
-              "divasim: --events records a live run; --offline already has \
-               one\n";
-            exit 1
-        | None -> ());
+        if events <> None then
+          fail "--events records a live run; --offline already has one";
+        Result.iter_error fail (Run_spec.preflight [ json ]);
         match
-          Diva_obs.Streaming.analyze_file ~top_k:top ~num_windows:wins path
+          Diva_obs.Streaming.analyze_file ~top_k:top ~num_windows:windows path
         with
-        | Error e ->
-            Printf.eprintf "divasim: %s\n" e;
-            exit 1
-        | Ok (h, summary, peak) ->
-            Printf.printf "analyze %s, %s mesh, strategy %s, seed %d\n"
-              h.Diva_obs.Streaming.h_app
-              (mesh_str h.Diva_obs.Streaming.h_dims)
-              h.Diva_obs.Streaming.h_strategy h.Diva_obs.Streaming.h_seed;
-            Printf.printf
-              "offline: %s (%s v%d), peak residency %d message records\n\n"
-              path Diva_obs.Streaming.format_name
-              h.Diva_obs.Streaming.h_version peak;
-            print_string (Diva_obs.Analysis.render_summary summary);
-            if snapshots then
-              render_snapshots
-                (Diva_mesh.Mesh.create_nd ~dims:h.Diva_obs.Streaming.h_dims)
-                summary.Diva_obs.Analysis.sm_windows;
-            (match json_out with
-            | Some jpath ->
-                write_analysis_json jpath
-                  (analysis_meta ~app:h.Diva_obs.Streaming.h_app
-                     ~dims:h.Diva_obs.Streaming.h_dims
-                     ~strategy:h.Diva_obs.Streaming.h_strategy
-                     ~seed:h.Diva_obs.Streaming.h_seed
-                     ~params:h.Diva_obs.Streaming.h_params)
-                  summary
-            | None -> ()))
-    | (`Replay _ | `Inline) as input ->
-        (* App, mesh and parameters are resolved before the run so the
-           --events trace header can be written up front. *)
-        let app_name, dims, params, go =
-          match input with
-          | `Replay path ->
-              let tr = read_replay path in
-              let s = require_dsm_strategy strategy in
-              ( "replay",
-                tr.Workload.Replay.dims,
-                [ ("replay", Diva_obs.Json.String path) ],
-                fun obs on_net ->
-                  ignore
-                    (Workload.Replay.run ~obs ~on_net ~seed
-                       ~mode:Workload.Replay.Closed_loop ~strategy:s tr) )
-          | `Inline -> (
-              match app with
-              | `Matmul -> (
-                  match dims with
-                  | [| rows; cols |] when rows = cols ->
-                      ( "matmul",
-                        dims,
-                        [ ("block", Diva_obs.Json.Int block) ],
-                        fun obs on_net ->
-                          ignore
-                            (Runner.run_matmul ~seed ~obs ~on_net ~rows ~cols
-                               ~block strategy) )
-                  | _ -> failwith "matmul needs a square 2-D mesh")
-              | `Bitonic ->
-                  ( "bitonic",
-                    dims,
-                    [ ("keys", Diva_obs.Json.Int keys) ],
-                    fun obs on_net ->
-                      ignore
-                        (Runner.run_bitonic_nd ~seed ~obs ~on_net ~dims ~keys
-                           strategy) )
-              | `Nbody ->
-                  let s = require_dsm_strategy strategy in
-                  let cfg =
-                    { (Barnes_hut.default_config ~nbodies:bodies) with
-                      Barnes_hut.steps }
-                  in
-                  ( "barnes-hut",
-                    dims,
-                    [ ("bodies", Diva_obs.Json.Int bodies);
-                      ("steps", Diva_obs.Json.Int steps) ],
-                    fun obs on_net ->
-                      ignore
-                        (Runner.run_barnes_hut_nd ~seed ~obs ~on_net ~dims ~cfg
-                           s) ))
+        | Error e -> fail e
+        | Ok (h, summary, peak) -> (
+            try Run_spec.analysis_report ~offline:(path, peak) analyze h summary
+            with Sys_error e -> fail e))
+    | `Replay path ->
+        let trace = read_replay path in
+        execute ~analyze out
+          (spec
+             (Replay { path; mode = Workload.Replay.Closed_loop; trace })
+             trace.Workload.Replay.dims strategy seed empty)
+    | `Inline ->
+        let app =
+          match app with
+          | `Matmul -> Run_spec.Matmul { block; compute = false }
+          | `Bitonic -> Bitonic { keys }
+          | `Nbody ->
+              Barnes_hut
+                { (Barnes_hut.default_config ~nbodies:bodies) with
+                  Barnes_hut.steps }
         in
-        (* The analyzer rides the run as its trace sink, so no event list
-           is buffered; --events writes each event to the file on the
-           way. *)
-        let overheads = machine_overheads Diva_simnet.Machine.gcel in
-        let analyzer =
-          Diva_obs.Streaming.create ~top_k:top ~num_windows:wins overheads
-        in
-        let feed = Diva_obs.Streaming.feed analyzer in
-        let trace, events_oc =
-          match events with
-          | None -> (Diva_obs.Trace.stream feed, None)
-          | Some epath ->
-              let oc = open_out epath in
-              Diva_obs.Streaming.write_header oc
-                (Diva_obs.Streaming.make_header ~params ~app:app_name ~dims
-                   ~strategy:(Runner.name strategy) ~seed ~overheads ());
-              let write = Diva_obs.Trace.write_event oc in
-              ( Diva_obs.Trace.stream (fun e ->
-                    write e;
-                    feed e),
-                Some oc )
-        in
-        let obs =
-          { Runner.null_obs with Runner.obs_trace = trace }
-        in
-        let captured = ref None in
-        let on_net net = captured := Some net in
-        go obs on_net;
-        let net =
-          match !captured with
-          | Some n -> n
-          | None -> failwith "internal error: the run never reached the network"
-        in
-        let summary = Diva_obs.Streaming.finalize analyzer in
-        Printf.printf "analyze %s, %s mesh, strategy %s, seed %d\n\n" app_name
-          (mesh_str dims) (Runner.name strategy) seed;
-        print_string (Diva_obs.Analysis.render_summary summary);
-        (match (events, events_oc) with
-        | Some epath, Some oc ->
-            close_out oc;
-            Printf.printf "\nevents   -> %s (%d events)\n" epath
-              (Diva_obs.Trace.count trace)
-        | _ -> ());
-        if snapshots then
-          render_snapshots (Network.mesh net)
-            summary.Diva_obs.Analysis.sm_windows;
-        (match json_out with
-        | Some jpath ->
-            write_analysis_json jpath
-              (analysis_meta ~app:app_name ~dims
-                 ~strategy:(Runner.name strategy) ~seed ~params)
-              summary
-        | None -> ())
+        execute ~analyze out (spec app dims strategy seed empty)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -1032,7 +608,7 @@ let burst_conv =
 
 let print_workload_result name (r : Workload.Generator.result) =
   Printf.printf "-- %s --\n" name;
-  print_measurements r.Workload.Generator.measurements;
+  Run_spec.print_measurements r.Workload.Generator.measurements;
   print_string (Workload.Latency.render r.Workload.Generator.latency)
 
 let workload_cmd =
@@ -1068,6 +644,19 @@ let workload_cmd =
           ~doc:
             "Hot/cold popularity: the first $(i,FRAC) of the key space draws \
              $(i,WEIGHT) of all accesses (e.g. 0.1:0.9).")
+  in
+  (* Two popularity flags at once are a usage error, like any bad flag. *)
+  let popularity =
+    let combine zipf hot_cold =
+      match (zipf, hot_cold) with
+      | Some _, Some _ ->
+          Error (`Msg "--zipf and --hot-cold are mutually exclusive")
+      | Some s, None -> Ok (Workload.Spec.Zipf s)
+      | None, Some (hot_fraction, hot_weight) ->
+          Ok (Workload.Spec.Hot_cold { hot_fraction; hot_weight })
+      | None, None -> Ok Workload.Spec.Uniform
+    in
+    Term.(term_result ~usage:true (const combine $ zipf $ hot_cold))
   in
   let read_ratio =
     Arg.(
@@ -1151,20 +740,11 @@ let workload_cmd =
             "CI smoke: run a small fixed workload on a 4x4 mesh under both \
              the fixed-home and 4-ary strategies and print both reports.")
   in
-  let run dims strategy vars var_size ops zipf hot_cold read_ratio locality
+  let run dims strategy vars var_size ops popularity read_ratio locality
       lock_every barrier_every think burst phases replay replay_mode smoke seed
-      heatmap oo domains =
+      (out, faults) domains =
     note_serial ~what:"workload" domains;
-    let popularity =
-      match (zipf, hot_cold) with
-      | Some _, Some _ ->
-          failwith "--zipf and --hot-cold are mutually exclusive"
-      | Some s, None -> Workload.Spec.Zipf s
-      | None, Some (hot_fraction, hot_weight) ->
-          Workload.Spec.Hot_cold { hot_fraction; hot_weight }
-      | None, None -> Workload.Spec.Uniform
-    in
-    let spec =
+    let w =
       Workload.Spec.make ~num_vars:vars ~var_size ~popularity ~locality
         ~lock_every ~barrier_every
         ~phases:
@@ -1172,87 +752,36 @@ let workload_cmd =
                Workload.Spec.phase ~read_ratio ~think ?burst ops))
         ~seed ()
     in
-    (match Workload.Spec.validate spec with
-    | Ok () -> ()
-    | Error e -> failwith e);
     if smoke then (
+      Result.iter_error fail (Workload.Spec.validate w);
       let dims = [| 4; 4 |] in
-      let spec =
-        { spec with Workload.Spec.num_vars = min vars 64;
+      let w =
+        { w with Workload.Spec.num_vars = min vars 64;
           phases = [ Workload.Spec.phase ~read_ratio 100 ] }
       in
       Printf.printf "workload smoke: 4x4 mesh, %d keys, %d ops/proc\n"
-        spec.Workload.Spec.num_vars 100;
+        w.Workload.Spec.num_vars 100;
       List.iter
         (fun (name, strategy) ->
-          print_workload_result name
-            (Workload.Generator.run ~dims ~strategy spec))
+          print_workload_result name (Workload.Generator.run ~dims ~strategy w))
         [ ("fixed-home", Dsm.Fixed_home);
           ("4-ary", Dsm.access_tree ~arity:4 ()) ])
     else
       match replay with
       | Some path ->
-          let tr = read_replay path in
-          let strategy = require_dsm_strategy strategy in
-          let obs, events_oc =
-            make_obs oo ~app:"workload-replay" ~dims:tr.Workload.Replay.dims
-              ~strategy:(Dsm.strategy_name strategy) ~seed
-              ~params:[ ("replay", Diva_obs.Json.String path) ]
-          in
-          let on_net, faults = capture_faults heatmap in
-          let r =
-            Workload.Replay.run ~obs ~on_net ~seed ~mode:replay_mode ~strategy
-              tr
-          in
-          Printf.printf "replay %s (%s, %d ops on %s), strategy %s\n" path
-            (Workload.Replay.mode_name replay_mode)
-            (Workload.Replay.num_ops tr)
-            (String.concat "x"
-               (List.map string_of_int (Array.to_list tr.Workload.Replay.dims)))
-            (Dsm.strategy_name strategy);
-          print_measurements r.Workload.Generator.measurements;
-          print_faults !faults;
-          print_string (Workload.Latency.render r.Workload.Generator.latency);
-          write_artifacts oo obs ~events_oc ~app:"workload-replay"
-            ~dims:tr.Workload.Replay.dims ~strategy:(Dsm.strategy_name strategy)
-            ~seed
-            ~params:[ ("replay", Diva_obs.Json.String path) ]
-            ~measurements:
-              (Runner.measurement_fields r.Workload.Generator.measurements
-              @ Workload.Latency.to_fields r.Workload.Generator.latency
-              @ fault_json !faults)
-      | None ->
-          let strategy = require_dsm_strategy strategy in
-          let obs, events_oc =
-            make_obs oo ~app:"workload" ~dims
-              ~strategy:(Dsm.strategy_name strategy) ~seed
-              ~params:(Workload.Spec.to_params spec)
-          in
-          let on_net, faults = capture_faults heatmap in
-          let r = Workload.Generator.run ~obs ~on_net ~dims ~strategy spec in
-          Printf.printf "workload %s, strategy %s, %s popularity, %s locality\n"
-            (String.concat "x" (List.map string_of_int (Array.to_list dims)))
-            (Dsm.strategy_name strategy)
-            (Workload.Spec.popularity_name spec.Workload.Spec.popularity)
-            (Workload.Spec.locality_name spec.Workload.Spec.locality);
-          print_measurements r.Workload.Generator.measurements;
-          print_faults !faults;
-          print_string (Workload.Latency.render r.Workload.Generator.latency);
-          write_artifacts oo obs ~events_oc ~app:"workload" ~dims
-            ~strategy:(Dsm.strategy_name strategy) ~seed
-            ~params:(Workload.Spec.to_params spec)
-            ~measurements:
-              (Runner.measurement_fields r.Workload.Generator.measurements
-              @ Workload.Latency.to_fields r.Workload.Generator.latency
-              @ fault_json !faults)
+          let trace = read_replay path in
+          execute out
+            (spec
+               (Replay { path; mode = replay_mode; trace })
+               trace.Workload.Replay.dims strategy seed faults)
+      | None -> execute out (spec (Workload w) dims strategy seed faults)
   in
   Cmd.v
     (Cmd.info "workload" ~doc:"Synthetic DSM load generator and trace replay")
     Term.(
-      const run $ mesh_t $ strategy_t $ vars $ var_size $ ops $ zipf $ hot_cold
+      const run $ mesh_t $ strategy_t $ vars $ var_size $ ops $ popularity
       $ read_ratio $ locality $ lock_every $ barrier_every $ think $ burst
-      $ phases $ replay $ replay_mode $ smoke $ seed_t $ heatmap_t $ obs_opts_t
-      $ domains_t)
+      $ phases $ replay $ replay_mode $ smoke $ seed_t $ obs_opts_t $ domains_t)
 
 let chaos_cmd =
   let mesh =
@@ -1386,16 +915,12 @@ let chaos_cmd =
       (if domains > 1 then Printf.sprintf ", %d domains" domains else "");
     let flight =
       Option.map
-        (fun path ->
-          let fl =
-            Diva_obs.Flight.create ~dump_on_watchdog:false ~path ()
-          in
-          armed_flight := Some fl;
-          fl)
+        (fun path -> Diva_obs.Flight.create ~dump_on_watchdog:false ~path ())
         flight
     in
     let outcomes =
-      Workload.Chaos.run ~progress:print_endline ~domains ?flight cfg
+      Run_spec.with_flight flight (fun () ->
+          Workload.Chaos.run ~progress:print_endline ~domains ?flight cfg)
     in
     (match flight with
     | Some fl when Diva_obs.Flight.dumped fl ->
@@ -1483,7 +1008,7 @@ let traffic_cmd =
     let rows, cols =
       match dims with
       | [| r; c |] -> (r, c)
-      | _ -> failwith "traffic needs a 2-D mesh"
+      | _ -> fail "traffic needs a 2-D mesh"
     in
     if smoke then begin
       let domains = max domains 4 in
@@ -1515,17 +1040,16 @@ let traffic_cmd =
           (fun _ -> Diva_simnet.Par_engine.telemetry_create ())
           prof
       in
-      (match p with Some p -> Diva_obs.Prof.arm p | None -> ());
+      Option.iter Diva_obs.Prof.arm p;
       let t0 = Unix.gettimeofday () in
+      let go () =
+        Traffic.run ~domains ?telemetry ~seed ~size ~rows ~cols ~rate ~horizon
+          ~pattern ()
+      in
       let r =
         match p with
-        | Some p ->
-            Diva_obs.Prof.region p "simulate" (fun () ->
-                Traffic.run ~domains ?telemetry ~seed ~size ~rows ~cols ~rate
-                  ~horizon ~pattern ())
-        | None ->
-            Traffic.run ~domains ~seed ~size ~rows ~cols ~rate ~horizon
-              ~pattern ()
+        | Some p -> Diva_obs.Prof.region p "simulate" go
+        | None -> go ()
       in
       let wall = Unix.gettimeofday () -. t0 in
       Printf.printf "traffic %dx%d, %s, rate %g/us/node, horizon %g us, %d \
@@ -1701,12 +1225,9 @@ let serve_cmd =
              bit-identical determinism, plus a mini saturation sweep per \
              strategy (honors $(b,--sweep-out)).")
   in
-  let mesh_str dims =
-    String.concat "x" (List.map string_of_int (Array.to_list dims))
-  in
   let run dims strategy keys value_size clients rate horizon_ms arrival
-      scenario zipf read_ratio sweep sweep_out threshold smoke seed heatmap oo
-      domains =
+      scenario zipf read_ratio sweep sweep_out threshold smoke seed
+      (out, faults) domains =
     if smoke then begin
       let dims = [| 4; 4 |] in
       let keys = min keys 256 in
@@ -1734,7 +1255,7 @@ let serve_cmd =
             end
             else begin
               Printf.printf "-- %s (deterministic re-run verified) --\n" name;
-              print_measurements r1.Service.Engine.measurements;
+              Run_spec.print_measurements r1.Service.Engine.measurements;
               print_string (Service.Engine.render r1)
             end;
             Service.Sweep.run ~domains ~dims ~strategy
@@ -1763,8 +1284,6 @@ let serve_cmd =
       if not !ok then exit 1
     end
     else begin
-      let strategy = require_dsm_strategy strategy in
-      let procs = Array.fold_left ( * ) 1 dims in
       let horizon_us = horizon_ms *. 1000.0 in
       let shape =
         match arrival with
@@ -1776,28 +1295,25 @@ let serve_cmd =
         | `Diurnal ->
             Service.Arrival.Diurnal { trough = 0.2; period_us = horizon_us }
       in
-      let spec =
+      let procs = Array.fold_left ( * ) 1 dims in
+      let service =
         Service.Spec.make ~keys ~value_size ~clients ~rate ~horizon_us
           ~arrival:shape ~read_ratio
           ~phases:(Service.Spec.scenario_phases scenario ~keys ~procs ~zipf)
           ~seed ()
       in
-      (match Service.Spec.validate spec with
-      | Ok () -> ()
-      | Error e -> failwith e);
-      let params =
-        Service.Spec.to_params spec
-        @ [ ("scenario",
-             Diva_obs.Json.String (Service.Spec.scenario_name scenario)) ]
+      let run =
+        spec (Serve { spec = service; scenario }) dims strategy seed faults
       in
-      match sweep with
-      | Some rates ->
+      Result.iter_error fail (Run_spec.validate run);
+      match (sweep, strategy) with
+      | Some rates, Runner.Strategy strategy ->
           let sw =
-            Service.Sweep.run ~threshold ~faults:oo.fault_sched ~domains ~dims
-              ~strategy ~rates spec
+            Service.Sweep.run ~threshold ~faults ~domains ~dims ~strategy
+              ~rates service
           in
           Printf.printf "service sweep %s, strategy %s, scenario %s, %s\n"
-            (mesh_str dims)
+            (String.concat "x" (List.map string_of_int (Array.to_list dims)))
             (Dsm.strategy_name strategy)
             (Service.Spec.scenario_name scenario)
             (Service.Arrival.shape_name shape);
@@ -1805,34 +1321,13 @@ let serve_cmd =
           (match sweep_out with
           | Some path ->
               Diva_obs.Json.to_file path
-                (Service.Sweep.to_json ~params [ sw ]);
+                (Service.Sweep.to_json ~params:(Run_spec.params run) [ sw ]);
               Printf.printf "sweep    -> %s\n" path
           | None -> ())
-      | None ->
+      | _ ->
           note_serial ~what:"serve (single run; use --sweep to fan out)"
             domains;
-          let obs, events_oc =
-            make_obs oo ~app:"serve" ~dims
-              ~strategy:(Dsm.strategy_name strategy) ~seed ~params
-          in
-          let on_net, faults = capture_faults heatmap in
-          let r = Service.Engine.run ~obs ~on_net ~dims ~strategy spec in
-          Printf.printf
-            "serve %s, strategy %s, scenario %s, %s, %d clients, %d keys\n"
-            (mesh_str dims)
-            (Dsm.strategy_name strategy)
-            (Service.Spec.scenario_name scenario)
-            (Service.Arrival.shape_name shape)
-            clients keys;
-          print_measurements r.Service.Engine.measurements;
-          print_faults !faults;
-          print_string (Service.Engine.render r);
-          write_artifacts oo obs ~events_oc ~app:"serve" ~dims
-            ~strategy:(Dsm.strategy_name strategy) ~seed ~params
-            ~measurements:
-              (Runner.measurement_fields r.Service.Engine.measurements
-              @ Service.Engine.result_fields r
-              @ fault_json !faults)
+          execute out run
     end
   in
   Cmd.v
@@ -1859,7 +1354,7 @@ let serve_cmd =
     Term.(
       const run $ mesh_t $ strategy_t $ keys $ value_size $ clients $ rate
       $ horizon_ms $ arrival $ scenario $ zipf $ read_ratio $ sweep $ sweep_out
-      $ threshold $ smoke $ seed_t $ heatmap_t $ obs_opts_t $ domains_t)
+      $ threshold $ smoke $ seed_t $ obs_opts_t $ domains_t)
 
 (* ------------------------------------------------------------------ *)
 (* profile: render prof.json / flight-recorder dumps                   *)
@@ -2007,12 +1502,5 @@ let () =
   match Cmd.eval ~catch:false group with
   | code -> exit code
   | exception e ->
-      let msg = Printexc.to_string e in
-      (match !armed_flight with
-      | Some fl ->
-          Diva_obs.Flight.dump fl ~reason:("uncaught exception: " ^ msg);
-          Printf.eprintf "divasim: flight-recorder dump -> %s\n"
-            (Diva_obs.Flight.path fl)
-      | None -> ());
-      Printf.eprintf "divasim: uncaught exception: %s\n" msg;
+      Printf.eprintf "divasim: uncaught exception: %s\n" (Printexc.to_string e);
       exit 125

@@ -26,7 +26,7 @@ let () =
     "startups";
   List.iter
     (fun choice ->
-      let m = Runner.run_matmul ~rows:8 ~cols:8 ~block:1024 choice in
+      let m = Runner.run_matmul ~dims:[| 8; 8 |] ~block:1024 choice in
       Printf.printf "%-16s %14d %14.1f %10d\n" (Runner.name choice)
         m.Runner.congestion_bytes (m.Runner.time /. 1e3) m.Runner.startups)
     [

@@ -18,7 +18,7 @@ let () =
     (cfg.Barnes_hut.steps - cfg.Barnes_hut.warmup);
   List.iter
     (fun (name, strategy) ->
-      let r = Runner.run_barnes_hut ~rows:8 ~cols:8 ~cfg strategy in
+      let r = Runner.run_barnes_hut ~dims:[| 8; 8 |] ~cfg strategy in
       let tot = r.Runner.bh_total in
       Printf.printf "%s:\n" name;
       Printf.printf "  total     : %8.2f s  congestion %6d msgs\n"

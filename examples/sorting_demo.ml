@@ -24,7 +24,7 @@ let () =
   Printf.printf "%-16s %14s %14s\n" "strategy" "congestion (B)" "time (ms)";
   List.iter
     (fun choice ->
-      let m = Runner.run_bitonic ~rows:8 ~cols:8 ~keys:1024 choice in
+      let m = Runner.run_bitonic ~dims:[| 8; 8 |] ~keys:1024 choice in
       Printf.printf "%-16s %14d %14.1f\n" (Runner.name choice)
         m.Runner.congestion_bytes (m.Runner.time /. 1e3))
     [

@@ -125,39 +125,44 @@ let finish ?on_net ~obs net =
   | None -> ());
   match on_net with Some f -> f net | None -> ()
 
-let run_matmul ?(seed = 17) ?(obs = null_obs) ?on_net ~rows ~cols ~block
-    ?(compute = false) choice =
-  let net = Network.create ~seed ~rows ~cols () in
+(* The skeleton every runner shares: a fresh mesh with observability
+   installed, one fiber per processor from [setup], run to completion;
+   [setup] also returns how to read the result off the finished run. *)
+let simulate ~seed ~obs ?on_net ~dims setup =
+  let net = Network.create_nd ~seed ~dims () in
   install_obs net obs;
-  match choice with
-  | Hand_optimized ->
-      let app = Matmul_handopt.setup net { Matmul_handopt.block; compute } in
-      spawn_all net (fun p -> Matmul_handopt.fiber app p);
-      finish ?on_net ~obs net;
-      collect net None
-  | Strategy strategy ->
-      let dsm = Dsm.create net ~strategy () in
-      let app = Matmul.setup dsm { Matmul.block; compute } in
-      spawn_all net (fun p -> Matmul.fiber app p);
-      finish ?on_net ~obs net;
-      collect net (Some dsm)
+  let fiber, result = setup net in
+  spawn_all net fiber;
+  finish ?on_net ~obs net;
+  result ()
 
-let run_bitonic ?(seed = 17) ?(obs = null_obs) ?on_net ~rows ~cols ~keys
-    ?(compute = true) choice =
-  let net = Network.create ~seed ~rows ~cols () in
-  install_obs net obs;
+(* An app with a hand-optimized baseline runs on the bare network under
+   [Hand_optimized], and on a DSM under the chosen strategy otherwise. *)
+let paper_app choice ~hand ~dsm net =
   match choice with
-  | Hand_optimized ->
-      let app = Bitonic_handopt.setup net { Bitonic_handopt.keys; compute } in
-      spawn_all net (fun p -> Bitonic_handopt.fiber app p);
-      finish ?on_net ~obs net;
-      collect net None
+  | Hand_optimized -> (hand net, fun () -> collect net None)
   | Strategy strategy ->
-      let dsm = Dsm.create net ~strategy () in
-      let app = Bitonic.setup dsm { Bitonic.keys; compute } in
-      spawn_all net (fun p -> Bitonic.fiber app p);
-      finish ?on_net ~obs net;
-      collect net (Some dsm)
+      let d = Dsm.create net ~strategy () in
+      (dsm d, fun () -> collect net (Some d))
+
+let run_matmul ?(seed = 17) ?(obs = null_obs) ?on_net ~dims ~block
+    ?(compute = false) choice =
+  simulate ~seed ~obs ?on_net ~dims
+    (paper_app choice
+       ~hand:(fun net ->
+         Matmul_handopt.fiber
+           (Matmul_handopt.setup net { Matmul_handopt.block; compute }))
+       ~dsm:(fun d -> Matmul.fiber (Matmul.setup d { Matmul.block; compute })))
+
+let run_bitonic ?(seed = 17) ?(obs = null_obs) ?on_net ~dims ~keys
+    ?(compute = true) choice =
+  simulate ~seed ~obs ?on_net ~dims
+    (paper_app choice
+       ~hand:(fun net ->
+         Bitonic_handopt.fiber
+           (Bitonic_handopt.setup net { Bitonic_handopt.keys; compute }))
+       ~dsm:(fun d ->
+         Bitonic.fiber (Bitonic.setup d { Bitonic.keys; compute })))
 
 type bh_result = {
   bh_total : measurements;
@@ -199,44 +204,19 @@ let aggregate_intervals dsm ~startups ~events ivs =
         events;
       }
 
-let run_barnes_hut_on ?(obs = null_obs) ?on_net net ~cfg strategy =
-  install_obs net obs;
-  let dsm = Dsm.create net ~strategy () in
-  let app = Barnes_hut.setup dsm cfg in
-  spawn_all net (fun p -> Barnes_hut.fiber app p);
-  finish ?on_net ~obs net;
-  let ivs = Barnes_hut.intervals app in
-  let startups = Network.startups net in
-  let events = Sim.events_executed (Network.sim net) in
-  {
-    bh_total = aggregate_intervals dsm ~startups ~events ivs;
-    bh_phase =
-      (fun ph ->
-        aggregate_intervals dsm ~startups ~events
-          (List.filter (fun iv -> iv.Barnes_hut.i_phase = ph) ivs));
-  }
-
-let run_barnes_hut ?(seed = 17) ?obs ?on_net ~rows ~cols ~cfg strategy =
-  run_barnes_hut_on ?obs ?on_net (Network.create ~seed ~rows ~cols ()) ~cfg
-    strategy
-
-let run_barnes_hut_nd ?(seed = 17) ?obs ?on_net ~dims ~cfg strategy =
-  run_barnes_hut_on ?obs ?on_net (Network.create_nd ~seed ~dims ()) ~cfg
-    strategy
-
-let run_bitonic_nd ?(seed = 17) ?(obs = null_obs) ?on_net ~dims ~keys
-    ?(compute = true) choice =
-  let net = Network.create_nd ~seed ~dims () in
-  install_obs net obs;
-  match choice with
-  | Hand_optimized ->
-      let app = Bitonic_handopt.setup net { Bitonic_handopt.keys; compute } in
-      spawn_all net (fun p -> Bitonic_handopt.fiber app p);
-      finish ?on_net ~obs net;
-      collect net None
-  | Strategy strategy ->
+let run_barnes_hut ?(seed = 17) ?(obs = null_obs) ?on_net ~dims ~cfg strategy =
+  simulate ~seed ~obs ?on_net ~dims (fun net ->
       let dsm = Dsm.create net ~strategy () in
-      let app = Bitonic.setup dsm { Bitonic.keys; compute } in
-      spawn_all net (fun p -> Bitonic.fiber app p);
-      finish ?on_net ~obs net;
-      collect net (Some dsm)
+      let app = Barnes_hut.setup dsm cfg in
+      ( Barnes_hut.fiber app,
+        fun () ->
+          let ivs = Barnes_hut.intervals app in
+          let startups = Network.startups net in
+          let events = Sim.events_executed (Network.sim net) in
+          {
+            bh_total = aggregate_intervals dsm ~startups ~events ivs;
+            bh_phase =
+              (fun ph ->
+                aggregate_intervals dsm ~startups ~events
+                  (List.filter (fun iv -> iv.Barnes_hut.i_phase = ph) ivs));
+          } ))

@@ -79,16 +79,18 @@ val collect :
 
 val run_matmul :
   ?seed:int -> ?obs:obs -> ?on_net:(Diva_simnet.Network.t -> unit) ->
-  rows:int -> cols:int -> block:int -> ?compute:bool -> strategy_choice ->
+  dims:int array -> block:int -> ?compute:bool -> strategy_choice ->
   measurements
-(** The paper measures matmul {e communication} time: [compute] defaults to
-    false so that only read, write and synchronization calls remain. *)
+(** [dims] must be a square 2-D mesh. The paper measures matmul
+    {e communication} time: [compute] defaults to false so that only read,
+    write and synchronization calls remain. *)
 
 val run_bitonic :
   ?seed:int -> ?obs:obs -> ?on_net:(Diva_simnet.Network.t -> unit) ->
-  rows:int -> cols:int -> keys:int -> ?compute:bool -> strategy_choice ->
+  dims:int array -> keys:int -> ?compute:bool -> strategy_choice ->
   measurements
-(** Bitonic is measured with its (small) computation included. *)
+(** Bitonic on a mesh of any dimension, measured with its (small)
+    computation included. *)
 
 (** Aggregated Barnes-Hut measurements over the measured steps, total or
     restricted to one phase. *)
@@ -99,23 +101,13 @@ type bh_result = {
 
 val run_barnes_hut :
   ?seed:int -> ?obs:obs -> ?on_net:(Diva_simnet.Network.t -> unit) ->
-  rows:int -> cols:int -> cfg:Diva_apps.Barnes_hut.config ->
+  dims:int array -> cfg:Diva_apps.Barnes_hut.config ->
   Diva_core.Dsm.strategy -> bh_result
 (** There is no hand-optimized baseline for Barnes-Hut (the paper cannot
     construct one either). Times and congestion cover the measured
-    (non-warmup) steps only, as in the paper. *)
-
-val run_barnes_hut_nd :
-  ?seed:int -> ?obs:obs -> ?on_net:(Diva_simnet.Network.t -> unit) ->
-  dims:int array -> cfg:Diva_apps.Barnes_hut.config ->
-  Diva_core.Dsm.strategy -> bh_result
-(** Barnes-Hut on a mesh of arbitrary dimension — an extension beyond the
-    paper exercising the theory's d-dimensional setting. *)
-
-val run_bitonic_nd :
-  ?seed:int -> ?obs:obs -> ?on_net:(Diva_simnet.Network.t -> unit) ->
-  dims:int array -> keys:int -> ?compute:bool -> strategy_choice ->
-  measurements
+    (non-warmup) steps only, as in the paper. Any mesh dimension works,
+    an extension beyond the paper exercising the theory's d-dimensional
+    setting. *)
 
 (** The [on_net] callback of each runner fires after the simulation
     completes, with the network still available — used e.g. for the

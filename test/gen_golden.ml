@@ -19,7 +19,7 @@ let gcel_overheads =
 let () =
   let tr = Trace.create () in
   ignore
-    (Runner.run_matmul ~seed:17 ~rows:2 ~cols:2 ~block:64
+    (Runner.run_matmul ~seed:17 ~dims:[| 2; 2 |] ~block:64
        ~obs:{ Runner.null_obs with Runner.obs_trace = tr }
        (Runner.Strategy (Diva_core.Dsm.access_tree ~arity:4 ())));
   let path = "test/data/golden_chrome_2x2.json" in
@@ -52,7 +52,7 @@ let () =
       in
       let tr = Trace.create () in
       ignore
-        (Runner.run_matmul ~seed:17 ~rows:2 ~cols:2 ~block:64
+        (Runner.run_matmul ~seed:17 ~dims:[| 2; 2 |] ~block:64
            ~obs:{ Runner.null_obs with Runner.obs_trace = tr }
            (Runner.Strategy spec));
       let header =

@@ -41,12 +41,12 @@ let apps =
     ( "matmul",
       fun strategy ~obs ~on_net ->
         ignore
-          (Runner.run_matmul ~obs ~on_net ~rows:4 ~cols:4 ~block:64
+          (Runner.run_matmul ~obs ~on_net ~dims:[| 4; 4 |] ~block:64
              (Runner.Strategy strategy)) );
     ( "bitonic",
       fun strategy ~obs ~on_net ->
         ignore
-          (Runner.run_bitonic_nd ~obs ~on_net ~dims:[| 4; 4 |] ~keys:32
+          (Runner.run_bitonic ~obs ~on_net ~dims:[| 4; 4 |] ~keys:32
              (Runner.Strategy strategy)) );
     ( "barnes-hut",
       fun strategy ~obs ~on_net ->
@@ -54,7 +54,7 @@ let apps =
           { (Barnes_hut.default_config ~nbodies:48) with Barnes_hut.steps = 2 }
         in
         ignore
-          (Runner.run_barnes_hut_nd ~obs ~on_net ~dims:[| 2; 2 |] ~cfg strategy)
+          (Runner.run_barnes_hut ~obs ~on_net ~dims:[| 2; 2 |] ~cfg strategy)
     );
   ]
 

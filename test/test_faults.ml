@@ -107,14 +107,14 @@ let check_meas name (a : Runner.measurements) (b : Runner.measurements) =
 let test_empty_schedule_identity () =
   let faulted = ref None in
   let base =
-    Runner.run_matmul ~seed:3 ~rows:4 ~cols:4 ~block:64
+    Runner.run_matmul ~seed:3 ~dims:[| 4; 4 |] ~block:64
       (Runner.Strategy strategy_4ary)
   in
   let with_empty =
     Runner.run_matmul ~seed:3
       ~obs:{ Runner.null_obs with Runner.obs_faults = Schedule.empty }
       ~on_net:(fun net -> faulted := Network.faults net)
-      ~rows:4 ~cols:4 ~block:64
+      ~dims:[| 4; 4 |] ~block:64
       (Runner.Strategy strategy_4ary)
   in
   check_meas "empty schedule" base with_empty;
@@ -135,7 +135,7 @@ let faulted_matmul strategy =
     Runner.run_matmul ~seed:3
       ~obs:{ Runner.null_obs with Runner.obs_faults = drop_schedule }
       ~on_net:(fun net -> captured := Network.faults net)
-      ~rows:4 ~cols:4 ~block:256 strategy
+      ~dims:[| 4; 4 |] ~block:256 strategy
   in
   let f = Option.get !captured in
   (m, [ Faults.lost_total f; Faults.retransmits f; Faults.enveloped f;

@@ -26,7 +26,7 @@ let golden_bytes name =
   in
   let tr = Trace.create () in
   ignore
-    (Runner.run_matmul ~seed:17 ~rows:2 ~cols:2 ~block:64
+    (Runner.run_matmul ~seed:17 ~dims:[| 2; 2 |] ~block:64
        ~obs:{ Runner.null_obs with Runner.obs_trace = tr }
        (Runner.Strategy spec));
   let m = Machine.gcel in

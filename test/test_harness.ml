@@ -17,7 +17,7 @@ let contains s needle =
 
 let test_runner_matmul_measurements () =
   let m =
-    Runner.run_matmul ~rows:4 ~cols:4 ~block:64
+    Runner.run_matmul ~dims:[| 4; 4 |] ~block:64
       (Runner.Strategy (Dsm.access_tree ~arity:4 ()))
   in
   Alcotest.(check bool) "time positive" true (m.Runner.time > 0.0);
@@ -30,7 +30,7 @@ let test_runner_matmul_measurements () =
 
 let test_runner_deterministic () =
   let run () =
-    Runner.run_bitonic ~rows:4 ~cols:4 ~keys:32
+    Runner.run_bitonic ~dims:[| 4; 4 |] ~keys:32
       (Runner.Strategy (Dsm.access_tree ~arity:2 ()))
   in
   Alcotest.(check bool) "identical measurements" true (run () = run ())
@@ -40,7 +40,7 @@ let test_runner_bh_phase_sums () =
     { (Barnes_hut.default_config ~nbodies:64) with Barnes_hut.steps = 3; warmup = 1 }
   in
   let r =
-    Runner.run_barnes_hut ~rows:2 ~cols:2 ~cfg (Dsm.access_tree ~arity:2 ())
+    Runner.run_barnes_hut ~dims:[| 2; 2 |] ~cfg (Dsm.access_tree ~arity:2 ())
   in
   (* Phase times sum to the total; phase traffic sums to the total. *)
   let phases =
@@ -257,10 +257,10 @@ let test_gate_load () =
 
 let test_report_tables () =
   let m =
-    Runner.run_matmul ~rows:4 ~cols:4 ~block:16 Runner.Hand_optimized
+    Runner.run_matmul ~dims:[| 4; 4 |] ~block:16 Runner.Hand_optimized
   in
   let m2 =
-    Runner.run_matmul ~rows:4 ~cols:4 ~block:16
+    Runner.run_matmul ~dims:[| 4; 4 |] ~block:16
       (Runner.Strategy Dsm.Fixed_home)
   in
   let s =

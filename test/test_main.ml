@@ -24,4 +24,6 @@ let () =
       ("workload", Test_workload.suite);
       ("faults", Test_faults.suite);
       ("service", Test_service.suite);
+      ("run-spec", Test_run_spec.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -9,7 +9,7 @@ module Json = Diva_obs.Json
 let strategy = Diva_core.Dsm.access_tree ~arity:4 ()
 
 let run_matmul ?(obs = Runner.null_obs) () =
-  Runner.run_matmul ~rows:4 ~cols:4 ~block:64 ~obs (Runner.Strategy strategy)
+  Runner.run_matmul ~dims:[| 4; 4 |] ~block:64 ~obs (Runner.Strategy strategy)
 
 let traced_run () =
   let tr = Trace.create () in
@@ -232,7 +232,7 @@ let test_prometheus_export () =
 let test_chrome_golden () =
   let tr = Trace.create () in
   ignore
-    (Runner.run_matmul ~seed:17 ~rows:2 ~cols:2 ~block:64
+    (Runner.run_matmul ~seed:17 ~dims:[| 2; 2 |] ~block:64
        ~obs:{ Runner.null_obs with Runner.obs_trace = tr }
        (Runner.Strategy strategy));
   (* [write_file] (used by gen_golden) terminates the file with a newline. *)

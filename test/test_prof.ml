@@ -17,7 +17,7 @@ module Par_engine = Diva_simnet.Par_engine
 let strategy = Diva_core.Dsm.access_tree ~arity:4 ()
 
 let run_matmul ?(obs = Runner.null_obs) () =
-  Runner.run_matmul ~rows:4 ~cols:4 ~block:64 ~obs (Runner.Strategy strategy)
+  Runner.run_matmul ~dims:[| 4; 4 |] ~block:64 ~obs (Runner.Strategy strategy)
 
 let check_same_measurements what (a : Runner.measurements)
     (b : Runner.measurements) =

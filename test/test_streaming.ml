@@ -39,12 +39,12 @@ let apps =
     ( "matmul",
       fun strategy ~obs ~on_net ->
         ignore
-          (Runner.run_matmul ~obs ~on_net ~rows:4 ~cols:4 ~block:64
+          (Runner.run_matmul ~obs ~on_net ~dims:[| 4; 4 |] ~block:64
              (Runner.Strategy strategy)) );
     ( "bitonic",
       fun strategy ~obs ~on_net ->
         ignore
-          (Runner.run_bitonic_nd ~obs ~on_net ~dims:[| 4; 4 |] ~keys:32
+          (Runner.run_bitonic ~obs ~on_net ~dims:[| 4; 4 |] ~keys:32
              (Runner.Strategy strategy)) );
     ( "barnes-hut",
       fun strategy ~obs ~on_net ->
@@ -52,7 +52,7 @@ let apps =
           { (Barnes_hut.default_config ~nbodies:48) with Barnes_hut.steps = 2 }
         in
         ignore
-          (Runner.run_barnes_hut_nd ~obs ~on_net ~dims:[| 2; 2 |] ~cfg strategy)
+          (Runner.run_barnes_hut ~obs ~on_net ~dims:[| 2; 2 |] ~cfg strategy)
     );
   ]
 
@@ -96,7 +96,7 @@ let test_stream_equals_batch_faulted () =
   let streamed, batch, _, events =
     live_and_batch ~faults:sched (fun ~obs ~on_net ->
         ignore
-          (Runner.run_matmul ~obs ~on_net ~rows:4 ~cols:4 ~block:64
+          (Runner.run_matmul ~obs ~on_net ~dims:[| 4; 4 |] ~block:64
              (Runner.Strategy (Dsm.access_tree ~arity:4 ()))))
   in
   Alcotest.(check bool)
@@ -362,7 +362,7 @@ let test_offline_file_roundtrip () =
   let ov, events =
     traced_events (fun ~obs ~on_net ->
         ignore
-          (Runner.run_matmul ~obs ~on_net ~rows:4 ~cols:4 ~block:64
+          (Runner.run_matmul ~obs ~on_net ~dims:[| 4; 4 |] ~block:64
              (Runner.Strategy (Dsm.access_tree ~arity:4 ()))))
   in
   let path = Filename.temp_file "diva_events" ".jsonl" in
@@ -411,7 +411,7 @@ let test_faulted_file_roundtrip () =
   let _, events =
     traced_events ~faults:sched ~live:(Trace.emit file) (fun ~obs ~on_net ->
         ignore
-          (Runner.run_matmul ~obs ~on_net ~rows:4 ~cols:4 ~block:64
+          (Runner.run_matmul ~obs ~on_net ~dims:[| 4; 4 |] ~block:64
              (Runner.Strategy (Dsm.access_tree ~arity:4 ()))))
   in
   close_out oc;
@@ -443,7 +443,7 @@ let golden_header () =
 let test_events_golden () =
   let tr = Trace.create () in
   ignore
-    (Runner.run_matmul ~seed:17 ~rows:2 ~cols:2 ~block:64
+    (Runner.run_matmul ~seed:17 ~dims:[| 2; 2 |] ~block:64
        ~obs:{ Runner.null_obs with Runner.obs_trace = tr }
        (Runner.Strategy (Dsm.access_tree ~arity:4 ())));
   let got = Helpers.trace_file_bytes (golden_header ()) (Trace.events tr) in

@@ -83,7 +83,7 @@ let test_generator_op_count () =
 let replay_roundtrip strategy =
   let sink, obs = traced_obs () in
   let m0 =
-    Runner.run_matmul ~seed:17 ~obs ~rows:4 ~cols:4 ~block:64
+    Runner.run_matmul ~seed:17 ~obs ~dims:[| 4; 4 |] ~block:64
       (Runner.Strategy strategy)
   in
   let t = Replay.of_events ~dims:[| 4; 4 |] ~seed:17 (Trace.events sink) in
