@@ -16,28 +16,51 @@ type body =
   | Ltok
   | Rmove  (* state transfer of a remapped tree node; no handler action *)
 
-(* Per-(variable, tree-node) protocol state. Created lazily: a missing
-   entry means the node has never been touched, in which case its pointers
-   are derivable from the variable's initial owner. Whether the node holds
-   a copy is recorded in the variable's [copies] bitmap, not here. *)
-type tstate = {
-  mutable toward : int;  (* neighbour toward the copy component; -1 = copy *)
-  mutable comp_edges : int list;  (* neighbours believed to be in the component *)
+(* A queued lock request at a tree node (Raymond's [lqueue]): a
+   neighbour asking for the token on behalf of its side of the tree, or
+   an acquirer waiting at this leaf. *)
+type lwait = Remote of int | Local of (unit -> unit)
+
+(* Transaction sidecar of a tree node: the fields a read or an
+   invalidation in flight needs. Most nodes share one of two sidecars
+   that are never written: [idle_txn] when no transaction touches the
+   node, [forwarding] when it only waits for the reply to a read it
+   forwarded. *)
+type txn = {
   mutable read_pending : bool;  (* forwarded a read, reply not yet back *)
   mutable parked : int list;  (* origins combined onto the in-flight reply *)
   mutable readers : (Value.t -> unit) list;  (* reads issued at this leaf, newest first *)
   mutable inv_waiting : int;  (* outstanding invalidation acks *)
   mutable inv_pred : int;  (* where to ack once [inv_waiting] drains; -1 = here *)
-  (* Raymond's token-based mutual exclusion, on the same tree. *)
+}
+
+(* Rare sidecar of a tree node: Raymond's token-based mutual exclusion on
+   the same tree, and the eviction and remapping counters. Nodes that
+   never took part in a lock operation share [no_rare], which is never
+   written, unless [capacity] or [remap_threshold] is set: then every
+   state gets its own from the start. *)
+type rare = {
   mutable tok_toward : int;  (* neighbour toward the token; -1 = token here *)
-  mutable lqueue : int list;  (* FIFO of requesting directions (or self) *)
+  lqueue : lwait Queue.t;  (* FIFO of token requests *)
   mutable lasked : bool;
   mutable locked : bool;
-  mutable lock_k : (unit -> unit) option;  (* acquirer waiting at this leaf *)
-  mutable place : int;  (* mesh node simulating this tree node, remaps included *)
   mutable last_use : int;  (* LRU tick *)
   mutable use_count : int;  (* lifetime touches, for frequency eviction *)
   mutable traffic : int;  (* messages served, for the remapping variant *)
+}
+
+(* Per-(variable, tree-node) protocol state: the core record, which is all
+   most nodes ever use, with one pointer to each sidecar. Created lazily:
+   a missing entry means the node has never been touched, in which case
+   its pointers are derivable from the variable's initial owner. Whether
+   the node holds a copy is recorded in the variable's [copies] bitmap,
+   not here. *)
+type tstate = {
+  mutable toward : int;  (* neighbour toward the copy component; -1 = copy *)
+  mutable place : int;  (* mesh node simulating this tree node, remaps included *)
+  mutable comp_edges : int list;  (* neighbours believed to be in the component *)
+  mutable txn : txn;
+  mutable rare : rare;
 }
 
 (* Queued operations remember the causal transaction that issued them:
@@ -68,7 +91,7 @@ type ctl = {
   mutable ncopies : int;
   mutable reading : int;  (* read transactions in flight *)
   mutable writing : bool;
-  pending : op Queue.t;
+  mutable pending : op Queue.t;  (* [no_ops] until an operation first waits *)
   mutable wtxn : wtxn option;
   states : tstate Int_table.t;  (* tree node -> state, materialised ones *)
   copies : Bytes.t;  (* one bit per tree node: does it hold a copy? *)
@@ -94,6 +117,8 @@ type t = {
   held : (int, ctl) Hashtbl.t array;  (* per processor: state key -> its variable *)
   mutable lru_tick : int;
   mutable eviction_count : int;
+  mutable nstates : int;  (* materialised states, over all variables *)
+  groups : (int, int list) Hashtbl.t;  (* [on_rrep]'s grouping: next hop -> origins *)
 }
 
 let create net (c : Strategy.tree_config) =
@@ -118,6 +143,8 @@ let create net (c : Strategy.tree_config) =
       | Some _ -> Array.init (Network.num_nodes net) (fun _ -> Hashtbl.create 8));
     lru_tick = 0;
     eviction_count = 0;
+    nstates = 0;
+    groups = Hashtbl.create 4;
   }
 
 (* Keys of the per-processor [held] registries. Their hash order breaks
@@ -133,13 +160,25 @@ let set_copy ctl tnode on =
   let b = Char.code (Bytes.get ctl.copies i) in
   Bytes.set ctl.copies i (Char.unsafe_chr (if on then b lor bit else b land lnot bit))
 
-(* Template for fresh states (copied, never mutated) and the filler of
-   empty [Int_table] slots. *)
+(* The wait queue of every variable no operation ever waited on; never
+   written. *)
+let no_ops : op Queue.t = Queue.create ()
+
+let idle_txn =
+  { read_pending = false; parked = []; readers = []; inv_waiting = 0; inv_pred = -1 }
+
+let forwarding = { idle_txn with read_pending = true }
+let shared x = x == idle_txn || x == forwarding
+
+let new_rare tok_toward =
+  { tok_toward; lqueue = Queue.create (); lasked = false; locked = false;
+    last_use = 0; use_count = 0; traffic = 0 }
+
+let no_rare = new_rare (-1)
+
+(* The filler of empty [Int_table] slots. *)
 let no_state =
-  { toward = -1; comp_edges = []; read_pending = false; parked = [];
-    readers = []; inv_waiting = 0; inv_pred = -1; tok_toward = -1; lqueue = [];
-    lasked = false; locked = false; lock_k = None; place = -1; last_use = 0;
-    use_count = 0; traffic = 0 }
+  { toward = -1; place = -1; comp_edges = []; txn = idle_txn; rare = no_rare }
 
 let get_ctl t (var : Types.var) =
   match var.Types.slot with
@@ -147,7 +186,7 @@ let get_ctl t (var : Types.var) =
   | _ ->
       let c =
         { var; ncopies = 1; reading = 0; writing = false;
-          pending = Queue.create (); wtxn = None;
+          pending = no_ops; wtxn = None;
           states = Int_table.create ~dummy:no_state 4;
           copies = Bytes.make ((t.deco.Deco.num_tree_nodes + 7) / 8) '\000';
           gone = false }
@@ -156,23 +195,58 @@ let get_ctl t (var : Types.var) =
       var.Types.slot <- Tree c;
       c
 
+(* Where an untouched node's pointers lead: toward the owner's leaf, where
+   the variable's first copy and its lock token start out. *)
+let initial_toward t (ctl : ctl) tnode =
+  let owner_leaf = leaf t ctl.var.Types.owner in
+  if tnode = owner_leaf then -1
+  else Deco.next_hop t.deco ~from:tnode ~target:owner_leaf
+
 (* The placement is computed once, when the state is materialised: the
    embedding rule walks from the tree root, one level per ancestor. *)
 let get_state t (ctl : ctl) tnode =
   match Int_table.find ctl.states tnode with
   | s -> s
   | exception Not_found ->
-      let owner_leaf = leaf t ctl.var.Types.owner in
-      let toward =
-        if tnode = owner_leaf then -1
-        else Deco.next_hop t.deco ~from:tnode ~target:owner_leaf
-      in
+      let toward = initial_toward t ctl tnode in
       let place =
         Embedding.place_lazy t.embedding t.deco ~seed:ctl.var.Types.seed tnode
       in
-      let s = { no_state with toward; tok_toward = toward; place } in
+      let rare =
+        match (t.capacity, t.remap_threshold) with
+        | None, None -> no_rare
+        | _ -> new_rare toward
+      in
+      let s = { toward; place; comp_edges = []; txn = idle_txn; rare } in
       Int_table.add ctl.states tnode s;
+      t.nstates <- t.nstates + 1;
       s
+
+(* The node's own transaction sidecar, allocated when a read or an
+   invalidation first needs more than a shared one. *)
+let txn_of st =
+  if shared st.txn then st.txn <- { st.txn with parked = [] };
+  st.txn
+
+let set_read_pending st on =
+  if shared st.txn then st.txn <- (if on then forwarding else idle_txn)
+  else st.txn.read_pending <- on
+
+(* Hand a drained transaction sidecar back to a shared one. Called before
+   any continuation runs: a resumed fiber may start a new transaction at
+   the same node. *)
+let release_txn st =
+  let x = st.txn in
+  if (not (shared x)) && x.parked = [] && x.readers = [] && x.inv_waiting = 0 then
+    st.txn <- (if x.read_pending then forwarding else idle_txn)
+
+(* The node's rare sidecar, allocated on its first lock operation. The
+   token starts at the owner's leaf, so its pointer follows the same rule
+   as the initial [toward]. *)
+let rare_of t ctl tnode =
+  let st = get_state t ctl tnode in
+  if st.rare == no_rare then st.rare <- new_rare (initial_toward t ctl tnode);
+  st.rare
 
 let place t (var : Types.var) tnode =
   match var.Types.slot with
@@ -187,8 +261,8 @@ let touch t st =
   | None -> ()
   | Some _ ->
       t.lru_tick <- t.lru_tick + 1;
-      st.last_use <- t.lru_tick;
-      st.use_count <- st.use_count + 1
+      st.rare.last_use <- t.lru_tick;
+      st.rare.use_count <- st.rare.use_count + 1
 
 let trace_copy_add t (ctl : ctl) tnode st =
   let tr = Network.trace t.net in
@@ -233,9 +307,9 @@ let send_data t ctl ~from ~tnode body =
 let evictable (ctl : ctl) tnode st =
   has_copy ctl tnode && ctl.ncopies > 1
   && (not ctl.writing)
-  && (not st.read_pending)
-  && st.parked = []
-  && st.inv_waiting = 0
+  && (not st.txn.read_pending)
+  && st.txn.parked = []
+  && st.txn.inv_waiting = 0
   && List.length st.comp_edges <= 1
 
 let unaccount_copy t (ctl : ctl) tnode st =
@@ -252,8 +326,8 @@ let unaccount_copy t (ctl : ctl) tnode st =
    deterministic). *)
 let score t st =
   match t.eviction with
-  | Strategy.Lru -> (st.last_use, 0)
-  | Strategy.Freq -> (st.use_count, st.last_use)
+  | Strategy.Lru -> (st.rare.last_use, 0)
+  | Strategy.Freq -> (st.rare.use_count, st.rare.last_use)
 
 let evict t proc =
   let nt = t.deco.Deco.num_tree_nodes in
@@ -318,10 +392,12 @@ let add_edge st nb = if not (List.mem nb st.comp_edges) then st.comp_edges <- nb
 (* ------------------------------------------------------------------ *)
 
 let complete_reads ctl st =
-  match st.readers with
+  let x = st.txn in
+  match x.readers with
   | [] -> ()
   | ks ->
-      st.readers <- [];
+      x.readers <- [];
+      release_txn st;
       ctl.reading <- ctl.reading - List.length ks;
       let v = ctl.var.Types.value in
       List.iter (fun k -> k v) (List.rev ks)
@@ -348,18 +424,19 @@ and start_read t ctl p k =
   ctl.reading <- ctl.reading + 1;
   let origin = leaf t p in
   let st = get_state t ctl origin in
-  st.readers <- k :: st.readers;
+  let x = txn_of st in
+  x.readers <- k :: x.readers;
   if has_copy ctl origin then begin
     touch t st;
     complete_reads ctl st;
     process_queue t ctl
   end
-  else if st.read_pending then
+  else if x.read_pending then
     (* A previous read from this leaf is in flight; its reply will arrive
        here and complete every registered reader. *)
     ()
   else begin
-    st.read_pending <- true;
+    x.read_pending <- true;
     send_ctl t ctl ~from:origin ~tnode:st.toward (Rreq { origin })
   end
 
@@ -381,8 +458,9 @@ and begin_invalidation t ctl u =
   st.comp_edges <- [];
   if nbrs = [] then finish_invalidation t ctl
   else begin
-    st.inv_waiting <- List.length nbrs;
-    st.inv_pred <- -1;
+    let x = txn_of st in
+    x.inv_waiting <- List.length nbrs;
+    x.inv_pred <- -1;
     List.iter (fun nb -> send_ctl t ctl ~from:u ~tnode:nb Winv) nbrs
   end
 
@@ -420,9 +498,12 @@ let on_rreq t ctl ~tnode ~origin =
     add_edge st nxt;
     send_data t ctl ~from:tnode ~tnode:nxt (Rrep { origins = [ origin ] })
   end
-  else if st.read_pending && t.combining then st.parked <- origin :: st.parked
+  else if st.txn.read_pending && t.combining then begin
+    let x = txn_of st in
+    x.parked <- origin :: x.parked
+  end
   else begin
-    if t.combining then st.read_pending <- true;
+    if t.combining then set_read_pending st true;
     send_ctl t ctl ~from:tnode ~tnode:st.toward (Rreq { origin })
   end
 
@@ -431,24 +512,32 @@ let on_rrep t ctl ~from ~tnode ~origins =
   add_copy t ctl tnode st;
   touch t st;
   add_edge st from;
-  st.read_pending <- false;
-  let targets =
-    List.filter (fun o -> o <> tnode) (origins @ st.parked)
-  in
-  st.parked <- [];
-  (* Multicast along tree branches: one message per distinct direction. *)
-  let groups = Hashtbl.create 4 in
-  List.iter
-    (fun o ->
+  set_read_pending st false;
+  let x = st.txn in
+  let parked = x.parked in
+  if parked <> [] then x.parked <- [];
+  release_txn st;
+  (* Multicast along tree branches: one message per distinct direction.
+     The groups go out in the table's bucket order, newest first within a
+     bucket; [reset] gives every reply the bucket count of a fresh table,
+     so that order is the same as a table created per reply. *)
+  let groups = t.groups in
+  let group o =
+    if o <> tnode then begin
       let nxt = Deco.next_hop t.deco ~from:tnode ~target:o in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt groups nxt) in
-      Hashtbl.replace groups nxt (o :: cur))
-    targets;
+      match Hashtbl.find groups nxt with
+      | os -> Hashtbl.replace groups nxt (o :: os)
+      | exception Not_found -> Hashtbl.add groups nxt [ o ]
+    end
+  in
+  List.iter group origins;
+  List.iter group parked;
   Hashtbl.iter
     (fun nxt os ->
       add_edge st nxt;
       send_data t ctl ~from:tnode ~tnode:nxt (Rrep { origins = os }))
     groups;
+  Hashtbl.reset groups;
   (* Completions last: they may resume fibers that issue new operations. *)
   complete_reads ctl st;
   process_queue t ctl
@@ -475,23 +564,23 @@ let on_winv t ctl ~from ~tnode =
     st.comp_edges <- [];
     if out = [] then send_ctl t ctl ~from:tnode ~tnode:from Wack
     else begin
-      st.inv_waiting <- List.length out;
-      st.inv_pred <- from;
+      let x = txn_of st in
+      x.inv_waiting <- List.length out;
+      x.inv_pred <- from;
       List.iter (fun nb -> send_ctl t ctl ~from:tnode ~tnode:nb Winv) out
     end
   end
 
 let on_wack t ctl ~tnode =
   let st = get_state t ctl tnode in
-  assert (st.inv_waiting > 0);
-  st.inv_waiting <- st.inv_waiting - 1;
-  if st.inv_waiting = 0 then
-    if st.inv_pred = -1 then finish_invalidation t ctl
-    else begin
-      let pred = st.inv_pred in
-      st.inv_pred <- -1;
-      send_ctl t ctl ~from:tnode ~tnode:pred Wack
-    end
+  let x = st.txn in
+  assert (x.inv_waiting > 0);
+  x.inv_waiting <- x.inv_waiting - 1;
+  if x.inv_waiting = 0 then begin
+    release_txn st;
+    if x.inv_pred = -1 then finish_invalidation t ctl
+    else send_ctl t ctl ~from:tnode ~tnode:x.inv_pred Wack
+  end
 
 let on_wdata t ctl ~from ~tnode ~origin =
   let st = get_state t ctl tnode in
@@ -509,66 +598,54 @@ let on_wdata t ctl ~from ~tnode ~origin =
 (* Raymond's mutual exclusion on the access tree                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec assign_privilege t ctl tnode =
-  let st = get_state t ctl tnode in
-  if st.tok_toward = -1 && (not st.locked) && st.lqueue <> [] then begin
-    let next, rest =
-      match st.lqueue with n :: r -> (n, r) | [] -> assert false
-    in
-    st.lqueue <- rest;
-    st.lasked <- false;
-    if next = tnode then begin
-      st.locked <- true;
-      match st.lock_k with
-      | Some k ->
-          st.lock_k <- None;
-          k ()
-      | None -> assert false
-    end
-    else begin
-      st.tok_toward <- next;
-      send_ctl t ctl ~from:tnode ~tnode:next Ltok;
-      make_request t ctl tnode
-    end
+let rec assign_privilege t ctl tnode r =
+  if r.tok_toward = -1 && (not r.locked) && not (Queue.is_empty r.lqueue) then begin
+    r.lasked <- false;
+    match Queue.pop r.lqueue with
+    | Local k ->
+        r.locked <- true;
+        k ()
+    | Remote next ->
+        r.tok_toward <- next;
+        send_ctl t ctl ~from:tnode ~tnode:next Ltok;
+        make_request t ctl tnode r
   end
 
-and make_request t ctl tnode =
-  let st = get_state t ctl tnode in
-  if st.tok_toward <> -1 && st.lqueue <> [] && not st.lasked then begin
-    st.lasked <- true;
-    send_ctl t ctl ~from:tnode ~tnode:st.tok_toward Lreq
+and make_request t ctl tnode r =
+  if r.tok_toward <> -1 && (not (Queue.is_empty r.lqueue)) && not r.lasked then begin
+    r.lasked <- true;
+    send_ctl t ctl ~from:tnode ~tnode:r.tok_toward Lreq
   end
 
 let on_lreq t ctl ~from ~tnode =
-  let st = get_state t ctl tnode in
-  st.lqueue <- st.lqueue @ [ from ];
-  assign_privilege t ctl tnode;
-  make_request t ctl tnode
+  let r = rare_of t ctl tnode in
+  Queue.add (Remote from) r.lqueue;
+  assign_privilege t ctl tnode r;
+  make_request t ctl tnode r
 
 let on_ltok t ctl ~tnode =
-  let st = get_state t ctl tnode in
-  st.tok_toward <- -1;
-  assign_privilege t ctl tnode;
-  make_request t ctl tnode
+  let r = rare_of t ctl tnode in
+  r.tok_toward <- -1;
+  assign_privilege t ctl tnode r;
+  make_request t ctl tnode r
 
 let lock t p var ~k =
   let ctl = get_ctl t var in
   let tnode = leaf t p in
-  let st = get_state t ctl tnode in
-  st.lock_k <- Some k;
-  st.lqueue <- st.lqueue @ [ tnode ];
-  assign_privilege t ctl tnode;
-  make_request t ctl tnode
+  let r = rare_of t ctl tnode in
+  Queue.add (Local k) r.lqueue;
+  assign_privilege t ctl tnode r;
+  make_request t ctl tnode r
 
 let unlock t p var =
   let ctl = get_ctl t var in
   let tnode = leaf t p in
-  let st = get_state t ctl tnode in
-  if not st.locked then
+  let r = rare_of t ctl tnode in
+  if not r.locked then
     invalid_arg "Access_tree.unlock: processor does not hold the lock";
-  st.locked <- false;
-  assign_privilege t ctl tnode;
-  make_request t ctl tnode
+  r.locked <- false;
+  assign_privilege t ctl tnode r;
+  make_request t ctl tnode r
 
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                    *)
@@ -588,19 +665,21 @@ let sole_copy t p var =
   has_copy ctl (leaf t p) && ctl.ncopies = 1 && (not ctl.writing) && ctl.reading = 0
   && Queue.is_empty ctl.pending
 
+let enqueue ctl op =
+  if ctl.pending == no_ops then ctl.pending <- Queue.create ();
+  Queue.add op ctl.pending
+
 let read t p var ~k =
   let ctl = get_ctl t var in
   if ctl.writing || not (Queue.is_empty ctl.pending) then
-    Queue.add (Oread { o_p = p; o_txn = Network.cur_txn t.net; o_k = k })
-      ctl.pending
+    enqueue ctl (Oread { o_p = p; o_txn = Network.cur_txn t.net; o_k = k })
   else start_read t ctl p k
 
 let write t p var value ~k =
   let ctl = get_ctl t var in
   if ctl.writing || ctl.reading > 0 || not (Queue.is_empty ctl.pending) then
-    Queue.add
+    enqueue ctl
       (Owrite { o_p = p; o_txn = Network.cur_txn t.net; o_v = value; o_k = k })
-      ctl.pending
   else start_write t ctl p value k
 
 (* The remapping variant of the original FOCS'97 strategy: once a tree node
@@ -612,9 +691,10 @@ let maybe_remap t (ctl : ctl) tnode =
   | None -> ()
   | Some threshold ->
       let st = get_state t ctl tnode in
-      st.traffic <- st.traffic + 1;
-      if st.traffic >= threshold && not (Deco.is_leaf t.deco tnode) then begin
-        st.traffic <- 0;
+      let r = st.rare in
+      r.traffic <- r.traffic + 1;
+      if r.traffic >= threshold && not (Deco.is_leaf t.deco tnode) then begin
+        r.traffic <- 0;
         let sm = t.deco.Deco.submesh.(tnode) in
         let mesh = t.deco.Deco.mesh in
         let coords =
@@ -686,6 +766,7 @@ let copy_holders t (var : Types.var) =
 
 let evictions t = t.eviction_count
 let remaps t = t.remap_count
+let states t = t.nstates
 
 (* Drop every state of the variable and detach the control block; the
    next access (if any) starts from a fresh singleton at the owner. *)
@@ -698,6 +779,7 @@ let retire t (var : Types.var) =
         Int_table.iter
           (fun tnode st -> if has_copy ctl tnode then unaccount_copy t ctl tnode st)
           ctl.states;
+      t.nstates <- t.nstates - Int_table.length ctl.states;
       Int_table.reset ctl.states;
       ctl.gone <- true;
       var.Types.slot <- Types.No_slot
@@ -746,25 +828,26 @@ let validate t (var : Types.var) =
             (* Every materialised pointer chain reaches the component. A
                node never touched points toward the owner's leaf. *)
             let nt = t.deco.Deco.num_tree_nodes in
-            let owner_leaf = leaf t var.Types.owner in
             let toward cur =
               match Int_table.find ctl.states cur with
               | st -> st.toward
-              | exception Not_found ->
-                  if cur = owner_leaf then -1
-                  else Deco.next_hop t.deco ~from:cur ~target:owner_leaf
+              | exception Not_found -> initial_toward t ctl cur
             in
             let rec chase cur steps =
               if steps > nt || cur < 0 then false
               else has_copy ctl cur || chase (toward cur) (steps + 1)
             in
-            let bad = ref None in
+            let lost = ref None and leaked = ref None in
             Int_table.iter
-              (fun tnode _ -> if not (chase tnode 0) then bad := Some tnode)
+              (fun tnode st ->
+                if not (chase tnode 0) then lost := Some tnode;
+                if st.txn != idle_txn then leaked := Some tnode)
               ctl.states;
-            match !bad with
-            | Some tn -> err "%s: pointer chain from node %d is lost" var.Types.name tn
-            | None -> Ok ()
+            match (!lost, !leaked) with
+            | Some tn, _ -> err "%s: pointer chain from node %d is lost" var.Types.name tn
+            | None, Some tn ->
+                err "%s: node %d keeps transaction state at quiescence" var.Types.name tn
+            | None, None -> Ok ()
           end
         end
       end

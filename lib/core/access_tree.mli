@@ -78,6 +78,10 @@ val evictions : t -> int
 val remaps : t -> int
 (** Number of tree-node remappings performed (0 unless enabled). *)
 
+val states : t -> int
+(** Number of (variable, tree node) states currently materialised, over
+    all variables; {!retire} releases a variable's. For memory checks. *)
+
 val retire : t -> Types.var -> unit
 (** Drop all protocol state of a variable that will never be accessed
     again (a freed object, e.g. a Barnes-Hut cell of a discarded tree).
@@ -86,8 +90,10 @@ val retire : t -> Types.var -> unit
 val validate : t -> Types.var -> (unit, string) result
 (** Check the protocol's structural invariants for a variable while no
     transaction is in flight: the copy holders form a connected subtree,
-    the copy count matches, and every materialised tracking pointer leads
-    to the component. For tests. *)
+    the copy count matches, every materialised tracking pointer leads
+    to the component, and no tree node keeps transaction state (waiting
+    readers, parked origins, outstanding acks, a pending read). For
+    tests. *)
 
 module Impl :
   Strategy.STRATEGY with type t = t and type config = Strategy.tree_config

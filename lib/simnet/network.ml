@@ -18,9 +18,18 @@ type msg = {
 }
 
 (* A blocked receive. [W_tag]/[W_any] match structurally; [W_pred] runs an
-   arbitrary filter. Waiters are matched in registration (FIFO) order. *)
+   arbitrary filter. Waiters are matched in registration (FIFO) order: a
+   mailbox chains them through [w_next] from its head to its tail, and
+   [no_waiter] ends the chain. *)
 type wkind = W_any | W_tag of int | W_pred of (msg -> bool)
-type waiter = { w_kind : wkind; w_resume : msg -> unit }
+
+type waiter = {
+  w_kind : wkind;
+  w_resume : msg -> unit;
+  mutable w_next : waiter;
+}
+
+let rec no_waiter = { w_kind = W_any; w_resume = ignore; w_next = no_waiter }
 
 (* Mailbox entry shared between the arrival-order queue and the per-tag
    index. Consuming a message from either view marks the slot taken; the
@@ -33,7 +42,8 @@ type slot = { sl_msg : msg; mutable sl_taken : bool }
 type mailbox = {
   inbox : slot Queue.t;  (* every arrival, oldest first *)
   by_tag : (int, slot Queue.t) Hashtbl.t;  (* tagged arrivals only *)
-  mutable waiters : waiter list;
+  mutable w_head : waiter;  (* oldest blocked receive, or [no_waiter] *)
+  mutable w_tail : waiter;  (* newest blocked receive, or [no_waiter] *)
 }
 
 (* Reliable-delivery envelope, used only while a fault schedule is
@@ -114,30 +124,31 @@ let waiter_matches w msg =
 
 let default_handler t msg =
   let mb = t.mailboxes.(msg.m_dst) in
-  let rec try_waiters acc = function
-    | [] ->
-        mb.waiters <- List.rev acc;
-        let sl = { sl_msg = msg; sl_taken = false } in
-        Queue.add sl mb.inbox;
-        if msg.m_tag >= 0 then begin
-          let q =
-            match Hashtbl.find_opt mb.by_tag msg.m_tag with
-            | Some q -> q
-            | None ->
-                let q = Queue.create () in
-                Hashtbl.add mb.by_tag msg.m_tag q;
-                q
-          in
-          Queue.add sl q
-        end
-    | w :: rest ->
-        if waiter_matches w msg then begin
-          mb.waiters <- List.rev_append acc rest;
-          w.w_resume msg
-        end
-        else try_waiters (w :: acc) rest
+  let rec try_waiters prev w =
+    if w == no_waiter then begin
+      let sl = { sl_msg = msg; sl_taken = false } in
+      Queue.add sl mb.inbox;
+      if msg.m_tag >= 0 then begin
+        let q =
+          match Hashtbl.find_opt mb.by_tag msg.m_tag with
+          | Some q -> q
+          | None ->
+              let q = Queue.create () in
+              Hashtbl.add mb.by_tag msg.m_tag q;
+              q
+        in
+        Queue.add sl q
+      end
+    end
+    else if waiter_matches w msg then begin
+      (* Unlink [w] before resuming: the fiber may block again at once. *)
+      if prev == no_waiter then mb.w_head <- w.w_next else prev.w_next <- w.w_next;
+      if mb.w_tail == w then mb.w_tail <- prev;
+      w.w_resume msg
+    end
+    else try_waiters w w.w_next
   in
-  try_waiters [] mb.waiters
+  try_waiters no_waiter mb.w_head
 
 let create_nd ?(machine = Machine.gcel) ?(seed = 42) ~dims () =
   let mesh = Mesh.create_nd ~dims in
@@ -158,7 +169,8 @@ let create_nd ?(machine = Machine.gcel) ?(seed = 42) ~dims () =
     handlers = Array.make n default_handler;
     mailboxes =
       Array.init n (fun _ ->
-          { inbox = Queue.create (); by_tag = Hashtbl.create 4; waiters = [] });
+          { inbox = Queue.create (); by_tag = Hashtbl.create 4;
+            w_head = no_waiter; w_tail = no_waiter });
     node_startup_count = Array.make n 0;
     startup_count = 0;
     fibers = 0;
@@ -747,7 +759,9 @@ let recv t node ?where ?tag () =
         | Some _, Some _ -> assert false
       in
       suspend (fun resume ->
-          mb.waiters <- mb.waiters @ [ { w_kind = kind; w_resume = resume } ])
+          let w = { w_kind = kind; w_resume = resume; w_next = no_waiter } in
+          if mb.w_tail == no_waiter then mb.w_head <- w else mb.w_tail.w_next <- w;
+          mb.w_tail <- w)
 
 let mailbox_deliver t msg = default_handler t msg
 

@@ -6,6 +6,7 @@ module Network = Diva_simnet.Network
 module Dsm = Diva_core.Dsm
 module Access_tree = Diva_core.Access_tree
 module Deco = Diva_mesh.Decomposition
+module Matmul = Diva_apps.Matmul
 open Helpers
 
 let for_all_strategies f =
@@ -349,10 +350,94 @@ let test_retire_bounds_memory () =
     true
     (growth_bytes < 64 * 1024)
 
+(* 2 000 fibers on one processor ask for one lock at once. Their
+   requests queue at the processor's leaf, in an O(1) FIFO (the old
+   [lqueue @ [r]] was quadratic), and are granted in request order, one
+   holder at a time. *)
+let test_lock_queue_fifo () =
+  let n = 2_000 in
+  let net, dsm = make_dsm ~rows:2 ~cols:2 (Dsm.access_tree ~arity:4 ()) in
+  let v = Dsm.create_var dsm ~owner:3 ~size:8 0 in
+  let order = ref [] and inside = ref 0 and max_inside = ref 0 in
+  for i = 0 to n - 1 do
+    Network.spawn net 0 (fun () ->
+        Dsm.lock dsm 0 v;
+        incr inside;
+        max_inside := max !max_inside !inside;
+        order := i :: !order;
+        Network.compute net 0 1.0;
+        decr inside;
+        Dsm.unlock dsm 0 v)
+  done;
+  Network.run net;
+  Alcotest.(check int) "one holder at a time" 1 !max_inside;
+  Alcotest.(check (list int)) "granted in FIFO order" (List.init n Fun.id)
+    (List.rev !order)
+
+(* State footprint gate: live words retained per materialised
+   (variable, tree node) state by a 16x16 matmul with 64-int blocks on
+   the 4-ary access tree, with the heap compacted before and after the
+   run. The retained words also hold the run's other leftovers (variable
+   control blocks, the written blocks, grown queues). It measures 12.95
+   words per state; the one-record state layout this replaced measured
+   24.02. *)
+let test_state_footprint_gate () =
+  let net, dsm = make_dsm ~rows:16 ~cols:16 (Dsm.access_tree ~arity:4 ()) in
+  let app = Matmul.setup dsm { Matmul.block = 64; compute = false } in
+  for p = 0 to Network.num_nodes net - 1 do
+    Network.spawn net p (fun () -> Matmul.fiber app p)
+  done;
+  Gc.compact ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  Network.run net;
+  Gc.compact ();
+  let live1 = (Gc.stat ()).Gc.live_words in
+  let states = Access_tree.states (Option.get (Dsm.access_tree_handle dsm)) in
+  ignore (Sys.opaque_identity (net, dsm, app));
+  let words = float_of_int (live1 - live0) /. float_of_int states in
+  if words > 13.0 then
+    Alcotest.failf "%.2f live words per tree-node state, over the gate of 13" words
+
+(* DSM allocation gate: a steady loop on a 2x2 mesh where processor 3
+   (the owner) writes, invalidating processor 0's copy, and processor 0
+   then reads it back, a miss. Minor words are summed per operation over
+   the whole transaction (protocol, network, fiber resume). It measures
+   247 words per read miss and 205 per write, the gates. Before node
+   state was split into a core and sidecars, and before replies reused
+   one grouping table, it measured 302 and 193: the write now allocates
+   a transaction sidecar at each of the two nodes it invalidates from. *)
+let test_dsm_alloc_gate () =
+  let net, dsm = make_dsm ~rows:2 ~cols:2 (Dsm.access_tree ~arity:4 ()) in
+  let v = Dsm.create_var dsm ~owner:3 ~size:8 0 in
+  let ops = 2_000 in
+  let words = Array.make 2 0.0 in  (* read misses, writes *)
+  Network.spawn net 0 (fun () ->
+      ignore (Dsm.read dsm 0 v);
+      for i = 1 to ops do
+        let w0 = Gc.minor_words () in
+        Dsm.write dsm 3 v i;
+        let w1 = Gc.minor_words () in
+        ignore (Dsm.read dsm 0 v);
+        let w2 = Gc.minor_words () in
+        words.(1) <- words.(1) +. (w1 -. w0);
+        words.(0) <- words.(0) +. (w2 -. w1)
+      done);
+  Network.run net;
+  Alcotest.(check int) "every read a miss" 0 (Dsm.read_hits dsm);
+  Alcotest.(check int) "every write invalidates" 0 (Dsm.write_hits dsm);
+  let per k = words.(k) /. float_of_int ops in
+  if per 0 > 247.0 then
+    Alcotest.failf "%.2f words per read miss, over the gate of 247" (per 0);
+  if per 1 > 205.0 then
+    Alcotest.failf "%.2f words per write, over the gate of 205" (per 1)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "untraced hits allocation-free" `Quick
         test_untraced_hits_allocation_free;
       Alcotest.test_case "retire bounds memory" `Quick test_retire_bounds_memory;
+      Alcotest.test_case "lock queue fifo" `Quick test_lock_queue_fifo;
+      Alcotest.test_case "state footprint gate" `Quick test_state_footprint_gate;
+      Alcotest.test_case "dsm allocation gate" `Quick test_dsm_alloc_gate;
     ]

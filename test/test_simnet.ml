@@ -316,6 +316,31 @@ let test_mailbox_burst_linear () =
   Alcotest.(check bool) "burst stays linear (< 5 s cpu)" true
     (Sys.time () -. t0 < 5.0)
 
+(* Blocked receivers register in an O(1) FIFO (the old [waiters @ [w]]
+   was quadratic): 10 000 fibers block on one mailbox before any message
+   arrives, and each arrival wakes the oldest of them. *)
+let test_mailbox_waiters_fifo () =
+  let n = 10_000 in
+  let net = Network.create ~rows:1 ~cols:1 () in
+  let got = Array.make n (-1) in
+  let t0 = Sys.time () in
+  for i = 0 to n - 1 do
+    Network.spawn net 0 (fun () ->
+        match (Network.recv net 0 ()).Network.m_payload with
+        | Ping j -> got.(i) <- j
+        | _ -> ())
+  done;
+  Sim.schedule (Network.sim net) 1.0 (fun () ->
+      for j = 0 to n - 1 do
+        Network.mailbox_deliver net
+          { Network.m_src = 0; m_dst = 0; m_size = 8; m_tag = -1; m_payload = Ping j }
+      done);
+  Network.run net;
+  Alcotest.(check bool) "every receiver woken in FIFO order" true
+    (Array.for_all2 ( = ) got (Array.init n Fun.id));
+  Alcotest.(check bool) "waiters stay linear (< 5 s cpu)" true
+    (Sys.time () -. t0 < 5.0)
+
 (* Closure-free scheduling: Sim.schedule_call carries (f, x) instead of a
    fresh closure, and must interleave with ordinary closures in exact
    (time, insertion) order. *)
@@ -473,4 +498,5 @@ let suite =
     Alcotest.test_case "recv tag burst linear" `Quick test_recv_tag_burst_linear;
     Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff;
     Alcotest.test_case "network allocation gate" `Quick test_network_alloc_gate;
+    Alcotest.test_case "mailbox waiters fifo" `Quick test_mailbox_waiters_fifo;
   ]
