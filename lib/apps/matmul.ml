@@ -12,7 +12,6 @@ type t = {
   q : int;  (* sqrt P = blocks per row/column *)
   b : int;  (* block side length *)
   vars : int array Dsm.var array array;
-  initial : int array array array;  (* [i][j] -> initial block, for verify *)
   mutable reads : int;
 }
 
@@ -22,6 +21,14 @@ let isqrt n =
   let r = adjust (r + 1) in
   if r * r <> n then invalid_arg "Matmul: not a perfect square" else r
 
+(* The input matrix, block [i][j] row-major: one fixed-seed stream, so
+   [verify] regenerates what [setup] handed to the variables instead of
+   keeping a second copy for the whole run. *)
+let initial_blocks ~q ~block =
+  let rng = Prng.create ~seed:2027 in
+  Array.init q (fun _ ->
+      Array.init q (fun _ -> Array.init block (fun _ -> Prng.int rng 100)))
+
 let setup dsm cfg =
   let mesh = Network.mesh (Dsm.net dsm) in
   if Diva_mesh.Mesh.num_dims mesh <> 2
@@ -29,11 +36,7 @@ let setup dsm cfg =
   then invalid_arg "Matmul.setup: requires a square 2-D mesh";
   let q = Diva_mesh.Mesh.rows mesh in
   let b = isqrt cfg.block in
-  let rng = Prng.create ~seed:2027 in
-  let initial =
-    Array.init q (fun _ ->
-        Array.init q (fun _ -> Array.init cfg.block (fun _ -> Prng.int rng 100)))
-  in
+  let blocks = initial_blocks ~q ~block:cfg.block in
   let vars =
     Array.init q (fun i ->
         Array.init q (fun j ->
@@ -41,9 +44,9 @@ let setup dsm cfg =
             Dsm.create_var dsm
               ~name:(Printf.sprintf "A[%d,%d]" i j)
               ~owner ~size:(cfg.block * 4)
-              (Array.copy initial.(i).(j))))
+              blocks.(i).(j)))
   in
-  { dsm; cfg; q; b; vars; initial; reads = 0 }
+  { dsm; cfg; q; b; vars; reads = 0 }
 
 (* H += X * Y for b*b blocks stored row-major. *)
 let block_mult_add ~b h x y =
@@ -85,11 +88,12 @@ let fiber t p =
 
 let verify t =
   let q = t.q and b = t.b and m = t.cfg.block in
+  let initial = initial_blocks ~q ~block:m in
   let expect = Array.init q (fun _ -> Array.init q (fun _ -> Array.make m 0)) in
   for i = 0 to q - 1 do
     for j = 0 to q - 1 do
       for k = 0 to q - 1 do
-        block_mult_add ~b expect.(i).(j) t.initial.(i).(k) t.initial.(k).(j)
+        block_mult_add ~b expect.(i).(j) initial.(i).(k) initial.(k).(j)
       done
     done
   done;

@@ -3,7 +3,6 @@ module Deco = Diva_mesh.Decomposition
 module Embedding = Diva_mesh.Embedding
 module Network = Diva_simnet.Network
 module Trace = Diva_obs.Trace
-module Int_table = Diva_util.Int_table
 
 type body =
   | Rreq of { origin : int }
@@ -21,47 +20,32 @@ type body =
    an acquirer waiting at this leaf. *)
 type lwait = Remote of int | Local of (unit -> unit)
 
-(* Transaction sidecar of a tree node: the fields a read or an
-   invalidation in flight needs. Most nodes share one of two sidecars
-   that are never written: [idle_txn] when no transaction touches the
-   node, [forwarding] when it only waits for the reply to a read it
-   forwarded. *)
+(* Transaction entry of a tree node: what a read or an invalidation in
+   flight keeps there beyond the node's [pending] flag. It exists only
+   while one of its fields is non-empty. *)
 type txn = {
-  mutable read_pending : bool;  (* forwarded a read, reply not yet back *)
   mutable parked : int list;  (* origins combined onto the in-flight reply *)
   mutable readers : (Value.t -> unit) list;  (* reads issued at this leaf, newest first *)
   mutable inv_waiting : int;  (* outstanding invalidation acks *)
   mutable inv_pred : int;  (* where to ack once [inv_waiting] drains; -1 = here *)
 }
 
-(* Rare sidecar of a tree node: Raymond's token-based mutual exclusion on
-   the same tree, and the eviction and remapping counters. Nodes that
-   never took part in a lock operation share [no_rare], which is never
-   written, unless [capacity] or [remap_threshold] is set: then every
-   state gets its own from the start. *)
-type rare = {
-  mutable tok_toward : int;  (* neighbour toward the token; -1 = token here *)
+(* Lock entry of a tree node: Raymond's request queue and flags. The
+   token pointer itself is packed with the node's state. It exists only
+   while the queue is non-empty or a flag is set. *)
+type lock = {
   lqueue : lwait Queue.t;  (* FIFO of token requests *)
   mutable lasked : bool;
   mutable locked : bool;
-  mutable last_use : int;  (* LRU tick *)
-  mutable use_count : int;  (* lifetime touches, for frequency eviction *)
-  mutable traffic : int;  (* messages served, for the remapping variant *)
 }
 
-(* Per-(variable, tree-node) protocol state: the core record, which is all
-   most nodes ever use, with one pointer to each sidecar. Created lazily:
-   a missing entry means the node has never been touched, in which case
-   its pointers are derivable from the variable's initial owner. Whether
-   the node holds a copy is recorded in the variable's [copies] bitmap,
-   not here. *)
-type tstate = {
-  mutable toward : int;  (* neighbour toward the copy component; -1 = copy *)
-  mutable place : int;  (* mesh node simulating this tree node, remaps included *)
-  mutable comp_edges : int list;  (* neighbours believed to be in the component *)
-  mutable txn : txn;
-  mutable rare : rare;
-}
+(* Side tables of the entries in use, over all variables, keyed like the
+   [held] registries. *)
+module Side = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
 
 (* Queued operations remember the causal transaction that issued them:
    they are dequeued from inside some other transaction's handler, and
@@ -93,7 +77,7 @@ type ctl = {
   mutable writing : bool;
   mutable pending : op Queue.t;  (* [no_ops] until an operation first waits *)
   mutable wtxn : wtxn option;
-  states : tstate Int_table.t;  (* tree node -> state, materialised ones *)
+  nodes : Node_table.t;  (* the materialised tree nodes' packed state *)
   copies : Bytes.t;  (* one bit per tree node: does it hold a copy? *)
   mutable gone : bool;  (* retired: the state is dropped *)
 }
@@ -106,6 +90,7 @@ type Network.payload +=
 type t = {
   net : Network.t;
   deco : Deco.t;
+  layout : Node_table.layout;
   embedding : Embedding.kind;
   capacity : int option;
   combining : bool;
@@ -118,17 +103,36 @@ type t = {
   mutable lru_tick : int;
   mutable eviction_count : int;
   mutable nstates : int;  (* materialised states, over all variables *)
+  txns : txn Side.t;
+  locks : lock Side.t;
   groups : (int, int list) Hashtbl.t;  (* [on_rrep]'s grouping: next hop -> origins *)
 }
+
+(* Extra words of a slot: the eviction counters when [capacity] is set,
+   then the remapping counter when [remap_threshold] is. *)
+let last_use = 0
+let use_count = 1
+let traffic t = match t.capacity with None -> 0 | Some _ -> 2
 
 let create net (c : Strategy.tree_config) =
   let deco =
     Deco.build (Network.mesh net) ~arity:(Deco.arity_of_int c.arity)
       ~leaf_size:c.leaf_size
   in
+  Node_table.check_fits ~tree_nodes:deco.Deco.num_tree_nodes
+    ~mesh_nodes:(Network.num_nodes net);
+  let max_children =
+    Array.fold_left (fun m kids -> max m (Array.length kids)) 0 deco.Deco.children
+  in
+  let extra =
+    (match c.capacity with None -> 0 | Some _ -> 2)
+    + match c.remap_threshold with None -> 0 | Some _ -> 1
+  in
   {
     net;
     deco;
+    layout =
+      Node_table.layout ~tree_nodes:deco.Deco.num_tree_nodes ~max_children ~extra;
     embedding = c.embedding;
     capacity = c.capacity;
     combining = c.combining;
@@ -144,11 +148,14 @@ let create net (c : Strategy.tree_config) =
     lru_tick = 0;
     eviction_count = 0;
     nstates = 0;
+    txns = Side.create 16;
+    locks = Side.create 16;
     groups = Hashtbl.create 4;
   }
 
-(* Keys of the per-processor [held] registries. Their hash order breaks
-   eviction ties, so it is part of the capacity goldens. *)
+(* Keys of the per-processor [held] registries and of the side tables.
+   The registries' hash order breaks eviction ties, so it is part of the
+   capacity goldens. *)
 let key t (ctl : ctl) tnode = (ctl.var.Types.id * t.deco.Deco.num_tree_nodes) + tnode
 let leaf t p = t.deco.Deco.leaf_of_proc.(p)
 
@@ -160,25 +167,26 @@ let set_copy ctl tnode on =
   let b = Char.code (Bytes.get ctl.copies i) in
   Bytes.set ctl.copies i (Char.unsafe_chr (if on then b lor bit else b land lnot bit))
 
+(* Neighbour codes: the packed state stores every pointer as 0 for the
+   node's parent, k for its k-th child, -1 for none. *)
+let code_of t tnode nb =
+  if nb < 0 then -1
+  else if nb < tnode then 0 (* preorder: only the parent precedes a node *)
+  else begin
+    let kids = t.deco.Deco.children.(tnode) in
+    let k = ref 0 in
+    while kids.(!k) <> nb do incr k done;
+    !k + 1
+  end
+
+let node_of t tnode code =
+  if code < 0 then -1
+  else if code = 0 then t.deco.Deco.parent.(tnode)
+  else t.deco.Deco.children.(tnode).(code - 1)
+
 (* The wait queue of every variable no operation ever waited on; never
    written. *)
 let no_ops : op Queue.t = Queue.create ()
-
-let idle_txn =
-  { read_pending = false; parked = []; readers = []; inv_waiting = 0; inv_pred = -1 }
-
-let forwarding = { idle_txn with read_pending = true }
-let shared x = x == idle_txn || x == forwarding
-
-let new_rare tok_toward =
-  { tok_toward; lqueue = Queue.create (); lasked = false; locked = false;
-    last_use = 0; use_count = 0; traffic = 0 }
-
-let no_rare = new_rare (-1)
-
-(* The filler of empty [Int_table] slots. *)
-let no_state =
-  { toward = -1; place = -1; comp_edges = []; txn = idle_txn; rare = no_rare }
 
 let get_ctl t (var : Types.var) =
   match var.Types.slot with
@@ -187,7 +195,7 @@ let get_ctl t (var : Types.var) =
       let c =
         { var; ncopies = 1; reading = 0; writing = false;
           pending = no_ops; wtxn = None;
-          states = Int_table.create ~dummy:no_state 4;
+          nodes = Node_table.create t.layout;
           copies = Bytes.make ((t.deco.Deco.num_tree_nodes + 7) / 8) '\000';
           gone = false }
       in
@@ -202,99 +210,109 @@ let initial_toward t (ctl : ctl) tnode =
   if tnode = owner_leaf then -1
   else Deco.next_hop t.deco ~from:tnode ~target:owner_leaf
 
-(* The placement is computed once, when the state is materialised: the
-   embedding rule walks from the tree root, one level per ancestor. *)
+(* A node's slot in its variable's table, materialised on first touch.
+   The placement is computed then: the embedding rule walks from the tree
+   root, one level per ancestor. *)
 let get_state t (ctl : ctl) tnode =
-  match Int_table.find ctl.states tnode with
-  | s -> s
-  | exception Not_found ->
-      let toward = initial_toward t ctl tnode in
-      let place =
-        Embedding.place_lazy t.embedding t.deco ~seed:ctl.var.Types.seed tnode
-      in
-      let rare =
-        match (t.capacity, t.remap_threshold) with
-        | None, None -> no_rare
-        | _ -> new_rare toward
-      in
-      let s = { toward; place; comp_edges = []; txn = idle_txn; rare } in
-      Int_table.add ctl.states tnode s;
-      t.nstates <- t.nstates + 1;
-      s
+  let s = Node_table.find ctl.nodes tnode in
+  if s >= 0 then s
+  else begin
+    let toward = code_of t tnode (initial_toward t ctl tnode) in
+    let place =
+      Embedding.place_lazy t.embedding t.deco ~seed:ctl.var.Types.seed tnode
+    in
+    t.nstates <- t.nstates + 1;
+    Node_table.add ctl.nodes tnode ~toward ~token:toward ~place
+  end
 
-(* The node's own transaction sidecar, allocated when a read or an
-   invalidation first needs more than a shared one. *)
-let txn_of st =
-  if shared st.txn then st.txn <- { st.txn with parked = [] };
-  st.txn
+let toward t ctl tnode s = node_of t tnode (Node_table.toward ctl.nodes s)
+let set_toward t ctl tnode s nb = Node_table.set_toward ctl.nodes s (code_of t tnode nb)
+let add_edge t ctl tnode s nb = Node_table.add_edge ctl.nodes s (code_of t tnode nb)
+let place_of ctl s = Node_table.place ctl.nodes s
 
-let set_read_pending st on =
-  if shared st.txn then st.txn <- (if on then forwarding else idle_txn)
-  else st.txn.read_pending <- on
+(* The node's transaction entry; [no_txn], never written, if it has none. *)
+let no_txn = { parked = []; readers = []; inv_waiting = 0; inv_pred = -1 }
 
-(* Hand a drained transaction sidecar back to a shared one. Called before
-   any continuation runs: a resumed fiber may start a new transaction at
-   the same node. *)
-let release_txn st =
-  let x = st.txn in
-  if (not (shared x)) && x.parked = [] && x.readers = [] && x.inv_waiting = 0 then
-    st.txn <- (if x.read_pending then forwarding else idle_txn)
+let find_txn t ctl tnode s =
+  if Node_table.has_txn ctl.nodes s then Side.find t.txns (key t ctl tnode) else no_txn
 
-(* The node's rare sidecar, allocated on its first lock operation. The
-   token starts at the owner's leaf, so its pointer follows the same rule
-   as the initial [toward]. *)
-let rare_of t ctl tnode =
-  let st = get_state t ctl tnode in
-  if st.rare == no_rare then st.rare <- new_rare (initial_toward t ctl tnode);
-  st.rare
+let txn_of t ctl tnode s =
+  let x = find_txn t ctl tnode s in
+  if x != no_txn then x
+  else begin
+    let x = { parked = []; readers = []; inv_waiting = 0; inv_pred = -1 } in
+    Side.add t.txns (key t ctl tnode) x;
+    Node_table.set_has_txn ctl.nodes s true;
+    x
+  end
+
+(* Drop a drained transaction entry. Called before any continuation runs:
+   a resumed fiber may start a new transaction at the same node. *)
+let release_txn t ctl tnode s x =
+  if x != no_txn && x.parked = [] && x.readers = [] && x.inv_waiting = 0 then begin
+    Side.remove t.txns (key t ctl tnode);
+    Node_table.set_has_txn ctl.nodes s false
+  end
 
 let place t (var : Types.var) tnode =
+  let lazily () = Embedding.place_lazy t.embedding t.deco ~seed:var.Types.seed tnode in
   match var.Types.slot with
-  | Tree ctl when Int_table.mem ctl.states tnode ->
-      (Int_table.find ctl.states tnode).place
-  | _ -> Embedding.place_lazy t.embedding t.deco ~seed:var.Types.seed tnode
+  | Tree ctl ->
+      let s = Node_table.find ctl.nodes tnode in
+      if s >= 0 then place_of ctl s else lazily ()
+  | _ -> lazily ()
 
 (* LRU/LFU bookkeeping. Only the eviction score reads it, so it is
    skipped when memory is unbounded. *)
-let touch t st =
+let touch t ctl s =
   match t.capacity with
   | None -> ()
   | Some _ ->
       t.lru_tick <- t.lru_tick + 1;
-      st.rare.last_use <- t.lru_tick;
-      st.rare.use_count <- st.rare.use_count + 1
+      Node_table.set_extra ctl.nodes s last_use t.lru_tick;
+      Node_table.set_extra ctl.nodes s use_count
+        (Node_table.extra ctl.nodes s use_count + 1)
 
-let trace_copy_add t (ctl : ctl) tnode st =
+let trace_copy_add t (ctl : ctl) tnode s =
   let tr = Network.trace t.net in
   if Trace.enabled tr then
     Trace.emit tr
       (Trace.Copy_add
-         { ts = Network.now t.net; node = st.place;
+         { ts = Network.now t.net; node = place_of ctl s;
            var = ctl.var.Types.id; var_name = ctl.var.Types.name; tnode;
            level = t.deco.Deco.depth.(tnode) })
 
-let trace_copy_drop t (ctl : ctl) tnode st reason =
+let trace_copy_drop t (ctl : ctl) tnode s reason =
   let tr = Network.trace t.net in
   if Trace.enabled tr then
     Trace.emit tr
       (Trace.Copy_drop
-         { ts = Network.now t.net; node = st.place;
+         { ts = Network.now t.net; node = place_of ctl s;
            var = ctl.var.Types.id; var_name = ctl.var.Types.name; tnode;
            level = t.deco.Deco.depth.(tnode); reason })
 
-(* Materialising the destination's state here rather than on arrival
-   changes nothing: an untouched node's state is a function of the owner
-   and the node alone. *)
-let send_tree t (ctl : ctl) ~from ~tnode ~size body =
-  let src = (get_state t ctl from).place and dst = (get_state t ctl tnode).place in
+(* [s] is the sender's slot. Materialising the destination's state here
+   rather than on arrival changes nothing: an untouched node's state is a
+   function of the owner and the node alone. *)
+let send_tree t (ctl : ctl) ~from ~s ~tnode ~size body =
+  let src = place_of ctl s and dst = place_of ctl (get_state t ctl tnode) in
   Network.tag_level t.net t.deco.Deco.depth.(tnode);
   Network.send t.net ~src ~dst ~size (At { ctl; from; tnode; body })
 
-let send_ctl t ctl ~from ~tnode body =
-  send_tree t ctl ~from ~tnode ~size:Types.control_size body
+let send_ctl t ctl ~from ~s ~tnode body =
+  send_tree t ctl ~from ~s ~tnode ~size:Types.control_size body
 
-let send_data t ctl ~from ~tnode body =
-  send_tree t ctl ~from ~tnode ~size:(Types.data_size ctl.var) body
+let send_data t ctl ~from ~s ~tnode body =
+  send_tree t ctl ~from ~s ~tnode ~size:(Types.data_size ctl.var) body
+
+(* Send [Winv] along the node's component edges, newest first, and clear
+   them. The sends materialise other nodes, which moves the table's
+   columns but not the slot, so each edge is read afresh. *)
+let invalidate_edges t ctl tnode s n =
+  for i = 0 to n - 1 do
+    send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode (Node_table.edge ctl.nodes s i)) Winv
+  done;
+  Node_table.clear_edges ctl.nodes s
 
 (* ------------------------------------------------------------------ *)
 (* Copy bookkeeping and LRU replacement                                 *)
@@ -304,62 +322,67 @@ let send_data t ctl ~from ~tnode body =
    a component leaf), it is not the last copy, and no transaction is
    touching it. Eviction is silent: the remaining neighbour keeps a stale
    component edge, which the invalidation handler tolerates. *)
-let evictable (ctl : ctl) tnode st =
+let evictable t (ctl : ctl) tnode s =
   has_copy ctl tnode && ctl.ncopies > 1
   && (not ctl.writing)
-  && (not st.txn.read_pending)
-  && st.txn.parked = []
-  && st.txn.inv_waiting = 0
-  && List.length st.comp_edges <= 1
+  && (not (Node_table.pending ctl.nodes s))
+  && (let x = find_txn t ctl tnode s in
+      x.parked = [] && x.inv_waiting = 0)
+  && Node_table.edge_count ctl.nodes s <= 1
 
-let unaccount_copy t (ctl : ctl) tnode st =
+let unaccount_copy t (ctl : ctl) tnode s =
   match t.capacity with
   | None -> ()
   | Some _ ->
-      let proc = st.place in
+      let proc = place_of ctl s in
       t.mem_used.(proc) <- t.mem_used.(proc) - ctl.var.Types.data_size;
       Hashtbl.remove t.held.(proc) (key t ctl tnode)
 
 (* Scan only the copies held at [proc] (the per-processor registry). The
    victim minimizes the policy's score: the LRU tick, or the lifetime
    touch count (ties broken by the LRU tick, so frequency eviction stays
-   deterministic). *)
-let score t st =
-  match t.eviction with
-  | Strategy.Lru -> (st.rare.last_use, 0)
-  | Strategy.Freq -> (st.rare.use_count, st.rare.last_use)
-
+   deterministic). The first minimum in the registry's order wins. *)
 let evict t proc =
   let nt = t.deco.Deco.num_tree_nodes in
-  let best = ref None in
+  let best = ref None and best1 = ref 0 and best2 = ref 0 in
   Hashtbl.iter
     (fun k ctl ->
       let tnode = k mod nt in
-      match Int_table.find ctl.states tnode with
-      | exception Not_found -> ()
-      | st when evictable ctl tnode st -> (
-          match !best with
-          | Some (_, _, _, sc) when sc <= score t st -> ()
-          | _ -> best := Some (tnode, ctl, st, score t st))
-      | _ -> ())
+      let s = Node_table.find ctl.nodes tnode in
+      if s >= 0 && evictable t ctl tnode s then begin
+        let lu = Node_table.extra ctl.nodes s last_use in
+        let s1, s2 =
+          match t.eviction with
+          | Strategy.Lru -> (lu, 0)
+          | Strategy.Freq -> (Node_table.extra ctl.nodes s use_count, lu)
+        in
+        match !best with
+        | Some _ when !best1 < s1 || (!best1 = s1 && !best2 <= s2) -> ()
+        | _ ->
+            best := Some (tnode, ctl, s);
+            best1 := s1;
+            best2 := s2
+      end)
     t.held.(proc);
   match !best with
   | None -> false
-  | Some (tnode, ctl, st, _) ->
-      trace_copy_drop t ctl tnode st Trace.Evicted;
+  | Some (tnode, ctl, s) ->
+      trace_copy_drop t ctl tnode s Trace.Evicted;
       set_copy ctl tnode false;
-      st.toward <- (match st.comp_edges with e :: _ -> e | [] -> assert false);
-      st.comp_edges <- [];
+      let e = Node_table.edge ctl.nodes s 0 in
+      assert (e >= 0);
+      Node_table.set_toward ctl.nodes s e;
+      Node_table.clear_edges ctl.nodes s;
       ctl.ncopies <- ctl.ncopies - 1;
-      unaccount_copy t ctl tnode st;
+      unaccount_copy t ctl tnode s;
       t.eviction_count <- t.eviction_count + 1;
       true
 
-let account_copy t (ctl : ctl) tnode st =
+let account_copy t (ctl : ctl) tnode s =
   match t.capacity with
   | None -> ()
   | Some cap ->
-      let proc = st.place in
+      let proc = place_of ctl s in
       t.mem_used.(proc) <- t.mem_used.(proc) + ctl.var.Types.data_size;
       Hashtbl.replace t.held.(proc) (key t ctl tnode) ctl;
       let continue = ref true in
@@ -367,37 +390,35 @@ let account_copy t (ctl : ctl) tnode st =
         continue := evict t proc
       done
 
-let add_copy t ctl tnode st =
+let add_copy t ctl tnode s =
   if not (has_copy ctl tnode) then begin
     set_copy ctl tnode true;
-    st.toward <- -1;
+    Node_table.set_toward ctl.nodes s (-1);
     ctl.ncopies <- ctl.ncopies + 1;
-    touch t st;
-    trace_copy_add t ctl tnode st;
-    account_copy t ctl tnode st
+    touch t ctl s;
+    trace_copy_add t ctl tnode s;
+    account_copy t ctl tnode s
   end
 
-let remove_copy t ctl tnode st =
+let remove_copy t ctl tnode s =
   if has_copy ctl tnode then begin
     set_copy ctl tnode false;
     ctl.ncopies <- ctl.ncopies - 1;
-    trace_copy_drop t ctl tnode st Trace.Invalidated;
-    unaccount_copy t ctl tnode st
+    trace_copy_drop t ctl tnode s Trace.Invalidated;
+    unaccount_copy t ctl tnode s
   end
-
-let add_edge st nb = if not (List.mem nb st.comp_edges) then st.comp_edges <- nb :: st.comp_edges
 
 (* ------------------------------------------------------------------ *)
 (* Transaction gating                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let complete_reads ctl st =
-  let x = st.txn in
+(* [x] is the node's transaction entry, or [no_txn]. *)
+let complete_reads t ctl tnode s x =
   match x.readers with
   | [] -> ()
   | ks ->
       x.readers <- [];
-      release_txn st;
+      release_txn t ctl tnode s x;
       ctl.reading <- ctl.reading - List.length ks;
       let v = ctl.var.Types.value in
       List.iter (fun k -> k v) (List.rev ks)
@@ -423,45 +444,44 @@ let rec process_queue t ctl =
 and start_read t ctl p k =
   ctl.reading <- ctl.reading + 1;
   let origin = leaf t p in
-  let st = get_state t ctl origin in
-  let x = txn_of st in
+  let s = get_state t ctl origin in
+  let x = txn_of t ctl origin s in
   x.readers <- k :: x.readers;
   if has_copy ctl origin then begin
-    touch t st;
-    complete_reads ctl st;
+    touch t ctl s;
+    complete_reads t ctl origin s x;
     process_queue t ctl
   end
-  else if x.read_pending then
+  else if Node_table.pending ctl.nodes s then
     (* A previous read from this leaf is in flight; its reply will arrive
        here and complete every registered reader. *)
     ()
   else begin
-    x.read_pending <- true;
-    send_ctl t ctl ~from:origin ~tnode:st.toward (Rreq { origin })
+    Node_table.set_pending ctl.nodes s true;
+    send_ctl t ctl ~from:origin ~s ~tnode:(toward t ctl origin s) (Rreq { origin })
   end
 
 and start_write t ctl p value k =
   ctl.writing <- true;
   let origin = leaf t p in
   ctl.wtxn <- Some { w_origin = origin; w_value = value; w_done = k; w_u = origin };
-  let st = get_state t ctl origin in
+  let s = get_state t ctl origin in
   if has_copy ctl origin then begin
-    touch t st;
+    touch t ctl s;
     begin_invalidation t ctl origin
   end
-  else send_data t ctl ~from:origin ~tnode:st.toward (Wreq { origin })
+  else send_data t ctl ~from:origin ~s ~tnode:(toward t ctl origin s) (Wreq { origin })
 
 and begin_invalidation t ctl u =
   (match ctl.wtxn with Some w -> w.w_u <- u | None -> assert false);
-  let st = get_state t ctl u in
-  let nbrs = st.comp_edges in
-  st.comp_edges <- [];
-  if nbrs = [] then finish_invalidation t ctl
+  let s = get_state t ctl u in
+  let n = Node_table.edge_count ctl.nodes s in
+  if n = 0 then finish_invalidation t ctl
   else begin
-    let x = txn_of st in
-    x.inv_waiting <- List.length nbrs;
+    let x = txn_of t ctl u s in
+    x.inv_waiting <- n;
     x.inv_pred <- -1;
-    List.iter (fun nb -> send_ctl t ctl ~from:u ~tnode:nb Winv) nbrs
+    invalidate_edges t ctl u s n
   end
 
 and finish_invalidation t ctl =
@@ -473,10 +493,10 @@ and finish_invalidation t ctl =
          ctl.ncopies ctl.var.Types.name);
   if w.w_u = w.w_origin then complete_write t ctl
   else begin
-    let st = get_state t ctl w.w_u in
+    let s = get_state t ctl w.w_u in
     let nxt = Deco.next_hop t.deco ~from:w.w_u ~target:w.w_origin in
-    add_edge st nxt;
-    send_data t ctl ~from:w.w_u ~tnode:nxt (Wdata { origin = w.w_origin })
+    add_edge t ctl w.w_u s nxt;
+    send_data t ctl ~from:w.w_u ~s ~tnode:nxt (Wdata { origin = w.w_origin })
   end
 
 and complete_write t ctl =
@@ -491,32 +511,32 @@ and complete_write t ctl =
 (* ------------------------------------------------------------------ *)
 
 let on_rreq t ctl ~tnode ~origin =
-  let st = get_state t ctl tnode in
+  let s = get_state t ctl tnode in
   if has_copy ctl tnode then begin
-    touch t st;
+    touch t ctl s;
     let nxt = Deco.next_hop t.deco ~from:tnode ~target:origin in
-    add_edge st nxt;
-    send_data t ctl ~from:tnode ~tnode:nxt (Rrep { origins = [ origin ] })
+    add_edge t ctl tnode s nxt;
+    send_data t ctl ~from:tnode ~s ~tnode:nxt (Rrep { origins = [ origin ] })
   end
-  else if st.txn.read_pending && t.combining then begin
-    let x = txn_of st in
+  else if Node_table.pending ctl.nodes s && t.combining then begin
+    let x = txn_of t ctl tnode s in
     x.parked <- origin :: x.parked
   end
   else begin
-    if t.combining then set_read_pending st true;
-    send_ctl t ctl ~from:tnode ~tnode:st.toward (Rreq { origin })
+    if t.combining then Node_table.set_pending ctl.nodes s true;
+    send_ctl t ctl ~from:tnode ~s ~tnode:(toward t ctl tnode s) (Rreq { origin })
   end
 
 let on_rrep t ctl ~from ~tnode ~origins =
-  let st = get_state t ctl tnode in
-  add_copy t ctl tnode st;
-  touch t st;
-  add_edge st from;
-  set_read_pending st false;
-  let x = st.txn in
+  let s = get_state t ctl tnode in
+  add_copy t ctl tnode s;
+  touch t ctl s;
+  add_edge t ctl tnode s from;
+  Node_table.set_pending ctl.nodes s false;
+  let x = find_txn t ctl tnode s in
   let parked = x.parked in
   if parked <> [] then x.parked <- [];
-  release_txn st;
+  release_txn t ctl tnode s x;
   (* Multicast along tree branches: one message per distinct direction.
      The groups go out in the table's bucket order, newest first within a
      bucket; [reset] gives every reply the bucket count of a fresh table,
@@ -534,118 +554,153 @@ let on_rrep t ctl ~from ~tnode ~origins =
   List.iter group parked;
   Hashtbl.iter
     (fun nxt os ->
-      add_edge st nxt;
-      send_data t ctl ~from:tnode ~tnode:nxt (Rrep { origins = os }))
+      add_edge t ctl tnode s nxt;
+      send_data t ctl ~from:tnode ~s ~tnode:nxt (Rrep { origins = os }))
     groups;
   Hashtbl.reset groups;
   (* Completions last: they may resume fibers that issue new operations. *)
-  complete_reads ctl st;
+  complete_reads t ctl tnode s x;
   process_queue t ctl
 
 let on_wreq t ctl ~tnode ~origin =
-  let st = get_state t ctl tnode in
+  let s = get_state t ctl tnode in
   if has_copy ctl tnode then begin
-    touch t st;
+    touch t ctl s;
     begin_invalidation t ctl tnode
   end
-  else send_data t ctl ~from:tnode ~tnode:st.toward (Wreq { origin })
+  else send_data t ctl ~from:tnode ~s ~tnode:(toward t ctl tnode s) (Wreq { origin })
 
 let on_winv t ctl ~from ~tnode =
-  let st = get_state t ctl tnode in
+  let s = get_state t ctl tnode in
   if not (has_copy ctl tnode) then begin
     (* Stale component edge left behind by a silent LRU eviction. *)
-    st.toward <- from;
-    send_ctl t ctl ~from:tnode ~tnode:from Wack
+    set_toward t ctl tnode s from;
+    send_ctl t ctl ~from:tnode ~s ~tnode:from Wack
   end
   else begin
-    remove_copy t ctl tnode st;
-    st.toward <- from;
-    let out = List.filter (fun nb -> nb <> from) st.comp_edges in
-    st.comp_edges <- [];
-    if out = [] then send_ctl t ctl ~from:tnode ~tnode:from Wack
+    remove_copy t ctl tnode s;
+    set_toward t ctl tnode s from;
+    Node_table.remove_edge ctl.nodes s (code_of t tnode from);
+    let n = Node_table.edge_count ctl.nodes s in
+    if n = 0 then send_ctl t ctl ~from:tnode ~s ~tnode:from Wack
     else begin
-      let x = txn_of st in
-      x.inv_waiting <- List.length out;
+      let x = txn_of t ctl tnode s in
+      x.inv_waiting <- n;
       x.inv_pred <- from;
-      List.iter (fun nb -> send_ctl t ctl ~from:tnode ~tnode:nb Winv) out
+      invalidate_edges t ctl tnode s n
     end
   end
 
 let on_wack t ctl ~tnode =
-  let st = get_state t ctl tnode in
-  let x = st.txn in
+  let s = get_state t ctl tnode in
+  let x = find_txn t ctl tnode s in
   assert (x.inv_waiting > 0);
   x.inv_waiting <- x.inv_waiting - 1;
   if x.inv_waiting = 0 then begin
-    release_txn st;
+    release_txn t ctl tnode s x;
     if x.inv_pred = -1 then finish_invalidation t ctl
-    else send_ctl t ctl ~from:tnode ~tnode:x.inv_pred Wack
+    else send_ctl t ctl ~from:tnode ~s ~tnode:x.inv_pred Wack
   end
 
 let on_wdata t ctl ~from ~tnode ~origin =
-  let st = get_state t ctl tnode in
-  add_copy t ctl tnode st;
-  touch t st;
-  st.comp_edges <- [ from ];
+  let s = get_state t ctl tnode in
+  add_copy t ctl tnode s;
+  touch t ctl s;
+  Node_table.keep_edge ctl.nodes s (code_of t tnode from);
   if tnode = origin then complete_write t ctl
   else begin
     let nxt = Deco.next_hop t.deco ~from:tnode ~target:origin in
-    add_edge st nxt;
-    send_data t ctl ~from:tnode ~tnode:nxt (Wdata { origin })
+    add_edge t ctl tnode s nxt;
+    send_data t ctl ~from:tnode ~s ~tnode:nxt (Wdata { origin })
   end
 
 (* ------------------------------------------------------------------ *)
 (* Raymond's mutual exclusion on the access tree                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec assign_privilege t ctl tnode r =
-  if r.tok_toward = -1 && (not r.locked) && not (Queue.is_empty r.lqueue) then begin
+(* The node's lock entry; [no_lock], never written, if it has none. Each
+   step looks it up afresh: a continuation run by [assign_privilege] may
+   lock or unlock the same node. *)
+let no_lock = { lqueue = Queue.create (); lasked = false; locked = false }
+
+let find_lock t ctl tnode s =
+  if Node_table.has_lock ctl.nodes s then Side.find t.locks (key t ctl tnode)
+  else no_lock
+
+let lock_of t ctl tnode s =
+  let r = find_lock t ctl tnode s in
+  if r != no_lock then r
+  else begin
+    let r = { lqueue = Queue.create (); lasked = false; locked = false } in
+    Side.add t.locks (key t ctl tnode) r;
+    Node_table.set_has_lock ctl.nodes s true;
+    r
+  end
+
+(* Drop the node's lock entry once it is idle. *)
+let release_lock t ctl tnode s =
+  let r = find_lock t ctl tnode s in
+  if r != no_lock && Queue.is_empty r.lqueue && (not r.lasked) && not r.locked
+  then begin
+    Side.remove t.locks (key t ctl tnode);
+    Node_table.set_has_lock ctl.nodes s false
+  end
+
+let rec assign_privilege t ctl tnode s =
+  let r = find_lock t ctl tnode s in
+  if Node_table.token ctl.nodes s = -1 && (not r.locked)
+     && not (Queue.is_empty r.lqueue)
+  then begin
     r.lasked <- false;
     match Queue.pop r.lqueue with
     | Local k ->
         r.locked <- true;
         k ()
     | Remote next ->
-        r.tok_toward <- next;
-        send_ctl t ctl ~from:tnode ~tnode:next Ltok;
-        make_request t ctl tnode r
+        Node_table.set_token ctl.nodes s (code_of t tnode next);
+        send_ctl t ctl ~from:tnode ~s ~tnode:next Ltok;
+        make_request t ctl tnode s
   end
 
-and make_request t ctl tnode r =
-  if r.tok_toward <> -1 && (not (Queue.is_empty r.lqueue)) && not r.lasked then begin
+and make_request t ctl tnode s =
+  let r = find_lock t ctl tnode s in
+  let tok = Node_table.token ctl.nodes s in
+  if tok <> -1 && (not (Queue.is_empty r.lqueue)) && not r.lasked then begin
     r.lasked <- true;
-    send_ctl t ctl ~from:tnode ~tnode:r.tok_toward Lreq
+    send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode tok) Lreq
   end
+
+let settle_lock t ctl tnode s =
+  assign_privilege t ctl tnode s;
+  make_request t ctl tnode s;
+  release_lock t ctl tnode s
 
 let on_lreq t ctl ~from ~tnode =
-  let r = rare_of t ctl tnode in
-  Queue.add (Remote from) r.lqueue;
-  assign_privilege t ctl tnode r;
-  make_request t ctl tnode r
+  let s = get_state t ctl tnode in
+  Queue.add (Remote from) (lock_of t ctl tnode s).lqueue;
+  settle_lock t ctl tnode s
 
 let on_ltok t ctl ~tnode =
-  let r = rare_of t ctl tnode in
-  r.tok_toward <- -1;
-  assign_privilege t ctl tnode r;
-  make_request t ctl tnode r
+  let s = get_state t ctl tnode in
+  Node_table.set_token ctl.nodes s (-1);
+  settle_lock t ctl tnode s
 
 let lock t p var ~k =
   let ctl = get_ctl t var in
   let tnode = leaf t p in
-  let r = rare_of t ctl tnode in
-  Queue.add (Local k) r.lqueue;
-  assign_privilege t ctl tnode r;
-  make_request t ctl tnode r
+  let s = get_state t ctl tnode in
+  Queue.add (Local k) (lock_of t ctl tnode s).lqueue;
+  settle_lock t ctl tnode s
 
 let unlock t p var =
   let ctl = get_ctl t var in
   let tnode = leaf t p in
-  let r = rare_of t ctl tnode in
+  let s = get_state t ctl tnode in
+  let r = find_lock t ctl tnode s in
   if not r.locked then
     invalid_arg "Access_tree.unlock: processor does not hold the lock";
   r.locked <- false;
-  assign_privilege t ctl tnode r;
-  make_request t ctl tnode r
+  settle_lock t ctl tnode s
 
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                    *)
@@ -655,7 +710,7 @@ let cached t p var =
   let ctl = get_ctl t var in
   let tnode = leaf t p in
   if has_copy ctl tnode then begin
-    (match t.capacity with None -> () | Some _ -> touch t (get_state t ctl tnode));
+    (match t.capacity with None -> () | Some _ -> touch t ctl (get_state t ctl tnode));
     true
   end
   else false
@@ -690,11 +745,12 @@ let maybe_remap t (ctl : ctl) tnode =
   match t.remap_threshold with
   | None -> ()
   | Some threshold ->
-      let st = get_state t ctl tnode in
-      let r = st.rare in
-      r.traffic <- r.traffic + 1;
-      if r.traffic >= threshold && not (Deco.is_leaf t.deco tnode) then begin
-        r.traffic <- 0;
+      let s = get_state t ctl tnode in
+      let traffic = traffic t in
+      let n = Node_table.extra ctl.nodes s traffic + 1 in
+      Node_table.set_extra ctl.nodes s traffic n;
+      if n >= threshold && not (Deco.is_leaf t.deco tnode) then begin
+        Node_table.set_extra ctl.nodes s traffic 0;
         let sm = t.deco.Deco.submesh.(tnode) in
         let mesh = t.deco.Deco.mesh in
         let coords =
@@ -703,7 +759,7 @@ let maybe_remap t (ctl : ctl) tnode =
             sm.Deco.origin
         in
         let fresh = Mesh.node_at_nd mesh coords in
-        let old = st.place in
+        let old = place_of ctl s in
         if fresh <> old then begin
           (* Move the node's state (and copy, if any). *)
           let copy = has_copy ctl tnode in
@@ -716,7 +772,7 @@ let maybe_remap t (ctl : ctl) tnode =
               t.mem_used.(fresh) <- t.mem_used.(fresh) + ctl.var.Types.data_size;
               Hashtbl.replace t.held.(fresh) k ctl
           | _ -> ());
-          st.place <- fresh;
+          Node_table.set_place ctl.nodes s fresh;
           t.remap_count <- t.remap_count + 1;
           let tr = Network.trace t.net in
           if Trace.enabled tr then
@@ -775,12 +831,13 @@ let retire t (var : Types.var) =
   | Tree ctl ->
       if ctl.writing || ctl.reading > 0 || not (Queue.is_empty ctl.pending) then
         invalid_arg "Access_tree.retire: variable has transactions in flight";
-      if t.capacity <> None then
-        Int_table.iter
-          (fun tnode st -> if has_copy ctl tnode then unaccount_copy t ctl tnode st)
-          ctl.states;
-      t.nstates <- t.nstates - Int_table.length ctl.states;
-      Int_table.reset ctl.states;
+      Node_table.iter
+        (fun tnode s ->
+          if t.capacity <> None && has_copy ctl tnode then unaccount_copy t ctl tnode s;
+          if Node_table.has_lock ctl.nodes s then Side.remove t.locks (key t ctl tnode))
+        ctl.nodes;
+      t.nstates <- t.nstates - Node_table.length ctl.nodes;
+      Node_table.reset ctl.nodes;
       ctl.gone <- true;
       var.Types.slot <- Types.No_slot
   | _ -> ()
@@ -826,28 +883,37 @@ let validate t (var : Types.var) =
           if not connected then err "%s: copy component disconnected" var.Types.name
           else begin
             (* Every materialised pointer chain reaches the component. A
-               node never touched points toward the owner's leaf. *)
+               node never touched points toward the owner's leaf. The
+               packed pointer says "copy" exactly where the bitmap does. *)
             let nt = t.deco.Deco.num_tree_nodes in
-            let toward cur =
-              match Int_table.find ctl.states cur with
-              | st -> st.toward
-              | exception Not_found -> initial_toward t ctl cur
+            let toward_of cur =
+              let s = Node_table.find ctl.nodes cur in
+              if s >= 0 then toward t ctl cur s else initial_toward t ctl cur
             in
             let rec chase cur steps =
               if steps > nt || cur < 0 then false
-              else has_copy ctl cur || chase (toward cur) (steps + 1)
+              else has_copy ctl cur || chase (toward_of cur) (steps + 1)
             in
-            let lost = ref None and leaked = ref None in
-            Int_table.iter
-              (fun tnode st ->
+            let lost = ref None and leaked = ref None and split = ref None in
+            Node_table.iter
+              (fun tnode s ->
                 if not (chase tnode 0) then lost := Some tnode;
-                if st.txn != idle_txn then leaked := Some tnode)
-              ctl.states;
-            match (!lost, !leaked) with
-            | Some tn, _ -> err "%s: pointer chain from node %d is lost" var.Types.name tn
-            | None, Some tn ->
+                if Node_table.has_txn ctl.nodes s || Node_table.pending ctl.nodes s
+                then leaked := Some tnode;
+                if has_copy ctl tnode <> (Node_table.toward ctl.nodes s = -1) then
+                  split := Some tnode)
+              ctl.nodes;
+            match (!split, !lost, !leaked) with
+            | Some tn, _, _ ->
+                err "%s: node %d has its copy bit %s but its pointer %s"
+                  var.Types.name tn
+                  (if has_copy ctl tn then "set" else "clear")
+                  (if has_copy ctl tn then "leads away" else "says copy")
+            | None, Some tn, _ ->
+                err "%s: pointer chain from node %d is lost" var.Types.name tn
+            | None, None, Some tn ->
                 err "%s: node %d keeps transaction state at quiescence" var.Types.name tn
-            | None, None -> Ok ()
+            | None, None, None -> Ok ()
           end
         end
       end

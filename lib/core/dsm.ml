@@ -161,20 +161,23 @@ let blocking_op t p register =
 
 (* One shared-memory operation span: [ts] is the issue time, [dur] the
    fiber's blocking latency (0 for hits). Emission happens after the
-   operation completes, so the event never interleaves with the protocol. *)
+   operation completes, so the event never interleaves with the protocol.
+   Callers test [traced] first: the build has no flambda, so the [Some]
+   and the optional arguments would otherwise allocate on every
+   untraced operation. *)
+let traced t = Trace.enabled (Network.trace t.network)
+
 let trace_op ?(size = -1) ?(txn = -1) ?(completed_by = -1) t p
     (v : Types.var option) op ~t0 ~hit =
-  let tr = Network.trace t.network in
-  if Trace.enabled tr then
-    let var, var_name, size =
-      match v with
-      | Some v -> (v.Types.id, v.Types.name, v.Types.data_size)
-      | None -> (-1, "", max 0 size)
-    in
-    Trace.emit tr
-      (Trace.Dsm_access
-         { ts = t0; dur = Network.now t.network -. t0; node = p; var;
-           var_name; op; size; hit; txn; completed_by })
+  let var, var_name, size =
+    match v with
+    | Some v -> (v.Types.id, v.Types.name, v.Types.data_size)
+    | None -> (-1, "", max 0 size)
+  in
+  Trace.emit (Network.trace t.network)
+    (Trace.Dsm_access
+       { ts = t0; dur = Network.now t.network -. t0; node = p; var;
+         var_name; op; size; hit; txn; completed_by })
 
 (* Open a causal transaction for a blocking operation: protocol messages
    sent while it is the current context inherit its id. The counter
@@ -191,9 +194,7 @@ let read t p var =
   if hit then begin
     t.n_read_hits <- t.n_read_hits + 1;
     Network.charge t.network p t.read_hit_cost;
-    (* Guarded here, not only inside [trace_op]: building the [Some] would
-       otherwise allocate on every untraced hit. *)
-    if Trace.enabled (Network.trace t.network) then
+    if traced t then
       trace_op t p (Some var.v) Trace.Read ~t0:(Network.now t.network) ~hit:true;
     var.proj var.v.Types.value
   end
@@ -204,8 +205,9 @@ let read t p var =
     let packed =
       blocking_op t p (fun resume -> Strategy.read t.inst p var.v ~k:resume)
     in
-    trace_op t p (Some var.v) Trace.Read ~t0 ~hit:false ~txn
-      ~completed_by:(Network.cur_msg t.network);
+    if traced t then
+      trace_op t p (Some var.v) Trace.Read ~t0 ~hit:false ~txn
+        ~completed_by:(Network.cur_msg t.network);
     var.proj packed
   end
 
@@ -216,7 +218,7 @@ let write t p var x =
   if sole then begin
     t.n_write_hits <- t.n_write_hits + 1;
     Network.charge t.network p t.write_hit_cost;
-    if Trace.enabled (Network.trace t.network) then
+    if traced t then
       trace_op t p (Some var.v) Trace.Write ~t0:(Network.now t.network) ~hit:true;
     var.v.Types.value <- value
   end
@@ -225,8 +227,9 @@ let write t p var x =
     let t0 = Network.now t.network in
     let txn = open_txn t in
     blocking_op t p (fun resume -> Strategy.write t.inst p var.v value ~k:resume);
-    trace_op t p (Some var.v) Trace.Write ~t0 ~hit:false ~txn
-      ~completed_by:(Network.cur_msg t.network)
+    if traced t then
+      trace_op t p (Some var.v) Trace.Write ~t0 ~hit:false ~txn
+        ~completed_by:(Network.cur_msg t.network)
   end
 
 let lock t p var =
@@ -234,16 +237,18 @@ let lock t p var =
   let t0 = Network.now t.network in
   let txn = open_txn t in
   blocking_op t p (fun resume -> Strategy.lock t.inst p var.v ~k:resume);
-  trace_op t p (Some var.v) Trace.Lock ~t0 ~hit:false ~txn
-    ~completed_by:(Network.cur_msg t.network)
+  if traced t then
+    trace_op t p (Some var.v) Trace.Lock ~t0 ~hit:false ~txn
+      ~completed_by:(Network.cur_msg t.network)
 
 let unlock t p var =
   Network.charge t.network p t.write_hit_cost;
   (* Non-blocking, but the release messages it triggers (token hand-off,
      next-grant) deserve their own causal id. *)
   let txn = open_txn t in
-  trace_op t p (Some var.v) Trace.Unlock ~t0:(Network.now t.network) ~hit:true
-    ~txn;
+  if traced t then
+    trace_op t p (Some var.v) Trace.Unlock ~t0:(Network.now t.network) ~hit:true
+      ~txn;
   Strategy.unlock t.inst p var.v
 
 let barrier t p =
@@ -251,8 +256,9 @@ let barrier t p =
   let t0 = Network.now t.network in
   let txn = open_txn t in
   blocking_op t p (fun resume -> Sync.barrier t.sync p ~k:resume);
-  trace_op t p None Trace.Barrier ~t0 ~hit:false ~txn
-    ~completed_by:(Network.cur_msg t.network)
+  if traced t then
+    trace_op t p None Trace.Barrier ~t0 ~hit:false ~txn
+      ~completed_by:(Network.cur_msg t.network)
 
 type 'a reducer = { red : 'a Sync.reducer; red_size : int }
 
@@ -263,8 +269,9 @@ let reduce t p r x =
   let t0 = Network.now t.network in
   let txn = open_txn t in
   let y = blocking_op t p (fun resume -> Sync.reduce t.sync r.red p x ~k:resume) in
-  trace_op ~size:r.red_size t p None Trace.Reduce ~t0 ~hit:false ~txn
-    ~completed_by:(Network.cur_msg t.network);
+  if traced t then
+    trace_op ~size:r.red_size t p None Trace.Reduce ~t0 ~hit:false ~txn
+      ~completed_by:(Network.cur_msg t.network);
   y
 
 let peek var = var.proj var.v.Types.value

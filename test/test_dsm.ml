@@ -7,6 +7,7 @@ module Dsm = Diva_core.Dsm
 module Access_tree = Diva_core.Access_tree
 module Deco = Diva_mesh.Decomposition
 module Matmul = Diva_apps.Matmul
+module Barnes_hut = Diva_apps.Barnes_hut
 open Helpers
 
 let for_all_strategies f =
@@ -374,18 +375,15 @@ let test_lock_queue_fifo () =
   Alcotest.(check (list int)) "granted in FIFO order" (List.init n Fun.id)
     (List.rev !order)
 
-(* State footprint gate: live words retained per materialised
-   (variable, tree node) state by a 16x16 matmul with 64-int blocks on
-   the 4-ary access tree, with the heap compacted before and after the
-   run. The retained words also hold the run's other leftovers (variable
-   control blocks, the written blocks, grown queues). It measures 12.95
-   words per state; the one-record state layout this replaced measured
-   24.02. *)
-let test_state_footprint_gate () =
-  let net, dsm = make_dsm ~rows:16 ~cols:16 (Dsm.access_tree ~arity:4 ()) in
-  let app = Matmul.setup dsm { Matmul.block = 64; compute = false } in
+(* Live words retained per materialised (variable, tree node) state by
+   one run, with the heap compacted before and after it. The retained
+   words also hold the run's other leftovers (variable control blocks,
+   written values, grown queues, an app's own structures). *)
+let state_footprint ~rows ~cols strat setup fiber =
+  let net, dsm = make_dsm ~rows ~cols strat in
+  let app = setup dsm in
   for p = 0 to Network.num_nodes net - 1 do
-    Network.spawn net p (fun () -> Matmul.fiber app p)
+    Network.spawn net p (fun () -> fiber app p)
   done;
   Gc.compact ();
   let live0 = (Gc.stat ()).Gc.live_words in
@@ -394,18 +392,55 @@ let test_state_footprint_gate () =
   let live1 = (Gc.stat ()).Gc.live_words in
   let states = Access_tree.states (Option.get (Dsm.access_tree_handle dsm)) in
   ignore (Sys.opaque_identity (net, dsm, app));
-  let words = float_of_int (live1 - live0) /. float_of_int states in
-  if words > 13.0 then
-    Alcotest.failf "%.2f live words per tree-node state, over the gate of 13" words
+  float_of_int (live1 - live0) /. float_of_int states
+
+let footprint_gate what words gate =
+  if words > gate then
+    Alcotest.failf "%s: %.2f live words per tree-node state, over the gate of %g"
+      what words gate
+
+(* State footprint gate, three cases, each with the value measured
+   before node state became one packed int per node:
+   - a 16x16 matmul with 64-int blocks on the 4-ary access tree, whose
+     state packs into one word: 4.88 words per state, 12.93 before (and
+     24.02 with the one-record layout before that);
+   - the same on the 16-ary tree, whose 17 neighbours take a second edge
+     word: 7.77, 16.10 before;
+   - Barnes-Hut, 256 bodies for 3 steps on 4x4, whose cell locks use the
+     lock side table: 6.61, 18.87 before. *)
+let test_state_footprint_gate () =
+  let words =
+    state_footprint ~rows:16 ~cols:16 (Dsm.access_tree ~arity:4 ())
+      (fun dsm -> Matmul.setup dsm { Matmul.block = 64; compute = false })
+      Matmul.fiber
+  in
+  footprint_gate "4-ary matmul" words 4.9;
+  let words =
+    state_footprint ~rows:16 ~cols:16 (Dsm.access_tree ~arity:16 ())
+      (fun dsm -> Matmul.setup dsm { Matmul.block = 64; compute = false })
+      Matmul.fiber
+  in
+  footprint_gate "16-ary matmul" words 7.8;
+  let cfg =
+    { (Barnes_hut.default_config ~nbodies:256) with
+      Barnes_hut.steps = 3; warmup = 1 }
+  in
+  let words =
+    state_footprint ~rows:4 ~cols:4 (Dsm.access_tree ~arity:4 ())
+      (fun dsm -> Barnes_hut.setup dsm cfg)
+      Barnes_hut.fiber
+  in
+  footprint_gate "4-ary Barnes-Hut" words 6.7
 
 (* DSM allocation gate: a steady loop on a 2x2 mesh where processor 3
    (the owner) writes, invalidating processor 0's copy, and processor 0
    then reads it back, a miss. Minor words are summed per operation over
    the whole transaction (protocol, network, fiber resume). It measures
-   247 words per read miss and 205 per write, the gates. Before node
-   state was split into a core and sidecars, and before replies reused
-   one grouping table, it measured 302 and 193: the write now allocates
-   a transaction sidecar at each of the two nodes it invalidates from. *)
+   236 words per read miss and 186 per write, the gates. It measured 247
+   and 205 before node state was packed into one int per node (238 and
+   188 with the packing alone, the rest is untraced operations no longer
+   boxing their trace arguments), and 302 and 193 before node state was
+   split into a core and sidecars. *)
 let test_dsm_alloc_gate () =
   let net, dsm = make_dsm ~rows:2 ~cols:2 (Dsm.access_tree ~arity:4 ()) in
   let v = Dsm.create_var dsm ~owner:3 ~size:8 0 in
@@ -426,10 +461,10 @@ let test_dsm_alloc_gate () =
   Alcotest.(check int) "every read a miss" 0 (Dsm.read_hits dsm);
   Alcotest.(check int) "every write invalidates" 0 (Dsm.write_hits dsm);
   let per k = words.(k) /. float_of_int ops in
-  if per 0 > 247.0 then
-    Alcotest.failf "%.2f words per read miss, over the gate of 247" (per 0);
-  if per 1 > 205.0 then
-    Alcotest.failf "%.2f words per write, over the gate of 205" (per 1)
+  if per 0 > 236.0 then
+    Alcotest.failf "%.2f words per read miss, over the gate of 236" (per 0);
+  if per 1 > 186.0 then
+    Alcotest.failf "%.2f words per write, over the gate of 186" (per 1)
 
 let suite =
   suite
@@ -441,3 +476,181 @@ let suite =
       Alcotest.test_case "state footprint gate" `Quick test_state_footprint_gate;
       Alcotest.test_case "dsm allocation gate" `Quick test_dsm_alloc_gate;
     ]
+
+(* --- Node_table against Hashtbl plus records and lists ------------------ *)
+
+module Node_table = Diva_core.Node_table
+
+(* The reference: one record per materialised node, edges as a list,
+   newest first. *)
+type nt_ref = {
+  mutable r_toward : int;
+  mutable r_token : int;
+  mutable r_place : int;
+  mutable r_pending : bool;
+  mutable r_edges : int list;
+  r_extra : int array;
+}
+
+type nt_op =
+  | Materialise of int
+  | Set_toward of int * int
+  | Set_token of int * int
+  | Set_place of int * int
+  | Set_pending of int * bool
+  | Add_edge of int * int
+  | Remove_edge of int * int
+  | Keep_edge of int * int
+  | Clear_edges of int
+  | Set_extra of int * int * int
+  | Read of int
+  | Hold of int
+  | Retire
+
+let nt_op_print = function
+  | Materialise k -> Printf.sprintf "add %d" k
+  | Set_toward (k, c) -> Printf.sprintf "toward %d %d" k c
+  | Set_token (k, c) -> Printf.sprintf "token %d %d" k c
+  | Set_place (k, p) -> Printf.sprintf "place %d %d" k p
+  | Set_pending (k, b) -> Printf.sprintf "pending %d %b" k b
+  | Add_edge (k, c) -> Printf.sprintf "edge %d %d" k c
+  | Remove_edge (k, c) -> Printf.sprintf "remove %d %d" k c
+  | Keep_edge (k, c) -> Printf.sprintf "keep %d %d" k c
+  | Clear_edges k -> Printf.sprintf "clear %d" k
+  | Set_extra (k, j, v) -> Printf.sprintf "extra %d %d %d" k j v
+  | Read k -> Printf.sprintf "read %d" k
+  | Hold k -> Printf.sprintf "hold %d" k
+  | Retire -> "retire"
+
+(* Two trees: a 4-ary one, whose state packs into one word, and a 16-ary
+   one, whose 17 neighbours take a second edge word; the 16-ary slots
+   also carry three extra words. A third of the operations materialise
+   nodes, so a table grows through several doublings, with a slot held
+   across them. *)
+let nt_shapes = [ (341, 4, 0); (273, 16, 3) ]
+
+let nt_op_gen ~nodes ~kids ~extra =
+  let open QCheck.Gen in
+  (* Materialise over every node; work mostly on a few, so their edge
+     lists fill up. *)
+  let any = int_bound (nodes - 1) in
+  let k = frequency [ (4, int_bound 3); (1, any) ] in
+  let code = int_range (-1) kids and nb = int_bound kids in
+  frequency
+    [
+      (30, map (fun k -> Materialise k) any);
+      (6, map2 (fun k c -> Set_toward (k, c)) k code);
+      (3, map2 (fun k c -> Set_token (k, c)) k code);
+      (3, map2 (fun k p -> Set_place (k, p)) k (int_bound ((1 lsl 24) - 1)));
+      (3, map2 (fun k b -> Set_pending (k, b)) k bool);
+      (30, map2 (fun k c -> Add_edge (k, c)) k nb);
+      (6, map2 (fun k c -> Remove_edge (k, c)) k nb);
+      (1, map2 (fun k c -> Keep_edge (k, c)) k nb);
+      (1, map (fun k -> Clear_edges k) k);
+      ( (if extra > 0 then 3 else 0),
+        map3 (fun k j v -> Set_extra (k, j, v)) k (int_bound (max 0 (extra - 1))) nat );
+      (15, map (fun k -> Read k) k);
+      (4, map (fun k -> Hold k) k);
+      (1, pure Retire);
+    ]
+
+let nt_agrees t m k s =
+  let r = Hashtbl.find m k in
+  Node_table.find t k = s
+  && Node_table.toward t s = r.r_toward
+  && Node_table.token t s = r.r_token
+  && Node_table.place t s = r.r_place
+  && Node_table.pending t s = r.r_pending
+  && Node_table.edges t s = r.r_edges
+  && Node_table.edge_count t s = List.length r.r_edges
+  && Array.for_all Fun.id
+       (Array.mapi (fun j v -> Node_table.extra t s j = v) r.r_extra)
+
+let prop_node_table_model (nodes, kids, extra) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "node_table %d-ary model" kids)
+    ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map nt_op_print ops))
+       QCheck.Gen.(list_size (int_range 0 800) (nt_op_gen ~nodes ~kids ~extra)))
+    (fun ops ->
+      let t = Node_table.create (Node_table.layout ~tree_nodes:nodes ~max_children:kids ~extra) in
+      let m = Hashtbl.create 16 and held = ref None in
+      let on k f = match Hashtbl.find_opt m k with Some r -> f r (Node_table.find t k) | None -> () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Materialise k ->
+              if not (Hashtbl.mem m k) then begin
+                let c = (k mod (kids + 2)) - 1 in
+                ignore (Node_table.add t k ~toward:c ~token:c ~place:(k * 7));
+                Hashtbl.replace m k
+                  { r_toward = c; r_token = c; r_place = k * 7; r_pending = false;
+                    r_edges = []; r_extra = Array.make extra 0 }
+              end
+          | Set_toward (k, c) -> on k (fun r s -> Node_table.set_toward t s c; r.r_toward <- c)
+          | Set_token (k, c) -> on k (fun r s -> Node_table.set_token t s c; r.r_token <- c)
+          | Set_place (k, p) -> on k (fun r s -> Node_table.set_place t s p; r.r_place <- p)
+          | Set_pending (k, b) ->
+              on k (fun r s -> Node_table.set_pending t s b; r.r_pending <- b)
+          | Add_edge (k, c) ->
+              on k (fun r s ->
+                  Node_table.add_edge t s c;
+                  if not (List.mem c r.r_edges) then r.r_edges <- c :: r.r_edges)
+          | Remove_edge (k, c) ->
+              on k (fun r s ->
+                  Node_table.remove_edge t s c;
+                  r.r_edges <- List.filter (fun x -> x <> c) r.r_edges)
+          | Keep_edge (k, c) -> on k (fun r s -> Node_table.keep_edge t s c; r.r_edges <- [ c ])
+          | Clear_edges k -> on k (fun r s -> Node_table.clear_edges t s; r.r_edges <- [])
+          | Set_extra (k, j, v) ->
+              on k (fun r s -> Node_table.set_extra t s j v; r.r_extra.(j) <- v)
+          | Hold k -> if Hashtbl.mem m k then held := Some (k, Node_table.find t k)
+          | Retire ->
+              Node_table.reset t;
+              Hashtbl.reset m;
+              held := None
+          | Read _ -> ());
+          let read_ok =
+            match op with
+            | Read k -> (
+                match Hashtbl.find_opt m k with
+                | Some _ -> nt_agrees t m k (Node_table.find t k)
+                | None -> Node_table.find t k = -1)
+            | _ -> true
+          in
+          (* The held slot still names its node, however much the table
+             grew since. *)
+          let held_ok =
+            match !held with Some (k, s) -> nt_agrees t m k s | None -> true
+          in
+          read_ok && held_ok && Node_table.length t = Hashtbl.length m)
+        ops
+      &&
+      let seen = ref [] in
+      Node_table.iter (fun k s -> seen := (k, s) :: !seen) t;
+      List.sort compare (List.map fst !seen)
+      = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) m [])
+      && List.for_all (fun (k, s) -> nt_agrees t m k s) !seen)
+
+(* The packed fields' limits, checked on the pure bound: a mesh that
+   large is never built. *)
+let test_node_table_limits () =
+  Node_table.check_fits ~tree_nodes:((1 lsl 31) - 1) ~mesh_nodes:(1 lsl 24);
+  Alcotest.check_raises "tree nodes over the node field"
+    (Invalid_argument
+       "Node_table: 2147483648 tree nodes exceed the 31-bit node field (at most 2147483647)")
+    (fun () -> Node_table.check_fits ~tree_nodes:(1 lsl 31) ~mesh_nodes:4);
+  Alcotest.check_raises "mesh nodes over the placement field"
+    (Invalid_argument
+       "Node_table: 16777217 mesh nodes exceed the 24-bit placement field (at most 16777216)")
+    (fun () -> Node_table.check_fits ~tree_nodes:5 ~mesh_nodes:((1 lsl 24) + 1));
+  let stride ~kids = Node_table.stride (Node_table.layout ~tree_nodes:341 ~max_children:kids ~extra:0) in
+  Alcotest.(check int) "2-ary: one word" 1 (stride ~kids:2);
+  Alcotest.(check int) "4-ary: one word" 1 (stride ~kids:4);
+  Alcotest.(check int) "16-ary: two words" 2 (stride ~kids:16)
+
+let suite =
+  suite
+  @ List.map (fun shape -> QCheck_alcotest.to_alcotest (prop_node_table_model shape)) nt_shapes
+  @ [ Alcotest.test_case "node_table packing limits" `Quick test_node_table_limits ]

@@ -453,94 +453,3 @@ let suite =
       Alcotest.test_case "value embedding" `Quick test_value_embedding;
       Alcotest.test_case "machine model" `Quick test_machine_model;
     ]
-
-(* --- Int_table against Stdlib.Hashtbl --------------------------------- *)
-
-module Int_table = Diva_util.Int_table
-
-type it_op = Add of int * int | Find of int | Mem of int | Iter | Reset
-
-let it_op_print = function
-  | Add (k, v) -> Printf.sprintf "add %d %d" k v
-  | Find k -> Printf.sprintf "find %d" k
-  | Mem k -> Printf.sprintf "mem %d" k
-  | Iter -> "iter"
-  | Reset -> "reset"
-
-(* Keys up to 400 and 60% adds grow the table through several doublings
-   (it starts at 8 slots); about one op in a hundred is a reset, so the
-   table regrows after one. *)
-let it_op_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (60, map2 (fun k v -> Add (k, v)) (int_bound 400) small_int);
-        (20, map (fun k -> Find k) (int_bound 400));
-        (15, map (fun k -> Mem k) (int_bound 400));
-        (4, pure Iter);
-        (1, pure Reset);
-      ])
-
-let prop_int_table_model =
-  QCheck.Test.make ~name:"int_table matches Hashtbl model" ~count:200
-    (QCheck.make
-       ~print:(fun ops -> String.concat "; " (List.map it_op_print ops))
-       QCheck.Gen.(list_size (int_range 0 600) it_op_gen))
-    (fun ops ->
-      let t = Int_table.create ~dummy:(-1) 4 and m = Hashtbl.create 8 in
-      let bindings iter =
-        let acc = ref [] in
-        iter (fun k v -> acc := (k, v) :: !acc);
-        List.sort compare !acc
-      in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Add (k, v) ->
-              Int_table.add t k v;
-              Hashtbl.replace m k v
-          | Reset ->
-              Int_table.reset t;
-              Hashtbl.reset m
-          | Find _ | Mem _ | Iter -> ());
-          let agrees =
-            match op with
-            | Find k ->
-                (match Int_table.find t k with
-                | v -> Some v
-                | exception Not_found -> None)
-                = Hashtbl.find_opt m k
-            | Mem k -> Int_table.mem t k = Hashtbl.mem m k
-            | Iter ->
-                bindings (fun f -> Int_table.iter f t)
-                = bindings (fun f -> Hashtbl.iter f m)
-            | Add _ | Reset -> true
-          in
-          agrees && Int_table.length t = Hashtbl.length m)
-        ops
-      && bindings (fun f -> Int_table.iter f t) = bindings (fun f -> Hashtbl.iter f m))
-
-let test_int_table_edges () =
-  let t = Int_table.create ~dummy:"" 0 in
-  Alcotest.(check bool) "negative key absent" false (Int_table.mem t (-1));
-  Alcotest.check_raises "negative key not found" Not_found (fun () ->
-      ignore (Int_table.find t (-1)));
-  Alcotest.check_raises "negative key rejected"
-    (Invalid_argument "Int_table.add: negative key") (fun () ->
-      Int_table.add t (-1) "x");
-  for k = 0 to 9999 do
-    Int_table.add t (k * 7) (string_of_int k)
-  done;
-  Alcotest.(check int) "length after growth" 10000 (Int_table.length t);
-  Alcotest.(check string) "find after growth" "1234" (Int_table.find t (1234 * 7));
-  Alcotest.(check bool) "absent key" false (Int_table.mem t 3);
-  Int_table.reset t;
-  Alcotest.(check int) "empty after reset" 0 (Int_table.length t);
-  Alcotest.(check bool) "gone after reset" false (Int_table.mem t 0)
-
-let suite =
-  suite
-  @ [
-      QCheck_alcotest.to_alcotest prop_int_table_model;
-      Alcotest.test_case "int_table edges" `Quick test_int_table_edges;
-    ]
