@@ -20,14 +20,13 @@ type body =
    an acquirer waiting at this leaf. *)
 type lwait = Remote of int | Local of (unit -> unit)
 
-(* Transaction entry of a tree node: what a read or an invalidation in
-   flight keeps there beyond the node's [pending] flag. It exists only
-   while one of its fields is non-empty. *)
+(* Transaction entry of a tree node: what a read in flight keeps there
+   beyond the node's [pending] flag. It exists only while one of its
+   fields is non-empty. An invalidation keeps none: its wave lives in the
+   node's edge list and tracking pointer (see [on_winv]). *)
 type txn = {
   mutable parked : int list;  (* origins combined onto the in-flight reply *)
   mutable readers : (Value.t -> unit) list;  (* reads issued at this leaf, newest first *)
-  mutable inv_waiting : int;  (* outstanding invalidation acks *)
-  mutable inv_pred : int;  (* where to ack once [inv_waiting] drains; -1 = here *)
 }
 
 (* Lock entry of a tree node: Raymond's request queue and flags. The
@@ -231,7 +230,7 @@ let add_edge t ctl tnode s nb = Node_table.add_edge ctl.nodes s (code_of t tnode
 let place_of ctl s = Node_table.place ctl.nodes s
 
 (* The node's transaction entry; [no_txn], never written, if it has none. *)
-let no_txn = { parked = []; readers = []; inv_waiting = 0; inv_pred = -1 }
+let no_txn = { parked = []; readers = [] }
 
 let find_txn t ctl tnode s =
   if Node_table.has_txn ctl.nodes s then Side.find t.txns (key t ctl tnode) else no_txn
@@ -240,7 +239,7 @@ let txn_of t ctl tnode s =
   let x = find_txn t ctl tnode s in
   if x != no_txn then x
   else begin
-    let x = { parked = []; readers = []; inv_waiting = 0; inv_pred = -1 } in
+    let x = { parked = []; readers = [] } in
     Side.add t.txns (key t ctl tnode) x;
     Node_table.set_has_txn ctl.nodes s true;
     x
@@ -249,7 +248,7 @@ let txn_of t ctl tnode s =
 (* Drop a drained transaction entry. Called before any continuation runs:
    a resumed fiber may start a new transaction at the same node. *)
 let release_txn t ctl tnode s x =
-  if x != no_txn && x.parked = [] && x.readers = [] && x.inv_waiting = 0 then begin
+  if x != no_txn && x.parked = [] && x.readers = [] then begin
     Side.remove t.txns (key t ctl tnode);
     Node_table.set_has_txn ctl.nodes s false
   end
@@ -305,14 +304,15 @@ let send_ctl t ctl ~from ~s ~tnode body =
 let send_data t ctl ~from ~s ~tnode body =
   send_tree t ctl ~from ~s ~tnode ~size:(Types.data_size ctl.var) body
 
-(* Send [Winv] along the node's component edges, newest first, and clear
-   them. The sends materialise other nodes, which moves the table's
-   columns but not the slot, so each edge is read afresh. *)
+(* Send [Winv] along the node's component edges, newest first. The edges
+   stay listed: each is removed by its neighbour's [Wack], so the edges
+   left are the acks still owed. The sends materialise other nodes, which
+   moves the table's columns but not the slot, so each edge is read
+   afresh. *)
 let invalidate_edges t ctl tnode s n =
   for i = 0 to n - 1 do
     send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode (Node_table.edge ctl.nodes s i)) Winv
-  done;
-  Node_table.clear_edges ctl.nodes s
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Copy bookkeeping and LRU replacement                                 *)
@@ -320,14 +320,14 @@ let invalidate_edges t ctl tnode s n =
 
 (* A copy is evictable if removing it keeps the component connected (it is
    a component leaf), it is not the last copy, and no transaction is
-   touching it. Eviction is silent: the remaining neighbour keeps a stale
-   component edge, which the invalidation handler tolerates. *)
+   touching it. No write is in flight, so no invalidation wave is using
+   the edge list. Eviction is silent: the remaining neighbour keeps a
+   stale component edge, which the invalidation handler tolerates. *)
 let evictable t (ctl : ctl) tnode s =
   has_copy ctl tnode && ctl.ncopies > 1
   && (not ctl.writing)
   && (not (Node_table.pending ctl.nodes s))
-  && (let x = find_txn t ctl tnode s in
-      x.parked = [] && x.inv_waiting = 0)
+  && (find_txn t ctl tnode s).parked = []
   && Node_table.edge_count ctl.nodes s <= 1
 
 let unaccount_copy t (ctl : ctl) tnode s =
@@ -476,13 +476,7 @@ and begin_invalidation t ctl u =
   (match ctl.wtxn with Some w -> w.w_u <- u | None -> assert false);
   let s = get_state t ctl u in
   let n = Node_table.edge_count ctl.nodes s in
-  if n = 0 then finish_invalidation t ctl
-  else begin
-    let x = txn_of t ctl u s in
-    x.inv_waiting <- n;
-    x.inv_pred <- -1;
-    invalidate_edges t ctl u s n
-  end
+  if n = 0 then finish_invalidation t ctl else invalidate_edges t ctl u s n
 
 and finish_invalidation t ctl =
   let w = match ctl.wtxn with Some w -> w | None -> assert false in
@@ -570,10 +564,24 @@ let on_wreq t ctl ~tnode ~origin =
   end
   else send_data t ctl ~from:tnode ~s ~tnode:(toward t ctl tnode s) (Wreq { origin })
 
+(* An invalidation wave keeps its state in the component itself. A node
+   the wave reaches drops its copy, points [toward] its predecessor (the
+   sender) and forwards [Winv] along its other edges, which stay listed
+   until each neighbour's [Wack] removes its own: the edge count is the
+   number of acks still owed. When it reaches 0 the node acks its
+   predecessor; the coordinating node keeps its copy, so its [toward] is
+   -1, and it finishes the write instead. Only the write's own wave sees
+   a node with edges listed while [ctl.writing] is set: reads, and hence
+   replies that add edges, wait for the write, and [evictable] refuses
+   while it is in flight. *)
 let on_winv t ctl ~from ~tnode =
   let s = get_state t ctl tnode in
   if not (has_copy ctl tnode) then begin
-    (* Stale component edge left behind by a silent LRU eviction. *)
+    (* Stale component edge left behind by a silent LRU eviction: ack at
+       once; the sender removes the edge like any other. A node the wave
+       already reached has no copy either, but the wave reaches no node
+       twice, so this one owes no acks. *)
+    assert (Node_table.edge_count ctl.nodes s = 0);
     set_toward t ctl tnode s from;
     send_ctl t ctl ~from:tnode ~s ~tnode:from Wack
   end
@@ -583,23 +591,19 @@ let on_winv t ctl ~from ~tnode =
     Node_table.remove_edge ctl.nodes s (code_of t tnode from);
     let n = Node_table.edge_count ctl.nodes s in
     if n = 0 then send_ctl t ctl ~from:tnode ~s ~tnode:from Wack
-    else begin
-      let x = txn_of t ctl tnode s in
-      x.inv_waiting <- n;
-      x.inv_pred <- from;
-      invalidate_edges t ctl tnode s n
-    end
+    else invalidate_edges t ctl tnode s n
   end
 
-let on_wack t ctl ~tnode =
+let on_wack t ctl ~from ~tnode =
   let s = get_state t ctl tnode in
-  let x = find_txn t ctl tnode s in
-  assert (x.inv_waiting > 0);
-  x.inv_waiting <- x.inv_waiting - 1;
-  if x.inv_waiting = 0 then begin
-    release_txn t ctl tnode s x;
-    if x.inv_pred = -1 then finish_invalidation t ctl
-    else send_ctl t ctl ~from:tnode ~s ~tnode:x.inv_pred Wack
+  let owed = Node_table.edge_count ctl.nodes s in
+  Node_table.remove_edge ctl.nodes s (code_of t tnode from);
+  let owed' = Node_table.edge_count ctl.nodes s in
+  assert (owed' = owed - 1);
+  if owed' = 0 then begin
+    let pred = Node_table.toward ctl.nodes s in
+    if pred = -1 then finish_invalidation t ctl
+    else send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode pred) Wack
   end
 
 let on_wdata t ctl ~from ~tnode ~origin =
@@ -797,7 +801,7 @@ let handle t (msg : Network.msg) =
       | Rrep { origins } -> on_rrep t ctl ~from ~tnode ~origins
       | Wreq { origin } -> on_wreq t ctl ~tnode ~origin
       | Winv -> on_winv t ctl ~from ~tnode
-      | Wack -> on_wack t ctl ~tnode
+      | Wack -> on_wack t ctl ~from ~tnode
       | Wdata { origin } -> on_wdata t ctl ~from ~tnode ~origin
       | Lreq -> on_lreq t ctl ~from ~tnode
       | Ltok -> on_ltok t ctl ~tnode
@@ -899,6 +903,7 @@ let validate t (var : Types.var) =
               (fun tnode s ->
                 if not (chase tnode 0) then lost := Some tnode;
                 if Node_table.has_txn ctl.nodes s || Node_table.pending ctl.nodes s
+                   || ((not (has_copy ctl tnode)) && Node_table.edge_count ctl.nodes s > 0)
                 then leaked := Some tnode;
                 if has_copy ctl tnode <> (Node_table.toward ctl.nodes s = -1) then
                   split := Some tnode)

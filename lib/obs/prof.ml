@@ -1,4 +1,11 @@
-type subsystem = Host | Event_loop | Dispatch | Protocol | Strategy | Analysis
+type subsystem =
+  | Host
+  | Event_loop
+  | Dispatch
+  | Protocol
+  | Strategy
+  | Analysis
+  | App
 
 let[@inline] sub_id = function
   | Host -> 0
@@ -7,8 +14,9 @@ let[@inline] sub_id = function
   | Protocol -> 3
   | Strategy -> 4
   | Analysis -> 5
+  | App -> 6
 
-let num_subs = 6
+let num_subs = 7
 
 let sub_of_id = function
   | 0 -> Host
@@ -16,7 +24,8 @@ let sub_of_id = function
   | 2 -> Dispatch
   | 3 -> Protocol
   | 4 -> Strategy
-  | _ -> Analysis
+  | 5 -> Analysis
+  | _ -> App
 
 let subsystem_name = function
   | Host -> "host"
@@ -25,6 +34,7 @@ let subsystem_name = function
   | Protocol -> "protocol"
   | Strategy -> "strategy"
   | Analysis -> "analysis"
+  | App -> "app"
 
 (* One series row: host counters at a simulated-clock boundary. [r_rate]
    is events/sec over the window ending here (wall-clock denominator). *)

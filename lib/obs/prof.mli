@@ -35,11 +35,20 @@ type t
 (** The instrumented subsystems. [Host] is everything outside the event
     loop (setup, artifact writing); [Event_loop] is queue pop / clock
     bookkeeping / advance hooks; [Dispatch] is event bodies that reach no
-    deeper instrumented layer (timers, fiber resumptions, link bookkeeping);
-    [Protocol] is the network message envelope/handler layer; [Strategy] is
-    a data-management strategy's protocol handler; [Analysis] is the
-    streaming analysis fold and event-trace encoding. *)
-type subsystem = Host | Event_loop | Dispatch | Protocol | Strategy | Analysis
+    deeper instrumented layer (timers, link bookkeeping); [Protocol] is the
+    network message envelope/handler layer; [Strategy] is a
+    data-management strategy's protocol handler; [Analysis] is the
+    streaming analysis fold and event-trace encoding; [App] is application
+    fiber code, from where a fiber resumes to where it next suspends or
+    ends, whichever layer resumed it. *)
+type subsystem =
+  | Host
+  | Event_loop
+  | Dispatch
+  | Protocol
+  | Strategy
+  | Analysis
+  | App
 
 val subsystem_name : subsystem -> string
 

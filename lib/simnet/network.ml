@@ -14,6 +14,8 @@ type msg = {
   m_dst : Mesh.node;
   m_size : int;
   m_tag : int;  (* selective-receive key; -1 = untagged *)
+  m_id : int;  (* causal message id; -1 for acks *)
+  m_txn : int;  (* DSM transaction the message serves; -1 for none *)
   m_payload : payload;
 }
 
@@ -54,14 +56,8 @@ type mailbox = {
 type payload += Env of { seq : int; inner : payload } | Ack of { seq : int }
 
 type pend = {
-  p_id : int;  (* causal message id; retransmissions keep it *)
-  p_txn : int;
+  p_msg : msg;  (* the enveloped message; retransmissions resend it, id and all *)
   p_level : int;  (* access-tree level tag of the original send *)
-  p_src : Mesh.node;
-  p_dst : Mesh.node;
-  p_size : int;
-  p_tag : int;
-  p_inner : payload;
   mutable p_attempt : int;
   mutable p_last_tx : float;  (* start of the most recent transmission *)
 }
@@ -103,6 +99,7 @@ type t = {
   mutable trace : Trace.sink;
   mutable prof : Prof.t option;
   mutable rel : reliable option;  (* Some iff an active fault schedule is installed *)
+  mutable run_dispatch : msg -> unit;  (* the delivery event, [run_dispatch t] *)
   (* Causal context. [cur_msg]/[cur_txn] identify the message (and the DSM
      transaction it serves) whose handler is currently executing; sends
      issued inside the handler inherit them. Both are [-1] at top level
@@ -149,43 +146,6 @@ let default_handler t msg =
     else try_waiters w w.w_next
   in
   try_waiters no_waiter mb.w_head
-
-let create_nd ?(machine = Machine.gcel) ?(seed = 42) ~dims () =
-  let mesh = Mesh.create_nd ~dims in
-  let n = Mesh.num_nodes mesh in
-  let nl = Mesh.num_links mesh in
-  {
-    sim = Sim.create ();
-    mesh;
-    machine;
-    root_rng = Prng.create ~seed;
-    route_buf = Array.make (max 1 (Mesh.max_route_length mesh)) 0;
-    walk = { wk_arrival = 0.0; wk_last_start = 0.0; wk_last_occupancy = 0.0 };
-    link_free = Array.make nl 0.0;
-    stats = Link_stats.create ~num_links:nl;
-    cpu_free = Array.make n 0.0;
-    pending_compute = Array.make n 0.0;
-    node_compute = Array.make n 0.0;
-    handlers = Array.make n default_handler;
-    mailboxes =
-      Array.init n (fun _ ->
-          { inbox = Queue.create (); by_tag = Hashtbl.create 4;
-            w_head = no_waiter; w_tail = no_waiter });
-    node_startup_count = Array.make n 0;
-    startup_count = 0;
-    fibers = 0;
-    trace = Trace.null;
-    prof = None;
-    rel = None;
-    next_msg_id = 0;
-    next_txn_id = 0;
-    cur_msg = -1;
-    cur_txn = -1;
-    next_level = -1;
-  }
-
-let create ?machine ?seed ~rows ~cols () =
-  create_nd ?machine ?seed ~dims:[| rows; cols |] ()
 
 let mesh t = t.mesh
 let sim t = t.sim
@@ -327,8 +287,10 @@ let attach_flight t ?(interval = 5000.0) fl =
       done)
 
 (* Reserve the node's CPU for [dt] starting no earlier than [from]; returns
-   the completion time. Pending charged computation is folded in first. *)
-let reserve_cpu t node ~from dt =
+   the completion time. Pending charged computation is folded in first.
+   Inlined: a call boxes [dt] and the result, 4 words on each of a
+   message's two reservations. *)
+let[@inline] reserve_cpu t node ~from dt =
   let pending = t.pending_compute.(node) in
   t.pending_compute.(node) <- 0.0;
   let start = Float.max from t.cpu_free.(node) in
@@ -341,33 +303,28 @@ let reserve_cpu t node ~from dt =
   t.cpu_free.(node) <- fin;
   fin
 
-(* Packed argument for the delivery event. The hottest schedule site in the
-   simulator is "run this message's handler at time T with causal context
-   (id, txn)": scheduling it as [Sim.schedule_call run_dispatch dctx]
-   allocates one 4-word record instead of the two closure environments the
-   old [fun () -> with_ctx ... (fun () -> dispatch ...)] chain cost. *)
-type dctx = { dx_net : t; dx_msg : msg; dx_id : int; dx_txn : int }
-
-(* Schedules the handler and returns the time it runs, so the caller can
-   record it in the delivery event. *)
-let rec deliver t msg ~id ~txn at =
+(* The hottest schedule site in the simulator is "run this message's
+   handler at time T with its causal context": the message carries its id
+   and transaction, so the delivery event is the network's one
+   [run_dispatch] closure applied to the message itself, and a message in
+   flight costs its record and its payload, nothing else. Schedules the
+   handler and returns the time it runs, so the caller can record it in
+   the delivery event. *)
+let rec deliver t msg at =
   (* Receive overhead on the destination CPU, then the handler runs. *)
   let handle_at = reserve_cpu t msg.m_dst ~from:at t.machine.Machine.recv_overhead in
-  Sim.schedule_call t.sim handle_at run_dispatch
-    { dx_net = t; dx_msg = msg; dx_id = id; dx_txn = txn };
+  Sim.schedule_call t.sim handle_at t.run_dispatch msg;
   handle_at
 
-(* Static dispatch trampoline: set the causal context, run the envelope
-   layer / handler, reset. Equivalent to [with_ctx t (dispatch t msg)] but
-   shared by every delivery event instead of rebuilt per message. *)
-and run_dispatch dc =
-  let t = dc.dx_net in
-  t.cur_msg <- dc.dx_id;
-  t.cur_txn <- dc.dx_txn;
+(* Dispatch trampoline: set the causal context, run the envelope layer /
+   handler, reset. *)
+and run_dispatch t msg =
+  t.cur_msg <- msg.m_id;
+  t.cur_txn <- msg.m_txn;
   (match t.prof with
   | Some p -> Prof.set_sub p Prof.Protocol
   | None -> ());
-  dispatch t dc.dx_msg;
+  dispatch t msg;
   t.cur_msg <- -1;
   t.cur_txn <- -1
 
@@ -389,9 +346,10 @@ and dispatch t msg =
              [Msg_send] of their own, so they carry id [-1] (the sentinel
              analyzers filter on) and inherit the envelope's transaction. *)
           ignore
-            (transmit t rel ~id:(-1) ~txn:t.cur_txn ~level:(-1)
+            (transmit t rel ~level:(-1)
                { m_src = msg.m_dst; m_dst = msg.m_src;
-                 m_size = Faults.ack_size; m_tag = -1; m_payload = Ack { seq } }
+                 m_size = Faults.ack_size; m_tag = -1; m_id = -1;
+                 m_txn = t.cur_txn; m_payload = Ack { seq } }
               : float * float);
           if not (Hashtbl.mem rel.rl_seen seq) then begin
             Hashtbl.add rel.rl_seen seq ();
@@ -412,9 +370,10 @@ and dispatch t msg =
    [?inject] lets the caller reserve the sender's CPU (and account the
    startup) itself before calling, so it can emit the [Msg_send] event
    ahead of the attempt's link crossings. *)
-and transmit ?inject t rel ~id ~txn ~level msg =
+and transmit ?inject t rel ~level msg =
   let f = rel.rl_faults in
   let src = msg.m_src and dst = msg.m_dst and size = msg.m_size in
+  let id = msg.m_id and txn = msg.m_txn in
   (* Acks are modelled as hardware-level control messages: they occupy
      links like any flit but cost no CPU overhead on either side and do
      not count as startups. Charging the full 500 us send/recv overhead
@@ -497,11 +456,10 @@ and transmit ?inject t rel ~id ~txn ~level msg =
             if is_ack then begin
               (* Hardware-level control message: no receive overhead, the
                  envelope layer consumes it at arrival time. *)
-              Sim.schedule_call t.sim delivered_at run_dispatch
-                { dx_net = t; dx_msg = msg; dx_id = id; dx_txn = txn };
+              Sim.schedule_call t.sim delivered_at t.run_dispatch msg;
               delivered_at
             end
-            else deliver t msg ~id ~txn delivered_at
+            else deliver t msg delivered_at
           in
           if Trace.enabled t.trace then
             Trace.emit t.trace
@@ -526,24 +484,64 @@ and retransmit t rel seq p =
   p.p_attempt <- p.p_attempt + 1;
   p.p_last_tx <- now t;
   Faults.count_retransmit rel.rl_faults;
+  let m = p.p_msg in
   if Trace.enabled t.trace then
     Trace.emit t.trace
       (Trace.Msg_retry
-         { ts = now t; msg = p.p_id; txn = p.p_txn; src = p.p_src;
-           dst = p.p_dst; size = p.p_size; attempt = p.p_attempt });
-  let _, outcome =
-    transmit t rel ~id:p.p_id ~txn:p.p_txn ~level:p.p_level
-      { m_src = p.p_src; m_dst = p.p_dst; m_size = p.p_size; m_tag = p.p_tag;
-        m_payload = Env { seq; inner = p.p_inner } }
-  in
+         { ts = now t; msg = m.m_id; txn = m.m_txn; src = m.m_src;
+           dst = m.m_dst; size = m.m_size; attempt = p.p_attempt });
+  let _, outcome = transmit t rel ~level:p.p_level m in
   arm_timeout t rel seq p ~from:outcome
 
+(* Defined after [run_dispatch]: the network keeps the one closure every
+   delivery event applies to its message. *)
+let create_nd ?(machine = Machine.gcel) ?(seed = 42) ~dims () =
+  let mesh = Mesh.create_nd ~dims in
+  let n = Mesh.num_nodes mesh in
+  let nl = Mesh.num_links mesh in
+  let t = {
+    sim = Sim.create ();
+    mesh;
+    machine;
+    root_rng = Prng.create ~seed;
+    route_buf = Array.make (max 1 (Mesh.max_route_length mesh)) 0;
+    walk = { wk_arrival = 0.0; wk_last_start = 0.0; wk_last_occupancy = 0.0 };
+    link_free = Array.make nl 0.0;
+    stats = Link_stats.create ~num_links:nl;
+    cpu_free = Array.make n 0.0;
+    pending_compute = Array.make n 0.0;
+    node_compute = Array.make n 0.0;
+    handlers = Array.make n default_handler;
+    mailboxes =
+      Array.init n (fun _ ->
+          { inbox = Queue.create (); by_tag = Hashtbl.create 4;
+            w_head = no_waiter; w_tail = no_waiter });
+    node_startup_count = Array.make n 0;
+    startup_count = 0;
+    fibers = 0;
+    trace = Trace.null;
+    prof = None;
+    rel = None;
+    run_dispatch = ignore;
+    next_msg_id = 0;
+    next_txn_id = 0;
+    cur_msg = -1;
+    cur_txn = -1;
+    next_level = -1;
+  } in
+  t.run_dispatch <- run_dispatch t;
+  t
+
+let create ?machine ?seed ~rows ~cols () =
+  create_nd ?machine ?seed ~dims:[| rows; cols |] ()
+
 let send t ?(tag = -1) ~src ~dst ~size payload =
-  let msg =
-    { m_src = src; m_dst = dst; m_size = size; m_tag = tag; m_payload = payload }
-  in
   let id = fresh_msg_id t in
   let txn = t.cur_txn and parent = t.cur_msg and level = t.next_level in
+  let msg =
+    { m_src = src; m_dst = dst; m_size = size; m_tag = tag; m_id = id;
+      m_txn = txn; m_payload = payload }
+  in
   t.next_level <- -1;
   let t0 = now t in
   if src = dst then begin
@@ -557,8 +555,7 @@ let send t ?(tag = -1) ~src ~dst ~size payload =
     (* [run_dispatch] rather than a direct handler call: application
        payloads never match the (private) envelope constructors, so the
        envelope layer is a no-op for local messages. *)
-    Sim.schedule_call t.sim at run_dispatch
-      { dx_net = t; dx_msg = msg; dx_id = id; dx_txn = txn }
+    Sim.schedule_call t.sim at t.run_dispatch msg
   end
   else
     match t.rel with
@@ -566,9 +563,8 @@ let send t ?(tag = -1) ~src ~dst ~size payload =
         let seq = rel.rl_next_seq in
         rel.rl_next_seq <- seq + 1;
         Faults.count_enveloped rel.rl_faults;
-        let p = { p_id = id; p_txn = txn; p_level = level; p_src = src;
-                  p_dst = dst; p_size = size; p_tag = tag; p_inner = payload;
-                  p_attempt = 0; p_last_tx = t0 } in
+        let p = { p_msg = { msg with m_payload = Env { seq; inner = payload } };
+                  p_level = level; p_attempt = 0; p_last_tx = t0 } in
         Hashtbl.add rel.rl_pending seq p;
         (* Reserve the CPU here so [Msg_send] can be emitted before the
            first attempt: single-pass analyzers must see the message
@@ -584,10 +580,7 @@ let send t ?(tag = -1) ~src ~dst ~size payload =
             (Trace.Msg_send
                { ts = t0; id; parent; txn; inject = inject_at; level; src;
                  dst; size; local = false });
-        let _, outcome =
-          transmit ~inject:inject_at t rel ~id ~txn ~level
-            { msg with m_payload = Env { seq; inner = payload } }
-        in
+        let _, outcome = transmit ~inject:inject_at t rel ~level p.p_msg in
         arm_timeout t rel seq p ~from:outcome
     | None -> begin
         t.startup_count <- t.startup_count + 1;
@@ -622,7 +615,7 @@ let send t ?(tag = -1) ~src ~dst ~size payload =
           wk.wk_arrival <- start +. t.machine.Machine.hop_latency
         done;
         let delivered_at = wk.wk_last_start +. occupancy in
-        let handled = deliver t msg ~id ~txn delivered_at in
+        let handled = deliver t msg delivered_at in
         if Trace.enabled t.trace then
           Trace.emit t.trace
             (Trace.Msg_deliver
@@ -643,7 +636,7 @@ let nudge t ~src =
       let stale_before = now t -. Faults.rto rel.rl_faults in
       Hashtbl.fold
         (fun seq p acc ->
-          if p.p_src = src && p.p_last_tx <= stale_before then (seq, p) :: acc
+          if p.p_msg.m_src = src && p.p_last_tx <= stale_before then (seq, p) :: acc
           else acc)
         rel.rl_pending []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -660,20 +653,59 @@ let suspend register = Effect.perform (Suspend register)
 let spawn t node f =
   t.fibers <- t.fibers + 1;
   let open Effect.Deep in
-  let body () =
-    match_with f ()
-      {
-        retc = (fun () -> t.fibers <- t.fibers - 1);
-        exnc = raise;
-        effc =
-          (fun (type b) (eff : b Effect.t) ->
-            match eff with
-            | Suspend register ->
-                Some
-                  (fun (k : (b, _) continuation) ->
-                    register (fun v -> continue k v))
-            | _ -> None);
-      }
+  let body =
+    match t.prof with
+    | None ->
+        fun () ->
+          match_with f ()
+            {
+              retc = (fun () -> t.fibers <- t.fibers - 1);
+              exnc = raise;
+              effc =
+                (fun (type b) (eff : b Effect.t) ->
+                  match eff with
+                  | Suspend register ->
+                      Some
+                        (fun (k : (b, _) continuation) ->
+                          register (fun v -> continue k v))
+                  | _ -> None);
+            }
+    | Some p ->
+        (* The fiber's own code books to [App]: from where it resumes to
+           where it suspends or ends. [caller] is the subsystem of the
+           code that resumed it, booked again from the suspension on —
+           including the [register] call, which starts the operation the
+           fiber blocks on. *)
+        let caller = ref Prof.Host in
+        let resume () =
+          caller := Prof.cur_sub p;
+          Prof.set_sub p Prof.App
+        in
+        let back () = Prof.set_sub p !caller in
+        fun () ->
+          resume ();
+          match_with f ()
+            {
+              retc =
+                (fun () ->
+                  back ();
+                  t.fibers <- t.fibers - 1);
+              exnc =
+                (fun e ->
+                  back ();
+                  raise e);
+              effc =
+                (fun (type b) (eff : b Effect.t) ->
+                  match eff with
+                  | Suspend register ->
+                      Some
+                        (fun (k : (b, _) continuation) ->
+                          back ();
+                          register (fun v ->
+                              resume ();
+                              continue k v))
+                  | _ -> None);
+            }
   in
   ignore node;
   (* Fiber bodies start at top level, outside any message's causal extent. *)

@@ -24,6 +24,10 @@ type msg = {
   m_dst : Diva_mesh.Mesh.node;
   m_size : int;
   m_tag : int;  (** selective-receive key set by [send ~tag]; [-1] = untagged *)
+  m_id : int;
+      (** causal message id (see {!cur_msg}); retransmissions keep it,
+          acks of the reliable-delivery envelope carry [-1] *)
+  m_txn : int;  (** the DSM transaction the message serves; [-1] for none *)
   m_payload : payload;
 }
 

@@ -1,15 +1,18 @@
 module Heap = Diva_util.Event_queue
 module Prof = Diva_obs.Prof
 
-(* An event is either a plain thunk or a packed (function, argument) pair.
-   The packed form lets hot schedule sites (message delivery in [Network])
-   pass one statically-allocated function plus a small argument record
-   instead of building a fresh closure chain per event: the closure's
-   environment becomes an explicit record the caller can size exactly. *)
-type event = Fn of (unit -> unit) | Call : ('a -> unit) * 'a -> event
+(* An event is a function and its argument, kept in the queue's own two
+   value columns, so scheduling allocates nothing beyond the boxed time:
+   hot schedule sites (message delivery in [Network]) pass one
+   statically-allocated function plus the value it acts on, and a thunk
+   is the function applied to [()]. The argument's type differs from
+   event to event, so the columns hold it as [Obj.t]; the two
+   [schedule_call] functions are the only places that forget it, each for
+   a function that takes exactly that value. *)
+type event_fn = Obj.t -> unit
 
 type t = {
-  queue : event Heap.t;
+  queue : (event_fn, Obj.t) Heap.t2;
   mutable clock : float;
   mutable executed : int;
   mutable advance_hook : (float -> float -> unit) option;
@@ -53,17 +56,15 @@ let check_future t at =
            t.clock
        else Printf.sprintf "Sim.schedule: time %g is not finite" at)
 
-let schedule t at f =
-  check_future t at;
-  Heap.insert t.queue (Float.max at t.clock) (Fn f)
-
-let schedule_now t f = Heap.insert t.queue t.clock (Fn f)
+let schedule_call_now t (f : 'a -> unit) (x : 'a) =
+  Heap.insert2 t.queue t.clock (Obj.magic f : event_fn) (Obj.repr x)
 
 let schedule_call t at f x =
   check_future t at;
-  Heap.insert t.queue (Float.max at t.clock) (Call (f, x))
+  Heap.insert2 t.queue (Float.max at t.clock) (Obj.magic f : event_fn) (Obj.repr x)
 
-let schedule_call_now t f x = Heap.insert t.queue t.clock (Call (f, x))
+let schedule t at f = schedule_call t at f ()
+let schedule_now t f = schedule_call_now t f ()
 
 (* With a profiler attached, the loop adds one word store per transition
    so the SIGPROF sampler can attribute its hits. Queue work (pop, hook,
@@ -76,17 +77,18 @@ let run t =
   (match prof with Some p -> Prof.set_sub p Prof.Event_loop | None -> ());
   while not (Heap.is_empty t.queue) do
     let at = Heap.min_priority_exn t.queue in
-    let ev = Heap.pop_exn t.queue in
+    let x = Heap.min_snd_exn t.queue in
+    let f = Heap.pop_exn t.queue in
     (match t.advance_hook with
     | Some h when at > t.clock -> h t.clock at
     | _ -> ());
     t.clock <- at;
     t.executed <- t.executed + 1;
     match prof with
-    | None -> ( match ev with Fn f -> f () | Call (f, x) -> f x)
+    | None -> f x
     | Some p ->
         Prof.set_sub p Prof.Dispatch;
-        (match ev with Fn f -> f () | Call (f, x) -> f x);
+        f x;
         (* Deeper layers may have refined the attribution; the
            loop-trailing store doubles as the loop-top one for the next
            iteration. *)

@@ -19,7 +19,9 @@ val schedule_call : t -> float -> ('a -> unit) -> 'a -> unit
 (** [schedule_call t at f x] runs [f x] at simulated time [at]. Equivalent
     to [schedule t at (fun () -> f x)] but avoids allocating a closure when
     [f] is a statically-known function: hot schedule sites pass one shared
-    function plus a packed argument instead of a fresh environment. *)
+    function plus the value it acts on instead of a fresh environment. The
+    queue keeps [f] and [x] in columns of their own, so scheduling
+    allocates only the boxed time. *)
 
 val schedule_call_now : t -> ('a -> unit) -> 'a -> unit
 

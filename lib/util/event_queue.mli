@@ -1,39 +1,61 @@
 (** Min-priority queue with [float] priorities, used as the simulator's event
-    queue. Implemented as a 4-ary min-heap over three parallel unboxed
-    arrays (priorities, tie-break sequence numbers, slot indices); each
-    value sits in a slot of its own from insertion until it is popped, so
-    sifting never moves a value and neither insertion nor removal
-    allocates. A popped or cleared value is no longer referenced by the
-    queue. Insertion order among equal priorities is preserved (FIFO): the
-    pop sequence is the lexicographic (priority, insertion index) order — a
-    total order — which makes simulation runs deterministic and independent
-    of the heap's internal shape. Priorities must not be NaN, which would
-    break that order. *)
+    queue. Implemented as a 4-ary min-heap over two parallel unboxed
+    arrays (priorities, and keys packing a tie-break sequence number above
+    a slot index); each entry's values sit in a slot of their own from
+    insertion until they are popped, so sifting never moves a value and
+    neither insertion nor removal allocates. A popped or cleared value is
+    no longer referenced by the queue. Insertion order among equal
+    priorities is preserved (FIFO): the pop sequence is the lexicographic
+    (priority, insertion index) order — a total order — which makes
+    simulation runs deterministic and independent of the heap's internal
+    shape. Priorities must not be NaN, which would break that order.
 
-type 'a t
+    An entry carries two values ({!t2}); the one-value queue {!t} is the
+    common case whose second value is always [()]. *)
 
-val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val size : 'a t -> int
+type ('a, 'b) t2
+(** A queue whose entries carry a first value of type ['a] and a second
+    of type ['b]. *)
+
+type 'a t = ('a, unit) t2
+
+val create : unit -> ('a, 'b) t2
+val is_empty : ('a, 'b) t2 -> bool
+val size : ('a, 'b) t2 -> int
 
 val insert : 'a t -> float -> 'a -> unit
 (** [insert h prio x] adds [x] with priority [prio]. Does not allocate
     (outside of capacity doubling). *)
 
+val insert2 : ('a, 'b) t2 -> float -> 'a -> 'b -> unit
+(** [insert2 h prio x y] adds the entry [(x, y)] with priority [prio]. Does
+    not allocate (outside of capacity doubling). *)
+
 val pop_min : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-priority element; FIFO among ties. *)
 
-val min_priority : 'a t -> float option
+val min_priority : ('a, 'b) t2 -> float option
 
-val min_priority_exn : 'a t -> float
+val min_priority_exn : ('a, 'b) t2 -> float
 (** The minimum priority without removing it. Non-allocating hot-path
     variant of {!min_priority}; raises [Invalid_argument] when empty. *)
 
-val pop_exn : 'a t -> 'a
-(** Removes and returns the minimum element's value without allocating.
-    Pair with {!min_priority_exn} to read its priority first. Raises
+val min_snd_exn : ('a, 'b) t2 -> 'b
+(** The minimum entry's second value, without removing it. Raises
     [Invalid_argument] when empty. *)
 
-val clear : 'a t -> unit
+val pop_exn : ('a, 'b) t2 -> 'a
+(** Removes the minimum entry and returns its first value without
+    allocating. Pair with {!min_priority_exn} and {!min_snd_exn} to read
+    the rest of the entry first. Raises [Invalid_argument] when empty. *)
+
+val clear : ('a, 'b) t2 -> unit
 (** Empty the queue, keeping its capacity. Sequence numbers keep
     advancing, so FIFO tie-break order spans a clear. *)
+
+val check_fits : pending:int -> inserts:int -> unit
+(** Raise [Invalid_argument], naming the limit, if [pending] entries
+    exceed the key's slot field (2{^24}) or [inserts] insertions over the
+    queue's life exceed its sequence field (2{^38} with 63-bit ints). The
+    queue makes this check as it grows and as its sequence numbers
+    advance. *)

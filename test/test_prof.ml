@@ -121,6 +121,57 @@ let test_prof_report_rejects_other_schema () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a schema-less document"
 
+(* A fiber resumes inside the handler that completes its operation: after
+   a read miss, the strategy's reply handler. Host time the fiber then
+   spends is its own and must book to [App], not to [Strategy]; the
+   profile document must carry the new key through a write and a parse. *)
+let test_prof_books_fiber_to_app () =
+  let module Network = Diva_simnet.Network in
+  let module Dsm = Diva_core.Dsm in
+  let net = Network.create ~rows:2 ~cols:2 () in
+  let p = Prof.create ~sample_period_s:0.002 () in
+  Network.attach_prof net p;
+  let dsm = Dsm.create net ~strategy () in
+  let v = Dsm.create_var dsm ~owner:3 ~size:8 0 in
+  let burn_s = 0.2 in
+  Network.spawn net 0 (fun () ->
+      ignore (Dsm.read dsm 0 v : int);
+      let t0 = Sys.time () in
+      while Sys.time () -. t0 < burn_s do
+        ignore (Sys.opaque_identity (Array.make 8 0))
+      done);
+  Network.run net;
+  Alcotest.(check int) "the read missed" 0 (Dsm.read_hits dsm);
+  let doc =
+    match Json.of_string (Json.to_string (Prof.to_json p)) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let count name =
+    match Option.bind (Json.member "subsystems" doc) (Json.member name) with
+    | Some c -> Option.value ~default:(-1) (Json.to_int c)
+    | None -> Alcotest.failf "subsystem %S missing from the profile" name
+  in
+  let app = count "app" and strategy = count "strategy" in
+  let total =
+    List.fold_left (fun a s -> a + count (Prof.subsystem_name s)) 0
+      Prof.[ Host; Event_loop; Dispatch; Protocol; Strategy; Analysis; App ]
+  in
+  (* The sampler's period is rounded up to the kernel's timer tick, so
+     count shares rather than expect [burn_s / period] samples. *)
+  if app < 10 || app * 10 < total * 8 then
+    Alcotest.failf "app booked %d of %d samples" app total;
+  if strategy * 10 > app then
+    Alcotest.failf "strategy booked %d samples against app's %d" strategy app;
+  match Prof.report doc with
+  | Ok r ->
+      Alcotest.(check bool) "report lists app" true
+        (List.exists
+           (fun l ->
+             String.length l > 8 && String.sub (String.trim l) 0 4 = "app ")
+           (String.split_on_char '\n' r))
+  | Error e -> Alcotest.fail e
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -513,4 +564,6 @@ let suite =
       test_merge_compaction;
     Alcotest.test_case "merge validates inputs before writing" `Quick
       test_merge_rejects_bad_input;
+    Alcotest.test_case "fiber time after a miss books to app" `Quick
+      test_prof_books_fiber_to_app;
   ]

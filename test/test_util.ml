@@ -226,7 +226,20 @@ let test_heap_exn_and_clear () =
   Alcotest.(check int) "cleared size" 0 (Heap.size h);
   (* FIFO tie-break spans a clear: sequence numbers keep advancing. *)
   Heap.insert h 1.0 "after";
-  Alcotest.(check string) "usable after clear" "after" (Heap.pop_exn h)
+  Alcotest.(check string) "usable after clear" "after" (Heap.pop_exn h);
+  (* A key packs the sequence number above the slot index: 24 bits of
+     slot, the 38 bits up to the sign bit of sequence. *)
+  Heap.check_fits ~pending:(1 lsl 24) ~inserts:(1 lsl 38);
+  Alcotest.check_raises "slot limit"
+    (Invalid_argument
+       "Event_queue: 16777217 pending entries exceed the 24-bit slot field \
+        (at most 16777216)")
+    (fun () -> Heap.check_fits ~pending:((1 lsl 24) + 1) ~inserts:0);
+  Alcotest.check_raises "sequence limit"
+    (Invalid_argument
+       "Event_queue: 274877906945 insertions exceed the 38-bit sequence \
+        field (at most 274877906944)")
+    (fun () -> Heap.check_fits ~pending:0 ~inserts:((1 lsl 38) + 1))
 
 (* Popped and cleared values must not stay reachable from the queue: each
    value's slot is emptied when it leaves. [churn] runs in its own frame so
@@ -271,7 +284,12 @@ let test_heap_float_values () =
 
 (* Interleaved insert / pop / clear against a stable-sorted list model:
    slots freed by pops and clears are reused without disturbing the
-   (priority, insertion) order. *)
+   (priority, insertion) order. Entries carry two values, a function and
+   its argument, as the simulator's events do; each pop must hand back
+   the two that went in together. The script ends with a clear and
+   enough inserts to grow the queue past any capacity the script reached,
+   then drains: a clear must leave the free-slot stack whole for the
+   growth that follows. *)
 let prop_heap_clear_model =
   QCheck.Test.make ~count:300 ~name:"heap with clears matches model"
     QCheck.(list (pair (int_range 0 9) small_nat))
@@ -280,32 +298,43 @@ let prop_heap_clear_model =
       let model = ref [] (* (prio, seq, value), kept sorted *) in
       let seq = ref 0 in
       let ok = ref true in
+      let insert v =
+        let p = float_of_int (v mod 7) in
+        Heap.insert2 h p (fun x -> (v, x)) (string_of_int v);
+        model :=
+          List.merge
+            (fun (a, sa, _) (b, sb, _) -> compare (a, sa) (b, sb))
+            !model [ (p, !seq, v) ];
+        incr seq
+      in
+      let pop () =
+        match (!model, Heap.is_empty h) with
+        | [], true -> ()
+        | (mp, _, mv) :: rest, false ->
+            let p = Heap.min_priority_exn h in
+            let x = Heap.min_snd_exn h in
+            let f = Heap.pop_exn h in
+            if p <> mp || f x <> (mv, string_of_int mv) then ok := false
+            else model := rest
+        | _ -> ok := false
+      in
+      let clear () =
+        Heap.clear h;
+        model := []
+      in
       List.iter
         (fun (op, v) ->
-          if op = 0 then begin
-            Heap.clear h;
-            model := []
-          end
-          else if op <= 3 then (
-            match (!model, Heap.is_empty h) with
-            | [], true -> ()
-            | (mp, _, mv) :: rest, false ->
-                let p = Heap.min_priority_exn h in
-                let x = Heap.pop_exn h in
-                if p <> mp || x <> string_of_int mv then ok := false
-                else model := rest
-            | _ -> ok := false)
-          else begin
-            let p = float_of_int (v mod 7) in
-            Heap.insert h p (string_of_int v);
-            model :=
-              List.merge
-                (fun (a, sa, _) (b, sb, _) -> compare (a, sa) (b, sb))
-                !model [ (p, !seq, v) ];
-            incr seq
-          end)
+          if op = 0 then clear () else if op <= 3 then pop () else insert v)
         script;
-      !ok && Heap.size h = List.length !model)
+      let mid = !ok && Heap.size h = List.length !model in
+      clear ();
+      for v = 0 to 299 do
+        insert v
+      done;
+      for _ = 0 to 299 do
+        pop ()
+      done;
+      mid && !ok && Heap.is_empty h && !model = [])
 
 (* Allocation gate: a steady-depth insert + pop allocates only the test
    loop's own two boxed floats (the priority passed to [insert] and the one
