@@ -18,22 +18,25 @@
    - Per-operation and critical-path sums fold in completion order; link
      and window sums fold in emission order. *)
 
-module Ids = Set.Make (Int)
-
-(* Retained state of one in-flight message of a pending transaction;
-   freed when the transaction completes. *)
+(* Retained state of one message of a pending transaction, freed when
+   the transaction completes: this record and its float array, nothing
+   boxed. The transaction's messages form an intrusive list through
+   [r_prev], newest first; the table [pending] holds the newest id. *)
 type srec = {
   r_parent : int;
   r_txn : int;
-  r_local : bool;
-  r_sent : float;
-  r_inject : float;
-  mutable r_handled : float option;
-  (* Link crossings as (start, finish) pairs in arrival order: the first
-     [2 * r_nx] cells. Unboxed, so a crossing costs two words, not ten. *)
-  mutable r_xfers : float array;
-  mutable r_nx : int;
+  r_prev : int;  (* previous message of the transaction; its own id if first *)
+  mutable r_bits : int;  (* [local_bit], [handled_bit], [chain_bit] *)
+  (* [sent; inject; handled], then one (start, finish) pair per link
+     crossing in arrival order, sized exactly: the crossing count is
+     [(length - 3) / 2]. [handled] means something only under
+     [handled_bit]. *)
+  mutable r_f : float array;
 }
+
+let local_bit = 1
+let handled_bit = 2
+let chain_bit = 4 (* set while [complete] splits chain from side branches *)
 
 let op_order = [ Trace.Read; Write; Lock; Unlock; Barrier; Reduce ]
 
@@ -136,13 +139,32 @@ module Txn_fold = struct
       t.best
 end
 
+(* Link crossings are kept for window binning in chunks of [chunk]: one
+   int packing link and size, and a (start, finish) float pair, each.
+   Chunks are never copied; only the newest is partly filled. *)
+let chunk = 4096
+
+(* A crossing's link and size share one int: size in the low 32 bits,
+   link (signed) above. The simulator's pairs always fit; a trace file
+   may carry any ints, so a pair that does not fit is stored as [wide],
+   which no fitting pair packs to (its size field is all ones), and kept
+   in a side table under the crossing's index. *)
+let size_bits = 32
+let size_mask = (1 lsl size_bits) - 1
+let wide = -1
+
+let pack ~link ~size =
+  if size >= 0 && size < size_mask && link >= -(1 lsl 30) && link < 1 lsl 30
+  then (link lsl size_bits) lor size
+  else wide
+
 type t = {
   ov : Analysis.overheads;
   top_k : int;
   num_windows : int;
   (* bounded working set *)
   msgs : (int, srec) Hashtbl.t;  (* messages of not-yet-completed txns *)
-  pending : (int, int list ref) Hashtbl.t;  (* txn -> its msg ids, newest first *)
+  pending : (int, int) Hashtbl.t;  (* txn -> its newest message id *)
   ring : int array;  (* recently completed txn ids (circular) *)
   ring_set : (int, unit) Hashtbl.t;
   mutable ring_pos : int;
@@ -151,14 +173,16 @@ type t = {
   levels : (int, level_acc) Hashtbl.t;
   links : (int, link_acc) Hashtbl.t;
   txn_fold : Txn_fold.t;
-  (* Every link crossing, four scalars each, in emission order: window
-     boundaries need the end time, so binning waits for [finalize].
-     Empty when [num_windows <= 0]. *)
-  mutable x_link : int array;
-  mutable x_size : int array;
-  mutable x_start : float array;
-  mutable x_finish : float array;
+  (* Every link crossing in emission order: window boundaries need the
+     end time, so binning waits for [finalize]. [x_keys]/[x_spans] is
+     the chunk being filled, [x_full] the filled ones, newest first;
+     [x_wide] holds the pairs [pack] cannot. All empty when
+     [num_windows <= 0]. *)
+  mutable x_keys : int array;
+  mutable x_spans : float array;
+  mutable x_full : (int array * float array) list;
   mutable x_n : int;
+  x_wide : (int, int * int) Hashtbl.t;
   mutable n_msgs : int;
   mutable t_end : float;
   mutable peak : int;
@@ -198,42 +222,60 @@ let create ?(top_k = 10) ?(num_windows = 8) ?(ring = 1024) ov =
     levels = Hashtbl.create 8;
     links = Hashtbl.create 64;
     txn_fold = Txn_fold.create ();
-    x_link = [||];
-    x_size = [||];
-    x_start = [||];
-    x_finish = [||];
+    x_keys = [||];
+    x_spans = [||];
+    x_full = [];
     x_n = 0;
+    x_wide = Hashtbl.create 1;
     n_msgs = 0;
     t_end = 0.0;
     peak = 0;
   }
 
 let push_xfer t ~link ~size ~start ~finish =
-  let cap = Array.length t.x_link in
-  if t.x_n = cap then begin
-    let cap' = max 1024 (2 * cap) in
-    let grow mk a = let b = mk cap' in Array.blit a 0 b 0 t.x_n; b in
-    t.x_link <- grow (fun n -> Array.make n 0) t.x_link;
-    t.x_size <- grow (fun n -> Array.make n 0) t.x_size;
-    t.x_start <- grow (fun n -> Array.make n 0.0) t.x_start;
-    t.x_finish <- grow (fun n -> Array.make n 0.0) t.x_finish
+  let i = t.x_n mod chunk in
+  if i = 0 then begin
+    if t.x_n > 0 then t.x_full <- (t.x_keys, t.x_spans) :: t.x_full;
+    t.x_keys <- Array.make chunk 0;
+    t.x_spans <- Array.make (2 * chunk) 0.0
   end;
-  t.x_link.(t.x_n) <- link;
-  t.x_size.(t.x_n) <- size;
-  t.x_start.(t.x_n) <- start;
-  t.x_finish.(t.x_n) <- finish;
+  let key = pack ~link ~size in
+  if key = wide then Hashtbl.replace t.x_wide t.x_n (link, size);
+  t.x_keys.(i) <- key;
+  t.x_spans.(2 * i) <- start;
+  t.x_spans.((2 * i) + 1) <- finish;
   t.x_n <- t.x_n + 1
 
+(* [f link size start finish] on every retained crossing, in emission
+   order. *)
+let iter_xfers t f =
+  let run base keys spans n =
+    for i = 0 to n - 1 do
+      let key = keys.(i) and s = spans.(2 * i) and e = spans.((2 * i) + 1) in
+      if key = wide then
+        let link, size = Hashtbl.find t.x_wide (base + i) in
+        f link size s e
+      else f (key asr size_bits) (key land size_mask) s e
+    done
+  in
+  let filled =
+    List.fold_left
+      (fun base (keys, spans) ->
+        run base keys spans chunk;
+        base + chunk)
+      0 (List.rev t.x_full)
+  in
+  run filled t.x_keys t.x_spans (t.x_n - filled)
+
+(* Records are sized exactly, so a crossing copies the float array into
+   one two cells longer. *)
 let push_rec_xfer r ~start ~finish =
-  let k = 2 * r.r_nx in
-  if k = Array.length r.r_xfers then begin
-    let a = Array.make (max 4 (2 * k)) 0.0 in
-    Array.blit r.r_xfers 0 a 0 k;
-    r.r_xfers <- a
-  end;
-  r.r_xfers.(k) <- start;
-  r.r_xfers.(k + 1) <- finish;
-  r.r_nx <- r.r_nx + 1
+  let f = r.r_f in
+  let n = Array.length f in
+  let g = Array.make (n + 2) finish in
+  Array.blit f 0 g 0 n;
+  g.(n) <- start;
+  r.r_f <- g
 
 let ring_mem t txn = Hashtbl.mem t.ring_set txn
 
@@ -264,77 +306,95 @@ let link_acc t link =
       Hashtbl.add t.links link a;
       a
 
+let handled (r : srec) =
+  if r.r_bits land handled_bit <> 0 then Some r.r_f.(2) else None
+
 let side_of_rec (r : srec) : Analysis.side =
+  let f = r.r_f in
   {
-    Analysis.s_local = r.r_local;
-    s_sent = r.r_sent;
-    s_inject = r.r_inject;
-    s_handled = r.r_handled;
+    Analysis.s_local = r.r_bits land local_bit <> 0;
+    s_sent = f.(0);
+    s_inject = f.(1);
+    s_handled = handled r;
     s_xfer_us =
       (let acc = ref 0.0 in
-       for k = 0 to r.r_nx - 1 do
-         acc := !acc +. (r.r_xfers.((2 * k) + 1) -. r.r_xfers.(2 * k))
+       let k = ref 3 in
+       while !k < Array.length f do
+         acc := !acc +. (f.(!k + 1) -. f.(!k));
+         k := !k + 2
        done;
        !acc);
   }
 
 let chain_link_of_rec (r : srec) : Analysis.chain_link =
   {
-    Analysis.cl_local = r.r_local;
-    cl_inject = r.r_inject;
-    cl_handled = r.r_handled;
-    cl_xfers = Array.sub r.r_xfers 0 (2 * r.r_nx);
+    Analysis.cl_local = r.r_bits land local_bit <> 0;
+    cl_inject = r.r_f.(1);
+    cl_handled = handled r;
+    cl_xfers = Array.sub r.r_f 3 (Array.length r.r_f - 3);
   }
 
 (* The completing chain: from the message that unblocked the fiber, walk
-   [parent] links backwards while still inside the transaction. Parent ids
-   are strictly smaller than child ids (issue order), so the walk
-   terminates; the first message outside the transaction — for us also the
-   first retired one, which is the same thing, since every message of a
-   pending transaction is still live — belongs to the operation that
-   merely unparked this one and is excluded. *)
-let chain_ids t txn_id completed_by =
-  let rec go acc prev id =
-    if id < 0 || id >= prev then acc
-    else
+   [parent] links backwards while still inside the transaction, setting
+   [chain_bit] on each. Parent ids are strictly smaller than child ids
+   (issue order), so the walk terminates; the first message outside the
+   transaction — for us also the first retired one, which is the same
+   thing, since every message of a pending transaction is still live —
+   belongs to the operation that merely unparked this one and is
+   excluded. *)
+let mark_chain t txn_id completed_by =
+  let rec go prev id =
+    if id >= 0 && id < prev then
       match Hashtbl.find_opt t.msgs id with
-      | Some r when r.r_txn = txn_id -> go (Ids.add id acc) id r.r_parent
-      | _ -> acc
+      | Some r when r.r_txn = txn_id ->
+          r.r_bits <- r.r_bits lor chain_bit;
+          go id r.r_parent
+      | _ -> ()
   in
-  go Ids.empty max_int completed_by
+  go max_int completed_by
+
+(* The transaction's records in send order, each removed from [msgs]:
+   walk [r_prev] back from the newest. *)
+let retire_txn t txn =
+  let rec go acc id =
+    match Hashtbl.find_opt t.msgs id with
+    | Some r when r.r_txn = txn ->
+        Hashtbl.remove t.msgs id;
+        if r.r_prev = id then r :: acc else go (r :: acc) r.r_prev
+    | _ -> acc
+  in
+  match Hashtbl.find_opt t.pending txn with
+  | Some newest ->
+      Hashtbl.remove t.pending txn;
+      go [] newest
+  | None -> []
 
 let complete t ~node ~op ~ts ~dur ~txn ~completed_by =
-  let chain = chain_ids t txn completed_by in
-  let ids =
-    match Hashtbl.find_opt t.pending txn with
-    | Some ids -> List.rev !ids
-    | None -> []
-  in
+  mark_chain t txn completed_by;
+  let recs = retire_txn t txn in
+  let on_chain r = r.r_bits land chain_bit <> 0 in
   let chain_cost =
     Analysis.decompose_chain t.ov ~t0:ts ~dur
       (List.filter_map
-         (fun id ->
-           if Ids.mem id chain then
-             Option.map chain_link_of_rec (Hashtbl.find_opt t.msgs id)
-           else None)
-         ids)
+         (fun r -> if on_chain r then Some (chain_link_of_rec r) else None)
+         recs)
   in
   let sides =
     List.filter_map
-      (fun id ->
-        if Ids.mem id chain then None
-        else Option.map side_of_rec (Hashtbl.find_opt t.msgs id))
-      ids
+      (fun r -> if on_chain r then None else Some (side_of_rec r))
+      recs
   in
   Txn_fold.feed t.txn_fold ~node ~op ~t_start:ts ~dur ~chain_cost
     ~side_msgs:(List.length sides)
     ~side_cost:(Analysis.sides_cost t.ov sides);
-  (* Retire: free every record of the transaction and remember its id so
-     stray post-completion sends do not repopulate the table. *)
-  List.iter (Hashtbl.remove t.msgs) ids;
-  Hashtbl.remove t.pending txn;
+  (* Remember the id so stray post-completion sends do not repopulate the
+     table. *)
   ring_push t txn
 
+(* A send whose id is already live keeps the first send's record: the
+   repeat is counted as traffic but neither replaces the record nor joins
+   a transaction's list again, so the [r_prev] lists stay acyclic. The
+   simulator sends each id once, the reliable envelope included. *)
 let feed t e =
   match e with
   | Trace.Msg_send { ts; id; parent; txn; inject; level; size; local; _ } ->
@@ -346,23 +406,22 @@ let feed t e =
         la.la_local <- la.la_local + 1;
         t.t_end <- Float.max t.t_end inject
       end;
-      if txn >= 0 && not (ring_mem t txn) then begin
-        Hashtbl.replace t.msgs id
+      if txn >= 0 && (not (ring_mem t txn)) && not (Hashtbl.mem t.msgs id)
+      then begin
+        let prev =
+          match Hashtbl.find_opt t.pending txn with Some p -> p | None -> id
+        in
+        Hashtbl.add t.msgs id
           {
             r_parent = parent;
             r_txn = txn;
-            r_local = local;
-            r_sent = ts;
-            r_inject = inject;
+            r_prev = prev;
             (* A local message's handler runs at [inject]; there is no
                separate delivery event. *)
-            r_handled = (if local then Some inject else None);
-            r_xfers = [||];
-            r_nx = 0;
+            r_bits = (if local then local_bit lor handled_bit else 0);
+            r_f = [| ts; inject; (if local then inject else 0.0) |];
           };
-        (match Hashtbl.find_opt t.pending txn with
-        | Some ids -> ids := id :: !ids
-        | None -> Hashtbl.add t.pending txn (ref [ id ]));
+        Hashtbl.replace t.pending txn id;
         let live = Hashtbl.length t.msgs in
         if live > t.peak then t.peak <- live
       end
@@ -387,9 +446,10 @@ let feed t e =
       if id >= 0 then begin
         t.t_end <- Float.max t.t_end handled;
         match Hashtbl.find_opt t.msgs id with
-        | Some r when r.r_handled = None ->
+        | Some r when r.r_bits land handled_bit = 0 ->
             (* Retransmission duplicates keep the first delivery. *)
-            r.r_handled <- Some handled
+            r.r_f.(2) <- handled;
+            r.r_bits <- r.r_bits lor handled_bit
         | _ -> ()
       end
   | Trace.Dsm_access { ts; dur; node; op; txn; completed_by; _ }
@@ -448,24 +508,21 @@ let windows t =
   else begin
     let w = t.t_end /. float_of_int n in
     let tables = Array.init n (fun _ -> Hashtbl.create 32) in
-    for x = 0 to t.x_n - 1 do
-      let s = t.x_start.(x) and f = t.x_finish.(x) in
-      if f > s then begin
-        let link = t.x_link.(x) in
-        let rate = float_of_int t.x_size.(x) /. (f -. s) in
-        let first = max 0 (int_of_float (s /. w))
-        and last = min (n - 1) (int_of_float (f /. w)) in
-        for i = first to last do
-          let lo = Float.max s (float_of_int i *. w)
-          and hi = Float.min f (float_of_int (i + 1) *. w) in
-          if hi > lo then
-            let prev =
-              Option.value ~default:0.0 (Hashtbl.find_opt tables.(i) link)
-            in
-            Hashtbl.replace tables.(i) link (prev +. (rate *. (hi -. lo)))
-        done
-      end
-    done;
+    iter_xfers t (fun link size s f ->
+        if f > s then begin
+          let rate = float_of_int size /. (f -. s) in
+          let first = max 0 (int_of_float (s /. w))
+          and last = min (n - 1) (int_of_float (f /. w)) in
+          for i = first to last do
+            let lo = Float.max s (float_of_int i *. w)
+            and hi = Float.min f (float_of_int (i + 1) *. w) in
+            if hi > lo then
+              let prev =
+                Option.value ~default:0.0 (Hashtbl.find_opt tables.(i) link)
+              in
+              Hashtbl.replace tables.(i) link (prev +. (rate *. (hi -. lo)))
+          done
+        end);
     List.init n (fun i ->
         {
           Analysis.w_start = float_of_int i *. w;
@@ -911,8 +968,8 @@ let iter_file path ~f = Result.map fst (read_file path ~start:(fun _ -> ((), f))
 let probe path = with_lines path (fun ic -> Result.map ignore (read_header ic))
 
 (* Full offline post-mortem in a single pass over the file: the analyzer
-   is built from the header's overheads, retains each link crossing as
-   four scalars and bins them into windows at [finalize], once the end
+   is built from the header's overheads, retains each link crossing in
+   three words and bins them into windows at [finalize], once the end
    time is known. Returns the header, the summary — bit-identical to the
    live run's — and the peak message-record residency. *)
 let analyze_file ?top_k ?num_windows ?ring path =

@@ -51,9 +51,9 @@ val peak_msgs : t -> int
 
 val finalize : t -> Analysis.summary
 (** Non-destructive. The windowed link series is binned here, from the
-    crossings retained during the pass (four scalars per crossing; none
-    retained when [num_windows <= 0]), once the run's end time is
-    known. *)
+    crossings retained during the pass (three words per crossing, in
+    fixed-size chunks; none retained when [num_windows <= 0]), once the
+    run's end time is known. *)
 
 val analyze_events :
   ?top_k:int ->

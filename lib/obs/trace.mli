@@ -224,11 +224,8 @@ val with_listener : sink -> (event -> unit) -> sink
     and the flight recorder all write through it. The reader and the
     versioned file header live in {!Streaming}. *)
 
-val op_code : dsm_op -> string
 val op_of_code : string -> dsm_op option
-val drop_code : drop_reason -> string
 val drop_of_code : string -> drop_reason option
-val loss_code : loss_reason -> string
 val loss_of_code : string -> loss_reason option
 
 val add_event : Buffer.t -> event -> unit

@@ -3,7 +3,9 @@
    blocking latency for every transaction of every app under both
    strategies, causal chains must be contiguous in time, and the engine,
    which retires each transaction's records at completion, must agree bit
-   for bit with a reference that keeps every message of the run. *)
+   for bit with a reference that keeps every message and every link
+   crossing of the run: chain costs, side branches and windows, with and
+   without injected message loss. *)
 
 module Network = Diva_simnet.Network
 module Machine = Diva_simnet.Machine
@@ -17,9 +19,11 @@ module Streaming = Diva_obs.Streaming
 let eps = 1e-6
 
 (* Run one app with causal tracing on and return (overheads, events). *)
-let traced_run run =
+let traced_run ?(faults = Diva_faults.Schedule.empty) run =
   let trace = Trace.create () in
-  let obs = { Runner.null_obs with Runner.obs_trace = trace } in
+  let obs =
+    { Runner.null_obs with Runner.obs_trace = trace; obs_faults = faults }
+  in
   let captured = ref None in
   let on_net net = captured := Some net in
   run ~obs ~on_net;
@@ -61,6 +65,33 @@ let apps =
 let both_strategies =
   [ ("fixed-home", Dsm.Fixed_home); ("4-ary", Dsm.access_tree ~arity:4 ()) ]
 
+(* Every app x strategy, plus a matmul that loses one message in ten, so
+   that lost, retransmitted and duplicate deliveries and post-completion
+   crossings are in the stream. Each is (label, overheads, events). *)
+let traced_runs =
+  lazy
+    (let faulted =
+       let faults =
+         Diva_faults.Schedule.make ~seed:9
+           [ Diva_faults.Schedule.Msg_drop
+               { prob = 0.1; w = { t0 = 0.0; t1 = 1e9 } } ]
+       in
+       let ov, events =
+         traced_run ~faults
+           ((List.assoc "matmul" apps) (Dsm.access_tree ~arity:4 ()))
+       in
+       ("matmul/4-ary/lossy", ov, events)
+     in
+     List.concat_map
+       (fun (app, run) ->
+         List.map
+           (fun (sname, strategy) ->
+             let ov, events = traced_run (run strategy) in
+             (app ^ "/" ^ sname, ov, events))
+           both_strategies)
+       apps
+     @ [ faulted ])
+
 (* ------------------------------------------------------------------ *)
 (* Keep-everything reference                                            *)
 (* ------------------------------------------------------------------ *)
@@ -85,29 +116,26 @@ type txn = {
   t_dur : float;
   t_completed_by : int;
   t_chain : msg list;  (* causal (oldest-first) order *)
+  t_sides : Analysis.side list;
+      (* the other messages of the transaction in send order, as they
+         stood when its completion event passed *)
 }
 
+(* The (start, finish) pairs of a message in arrival order. *)
+let xfer_pairs m =
+  let rec go acc = function
+    | f :: s :: rest -> go ((s, f) :: acc) rest
+    | _ -> acc
+  in
+  go [] m.xfers
+
 (* The run's transactions in completion order, each with its completing
-   chain: from the message that unblocked the fiber, walk [parent] links
-   backwards while still inside the transaction. *)
+   chain (from the message that unblocked the fiber, walk [parent] links
+   backwards while still inside the transaction) and its side branches,
+   snapshot at the completion event. *)
 let reference_txns events =
   let msgs = Hashtbl.create 1024 in
-  List.iter
-    (function
-      | Trace.Msg_send { ts; id; parent; txn; inject; local; _ } ->
-          Hashtbl.replace msgs id
-            { id; parent; txn; sent = ts; local; inject;
-              handled = (if local then Some inject else None); xfers = [] }
-      | Trace.Link_xfer { start; finish; msg; _ } -> (
-          match Hashtbl.find_opt msgs msg with
-          | Some m -> m.xfers <- finish :: start :: m.xfers
-          | None -> ())
-      | Trace.Msg_deliver { id; handled; _ } -> (
-          match Hashtbl.find_opt msgs id with
-          | Some m when m.handled = None -> m.handled <- Some handled
-          | _ -> ())
-      | _ -> ())
-    events;
+  let by_txn = Hashtbl.create 256 (* txn -> its messages, newest first *) in
   let chain txn completed_by =
     let rec go acc prev id =
       if id < 0 || id >= prev then acc
@@ -118,14 +146,47 @@ let reference_txns events =
     in
     go [] max_int completed_by
   in
-  List.filter_map
+  let side m =
+    { Analysis.s_local = m.local; s_sent = m.sent; s_inject = m.inject;
+      s_handled = m.handled;
+      s_xfer_us =
+        List.fold_left (fun acc (s, f) -> acc +. (f -. s)) 0.0 (xfer_pairs m) }
+  in
+  let txns = ref [] in
+  List.iter
     (function
+      | Trace.Msg_send { ts; id; parent; txn; inject; local; _ } ->
+          let m =
+            { id; parent; txn; sent = ts; local; inject;
+              handled = (if local then Some inject else None); xfers = [] }
+          in
+          Hashtbl.replace msgs id m;
+          if txn >= 0 then
+            Hashtbl.replace by_txn txn
+              (m :: Option.value ~default:[] (Hashtbl.find_opt by_txn txn))
+      | Trace.Link_xfer { start; finish; msg; _ } -> (
+          match Hashtbl.find_opt msgs msg with
+          | Some m -> m.xfers <- finish :: start :: m.xfers
+          | None -> ())
+      | Trace.Msg_deliver { id; handled; _ } -> (
+          match Hashtbl.find_opt msgs id with
+          | Some m when m.handled = None -> m.handled <- Some handled
+          | _ -> ())
       | Trace.Dsm_access { ts; dur; op; txn; completed_by; _ } when txn >= 0 ->
-          Some
+          let t_chain = chain txn completed_by in
+          let t_sides =
+            List.filter_map
+              (fun m -> if List.memq m t_chain then None else Some (side m))
+              (List.rev (Option.value ~default:[] (Hashtbl.find_opt by_txn txn)))
+          in
+          Hashtbl.remove by_txn txn;
+          txns :=
             { t_id = txn; t_op = op; t_start = ts; t_dur = dur;
-              t_completed_by = completed_by; t_chain = chain txn completed_by }
-      | _ -> None)
-    events
+              t_completed_by = completed_by; t_chain; t_sides }
+            :: !txns
+      | _ -> ())
+    events;
+  List.rev !txns
 
 let decompose ov t =
   Analysis.decompose_chain ov ~t0:t.t_start ~dur:t.t_dur
@@ -142,64 +203,118 @@ let same_bits (a : Analysis.cost) (b : Analysis.cost) =
     [ a.startup_us; a.transfer_us; a.queue_us; a.cpu_us ]
     [ b.startup_us; b.transfer_us; b.queue_us; b.cpu_us ]
 
+(* Summed per operation in completion order, the reference's chain costs,
+   side-branch counts and side costs are the engine's op rows, bit for
+   bit: retiring each transaction's records at completion loses nothing
+   the decomposition reads, and the records hold what the stream said by
+   then. *)
+let check_ops label ov events txns =
+  let per_op = Hashtbl.create 8 in
+  List.iter
+    (fun t ->
+      let n, sum, sides, side_sum =
+        Option.value
+          ~default:(0, Analysis.zero_cost, 0, Analysis.zero_cost)
+          (Hashtbl.find_opt per_op t.t_op)
+      in
+      Hashtbl.replace per_op t.t_op
+        ( n + 1,
+          Analysis.add_cost sum (decompose ov t),
+          sides + List.length t.t_sides,
+          Analysis.add_cost side_sum (Analysis.sides_cost ov t.t_sides) ))
+    txns;
+  let rows = (summarize ov events).Analysis.sm_ops in
+  Alcotest.(check int) (label ^ " op kinds") (Hashtbl.length per_op)
+    (List.length rows);
+  List.iter
+    (fun (r : Analysis.op_row) ->
+      let n, sum, sides, side_sum = Hashtbl.find per_op r.Analysis.or_op in
+      let what =
+        Printf.sprintf "%s %s" label (Analysis.op_name r.Analysis.or_op)
+      in
+      Alcotest.(check int) (what ^ " count") n r.Analysis.or_count;
+      Alcotest.(check bool)
+        (what ^ " cost = keep-everything reference, bit for bit")
+        true
+        (same_bits sum r.Analysis.or_cost);
+      Alcotest.(check int) (what ^ " side messages") sides
+        r.Analysis.or_side_msgs;
+      Alcotest.(check bool)
+        (what ^ " side cost = keep-everything reference, bit for bit")
+        true
+        (same_bits side_sum r.Analysis.or_side_cost))
+    rows
+
 (* The tentpole invariant: startup + transfer + queue + cpu = t_dur exactly,
-   and no term is negative, for every transaction of every app x strategy.
-   Summed per operation in completion order, the reference's costs are
-   also the engine's op rows, bit for bit: retiring each transaction's
-   records at completion loses nothing the decomposition reads. *)
+   and no term is negative, for every transaction of every app x strategy,
+   with and without message loss; and the engine's op rows are the
+   keep-everything reference's. *)
 let test_decomposition_sums () =
   List.iter
-    (fun (app, run) ->
+    (fun (label, ov, events) ->
+      let txns = reference_txns events in
+      Alcotest.(check bool) (label ^ " has transactions") true (txns <> []);
       List.iter
-        (fun (sname, strategy) ->
-          let ov, events = traced_run (run strategy) in
-          let txns = reference_txns events in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s has transactions" app sname)
-            true (txns <> []);
-          let per_op = Hashtbl.create 8 in
+        (fun t ->
+          let c = decompose ov t in
+          let where = Printf.sprintf "%s txn %d" label t.t_id in
           List.iter
-            (fun t ->
-              let c = decompose ov t in
-              let where = Printf.sprintf "%s/%s txn %d" app sname t.t_id in
-              List.iter
-                (fun (term, v) ->
-                  if v < -.eps then
-                    Alcotest.failf "%s: negative %s (%g)" where term v)
-                [ ("startup", c.Analysis.startup_us);
-                  ("transfer", c.Analysis.transfer_us);
-                  ("queue", c.Analysis.queue_us);
-                  ("cpu", c.Analysis.cpu_us) ];
-              let total = Analysis.total_cost c in
-              let tol = eps *. Float.max 1.0 t.t_dur in
-              if Float.abs (total -. t.t_dur) > tol then
-                Alcotest.failf "%s: decomposition %g <> latency %g" where
-                  total t.t_dur;
-              let n, sum =
-                Option.value ~default:(0, Analysis.zero_cost)
-                  (Hashtbl.find_opt per_op t.t_op)
-              in
-              Hashtbl.replace per_op t.t_op (n + 1, Analysis.add_cost sum c))
-            txns;
-          let rows = (summarize ov events).Analysis.sm_ops in
-          Alcotest.(check int)
-            (Printf.sprintf "%s/%s op kinds" app sname)
-            (Hashtbl.length per_op) (List.length rows);
-          List.iter
-            (fun (r : Analysis.op_row) ->
-              let n, sum = Hashtbl.find per_op r.Analysis.or_op in
-              let what =
-                Printf.sprintf "%s/%s %s" app sname
-                  (Analysis.op_name r.Analysis.or_op)
-              in
-              Alcotest.(check int) (what ^ " count") n r.Analysis.or_count;
-              Alcotest.(check bool)
-                (what ^ " cost = keep-everything reference, bit for bit")
-                true
-                (same_bits sum r.Analysis.or_cost))
-            rows)
-        both_strategies)
-    apps
+            (fun (term, v) ->
+              if v < -.eps then
+                Alcotest.failf "%s: negative %s (%g)" where term v)
+            [ ("startup", c.Analysis.startup_us);
+              ("transfer", c.Analysis.transfer_us);
+              ("queue", c.Analysis.queue_us);
+              ("cpu", c.Analysis.cpu_us) ];
+          let total = Analysis.total_cost c in
+          let tol = eps *. Float.max 1.0 t.t_dur in
+          if Float.abs (total -. t.t_dur) > tol then
+            Alcotest.failf "%s: decomposition %g <> latency %g" where total
+              t.t_dur)
+        txns;
+      check_ops label ov events txns)
+    (Lazy.force traced_runs)
+
+(* One write whose three side messages cross links for 1, 1 and 1e16 us,
+   in that send order, and whose second side message is delivered twice.
+   Summed in send order the side transfer is 1e16 + 2; in any order that
+   does not add the 1e16 last it rounds to 1e16. So the engine must keep
+   send order, and the first delivery. *)
+let test_side_send_order () =
+  let send ~id ~parent ~ts ~inject =
+    Trace.Msg_send
+      { ts; id; parent; txn = 0; inject; level = 0; src = 0; dst = 1;
+        size = 8; local = false }
+  and xfer msg start finish =
+    Trace.Link_xfer
+      { start; finish; link = msg; msg; txn = 0; level = 0; src = 0; dst = 1;
+        size = 8 }
+  and deliver id handled =
+    Trace.Msg_deliver { ts = handled; id; txn = 0; handled; src = 0; dst = 1; size = 8 }
+  in
+  let events =
+    [ send ~id:1 ~parent:(-1) ~ts:0.0 ~inject:1.0; xfer 1 1.0 2.0;
+      deliver 1 3.0;
+      send ~id:2 ~parent:1 ~ts:3.0 ~inject:4.0; xfer 2 4.0 5.0;
+      send ~id:3 ~parent:1 ~ts:3.0 ~inject:4.0; xfer 3 4.0 5.0;
+      send ~id:4 ~parent:1 ~ts:3.0 ~inject:4.0; xfer 4 4.0 (4.0 +. 1e16);
+      send ~id:5 ~parent:1 ~ts:3.0 ~inject:4.0; xfer 5 4.0 5.0;
+      deliver 3 6.0; deliver 3 7.0; deliver 5 6.0;
+      Trace.Dsm_access
+        { ts = 0.0; dur = 6.0; node = 0; var = 0; var_name = "v"; op = Trace.Write;
+          size = 8; hit = false; txn = 0; completed_by = 5 } ]
+  in
+  let ov =
+    { Analysis.send_overhead = 0.5; recv_overhead = 0.5; local_overhead = 0.25 }
+  in
+  let txns = reference_txns events in
+  (match txns with
+  | [ t ] ->
+      Alcotest.(check (list int)) "chain" [ 1; 5 ] (List.map (fun m -> m.id) t.t_chain);
+      Alcotest.(check (float 0.0)) "side transfer in send order" (1e16 +. 2.0)
+        (Analysis.sides_cost ov t.t_sides).Analysis.transfer_us
+  | _ -> Alcotest.fail "one transaction expected");
+  check_ops "synthetic" ov events txns
 
 (* Handlers are instantaneous in simulated time, so along a completing
    chain each message is issued exactly when its parent is handled, every
@@ -298,6 +413,120 @@ let test_windows_conserve_bytes () =
   in
   Alcotest.(check bool) "windowed bytes conserve link traffic" true
     (Float.abs (got -. expect) <= 1e-6 *. Float.max 1.0 expect)
+
+module Int_map = Map.Make (Int)
+
+(* The windowed link series straight from the event list, as
+   {!Analysis.window} defines it: the run ends at the last local handler,
+   link release (acks excluded) or handler run; every crossing with a send
+   spreads its bytes over the windows it overlaps, in proportion to the
+   overlap, summed per link in emission order. Returns the end time and
+   the windows as (start, finish, per-link bytes). *)
+let reference_windows n events =
+  let t_end =
+    List.fold_left
+      (fun acc e ->
+        match e with
+        | Trace.Msg_send { local = true; inject; _ } -> Float.max acc inject
+        | Trace.Link_xfer { msg; finish; _ } when msg >= 0 ->
+            Float.max acc finish
+        | Trace.Msg_deliver { id; handled; _ } when id >= 0 ->
+            Float.max acc handled
+        | _ -> acc)
+      0.0 events
+  in
+  if t_end <= 0.0 then (t_end, [])
+  else begin
+    let w = t_end /. float_of_int n in
+    let bins = Array.make n Int_map.empty in
+    List.iter
+      (function
+        | Trace.Link_xfer { start = s; finish = f; link; msg; size; _ }
+          when msg >= 0 && f > s ->
+            let rate = float_of_int size /. (f -. s) in
+            for i = max 0 (int_of_float (s /. w)) to
+                min (n - 1) (int_of_float (f /. w)) do
+              let lo = Float.max s (float_of_int i *. w)
+              and hi = Float.min f (float_of_int (i + 1) *. w) in
+              if hi > lo then
+                bins.(i) <-
+                  Int_map.update link
+                    (fun b ->
+                      Some (Option.value ~default:0.0 b +. (rate *. (hi -. lo))))
+                    bins.(i)
+            done
+        | _ -> ())
+      events;
+    ( t_end,
+      List.init n (fun i ->
+          ( float_of_int i *. w,
+            float_of_int (i + 1) *. w,
+            Int_map.bindings bins.(i) )) )
+  end
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The engine's windows and end time against the reference, bit for
+   bit. *)
+let check_windows what ov events n =
+  let s = summarize ~num_windows:n ov events in
+  let t_end, want = reference_windows n events in
+  if not (same_float t_end s.Analysis.sm_end_us) then
+    Alcotest.failf "%s: end %h, reference %h" what s.Analysis.sm_end_us t_end;
+  Alcotest.(check int)
+    (Printf.sprintf "%s: %d windows" what n)
+    (List.length want)
+    (List.length s.Analysis.sm_windows);
+  List.iteri
+    (fun i ((lo, hi, bytes), (got : Analysis.window)) ->
+      let same =
+        same_float lo got.Analysis.w_start
+        && same_float hi got.Analysis.w_finish
+        && List.length bytes = List.length got.Analysis.w_link_bytes
+        && List.for_all2
+             (fun (l, b) (l', b') -> l = l' && same_float b b')
+             bytes got.Analysis.w_link_bytes
+      in
+      if not same then
+        Alcotest.failf "%s: window %d of %d differs from the reference" what i
+          n)
+    (List.combine want s.Analysis.sm_windows)
+
+(* Every run's windowed series is the reference's, bit for bit, from one
+   window up to the cap: the engine's retained crossings are the event
+   list's, in order. *)
+let test_windows_match_reference () =
+  List.iter
+    (fun (label, ov, events) ->
+      List.iter (check_windows label ov events) [ 1; 5; 8; Streaming.max_windows ])
+    (Lazy.force traced_runs)
+
+(* Crossings whose link or size does not pack into one int, across
+   several chunks of retained crossings: links at and past 30 bits
+   either way, sizes at and past 32 bits, negative ones, the extremes of
+   int. *)
+let test_windows_wide_crossings () =
+  let rng = Random.State.make [| 26 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let links =
+    [| 0; 3; 7; -5; (1 lsl 30) - 1; 1 lsl 30; -(1 lsl 30); -(1 lsl 30) - 1;
+       max_int; min_int |]
+  and sizes =
+    [| 0; 1; 64; 4096; (1 lsl 32) - 2; (1 lsl 32) - 1; 1 lsl 40; -1; -64;
+       max_int |]
+  in
+  let events =
+    List.init 10_000 (fun i ->
+        let start = float_of_int i *. 0.37 in
+        let finish = start +. pick [| 0.0; 0.5; 3.0; 40.0 |] in
+        Trace.Link_xfer
+          { start; finish; link = pick links; msg = i; txn = -1; level = -1;
+            src = 0; dst = 1; size = pick sizes })
+  in
+  let ov =
+    { Analysis.send_overhead = 1.0; recv_overhead = 1.0; local_overhead = 0.5 }
+  in
+  List.iter (check_windows "synthetic" ov events) [ 1; 7; Streaming.max_windows ]
 
 (* The op table groups the same transactions the decomposition walks. *)
 let test_op_table_counts () =
@@ -504,4 +733,10 @@ let suite =
     Alcotest.test_case "sweep midpoint rounding onto an endpoint" `Quick
       test_sweep_midpoint_rounds_up;
     QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
+    Alcotest.test_case "windows = keep-everything reference" `Quick
+      test_windows_match_reference;
+    Alcotest.test_case "windows of unpackable crossings" `Quick
+      test_windows_wide_crossings;
+    Alcotest.test_case "side costs sum in send order" `Quick
+      test_side_send_order;
   ]

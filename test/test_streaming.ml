@@ -148,6 +148,97 @@ let test_peak_residency_bounded () =
   Alcotest.(check bool) "but residency peaked above zero" true
     (Streaming.peak_msgs t > 0)
 
+(* A send whose id is already live keeps the first send's record: the
+   repeat counts as traffic but is not retained again, under its own
+   transaction or another, so each transaction's message list stays
+   acyclic and every record is freed at completion. *)
+let test_repeated_send_id () =
+  let send ~id ~parent ~txn ~ts ~inject =
+    Trace.Msg_send
+      { ts; id; parent; txn; inject; level = 0; src = 0; dst = 1; size = 8;
+        local = false }
+  and access ~txn ~completed_by op =
+    Trace.Dsm_access
+      { ts = 0.0; dur = 10.0; node = 0; var = 0; var_name = "v"; op; size = 8;
+        hit = false; txn; completed_by }
+  in
+  let t = Streaming.create (overheads_of Machine.gcel) in
+  List.iter (Streaming.feed t)
+    [ send ~id:1 ~parent:(-1) ~txn:0 ~ts:0.0 ~inject:1.0;
+      send ~id:2 ~parent:1 ~txn:0 ~ts:2.0 ~inject:3.0;
+      send ~id:3 ~parent:1 ~txn:0 ~ts:2.0 ~inject:3.0;
+      send ~id:2 ~parent:1 ~txn:0 ~ts:5.0 ~inject:9.0;
+      send ~id:3 ~parent:(-1) ~txn:1 ~ts:5.0 ~inject:6.0;
+      access ~txn:1 ~completed_by:3 Trace.Read;
+      access ~txn:0 ~completed_by:2 Trace.Write ];
+  Alcotest.(check int) "repeats are not retained" 3 (Streaming.peak_msgs t);
+  Alcotest.(check int) "every record freed" 0 (Streaming.live_msgs t);
+  let s = Streaming.finalize t in
+  Alcotest.(check int) "repeats count as traffic" 5 s.Analysis.sm_num_msgs;
+  let side_msgs op =
+    match List.find_opt (fun r -> r.Analysis.or_op = op) s.Analysis.sm_ops with
+    | Some r -> r.Analysis.or_side_msgs
+    | None -> Alcotest.failf "no %s row" (Analysis.op_name op)
+  in
+  Alcotest.(check int) "the other transaction got no record" 0
+    (side_msgs Trace.Read);
+  Alcotest.(check int) "one side message: id 3, once" 1 (side_msgs Trace.Write)
+
+(* Analyzer footprint gate, on an 8x8 matmul with 256-int blocks under
+   the 4-ary access tree, measured with Obj.reachable_words:
+   - live words per retained message record at the record peak, with no
+     windows: 20.18 (gate 20.3). It read 30.50 when each record held
+     boxed times, an option for the handled time, a doubling crossing
+     array and a cons cell in its transaction's id list;
+   - words per retained link crossing at the end of the stream (the
+     8-window analyzer minus the windowless one): 3.45 (gate 3.5), in
+     chunks of 4096 with the last one partly filled. It read 6.14 with
+     four arrays that doubled as they grew.
+   The 16x16 matmul of the postmortem benchmark reads 19.05 and 3.11,
+   against 29.85 and 4.57 before. *)
+let test_analyzer_footprint_gate () =
+  let ov, events =
+    traced_events (fun ~obs ~on_net ->
+        ignore
+          (Runner.run_matmul ~obs ~on_net ~dims:[| 8; 8 |] ~block:256
+             (Runner.Strategy (Dsm.access_tree ~arity:4 ()))))
+  in
+  let words t = Obj.reachable_words (Obj.repr t) in
+  let fold ?(upto = max_int) num_windows =
+    let t = Streaming.create ~num_windows ov in
+    List.iteri (fun i e -> if i <= upto then Streaming.feed t e) events;
+    t
+  in
+  let peak_at = ref 0 in
+  let t = Streaming.create ~num_windows:0 ov in
+  List.iteri
+    (fun i e ->
+      let p = Streaming.peak_msgs t in
+      Streaming.feed t e;
+      if Streaming.peak_msgs t > p then peak_at := i)
+    events;
+  let at_peak = fold ~upto:!peak_at 0 in
+  let live = Streaming.live_msgs at_peak in
+  Alcotest.(check int) "folded to the peak" (Streaming.peak_msgs t) live;
+  let per_record =
+    float_of_int (words at_peak - words (Streaming.create ~num_windows:0 ov))
+    /. float_of_int live
+  in
+  let crossings =
+    List.length
+      (List.filter
+         (function Trace.Link_xfer { msg; _ } -> msg >= 0 | _ -> false)
+         events)
+  in
+  let per_crossing =
+    float_of_int (words (fold 8) - words (fold 0)) /. float_of_int crossings
+  in
+  if per_record > 20.3 || per_crossing > 3.5 then
+    Alcotest.failf
+      "%.2f words per live message record (gate 20.3), %.3f per retained \
+       crossing (gate 3.5)"
+      per_record per_crossing
+
 (* ------------------------------------------------------------------ *)
 (* JSONL trace format                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -540,4 +631,8 @@ let suite =
     Alcotest.test_case "line decoder on hostile input" `Quick
       test_line_decoder_hostile;
     Alcotest.test_case "event line grammar" `Quick test_event_line_grammar;
+    Alcotest.test_case "repeated send id keeps the first" `Quick
+      test_repeated_send_id;
+    Alcotest.test_case "analyzer footprint gate" `Quick
+      test_analyzer_footprint_gate;
   ]
