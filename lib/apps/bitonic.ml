@@ -15,8 +15,14 @@ type t = {
   wire_to_proc : int array;  (* snake order *)
   proc_to_wire : int array;
   vars : int array Dsm.var array;  (* indexed by wire *)
-  initial : int array array;  (* for verification *)
 }
+
+(* The input keys, one block per wire: one fixed-seed stream, so [verify]
+   regenerates what [setup] handed to the variables instead of keeping a
+   second copy for the whole run. *)
+let initial_keys ~nwires ~keys =
+  let rng = Prng.create ~seed:5099 in
+  Array.init nwires (fun _ -> Array.init keys (fun _ -> Prng.int rng 1_000_000))
 
 let setup dsm cfg =
   let net = Dsm.net dsm in
@@ -27,18 +33,15 @@ let setup dsm cfg =
   let wire_to_proc = Deco.snake_order (Network.mesh net) in
   let proc_to_wire = Array.make nwires 0 in
   Array.iteri (fun w p -> proc_to_wire.(p) <- w) wire_to_proc;
-  let rng = Prng.create ~seed:5099 in
-  let initial =
-    Array.init nwires (fun _ -> Array.init cfg.keys (fun _ -> Prng.int rng 1_000_000))
-  in
+  let initial = initial_keys ~nwires ~keys:cfg.keys in
   let vars =
     Array.init nwires (fun w ->
         Dsm.create_var dsm
           ~name:(Printf.sprintf "K[%d]" w)
           ~owner:wire_to_proc.(w) ~size:(cfg.keys * 4)
-          (Array.copy initial.(w)))
+          initial.(w))
   in
-  { dsm; cfg; nwires; logp; wire_to_proc; proc_to_wire; vars; initial }
+  { dsm; cfg; nwires; logp; wire_to_proc; proc_to_wire; vars }
 
 let steps t = t.logp * (t.logp + 1) / 2
 
@@ -111,7 +114,10 @@ let fiber t p =
 
 let verify t =
   let all = Array.concat (Array.to_list (Array.map (fun v -> Dsm.peek v) t.vars)) in
-  let sorted_input = Array.concat (Array.to_list t.initial) in
+  let sorted_input =
+    Array.concat
+      (Array.to_list (initial_keys ~nwires:t.nwires ~keys:t.cfg.keys))
+  in
   Array.sort compare sorted_input;
   (* Per-wire blocks are sorted and globally ordered. *)
   let ok = ref (all = sorted_input) in

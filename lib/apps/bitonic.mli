@@ -26,6 +26,11 @@ val verify : t -> bool
 val steps : t -> int
 (** Number of merge&split steps = depth of the circuit. *)
 
+val initial_keys : nwires:int -> keys:int -> int array array
+(** The input: [keys] keys per wire from one fixed-seed stream (seed
+    5099), so every call returns the same blocks (shared with the
+    baseline). *)
+
 val merge_split : keep_lower:bool -> int array -> int array -> int array
 (** Merge two sorted blocks of equal length and keep the lower (or upper)
     half — the paper's merge&split operation (shared with the baseline). *)

@@ -1,7 +1,6 @@
 module Network = Diva_simnet.Network
 module Machine = Diva_simnet.Machine
 module Deco = Diva_mesh.Decomposition
-module Prng = Diva_util.Prng
 module Stats = Diva_util.Stats
 
 type config = { keys : int; compute : bool }
@@ -27,10 +26,7 @@ let setup net cfg =
   let wire_to_proc = Deco.snake_order (Network.mesh net) in
   let proc_to_wire = Array.make nwires 0 in
   Array.iteri (fun w p -> proc_to_wire.(p) <- w) wire_to_proc;
-  let rng = Prng.create ~seed:5099 in
-  let initial =
-    Array.init nwires (fun _ -> Array.init cfg.keys (fun _ -> Prng.int rng 1_000_000))
-  in
+  let initial = Bitonic.initial_keys ~nwires ~keys:cfg.keys in
   { net; cfg; nwires; logp; wire_to_proc; proc_to_wire; initial;
     result = Array.make nwires [||] }
 

@@ -6,12 +6,20 @@ module Types = Diva_core.Types
 
 type config = { block : int; compute : bool }
 
+(* A b*b block, row-major, as the 32-bit little-endian words the simulated
+   machine moves: 4 bytes per element, the [~size] every variable declares. *)
+type block = Bytes.t
+
+let[@inline] get x e = Int32.to_int (Bytes.get_int32_le x (4 * e))
+let[@inline] set x e v = Bytes.set_int32_le x (4 * e) (Int32.of_int v)
+let zero_block n = Bytes.make (4 * n) '\000'
+
 type t = {
   dsm : Dsm.t;
   cfg : config;
   q : int;  (* sqrt P = blocks per row/column *)
   b : int;  (* block side length *)
-  vars : int array Dsm.var array array;
+  vars : block Dsm.var array array;
   mutable reads : int;
 }
 
@@ -21,13 +29,32 @@ let isqrt n =
   let r = adjust (r + 1) in
   if r * r <> n then invalid_arg "Matmul: not a perfect square" else r
 
+(* Input entries are below 100, so an entry of the square of an n*n matrix
+   is at most n * 99 * 99. *)
+let max_side = Int32.to_int Int32.max_int / (99 * 99)
+
+let block_side ~q cfg =
+  let b = isqrt cfg.block in
+  if cfg.compute && q * b > max_side then
+    invalid_arg
+      (Printf.sprintf
+         "Matmul: matrix side %d exceeds %d, the largest whose square fits \
+          32-bit words"
+         (q * b) max_side);
+  b
+
 (* The input matrix, block [i][j] row-major: one fixed-seed stream, so
    [verify] regenerates what [setup] handed to the variables instead of
    keeping a second copy for the whole run. *)
 let initial_blocks ~q ~block =
   let rng = Prng.create ~seed:2027 in
   Array.init q (fun _ ->
-      Array.init q (fun _ -> Array.init block (fun _ -> Prng.int rng 100)))
+      Array.init q (fun _ ->
+          let x = Bytes.create (4 * block) in
+          for e = 0 to block - 1 do
+            set x e (Prng.int rng 100)
+          done;
+          x))
 
 let setup dsm cfg =
   let mesh = Network.mesh (Dsm.net dsm) in
@@ -35,7 +62,7 @@ let setup dsm cfg =
      || Diva_mesh.Mesh.rows mesh <> Diva_mesh.Mesh.cols mesh
   then invalid_arg "Matmul.setup: requires a square 2-D mesh";
   let q = Diva_mesh.Mesh.rows mesh in
-  let b = isqrt cfg.block in
+  let b = block_side ~q cfg in
   let blocks = initial_blocks ~q ~block:cfg.block in
   let vars =
     Array.init q (fun i ->
@@ -52,11 +79,11 @@ let setup dsm cfg =
 let block_mult_add ~b h x y =
   for r = 0 to b - 1 do
     for c = 0 to b - 1 do
-      let acc = ref h.((r * b) + c) in
+      let acc = ref (get h ((r * b) + c)) in
       for k = 0 to b - 1 do
-        acc := !acc + (x.((r * b) + k) * y.((k * b) + c))
+        acc := !acc + (get x ((r * b) + k) * get y ((k * b) + c))
       done;
-      h.((r * b) + c) <- !acc
+      set h ((r * b) + c) !acc
     done
   done
 
@@ -65,7 +92,7 @@ let fiber t p =
   let net = Dsm.net dsm in
   let machine = Network.machine net in
   let i = p / t.q and j = p mod t.q in
-  let h = Array.make t.cfg.block 0 in
+  let h = zero_block t.cfg.block in
   (* Read phase: staggered so that at most two processors read the same
      block in the same step. *)
   for k' = 0 to t.q - 1 do
@@ -86,23 +113,21 @@ let fiber t p =
   Dsm.write dsm p t.vars.(i).(j) h;
   Dsm.barrier dsm p
 
-let verify t =
-  let q = t.q and b = t.b and m = t.cfg.block in
-  let initial = initial_blocks ~q ~block:m in
-  let expect = Array.init q (fun _ -> Array.init q (fun _ -> Array.make m 0)) in
-  for i = 0 to q - 1 do
-    for j = 0 to q - 1 do
-      for k = 0 to q - 1 do
-        block_mult_add ~b expect.(i).(j) initial.(i).(k) initial.(k).(j)
-      done
-    done
-  done;
+let is_square ~q cfg result =
+  let b = isqrt cfg.block in
+  let initial = initial_blocks ~q ~block:cfg.block in
   let ok = ref true in
   for i = 0 to q - 1 do
     for j = 0 to q - 1 do
-      if Dsm.peek t.vars.(i).(j) <> expect.(i).(j) then ok := false
+      let expect = zero_block cfg.block in
+      for k = 0 to q - 1 do
+        block_mult_add ~b expect initial.(i).(k) initial.(k).(j)
+      done;
+      if not (Bytes.equal (result i j) expect) then ok := false
     done
   done;
   !ok
 
+let verify t = is_square ~q:t.q t.cfg (fun i j -> Dsm.peek t.vars.(i).(j))
+let block_var t i j = t.vars.(i).(j)
 let blocks_read t = t.reads

@@ -16,12 +16,22 @@ type config = {
           the paper does *)
 }
 
+type block = Bytes.t
+(** A b×b block of the matrix, row-major, held as exactly the bytes the
+    simulated machine moves: [config.block] little-endian 32-bit words, read and
+    written with [Bytes.get_int32_le] / [Bytes.set_int32_le]. Input entries
+    are drawn from [0, 99], so an entry of the square of an n×n matrix is
+    at most n·99² and fits a 32-bit word while n = sqrt(P)·b is at most
+    [Int32.max_int / 99²] = 219 108. *)
+
 type t
 
 val setup : Diva_core.Dsm.t -> config -> t
 (** Create the P block variables, each initialised at its owner with a
-    deterministic pseudo-random block. Requires a square mesh and [block]
-    a perfect square. *)
+    deterministic pseudo-random block. Requires a square mesh, [block] a
+    perfect square, and, with [compute = true], a matrix side of at most
+    219 108; raises [Invalid_argument] before allocating any block
+    otherwise. *)
 
 val fiber : t -> Diva_core.Types.proc -> unit
 (** The per-processor program (read phase, barrier, write phase, barrier). *)
@@ -30,14 +40,30 @@ val verify : t -> bool
 (** After the run (with [compute = true]): does every block equal the
     corresponding block of the sequentially squared input matrix? *)
 
+val block_var : t -> int -> int -> block Diva_core.Dsm.var
+(** [block_var t i j] is the variable holding block [A_ij]. *)
+
 val blocks_read : t -> int
 (** Total block reads issued (sanity statistics). *)
 
-(** {2 Shared helpers (also used by the hand-optimized baseline)} *)
+(** {2 Shared with the hand-optimized baseline} *)
 
-val isqrt : int -> int
-(** Exact integer square root; raises [Invalid_argument] otherwise. *)
+val block_side : q:int -> config -> int
+(** [block_side ~q cfg] is the block side b = sqrt [cfg.block] of a
+    [q]×[q] block matrix. Raises [Invalid_argument] if [cfg.block] is not a
+    perfect square, or if [cfg.compute] and q·b exceeds 219 108. *)
 
-val block_mult_add : b:int -> int array -> int array -> int array -> unit
+val zero_block : int -> block
+(** [zero_block n] is a block of [n] zero entries. *)
+
+val initial_blocks : q:int -> block:int -> block array array
+(** The input matrix as [q]×[q] blocks of [block] entries: one fixed-seed
+    stream (seed 2027), so every call returns the same matrix. *)
+
+val block_mult_add : b:int -> block -> block -> block -> unit
 (** [block_mult_add ~b h x y] adds the product of two [b]x[b] row-major
     blocks to [h]. *)
+
+val is_square : q:int -> config -> (int -> int -> block) -> bool
+(** [is_square ~q cfg result] holds when [result i j] is block (i, j) of
+    the square of {!initial_blocks}. *)

@@ -1,24 +1,23 @@
 module Network = Diva_simnet.Network
 module Machine = Diva_simnet.Machine
 module Mesh = Diva_mesh.Mesh
-module Prng = Diva_util.Prng
 
-type config = { block : int; compute : bool }
+type config = Matmul.config = { block : int; compute : bool }
 
 type dir = North | South | East | West
 
 (* A block travelling away from its origin in one direction; [hops_left]
    counts how many further processors must still receive it. *)
 type Network.payload +=
-  | Block of { oi : int; oj : int; dir : dir; hops_left : int; data : int array }
+  | Block of { oi : int; oj : int; dir : dir; hops_left : int; data : Matmul.block }
 
 type t = {
   net : Network.t;
   cfg : config;
   q : int;
   b : int;
-  initial : int array array array;
-  result : int array array array;  (* written by the fibers *)
+  initial : Matmul.block array array;
+  result : Matmul.block array array;  (* written by the fibers *)
 }
 
 let setup net cfg =
@@ -26,13 +25,9 @@ let setup net cfg =
   if Mesh.num_dims mesh <> 2 || Mesh.rows mesh <> Mesh.cols mesh then
     invalid_arg "Matmul_handopt.setup: requires a square 2-D mesh";
   let q = Mesh.rows mesh in
-  let b = Matmul.isqrt cfg.block in
-  let rng = Prng.create ~seed:2027 in
-  let initial =
-    Array.init q (fun _ ->
-        Array.init q (fun _ -> Array.init cfg.block (fun _ -> Prng.int rng 100)))
-  in
-  { net; cfg; q; b; initial; result = Array.init q (fun _ -> Array.make q [||]) }
+  let b = Matmul.block_side ~q cfg in
+  let initial = Matmul.initial_blocks ~q ~block:cfg.block in
+  { net; cfg; q; b; initial; result = Array.make_matrix q q Bytes.empty }
 
 let msg_size cfg = (cfg.block * 4) + 16
 
@@ -58,7 +53,8 @@ let fiber t p =
   let mesh = Network.mesh net in
   let i, j = Mesh.coords mesh p in
   let q = t.q in
-  let row_blocks = Array.make q [||] and col_blocks = Array.make q [||] in
+  let row_blocks = Array.make q Bytes.empty
+  and col_blocks = Array.make q Bytes.empty in
   row_blocks.(j) <- t.initial.(i).(j);
   col_blocks.(i) <- t.initial.(i).(j);
   (* Launch my block in all four directions. *)
@@ -77,35 +73,18 @@ let fiber t p =
         forward t p (oi, oj, dir, hops_left, data)
     | _ -> failwith "Matmul_handopt: unexpected message"
   done;
-  (* All operands are local now; compute the block product sum. *)
-  let h = Array.make t.cfg.block 0 in
+  (* All operands are local now; compute the block product sum. Without
+     compute nothing reads a result, so none is kept. *)
   if t.cfg.compute then begin
+    let h = Matmul.zero_block t.cfg.block in
     for k = 0 to q - 1 do
       Matmul.block_mult_add ~b:t.b h row_blocks.(k) col_blocks.(k)
     done;
+    t.result.(i).(j) <- h;
     let ops = 2 * t.b * t.b * t.b * q in
     Network.compute net p (float_of_int ops *. machine.Machine.int_op_time)
-  end;
-  t.result.(i).(j) <- h
+  end
 
 let verify t =
-  if not t.cfg.compute then true
-  else begin
-    let q = t.q and b = t.b and m = t.cfg.block in
-    let expect = Array.init q (fun _ -> Array.init q (fun _ -> Array.make m 0)) in
-    for i = 0 to q - 1 do
-      for j = 0 to q - 1 do
-        for k = 0 to q - 1 do
-          Matmul.block_mult_add ~b expect.(i).(j) t.initial.(i).(k)
-            t.initial.(k).(j)
-        done
-      done
-    done;
-    let ok = ref true in
-    for i = 0 to q - 1 do
-      for j = 0 to q - 1 do
-        if t.result.(i).(j) <> expect.(i).(j) then ok := false
-      done
-    done;
-    !ok
-  end
+  (not t.cfg.compute)
+  || Matmul.is_square ~q:t.q t.cfg (fun i j -> t.result.(i).(j))

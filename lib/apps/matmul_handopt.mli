@@ -7,10 +7,13 @@
     each row/column block exactly once over a neighbouring link, and the
     congestion is [m * sqrt P] (in words). *)
 
-type config = { block : int; compute : bool }
+type config = Matmul.config = { block : int; compute : bool }
 
 type t
 
 val setup : Diva_simnet.Network.t -> config -> t
+(** Generates the same input as {!Matmul.setup} and raises
+    [Invalid_argument] in the same cases, before allocating any block. *)
+
 val fiber : t -> Diva_core.Types.proc -> unit
 val verify : t -> bool

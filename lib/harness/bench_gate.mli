@@ -15,15 +15,6 @@ type status = Pass | Regressed | Improved | Missing | Extra | Mismatch
 
 type verdict = { v_path : string; v_status : status; v_detail : string }
 
-val status_name : status -> string
-
-val is_failure : status -> bool
-(** [Regressed], [Missing], [Extra] and [Mismatch] fail the gate. *)
-
-val default_tolerances : (string * float) list
-(** Per-metric relative tolerances (leaf key -> fraction); metrics not
-    listed use 10%. *)
-
 val compare_docs :
   ?tolerances:(string * float) list ->
   baseline:Diva_obs.Json.t ->

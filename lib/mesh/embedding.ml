@@ -54,12 +54,6 @@ let random (d : Decomposition.t) ~rng =
   let root_place = uniform_in_rng d rng 0 in
   top_down d ~root_place ~pick:(fun id _ -> uniform_in_rng d rng id)
 
-let tree_edge_route t ~child =
-  let d = t.decomposition in
-  let parent = d.Decomposition.parent.(child) in
-  if parent < 0 then invalid_arg "Embedding.tree_edge_route: root has no parent";
-  Mesh.route d.Decomposition.mesh ~src:t.place.(child) ~dst:t.place.(parent)
-
 let make kind d ~rng =
   match kind with Regular -> regular d ~rng | Random -> random d ~rng
 

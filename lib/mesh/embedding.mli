@@ -21,10 +21,6 @@ val random : Decomposition.t -> rng:Diva_util.Prng.t -> t
 val place : t -> int -> Mesh.node
 (** Mesh node simulating the given tree node. *)
 
-val tree_edge_route : t -> child:int -> Mesh.link list
-(** Mesh route of the tree edge from [child]'s placement up to its parent's
-    placement (dimension-order path). *)
-
 type kind = Regular | Random
 
 val make : kind -> Decomposition.t -> rng:Diva_util.Prng.t -> t

@@ -93,7 +93,6 @@ type t = {
   node_compute : float array;
   handlers : (t -> msg -> unit) array;
   mailboxes : mailbox array;
-  node_startup_count : int array;
   mutable startup_count : int;
   mutable fibers : int;
   mutable trace : Trace.sink;
@@ -156,12 +155,9 @@ let num_nodes t = Mesh.num_nodes t.mesh
 let set_handler t node h = t.handlers.(node) <- h
 let stats t = t.stats
 let startups t = t.startup_count
-let node_startups t node = t.node_startup_count.(node)
 let compute_time t node = t.node_compute.(node)
 let max_compute_time t = Array.fold_left Float.max 0.0 t.node_compute
-let total_compute_time t = Array.fold_left ( +. ) 0.0 t.node_compute
 let compute_times t = Array.copy t.node_compute
-let live_fibers t = t.fibers
 let trace t = t.trace
 let set_trace t sink = t.trace <- sink
 
@@ -388,7 +384,6 @@ and transmit ?inject t rel ~level msg =
         if is_ack then Faults.defer f ~node:src (now t)
         else begin
           t.startup_count <- t.startup_count + 1;
-          t.node_startup_count.(src) <- t.node_startup_count.(src) + 1;
           reserve_cpu t src ~from:(now t) t.machine.Machine.send_overhead
         end
   in
@@ -516,7 +511,6 @@ let create_nd ?(machine = Machine.gcel) ?(seed = 42) ~dims () =
       Array.init n (fun _ ->
           { inbox = Queue.create (); by_tag = Hashtbl.create 4;
             w_head = no_waiter; w_tail = no_waiter });
-    node_startup_count = Array.make n 0;
     startup_count = 0;
     fibers = 0;
     trace = Trace.null;
@@ -571,7 +565,6 @@ let send t ?(tag = -1) ~src ~dst ~size payload =
            record before its link crossings (and a same-instant delivery
            or loss). *)
         t.startup_count <- t.startup_count + 1;
-        t.node_startup_count.(src) <- t.node_startup_count.(src) + 1;
         let inject_at =
           reserve_cpu t src ~from:t0 t.machine.Machine.send_overhead
         in
@@ -584,7 +577,6 @@ let send t ?(tag = -1) ~src ~dst ~size payload =
         arm_timeout t rel seq p ~from:outcome
     | None -> begin
         t.startup_count <- t.startup_count + 1;
-        t.node_startup_count.(src) <- t.node_startup_count.(src) + 1;
         let inject_at = reserve_cpu t src ~from:t0 t.machine.Machine.send_overhead in
         if Trace.enabled t.trace then
           Trace.emit t.trace

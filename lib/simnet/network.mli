@@ -106,8 +106,6 @@ val charge : t -> Diva_mesh.Mesh.node -> float -> unit
 val flush_charge : t -> Diva_mesh.Mesh.node -> unit
 (** Block the fiber until all pending charged computation has elapsed. *)
 
-val live_fibers : t -> int
-
 val run : t -> unit
 (** Run the simulation to completion. Raises [Failure] if fibers are still
     blocked when the event queue drains (deadlock). *)
@@ -118,12 +116,10 @@ val stats : t -> Link_stats.t
 val startups : t -> int
 (** Total number of message startups (local messages excluded). *)
 
-val node_startups : t -> Diva_mesh.Mesh.node -> int
 val compute_time : t -> Diva_mesh.Mesh.node -> float
 (** Total application computation time charged to the node so far. *)
 
 val max_compute_time : t -> float
-val total_compute_time : t -> float
 
 val compute_times : t -> float array
 (** Copy of all per-node computation times (phase snapshots). *)

@@ -28,8 +28,6 @@ let create () =
     prof = None;
   }
 
-let set_advance_hook t f = t.advance_hook <- Some f
-
 (* Hooks only observe, so composition order is irrelevant; new hooks are
    prepended. Lets the metrics sampler, the profiler's window series and
    the flight recorder's health snapshots coexist on the one slot. *)

@@ -2,7 +2,6 @@
 
 val mean : float array -> float
 val maxf : float array -> float
-val sumf : float array -> float
 
 val percent : float -> float -> float
 (** [percent num den] is [100 * num / den] (0 if [den] = 0). *)

@@ -56,6 +56,69 @@ let test_matmul_handopt_congestion_optimal () =
   (* And the paper's headline: the access tree beats the fixed home. *)
   Alcotest.(check bool) "access tree < fixed home" true (tree < home)
 
+(* Blocks are held as the 4-byte words the simulated machine moves: a
+   1024-element block is 4096 bytes, 512 words plus the header and the
+   padding word, where an [int array] would take 1025. *)
+let test_matmul_block_footprint () =
+  let block = 1024 in
+  let _net, dsm = make_dsm ~rows:4 ~cols:4 (Dsm.access_tree ~arity:4 ()) in
+  let app = Matmul.setup dsm { Matmul.block; compute = false } in
+  for i = 0 to 3 do
+    for j = 0 to 3 do
+      let words =
+        Obj.reachable_words (Obj.repr (Dsm.peek (Matmul.block_var app i j)))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "block (%d,%d): %d words <= %d" i j words
+           ((block / 2) + 2))
+        true
+        (words <= (block / 2) + 2)
+    done
+  done
+
+let test_matmul_kernel () =
+  let of_list l =
+    let x = Bytes.create (4 * List.length l) in
+    List.iteri (fun e v -> Bytes.set_int32_le x (4 * e) (Int32.of_int v)) l;
+    x
+  in
+  let h = of_list [ 0; 0; 0; Int32.to_int Int32.max_int - 50 ] in
+  Matmul.block_mult_add ~b:2 h (of_list [ 1; 2; 3; 4 ]) (of_list [ 5; 6; 7; 8 ]);
+  Alcotest.(check int) "4 bytes per element" 16 (Bytes.length h);
+  Alcotest.(check (list int32)) "H += X * Y"
+    [ 19l; 22l; 43l; Int32.max_int ]
+    (List.init 4 (fun e -> Bytes.get_int32_le h (4 * e)))
+
+(* With compute, every entry of the square (at most n * 99 * 99 for side
+   n = q * b) must fit a 32-bit word. On a 2x2 mesh the limit is b = 109554;
+   one step past it, both setups refuse before allocating a block of 48 GB. *)
+let test_matmul_range_guard () =
+  let at = 109_554 and past = 109_555 in
+  let cfg b compute = { Matmul.block = b * b; compute } in
+  Alcotest.(check int) "at the limit" at (Matmul.block_side ~q:2 (cfg at true));
+  Alcotest.(check int) "no limit without compute" past
+    (Matmul.block_side ~q:2 (cfg past false));
+  let rejects name f =
+    let before = Gc.allocated_bytes () in
+    (match f () with
+    | () -> Alcotest.failf "%s: accepted side %d" name (2 * past)
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) (name ^ " names the limit")
+          "Matmul: matrix side 219110 exceeds 219108, the largest whose \
+           square fits 32-bit words"
+          msg);
+    let allocated = Gc.allocated_bytes () -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s allocated %.0f bytes" name allocated)
+      true (allocated < 65536.)
+  in
+  rejects "block_side" (fun () -> ignore (Matmul.block_side ~q:2 (cfg past true)));
+  let _net, dsm = make_dsm ~rows:2 ~cols:2 (Dsm.access_tree ~arity:4 ()) in
+  rejects "Matmul.setup" (fun () -> ignore (Matmul.setup dsm (cfg past true)));
+  let net = make_net ~rows:2 ~cols:2 () in
+  rejects "Matmul_handopt.setup" (fun () ->
+      ignore (Matmul_handopt.setup net (cfg past true)))
+
 let test_bitonic_all_strategies () =
   List.iter
     (fun (name, strat) ->
@@ -331,6 +394,9 @@ let suite =
     Alcotest.test_case "matmul handopt" `Quick test_matmul_handopt;
     Alcotest.test_case "matmul congestion optimality" `Quick
       test_matmul_handopt_congestion_optimal;
+    Alcotest.test_case "matmul block footprint" `Quick test_matmul_block_footprint;
+    Alcotest.test_case "matmul kernel" `Quick test_matmul_kernel;
+    Alcotest.test_case "matmul 32-bit range guard" `Quick test_matmul_range_guard;
     Alcotest.test_case "bitonic all strategies" `Quick test_bitonic_all_strategies;
     Alcotest.test_case "bitonic 2x4 mesh" `Quick test_bitonic_2x4;
     Alcotest.test_case "bitonic handopt" `Quick test_bitonic_handopt;
