@@ -3,10 +3,6 @@
     isolation: octant arithmetic, bounding cubes, softened gravity, and the
     deterministic initial-condition generators. *)
 
-val softening : float
-(** Plummer softening length used by both the parallel code and the
-    sequential reference. *)
-
 val octant : Vec.t -> Vec.t -> int
 (** [octant centre p] is the index (0..7) of the octant of [p] relative to
     [centre]: bit 0 = x, bit 1 = y, bit 2 = z ([>=] goes to the high side). *)

@@ -934,8 +934,6 @@ struct
   type nonrec t = t
   type config = Strategy.tree_config
 
-  let id = "access-tree"
-
   let create = create
   let sync_deco t = Some t.deco
   let handle = handle

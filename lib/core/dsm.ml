@@ -285,7 +285,6 @@ let ncopies t var = Strategy.ncopies t.inst var.v
 let evictions t = Strategy.evictions t.inst
 let remaps t = Strategy.remaps t.inst
 let copy_holder_places t var = Strategy.copy_holder_places t.inst var.v
-let strategy_id t = Strategy.id t.inst
 let access_tree_handle t = t.tree
 let typed var = var.v
 let retire_var t var = Strategy.retire t.inst var.v

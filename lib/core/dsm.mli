@@ -99,9 +99,6 @@ val evictions : t -> int
 val remaps : t -> int
 (** Tree-node remappings / home migrations (0 unless enabled). *)
 
-val strategy_id : t -> string
-(** The strategy family identifier ("access-tree", "fixed-home", ...). *)
-
 (** {2 Testing hooks} *)
 
 val copy_holder_places : t -> 'a var -> Types.proc list

@@ -89,17 +89,11 @@ let instantiate net (spec : Strategy.spec) =
         sync_deco = Access_tree.deco at;
         tree = Some at;
       }
-  | Strategy.Fixed_home ->
-      let fh = Fixed_home.Impl.create net () in
+  | Strategy.Fixed_home | Strategy.Adaptive _ ->
+      let c = match spec with Strategy.Adaptive c -> c | _ -> Home.fixed in
+      let h = Home.Impl.create net c in
       {
-        inst = Strategy.Instance ((module Fixed_home.Impl), fh);
-        sync_deco = default_deco net;
-        tree = None;
-      }
-  | Strategy.Adaptive c ->
-      let ad = Adaptive.Impl.create net c in
-      {
-        inst = Strategy.Instance ((module Adaptive.Impl), ad);
+        inst = Strategy.Instance ((module Home.Impl), h);
         sync_deco = default_deco net;
         tree = None;
       }

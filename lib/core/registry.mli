@@ -12,9 +12,6 @@ type entry = {
   summary : string;  (** one line for [--help] and docs *)
 }
 
-val default_capacity : int
-(** Per-processor memory bound (bytes) of the capacity contenders. *)
-
 val entries : entry list
 (** Every registered contender, in presentation order: [access_tree],
     [fixed_home], [adaptive_repl], [capacity_lru], [capacity_freq]. *)

@@ -80,9 +80,6 @@ module type STRATEGY = sig
   type t
   type config
 
-  val id : string
-  (** Short family identifier ("access-tree", "fixed-home", ...). *)
-
   val create : Diva_simnet.Network.t -> config -> t
   (** Init hook: build all protocol state. Must not install network
       handlers — the [Dsm] façade dispatches into {!handle}. *)
@@ -125,7 +122,6 @@ type instance =
 
 (* Generic dispatchers over a packed instance. *)
 
-let id (Instance ((module S), _)) = S.id
 let sync_deco (Instance ((module S), s)) = S.sync_deco s
 let handle (Instance ((module S), s)) msg = S.handle s msg
 let cached (Instance ((module S), s)) p var = S.cached s p var

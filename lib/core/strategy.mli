@@ -31,7 +31,7 @@ type adaptive_config = {
 
 type spec =
   | Access_tree of tree_config
-  | Fixed_home
+  | Fixed_home  (** the home-based policy {!Home.fixed} *)
   | Adaptive of adaptive_config
 
 val tree_defaults : tree_config
@@ -40,16 +40,12 @@ val tree_defaults : tree_config
 
 val adaptive_defaults : adaptive_config
 
-val tree_name : tree_config -> string
 val spec_name : spec -> string
 (** "2-ary", "4-16-ary", "fixed home", "4-ary+cap64k", ... *)
 
 module type STRATEGY = sig
   type t
   type config
-
-  val id : string
-  (** Short family identifier ("access-tree", "fixed-home", ...). *)
 
   val create : Diva_simnet.Network.t -> config -> t
   (** Init hook: build all protocol state. Must not install network
@@ -93,7 +89,6 @@ type instance =
 
 (** {2 Generic dispatchers} *)
 
-val id : instance -> string
 val sync_deco : instance -> Diva_mesh.Decomposition.t option
 val handle : instance -> Diva_simnet.Network.msg -> bool
 val cached : instance -> Types.proc -> Types.var -> bool

@@ -123,7 +123,6 @@ let lost_link_down t = t.lost_link_down
 let lost_crashed t = t.lost_crashed
 let lost_total t = t.lost_random + t.lost_link_down + t.lost_crashed
 let retransmits t = t.retransmits
-let acks_received t = t.acks_received
 let enveloped t = t.enveloped
 let dsm_reissues t = t.dsm_reissues
 

@@ -74,7 +74,6 @@ val lost_link_down : t -> int
 val lost_crashed : t -> int
 val lost_total : t -> int
 val retransmits : t -> int
-val acks_received : t -> int
 val enveloped : t -> int
 val dsm_reissues : t -> int
 

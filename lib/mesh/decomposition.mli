@@ -20,8 +20,6 @@ type arity = Two | Four | Sixteen
 val arity_of_int : int -> arity
 (** 2, 4 or 16. *)
 
-val int_of_arity : arity -> int
-
 type t = private {
   mesh : Mesh.t;
   arity : arity;

@@ -152,7 +152,6 @@ val analyze_file :
     from (0-based, in argument order). *)
 
 val merged_format_name : string
-val merged_version : int
 
 type merge_stats = {
   ms_runs : int;  (** number of input files merged *)

@@ -27,5 +27,4 @@ val to_fields : t -> (string * Diva_obs.Json.t) list
 (** Machine-readable fields; [lat_p999_us] is omitted (not null) when the
     guard withholds it, so downstream gates only ever see numbers. *)
 
-val p999_str : t -> string
 val render : t -> string

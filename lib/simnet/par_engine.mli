@@ -41,7 +41,6 @@ type 'a ctx
 val create : shards:int -> lookahead:float -> 'a t
 (** [create ~shards ~lookahead] with [shards >= 1], [lookahead > 0]. *)
 
-val num_shards : _ t -> int
 val lookahead : _ t -> float
 
 val schedule_init : 'a t -> shard:int -> at:float -> 'a -> unit
@@ -71,7 +70,7 @@ val run :
   ?domains:int -> ?telemetry:telemetry -> 'a t ->
   handler:('a ctx -> 'a -> unit) -> unit
 (** Execute until every queue and outbox is empty. [domains] defaults to
-    1 and is clamped to [1 .. num_shards]. With [telemetry], each domain
+    1 and is clamped to [1 .. shards] (the engine's [create] argument). With [telemetry], each domain
     additionally reads the wall clock five times per window to fill the
     accumulator; without it the worker loop is clock-free. *)
 

@@ -5,7 +5,6 @@ module Network = Diva_simnet.Network
 module Link_stats = Diva_simnet.Link_stats
 module Dsm = Diva_core.Dsm
 module Access_tree = Diva_core.Access_tree
-module Fixed_home = Diva_core.Fixed_home
 module Types = Diva_core.Types
 open Helpers
 

@@ -59,20 +59,20 @@ let test_display_names () =
       ("capacity_freq", "4-ary+cap64k+freq-evict");
     ]
 
-let test_strategy_ids () =
+(* The home policy's parameters are counts of at least one: a zero
+   replication streak or migration window is rejected when the strategy
+   is instantiated. *)
+let test_adaptive_policy_validation () =
   List.iter
-    (fun (e : Registry.entry) ->
+    (fun (what, strategy) ->
       let net = Helpers.make_net ~seed:3 ~rows:2 ~cols:2 () in
-      let dsm = Dsm.create net ~strategy:e.Registry.spec () in
-      let expect =
-        match e.Registry.spec with
-        | Dsm.Access_tree _ -> "access-tree"
-        | Dsm.Fixed_home -> "fixed-home"
-        | Dsm.Adaptive _ -> "adaptive"
-      in
-      Alcotest.(check string)
-        (e.Registry.name ^ " family id") expect (Dsm.strategy_id dsm))
-    Registry.entries
+      match Dsm.create net ~strategy () with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("replicate_after = 0", Dsm.adaptive ~replicate_after:0 ());
+      ("migrate_after = 0", Dsm.adaptive ~migrate_after:0 ());
+    ]
 
 (* A writer on proc 0 and a reader on proc 1 alternate under barriers.
    Whichever processor the variable's home hashes to, the remote side's
@@ -103,6 +103,7 @@ let suite =
     Alcotest.test_case "registry names" `Quick test_registry_names;
     Alcotest.test_case "registry aliases resolve" `Quick test_registry_find;
     Alcotest.test_case "display names" `Quick test_display_names;
-    Alcotest.test_case "family ids" `Quick test_strategy_ids;
+    Alcotest.test_case "adaptive policy validation" `Quick
+      test_adaptive_policy_validation;
     Alcotest.test_case "adaptive home migrates" `Quick test_adaptive_migration;
   ]
