@@ -118,11 +118,16 @@ let headline t =
         (Service.Arrival.shape_name spec.Service.Spec.arrival)
         spec.Service.Spec.clients spec.Service.Spec.keys
 
-type outcome = {
+type measured = {
   measurements : Runner.measurements;
-  fields : (string * Json.t) list;  (* app-specific manifest measurements *)
-  report : string;  (* app-specific report text *)
+  fields : (string * Json.t) list;
   phases : (Barnes_hut.phase * Runner.measurements) list;
+  faults : Diva_faults.Faults.t option;
+}
+
+type outcome = {
+  measured : measured;
+  report : string;  (* app-specific report text *)
   net : Network.t;
 }
 
@@ -136,7 +141,9 @@ let run obs t =
     | Runner.Hand_optimized -> invalid_arg "Run_spec.run: not a DSM strategy"
   in
   let outcome ?(fields = []) ?(report = "") ?(phases = []) measurements =
-    { measurements; fields; report; phases; net = Option.get !net }
+    let net = Option.get !net in
+    { measured = { measurements; fields; phases; faults = Network.faults net };
+      report; net }
   in
   let generated (r : Workload.Generator.result) =
     let l = r.Workload.Generator.latency in
@@ -175,6 +182,13 @@ let run obs t =
         ~fields:(Service.Engine.result_fields r)
         ~report:(Service.Engine.render r)
 
+let measure ?prof (t : t) =
+  let* () = validate t in
+  let obs =
+    { Runner.null_obs with Runner.obs_faults = t.faults; obs_prof = prof }
+  in
+  Ok (run obs t).measured
+
 (* The run manifest ([diva-run-manifest/1]), embedded in the Chrome
    trace's metadata and writable standalone. *)
 let manifest t o =
@@ -187,8 +201,8 @@ let manifest t o =
       ("params", Json.Obj (params t));
       ("measurements",
        Json.Obj
-         (Runner.measurement_fields o.measurements
-         @ o.fields @ Runner.fault_fields o.net)) ]
+         (Runner.measurement_fields o.measured.measurements
+         @ o.measured.fields @ Runner.fault_fields o.net)) ]
 
 type outputs = {
   trace_file : string option;
@@ -248,7 +262,7 @@ let print_measurements (m : Runner.measurements) =
 let print_report out t o =
   if out.heatmap then print_string (Diva_harness.Heatmap.render o.net);
   print_string (headline t);
-  print_measurements o.measurements;
+  print_measurements o.measured.measurements;
   Option.iter
     (fun f ->
       let open Diva_faults.Faults in
@@ -257,14 +271,14 @@ let print_report out t o =
          retransmits, %d reissues\n"
         (lost_total f) (lost_random f) (lost_link_down f) (lost_crashed f)
         (retransmits f) (dsm_reissues f))
-    (Network.faults o.net);
+    o.measured.faults;
   print_string o.report;
   if out.phases then
     List.iter
       (fun (ph, m) ->
         Printf.printf "-- phase: %s --\n" (Barnes_hut.phase_name ph);
         print_measurements m)
-      o.phases
+      o.measured.phases
 
 let print_events prefix (path, count) =
   Printf.printf "%sevents   -> %s (%d events)\n" prefix path count
@@ -370,7 +384,7 @@ let write_artifacts ?events out t (obs : Runner.obs) o =
    analyzer, the in-memory list the Chrome trace is rendered from, and
    the flight recorder's ring, which must wrap the sink before anyone
    stores it. With [--events] alone recording costs O(1) memory. *)
-let make_obs out t ~events_oc ~analyzer =
+let make_obs out (t : t) ~events_oc ~analyzer =
   let trace =
     let keep = out.trace_file <> None in
     match

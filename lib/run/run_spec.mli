@@ -1,9 +1,10 @@
 (** One simulation run as a value: the application and its parameters,
     the mesh, the strategy, the seed and the fault schedule. Every divasim
     subcommand that simulates a single run parses its flags into a {!t}
-    and hands it to {!execute}. The run manifest, the event-trace header
-    and the analysis metadata all describe the run by its {!name} and
-    {!params}. The per-app engines are not forked: a run dispatches to
+    and hands it to {!execute}; bench simulates each of its cells with
+    {!measure}. The run manifest, the event-trace header and the
+    analysis metadata all describe the run by its {!name} and {!params}.
+    The per-app engines are not forked: a run dispatches to
     {!Diva_harness.Runner}, {!Diva_workload.Generator},
     {!Diva_workload.Replay} or {!Diva_service.Engine}. *)
 
@@ -34,6 +35,24 @@ val validate : t -> (unit, string) result
 (** Every rule a run must meet before it starts: the mesh its app needs,
     a DSM strategy where there is no hand-optimized baseline, and the
     workload and service specs' own checks. *)
+
+(** What a run measured: the paper's measurements, the app's own fields
+    (a workload's latency, a service's SLO figures), the Barnes-Hut
+    per-phase measurements and the fault counters of a run with a fault
+    schedule. *)
+type measured = {
+  measurements : Diva_harness.Runner.measurements;
+  fields : (string * Diva_obs.Json.t) list;
+  phases :
+    (Diva_apps.Barnes_hut.phase * Diva_harness.Runner.measurements) list;
+  faults : Diva_faults.Faults.t option;
+}
+
+val measure : ?prof:Diva_obs.Prof.t -> t -> (measured, string) result
+(** Validate [t], then simulate it through the same dispatch as
+    {!execute}, recording nothing but [prof] when given. [Error] is why
+    the run was rejected. Runs share no state, so distinct specs may be
+    measured on different domains at once. *)
 
 val name : t -> string
 val params : t -> (string * Diva_obs.Json.t) list

@@ -1,51 +1,40 @@
 (* Deterministic fork/join over OCaml 5 domains.
 
-   The work list is split into [domains] contiguous chunks; each chunk is
+   The work list is dealt round-robin into [domains] parts; each part is
    mapped in order inside one spawned domain, and the results are
    reassembled in the original order, so the output is identical to
    [List.map f xs] regardless of domain count or scheduling. Exceptions
-   propagate: if any chunk raises, the first (by chunk index) exception is
-   re-raised after every domain has been joined, so no domain is leaked.
+   propagate: if any item raises, the earliest (by position in [xs])
+   exception is re-raised after every domain has been joined, so no
+   domain is leaked.
 
    This is deliberately a one-shot pool, not a work-stealing scheduler:
-   the repo's uses are run-level parallelism (chaos campaigns, rate
-   sweeps, shard fan-out) where each work item is seconds of simulation
-   and chunk imbalance is noise. *)
+   the repo's uses are run-level parallelism (bench cells, chaos
+   campaigns, rate sweeps) where each work item is seconds of
+   simulation. Dealing rather than cutting contiguous chunks keeps a run
+   of similar, expensive items (a figure's largest meshes, one app's
+   cells) spread over every domain. *)
 
-let chunks n xs =
-  let len = List.length xs in
-  let base = len / n and extra = len mod n in
-  let rec take k xs =
-    if k = 0 then ([], xs)
-    else
-      match xs with
-      | [] -> ([], [])
-      | x :: tl ->
-          let got, rest = take (k - 1) tl in
-          (x :: got, rest)
-  in
-  let rec split i xs =
-    if i = n then []
-    else
-      let size = base + if i < extra then 1 else 0 in
-      let got, rest = take size xs in
-      got :: split (i + 1) rest
-  in
-  split 0 xs
+let deal n xs =
+  let parts = Array.make n [] in
+  List.iteri (fun i x -> parts.(i mod n) <- x :: parts.(i mod n)) xs;
+  Array.map List.rev parts
 
 let map ?(domains = 1) f xs =
-  if domains <= 1 || List.length xs <= 1 then List.map f xs
+  let len = List.length xs in
+  if domains <= 1 || len <= 1 then List.map f xs
   else
-    let parts = chunks (min domains (List.length xs)) xs in
-    let run part = List.map (fun x -> try Ok (f x) with e -> Error e) part in
-    (* The first chunk runs on the calling domain: [domains] means total
+    let n = min domains len in
+    let run part =
+      Array.of_list (List.map (fun x -> try Ok (f x) with e -> Error e) part)
+    in
+    let parts = deal n xs in
+    (* Part 0 runs on the calling domain: [domains] means total
        parallelism, not extra helper threads. *)
-    match parts with
-    | [] -> []
-    | first :: rest ->
-        let handles = List.map (fun p -> Domain.spawn (fun () -> run p)) rest in
-        let r0 = run first in
-        let results = r0 :: List.map Domain.join handles in
-        List.concat_map
-          (List.map (function Ok y -> y | Error e -> raise e))
-          results
+    let handles =
+      Array.init (n - 1) (fun i -> Domain.spawn (fun () -> run parts.(i + 1)))
+    in
+    let r0 = run parts.(0) in
+    let results = Array.append [| r0 |] (Array.map Domain.join handles) in
+    List.init len (fun i -> results.(i mod n).(i / n))
+    |> List.map (function Ok y -> y | Error e -> raise e)

@@ -1,11 +1,11 @@
 (** Deterministic fork/join over OCaml 5 domains.
 
     [map ~domains f xs] behaves exactly like [List.map f xs] — same
-    results, same order — but evaluates contiguous chunks of [xs] in up to
-    [domains] domains (the calling domain counts as one). With
-    [domains <= 1] it is literally [List.map]. If any [f x] raises, every
-    domain is joined first and the earliest exception (by position in
-    [xs]) is re-raised.
+    results, same order — but deals the items of [xs] round-robin to up
+    to [domains] domains (the calling domain counts as one), each of
+    which maps its share in order. With [domains <= 1] it is literally
+    [List.map]. If any [f x] raises, every domain is joined first and
+    the earliest exception (by position in [xs]) is re-raised.
 
     [f] must be safe to run concurrently with itself on disjoint inputs:
     no shared mutable state, or only state guarded by the caller. The

@@ -22,6 +22,20 @@ let test_parallel_map_order () =
     [ 1; 2; 4; 8; 100 ];
   Alcotest.(check (list int)) "empty list" [] (Parallel.map ~domains:4 Fun.id [])
 
+(* Items are dealt round-robin, so neighbours run on different domains
+   (contiguous chunks would put both of a pair on one). *)
+let test_parallel_map_deals () =
+  let ids =
+    Parallel.map ~domains:2
+      (fun _ -> (Domain.self () :> int))
+      [ 0; 1; 2; 3 ]
+  in
+  match ids with
+  | [ a; b; c; d ] ->
+      Alcotest.(check bool) "0 and 1 on different domains" true (a <> b);
+      Alcotest.(check (list int)) "dealt in turn" [ a; b ] [ c; d ]
+  | _ -> Alcotest.fail "wrong length"
+
 exception Boom of int
 
 let test_parallel_map_exception () =
@@ -302,6 +316,8 @@ let suite =
   [
     Alcotest.test_case "parallel map preserves order" `Quick
       test_parallel_map_order;
+    Alcotest.test_case "parallel map deals items round-robin" `Quick
+      test_parallel_map_deals;
     Alcotest.test_case "parallel map propagates earliest exception" `Quick
       test_parallel_map_exception;
     Alcotest.test_case "par_engine ring identical across domains" `Quick

@@ -1,5 +1,7 @@
 (* Run_spec.validate: every run the CLI golden cases make is accepted,
-   and each rule rejects what it names. *)
+   and each rule rejects what it names. Run_spec.measure: the same
+   results on any number of domains, and the same rejections as
+   execute. *)
 
 module Run_spec = Diva_run.Run_spec
 module Runner = Diva_harness.Runner
@@ -7,6 +9,8 @@ module Dsm = Diva_core.Dsm
 module Barnes_hut = Diva_apps.Barnes_hut
 module Workload = Diva_workload
 module Service = Diva_service
+module Parallel = Diva_util.Parallel
+module Json = Diva_obs.Json
 
 let tree4 = Runner.Strategy (Dsm.access_tree ~arity:4 ())
 let fixed_home = Runner.Strategy Dsm.Fixed_home
@@ -75,13 +79,8 @@ let accepted () =
       ("serve", spec (serve [| 4; 4 |]) [| 4; 4 |]);
     ]
 
-let rejected () =
+let invalid () =
   let hand = Runner.Hand_optimized in
-  List.iter
-    (fun (what, s) ->
-      match Run_spec.validate s with
-      | Error _ -> ()
-      | Ok () -> Alcotest.failf "%s accepted" what)
     [
       ("non-square matmul", spec (matmul ()) [| 2; 4 |]);
       ("3-D matmul", spec (matmul ()) [| 2; 2; 2 |]);
@@ -100,8 +99,83 @@ let rejected () =
       ("empty service key space", spec (serve ~keys:0 [| 2; 2 |]) [| 2; 2 |]);
     ]
 
+let rejected () =
+  List.iter
+    (fun (what, s) ->
+      match Run_spec.validate s with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "%s accepted" what)
+    (invalid ())
+
+(* One small run per app, a hand-optimized one and one under message
+   loss. *)
+let measured_specs () =
+  let drop =
+    Diva_faults.Schedule.make ~seed:9
+      [ Diva_faults.Schedule.Msg_drop
+          { prob = 0.05; w = { t0 = 0.0; t1 = 1e9 } } ]
+  in
+  [
+    ("matmul", spec (matmul ()) [| 4; 4 |]);
+    ("hand-optimized matmul",
+     spec ~strategy:Runner.Hand_optimized (matmul ()) [| 4; 4 |]);
+    ("bitonic", spec ~strategy:fixed_home (Bitonic { keys = 64 }) [| 4; 4 |]);
+    ("nbody", spec (bh ~bodies:64 ~steps:3) [| 2; 2 |]);
+    ("workload", spec (workload ()) [| 4; 4 |]);
+    ("serve", spec (serve [| 4; 4 |]) [| 4; 4 |]);
+    ("lossy matmul", spec ~faults:drop (matmul ()) [| 4; 4 |]);
+  ]
+
+(* Everything a measured run reports, as one JSON document. *)
+let measured_json = function
+  | Error e -> Json.String e
+  | Ok (r : Run_spec.measured) ->
+      let fields m = Json.Obj (Runner.measurement_fields m) in
+      Json.Obj
+        [ ("measurements", fields r.Run_spec.measurements);
+          ("fields", Json.Obj r.Run_spec.fields);
+          ("phases",
+           Json.Obj
+             (List.map
+                (fun (ph, m) -> (Barnes_hut.phase_name ph, fields m))
+                r.Run_spec.phases));
+          ("faults",
+           Json.Obj
+             (Option.fold ~none:[] ~some:Diva_faults.Faults.report_fields
+                r.Run_spec.faults)) ]
+
+let measure_parallel () =
+  let named = measured_specs () in
+  let specs = List.map snd named in
+  let serial = List.map Run_spec.measure specs in
+  let parallel = Parallel.map ~domains:3 Run_spec.measure specs in
+  List.iter2
+    (fun (what, s) p ->
+      Alcotest.(check string) what
+        (Json.to_string (measured_json s)) (Json.to_string (measured_json p)))
+    (List.combine (List.map fst named) serial)
+    parallel;
+  match List.assoc "lossy matmul" (List.combine (List.map fst named) serial) with
+  | Ok { Run_spec.faults = Some f; _ } ->
+      Alcotest.(check bool) "messages were lost" true
+        (Diva_faults.Faults.lost_total f > 0)
+  | _ -> Alcotest.fail "lossy matmul reported no fault counters"
+
+let measure_rejects () =
+  List.iter
+    (fun (what, s) ->
+      match (Run_spec.measure s, Run_spec.execute Run_spec.no_outputs s) with
+      | Error e, Error e' -> Alcotest.(check string) what e' e
+      | Ok _, _ -> Alcotest.failf "measure accepted %s" what
+      | Error _, Ok () -> Alcotest.failf "execute accepted %s" what)
+    (invalid ())
+
 let suite =
   [
     Alcotest.test_case "validate accepts every golden CLI run" `Quick accepted;
     Alcotest.test_case "validate rejects each rule's violation" `Quick rejected;
+    Alcotest.test_case "measure gives the same results on 3 domains" `Quick
+      measure_parallel;
+    Alcotest.test_case "measure rejects what execute rejects" `Quick
+      measure_rejects;
   ]
