@@ -24,6 +24,7 @@ module Registry = Diva_core.Registry
 module Runner = Diva_harness.Runner
 module Report = Diva_harness.Report
 module Run_spec = Diva_run.Run_spec
+module Sweep = Diva_run.Sweep
 module Barnes_hut = Diva_apps.Barnes_hut
 module Embedding = Diva_mesh.Embedding
 module Table = Diva_util.Table
@@ -390,12 +391,9 @@ let workload_zipf () =
        workload_skews)
     (fun results ->
       let latency (r : Run_spec.measured) =
-        let lat p =
-          Option.get (Json.to_float (List.assoc p r.Run_spec.fields))
-        in
-        ( total r,
-          (lat "lat_p50_us", lat "lat_p95_us", lat "lat_p99_us",
-           lat "lat_max_us") )
+        match r.Run_spec.result with
+        | Run_spec.Latency l -> (total r, Workload.Latency.quad l)
+        | _ -> invalid_arg "workload_zipf: a cell without latency"
       in
       print_string
         (Report.workload_table
@@ -412,36 +410,39 @@ let workload_zipf () =
 (* Rates are scaled to the simulator's per-request DSM cost: the moderate
    point loads the mesh to roughly half capacity (and its >= 1000 arrivals
    keep the p999 guard satisfied), the heavy point is past the knee. *)
-let service_spec ~procs ~rate =
-  Service.Spec.make ~keys:512 ~value_size:64 ~clients:100_000 ~rate
-    ~horizon_us:400_000.0
-    ~phases:
-      (Service.Spec.scenario_phases Service.Spec.Steady ~keys:512 ~procs
-         ~zipf:0.9)
-    ~seed:1 ()
+let serve ~rate s =
+  let dims = if !paper_scale then [| 16; 16 |] else [| 8; 8 |] in
+  let procs = Array.fold_left ( * ) 1 dims in
+  spec ~seed:1 dims (Runner.Strategy s)
+    (Run_spec.Serve
+       { spec =
+           Service.Spec.make ~keys:512 ~value_size:64 ~clients:100_000 ~rate
+             ~horizon_us:400_000.0
+             ~phases:
+               (Service.Spec.scenario_phases Service.Spec.Steady ~keys:512
+                  ~procs ~zipf:0.9)
+             ~seed:1 ();
+         scenario = Service.Spec.Steady })
 
-let service_dims () = if !paper_scale then [| 16; 16 |] else [| 8; 8 |]
-
-(* No cells: the knee sweep keeps its own parallel driver. *)
+(* One sweep per strategy: a cell per stepped rate. *)
 let service_knee () =
-  let render _ =
-    let dims = service_dims () in
-    let procs = Array.fold_left ( * ) 1 dims in
-    let rates =
-      if !paper_scale then [ 4_000.0; 8_000.0; 16_000.0; 32_000.0 ]
-      else [ 2_000.0; 4_000.0; 8_000.0; 16_000.0 ]
-    in
-    List.iter
+  let rates =
+    if !paper_scale then [ 4_000.0; 8_000.0; 16_000.0; 32_000.0 ]
+    else [ 2_000.0; 4_000.0; 8_000.0; 16_000.0 ]
+  in
+  let sweeps =
+    List.map
       (fun (_, s) ->
-        let sw =
-          Service.Sweep.run ~dims ~strategy:s ~rates
-            (service_spec ~procs ~rate:(List.hd rates))
-        in
-        print_string (Service.Sweep.render sw))
+        Sweep.cells ~rates (serve ~rate:(List.hd rates) s))
       fh_4ary
   in
   { title = "Service: open-loop saturation sweep, poisson arrivals, 95% reads";
-    cells = []; render }
+    cells = List.concat sweeps;
+    render =
+      (fun get ->
+        List.iter
+          (fun cells -> print_string (Sweep.render (Sweep.of_runs get cells)))
+          sweeps) }
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection (extension: degradation under message loss)          *)
@@ -702,13 +703,6 @@ let bench_apps () =
     List.map (fun q -> row (mesh q) (make q) (hand :: dsm strategies))
       [ 4; 8; 16 ]
   in
-  let dims = service_dims () in
-  let procs = Array.fold_left ( * ) 1 dims in
-  let serve rate s =
-    spec ~seed:1 dims (Runner.Strategy s)
-      (Run_spec.Serve
-         { spec = service_spec ~procs ~rate; scenario = Service.Spec.Steady })
-  in
   [
     ("matmul", meshes (fun q -> matmul ~q ~block));
     ("bitonic", meshes (fun q -> bitonic ~q ~keys));
@@ -724,7 +718,8 @@ let bench_apps () =
         workload_skews );
     ( "service",
       List.map
-        (fun rate -> row (Printf.sprintf "rate-%.0f" rate) (serve rate) fh_4ary)
+        (fun rate ->
+          row (Printf.sprintf "rate-%.0f" rate) (serve ~rate) fh_4ary)
         (if !paper_scale then [ 10_000.0; 40_000.0 ] else [ 3_000.0; 12_000.0 ])
     );
   ]
@@ -740,7 +735,7 @@ let bench_doc get =
       ("units", Json.Obj [ ("time_us", Json.String "simulated microseconds") ]);
       ( "apps",
         sections_json
-          (fun r -> measurements r @ r.Run_spec.fields)
+          (fun r -> measurements r @ Run_spec.fields r)
           get (bench_apps ()) );
       ("strategies", sections_json measurements get (shootout ()));
     ]
@@ -801,17 +796,12 @@ let experiments =
 (* Simulate each distinct cell once, on every core, then render in
    order. *)
 let run exps =
-  let specs =
-    List.fold_left
-      (fun acc s -> if List.mem s acc then acc else s :: acc)
-      [] (List.concat_map (fun e -> e.cells) exps)
-    |> List.rev
-  in
+  let cells = List.concat_map (fun e -> e.cells) exps in
+  let measure s = Result.fold ~ok:Fun.id ~error:failwith (Run_spec.measure s) in
   let measured =
-    Diva_util.Parallel.map ~domains:(Domain.recommended_domain_count ())
-      (fun s ->
-        match Run_spec.measure s with Ok r -> (s, r) | Error e -> failwith e)
-      specs
+    List.combine cells
+      (Run_spec.campaign ~domains:(Domain.recommended_domain_count ())
+         measure cells)
   in
   List.iter
     (fun e ->

@@ -20,6 +20,8 @@ module Embedding = Diva_mesh.Embedding
 module Workload = Diva_workload
 module Fault_schedule = Diva_faults.Schedule
 module Run_spec = Diva_run.Run_spec
+module Chaos = Diva_run.Chaos
+module Sweep = Diva_run.Sweep
 open Cmdliner
 
 let parse_mesh s =
@@ -606,10 +608,17 @@ let burst_conv =
   in
   Arg.conv (parse, fun ppf (n, g) -> Format.fprintf ppf "%d:%g" n g)
 
-let print_workload_result name (r : Workload.Generator.result) =
+(* Measure one cell of a smoke or a sweep; a rejected cell is an error
+   message and exit 1. *)
+let measured c = Result.fold ~ok:Fun.id ~error:fail (Run_spec.measure c)
+
+let print_measured name (m : Run_spec.measured) =
   Printf.printf "-- %s --\n" name;
-  Run_spec.print_measurements r.Workload.Generator.measurements;
-  print_string (Workload.Latency.render r.Workload.Generator.latency)
+  Run_spec.print_measurements m.Run_spec.measurements;
+  print_string (Run_spec.report m.Run_spec.result)
+
+let smoke_strategies =
+  [ ("fixed-home", Dsm.Fixed_home); ("4-ary", Dsm.access_tree ~arity:4 ()) ]
 
 let workload_cmd =
   let vars =
@@ -761,11 +770,13 @@ let workload_cmd =
       in
       Printf.printf "workload smoke: 4x4 mesh, %d keys, %d ops/proc\n"
         w.Workload.Spec.num_vars 100;
-      List.iter
-        (fun (name, strategy) ->
-          print_workload_result name (Workload.Generator.run ~dims ~strategy w))
-        [ ("fixed-home", Dsm.Fixed_home);
-          ("4-ary", Dsm.access_tree ~arity:4 ()) ])
+      List.iter2 print_measured (List.map fst smoke_strategies)
+        (Run_spec.campaign measured
+           (List.map
+              (fun (_, s) ->
+                spec (Workload w) dims (Runner.Strategy s) seed
+                  Fault_schedule.empty)
+              smoke_strategies)))
     else
       match replay with
       | Some path ->
@@ -884,7 +895,7 @@ let chaos_cmd =
     in
     let cfg =
       {
-        Workload.Chaos.dims;
+        Chaos.dims;
         schedules;
         seed;
         ops;
@@ -897,21 +908,21 @@ let chaos_cmd =
     in
     let cfg =
       if smoke then
-        { cfg with Workload.Chaos.dims = [| 4; 4 |]; schedules = 3; ops = 30;
+        { cfg with Chaos.dims = [| 4; 4 |]; schedules = 3; ops = 30;
           verify_determinism = true }
       else cfg
     in
     Printf.printf
       "chaos: %d fault schedules x %d strategies (%s) on %s, %d ops/proc, \
        seed %d%s%s\n"
-      cfg.Workload.Chaos.schedules
-      (List.length cfg.Workload.Chaos.strategies)
+      cfg.Chaos.schedules
+      (List.length cfg.Chaos.strategies)
       (String.concat ", "
-         (List.map fst cfg.Workload.Chaos.strategies))
+         (List.map fst cfg.Chaos.strategies))
       (String.concat "x"
-         (List.map string_of_int (Array.to_list cfg.Workload.Chaos.dims)))
-      cfg.Workload.Chaos.ops seed
-      (if cfg.Workload.Chaos.verify_determinism then " (verified)" else "")
+         (List.map string_of_int (Array.to_list cfg.Chaos.dims)))
+      cfg.Chaos.ops seed
+      (if cfg.Chaos.verify_determinism then " (verified)" else "")
       (if domains > 1 then Printf.sprintf ", %d domains" domains else "");
     let flight =
       Option.map
@@ -920,23 +931,23 @@ let chaos_cmd =
     in
     let outcomes =
       Run_spec.with_flight flight (fun () ->
-          Workload.Chaos.run ~progress:print_endline ~domains ?flight cfg)
+          Chaos.run ~progress:print_endline ~domains ?flight cfg)
     in
     (match flight with
     | Some fl when Diva_obs.Flight.dumped fl ->
         Printf.printf "flight   -> %s\n" (Diva_obs.Flight.path fl)
     | _ -> ());
-    let ok = Workload.Chaos.passed outcomes in
+    let ok = Chaos.passed outcomes in
     (match manifest with
     | Some path ->
-        Diva_obs.Json.to_file path (Workload.Chaos.manifest cfg outcomes);
+        Diva_obs.Json.to_file path (Chaos.manifest cfg outcomes);
         Printf.printf "manifest -> %s\n" path
     | None -> ());
     let total f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
     Printf.printf "chaos: %d runs, %d messages lost, %d retransmits: %s\n"
       (List.length outcomes)
-      (total (fun o -> o.Workload.Chaos.lost))
-      (total (fun o -> o.Workload.Chaos.retransmits))
+      (total (fun o -> o.Chaos.lost))
+      (total (fun o -> o.Chaos.retransmits))
       (if ok then "all coherent, all deterministic" else "FAILED");
     if not ok then exit 1
   in
@@ -1094,6 +1105,16 @@ let traffic_cmd =
 
 module Service = Diva_service
 
+(* One saturation sweep per base run, every rate point of every sweep in
+   one campaign. *)
+let sweeps ?threshold ~domains ~rates bases =
+  let per_base = List.map (Sweep.cells ~rates) bases in
+  let cells = List.concat per_base in
+  let results =
+    List.combine cells (Run_spec.campaign ~domains measured cells)
+  in
+  List.map (Sweep.of_runs ?threshold (fun c -> List.assoc c results)) per_base
+
 let serve_cmd =
   let keys =
     Arg.(
@@ -1209,7 +1230,7 @@ let serve_cmd =
   let threshold =
     Arg.(
       value
-      & opt (ratio_conv ~what:"knee threshold") Service.Sweep.default_threshold
+      & opt (ratio_conv ~what:"knee threshold") Sweep.default_threshold
       & info [ "knee-threshold" ] ~docv:"R"
           ~doc:
             "A sweep point saturates when goodput/offered falls below \
@@ -1228,11 +1249,18 @@ let serve_cmd =
   let run dims strategy keys value_size clients rate horizon_ms arrival
       scenario zipf read_ratio sweep sweep_out threshold smoke seed
       (out, faults) domains =
+    let write_sweeps ~params sweeps =
+      Option.iter
+        (fun path ->
+          Diva_obs.Json.to_file path (Sweep.to_json ~params sweeps);
+          Printf.printf "sweep    -> %s\n" path)
+        sweep_out
+    in
     if smoke then begin
       let dims = [| 4; 4 |] in
       let keys = min keys 256 in
       let horizon_us = 400_000.0 in
-      let spec =
+      let service =
         Service.Spec.make ~keys ~value_size:64 ~clients:10_000 ~rate:1_000.0
           ~horizon_us ~arrival:Service.Arrival.Poisson ~read_ratio:0.95
           ~phases:
@@ -1242,45 +1270,37 @@ let serve_cmd =
       in
       Printf.printf
         "service smoke: 4x4 mesh, %d keys, poisson %.0f req/s for %.0f ms\n"
-        keys spec.Service.Spec.rate (horizon_us /. 1000.0);
-      let ok = ref true in
-      let sweeps =
+        keys service.Service.Spec.rate (horizon_us /. 1000.0);
+      let cells =
         List.map
-          (fun (name, strategy) ->
-            let r1 = Service.Engine.run ~dims ~strategy spec in
-            let r2 = Service.Engine.run ~dims ~strategy spec in
-            if r1 <> r2 then begin
-              ok := false;
-              Printf.printf "-- %s: NOT deterministic across re-runs\n" name
-            end
-            else begin
-              Printf.printf "-- %s (deterministic re-run verified) --\n" name;
-              Run_spec.print_measurements r1.Service.Engine.measurements;
-              print_string (Service.Engine.render r1)
-            end;
-            Service.Sweep.run ~domains ~dims ~strategy
-              ~rates:[ 500.0; 1_500.0; 5_000.0 ]
-              spec)
-          [ ("fixed-home", Dsm.Fixed_home);
-            ("4-ary", Dsm.access_tree ~arity:4 ()) ]
+          (fun (_, s) ->
+            spec
+              (Serve { spec = service; scenario = Service.Spec.Steady })
+              dims (Runner.Strategy s) seed Fault_schedule.empty)
+          smoke_strategies
       in
-      List.iter (fun sw -> print_string (Service.Sweep.render sw)) sweeps;
+      let ok = ref true in
+      List.iter2
+        (fun name (m, same) ->
+          if same then
+            print_measured (name ^ " (deterministic re-run verified)") m
+          else begin
+            ok := false;
+            Printf.printf "-- %s: NOT deterministic across re-runs\n" name
+          end)
+        (List.map fst smoke_strategies)
+        (Run_spec.campaign ~domains (Run_spec.repeatable measured) cells);
+      let sweeps = sweeps ~domains ~rates:[ 500.0; 1_500.0; 5_000.0 ] cells in
+      List.iter (fun sw -> print_string (Sweep.render sw)) sweeps;
       List.iter
         (fun sw ->
-          match sw.Service.Sweep.sv_knee with
-          | Some _ -> ()
-          | None ->
-              ok := false;
-              Printf.printf "-- %s: no sustainable load found\n"
-                sw.Service.Sweep.sv_strategy)
+          if sw.Sweep.sv_knee = None then begin
+            ok := false;
+            Printf.printf "-- %s: no sustainable load found\n"
+              sw.Sweep.sv_strategy
+          end)
         sweeps;
-      (match sweep_out with
-      | Some path ->
-          Diva_obs.Json.to_file path
-            (Service.Sweep.to_json ~params:(Service.Spec.to_params spec)
-               sweeps);
-          Printf.printf "sweep    -> %s\n" path
-      | None -> ());
+      write_sweeps ~params:(Service.Spec.to_params service) sweeps;
       if not !ok then exit 1
     end
     else begin
@@ -1306,25 +1326,17 @@ let serve_cmd =
         spec (Serve { spec = service; scenario }) dims strategy seed faults
       in
       Result.iter_error fail (Run_spec.validate run);
-      match (sweep, strategy) with
-      | Some rates, Runner.Strategy strategy ->
-          let sw =
-            Service.Sweep.run ~threshold ~faults ~domains ~dims ~strategy
-              ~rates service
-          in
+      match sweep with
+      | Some rates ->
+          let sw = sweeps ~threshold ~domains ~rates [ run ] in
           Printf.printf "service sweep %s, strategy %s, scenario %s, %s\n"
             (String.concat "x" (List.map string_of_int (Array.to_list dims)))
-            (Dsm.strategy_name strategy)
+            (Runner.name strategy)
             (Service.Spec.scenario_name scenario)
             (Service.Arrival.shape_name shape);
-          print_string (Service.Sweep.render sw);
-          (match sweep_out with
-          | Some path ->
-              Diva_obs.Json.to_file path
-                (Service.Sweep.to_json ~params:(Run_spec.params run) [ sw ]);
-              Printf.printf "sweep    -> %s\n" path
-          | None -> ())
-      | _ ->
+          List.iter (fun sw -> print_string (Sweep.render sw)) sw;
+          write_sweeps ~params:(Run_spec.params run) sw
+      | None ->
           note_serial ~what:"serve (single run; use --sweep to fan out)"
             domains;
           execute out run

@@ -1,16 +1,17 @@
 (** Chaos harness: synthetic workloads under generated fault schedules,
-    every run validated by the coherence {!Oracle}.
+    every run validated by the coherence {!Diva_workload.Oracle}.
 
     One chaos campaign sweeps [schedules] seed-generated fault schedules
     ({!Diva_faults.Schedule.generate}, seeds [seed], [seed+1], ...) across
-    a configurable list of data-management strategies — the paper's pair
-    by default, or any selection from the {!Diva_core.Registry} (divasim's
-    [chaos] subcommand defaults to every registered contender). Each run
-    drives the {!Generator} with an oracle attached; after
-    the run the recorded history is checked for per-variable
-    linearizability, and — when [verify_determinism] is set — the run is
-    repeated and every measurement and fault counter compared, proving
-    that schedule + seed fully determine the execution. *)
+    a configurable list of data-management strategies, any selection
+    from the {!Diva_core.Registry} (divasim's [chaos] subcommand defaults
+    to every registered contender). Each (schedule x strategy) run is a
+    {!Run_spec.Workload} cell with that fault schedule, run by
+    {!Run_spec.campaign} with an oracle attached; the recorded history is
+    checked for per-variable linearizability, and — when
+    [verify_determinism] is set — the run is repeated and every
+    measurement, fault counter and the oracle's op count and verdict
+    compared, proving that schedule + seed fully determine the execution. *)
 
 type config = {
   dims : int array;  (** mesh side lengths *)
@@ -24,14 +25,6 @@ type config = {
   strategies : (string * Diva_core.Dsm.strategy) list;
       (** contenders swept by the campaign (non-empty) *)
 }
-
-val paper_strategies : (string * Diva_core.Dsm.strategy) list
-(** The paper's pair: fixed home and the 4-ary access tree. *)
-
-val default : config
-(** 4x4 mesh, 10 schedules from seed 42, 60 ops/proc over 24 keys at read
-    ratio 0.7, a lock every 4th op, determinism verification on, over
-    {!paper_strategies}. *)
 
 (** Result of one (schedule, strategy) run. *)
 type outcome = {
@@ -54,13 +47,13 @@ val run :
   config ->
   outcome list
 (** Execute the campaign; [progress] receives one human-readable line per
-    completed run. With [domains > 1] the independent (schedule x
-    strategy) runs execute on that many OCaml domains; the outcome list
-    (and any manifest derived from it) is identical for every [domains]
-    value — only wall-clock changes. Progress lines are then emitted after
-    the campaign instead of live, so they never interleave. Raises
-    [Invalid_argument] on a non-positive [schedules] count or an empty
-    strategy list.
+    run, in campaign order, once the whole campaign has finished (so lines
+    from runs on different domains never interleave). The (schedule x
+    strategy) runs execute on up to [domains] OCaml domains; the outcome
+    list (and any manifest derived from it) is identical for every
+    [domains] value — only wall-clock changes. Raises [Invalid_argument]
+    on a non-positive [schedules] count, an empty strategy list or a
+    workload the run rejects.
 
     With [flight], every run records into the given flight recorder
     (ring-only — no full trace is buffered) and the first oracle

@@ -118,21 +118,50 @@ let headline t =
         (Service.Arrival.shape_name spec.Service.Spec.arrival)
         spec.Service.Spec.clients spec.Service.Spec.keys
 
+type app_result =
+  | Plain
+  | Latency of Workload.Latency.t
+  | Served of Service.Engine.result
+
 type measured = {
   measurements : Runner.measurements;
-  fields : (string * Json.t) list;
+  result : app_result;
   phases : (Barnes_hut.phase * Runner.measurements) list;
   faults : Diva_faults.Faults.t option;
 }
 
-type outcome = {
-  measured : measured;
-  report : string;  (* app-specific report text *)
-  net : Network.t;
-}
+let fields m =
+  let open Json in
+  match m.result with
+  | Plain -> []
+  | Latency l ->
+      let open Workload.Latency in
+      [ ("ops", Int l.ops); ("ops_per_sim_sec", Float (ops_per_sec l)) ]
+      @ List.map
+          (fun (k, v) -> (k, Float v))
+          [ ("lat_mean_us", l.mean); ("lat_p50_us", l.p50);
+            ("lat_p95_us", l.p95); ("lat_p99_us", l.p99);
+            ("lat_max_us", l.max) ]
+  | Served r ->
+      let module E = Service.Engine in
+      [ ("arrivals", Int r.E.arrivals);
+        ("completions", Int r.E.completions);
+        ("completed_in_horizon", Int r.E.in_horizon);
+        ("offered_per_s", Float r.E.offered_per_s);
+        ("goodput_per_s", Float r.E.goodput_per_s);
+        ("queue_hwm", Int (E.max_queue_hwm r));
+        ("makespan_us", Float r.E.makespan_us) ]
+      @ Service.Slo.to_fields r.E.slo
+
+let report = function
+  | Plain -> ""
+  | Latency l -> Workload.Latency.render l
+  | Served r -> Service.Engine.render r
+
+type outcome = { measured : measured; net : Network.t }
 
 (* The dispatch to the engines, for a validated run. *)
-let run obs t =
+let run ?oracle obs t =
   let net = ref None and seed = t.seed and dims = t.dims in
   let on_net n = net := Some n in
   let strategy () =
@@ -140,15 +169,14 @@ let run obs t =
     | Runner.Strategy s -> s
     | Runner.Hand_optimized -> invalid_arg "Run_spec.run: not a DSM strategy"
   in
-  let outcome ?(fields = []) ?(report = "") ?(phases = []) measurements =
+  let outcome ?(result = Plain) ?(phases = []) measurements =
     let net = Option.get !net in
-    { measured = { measurements; fields; phases; faults = Network.faults net };
-      report; net }
+    { measured = { measurements; result; phases; faults = Network.faults net };
+      net }
   in
   let generated (r : Workload.Generator.result) =
-    let l = r.Workload.Generator.latency in
     outcome r.Workload.Generator.measurements
-      ~fields:(Workload.Latency.to_fields l) ~report:(Workload.Latency.render l)
+      ~result:(Latency r.Workload.Generator.latency)
   in
   match t.app with
   | Matmul { block; compute } ->
@@ -167,8 +195,8 @@ let run obs t =
              Barnes_hut.[ Build; Com; Partition; Force; Advance; Space ])
   | Workload w ->
       generated
-        (Workload.Generator.run ~obs ~on_net ~dims ~strategy:(strategy ())
-           { w with Workload.Spec.seed })
+        (Workload.Generator.run ~obs ~on_net ?oracle ~dims
+           ~strategy:(strategy ()) { w with Workload.Spec.seed })
   | Replay { mode; trace; _ } ->
       generated
         (Workload.Replay.run ~obs ~on_net ~seed ~mode ~strategy:(strategy ())
@@ -178,16 +206,35 @@ let run obs t =
         Service.Engine.run ~obs ~on_net ~dims ~strategy:(strategy ())
           { spec with Service.Spec.seed }
       in
-      outcome r.Service.Engine.measurements
-        ~fields:(Service.Engine.result_fields r)
-        ~report:(Service.Engine.render r)
+      outcome r.Service.Engine.measurements ~result:(Served r)
 
-let measure ?prof (t : t) =
+let measure ?prof ?oracle ?flight (t : t) =
   let* () = validate t in
-  let obs =
-    { Runner.null_obs with Runner.obs_faults = t.faults; obs_prof = prof }
+  let* () =
+    match (oracle, t.app) with
+    | None, _ | Some _, Workload _ -> Ok ()
+    | Some _, _ -> Error "only a generated workload records into an oracle"
   in
-  Ok (run obs t).measured
+  (* A flight recorder's ring is the only sink: nobody buffers events. *)
+  let trace = Option.fold ~none:Fun.id ~some:Flight.wrap flight Trace.null in
+  let obs =
+    { Runner.null_obs with
+      Runner.obs_faults = t.faults; obs_prof = prof; obs_trace = trace;
+      obs_flight = flight }
+  in
+  Ok (run ?oracle obs t).measured
+
+let campaign ?domains extract cells =
+  let add acc c = if List.mem c acc then acc else c :: acc in
+  let distinct = List.rev (List.fold_left add [] cells) in
+  let results =
+    List.combine distinct (Diva_util.Parallel.map ?domains extract distinct)
+  in
+  List.map (fun c -> List.assoc c results) cells
+
+let repeatable f t =
+  let first = f t in
+  (first, compare first (f t) = 0)
 
 (* The run manifest ([diva-run-manifest/1]), embedded in the Chrome
    trace's metadata and writable standalone. *)
@@ -202,7 +249,7 @@ let manifest t o =
       ("measurements",
        Json.Obj
          (Runner.measurement_fields o.measured.measurements
-         @ o.measured.fields @ Runner.fault_fields o.net)) ]
+         @ fields o.measured @ Runner.fault_fields o.net)) ]
 
 type outputs = {
   trace_file : string option;
@@ -272,7 +319,7 @@ let print_report out t o =
         (lost_total f) (lost_random f) (lost_link_down f) (lost_crashed f)
         (retransmits f) (dsm_reissues f))
     o.measured.faults;
-  print_string o.report;
+  print_string (report o.measured.result);
   if out.phases then
     List.iter
       (fun (ph, m) ->

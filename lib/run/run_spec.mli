@@ -1,9 +1,10 @@
 (** One simulation run as a value: the application and its parameters,
     the mesh, the strategy, the seed and the fault schedule. Every divasim
     subcommand that simulates a single run parses its flags into a {!t}
-    and hands it to {!execute}; bench simulates each of its cells with
-    {!measure}. The run manifest, the event-trace header and the
-    analysis metadata all describe the run by its {!name} and {!params}.
+    and hands it to {!execute}; bench, chaos, sweeps and the CLI smokes
+    run lists of them through {!campaign}. The run manifest, the
+    event-trace header and the analysis metadata all describe the run by
+    its name and {!params}.
     The per-app engines are not forked: a run dispatches to
     {!Diva_harness.Runner}, {!Diva_workload.Generator},
     {!Diva_workload.Replay} or {!Diva_service.Engine}. *)
@@ -36,25 +37,52 @@ val validate : t -> (unit, string) result
     a DSM strategy where there is no hand-optimized baseline, and the
     workload and service specs' own checks. *)
 
-(** What a run measured: the paper's measurements, the app's own fields
-    (a workload's latency, a service's SLO figures), the Barnes-Hut
-    per-phase measurements and the fault counters of a run with a fault
-    schedule. *)
+(** What an app reports beyond the paper's measurements. *)
+type app_result =
+  | Plain  (** matmul, bitonic, Barnes-Hut *)
+  | Latency of Diva_workload.Latency.t  (** a generated or replayed workload *)
+  | Served of Diva_service.Engine.result  (** an open-loop service *)
+
+(** What a run measured: the paper's measurements, the app's own result,
+    the Barnes-Hut per-phase measurements and the fault counters of a run
+    with a fault schedule. *)
 type measured = {
   measurements : Diva_harness.Runner.measurements;
-  fields : (string * Diva_obs.Json.t) list;
+  result : app_result;
   phases :
     (Diva_apps.Barnes_hut.phase * Diva_harness.Runner.measurements) list;
   faults : Diva_faults.Faults.t option;
 }
 
-val measure : ?prof:Diva_obs.Prof.t -> t -> (measured, string) result
-(** Validate [t], then simulate it through the same dispatch as
-    {!execute}, recording nothing but [prof] when given. [Error] is why
-    the run was rejected. Runs share no state, so distinct specs may be
-    measured on different domains at once. *)
+val fields : measured -> (string * Diva_obs.Json.t) list
+(** The app result's fields in the run manifest and BENCH files. *)
 
-val name : t -> string
+val report : app_result -> string
+(** The app result's block of the run report. *)
+
+val measure :
+  ?prof:Diva_obs.Prof.t ->
+  ?oracle:Diva_workload.Oracle.t ->
+  ?flight:Diva_obs.Flight.t ->
+  t ->
+  (measured, string) result
+(** Validate [t], then simulate it through the same dispatch as
+    {!execute}, recording only into [prof], [oracle] (a generated
+    workload's operations; other apps are rejected) and [flight]'s ring.
+    [Error] is why the run was rejected. Runs share no state, so distinct
+    specs may be measured on different domains at once. *)
+
+val campaign : ?domains:int -> (t -> 'a) -> t list -> 'a list
+(** [campaign ~domains extract cells] is [List.map extract cells], but
+    evaluates each distinct cell once, on up to [domains] domains
+    ({!Diva_util.Parallel.map}); the result is the same for every
+    [domains]. [extract] usually calls {!measure}. *)
+
+val repeatable : (t -> 'a) -> t -> 'a * bool
+(** [f t] and whether a second [f t] equals it under [compare] (so ['a]
+    holds no closure): the run-twice determinism check, made inside an
+    extractor so that {!campaign}'s dedupe cannot merge the re-run. *)
+
 val params : t -> (string * Diva_obs.Json.t) list
 
 (** Where the artifacts go and what the report shows. *)

@@ -1,4 +1,6 @@
 module Runner = Diva_harness.Runner
+module Engine = Diva_service.Engine
+module Slo = Diva_service.Slo
 module Table = Diva_util.Table
 module Json = Diva_obs.Json
 
@@ -24,29 +26,29 @@ type t = {
 
 let default_threshold = 0.95
 
-let run ?(threshold = default_threshold)
-    ?(faults = Diva_faults.Schedule.empty) ?(domains = 1) ~dims ~strategy
-    ~rates spec =
-  if rates = [] then invalid_arg "Diva_service.Sweep.run: empty rate list";
-  let rates = List.sort_uniq compare rates in
-  (* Each rate point is an independent open-loop run; Parallel.map keeps
-     the ascending-rate row order, so the sweep (knee included) is
-     identical for any [domains] value. *)
-  let rows =
-    Diva_util.Parallel.map ~domains
-      (fun rate ->
-        let r =
-          Engine.run
-            ~obs:{ Runner.null_obs with Runner.obs_faults = faults }
-            ~dims ~strategy
-            { spec with Spec.rate }
-        in
+let cells ~rates (base : Run_spec.t) =
+  if rates = [] then invalid_arg "Sweep.cells: empty rate list";
+  match base.Run_spec.app with
+  | Run_spec.Serve s ->
+      List.map
+        (fun rate ->
+          { base with
+            Run_spec.app =
+              Run_spec.Serve
+                { s with spec = { s.spec with Diva_service.Spec.rate } } })
+        (List.sort_uniq compare rates)
+  | _ -> invalid_arg "Sweep.cells: not a serve run"
+
+let of_runs ?(threshold = default_threshold) measured cells =
+  let row (cell : Run_spec.t) =
+    match (cell.Run_spec.app, (measured cell).Run_spec.result) with
+    | Run_spec.Serve { spec; _ }, Run_spec.Served r ->
         let ratio =
           if r.Engine.offered_per_s <= 0.0 then 1.0
           else r.Engine.goodput_per_s /. r.Engine.offered_per_s
         in
         {
-          sw_rate = rate;
+          sw_rate = spec.Diva_service.Spec.rate;
           sw_offered = r.Engine.offered_per_s;
           sw_goodput = r.Engine.goodput_per_s;
           sw_ratio = ratio;
@@ -56,9 +58,10 @@ let run ?(threshold = default_threshold)
           sw_qmax = Engine.max_queue_hwm r;
           sw_makespan = r.Engine.makespan_us;
           sw_diverged = ratio < threshold;
-        })
-      rates
+        }
+    | _ -> invalid_arg "Sweep.of_runs: not a serve run"
   in
+  let rows = List.map row cells in
   (* The knee: the highest stepped load the strategy still sustains —
      i.e. the last ascending point whose achieved/offered ratio holds the
      threshold. Every row past it carries the divergence flag. *)
@@ -67,12 +70,8 @@ let run ?(threshold = default_threshold)
       (fun acc row -> if row.sw_diverged then acc else Some row.sw_rate)
       None rows
   in
-  {
-    sv_strategy = Diva_core.Dsm.strategy_name strategy;
-    sv_threshold = threshold;
-    sv_rows = rows;
-    sv_knee = knee;
-  }
+  { sv_strategy = Runner.name (List.hd cells).Run_spec.strategy;
+    sv_threshold = threshold; sv_rows = rows; sv_knee = knee }
 
 let row_json r =
   let open Json in

@@ -170,19 +170,6 @@ let run ?(obs = Runner.null_obs) ?on_net ~dims ~strategy spec =
 
 let max_queue_hwm r = Array.fold_left max 0 r.queue_hwm
 
-let result_fields r =
-  let open Diva_obs.Json in
-  [
-    ("arrivals", Int r.arrivals);
-    ("completions", Int r.completions);
-    ("completed_in_horizon", Int r.in_horizon);
-    ("offered_per_s", Float r.offered_per_s);
-    ("goodput_per_s", Float r.goodput_per_s);
-    ("queue_hwm", Int (max_queue_hwm r));
-    ("makespan_us", Float r.makespan_us);
-  ]
-  @ Slo.to_fields r.slo
-
 let render r =
   Printf.sprintf
     "%soffered / goodput     %.0f / %.0f req/s (%d arrivals, %d served in \

@@ -39,5 +39,4 @@ val run :
     schedules. *)
 
 val max_queue_hwm : result -> int
-val result_fields : result -> (string * Diva_obs.Json.t) list
 val render : result -> string

@@ -9,11 +9,13 @@
    domain is leaked.
 
    This is deliberately a one-shot pool, not a work-stealing scheduler:
-   the repo's uses are run-level parallelism (bench cells, chaos
-   campaigns, rate sweeps) where each work item is seconds of
-   simulation. Dealing rather than cutting contiguous chunks keeps a run
-   of similar, expensive items (a figure's largest meshes, one app's
-   cells) spread over every domain. *)
+   its one caller is Run_spec.campaign, the driver of every run-level
+   campaign (bench cells, chaos campaigns, rate sweeps, the CLI smokes),
+   where each work item is seconds of simulation. Dealing rather than
+   cutting contiguous chunks keeps a run of similar, expensive items (a
+   figure's largest meshes, one app's cells) spread over every domain.
+   A spawned domain starts with OCaml's default minor heap, so each
+   worker first takes the caller's size. *)
 
 let deal n xs =
   let parts = Array.make n [] in
@@ -31,8 +33,13 @@ let map ?(domains = 1) f xs =
     let parts = deal n xs in
     (* Part 0 runs on the calling domain: [domains] means total
        parallelism, not extra helper threads. *)
+    let minor_heap_size = (Gc.get ()).Gc.minor_heap_size in
+    let worker part () =
+      Gc.set { (Gc.get ()) with Gc.minor_heap_size };
+      run part
+    in
     let handles =
-      Array.init (n - 1) (fun i -> Domain.spawn (fun () -> run parts.(i + 1)))
+      Array.init (n - 1) (fun i -> Domain.spawn (worker parts.(i + 1)))
     in
     let r0 = run parts.(0) in
     let results = Array.append [| r0 |] (Array.map Domain.join handles) in

@@ -5,7 +5,8 @@
     to [domains] domains (the calling domain counts as one), each of
     which maps its share in order. With [domains <= 1] it is literally
     [List.map]. If any [f x] raises, every domain is joined first and
-    the earliest exception (by position in [xs]) is re-raised.
+    the earliest exception (by position in [xs]) is re-raised. Each
+    spawned domain runs with the caller's minor heap size.
 
     [f] must be safe to run concurrently with itself on disjoint inputs:
     no shared mutable state, or only state guarded by the caller. The

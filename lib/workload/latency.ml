@@ -27,18 +27,6 @@ let ops_per_sec t =
 
 let quad t = (t.p50, t.p95, t.p99, t.max)
 
-let to_fields t =
-  let open Diva_obs.Json in
-  [
-    ("ops", Int t.ops);
-    ("ops_per_sim_sec", Float (ops_per_sec t));
-    ("lat_mean_us", Float t.mean);
-    ("lat_p50_us", Float t.p50);
-    ("lat_p95_us", Float t.p95);
-    ("lat_p99_us", Float t.p99);
-    ("lat_max_us", Float t.max);
-  ]
-
 let render t =
   Printf.sprintf
     "ops                  %d (%.0f ops/sim-second)\n\

@@ -24,9 +24,6 @@ val quad : t -> float * float * float * float
 (** (p50, p95, p99, max) — the shape {!Diva_harness.Report.workload_table}
     takes. *)
 
-val to_fields : t -> (string * Diva_obs.Json.t) list
-(** Latency/throughput fields for run manifests and BENCH files. *)
-
 val render : t -> string
 (** Multi-line human-readable block, aligned with the measurement printout
     of the divasim CLI. *)

@@ -9,7 +9,7 @@ module Runner = Diva_harness.Runner
 module Spec = Diva_workload.Spec
 module Generator = Diva_workload.Generator
 module Oracle = Diva_workload.Oracle
-module Chaos = Diva_workload.Chaos
+module Chaos = Diva_run.Chaos
 module Dsm = Diva_core.Dsm
 
 let strategy_4ary = Dsm.access_tree ~arity:4 ()
@@ -285,7 +285,9 @@ let test_chaos_campaign () =
       lock_every = 4;
       read_ratio = 0.7;
       verify_determinism = false;
-      strategies = Chaos.paper_strategies;
+      strategies =
+        [ ("fixed-home", Dsm.Fixed_home);
+          ("tree-4", Dsm.access_tree ~arity:4 ()) ];
     }
   in
   let outcomes = Chaos.run cfg in
@@ -318,11 +320,13 @@ let test_chaos_registry_zoo () =
   in
   let cfg =
     {
-      Chaos.default with
       Chaos.dims = [| 4; 4 |];
       schedules = 3;
       seed = 7;
       ops = 20;
+      num_vars = 24;
+      lock_every = 4;
+      read_ratio = 0.7;
       verify_determinism = true;
       strategies;
     }

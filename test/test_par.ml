@@ -7,7 +7,7 @@
 module Par_engine = Diva_simnet.Par_engine
 module Traffic = Diva_simnet.Traffic
 module Parallel = Diva_util.Parallel
-module Chaos = Diva_workload.Chaos
+module Chaos = Diva_run.Chaos
 
 (* --- Parallel.map ---------------------------------------------------- *)
 
@@ -49,6 +49,23 @@ let test_parallel_map_exception () =
       (* Earliest failing element wins, regardless of which domain hit
          its failure first. *)
       Alcotest.(check int) "earliest exception" 3 x
+
+(* Workers run with the caller's minor heap, not OCaml's default: the
+   simulator is tuned for a larger one (bench and divasim set 1 M words). *)
+let test_parallel_map_minor_heap () =
+  let saved = Gc.get () in
+  let words = 2 * saved.Gc.minor_heap_size + 4096 in
+  Gc.set { saved with Gc.minor_heap_size = words };
+  let sizes =
+    Fun.protect
+      ~finally:(fun () -> Gc.set saved)
+      (fun () ->
+        Parallel.map ~domains:3
+          (fun _ -> (Gc.get ()).Gc.minor_heap_size)
+          [ 0; 1; 2 ])
+  in
+  Alcotest.(check (list int))
+    "every worker's minor heap" [ words; words; words ] sizes
 
 (* --- Par_engine ------------------------------------------------------ *)
 
@@ -293,11 +310,17 @@ let test_chaos_domains_identical () =
      exactly the serial one. Manifest equality covers every field. *)
   let cfg =
     {
-      Chaos.default with
       Chaos.dims = [| 4; 4 |];
       schedules = 2;
+      seed = 42;
       ops = 20;
+      num_vars = 24;
+      lock_every = 4;
+      read_ratio = 0.7;
       verify_determinism = true;
+      strategies =
+        [ ("fixed-home", Diva_core.Dsm.Fixed_home);
+          ("tree-4", Diva_core.Dsm.access_tree ~arity:4 ()) ];
     }
   in
   let manifest_with domains =
@@ -320,6 +343,8 @@ let suite =
       test_parallel_map_deals;
     Alcotest.test_case "parallel map propagates earliest exception" `Quick
       test_parallel_map_exception;
+    Alcotest.test_case "parallel map workers get the caller's minor heap"
+      `Quick test_parallel_map_minor_heap;
     Alcotest.test_case "par_engine ring identical across domains" `Quick
       test_par_engine_ring_identical;
     Alcotest.test_case "par_engine enforces lookahead" `Quick

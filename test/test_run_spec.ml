@@ -1,7 +1,8 @@
 (* Run_spec.validate: every run the CLI golden cases make is accepted,
    and each rule rejects what it names. Run_spec.measure: the same
-   results on any number of domains, and the same rejections as
-   execute. *)
+   results through the campaign driver on any number of domains, and the
+   same rejections as execute. Run_spec.campaign: one evaluation per
+   distinct cell, results in input order. *)
 
 module Run_spec = Diva_run.Run_spec
 module Runner = Diva_harness.Runner
@@ -9,7 +10,6 @@ module Dsm = Diva_core.Dsm
 module Barnes_hut = Diva_apps.Barnes_hut
 module Workload = Diva_workload
 module Service = Diva_service
-module Parallel = Diva_util.Parallel
 module Json = Diva_obs.Json
 
 let tree4 = Runner.Strategy (Dsm.access_tree ~arity:4 ())
@@ -133,7 +133,7 @@ let measured_json = function
       let fields m = Json.Obj (Runner.measurement_fields m) in
       Json.Obj
         [ ("measurements", fields r.Run_spec.measurements);
-          ("fields", Json.Obj r.Run_spec.fields);
+          ("fields", Json.Obj (Run_spec.fields r));
           ("phases",
            Json.Obj
              (List.map
@@ -147,19 +147,58 @@ let measured_json = function
 let measure_parallel () =
   let named = measured_specs () in
   let specs = List.map snd named in
-  let serial = List.map Run_spec.measure specs in
-  let parallel = Parallel.map ~domains:3 Run_spec.measure specs in
+  let text r = Json.to_string (measured_json r) in
+  let serial =
+    List.combine (List.map fst named) (List.map Run_spec.measure specs)
+  in
+  let parallel = Run_spec.campaign ~domains:3 Run_spec.measure specs in
   List.iter2
-    (fun (what, s) p ->
-      Alcotest.(check string) what
-        (Json.to_string (measured_json s)) (Json.to_string (measured_json p)))
-    (List.combine (List.map fst named) serial)
-    parallel;
-  match List.assoc "lossy matmul" (List.combine (List.map fst named) serial) with
+    (fun (what, s) p -> Alcotest.(check string) what (text s) (text p))
+    serial parallel;
+  (match List.assoc "lossy matmul" serial with
   | Ok { Run_spec.faults = Some f; _ } ->
       Alcotest.(check bool) "messages were lost" true
         (Diva_faults.Faults.lost_total f > 0)
-  | _ -> Alcotest.fail "lossy matmul reported no fault counters"
+  | _ -> Alcotest.fail "lossy matmul reported no fault counters");
+  (* A duplicated cell is evaluated once, and every copy gets its
+     result. *)
+  let calls = Atomic.make 0 in
+  let counted s =
+    Atomic.incr calls;
+    Run_spec.measure s
+  in
+  let cells = [ "matmul"; "serve"; "matmul"; "matmul" ] in
+  let results =
+    Run_spec.campaign ~domains:2 counted
+      (List.map (fun what -> List.assoc what named) cells)
+  in
+  Alcotest.(check int) "one evaluation per distinct cell" 2 (Atomic.get calls);
+  Alcotest.(check (list string)) "each copy gets its cell's result"
+    (List.map (fun what -> text (List.assoc what serial)) cells)
+    (List.map text results);
+  (* Results come back in input order on any number of domains. *)
+  let cells =
+    List.init 7 (fun i -> spec (Bitonic { keys = 8 lsl i }) [| 2; 2 |])
+  in
+  let keys s =
+    match s.Run_spec.app with Run_spec.Bitonic { keys } -> keys | _ -> -1
+  in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "input order on %d domains" domains)
+        (List.map keys cells)
+        (Run_spec.campaign ~domains keys cells))
+    [ 1; 2; 3 ];
+  (* An invalid cell comes back as measure's own rejection. *)
+  let bad = snd (List.hd (invalid ())) in
+  match
+    ( Run_spec.campaign ~domains:2 Run_spec.measure
+        [ List.assoc "matmul" named; bad ],
+      Run_spec.measure bad )
+  with
+  | [ Ok _; Error e ], Error e' -> Alcotest.(check string) "same rejection" e' e
+  | _ -> Alcotest.fail "the invalid cell was not rejected as measure rejects it"
 
 let measure_rejects () =
   List.iter

@@ -7,7 +7,9 @@ module Arrival = Service.Arrival
 module Slo = Service.Slo
 module Spec = Service.Spec
 module Engine = Service.Engine
-module Sweep = Service.Sweep
+module Sweep = Diva_run.Sweep
+module Run_spec = Diva_run.Run_spec
+module Schedule = Diva_faults.Schedule
 module Runner = Diva_harness.Runner
 module Trace = Diva_obs.Trace
 module Dsm = Diva_core.Dsm
@@ -405,12 +407,25 @@ let test_engine_event_stream () =
 (* Saturation sweep                                                     *)
 (* ------------------------------------------------------------------ *)
 
+let serve_run ?(strategy = strategy_4ary) ?(faults = Schedule.empty) spec =
+  { Run_spec.app = Run_spec.Serve { spec; scenario = Spec.Steady }; dims;
+    strategy = Runner.Strategy strategy; seed = spec.Spec.seed; faults }
+
+(* A sweep on the campaign driver, as divasim and bench run it. *)
+let sweep ?strategy ?faults ?(domains = 1) ~rates spec =
+  let cells = Sweep.cells ~rates (serve_run ?strategy ?faults spec) in
+  let measured =
+    List.combine cells
+      (Run_spec.campaign ~domains
+         (fun c -> Result.get_ok (Run_spec.measure c))
+         cells)
+  in
+  Sweep.of_runs (fun c -> List.assoc c measured) cells
+
 let test_sweep_knee () =
   let spec = small_spec () in
   let sw =
-    Sweep.run ~dims ~strategy:strategy_4ary
-      ~rates:[ 8_000.0; 400.0; 800.0 ] (* unsorted on purpose *)
-      spec
+    sweep ~rates:[ 8_000.0; 400.0; 800.0 ] (* unsorted on purpose *) spec
   in
   Alcotest.(check int) "three rows" 3 (List.length sw.Sweep.sv_rows);
   Alcotest.(check (list (float 1e-9))) "rows sorted ascending"
@@ -429,18 +444,80 @@ let test_sweep_knee () =
         < 1e-9))
     sw.Sweep.sv_rows;
   (* All-diverged sweeps report no knee rather than a misleading rate. *)
-  let hopeless =
-    Sweep.run ~dims ~strategy:strategy_4ary ~rates:[ 8_000.0; 16_000.0 ] spec
-  in
+  let hopeless = sweep ~rates:[ 8_000.0; 16_000.0 ] spec in
   Alcotest.(check bool) "no knee when everything diverges" true
     (hopeless.Sweep.sv_knee = None);
-  match Sweep.run ~dims ~strategy:strategy_4ary ~rates:[] spec with
+  match Sweep.cells ~rates:[] (serve_run spec) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty rate list must be rejected"
 
+(* Every row and the knee equal what direct engine runs at each rate
+   give, with and without a fault schedule, on 1 and 2 domains. At
+   400 req/s the 200 ms horizon holds under 1000 requests, so that row's
+   p999 is guarded. *)
+let test_sweep_reference () =
+  let spec = small_spec () and rates = [ 400.0; 800.0; 800.0; 8_000.0 ] in
+  let drop =
+    Schedule.make ~seed:9
+      [ Schedule.Msg_drop { prob = 0.02; w = { t0 = 0.0; t1 = 1e9 } } ]
+  in
+  let reference faults =
+    let rows =
+      List.map
+        (fun rate ->
+          let r =
+            Engine.run
+              ~obs:{ Runner.null_obs with Runner.obs_faults = faults }
+              ~dims ~strategy:strategy_4ary { spec with Spec.rate }
+          in
+          let ratio =
+            if r.Engine.offered_per_s <= 0.0 then 1.0
+            else r.Engine.goodput_per_s /. r.Engine.offered_per_s
+          in
+          { Sweep.sw_rate = rate;
+            sw_offered = r.Engine.offered_per_s;
+            sw_goodput = r.Engine.goodput_per_s;
+            sw_ratio = ratio;
+            sw_p50 = r.Engine.slo.Slo.p50_us;
+            sw_p99 = r.Engine.slo.Slo.p99_us;
+            sw_p999 = r.Engine.slo.Slo.p999_us;
+            sw_qmax = Engine.max_queue_hwm r;
+            sw_makespan = r.Engine.makespan_us;
+            sw_diverged = ratio < Sweep.default_threshold })
+        [ 400.0; 800.0; 8_000.0 ]
+    in
+    let knee =
+      List.fold_left
+        (fun acc r -> if r.Sweep.sw_diverged then acc else Some r.Sweep.sw_rate)
+        None rows
+    in
+    { Sweep.sv_strategy = Dsm.strategy_name strategy_4ary;
+      sv_threshold = Sweep.default_threshold; sv_rows = rows; sv_knee = knee }
+  in
+  List.iter
+    (fun (what, faults) ->
+      let expected = reference faults in
+      Alcotest.(check bool) (what ^ ": p999 guarded at 400 req/s") true
+        ((List.hd expected.Sweep.sv_rows).Sweep.sw_p999 = None);
+      List.iter
+        (fun domains ->
+          let sw = sweep ~faults ~domains ~rates spec in
+          List.iter2
+            (fun (e : Sweep.row) (a : Sweep.row) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, %d domains: row at %.0f req/s" what
+                   domains e.Sweep.sw_rate)
+                true (e = a))
+            expected.Sweep.sv_rows sw.Sweep.sv_rows;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %d domains: the whole sweep" what domains)
+            true (expected = sw))
+        [ 1; 2 ])
+    [ ("no faults", Schedule.empty); ("2% drop", drop) ]
+
 let test_sweep_json () =
   let spec = small_spec () in
-  let sw = Sweep.run ~dims ~strategy:Dsm.Fixed_home ~rates:[ 500.0; 8_000.0 ] spec in
+  let sw = sweep ~strategy:Dsm.Fixed_home ~rates:[ 500.0; 8_000.0 ] spec in
   let doc = Sweep.to_json ~params:(Spec.to_params spec) [ sw ] in
   let open Diva_obs.Json in
   (match doc with
@@ -486,5 +563,7 @@ let suite =
       test_engine_event_stream;
     Alcotest.test_case "sweep knee detection" `Quick test_sweep_knee;
     Alcotest.test_case "sweep json table" `Quick test_sweep_json;
+    Alcotest.test_case "sweep matches direct engine runs" `Quick
+      test_sweep_reference;
     QCheck_alcotest.to_alcotest prop_slo_one_sort;
   ]

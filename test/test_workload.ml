@@ -400,7 +400,11 @@ let test_latency_report () =
   Alcotest.(check bool) "max latency below run time" true
     (l.Latency.max <= r.Generator.measurements.Runner.time);
   Alcotest.(check bool) "throughput positive" true (Latency.ops_per_sec l > 0.0);
-  let fields = Latency.to_fields l in
+  let fields =
+    Diva_run.Run_spec.fields
+      { Diva_run.Run_spec.measurements = r.Generator.measurements;
+        result = Diva_run.Run_spec.Latency l; phases = []; faults = None }
+  in
   Alcotest.(check bool) "fields carry p99" true
     (List.mem_assoc "lat_p99_us" fields)
 
