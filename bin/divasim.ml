@@ -295,6 +295,27 @@ let execute ?analyze out spec =
 let spec app dims strategy seed faults =
   { Run_spec.app; dims; strategy; seed; faults }
 
+(* A [--smoke] runs fixed cells without faults or artifacts: any such flag
+   it would ignore is an error, raised before anything is simulated. *)
+let reject_smoke_flags ~what (out : Run_spec.outputs) faults =
+  let given =
+    [ ("--faults", not (Fault_schedule.is_empty faults));
+      ("--trace", out.trace_file <> None);
+      ("--metrics", out.metrics_file <> None);
+      ("--prom", out.prom_file <> None);
+      ("--manifest", out.manifest_file <> None);
+      ("--events", out.events_file <> None);
+      ("--prof", out.prof_file <> None);
+      ("--flight", out.flight_file <> None);
+      ("--ticker", out.ticker);
+      ("--sample-interval", out.sample_us <> Run_spec.no_outputs.sample_us);
+      ("--heatmap", out.heatmap) ]
+  in
+  match List.find_opt snd given with
+  | Some (flag, _) ->
+      fail (Printf.sprintf "%s --smoke does not take %s" what flag)
+  | None -> ()
+
 (* An event-trace argument ([--offline], [--replay]): existence and header
    (format + version) are validated at argument-parse time; the body
    parses after. *)
@@ -752,6 +773,7 @@ let workload_cmd =
   let run dims strategy vars var_size ops popularity read_ratio locality
       lock_every barrier_every think burst phases replay replay_mode smoke seed
       (out, faults) domains =
+    if smoke then reject_smoke_flags ~what:"workload" out faults;
     note_serial ~what:"workload" domains;
     let w =
       Workload.Spec.make ~num_vars:vars ~var_size ~popularity ~locality
@@ -914,7 +936,7 @@ let chaos_cmd =
     in
     Printf.printf
       "chaos: %d fault schedules x %d strategies (%s) on %s, %d ops/proc, \
-       seed %d%s%s\n"
+       seed %d%s\n"
       cfg.Chaos.schedules
       (List.length cfg.Chaos.strategies)
       (String.concat ", "
@@ -922,8 +944,7 @@ let chaos_cmd =
       (String.concat "x"
          (List.map string_of_int (Array.to_list cfg.Chaos.dims)))
       cfg.Chaos.ops seed
-      (if cfg.Chaos.verify_determinism then " (verified)" else "")
-      (if domains > 1 then Printf.sprintf ", %d domains" domains else "");
+      (if cfg.Chaos.verify_determinism then " (verified)" else "");
     let flight =
       Option.map
         (fun path -> Diva_obs.Flight.create ~dump_on_watchdog:false ~path ())
@@ -1249,6 +1270,7 @@ let serve_cmd =
   let run dims strategy keys value_size clients rate horizon_ms arrival
       scenario zipf read_ratio sweep sweep_out threshold smoke seed
       (out, faults) domains =
+    if smoke then reject_smoke_flags ~what:"serve" out faults;
     let write_sweeps ~params sweeps =
       Option.iter
         (fun path ->

@@ -923,33 +923,3 @@ let validate t (var : Types.var) =
         end
       end
   | _ -> Ok ()  (* never accessed: implicit singleton at the owner *)
-
-(* ------------------------------------------------------------------ *)
-(* STRATEGY instance                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Impl :
-  Strategy.STRATEGY with type t = t and type config = Strategy.tree_config =
-struct
-  type nonrec t = t
-  type config = Strategy.tree_config
-
-  let create = create
-  let sync_deco t = Some t.deco
-  let handle = handle
-  let cached = cached
-  let sole_copy = sole_copy
-  let read = read
-  let write = write
-  let lock = lock
-  let unlock = unlock
-  let ncopies = ncopies
-
-  let copy_holder_places t var =
-    List.sort_uniq compare (List.map (place t var) (copy_holders t var))
-
-  let evictions = evictions
-  let remaps = remaps
-  let retire = retire
-  let validate = validate
-end

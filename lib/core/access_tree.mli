@@ -33,6 +33,17 @@
 
 type t
 
+val create : Diva_simnet.Network.t -> Strategy.tree_config -> t
+(** Build the protocol state, decomposition included, from the config.
+    Installs no network handler: the [Dsm] façade dispatches messages to
+    {!handle}. Two config fields are ablations: [combining = false]
+    forwards a read reaching a busy tree node instead of parking it on the
+    in-flight reply, and [remap_threshold] enables the {e remapping} of the
+    original FOCS'97 strategy, which the paper omits: a tree node that has
+    served that many protocol messages moves to a fresh random processor
+    of its submesh, paying one message to move its state. The [remapping]
+    bench ablation tests the paper's claim that this is not repaid. *)
+
 val handle : t -> Diva_simnet.Network.msg -> bool
 (** Process a protocol message; returns [false] if the payload does not
     belong to this protocol. *)
@@ -94,16 +105,3 @@ val validate : t -> Types.var -> (unit, string) result
     to the component, and no tree node keeps transaction state (waiting
     readers, parked origins, outstanding acks, a pending read). For
     tests. *)
-
-module Impl :
-  Strategy.STRATEGY with type t = t and type config = Strategy.tree_config
-(** The access tree packed as a first-class strategy. [Impl.create] builds
-    the protocol state, decomposition included, from the config; it
-    installs no network handler, the [Dsm] façade dispatches messages to
-    {!handle}. Two config fields are ablations: [combining = false]
-    forwards a read reaching a busy tree node instead of parking it on the
-    in-flight reply, and [remap_threshold] enables the {e remapping} of the
-    original FOCS'97 strategy, which the paper omits: a tree node that has
-    served that many protocol messages moves to a fresh random processor
-    of its submesh, paying one message to move its state. The [remapping]
-    bench ablation tests the paper's claim that this is not repaid. *)

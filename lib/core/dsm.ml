@@ -1,3 +1,4 @@
+module Deco = Diva_mesh.Decomposition
 module Embedding = Diva_mesh.Embedding
 module Network = Diva_simnet.Network
 module Machine = Diva_simnet.Machine
@@ -23,10 +24,12 @@ let adaptive ?(replicate_after = Strategy.adaptive_defaults.Strategy.replicate_a
 
 let strategy_name = Strategy.spec_name
 
+(* The two protocols; every operation below matches on it. *)
+type protocol = Tree of Access_tree.t | Home of Home.t
+
 type t = {
   network : Network.t;
-  inst : Strategy.instance;
-  tree : Access_tree.t option;  (* tree-specific observability hooks *)
+  protocol : protocol;
   sync : Sync.t;
   read_hit_cost : float;
   write_hit_cost : float;
@@ -46,20 +49,30 @@ type 'a var = {
 
 let create network ~strategy ?(read_hit_ops = 10) ?(write_hit_ops = 10) () =
   (* RNG draw order is part of the bit-identity contract with the golden
-     traces: (1) split off the DSM stream, (2) instantiate the strategy
-     (the access tree splits the network stream for its remap RNG),
-     (3) split the sync stream, (4) draw the variable seed. *)
+     traces: (1) split off the DSM stream, (2) create the protocol (the
+     access tree splits the network stream for its remap RNG), (3) split
+     the sync stream, (4) draw the variable seed. Barriers and reductions
+     run on the access tree's own decomposition, or on the four-ary one
+     under a home-based protocol. *)
   let rng = Prng.split (Network.rng network) in
-  let resolved = Registry.instantiate network strategy in
-  let sync =
-    Sync.create network resolved.Registry.sync_deco ~rng:(Prng.split rng) ()
+  let home c =
+    ( Home (Home.create network c),
+      Deco.build (Network.mesh network) ~arity:Deco.Four ~leaf_size:1 )
   in
+  let protocol, sync_deco =
+    match strategy with
+    | Access_tree c ->
+        let at = Access_tree.create network c in
+        (Tree at, Access_tree.deco at)
+    | Fixed_home -> home Home.fixed
+    | Adaptive c -> home c
+  in
+  let sync = Sync.create network sync_deco ~rng:(Prng.split rng) () in
   let machine = Network.machine network in
   let t =
     {
       network;
-      inst = resolved.Registry.inst;
-      tree = resolved.Registry.tree;
+      protocol;
       sync;
       read_hit_cost = float_of_int read_hit_ops *. machine.Machine.int_op_time;
       write_hit_cost = float_of_int write_hit_ops *. machine.Machine.int_op_time;
@@ -72,24 +85,28 @@ let create network ~strategy ?(read_hit_ops = 10) ?(write_hit_ops = 10) () =
     }
   in
   let dispatch =
-    (* Unpack the existential once; the closure is installed on every
-       node, so this match must not sit on the per-message path. The
-       profiler is likewise looked up once — observability is installed
-       before the DSM is created (Runner.install_obs), and attaching a
-       profiler to a network with a live DSM is unsupported — so the
-       unprofiled dispatch path stays exactly as it was. *)
-    let (Strategy.Instance ((module S), s)) = t.inst in
+    (* The closure is installed on every node, so the protocol is matched
+       once, here, not per message. The profiler is likewise looked up
+       once — observability is installed before the DSM is created
+       (Runner.install_obs), and attaching a profiler to a network with a
+       live DSM is unsupported — so the unprofiled dispatch path stays
+       exactly as it was. *)
+    let handle =
+      match protocol with
+      | Tree at -> Access_tree.handle at
+      | Home h -> Home.handle h
+    in
     match Network.prof network with
     | None ->
         fun net msg ->
-          if not (S.handle s msg || Sync.handle t.sync msg) then
+          if not (handle msg || Sync.handle t.sync msg) then
             Network.mailbox_deliver net msg
     | Some p ->
         let module Prof = Diva_obs.Prof in
         fun net msg ->
           (* Refine the attribution for the strategy handler. *)
           Prof.set_sub p Prof.Strategy;
-          let handled = S.handle s msg in
+          let handled = handle msg in
           Prof.set_sub p Prof.Protocol;
           if not (handled || Sync.handle t.sync msg) then
             Network.mailbox_deliver net msg
@@ -190,7 +207,11 @@ let open_txn t =
 
 let read t p var =
   t.n_reads <- t.n_reads + 1;
-  let hit = Strategy.cached t.inst p var.v in
+  let hit =
+    match t.protocol with
+    | Tree at -> Access_tree.cached at p var.v
+    | Home h -> Home.cached h p var.v
+  in
   if hit then begin
     t.n_read_hits <- t.n_read_hits + 1;
     Network.charge t.network p t.read_hit_cost;
@@ -203,7 +224,10 @@ let read t p var =
     let t0 = Network.now t.network in
     let txn = open_txn t in
     let packed =
-      blocking_op t p (fun resume -> Strategy.read t.inst p var.v ~k:resume)
+      blocking_op t p (fun resume ->
+          match t.protocol with
+          | Tree at -> Access_tree.read at p var.v ~k:resume
+          | Home h -> Home.read h p var.v ~k:resume)
     in
     if traced t then
       trace_op t p (Some var.v) Trace.Read ~t0 ~hit:false ~txn
@@ -214,7 +238,11 @@ let read t p var =
 let write t p var x =
   t.n_writes <- t.n_writes + 1;
   let value = var.inj x in
-  let sole = Strategy.sole_copy t.inst p var.v in
+  let sole =
+    match t.protocol with
+    | Tree at -> Access_tree.sole_copy at p var.v
+    | Home h -> Home.sole_copy h p var.v
+  in
   if sole then begin
     t.n_write_hits <- t.n_write_hits + 1;
     Network.charge t.network p t.write_hit_cost;
@@ -226,7 +254,10 @@ let write t p var x =
     Network.flush_charge t.network p;
     let t0 = Network.now t.network in
     let txn = open_txn t in
-    blocking_op t p (fun resume -> Strategy.write t.inst p var.v value ~k:resume);
+    blocking_op t p (fun resume ->
+        match t.protocol with
+        | Tree at -> Access_tree.write at p var.v value ~k:resume
+        | Home h -> Home.write h p var.v value ~k:resume);
     if traced t then
       trace_op t p (Some var.v) Trace.Write ~t0 ~hit:false ~txn
         ~completed_by:(Network.cur_msg t.network)
@@ -236,7 +267,10 @@ let lock t p var =
   Network.flush_charge t.network p;
   let t0 = Network.now t.network in
   let txn = open_txn t in
-  blocking_op t p (fun resume -> Strategy.lock t.inst p var.v ~k:resume);
+  blocking_op t p (fun resume ->
+      match t.protocol with
+      | Tree at -> Access_tree.lock at p var.v ~k:resume
+      | Home h -> Home.lock h p var.v ~k:resume);
   if traced t then
     trace_op t p (Some var.v) Trace.Lock ~t0 ~hit:false ~txn
       ~completed_by:(Network.cur_msg t.network)
@@ -249,7 +283,9 @@ let unlock t p var =
   if traced t then
     trace_op t p (Some var.v) Trace.Unlock ~t0:(Network.now t.network) ~hit:true
       ~txn;
-  Strategy.unlock t.inst p var.v
+  match t.protocol with
+  | Tree at -> Access_tree.unlock at p var.v
+  | Home h -> Home.unlock h p var.v
 
 let barrier t p =
   Network.flush_charge t.network p;
@@ -281,11 +317,40 @@ let writes t = t.n_writes
 let read_hits t = t.n_read_hits
 let write_hits t = t.n_write_hits
 
-let ncopies t var = Strategy.ncopies t.inst var.v
-let evictions t = Strategy.evictions t.inst
-let remaps t = Strategy.remaps t.inst
-let copy_holder_places t var = Strategy.copy_holder_places t.inst var.v
-let access_tree_handle t = t.tree
+let ncopies t var =
+  match t.protocol with
+  | Tree at -> Access_tree.ncopies at var.v
+  | Home h -> Home.ncopies h var.v
+
+let evictions t =
+  match t.protocol with Tree at -> Access_tree.evictions at | Home _ -> 0
+
+let remaps t =
+  match t.protocol with
+  | Tree at -> Access_tree.remaps at
+  | Home h -> Home.remaps h
+
+(* A tree's copy holders are tree nodes; several may sit on one
+   processor. *)
+let copy_holder_places t var =
+  match t.protocol with
+  | Tree at ->
+      List.sort_uniq compare
+        (List.map (Access_tree.place at var.v)
+           (Access_tree.copy_holders at var.v))
+  | Home h -> Home.copy_holders h var.v
+
+let access_tree_handle t =
+  match t.protocol with Tree at -> Some at | Home _ -> None
+
 let typed var = var.v
-let retire_var t var = Strategy.retire t.inst var.v
-let validate_var t var = Strategy.validate t.inst var.v
+
+let retire_var t var =
+  match t.protocol with
+  | Tree at -> Access_tree.retire at var.v
+  | Home h -> Home.retire h var.v
+
+let validate_var t var =
+  match t.protocol with
+  | Tree at -> Access_tree.validate at var.v
+  | Home h -> Home.validate h var.v

@@ -44,7 +44,9 @@ val create :
   unit ->
   t
 (** Builds the data-management layer and installs its message dispatcher on
-    every node of the network. [read_hit_ops] / [write_hit_ops] are the
+    every node of the network. Barriers and reductions run on the access
+    tree's decomposition, or on the four-ary one under a home-based
+    strategy. [read_hit_ops] / [write_hit_ops] are the
     CPU cost (in integer-operation units) of a locally served access
     (default 10 each). *)
 

@@ -372,6 +372,7 @@ let unlock t p var =
   send_ctl t hs ~src:p ~dst:hs.home Hunlock
 
 let ncopies t var = Hashtbl.length (get t var).valid
+let remaps t = t.migrations
 
 (* Copy holders already are mesh processors. *)
 let copy_holders t var =
@@ -410,31 +411,3 @@ let validate t (var : Types.var) =
     | [], Owned_by ow when not (Hashtbl.mem hs.valid ow) ->
         err "%s: owner %d lacks a valid copy" var.Types.name ow
     | [], _ -> Ok ()
-
-(* ------------------------------------------------------------------ *)
-(* STRATEGY instance                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Impl :
-  Strategy.STRATEGY
-    with type t = t
-     and type config = Strategy.adaptive_config = struct
-  type nonrec t = t
-  type config = Strategy.adaptive_config
-
-  let create = create
-  let sync_deco _ = None
-  let handle = handle
-  let cached = cached
-  let sole_copy = sole_copy
-  let read = read
-  let write = write
-  let lock = lock
-  let unlock = unlock
-  let ncopies = ncopies
-  let copy_holder_places = copy_holders
-  let evictions _ = 0
-  let remaps t = t.migrations
-  let retire = retire
-  let validate = validate
-end

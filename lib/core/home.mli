@@ -31,9 +31,45 @@ val fixed : Strategy.adaptive_config
     replicates on the first miss and never migrates, and keeps no
     per-variable streak or tally. *)
 
-module Impl :
-  Strategy.STRATEGY with type t = t and type config = Strategy.adaptive_config
-(** [create] raises [Invalid_argument] if either policy parameter is
-    < 1. [validate] checks, while no transaction is in flight, that the
-    home transaction queue is drained, every valid copy is tracked by the
-    home, and the exclusive owner (if any) holds a valid copy. *)
+val create : Diva_simnet.Network.t -> Strategy.adaptive_config -> t
+(** Build the protocol state for the policy. Installs no network handler:
+    the [Dsm] façade dispatches messages to {!handle}. Raises
+    [Invalid_argument] if either policy parameter is < 1. *)
+
+val handle : t -> Diva_simnet.Network.msg -> bool
+(** Process a protocol message; returns [false] if the payload does not
+    belong to this protocol. *)
+
+val cached : t -> Types.proc -> Types.var -> bool
+(** Does the processor hold a valid copy? (The local-read fast path.) *)
+
+val sole_copy : t -> Types.proc -> Types.var -> bool
+(** Does the processor own the variable, with no home transaction in
+    flight? (The local-write fast path.) *)
+
+val read : t -> Types.proc -> Types.var -> k:(Value.t -> unit) -> unit
+(** Start a read at the home; [k] receives the value. *)
+
+val write : t -> Types.proc -> Types.var -> Value.t -> k:(unit -> unit) -> unit
+(** Start a write transaction at the home; [k] runs at commit. *)
+
+val lock : t -> Types.proc -> Types.var -> k:(unit -> unit) -> unit
+(** Join the home's FIFO lock queue; [k] runs at the grant. *)
+
+val unlock : t -> Types.proc -> Types.var -> unit
+
+val ncopies : t -> Types.var -> int
+
+val copy_holders : t -> Types.var -> Types.proc list
+(** Processors holding a valid copy, sorted. *)
+
+val remaps : t -> int
+(** Home migrations performed so far (0 under {!fixed}). *)
+
+val retire : t -> Types.var -> unit
+(** Drop the variable's home state; see {!Access_tree.retire}. *)
+
+val validate : t -> Types.var -> (unit, string) result
+(** Check, while no transaction is in flight, that the home transaction
+    queue is drained, every valid copy is tracked by the home, and the
+    exclusive owner (if any) holds a valid copy. *)

@@ -1,11 +1,9 @@
 (* The strategy registry: one table mapping canonical names to configured
    {!Strategy.spec}s, so divasim, bench, chaos, serve and analyze all
    resolve contenders uniformly — and so test harnesses (conformance,
-   golden traces, CI smokes) can enumerate every contender without
-   knowing any of them. *)
-
-module Deco = Diva_mesh.Decomposition
-module Network = Diva_simnet.Network
+   golden traces, CI smokes) can enumerate every contender by name. The
+   table holds data only; [Dsm.create] builds the protocol a spec
+   names. *)
 
 type entry = { name : string; spec : Strategy.spec; summary : string }
 
@@ -70,30 +68,3 @@ let find name =
     | n -> n
   in
   Option.map (fun e -> e.spec) (List.find_opt (fun e -> e.name = n) entries)
-
-type resolved = {
-  inst : Strategy.instance;
-  sync_deco : Deco.t;
-  tree : Access_tree.t option;
-      (* kept unpacked for the tree-specific observability hooks *)
-}
-
-let default_deco net = Deco.build (Network.mesh net) ~arity:Deco.Four ~leaf_size:1
-
-let instantiate net (spec : Strategy.spec) =
-  match spec with
-  | Strategy.Access_tree c ->
-      let at = Access_tree.Impl.create net c in
-      {
-        inst = Strategy.Instance ((module Access_tree.Impl), at);
-        sync_deco = Access_tree.deco at;
-        tree = Some at;
-      }
-  | Strategy.Fixed_home | Strategy.Adaptive _ ->
-      let c = match spec with Strategy.Adaptive c -> c | _ -> Home.fixed in
-      let h = Home.Impl.create net c in
-      {
-        inst = Strategy.Instance ((module Home.Impl), h);
-        sync_deco = default_deco net;
-        tree = None;
-      }

@@ -27,16 +27,3 @@ val find : string -> Strategy.spec option
 (** Case-insensitive lookup; ['-'] and ['_'] are interchangeable, and the
     aliases [adaptive], [adaptive-home], [fixedhome], [home] resolve to
     their canonical entries. *)
-
-type resolved = {
-  inst : Strategy.instance;
-  sync_deco : Diva_mesh.Decomposition.t;
-      (** the tree barriers/reductions run on *)
-  tree : Access_tree.t option;
-      (** unpacked handle for tree-specific observability hooks *)
-}
-
-val instantiate : Diva_simnet.Network.t -> Strategy.spec -> resolved
-(** Build the strategy's protocol state. Draws from the network RNG
-    exactly as the pre-registry code did, so seeded runs stay
-    bit-identical. *)

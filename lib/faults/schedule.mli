@@ -83,7 +83,6 @@ val describe : t -> string
 (** One-line human summary, e.g. ["2 slow, 1 down, drop<=0.15, 1 crash"]. *)
 
 val to_json : t -> Diva_obs.Json.t
-val of_json : Diva_obs.Json.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
 val write : string -> t -> unit

@@ -147,10 +147,6 @@ let next_hop t ~from ~target =
   end
   else t.parent.(from)
 
-let neighbours t id =
-  let kids = Array.to_list t.children.(id) in
-  if t.parent.(id) >= 0 then t.parent.(id) :: kids else kids
-
 let strategy_name ~arity ~leaf_size =
   let l = int_of_arity arity in
   if leaf_size <= 1 then Printf.sprintf "%d-ary" l

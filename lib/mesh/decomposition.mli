@@ -50,16 +50,9 @@ val mem : submesh -> int array -> bool
 (** [mem sm coords] tests whether the coordinate vector lies in the
     submesh. *)
 
-val in_subtree : t -> int -> root:int -> bool
-(** [in_subtree t x ~root] tests whether tree node [x] lies in the subtree
-    rooted at [root] (inclusive). *)
-
 val next_hop : t -> from:int -> target:int -> int
 (** The tree neighbour of [from] that lies on the unique tree path from
     [from] to [target]. [from] and [target] must differ. *)
-
-val neighbours : t -> int -> int list
-(** Parent (if any) followed by children. *)
 
 val snake_order : Mesh.t -> Mesh.node array
 (** Processors in left-to-right order of the leaves of the pure 2-ary

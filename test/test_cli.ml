@@ -229,8 +229,9 @@ let strategy_matrix =
         (Diva_core.Registry.names ()))
 
 (* A rejected run is a one-line error and a non-zero exit before anything
-   is simulated, never an uncaught exception. *)
-let rejects ?inputs name args =
+   is simulated, never an uncaught exception; the error names [flag] when
+   one is given. *)
+let rejects ?inputs ?flag name args =
   Alcotest.test_case ("rejects " ^ name) `Quick (fun () ->
       with_run ?inputs args @@ fun o ->
       (* 125 is the uncaught-exception exit; 126/127 the shell's. *)
@@ -247,6 +248,10 @@ let rejects ?inputs name args =
         (contains o.stderr "uncaught exception");
       Alcotest.(check bool) "divasim: message" true
         (String.starts_with ~prefix:"divasim" o.stderr);
+      Option.iter
+        (fun flag ->
+          Alcotest.(check bool) ("names " ^ flag) true (contains o.stderr flag))
+        flag;
       Alcotest.(check string) "nothing simulated" "" o.stdout)
 
 let rejections =
@@ -277,6 +282,14 @@ let rejections =
       [ "analyze"; "--mesh"; "2x2"; "--json"; "no/such/dir/x" ];
     rejects "matmul --events into a missing directory"
       [ "matmul"; "--mesh"; "2x2"; "--events"; "no/such/dir/x" ];
+    rejects ~inputs:faults_in ~flag:"--faults" "workload --smoke --faults"
+      [ "workload"; "--smoke"; "--faults"; "faults.json" ];
+    rejects ~flag:"--manifest" "workload --smoke --manifest"
+      [ "workload"; "--smoke"; "--manifest"; "m.json" ];
+    rejects ~inputs:faults_in ~flag:"--faults" "serve --smoke --faults"
+      [ "serve"; "--smoke"; "--faults"; "faults.json" ];
+    rejects ~flag:"--manifest" "serve --smoke --manifest"
+      [ "serve"; "--smoke"; "--manifest"; "m.json" ];
   ]
 
 let suite = pins @ helps @ [ host_timed; strategy_matrix ] @ rejections

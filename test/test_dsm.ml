@@ -169,6 +169,41 @@ let test_reduce () =
           Alcotest.(check int) (Printf.sprintf "%s: proc %d" name p) 136 x)
         results)
 
+(* Barriers and reductions run on an access tree's own decomposition, and
+   on the four-ary one under the home-based strategies. One barrier and
+   one reduce per processor touch no variable, so the simulated time
+   and the message count depend on that tree alone. *)
+let test_sync_tree () =
+  let run strat =
+    let net, dsm = make_dsm ~rows:4 ~cols:4 strat in
+    let r = Dsm.reducer dsm ~combine:( + ) ~size:8 in
+    run_procs net (fun p ->
+        Dsm.barrier dsm p;
+        ignore (Dsm.reduce dsm p r p));
+    (Network.now net, Network.startups net)
+  in
+  let pinned =
+    [ ("2-ary", Dsm.access_tree ~arity:2 (), 17410.0);
+      ("4-ary", Dsm.access_tree ~arity:4 (), 15145.0);
+      ("16-ary", Dsm.access_tree ~arity:16 (), 31660.0);
+      ("fixed-home", Dsm.Fixed_home, 15145.0);
+      ("adaptive-home", Dsm.adaptive (), 15145.0) ]
+  in
+  let times =
+    List.map
+      (fun (name, strat, time) ->
+        let t, msgs = run strat in
+        Alcotest.(check (float 1e-6)) (name ^ ": simulated time") time t;
+        Alcotest.(check int) (name ^ ": messages") 60 msgs;
+        (name, t))
+      pinned
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " differs from 4-ary") true
+        (List.assoc name times <> List.assoc "4-ary" times))
+    [ "2-ary"; "16-ary" ]
+
 let test_reduce_minmax () =
   for_all_strategies (fun name strat ->
       let net, dsm = make_dsm ~rows:4 ~cols:4 strat in
@@ -295,6 +330,8 @@ let suite =
     Alcotest.test_case "barrier separates rounds" `Quick test_barrier_separates_rounds;
     Alcotest.test_case "reduce sum" `Quick test_reduce;
     Alcotest.test_case "reduce minmax" `Quick test_reduce_minmax;
+    Alcotest.test_case "barrier and reduce tree per strategy" `Quick
+      test_sync_tree;
     Alcotest.test_case "dynamic var creation" `Quick test_dynamic_var_creation;
     Alcotest.test_case "mixed value types" `Quick test_mixed_types;
     Alcotest.test_case "counters" `Quick test_counters;
