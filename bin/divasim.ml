@@ -99,16 +99,19 @@ let int_conv ~ok ~expected =
 
 let pos_int = int_conv ~ok:(fun n -> n >= 1) ~expected:"a positive integer"
 
+let default_mesh = [| 8; 8 |]
+let default_strategy = Runner.Strategy (Dsm.access_tree ~arity:4 ())
+
 let mesh_t =
   Arg.(
     value
-    & opt mesh_conv [| 8; 8 |]
+    & opt mesh_conv default_mesh
     & info [ "mesh" ] ~docv:"RxC" ~doc:"Mesh size (any dimension, e.g. 4x4x4).")
 
 let strategy_t =
   Arg.(
     value
-    & opt strategy_conv (Runner.Strategy (Dsm.access_tree ~arity:4 ()))
+    & opt strategy_conv default_strategy
     & info [ "strategy" ] ~docv:"S" ~doc:"Data management strategy.")
 
 let seed_t =
@@ -296,20 +299,23 @@ let spec app dims strategy seed faults =
   { Run_spec.app; dims; strategy; seed; faults }
 
 (* A [--smoke] runs fixed cells without faults or artifacts: any such flag
-   it would ignore is an error, raised before anything is simulated. *)
-let reject_smoke_flags ~what (out : Run_spec.outputs) faults =
+   it would ignore is an error, raised before anything is simulated.
+   [shaping] pairs each run-shaping flag the smoke fixes with whether it
+   was moved off its default. *)
+let reject_smoke_flags ~what ~shaping (out : Run_spec.outputs) faults =
   let given =
-    [ ("--faults", not (Fault_schedule.is_empty faults));
-      ("--trace", out.trace_file <> None);
-      ("--metrics", out.metrics_file <> None);
-      ("--prom", out.prom_file <> None);
-      ("--manifest", out.manifest_file <> None);
-      ("--events", out.events_file <> None);
-      ("--prof", out.prof_file <> None);
-      ("--flight", out.flight_file <> None);
-      ("--ticker", out.ticker);
-      ("--sample-interval", out.sample_us <> Run_spec.no_outputs.sample_us);
-      ("--heatmap", out.heatmap) ]
+    shaping
+    @ [ ("--faults", not (Fault_schedule.is_empty faults));
+        ("--trace", out.trace_file <> None);
+        ("--metrics", out.metrics_file <> None);
+        ("--prom", out.prom_file <> None);
+        ("--manifest", out.manifest_file <> None);
+        ("--events", out.events_file <> None);
+        ("--prof", out.prof_file <> None);
+        ("--flight", out.flight_file <> None);
+        ("--ticker", out.ticker);
+        ("--sample-interval", out.sample_us <> Run_spec.no_outputs.sample_us);
+        ("--heatmap", out.heatmap) ]
   in
   match List.find_opt snd given with
   | Some (flag, _) ->
@@ -335,7 +341,13 @@ let matmul_cmd =
     Arg.(value & opt int 1024 & info [ "block" ] ~doc:"Integers per block.")
   in
   let compute =
-    Arg.(value & flag & info [ "compute" ] ~doc:"Include block arithmetic.")
+    Arg.(
+      value & flag
+      & info [ "compute" ]
+          ~doc:
+            "Include block arithmetic: draw the input, multiply the blocks \
+             and charge the operations. Without it only the block sizes \
+             travel, and the run holds one shared zero block.")
   in
   let run dims strategy block compute seed (out, faults) domains =
     note_serial ~what:"matmul" domains;
@@ -652,9 +664,10 @@ let workload_cmd =
       value & opt int 64
       & info [ "var-size" ] ~docv:"BYTES" ~doc:"Payload bytes per variable.")
   in
+  let default_ops = 200 and default_phases = 1 in
   let ops =
     Arg.(
-      value & opt int 200
+      value & opt int default_ops
       & info [ "ops" ] ~docv:"N" ~doc:"Data operations per processor.")
   in
   let zipf =
@@ -734,7 +747,7 @@ let workload_cmd =
   in
   let phases =
     Arg.(
-      value & opt int 1
+      value & opt int default_phases
       & info [ "workload-phases" ] ~docv:"N"
           ~doc:"Repeat the load as $(docv) barrier-separated phases.")
   in
@@ -773,7 +786,17 @@ let workload_cmd =
   let run dims strategy vars var_size ops popularity read_ratio locality
       lock_every barrier_every think burst phases replay replay_mode smoke seed
       (out, faults) domains =
-    if smoke then reject_smoke_flags ~what:"workload" out faults;
+    if smoke then
+      reject_smoke_flags ~what:"workload" out faults
+        ~shaping:
+          [ ("--mesh", dims <> default_mesh);
+            ("--strategy", strategy <> default_strategy);
+            ("--ops", ops <> default_ops);
+            ("--think", think <> 0.0);
+            ("--burst", burst <> None);
+            ("--workload-phases", phases <> default_phases);
+            ("--replay", replay <> None);
+            ("--replay-mode", replay_mode <> Workload.Replay.Closed_loop) ];
     note_serial ~what:"workload" domains;
     let w =
       Workload.Spec.make ~num_vars:vars ~var_size ~popularity ~locality
@@ -1142,20 +1165,26 @@ let serve_cmd =
       value & opt int 4096
       & info [ "keys" ] ~docv:"N" ~doc:"Key space size (one variable per key).")
   in
+  let default_value_size = 64
+  and default_clients = 1_000_000
+  and default_rate = 2_000.0
+  and default_horizon_ms = 400.0
+  and default_zipf = 0.9
+  and default_read_ratio = 0.95 in
   let value_size =
     Arg.(
-      value & opt int 64
+      value & opt int default_value_size
       & info [ "value-size" ] ~docv:"BYTES" ~doc:"Payload bytes per key.")
   in
   let clients =
     Arg.(
-      value & opt int 1_000_000
+      value & opt int default_clients
       & info [ "clients" ] ~docv:"N"
           ~doc:"Client population, hashed onto mesh entry nodes.")
   in
   let rate =
     Arg.(
-      value & opt float 2_000.0
+      value & opt float default_rate
       & info [ "rate" ] ~docv:"REQ_PER_S"
           ~doc:
             "Mean offered load in requests per simulated second. For scale: \
@@ -1164,7 +1193,7 @@ let serve_cmd =
   in
   let horizon_ms =
     Arg.(
-      value & opt float 400.0
+      value & opt float default_horizon_ms
       & info [ "horizon-ms" ] ~docv:"MS"
           ~doc:"Arrival horizon in simulated milliseconds; requests stop \
                 arriving after it, but queued ones still drain.")
@@ -1200,13 +1229,13 @@ let serve_cmd =
   in
   let zipf =
     Arg.(
-      value & opt zipf_conv 0.9
+      value & opt zipf_conv default_zipf
       & info [ "zipf" ] ~docv:"S" ~doc:"Steady-phase Zipf exponent.")
   in
   let read_ratio =
     Arg.(
       value
-      & opt (ratio_conv ~what:"read ratio") 0.95
+      & opt (ratio_conv ~what:"read ratio") default_read_ratio
       & info [ "read-ratio" ] ~docv:"R"
           ~doc:"Fraction of requests that are reads, in [0,1].")
   in
@@ -1270,7 +1299,21 @@ let serve_cmd =
   let run dims strategy keys value_size clients rate horizon_ms arrival
       scenario zipf read_ratio sweep sweep_out threshold smoke seed
       (out, faults) domains =
-    if smoke then reject_smoke_flags ~what:"serve" out faults;
+    if smoke then
+      reject_smoke_flags ~what:"serve" out faults
+        ~shaping:
+          [ ("--mesh", dims <> default_mesh);
+            ("--strategy", strategy <> default_strategy);
+            ("--value-size", value_size <> default_value_size);
+            ("--clients", clients <> default_clients);
+            ("--rate", rate <> default_rate);
+            ("--horizon-ms", horizon_ms <> default_horizon_ms);
+            ("--arrival", arrival <> `Poisson);
+            ("--scenario", scenario <> Service.Spec.Steady);
+            ("--zipf", zipf <> default_zipf);
+            ("--read-ratio", read_ratio <> default_read_ratio);
+            ("--sweep", sweep <> None);
+            ("--knee-threshold", threshold <> Sweep.default_threshold) ];
     let write_sweeps ~params sweeps =
       Option.iter
         (fun path ->

@@ -20,6 +20,7 @@ type t = {
   q : int;  (* sqrt P = blocks per row/column *)
   b : int;  (* block side length *)
   vars : block Dsm.var array array;
+  zero : block;  (* without compute, every block's one shared value *)
   mutable reads : int;
 }
 
@@ -56,6 +57,12 @@ let initial_blocks ~q ~block =
           done;
           x))
 
+(* Without compute no code reads a block, only its declared [~size]
+   travels: every block is the one [zero] block and no input is drawn. *)
+let inputs ~q cfg ~zero =
+  if cfg.compute then initial_blocks ~q ~block:cfg.block
+  else Array.make_matrix q q zero
+
 let setup dsm cfg =
   let mesh = Network.mesh (Dsm.net dsm) in
   if Diva_mesh.Mesh.num_dims mesh <> 2
@@ -63,7 +70,8 @@ let setup dsm cfg =
   then invalid_arg "Matmul.setup: requires a square 2-D mesh";
   let q = Diva_mesh.Mesh.rows mesh in
   let b = block_side ~q cfg in
-  let blocks = initial_blocks ~q ~block:cfg.block in
+  let zero = zero_block cfg.block in
+  let blocks = inputs ~q cfg ~zero in
   let vars =
     Array.init q (fun i ->
         Array.init q (fun j ->
@@ -73,7 +81,7 @@ let setup dsm cfg =
               ~owner ~size:(cfg.block * 4)
               blocks.(i).(j)))
   in
-  { dsm; cfg; q; b; vars; reads = 0 }
+  { dsm; cfg; q; b; vars; zero; reads = 0 }
 
 (* H += X * Y for b*b blocks stored row-major. *)
 let block_mult_add ~b h x y =
@@ -92,7 +100,7 @@ let fiber t p =
   let net = Dsm.net dsm in
   let machine = Network.machine net in
   let i = p / t.q and j = p mod t.q in
-  let h = zero_block t.cfg.block in
+  let h = if t.cfg.compute then zero_block t.cfg.block else t.zero in
   (* Read phase: staggered so that at most two processors read the same
      block in the same step. *)
   for k' = 0 to t.q - 1 do
@@ -128,6 +136,9 @@ let is_square ~q cfg result =
   done;
   !ok
 
-let verify t = is_square ~q:t.q t.cfg (fun i j -> Dsm.peek t.vars.(i).(j))
+let verify t =
+  (not t.cfg.compute)
+  || is_square ~q:t.q t.cfg (fun i j -> Dsm.peek t.vars.(i).(j))
+
 let block_var t i j = t.vars.(i).(j)
 let blocks_read t = t.reads

@@ -28,17 +28,20 @@ type t
 
 val setup : Diva_core.Dsm.t -> config -> t
 (** Create the P block variables, each initialised at its owner with a
-    deterministic pseudo-random block. Requires a square mesh, [block] a
-    perfect square, and, with [compute = true], a matrix side of at most
-    219 108; raises [Invalid_argument] before allocating any block
-    otherwise. *)
+    deterministic pseudo-random block, or, without compute, all with one
+    shared zero block that every fiber also writes back: nothing reads a
+    block then, and the DSM moves the declared [~size]. Requires a square
+    mesh, [block] a perfect square, and, with [compute = true], a matrix
+    side of at most 219 108; raises [Invalid_argument] before allocating
+    any block otherwise. *)
 
 val fiber : t -> Diva_core.Types.proc -> unit
 (** The per-processor program (read phase, barrier, write phase, barrier). *)
 
 val verify : t -> bool
-(** After the run (with [compute = true]): does every block equal the
-    corresponding block of the sequentially squared input matrix? *)
+(** After the run: with [compute = true], does every block equal the
+    corresponding block of the sequentially squared input matrix? Without
+    compute, [true]: nothing is computed, so nothing is checked. *)
 
 val block_var : t -> int -> int -> block Diva_core.Dsm.var
 (** [block_var t i j] is the variable holding block [A_ij]. *)
@@ -59,6 +62,10 @@ val zero_block : int -> block
 val initial_blocks : q:int -> block:int -> block array array
 (** The input matrix as [q]×[q] blocks of [block] entries: one fixed-seed
     stream (seed 2027), so every call returns the same matrix. *)
+
+val inputs : q:int -> config -> zero:block -> block array array
+(** The blocks a run starts from: {!initial_blocks} with [compute], and
+    otherwise [q]×[q] references to [zero], drawing nothing. *)
 
 val block_mult_add : b:int -> block -> block -> block -> unit
 (** [block_mult_add ~b h x y] adds the product of two [b]x[b] row-major

@@ -16,8 +16,9 @@ type t = {
   cfg : config;
   q : int;
   b : int;
-  initial : Matmul.block array array;
-  result : Matmul.block array array;  (* written by the fibers *)
+  initial : Matmul.block array array;  (* all one zero block without compute *)
+  result : Matmul.block array array;
+      (* written by the fibers; no rows without compute *)
 }
 
 let setup net cfg =
@@ -26,8 +27,9 @@ let setup net cfg =
     invalid_arg "Matmul_handopt.setup: requires a square 2-D mesh";
   let q = Mesh.rows mesh in
   let b = Matmul.block_side ~q cfg in
-  let initial = Matmul.initial_blocks ~q ~block:cfg.block in
-  { net; cfg; q; b; initial; result = Array.make_matrix q q Bytes.empty }
+  let initial = Matmul.inputs ~q cfg ~zero:(Matmul.zero_block cfg.block) in
+  let result = Array.make_matrix (if cfg.compute then q else 0) q Bytes.empty in
+  { net; cfg; q; b; initial; result }
 
 let msg_size cfg = (cfg.block * 4) + 16
 
@@ -84,6 +86,9 @@ let fiber t p =
     let ops = 2 * t.b * t.b * t.b * q in
     Network.compute net p (float_of_int ops *. machine.Machine.int_op_time)
   end
+
+let blocks t =
+  Array.concat (Array.to_list t.initial @ Array.to_list t.result)
 
 let verify t =
   (not t.cfg.compute)

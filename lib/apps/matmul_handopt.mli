@@ -12,8 +12,15 @@ type config = Matmul.config = { block : int; compute : bool }
 type t
 
 val setup : Diva_simnet.Network.t -> config -> t
-(** Generates the same input as {!Matmul.setup} and raises
-    [Invalid_argument] in the same cases, before allocating any block. *)
+(** Generates the same input as {!Matmul.setup} (none without compute: every
+    block is one shared zero block) and raises [Invalid_argument] in the
+    same cases, before allocating any block. *)
 
 val fiber : t -> Diva_core.Types.proc -> unit
+
 val verify : t -> bool
+(** Without compute, [true]: nothing is computed, so nothing is checked. *)
+
+val blocks : t -> Matmul.block array
+(** Every block the run holds, row-major: the input blocks, then the
+    results of a computing run. Tests measure a run's data with it. *)

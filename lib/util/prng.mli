@@ -4,7 +4,9 @@
     produces the same embeddings, workloads and schedules. We therefore avoid
     the global [Stdlib.Random] state and thread explicit generator values.
     The generator is splitmix64, which is fast, has a 64-bit state, and
-    supports cheap independent sub-streams via {!split}. *)
+    supports cheap independent sub-streams via {!split}. Drawing an [int] or
+    a [bool] allocates nothing; a [float] draw allocates only its boxed
+    result. *)
 
 type t
 
@@ -15,9 +17,6 @@ val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].
     Used to give every variable / experiment its own stream so that adding
     draws in one place does not perturb the others. *)
-
-val copy : t -> t
-(** [copy t] duplicates the current state (same future draws). *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

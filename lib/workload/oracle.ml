@@ -103,8 +103,11 @@ let check_var var l =
     Ok ()
   with Violation msg -> Error msg
 
+(* Variables in ascending id order, so the violation reported first does
+   not depend on hash order. *)
 let check t =
-  Hashtbl.fold
-    (fun var l acc ->
-      match acc with Error _ -> acc | Ok () -> check_var var l)
-    t.vars (Ok ())
+  Hashtbl.fold (fun var l acc -> (var, l) :: acc) t.vars []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.fold_left
+       (fun acc (var, l) -> Result.bind acc (fun () -> check_var var l))
+       (Ok ())

@@ -48,5 +48,6 @@ val ops : t -> int
 (** Number of operations recorded so far (excluding {!init_var}). *)
 
 val check : t -> (unit, string) result
-(** Validate the full recorded history; the error describes the first
-    violation found (variable, operations, intervals). *)
+(** Validate the full recorded history, variable by variable in ascending
+    id order; the error describes the first violation found (variable,
+    operations, intervals). *)

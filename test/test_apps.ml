@@ -76,6 +76,33 @@ let test_matmul_block_footprint () =
     done
   done
 
+(* Without compute no code reads a block, so a run holds one shared zero
+   block: every block value together, less the array listing them, reaches
+   at most one block's words. *)
+let test_matmul_compute_off_holds_no_data () =
+  let cfg = { Matmul.block = 256; compute = false } in
+  let bound = (cfg.Matmul.block / 2) + 2 in
+  let check what values =
+    let words =
+      Obj.reachable_words (Obj.repr values) - (Array.length values + 1)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d words <= %d" what words bound)
+      true (words <= bound)
+  in
+  let net, dsm = make_dsm ~rows:8 ~cols:8 (Dsm.access_tree ~arity:4 ()) in
+  let app = Matmul.setup dsm cfg in
+  run_procs net (fun p -> Matmul.fiber app p);
+  check "matmul"
+    (Array.init 64 (fun p ->
+         Dsm.peek (Matmul.block_var app (p / 8) (p mod 8))));
+  Alcotest.(check bool) "matmul verifies" true (Matmul.verify app);
+  let net = make_net ~rows:8 ~cols:8 () in
+  let app = Matmul_handopt.setup net cfg in
+  run_procs net (fun p -> Matmul_handopt.fiber app p);
+  check "handopt" (Matmul_handopt.blocks app);
+  Alcotest.(check bool) "handopt verifies" true (Matmul_handopt.verify app)
+
 let test_matmul_kernel () =
   let of_list l =
     let x = Bytes.create (4 * List.length l) in
@@ -395,6 +422,8 @@ let suite =
     Alcotest.test_case "matmul congestion optimality" `Quick
       test_matmul_handopt_congestion_optimal;
     Alcotest.test_case "matmul block footprint" `Quick test_matmul_block_footprint;
+    Alcotest.test_case "matmul without compute holds no data" `Quick
+      test_matmul_compute_off_holds_no_data;
     Alcotest.test_case "matmul kernel" `Quick test_matmul_kernel;
     Alcotest.test_case "matmul 32-bit range guard" `Quick test_matmul_range_guard;
     Alcotest.test_case "bitonic all strategies" `Quick test_bitonic_all_strategies;

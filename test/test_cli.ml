@@ -290,6 +290,18 @@ let rejections =
       [ "serve"; "--smoke"; "--faults"; "faults.json" ];
     rejects ~flag:"--manifest" "serve --smoke --manifest"
       [ "serve"; "--smoke"; "--manifest"; "m.json" ];
+    rejects ~flag:"--strategy" "workload --smoke --strategy"
+      [ "workload"; "--smoke"; "--strategy"; "16-ary" ];
+    rejects ~flag:"--mesh" "workload --smoke --mesh"
+      [ "workload"; "--smoke"; "--mesh"; "2x2" ];
+    rejects ~flag:"--ops" "workload --smoke --ops"
+      [ "workload"; "--smoke"; "--ops"; "50" ];
+    rejects ~flag:"--strategy" "serve --smoke --strategy"
+      [ "serve"; "--smoke"; "--strategy"; "16-ary" ];
+    rejects ~flag:"--rate" "serve --smoke --rate"
+      [ "serve"; "--smoke"; "--rate"; "9000" ];
+    rejects ~flag:"--sweep" "serve --smoke --sweep"
+      [ "serve"; "--smoke"; "--sweep"; "500,1000" ];
   ]
 
 let suite = pins @ helps @ [ host_timed; strategy_matrix ] @ rejections

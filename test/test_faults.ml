@@ -243,6 +243,34 @@ let test_oracle_read_inversion () =
   Oracle.record_read o ~var:0 ~proc:1 ~value:v_old ~t0:25.0 ~t1:27.0;
   expect_violation "inverted reads" (Oracle.check o)
 
+(* Two variables each with a read of a never-written value: whichever
+   order they were first recorded in, the check reports the lower id. *)
+let test_oracle_first_violation_lowest_id () =
+  let report ids =
+    let o = Oracle.create () in
+    List.iter
+      (fun var ->
+        Oracle.init_var o ~var ~value:0;
+        Oracle.record_read o ~var ~proc:0 ~value:99 ~t0:0.0 ~t1:1.0)
+      ids;
+    match Oracle.check o with
+    | Error e -> e
+    | Ok () -> Alcotest.fail "oracle accepted reads of never-written values"
+  in
+  List.iter
+    (fun (lo, hi) ->
+      let expect =
+        Printf.sprintf
+          "read of 99 on v%d by p0 in [0.0, 1.0]: value was never written to \
+           this variable"
+          lo
+      in
+      Alcotest.(check string) (Printf.sprintf "v%d first" lo) expect
+        (report [ lo; hi ]);
+      Alcotest.(check string) (Printf.sprintf "v%d second" lo) expect
+        (report [ hi; lo ]))
+    [ (0, 1); (3, 70); (17, 4096); (250, 251) ]
+
 (* An intentionally broken toy protocol: a reader caches the value once
    and never invalidates, while a writer keeps updating. The oracle must
    reject the resulting history. *)
@@ -374,4 +402,6 @@ let suite =
       test_chaos_registry_zoo;
     Alcotest.test_case "schedule rejects out-of-range int" `Quick
       test_schedule_rejects_out_of_range_int;
+    Alcotest.test_case "oracle reports the lowest-id violation" `Quick
+      test_oracle_first_violation_lowest_id;
   ]

@@ -66,6 +66,38 @@ let test_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
 
+(* Known answers: the streams are part of every golden, so the first
+   outputs of each entry point are pinned. *)
+let test_prng_known_answers () =
+  let a = Prng.create ~seed:17 in
+  Alcotest.(check (list int64)) "create ~seed:17"
+    [ 3676530691901710540L; -349246886236428807L; 7999293385397306638L ]
+    (List.init 3 (fun _ -> Prng.bits64 a));
+  let a = Prng.create ~seed:17 in
+  let c = Prng.split a in
+  Alcotest.(check int64) "split child" 76815928076556714L (Prng.bits64 c);
+  Alcotest.(check int64) "split parent" (-349246886236428807L) (Prng.bits64 a);
+  let a = Prng.create ~seed:17 in
+  Alcotest.(check (list int)) "int" [ 635; 702; 659; 123; 939 ]
+    (List.init 5 (fun _ -> Prng.int a 1000));
+  let a = Prng.create ~seed:17 in
+  Alcotest.(check (list (float 0.0))) "float"
+    [ 0x1.982d497b44fbp-3; 0x1.f64e739d5deecp-1; 0x1.bc0ccbcecaf4p-2 ]
+    (List.init 3 (fun _ -> Prng.float a 1.0));
+  Alcotest.(check int64) "hash2" (-3507465477338358395L) (Prng.hash2 42L 7);
+  Alcotest.(check int) "hash2_int" 305 (Prng.hash2_int 42L 7 ~bound:1000)
+
+let test_prng_alloc_free () =
+  let a = Prng.create ~seed:17 in
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sum := !sum + Prng.int a 100
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !sum);
+  Alcotest.(check (float 0.0)) "minor words for 10 000 draws" 0.0 words
+
 let test_heap_ordering () =
   let h = Heap.create () in
   let rng = Prng.create ~seed:11 in
@@ -435,6 +467,8 @@ let suite =
     Alcotest.test_case "hash2 deterministic" `Quick test_hash2_deterministic;
     Alcotest.test_case "hash2 int range" `Quick test_hash2_int_range;
     Alcotest.test_case "shuffle is permutation" `Quick test_shuffle_permutation;
+    Alcotest.test_case "prng known answers" `Quick test_prng_known_answers;
+    Alcotest.test_case "prng draws allocate nothing" `Quick test_prng_alloc_free;
     Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
     Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
     Alcotest.test_case "heap interleaved" `Quick test_heap_interleaved;
