@@ -32,12 +32,21 @@ let phase_name = function
 
 let phases = [| Build; Com; Partition; Force; Advance; Space |]
 
+type counts = {
+  startups : int;
+  reads : int;
+  read_hits : int;
+  evictions : int;
+  events : int;
+}
+
 type interval = {
   i_step : int;
   i_phase : phase;
   i_time : float;
   i_traffic : Link_stats.snapshot;
   i_compute : float array;
+  i_counts : counts;
 }
 
 (* Global-variable contents. *)
@@ -58,7 +67,12 @@ and child = Nil | B of body Dsm.var | C of cell Dsm.var
 let body_bytes = 64
 let cell_bytes = 96
 
-type mark = { m_time : float; m_snap : Link_stats.snapshot; m_compute : float array }
+type mark = {
+  m_time : float;
+  m_snap : Link_stats.snapshot;
+  m_compute : float array;
+  m_counts : counts;
+}
 
 type t = {
   dsm : Dsm.t;
@@ -69,7 +83,6 @@ type t = {
   initial : (float * Vec.t * Vec.t) array;
   bbox_reducer : (Vec.t * Vec.t) Dsm.reducer;
   mutable marks : mark list;  (* newest first, recorded by proc 0 *)
-  mutable n_cells : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -126,7 +139,7 @@ let setup dsm cfg =
       ~size:48
   in
   { dsm; cfg; bodies; root_ref; init_space; initial; bbox_reducer;
-    marks = []; n_cells = 0 }
+    marks = [] }
 
 (* ------------------------------------------------------------------ *)
 (* The per-processor program                                            *)
@@ -142,7 +155,13 @@ let mark t p =
     t.marks <-
       { m_time = Network.now net;
         m_snap = Link_stats.snapshot (Network.stats net);
-        m_compute = Network.compute_times net }
+        m_compute = Network.compute_times net;
+        m_counts =
+          { startups = Network.startups net;
+            reads = Dsm.reads t.dsm;
+            read_hits = Dsm.read_hits t.dsm;
+            evictions = Dsm.evictions t.dsm;
+            events = Diva_simnet.Sim.events_executed (Network.sim net) } }
       :: t.marks
   end
 
@@ -169,7 +188,6 @@ let fiber t p =
     let c = match children with None -> c | Some kids -> { c with children = kids } in
     let v = Dsm.create_var dsm ~owner:p ~size:cell_bytes c in
     cur_cells := (v, depth) :: !cur_cells;
-    t.n_cells <- t.n_cells + 1;
     v
   in
   mark t p;
@@ -394,13 +412,18 @@ let intervals t =
             i_traffic = Link_stats.diff ~base:a.m_snap b.m_snap;
             i_compute =
               Array.mapi (fun i v -> v -. a.m_compute.(i)) b.m_compute;
+            i_counts =
+              (let a = a.m_counts and b = b.m_counts in
+               { startups = b.startups - a.startups;
+                 reads = b.reads - a.reads;
+                 read_hits = b.read_hits - a.read_hits;
+                 evictions = b.evictions - a.evictions;
+                 events = b.events - a.events });
           }
           :: !acc
       done
   done;
   List.rev !acc
-
-let cells_created t = t.n_cells
 
 let final_bodies t =
   Array.map

@@ -35,6 +35,15 @@ type phase = Build | Com | Partition | Force | Advance | Space
 
 val phase_name : phase -> string
 
+(** Run counters taken between two measurement marks. *)
+type counts = {
+  startups : int;  (** message startups *)
+  reads : int;  (** DSM reads *)
+  read_hits : int;  (** DSM reads served by a local copy *)
+  evictions : int;  (** capacity evictions *)
+  events : int;  (** simulation events executed *)
+}
+
 (** Per-phase measurement of one step (recorded at barrier boundaries). *)
 type interval = {
   i_step : int;
@@ -42,6 +51,7 @@ type interval = {
   i_time : float;  (** simulated duration of the phase *)
   i_traffic : Diva_simnet.Link_stats.snapshot;  (** per-link traffic *)
   i_compute : float array;  (** per-processor computation time *)
+  i_counts : counts;
 }
 
 type t
@@ -52,8 +62,6 @@ val fiber : t -> Diva_core.Types.proc -> unit
 val intervals : t -> interval list
 (** All recorded phase intervals of the measured (non-warmup) steps. *)
 
-val cells_created : t -> int
-
 val final_bodies : t -> (float * Vec.t * Vec.t) array
 (** (mass, position, velocity) of every body after the run. *)
 
@@ -62,4 +70,5 @@ val generate : config -> (float * Vec.t * Vec.t) array
 
 val reference : config -> (float * Vec.t * Vec.t) array
 (** Sequential O(N^2) integration with exact pairwise forces and the same
-    integrator — the ground truth the simulated run is tested against. *)
+    integrator — the ground truth the simulated run is tested against.
+    Test-only: the oracle of the Barnes-Hut accuracy tests. *)

@@ -10,4 +10,8 @@ type t
 
 val setup : Diva_simnet.Network.t -> config -> t
 val fiber : t -> Diva_core.Types.proc -> unit
+
 val verify : t -> bool
+(** Is the concatenation over wires 0..P-1 sorted and a permutation of the
+    input? Test-only: tests check the baseline sorts what {!Bitonic}
+    does. *)

@@ -44,7 +44,8 @@ val verify : t -> bool
     compute, [true]: nothing is computed, so nothing is checked. *)
 
 val block_var : t -> int -> int -> block Diva_core.Dsm.var
-(** [block_var t i j] is the variable holding block [A_ij]. *)
+(** [block_var t i j] is the variable holding block [A_ij]. Test-only:
+    tests measure the block values a run holds through it. *)
 
 val blocks_read : t -> int
 (** Total block reads issued (sanity statistics). *)
@@ -59,13 +60,11 @@ val block_side : q:int -> config -> int
 val zero_block : int -> block
 (** [zero_block n] is a block of [n] zero entries. *)
 
-val initial_blocks : q:int -> block:int -> block array array
-(** The input matrix as [q]×[q] blocks of [block] entries: one fixed-seed
-    stream (seed 2027), so every call returns the same matrix. *)
-
 val inputs : q:int -> config -> zero:block -> block array array
-(** The blocks a run starts from: {!initial_blocks} with [compute], and
-    otherwise [q]×[q] references to [zero], drawing nothing. *)
+(** The blocks a run starts from: with [compute], the input matrix as
+    [q]×[q] blocks of [cfg.block] entries from one fixed-seed stream
+    (seed 2027), so every call returns the same matrix; otherwise [q]×[q]
+    references to [zero], drawing nothing. *)
 
 val block_mult_add : b:int -> block -> block -> block -> unit
 (** [block_mult_add ~b h x y] adds the product of two [b]x[b] row-major

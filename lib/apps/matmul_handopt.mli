@@ -19,8 +19,10 @@ val setup : Diva_simnet.Network.t -> config -> t
 val fiber : t -> Diva_core.Types.proc -> unit
 
 val verify : t -> bool
-(** Without compute, [true]: nothing is computed, so nothing is checked. *)
+(** Without compute, [true]: nothing is computed, so nothing is checked.
+    Test-only: tests check the baseline computes what {!Matmul} does. *)
 
 val blocks : t -> Matmul.block array
 (** Every block the run holds, row-major: the input blocks, then the
-    results of a computing run. Tests measure a run's data with it. *)
+    results of a computing run. Test-only: tests measure a run's data
+    with it. *)

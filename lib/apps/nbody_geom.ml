@@ -15,11 +15,6 @@ let child_centre centre half o =
        (if o land 2 <> 0 then q else -.q)
        (if o land 4 <> 0 then q else -.q))
 
-let in_cube ~centre ~half (p : Vec.t) =
-  Float.abs (p.Vec.x -. centre.Vec.x) <= half
-  && Float.abs (p.Vec.y -. centre.Vec.y) <= half
-  && Float.abs (p.Vec.z -. centre.Vec.z) <= half
-
 let bounding_cube positions =
   let lo =
     Array.fold_left Vec.min_pointwise (Vec.make infinity infinity infinity)

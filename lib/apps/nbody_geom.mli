@@ -11,8 +11,6 @@ val child_centre : Vec.t -> float -> int -> Vec.t
 (** [child_centre centre half o] is the centre of octant [o] of a cube of
     half-side [half] centred at [centre]. *)
 
-val in_cube : centre:Vec.t -> half:float -> Vec.t -> bool
-
 val bounding_cube : Vec.t array -> Vec.t * float
 (** Smallest (slightly padded) cube containing all points: (centre,
     half side). *)

@@ -7,7 +7,6 @@ val make : float -> float -> float -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t
-val dot : t -> t -> float
 val norm : t -> float
 val norm2 : t -> float
 val min_pointwise : t -> t -> t

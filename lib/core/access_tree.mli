@@ -91,7 +91,8 @@ val remaps : t -> int
 
 val states : t -> int
 (** Number of (variable, tree node) states currently materialised, over
-    all variables; {!retire} releases a variable's. For memory checks. *)
+    all variables; {!retire} releases a variable's. Test-only: the memory
+    tests bound the states a run leaves behind. *)
 
 val retire : t -> Types.var -> unit
 (** Drop all protocol state of a variable that will never be accessed

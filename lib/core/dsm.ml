@@ -13,14 +13,10 @@ type strategy = Strategy.spec =
   | Adaptive of Strategy.adaptive_config
 
 let access_tree ?(leaf_size = 1) ?(embedding = Embedding.Regular) ?capacity
-    ?(combining = true) ?remap_threshold ?(eviction = Strategy.Lru) ~arity () =
+    ?(combining = true) ?remap_threshold ~arity () =
   Access_tree
     { Strategy.arity; leaf_size; embedding; capacity; combining;
-      remap_threshold; eviction }
-
-let adaptive ?(replicate_after = Strategy.adaptive_defaults.Strategy.replicate_after)
-    ?(migrate_after = Strategy.adaptive_defaults.Strategy.migrate_after) () =
-  Adaptive { Strategy.replicate_after; migrate_after }
+      remap_threshold; eviction = Strategy.Lru }
 
 let strategy_name = Strategy.spec_name
 
@@ -31,8 +27,7 @@ type t = {
   network : Network.t;
   protocol : protocol;
   sync : Sync.t;
-  read_hit_cost : float;
-  write_hit_cost : float;
+  hit_cost : float;  (* CPU time of a locally served read or write *)
   mutable next_var_id : int;
   var_seed : int64;
   mutable n_reads : int;
@@ -47,7 +42,10 @@ type 'a var = {
   proj : Value.t -> 'a;
 }
 
-let create network ~strategy ?(read_hit_ops = 10) ?(write_hit_ops = 10) () =
+(* CPU cost of a locally served access, in integer-operation units. *)
+let hit_ops = 10
+
+let create network ~strategy () =
   (* RNG draw order is part of the bit-identity contract with the golden
      traces: (1) split off the DSM stream, (2) create the protocol (the
      access tree splits the network stream for its remap RNG), (3) split
@@ -74,8 +72,7 @@ let create network ~strategy ?(read_hit_ops = 10) ?(write_hit_ops = 10) () =
       network;
       protocol;
       sync;
-      read_hit_cost = float_of_int read_hit_ops *. machine.Machine.int_op_time;
-      write_hit_cost = float_of_int write_hit_ops *. machine.Machine.int_op_time;
+      hit_cost = float_of_int hit_ops *. machine.Machine.int_op_time;
       next_var_id = 0;
       var_seed = Prng.bits64 rng;
       n_reads = 0;
@@ -214,7 +211,7 @@ let read t p var =
   in
   if hit then begin
     t.n_read_hits <- t.n_read_hits + 1;
-    Network.charge t.network p t.read_hit_cost;
+    Network.charge t.network p t.hit_cost;
     if traced t then
       trace_op t p (Some var.v) Trace.Read ~t0:(Network.now t.network) ~hit:true;
     var.proj var.v.Types.value
@@ -245,7 +242,7 @@ let write t p var x =
   in
   if sole then begin
     t.n_write_hits <- t.n_write_hits + 1;
-    Network.charge t.network p t.write_hit_cost;
+    Network.charge t.network p t.hit_cost;
     if traced t then
       trace_op t p (Some var.v) Trace.Write ~t0:(Network.now t.network) ~hit:true;
     var.v.Types.value <- value
@@ -276,7 +273,7 @@ let lock t p var =
       ~completed_by:(Network.cur_msg t.network)
 
 let unlock t p var =
-  Network.charge t.network p t.write_hit_cost;
+  Network.charge t.network p t.hit_cost;
   (* Non-blocking, but the release messages it triggers (token hand-off,
      next-grant) deserve their own causal id. *)
   let txn = open_txn t in
@@ -311,7 +308,6 @@ let reduce t p r x =
   y
 
 let peek var = var.proj var.v.Types.value
-let var_name var = var.v.Types.name
 let reads t = t.n_reads
 let writes t = t.n_writes
 let read_hits t = t.n_read_hits

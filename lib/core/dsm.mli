@@ -20,35 +20,24 @@ val access_tree :
   ?capacity:int ->
   ?combining:bool ->
   ?remap_threshold:int ->
-  ?eviction:Strategy.eviction ->
   arity:int ->
   unit ->
   strategy
 (** Convenience constructor with the paper's defaults (leaf size 1, regular
-    embedding, unbounded memory, combining on, LRU eviction). *)
-
-val adaptive : ?replicate_after:int -> ?migrate_after:int -> unit -> strategy
-(** Frequency-adaptive replication with home migration; defaults from
-    {!Strategy.adaptive_defaults}. *)
+    embedding, unbounded memory, combining on) and LRU eviction; the
+    registry's [capacity_freq] spells out frequency eviction. *)
 
 val strategy_name : strategy -> string
 (** "2-ary", "4-16-ary", "fixed home", "4-ary+cap64k", ... *)
 
 type t
 
-val create :
-  Diva_simnet.Network.t ->
-  strategy:strategy ->
-  ?read_hit_ops:int ->
-  ?write_hit_ops:int ->
-  unit ->
-  t
+val create : Diva_simnet.Network.t -> strategy:strategy -> unit -> t
 (** Builds the data-management layer and installs its message dispatcher on
     every node of the network. Barriers and reductions run on the access
     tree's decomposition, or on the four-ary one under a home-based
-    strategy. [read_hit_ops] / [write_hit_ops] are the
-    CPU cost (in integer-operation units) of a locally served access
-    (default 10 each). *)
+    strategy. A locally served read or write costs the CPU 10
+    integer operations. *)
 
 val net : t -> Diva_simnet.Network.t
 val num_procs : t -> int
@@ -85,29 +74,38 @@ val peek : 'a var -> 'a
 (** Current globally consistent value, outside the simulation (tests,
     result verification). *)
 
-val var_name : 'a var -> string
-
 (** {2 Counters} *)
 
 val reads : t -> int
 val writes : t -> int
 val read_hits : t -> int
-val write_hits : t -> int
 
-val ncopies : t -> 'a var -> int
+val write_hits : t -> int
+(** Test-only: tests check which writes the protocol served locally. *)
+
 val evictions : t -> int
 (** Capacity evictions (always 0 for the home strategies). *)
 
 val remaps : t -> int
-(** Tree-node remappings / home migrations (0 unless enabled). *)
+(** Tree-node remappings / home migrations (0 unless enabled). Test-only:
+    tests check that remapping and migration fire. *)
 
-(** {2 Testing hooks} *)
+(** {2 Testing hooks}
+
+    Protocol state no run report exposes, read by the invariant and
+    conformance tests. *)
+
+val ncopies : t -> 'a var -> int
+(** Copies of the variable currently held. Test-only: see above. *)
 
 val copy_holder_places : t -> 'a var -> Types.proc list
 (** Processors currently holding a copy (tree-node placements for the
-    access tree strategy). *)
+    access tree strategy). Test-only: see above. *)
 
 val access_tree_handle : t -> Access_tree.t option
+(** The access-tree protocol's state, if that is the strategy. Test-only:
+    see above. *)
+
 val typed : 'a var -> Types.var
 (** Underlying untyped variable record (tests only). *)
 
@@ -118,4 +116,5 @@ val retire_var : t -> 'a var -> unit
 
 val validate_var : t -> 'a var -> (unit, string) result
 (** Structural invariant check of the strategy's state for this variable,
-    meaningful while no transaction is in flight (post-barrier). *)
+    meaningful while no transaction is in flight (post-barrier).
+    Test-only: the invariant the chaos and conformance tests check. *)

@@ -26,7 +26,8 @@ val layout : tree_nodes:int -> max_children:int -> extra:int -> layout
     word when they fit. *)
 
 val stride : layout -> int
-(** Words per slot: the edge words plus [extra]. *)
+(** Words per slot: the edge words plus [extra]. Test-only: tests check
+    how many words a slot of each arity takes. *)
 
 val check_fits : tree_nodes:int -> mesh_nodes:int -> unit
 (** Raise [Invalid_argument], naming the limit, if the tree-node count
@@ -83,6 +84,8 @@ val edge : t -> int -> int -> int
 (** [edge t slot i] is the [i]-th newest edge, [0 <= i < edge_count]. *)
 
 val edges : t -> int -> int list
+(** The slot's edge codes, newest first. Test-only: the model test
+    compares whole edge lists. *)
 
 val add_edge : t -> int -> int -> unit
 (** Put a code in front, unless it is already listed. *)

@@ -5,57 +5,40 @@
    table holds data only; [Dsm.create] builds the protocol a spec
    names. *)
 
-type entry = { name : string; spec : Strategy.spec; summary : string }
-
 (* 64 KiB per processor: small enough that the paper's applications
    actually pressure the eviction path, large enough that the protocol
    keeps working sets resident. *)
 let default_capacity = 65536
 
-let entries =
+(* Every contender in presentation order: its canonical name, [a-z_] and
+   accepted by [--strategy], and its spec. *)
+let table =
   [
-    {
-      name = "access_tree";
-      spec = Strategy.Access_tree Strategy.tree_defaults;
-      summary = "the paper's 4-ary access tree (FOCS'97), unbounded memory";
-    };
-    {
-      name = "fixed_home";
-      spec = Strategy.Fixed_home;
-      summary = "CC-NUMA-style fixed random home with ownership";
-    };
-    {
-      name = "adaptive_repl";
-      spec = Strategy.Adaptive Strategy.adaptive_defaults;
-      summary =
-        "frequency-adaptive replication with home migration (data grids)";
-    };
-    {
-      name = "capacity_lru";
-      spec =
-        Strategy.Access_tree
-          { Strategy.tree_defaults with capacity = Some default_capacity };
-      summary = "access tree under a 64 KiB/node memory bound, LRU eviction";
-    };
-    {
-      name = "capacity_freq";
-      spec =
-        Strategy.Access_tree
-          {
-            Strategy.tree_defaults with
-            capacity = Some default_capacity;
-            eviction = Strategy.Freq;
-          };
-      summary =
-        "access tree under a 64 KiB/node memory bound, frequency eviction";
-    };
+    (* the paper's 4-ary access tree (FOCS'97), unbounded memory *)
+    ("access_tree", Strategy.Access_tree Strategy.tree_defaults);
+    (* CC-NUMA-style fixed random home with ownership *)
+    ("fixed_home", Strategy.Fixed_home);
+    (* frequency-adaptive replication with home migration (data grids) *)
+    ("adaptive_repl", Strategy.Adaptive Strategy.adaptive_defaults);
+    (* access tree under a 64 KiB/node memory bound, LRU eviction *)
+    ( "capacity_lru",
+      Strategy.Access_tree
+        { Strategy.tree_defaults with capacity = Some default_capacity } );
+    (* access tree under a 64 KiB/node memory bound, frequency eviction *)
+    ( "capacity_freq",
+      Strategy.Access_tree
+        {
+          Strategy.tree_defaults with
+          capacity = Some default_capacity;
+          eviction = Strategy.Freq;
+        } );
   ]
 
-let names () = List.map (fun e -> e.name) entries
+let names () = List.map fst table
 
 let zoo () =
   List.filter (fun n -> n <> "access_tree" && n <> "fixed_home") (names ())
-let contenders () = List.map (fun e -> (e.name, e.spec)) entries
+let contenders () = table
 
 let normalize s =
   String.map (function '-' -> '_' | c -> Char.lowercase_ascii c) s
@@ -67,4 +50,4 @@ let find name =
     | "fixedhome" | "home" -> "fixed_home"
     | n -> n
   in
-  Option.map (fun e -> e.spec) (List.find_opt (fun e -> e.name = n) entries)
+  List.assoc_opt n table

@@ -6,18 +6,13 @@
     automatically enrolls it in the qcheck conformance suite, the chaos
     oracle campaign, and the CI strategy-matrix smoke. *)
 
-type entry = {
-  name : string;  (** canonical name, [a-z_] — accepted by [--strategy] *)
-  spec : Strategy.spec;
-  summary : string;  (** one line for [--help] and docs *)
-}
-
-val entries : entry list
-(** Every registered contender, in presentation order: [access_tree],
-    [fixed_home], [adaptive_repl], [capacity_lru], [capacity_freq]. *)
-
 val names : unit -> string list
+(** Every registered contender's canonical name ([a-z_], accepted by
+    [--strategy]), in presentation order: [access_tree], [fixed_home],
+    [adaptive_repl], [capacity_lru], [capacity_freq]. *)
+
 val contenders : unit -> (string * Strategy.spec) list
+(** {!names} with their specs. *)
 
 val zoo : unit -> string list
 (** {!names} without the paper's pair ([access_tree], [fixed_home]): the

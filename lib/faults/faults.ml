@@ -36,7 +36,6 @@ let create sched =
     on_dsm_reissue = None;
   }
 
-let schedule t = t.sched
 let active t = not (Schedule.is_empty t.sched)
 let rto t = t.sched.Schedule.rto_us
 let patience t = t.sched.Schedule.patience_us
@@ -123,7 +122,6 @@ let lost_link_down t = t.lost_link_down
 let lost_crashed t = t.lost_crashed
 let lost_total t = t.lost_random + t.lost_link_down + t.lost_crashed
 let retransmits t = t.retransmits
-let enveloped t = t.enveloped
 let dsm_reissues t = t.dsm_reissues
 
 let report_fields t =

@@ -14,8 +14,6 @@ type t
 val create : Schedule.t -> t
 (** Raises [Invalid_argument] if the schedule fails {!Schedule.validate}. *)
 
-val schedule : t -> Schedule.t
-
 val active : t -> bool
 (** [false] for an empty schedule: installing one must change nothing. *)
 
@@ -74,7 +72,6 @@ val lost_link_down : t -> int
 val lost_crashed : t -> int
 val lost_total : t -> int
 val retransmits : t -> int
-val enveloped : t -> int
 val dsm_reissues : t -> int
 
 val report_fields : t -> (string * Diva_obs.Json.t) list

@@ -79,7 +79,8 @@ let validate t =
 (* Seeded generation                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let generate ~seed ~num_nodes ~num_links ?(horizon = 30_000.0) () =
+let generate ~seed ~num_nodes ~num_links () =
+  let horizon = 30_000.0 in
   let rng = Prng.create ~seed in
   let window max_len =
     let len = Prng.float rng max_len in
@@ -170,8 +171,6 @@ let to_json t =
       ("events", Json.List (List.map json_of_event t.events));
     ]
 
-let to_string t = Json.to_string (to_json t)
-
 let event_of_json j =
   let ( let* ) r f = Result.bind r f in
   let field name conv what =
@@ -258,17 +257,7 @@ let of_json j =
   let* () = validate t in
   Ok t
 
-let of_string s = Result.bind (Json.of_string s) of_json
-
-let write path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string t);
-      output_char oc '\n')
-
 let read path =
   match In_channel.with_open_text path In_channel.input_all with
-  | s -> of_string s
+  | s -> Result.bind (Json.of_string s) of_json
   | exception Sys_error e -> Error e

@@ -52,15 +52,14 @@ type t = {
   events : event list;
 }
 
-val current_version : int
-
 val make :
   ?seed:int -> ?rto_us:float -> ?patience_us:float -> event list -> t
 (** Defaults: [seed 1], [rto_us 20000.], [patience_us 100000.]. Both
     timeouts must comfortably exceed the machine's per-message overheads
     (500 us each side on the default machine) and typical congested
     latencies, or spurious retransmissions feed the congestion they are
-    reacting to. *)
+    reacting to. Test-only: tests build exact schedules in code; programs
+    {!read} or {!generate} theirs. *)
 
 val empty : t
 (** The no-fault schedule; installing it changes nothing. *)
@@ -71,19 +70,17 @@ val validate : t -> (unit, string) result
 (** Finite non-negative windows with [t0 <= t1], factors >= 1, drop
     probabilities in [0,1], node ids >= 0, positive timeouts. *)
 
-val generate :
-  seed:int -> num_nodes:int -> num_links:int -> ?horizon:float -> unit -> t
+val generate : seed:int -> num_nodes:int -> num_links:int -> unit -> t
 (** A randomized but fully seed-determined chaos schedule scaled to the
     given mesh: a few link slowdowns, 0-2 transient outages, one
     probabilistic-loss window, 0-2 node pauses and at most one crash-stop
-    window, all inside [\[0, horizon)] (default 30000 us, i.e. 30 sim-ms).
+    window, all inside the first 30000 us (30 sim-ms).
     The generated schedule always passes {!validate} and is never empty. *)
 
 val describe : t -> string
 (** One-line human summary, e.g. ["2 slow, 1 down, drop<=0.15, 1 crash"]. *)
 
 val to_json : t -> Diva_obs.Json.t
-val to_string : t -> string
-val of_string : string -> (t, string) result
-val write : string -> t -> unit
+
 val read : string -> (t, string) result
+(** Parse the schedule file at a path: a JSON document as above. *)

@@ -45,7 +45,7 @@ let direction metric =
    tails jitter more than means under scheduling changes. *)
 let default_tolerance = 0.10
 
-let default_tolerances =
+let tolerances =
   [
     ("time_us", 0.10);
     ("max_compute_us", 0.10);
@@ -86,7 +86,7 @@ let number = function
   | Json.Float f -> Some f
   | _ -> None
 
-let compare_docs ?(tolerances = default_tolerances) ~baseline ~current () =
+let compare_docs ~baseline ~current () =
   let verdicts = ref [] in
   let push v = verdicts := v :: !verdicts in
   let tol metric =

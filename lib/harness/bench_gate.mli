@@ -16,7 +16,6 @@ type status = Pass | Regressed | Improved | Missing | Extra | Mismatch
 type verdict = { v_path : string; v_status : status; v_detail : string }
 
 val compare_docs :
-  ?tolerances:(string * float) list ->
   baseline:Diva_obs.Json.t ->
   current:Diva_obs.Json.t ->
   unit ->

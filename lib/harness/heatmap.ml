@@ -2,15 +2,6 @@ module Network = Diva_simnet.Network
 module Link_stats = Diva_simnet.Link_stats
 module Mesh = Diva_mesh.Mesh
 
-type mode = Bytes | Msgs
-
-let mode_name = function Bytes -> "bytes" | Msgs -> "msgs"
-
-let per_link ~mode net =
-  match mode with
-  | Bytes -> Link_stats.per_link_bytes (Network.stats net)
-  | Msgs -> Link_stats.per_link_msgs (Network.stats net)
-
 let nodes_of_link_values mesh link_values =
   let traffic = Array.make (Mesh.num_nodes mesh) 0.0 in
   List.iter
@@ -22,21 +13,9 @@ let nodes_of_link_values mesh link_values =
     link_values;
   traffic
 
-let node_traffic ?(mode = Bytes) net =
-  let mesh = Network.mesh net in
-  let per = per_link ~mode net in
-  let traffic = Array.make (Mesh.num_nodes mesh) 0 in
-  Array.iteri
-    (fun l v ->
-      if v > 0 then begin
-        let src, _ = Mesh.link_endpoints mesh l in
-        traffic.(src) <- traffic.(src) + v
-      end)
-    per;
-  traffic
-
-let hottest_link ?(mode = Bytes) net =
-  let per = per_link ~mode net in
+(* The argmax of the per-link counts as [(link, src, dst, count)]; ties
+   keep the lowest link id. *)
+let hottest_link mesh per =
   let best = ref None in
   Array.iteri
     (fun l v ->
@@ -47,7 +26,7 @@ let hottest_link ?(mode = Bytes) net =
   match !best with
   | None -> None
   | Some (l, v) ->
-      let src, dst = Mesh.link_endpoints (Network.mesh net) l in
+      let src, dst = Mesh.link_endpoints mesh l in
       Some (l, src, dst, v)
 
 (* Shared digit-grid renderer, also used by [divasim analyze] for windowed
@@ -77,16 +56,20 @@ let render_grid mesh ?label values =
       values;
   Buffer.contents buf
 
-let render ?(mode = Bytes) net =
+let render net =
   let mesh = Network.mesh net in
-  let traffic = Array.map float_of_int (node_traffic ~mode net) in
-  let label =
-    Printf.sprintf "outgoing traffic per node, %s" (mode_name mode)
+  let per = Link_stats.per_link_bytes (Network.stats net) in
+  (* Byte counts are integers far below 2^53, so the float sums are exact. *)
+  let traffic =
+    nodes_of_link_values mesh
+      (Array.to_list (Array.mapi (fun l v -> (l, float_of_int v)) per))
   in
-  let grid = render_grid mesh ~label traffic in
-  match hottest_link ~mode net with
+  let grid =
+    render_grid mesh ~label:"outgoing traffic per node, bytes" traffic
+  in
+  match hottest_link mesh per with
   | None -> grid
   | Some (link, src, dst, v) ->
       grid
-      ^ Printf.sprintf "hottest directed link: %d (%d -> %d), %d %s\n" link src
-          dst v (mode_name mode)
+      ^ Printf.sprintf "hottest directed link: %d (%d -> %d), %d bytes\n"
+          link src dst v

@@ -2,17 +2,6 @@
     check of where the congestion sits (e.g. the hot row/column crossings
     of the fixed home strategy vs the spread-out access-tree traffic). *)
 
-type mode = Bytes | Msgs
-
-val node_traffic : ?mode:mode -> Diva_simnet.Network.t -> int array
-(** Traffic (bytes by default, message crossings with [Msgs]) over the
-    outgoing links of each node. *)
-
-val hottest_link :
-  ?mode:mode -> Diva_simnet.Network.t -> (int * int * int * int) option
-(** The argmax congested directed link as [(link, src, dst, amount)];
-    [None] when no link carried traffic. Ties keep the lowest link id. *)
-
 val nodes_of_link_values :
   Diva_mesh.Mesh.t -> (int * float) list -> float array
 (** Fold per-link values (e.g. one {!Diva_obs.Analysis.window}) into
@@ -23,7 +12,8 @@ val render_grid : Diva_mesh.Mesh.t -> ?label:string -> float array -> string
     the maximum ('.' for zero), preceded by [label] when given. Other
     dimensions fall back to a flat listing. *)
 
-val render : ?mode:mode -> Diva_simnet.Network.t -> string
-(** The per-node grid of the run's whole traffic plus a trailing line
-    naming the hottest directed link — the row/column crossing the paper
-    highlights for fixed home. *)
+val render : Diva_simnet.Network.t -> string
+(** The per-node grid of the run's whole traffic in bytes (over each
+    node's outgoing links) plus a trailing line naming the hottest
+    directed link — the row/column crossing the paper highlights for
+    fixed home. Ties keep the lowest link id. *)

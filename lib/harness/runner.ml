@@ -154,29 +154,36 @@ let run_matmul ?(seed = 17) ?(obs = null_obs) ?on_net ~dims ~block
            (Matmul_handopt.setup net { Matmul_handopt.block; compute }))
        ~dsm:(fun d -> Matmul.fiber (Matmul.setup d { Matmul.block; compute })))
 
-let run_bitonic ?(seed = 17) ?(obs = null_obs) ?on_net ~dims ~keys
-    ?(compute = true) choice =
+let run_bitonic ?(seed = 17) ?(obs = null_obs) ?on_net ~dims ~keys choice =
   simulate ~seed ~obs ?on_net ~dims
     (paper_app choice
        ~hand:(fun net ->
          Bitonic_handopt.fiber
-           (Bitonic_handopt.setup net { Bitonic_handopt.keys; compute }))
+           (Bitonic_handopt.setup net { Bitonic_handopt.keys; compute = true }))
        ~dsm:(fun d ->
-         Bitonic.fiber (Bitonic.setup d { Bitonic.keys; compute })))
+         Bitonic.fiber (Bitonic.setup d { Bitonic.keys; compute = true })))
 
 type bh_result = {
   bh_total : measurements;
   bh_phase : Barnes_hut.phase -> measurements;
 }
 
-let aggregate_intervals dsm ~startups ~events ivs =
+(* Time, traffic, computation and run counters summed over [ivs]. *)
+let aggregate_intervals ivs =
+  let count f =
+    List.fold_left (fun acc iv -> acc + f iv.Barnes_hut.i_counts) 0 ivs
+  in
+  let startups = count (fun c -> c.Barnes_hut.startups)
+  and dsm_reads = count (fun c -> c.Barnes_hut.reads)
+  and dsm_read_hits = count (fun c -> c.Barnes_hut.read_hits)
+  and evictions = count (fun c -> c.Barnes_hut.evictions)
+  and events = count (fun c -> c.Barnes_hut.events) in
   match ivs with
   | [] ->
       {
         time = 0.0; congestion_msgs = 0; congestion_bytes = 0; total_msgs = 0;
-        total_bytes = 0; startups; max_compute = 0.0;
-        dsm_reads = Dsm.reads dsm; dsm_read_hits = Dsm.read_hits dsm;
-        evictions = Dsm.evictions dsm; events;
+        total_bytes = 0; startups; max_compute = 0.0; dsm_reads;
+        dsm_read_hits; evictions; events;
       }
   | first :: _ ->
       let time = ref 0.0 in
@@ -198,9 +205,9 @@ let aggregate_intervals dsm ~startups ~events ivs =
         total_bytes = Link_stats.snap_total_bytes !traffic;
         startups;
         max_compute = Array.fold_left Float.max 0.0 compute;
-        dsm_reads = Dsm.reads dsm;
-        dsm_read_hits = Dsm.read_hits dsm;
-        evictions = Dsm.evictions dsm;
+        dsm_reads;
+        dsm_read_hits;
+        evictions;
         events;
       }
 
@@ -211,12 +218,16 @@ let run_barnes_hut ?(seed = 17) ?(obs = null_obs) ?on_net ~dims ~cfg strategy =
       ( Barnes_hut.fiber app,
         fun () ->
           let ivs = Barnes_hut.intervals app in
-          let startups = Network.startups net in
-          let events = Sim.events_executed (Network.sim net) in
           {
-            bh_total = aggregate_intervals dsm ~startups ~events ivs;
+            bh_total =
+              { (aggregate_intervals ivs) with
+                startups = Network.startups net;
+                dsm_reads = Dsm.reads dsm;
+                dsm_read_hits = Dsm.read_hits dsm;
+                evictions = Dsm.evictions dsm;
+                events = Sim.events_executed (Network.sim net) };
             bh_phase =
               (fun ph ->
-                aggregate_intervals dsm ~startups ~events
+                aggregate_intervals
                   (List.filter (fun iv -> iv.Barnes_hut.i_phase = ph) ivs));
           } ))

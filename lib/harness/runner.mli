@@ -87,8 +87,7 @@ val run_matmul :
 
 val run_bitonic :
   ?seed:int -> ?obs:obs -> ?on_net:(Diva_simnet.Network.t -> unit) ->
-  dims:int array -> keys:int -> ?compute:bool -> strategy_choice ->
-  measurements
+  dims:int array -> keys:int -> strategy_choice -> measurements
 (** Bitonic on a mesh of any dimension, measured with its (small)
     computation included. *)
 
@@ -96,7 +95,11 @@ val run_bitonic :
     restricted to one phase. *)
 type bh_result = {
   bh_total : measurements;
+      (** time, congestion, load and computation cover the measured steps;
+          [startups], [dsm_reads], [dsm_read_hits], [evictions] and
+          [events] count the whole run, warmup included *)
   bh_phase : Diva_apps.Barnes_hut.phase -> measurements;
+      (** every field covers that phase of the measured steps only *)
 }
 
 val run_barnes_hut :
@@ -105,7 +108,8 @@ val run_barnes_hut :
   Diva_core.Dsm.strategy -> bh_result
 (** There is no hand-optimized baseline for Barnes-Hut (the paper cannot
     construct one either). Times and congestion cover the measured
-    (non-warmup) steps only, as in the paper. Any mesh dimension works,
+    (non-warmup) steps only, as in the paper; see {!bh_result} for the
+    counters that cover the whole run. Any mesh dimension works,
     an extension beyond the paper exercising the theory's d-dimensional
     setting. *)
 

@@ -25,14 +25,6 @@ type t = {
 
 let size sm = Array.fold_left ( * ) 1 sm.sizes
 
-let mem sm coords =
-  Array.length coords = Array.length sm.origin
-  && (let ok = ref true in
-      Array.iteri
-        (fun k x -> if x < sm.origin.(k) || x >= sm.origin.(k) + sm.sizes.(k) then ok := false)
-        coords;
-      !ok)
-
 (* One 2-ary split: halve the longest side (ties toward the first
    dimension), the ceil-half first. Returns [sm] itself if it cannot be
    split (size 1). *)
@@ -126,9 +118,7 @@ let build mesh ~arity ~leaf_size =
   { mesh; arity; leaf_size; parent; children; submesh; proc; leaf_of_proc;
     depth; subtree_end; num_tree_nodes = n }
 
-let root _ = 0
 let is_leaf t id = t.proc.(id) >= 0
-let height t = Array.fold_left max 0 t.depth
 let in_subtree t x ~root = x >= root && x < t.subtree_end.(root)
 
 let next_hop t ~from ~target =

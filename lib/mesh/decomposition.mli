@@ -40,15 +40,7 @@ val build : Mesh.t -> arity:arity -> leaf_size:int -> t
 (** [build mesh ~arity ~leaf_size] constructs the decomposition tree. The
     root has id 0 and node ids are assigned in preorder. *)
 
-val root : t -> int
 val is_leaf : t -> int -> bool
-val height : t -> int
-
-val size : submesh -> int
-
-val mem : submesh -> int array -> bool
-(** [mem sm coords] tests whether the coordinate vector lies in the
-    submesh. *)
 
 val next_hop : t -> from:int -> target:int -> int
 (** The tree neighbour of [from] that lies on the unique tree path from

@@ -41,22 +41,6 @@ let regular (d : Decomposition.t) ~rng =
   let root_place = Prng.int rng (Mesh.num_nodes mesh) in
   top_down d ~root_place ~pick:(fun id pp -> regular_child d id pp)
 
-let uniform_in_rng (d : Decomposition.t) rng id =
-  let mesh = d.Decomposition.mesh in
-  let sm = d.Decomposition.submesh.(id) in
-  let c =
-    Array.mapi (fun k o -> o + Prng.int rng sm.Decomposition.sizes.(k))
-      sm.Decomposition.origin
-  in
-  Mesh.node_at_nd mesh c
-
-let random (d : Decomposition.t) ~rng =
-  let root_place = uniform_in_rng d rng 0 in
-  top_down d ~root_place ~pick:(fun id _ -> uniform_in_rng d rng id)
-
-let make kind d ~rng =
-  match kind with Regular -> regular d ~rng | Random -> random d ~rng
-
 let place_lazy kind (d : Decomposition.t) ~seed id =
   let mesh = d.Decomposition.mesh in
   let p = d.Decomposition.proc.(id) in

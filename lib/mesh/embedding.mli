@@ -1,14 +1,16 @@
 (** Embedding of an access tree (a copy of the decomposition tree) into the
     mesh: a map from tree-node ids to mesh nodes.
 
-    Two embeddings are provided. {!regular} is the "practical improvement"
+    Two embeddings are provided. [Regular] is the "practical improvement"
     the paper uses: the root is placed uniformly at random, and every other
     tree node is placed deterministically relative to its parent's position
     ([row mod m1], [col mod m2] within its own submesh), which shortens the
-    expected distance between neighbouring tree nodes. {!random} is the
+    expected distance between neighbouring tree nodes. [Random] is the
     original embedding of the theoretical analysis: every tree node is
     placed independently and uniformly at random within its submesh.
-    Processor leaves always map to their own processor. *)
+    Processor leaves always map to their own processor. {!regular} builds
+    the whole placement of one tree; {!place_lazy} places single nodes of
+    either kind. *)
 
 type t = private {
   decomposition : Decomposition.t;
@@ -16,14 +18,11 @@ type t = private {
 }
 
 val regular : Decomposition.t -> rng:Diva_util.Prng.t -> t
-val random : Decomposition.t -> rng:Diva_util.Prng.t -> t
 
 val place : t -> int -> Mesh.node
 (** Mesh node simulating the given tree node. *)
 
 type kind = Regular | Random
-
-val make : kind -> Decomposition.t -> rng:Diva_util.Prng.t -> t
 
 (** {2 Lazy placement}
 
@@ -37,5 +36,5 @@ val place_lazy : kind -> Decomposition.t -> seed:int64 -> int -> Mesh.node
 (** [place_lazy kind d ~seed id] is the mesh node simulating tree node [id]
     under the given embedding, where [seed] determines the random choices
     (the root placement for {!Regular}; every placement for {!Random}).
-    Consistent with {!regular} / {!random} in distribution, not in the
-    actual draws. *)
+    Consistent with {!regular} in distribution, not in the actual
+    draws. *)

@@ -9,7 +9,7 @@ type link = int
 
 (* Directed links are numbered [node * 2d + (dim * 2 + sign)] where sign 0
    moves up (+1) and sign 1 moves down (-1) in that dimension. Border
-   directions exist as ids but are never produced by [route]. *)
+   directions exist as ids but are never produced by [route_into]. *)
 
 let create_nd ~dims =
   if Array.length dims = 0 then invalid_arg "Mesh.create_nd: no dimensions";
@@ -23,7 +23,6 @@ let create_nd ~dims =
   done;
   { t_dims = Array.copy dims; strides; nodes = strides.(0) * dims.(0) }
 
-let create ~rows ~cols = create_nd ~dims:[| rows; cols |]
 let dims t = Array.copy t.t_dims
 let num_dims t = Array.length t.t_dims
 
@@ -74,22 +73,10 @@ let link_endpoints t l =
   let delta = if sign = 0 then t.strides.(dim) else -t.strides.(dim) in
   (v, v + delta)
 
-(* Walk the dimension-order path, last dimension first. *)
-let iter_route t ~src ~dst f =
-  let cur = ref src in
-  for dim = Array.length t.t_dims - 1 downto 0 do
-    let have = coord t !cur dim and want = coord t dst dim in
-    let sign = if want > have then 0 else 1 in
-    let delta = if sign = 0 then t.strides.(dim) else -t.strides.(dim) in
-    for _ = 1 to abs (want - have) do
-      f (link_id t !cur dim sign);
-      cur := !cur + delta
-    done
-  done
-
-(* Same walk, but into a caller-provided buffer: the simulator's send path
-   iterates the links with a plain [for] loop afterwards, so the whole
-   route walk allocates nothing (no closure, no refs). *)
+(* Walk the dimension-order path, last dimension first, into a
+   caller-provided buffer: the simulator's send path iterates the links
+   with a plain [for] loop afterwards, so the whole route walk allocates
+   nothing (no closure, no refs). *)
 let route_into t ~src ~dst buf =
   let n = ref 0 in
   let cur = ref src in
@@ -108,14 +95,3 @@ let route_into t ~src ~dst buf =
 let max_route_length t =
   Array.fold_left (fun acc side -> acc + side - 1) 0 t.t_dims
 
-let route t ~src ~dst =
-  let acc = ref [] in
-  iter_route t ~src ~dst (fun l -> acc := l :: !acc);
-  List.rev !acc
-
-let distance t a b =
-  let d = ref 0 in
-  for k = 0 to Array.length t.t_dims - 1 do
-    d := !d + abs (coord t a k - coord t b k)
-  done;
-  !d

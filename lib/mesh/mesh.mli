@@ -19,13 +19,9 @@ type node = int
 type link = int
 (** Directed link id in [0 .. num_links - 1]. *)
 
-val create : rows:int -> cols:int -> t
-(** [create ~rows ~cols] builds a 2-D mesh. Both sides must be >= 1. *)
-
 val create_nd : dims:int array -> t
 (** [create_nd ~dims] builds a mesh with the given side lengths (at least
-    one dimension, every side >= 1). [create ~rows ~cols] is
-    [create_nd ~dims:[| rows; cols |]]. *)
+    one dimension, every side >= 1); [[| rows; cols |]] is a 2-D mesh. *)
 
 val dims : t -> int array
 (** Side lengths (a copy). *)
@@ -53,22 +49,14 @@ val node_at_nd : t -> int array -> node
 val link_endpoints : t -> link -> node * node
 (** Source and destination node of a directed link. *)
 
-val route : t -> src:node -> dst:node -> link list
-(** The unique dimension-by-dimension order path from [src] to [dst],
-    adjusting the last dimension first. [route ~src ~dst] with [src = dst]
-    is []. *)
-
-val iter_route : t -> src:node -> dst:node -> (link -> unit) -> unit
-(** Allocation-free traversal of the same path (the simulator's hot path). *)
-
 val route_into : t -> src:node -> dst:node -> link array -> int
-(** [route_into t ~src ~dst buf] writes the route's links into [buf]
-    (which must hold at least {!max_route_length} entries) and returns the
-    hop count. Fully allocation-free: the simulator's send path reads the
+(** [route_into t ~src ~dst buf] writes the route — the unique
+    dimension-by-dimension order path from [src] to [dst], adjusting the
+    last dimension first — into [buf] (which must hold at least
+    {!max_route_length} entries) and returns the hop count, 0 when
+    [src = dst]. Fully allocation-free: the simulator's send path reads the
     buffer back with a plain [for] loop instead of a closure per send. *)
 
 val max_route_length : t -> int
 (** Longest possible route: [sum (side - 1)] over all dimensions. *)
 
-val distance : t -> node -> node -> int
-(** Manhattan distance = length of [route]. *)

@@ -25,7 +25,6 @@ type cost = {
 
 val zero_cost : cost
 val add_cost : cost -> cost -> cost
-val total_cost : cost -> float
 
 val op_name : Trace.dsm_op -> string
 

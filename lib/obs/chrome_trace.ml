@@ -305,8 +305,5 @@ let to_json ?(metadata = []) ?prof ~num_nodes events =
      ]
     @ if metadata = [] then [] else [ ("metadata", Obj metadata) ])
 
-let to_string ?metadata ?prof ~num_nodes events =
-  Json.to_string (to_json ?metadata ?prof ~num_nodes events)
-
 let write_file ?metadata ?prof ~num_nodes ~path events =
   Json.to_file path (to_json ?metadata ?prof ~num_nodes events)

@@ -19,25 +19,6 @@
     emitted sorted by timestamp and the output is byte-deterministic for a
     given event list. *)
 
-val to_json :
-  ?metadata:(string * Json.t) list ->
-  ?prof:Json.t ->
-  num_nodes:int ->
-  Trace.event list ->
-  Json.t
-(** [metadata] entries (e.g. the run manifest) are attached under the
-    top-level ["metadata"] key. [prof] is a {!Prof.to_json} document; when
-    given, its sample series becomes two counter tracks on an extra
-    "profiler" process (pid = number of nodes + 1): host events/sec and
-    host heap MB, plotted against simulated time. *)
-
-val to_string :
-  ?metadata:(string * Json.t) list ->
-  ?prof:Json.t ->
-  num_nodes:int ->
-  Trace.event list ->
-  string
-
 val write_file :
   ?metadata:(string * Json.t) list ->
   ?prof:Json.t ->
@@ -45,3 +26,9 @@ val write_file :
   path:string ->
   Trace.event list ->
   unit
+(** Write the export to [path], newline-terminated. [metadata] entries
+    (e.g. the run manifest) are attached under the top-level ["metadata"]
+    key. [prof] is a {!Prof.to_json} document; when given, its sample
+    series becomes two counter tracks on an extra "profiler" process
+    (pid = number of nodes + 1): host events/sec and host heap MB, plotted
+    against simulated time. *)

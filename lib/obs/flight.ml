@@ -23,15 +23,13 @@ type t = {
   mutable f_dumped : bool;
 }
 
-let create ?(events = 512) ?(snapshots = 64) ?(dump_on_watchdog = true) ~path
-    () =
-  if events <= 0 then invalid_arg "Flight.create: events must be positive";
+let create ?(snapshots = 64) ?(dump_on_watchdog = true) ~path () =
   if snapshots <= 0 then
     invalid_arg "Flight.create: snapshots must be positive";
   {
     f_path = path;
     f_dump_on_watchdog = dump_on_watchdog;
-    ev_ring = Array.make events None;
+    ev_ring = Array.make 512 None;
     ev_pos = 0;
     ev_total = 0;
     sn_ring = Array.make snapshots None;
@@ -54,8 +52,6 @@ let snapshot t s =
   t.sn_ring.(t.sn_pos) <- Some s;
   t.sn_pos <- (t.sn_pos + 1) mod Array.length t.sn_ring;
   t.sn_total <- t.sn_total + 1
-
-let event_count t = t.ev_total
 
 let ring_list ring pos =
   let n = Array.length ring in

@@ -29,14 +29,9 @@ type snapshot = {
 }
 
 val create :
-  ?events:int ->
-  ?snapshots:int ->
-  ?dump_on_watchdog:bool ->
-  path:string ->
-  unit ->
-  t
-(** A recorder that dumps to [path]. [events] (default 512) and
-    [snapshots] (default 64) bound the two rings. [dump_on_watchdog]
+  ?snapshots:int -> ?dump_on_watchdog:bool -> path:string -> unit -> t
+(** A recorder that dumps to [path]. The event ring holds the last 512
+    events; [snapshots] (default 64) bounds the snapshot ring. [dump_on_watchdog]
     (default true) controls whether the first DSM watchdog trip triggers a
     dump — chaos campaigns disable it (watchdog trips are routine under
     injected faults there; the oracle is the failure signal). *)
@@ -44,21 +39,13 @@ val create :
 val path : t -> string
 val dump_on_watchdog : t -> bool
 
-val record : t -> Trace.event -> unit
-(** Append one event to the ring, evicting the oldest past capacity. *)
-
 val wrap : t -> Trace.sink -> Trace.sink
-(** A sink that records into the ring and behaves exactly like the
+(** A sink that records every event into the ring, evicting the oldest
+    past capacity, and behaves exactly like the
     argument otherwise (same buffering, same downstream callback). Wrapping
     {!Trace.null} yields a ring-only sink. *)
 
 val snapshot : t -> snapshot -> unit
-
-val event_count : t -> int
-(** Total events recorded (not capped at the ring size). *)
-
-val events : t -> Trace.event list
-(** Ring contents, oldest first. *)
 
 val snapshots : t -> snapshot list
 
@@ -74,9 +61,6 @@ val dump_on_error : t -> label:string -> ('a, string) result -> unit
 (** [dump_on_error t ~label (Error e)] dumps with reason ["label: e"];
     [Ok _] is a no-op. The chaos driver feeds oracle verdicts through
     this. *)
-
-val to_json : t -> reason:string -> Json.t
-(** The dump document without writing it (tests). *)
 
 val report : Json.t -> (string, string) result
 (** Render a parsed ["diva-flight/1"] dump as a human-readable report

@@ -1,31 +1,11 @@
-type series = Counter of float ref | Gauge of (unit -> float)
-
 type t = {
-  mutable rev_cols : (string * series) list;
+  mutable rev_cols : (string * (unit -> float)) list;
   mutable rev_rows : (float * float array) list;
   mutable nrows : int;
 }
 
-type counter = float ref
-
 let create () = { rev_cols = []; rev_rows = []; nrows = 0 }
-
-let counter t name =
-  let rec find = function
-    | (n, Counter c) :: _ when n = name -> Some c
-    | _ :: rest -> find rest
-    | [] -> None
-  in
-  match find t.rev_cols with
-  | Some c -> c
-  | None ->
-      let c = ref 0.0 in
-      t.rev_cols <- (name, Counter c) :: t.rev_cols;
-      c
-
-let incr c ?(by = 1.0) () = c := !c +. by
-
-let gauge t name f = t.rev_cols <- (name, Gauge f) :: t.rev_cols
+let gauge t name f = t.rev_cols <- (name, f) :: t.rev_cols
 
 let cols t = List.rev t.rev_cols
 let columns t = List.map fst (cols t)
@@ -35,12 +15,7 @@ let sample t ~ts =
     match t.rev_rows with (prev, _) :: _ -> ts <= prev | [] -> false
   in
   if not stale then begin
-    let row =
-      Array.of_list
-        (List.map
-           (fun (_, s) -> match s with Counter c -> !c | Gauge f -> f ())
-           (cols t))
-    in
+    let row = Array.of_list (List.map (fun (_, f) -> f ()) (cols t)) in
     t.rev_rows <- (ts, row) :: t.rev_rows;
     t.nrows <- t.nrows + 1
   end
@@ -109,7 +84,7 @@ let render_labels = function
              labels)
       ^ "}"
 
-let to_prometheus ?(prefix = "diva_") ?(labels = []) t =
+let to_prometheus ?(labels = []) t =
   match t.rev_rows with
   | [] -> ""
   | (ts, row) :: _ ->
@@ -131,16 +106,11 @@ let to_prometheus ?(prefix = "diva_") ?(labels = []) t =
       in
       let lbl = render_labels labels in
       let line name kind value =
-        let metric = unique (sanitize (prefix ^ name)) in
+        let metric = unique (sanitize ("diva_" ^ name)) in
         Printf.bprintf b "# TYPE %s %s\n%s%s %s\n" metric kind metric lbl
           (cell value)
       in
-      List.iteri
-        (fun i (name, s) ->
-          line name
-            (match s with Counter _ -> "counter" | Gauge _ -> "gauge")
-            row.(i))
-        (cols t);
+      List.iteri (fun i (name, _) -> line name "gauge" row.(i)) (cols t);
       line "sample_ts_us" "gauge" ts;
       Buffer.contents b
 

@@ -1,9 +1,9 @@
-(** Metrics registry: named counters and gauges sampled into a time series.
+(** Metrics registry: named gauges sampled into a time series.
 
-    A registry holds an ordered set of series. Counters are incremented by
-    instrumentation code; gauges are callbacks evaluated at sampling time
-    (e.g. "links busy right now"). {!sample} appends one row — the current
-    value of every series — stamped with a simulation time. The periodic
+    A registry holds an ordered set of gauges, callbacks evaluated at
+    sampling time (e.g. "links busy right now"). {!sample} appends one
+    row — the current value of every gauge — stamped with a simulation
+    time. The periodic
     driver lives in {!Diva_simnet.Network.attach_metrics}, which samples on
     simulated-clock boundaries; sampling reads state only, so a metered run
     is bit-identical to an unmetered one. *)
@@ -11,13 +11,6 @@
 type t
 
 val create : unit -> t
-
-type counter
-
-val counter : t -> string -> counter
-(** Register (or look up) a counter column. *)
-
-val incr : counter -> ?by:float -> unit -> unit
 
 val gauge : t -> string -> (unit -> float) -> unit
 (** Register a gauge column; the callback runs at each {!sample}. *)
@@ -27,28 +20,21 @@ val sample : t -> ts:float -> unit
     the previous row's are skipped (the final end-of-run sample may land on
     a periodic boundary). *)
 
-val columns : t -> string list
-(** Column names in registration order. *)
-
-val rows : t -> (float * float array) list
-(** Sampled rows, oldest first; each array is in {!columns} order. *)
-
 val num_rows : t -> int
 
 val to_csv : t -> string
-(** ["ts_us,<col>,...\n"] header plus one line per row. *)
+(** ["ts_us,<col>,...\n"] header (gauges in registration order) plus one
+    line per row, oldest first. *)
 
 val to_json : t -> Json.t
 (** [{ "columns": [...], "rows": [[ts, v, ...], ...] }]. *)
 
-val to_prometheus :
-  ?prefix:string -> ?labels:(string * string) list -> t -> string
+val to_prometheus : ?labels:(string * string) list -> t -> string
 (** Prometheus text exposition of the {e final} sample: one
-    [# TYPE]-annotated line pair per series (counters as [counter], gauges
-    as [gauge]), names prefixed with [prefix] (default ["diva_"]) and
-    sanitized to the Prometheus charset, plus a [<prefix>sample_ts_us]
-    gauge carrying the sample's simulated timestamp. Empty string when
-    nothing was sampled.
+    [# TYPE]-annotated [gauge] line pair per series, names prefixed with
+    ["diva_"] and sanitized to the Prometheus charset, plus a
+    [diva_sample_ts_us] gauge carrying the sample's simulated timestamp.
+    Empty string when nothing was sampled.
 
     Series names containing ['-'] fold to ['_']; when two series collide
     after the fold, later ones get a deterministic numeric suffix so the

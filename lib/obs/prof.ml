@@ -49,7 +49,6 @@ type row = {
 }
 
 type t = {
-  window_us : float;
   sample_period_s : float;
   t0 : float;
   gc0 : Gc.stat;
@@ -81,14 +80,13 @@ type t = {
   mutable final_wall_s : float option;
 }
 
-let create ?(window_us = 1000.0) ?(sample_period_s = 0.01) () =
-  if not (Float.is_finite window_us) || window_us <= 0.0 then
-    invalid_arg "Prof.create: window_us must be positive";
+let window_us = 1000.0
+
+let create ?(sample_period_s = 0.01) () =
   if not (Float.is_finite sample_period_s) || sample_period_s <= 0.0 then
     invalid_arg "Prof.create: sample_period_s must be positive";
   let now = Unix.gettimeofday () in
   {
-    window_us;
     sample_period_s;
     t0 = now;
     gc0 = Gc.quick_stat ();
@@ -109,8 +107,6 @@ let create ?(window_us = 1000.0) ?(sample_period_s = 0.01) () =
     par = None;
     final_wall_s = None;
   }
-
-let window_us t = t.window_us
 
 (* Called with a constant constructor on the per-event path; inlining
    folds the id match away, leaving a single word store. *)
@@ -216,7 +212,6 @@ let sample t ~sim_us ~events =
   | _ -> ()
 
 let set_ticker t f = t.ticker <- Some f
-let num_samples t = t.nrows
 
 (* ------------------------------------------------------------------ *)
 (* Region timers                                                        *)
@@ -285,7 +280,7 @@ let to_json t =
        ("events", Int events);
        ("events_per_sec", Float rate);
        ("sample_period_s", Float t.sample_period_s);
-       ("window_us", Float t.window_us);
+       ("window_us", Float window_us);
        ( "subsystems",
          Obj
            (List.init num_subs (fun i ->

@@ -28,7 +28,7 @@
     The result serialises as a versioned [prof.json] ({!to_json}, schema
     ["diva-prof/1"]) and renders back as a report ({!report}); the window
     series also exports as Perfetto counter tracks (see
-    {!Chrome_trace.to_json}). *)
+    {!Chrome_trace.write_file}). *)
 
 type t
 
@@ -50,18 +50,17 @@ type subsystem =
   | Analysis
   | App
 
-val subsystem_name : subsystem -> string
-
-val create : ?window_us:float -> ?sample_period_s:float -> unit -> t
-(** [window_us] (default 1000.0) is the simulated-time width of one series
-    row; [sample_period_s] (default 0.01) the CPU-time period of the
+val create : ?sample_period_s:float -> unit -> t
+(** [sample_period_s] (default 0.01) is the CPU-time period of the
     subsystem sampler. Periods much below 10ms make OCaml's signal
     delivery itself the dominant cost and blow the 3% overhead budget the
     bench gate enforces; 10ms keeps the sampler in the noise while still
     collecting hundreds of samples on any run long enough to be worth
-    profiling. *)
+    profiling. Test-only: a test sets a shorter period to collect enough
+    samples from a test-sized burn of CPU time. *)
 
-val window_us : t -> float
+val window_us : float
+(** 1000: the simulated-time width of one series row. *)
 
 (** {2 Hot-path attribution} *)
 
@@ -100,8 +99,6 @@ val set_ticker : t -> (string -> unit) -> unit
     {!sample} formats a one-line health summary (sim time, events,
     events/sec, heap) and passes it to the callback. The caller decides
     where it goes (divasim writes ["\r<line>"] to stderr). *)
-
-val num_samples : t -> int
 
 (** {2 Region timers} *)
 

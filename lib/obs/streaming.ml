@@ -3,9 +3,8 @@
    records the moment its completion event passes. Peak residency is
    O(concurrent transactions x protocol fan-out), independent of run
    length; {!peak_msgs} exposes the high-water mark so harnesses can
-   assert it. The same fold runs live (as a trace sink), over an
-   in-memory list and over a saved trace file, so all three give the same
-   summary bit for bit.
+   assert it. The same fold runs live (fed by a trace sink) and over a
+   saved trace file, so both give the same summary bit for bit.
 
    Why eager retirement loses nothing:
    - The simulator emits eagerly: a transaction's chain messages have
@@ -457,7 +456,6 @@ let feed t e =
       complete t ~node ~op ~ts ~dur ~txn ~completed_by
   | _ -> ()
 
-let sink t = Trace.stream (feed t)
 let live_msgs t = Hashtbl.length t.msgs
 let peak_msgs t = t.peak
 
@@ -544,11 +542,6 @@ let finalize t =
     sm_windows = windows t;
     sm_ops = Txn_fold.op_rows t.txn_fold;
   }
-
-let analyze_events ?top_k ?num_windows ?ring ov events =
-  let t = create ?top_k ?num_windows ?ring ov in
-  List.iter (feed t) events;
-  (finalize t, t.peak)
 
 (* ------------------------------------------------------------------ *)
 (* On-disk JSONL trace format                                           *)
@@ -972,14 +965,14 @@ let probe path = with_lines path (fun ic -> Result.map ignore (read_header ic))
    three words and bins them into windows at [finalize], once the end
    time is known. Returns the header, the summary — bit-identical to the
    live run's — and the peak message-record residency. *)
-let analyze_file ?top_k ?num_windows ?ring path =
+let analyze_file ?top_k ?num_windows path =
   match num_windows with
   | Some n when n > max_windows ->
       Error (Printf.sprintf "%d windows is above the cap of %d" n max_windows)
   | _ ->
       let* header, t =
         read_file path ~start:(fun h ->
-            let t = create ?top_k ?num_windows ?ring h.h_overheads in
+            let t = create ?top_k ?num_windows h.h_overheads in
             (t, feed t))
       in
       Ok (header, finalize t, t.peak)

@@ -6,11 +6,10 @@
     completion event passes, after which its message records are freed.
     Peak residency is O(concurrent transactions x protocol fan-out),
     independent of run length, and {!peak_msgs} exposes the high-water
-    mark so harnesses can assert boundedness. The fold runs live as a
-    trace sink ({!sink}, what [divasim analyze] attaches to the run), over
-    an in-memory list ({!analyze_events}) and over a saved trace file
-    ({!analyze_file}); all three give the same summary bit for bit
-    (floats included). The window clipping of
+    mark so harnesses can assert boundedness. The fold runs live, fed
+    from a trace sink ([Trace.stream (feed t)], what [divasim analyze]
+    attaches to the run), and over a saved trace file ({!analyze_file});
+    both give the same summary bit for bit (floats included). The window clipping of
     {!Analysis.decompose_chain} makes post-completion retransmission
     crossings invisible to cost attribution, so retiring early loses
     nothing (tested against a keep-everything reference).
@@ -35,35 +34,26 @@ val create :
     of recently-completed transaction ids remembered to keep stray
     post-completion sends from repopulating the record table; eviction can
     only delay freeing such a record until the end, never change computed
-    values. *)
+    values. Test-only: a test shrinks [ring] to reach eviction in a
+    test-sized run. *)
 
 val feed : t -> Trace.event -> unit
 
-val sink : t -> Trace.sink
-(** [Trace.stream (feed t)]: attach the analyzer directly to a run. *)
-
 val live_msgs : t -> int
 (** Message records currently retained (messages of not-yet-completed
-    transactions). *)
+    transactions). Test-only: residency tests read it mid-fold, which no
+    other path exposes. *)
 
 val peak_msgs : t -> int
-(** High-water mark of {!live_msgs} — the analyzer's peak residency. *)
+(** High-water mark of {!live_msgs} — the analyzer's peak residency.
+    Test-only: boundedness tests read it mid-fold; {!analyze_file}
+    returns the final value. *)
 
 val finalize : t -> Analysis.summary
 (** Non-destructive. The windowed link series is binned here, from the
     crossings retained during the pass (three words per crossing, in
     fixed-size chunks; none retained when [num_windows <= 0]), once the
     run's end time is known. *)
-
-val analyze_events :
-  ?top_k:int ->
-  ?num_windows:int ->
-  ?ring:int ->
-  Analysis.overheads ->
-  Trace.event list ->
-  Analysis.summary * int
-(** One pass over an in-memory event list; returns the summary and the
-    peak message-record residency. *)
 
 (** {2 On-disk JSONL trace format}
 
@@ -73,11 +63,11 @@ val analyze_events :
     later line is one event encoded by {!Trace.add_event}. Floats are
     printed round-trip exactly ({!Json.add_float}), so offline analysis
     of a saved trace is bit-identical to analyzing the live run. Readers
-    reject unknown formats and versions newer than {!current_version},
-    and skip blank lines everywhere, before the header included. *)
+    reject unknown formats and versions newer than the one
+    {!make_header} stamps, and skip blank lines everywhere, before the
+    header included. *)
 
 val format_name : string
-val current_version : int
 
 type header = {
   h_version : int;
@@ -101,9 +91,6 @@ val make_header :
   unit ->
   header
 
-val header_json : header -> Json.t
-val parse_header : string -> (header, string) result
-
 val write_header : out_channel -> header -> unit
 
 val file_sink : out_channel -> header -> Trace.sink
@@ -120,7 +107,8 @@ val event_of_line : string -> (Trace.event, string) result
     duplicate names wins. Int fields accept integral floats inside the
     [int] range. Errors name the first missing or malformed field in the
     event's field order, or the unknown tag or code. File readers prefix
-    them with ["line N: "]. *)
+    them with ["line N: "]. Test-only: tests hold the decoder to a
+    reference decoder and check its messages one line at a time. *)
 
 val iter_file : string -> f:(Trace.event -> unit) -> (header, string) result
 (** Parse the header, then apply [f] to every event line in order,
@@ -133,7 +121,6 @@ val probe : string -> (unit, string) result
 val analyze_file :
   ?top_k:int ->
   ?num_windows:int ->
-  ?ring:int ->
   string ->
   (header * Analysis.summary * int, string) result
 (** Full offline post-mortem of a saved trace in a single pass: the file
@@ -150,8 +137,6 @@ val analyze_file :
     line is a header carrying every input's original header, and every
     event line gains a leading ["run"] field naming the input it came
     from (0-based, in argument order). *)
-
-val merged_format_name : string
 
 type merge_stats = {
   ms_runs : int;  (** number of input files merged *)

@@ -34,35 +34,9 @@ let snap_congestion_bytes s = amax s.s_bytes
 let snap_total_msgs s = asum s.s_msgs
 let snap_total_bytes s = asum s.s_bytes
 
-let zero_snapshot t =
-  { s_msgs = Array.make (Array.length t.msgs) 0;
-    s_bytes = Array.make (Array.length t.bytes) 0 }
+let congestion_msgs t = amax t.msgs
+let congestion_bytes t = amax t.bytes
+let total_msgs t = asum t.msgs
+let total_bytes t = asum t.bytes
 
-let max_diff cur base =
-  let m = ref 0 in
-  Array.iteri (fun i v -> m := max !m (v - base.(i))) cur;
-  !m
-
-let sum_diff cur base =
-  let s = ref 0 in
-  Array.iteri (fun i v -> s := !s + v - base.(i)) cur;
-  !s
-
-let congestion_msgs ?since t =
-  let base = match since with Some s -> s | None -> zero_snapshot t in
-  max_diff t.msgs base.s_msgs
-
-let congestion_bytes ?since t =
-  let base = match since with Some s -> s | None -> zero_snapshot t in
-  max_diff t.bytes base.s_bytes
-
-let total_msgs ?since t =
-  let base = match since with Some s -> s | None -> zero_snapshot t in
-  sum_diff t.msgs base.s_msgs
-
-let total_bytes ?since t =
-  let base = match since with Some s -> s | None -> zero_snapshot t in
-  sum_diff t.bytes base.s_bytes
-
-let per_link_msgs t = Array.copy t.msgs
 let per_link_bytes t = Array.copy t.bytes

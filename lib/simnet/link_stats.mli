@@ -28,19 +28,17 @@ val snap_congestion_bytes : snapshot -> int
 val snap_total_msgs : snapshot -> int
 val snap_total_bytes : snapshot -> int
 
-val congestion_msgs : ?since:snapshot -> t -> int
-(** Maximum number of messages across any directed link. *)
+val congestion_msgs : t -> int
+(** Maximum number of messages across any directed link. The counters
+    cover the whole run; {!diff} of two snapshots gives an interval's. *)
 
-val congestion_bytes : ?since:snapshot -> t -> int
+val congestion_bytes : t -> int
 (** Maximum number of bytes across any directed link. *)
 
-val total_msgs : ?since:snapshot -> t -> int
+val total_msgs : t -> int
 (** Total communication load in messages (sum over links of link-message
     counts, i.e. messages weighted by path length). *)
 
-val total_bytes : ?since:snapshot -> t -> int
-
-val per_link_msgs : t -> int array
-(** Copy of the per-directed-link message counters (index = link id). *)
+val total_bytes : t -> int
 
 val per_link_bytes : t -> int array

@@ -19,11 +19,10 @@ type msg = {
   m_payload : payload;
 }
 
-(* A blocked receive. [W_tag]/[W_any] match structurally; [W_pred] runs an
-   arbitrary filter. Waiters are matched in registration (FIFO) order: a
-   mailbox chains them through [w_next] from its head to its tail, and
-   [no_waiter] ends the chain. *)
-type wkind = W_any | W_tag of int | W_pred of (msg -> bool)
+(* A blocked receive, of any message or of one tag. Waiters are matched
+   in registration (FIFO) order: a mailbox chains them through [w_next]
+   from its head to its tail, and [no_waiter] ends the chain. *)
+type wkind = W_any | W_tag of int
 
 type waiter = {
   w_kind : wkind;
@@ -116,7 +115,6 @@ let waiter_matches w msg =
   match w.w_kind with
   | W_any -> true
   | W_tag k -> msg.m_tag = k
-  | W_pred f -> f msg
 
 let default_handler t msg =
   let mb = t.mailboxes.(msg.m_dst) in
@@ -155,7 +153,6 @@ let num_nodes t = Mesh.num_nodes t.mesh
 let set_handler t node h = t.handlers.(node) <- h
 let stats t = t.stats
 let startups t = t.startup_count
-let compute_time t node = t.node_compute.(node)
 let max_compute_time t = Array.fold_left Float.max 0.0 t.node_compute
 let compute_times t = Array.copy t.node_compute
 let trace t = t.trace
@@ -195,9 +192,19 @@ let set_faults t f =
 
 let faults t = Option.map (fun r -> r.rl_faults) t.rel
 
-(* Standard observability gauges plus a periodic sampler on the simulated
-   clock. Sampling only reads state (the Sim advance hook schedules
-   nothing), so attaching metrics cannot perturb the run. *)
+(* The one sampling loop on the simulated clock: [f ts] runs at every
+   multiple [ts] of [interval] that the clock passes, in order, before the
+   events of the instant that passes it. It runs from the observe-only
+   Sim advance hook, so a sampler reads state and cannot perturb the run. *)
+let every t interval f =
+  let next = ref interval in
+  Sim.add_advance_hook t.sim (fun _old_clock new_clock ->
+      while !next <= new_clock do
+        f !next;
+        next := !next +. interval
+      done)
+
+(* Standard observability gauges plus a periodic sampler. *)
 let attach_metrics t ?(interval = 1000.0) m =
   if not (Float.is_finite interval) || interval <= 0.0 then
     invalid_arg "Network.attach_metrics: interval must be positive";
@@ -228,59 +235,43 @@ let attach_metrics t ?(interval = 1000.0) m =
         (fun () -> float_of_int (Faults.retransmits f));
       Metrics.gauge m "faults_pending"
         (fun () -> float_of_int (Hashtbl.length rel.rl_pending)));
-  let next = ref interval in
-  Sim.add_advance_hook t.sim (fun _old_clock new_clock ->
-      while !next <= new_clock do
-        Metrics.sample m ~ts:!next;
-        next := !next +. interval
-      done)
+  every t interval (fun ts -> Metrics.sample m ~ts)
 
 (* Host-side self-profiling: route the event loop through its profiled
-   twin and drive the window series from the same observe-only advance
-   hook the metrics sampler uses. Attribution refinements below (protocol
-   layer, strategy handlers) key off [t.prof]. *)
+   twin and drive the window series from the sampling loop. Attribution
+   refinements below (protocol layer, strategy handlers) key off
+   [t.prof]. *)
 let attach_prof t p =
   t.prof <- Some p;
   Sim.set_prof t.sim p;
   Prof.arm p;
-  let w = Prof.window_us p in
-  let next = ref w in
-  Sim.add_advance_hook t.sim (fun _old_clock new_clock ->
-      while !next <= new_clock do
-        Prof.sample p ~sim_us:!next ~events:(Sim.events_executed t.sim);
-        next := !next +. w
-      done)
+  every t Prof.window_us (fun sim_us ->
+      Prof.sample p ~sim_us ~events:(Sim.events_executed t.sim))
 
 let prof t = t.prof
 
-(* Flight-recorder health snapshots on the simulated clock. Event-ring
-   recording is wired where the sink is built (the recorder must wrap the
-   sink before anyone keeps a reference); this attaches only the periodic
-   snapshot hook. *)
-let attach_flight t ?(interval = 5000.0) fl =
-  if not (Float.is_finite interval) || interval <= 0.0 then
-    invalid_arg "Network.attach_flight: interval must be positive";
-  let next = ref interval in
-  Sim.add_advance_hook t.sim (fun _old_clock new_clock ->
-      while !next <= new_clock do
-        Flight.snapshot fl
-          {
-            Flight.sn_wall = Unix.gettimeofday ();
-            sn_sim_us = !next;
-            sn_events = Sim.events_executed t.sim;
-            sn_pending = Sim.pending t.sim;
-            sn_fibers = t.fibers;
-            sn_inflight =
-              (match t.rel with
-              | Some rel -> Hashtbl.length rel.rl_pending
-              | None -> 0);
-            sn_reissues =
-              (match t.rel with
-              | Some rel -> Faults.dsm_reissues rel.rl_faults
-              | None -> 0);
-          };
-        next := !next +. interval
-      done)
+(* Flight-recorder health snapshots every 5000 simulated microseconds.
+   Event-ring recording is wired where the sink is built (the recorder
+   must wrap the sink before anyone keeps a reference); this attaches only
+   the periodic snapshots. *)
+let attach_flight t fl =
+  every t 5000.0 (fun sim_us ->
+      Flight.snapshot fl
+        {
+          Flight.sn_wall = Unix.gettimeofday ();
+          sn_sim_us = sim_us;
+          sn_events = Sim.events_executed t.sim;
+          sn_pending = Sim.pending t.sim;
+          sn_fibers = t.fibers;
+          sn_inflight =
+            (match t.rel with
+            | Some rel -> Hashtbl.length rel.rl_pending
+            | None -> 0);
+          sn_reissues =
+            (match t.rel with
+            | Some rel -> Faults.dsm_reissues rel.rl_faults
+            | None -> 0);
+        })
 
 (* Reserve the node's CPU for [dt] starting no earlier than [from]; returns
    the completion time. Pending charged computation is folded in first.
@@ -490,14 +481,14 @@ and retransmit t rel seq p =
 
 (* Defined after [run_dispatch]: the network keeps the one closure every
    delivery event applies to its message. *)
-let create_nd ?(machine = Machine.gcel) ?(seed = 42) ~dims () =
+let create_nd ?(seed = 42) ~dims () =
   let mesh = Mesh.create_nd ~dims in
   let n = Mesh.num_nodes mesh in
   let nl = Mesh.num_links mesh in
   let t = {
     sim = Sim.create ();
     mesh;
-    machine;
+    machine = Machine.gcel;
     root_rng = Prng.create ~seed;
     route_buf = Array.make (max 1 (Mesh.max_route_length mesh)) 0;
     walk = { wk_arrival = 0.0; wk_last_start = 0.0; wk_last_occupancy = 0.0 };
@@ -526,8 +517,7 @@ let create_nd ?(machine = Machine.gcel) ?(seed = 42) ~dims () =
   t.run_dispatch <- run_dispatch t;
   t
 
-let create ?machine ?seed ~rows ~cols () =
-  create_nd ?machine ?seed ~dims:[| rows; cols |] ()
+let create ?seed ~rows ~cols () = create_nd ?seed ~dims:[| rows; cols |] ()
 
 let send t ?(tag = -1) ~src ~dst ~size payload =
   let id = fresh_msg_id t in
@@ -744,44 +734,22 @@ let pop_live q =
   in
   go ()
 
-exception Found of msg
-
-let recv t node ?where ?tag () =
+let recv t node ?tag () =
   let mb = t.mailboxes.(node) in
-  let take () =
-    match (where, tag) with
-    | Some _, Some _ -> invalid_arg "Network.recv: ~where and ~tag are exclusive"
-    | None, Some k -> (
+  let taken =
+    match tag with
+    | Some k -> (
         (* O(1) amortized: oldest message with this tag, straight off the
            tag queue's front. *)
         match Hashtbl.find_opt mb.by_tag k with
         | None -> None
         | Some q -> pop_live q)
-    | None, None -> pop_live mb.inbox
-    | Some f, None -> (
-        (* Arbitrary predicate: scan arrival order, but consume in place by
-           marking the slot taken — no drain-and-requeue rotation. *)
-        try
-          Queue.iter
-            (fun sl ->
-              if (not sl.sl_taken) && f sl.sl_msg then begin
-                sl.sl_taken <- true;
-                raise (Found sl.sl_msg)
-              end)
-            mb.inbox;
-          None
-        with Found m -> Some m)
+    | None -> pop_live mb.inbox
   in
-  match take () with
+  match taken with
   | Some m -> m
   | None ->
-      let kind =
-        match (where, tag) with
-        | None, Some k -> W_tag k
-        | Some f, None -> W_pred f
-        | None, None -> W_any
-        | Some _, Some _ -> assert false
-      in
+      let kind = match tag with Some k -> W_tag k | None -> W_any in
       suspend (fun resume ->
           let w = { w_kind = kind; w_resume = resume; w_next = no_waiter } in
           if mb.w_tail == no_waiter then mb.w_head <- w else mb.w_tail.w_next <- w;

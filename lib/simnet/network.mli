@@ -33,10 +33,10 @@ type msg = {
 
 type t
 
-val create :
-  ?machine:Machine.t -> ?seed:int -> rows:int -> cols:int -> unit -> t
+val create : ?seed:int -> rows:int -> cols:int -> unit -> t
+(** A 2-D mesh of the {!Machine.gcel} machine. *)
 
-val create_nd : ?machine:Machine.t -> ?seed:int -> dims:int array -> unit -> t
+val create_nd : ?seed:int -> dims:int array -> unit -> t
 (** A mesh of arbitrary dimension (the theory paper's general setting). *)
 
 val mesh : t -> Diva_mesh.Mesh.t
@@ -69,15 +69,12 @@ val set_handler : t -> Diva_mesh.Mesh.node -> (t -> msg -> unit) -> unit
 (** Replace the node's message handler. The default handler enqueues into
     the node's mailbox (see {!recv}). *)
 
-val recv :
-  t -> Diva_mesh.Mesh.node -> ?where:(msg -> bool) -> ?tag:int -> unit -> msg
+val recv : t -> Diva_mesh.Mesh.node -> ?tag:int -> unit -> msg
 (** Blocking receive from the node's mailbox (fiber context only; requires
     the default handler). Returns the oldest matching message.
     [~tag:k] matches messages sent with [send ~tag:k] and is O(1)
-    amortized (per-tag index); [~where] scans arrival order with an
-    arbitrary predicate. The two are mutually exclusive
-    ([Invalid_argument] otherwise); with neither, the oldest message of
-    any kind is returned. *)
+    amortized (per-tag index); without it, the oldest message of any kind
+    is returned. *)
 
 val mailbox_deliver : t -> msg -> unit
 (** The default handler: enqueue into the destination's mailbox. Custom
@@ -116,13 +113,11 @@ val stats : t -> Link_stats.t
 val startups : t -> int
 (** Total number of message startups (local messages excluded). *)
 
-val compute_time : t -> Diva_mesh.Mesh.node -> float
-(** Total application computation time charged to the node so far. *)
-
 val max_compute_time : t -> float
 
 val compute_times : t -> float array
-(** Copy of all per-node computation times (phase snapshots). *)
+(** Copy of the application computation time charged to each node so far
+    (phase snapshots). *)
 
 (** {2 Observability}
 
@@ -179,18 +174,19 @@ val attach_metrics : t -> ?interval:float -> Diva_obs.Metrics.t -> unit
 val attach_prof : t -> Diva_obs.Prof.t -> unit
 (** Install a self-profiler: route {!run} through the event loop's
     profiled twin, arm the statistical subsystem sampler, and drive the
-    profiler's window series from the (observe-only) advance hook — one
-    row per [Prof.window_us] of simulated time. A profiled run is
+    profiler's window series from the same sampling loop as
+    {!attach_metrics} — one
+    row per {!Diva_obs.Prof.window_us} of simulated time. A profiled run is
     byte-identical to an unprofiled one. Attach before creating protocol
     layers (the DSM captures the profiler once, at dispatch-closure
     creation); [Runner.install_obs] runs first and satisfies this. *)
 
 val prof : t -> Diva_obs.Prof.t option
 
-val attach_flight : t -> ?interval:float -> Diva_obs.Flight.t -> unit
+val attach_flight : t -> Diva_obs.Flight.t -> unit
 (** Take a flight-recorder health snapshot (sim time, events executed and
-    pending, live fibers, in-flight envelopes, watchdog trips) every
-    [interval] simulated microseconds (default 5000). The event ring is
+    pending, live fibers, in-flight envelopes, watchdog trips) every 5000
+    simulated microseconds. The event ring is
     fed by wrapping the trace sink ({!Diva_obs.Flight.wrap}) before it is
     installed; this only attaches the periodic snapshots. *)
 

@@ -82,7 +82,6 @@ let create ~shards ~lookahead =
   }
 
 let num_shards t = Array.length t.shards
-let lookahead t = t.lookahead
 
 let schedule_init t ~shard ~at msg =
   if shard < 0 || shard >= Array.length t.shards then
@@ -96,7 +95,6 @@ let events_executed t =
 
 let ctx_shard c = c.c_shard.s_id
 let ctx_now c = c.c_shard.s_clock
-let ctx_num_shards c = num_shards c.c_eng
 
 (* Both checks are written so that a NaN fails them. *)
 let ctx_schedule c ~at msg =
@@ -293,9 +291,8 @@ let telemetry_json tl =
 let min_pending t =
   Array.fold_left
     (fun acc s ->
-      match Heap.min_priority s.s_queue with
-      | Some p -> Float.min acc p
-      | None -> acc)
+      if Heap.is_empty s.s_queue then acc
+      else Float.min acc (Heap.min_priority_exn s.s_queue))
     Float.infinity t.shards
 
 let run ?(domains = 1) ?telemetry t ~handler =

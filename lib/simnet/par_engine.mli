@@ -41,8 +41,6 @@ type 'a ctx
 val create : shards:int -> lookahead:float -> 'a t
 (** [create ~shards ~lookahead] with [shards >= 1], [lookahead > 0]. *)
 
-val lookahead : _ t -> float
-
 val schedule_init : 'a t -> shard:int -> at:float -> 'a -> unit
 (** Seed an event before {!run}. Raises [Invalid_argument] unless [at] is
     finite and [>= 0]. *)
@@ -81,7 +79,6 @@ val events_executed : _ t -> int
 
 val ctx_shard : _ ctx -> int
 val ctx_now : _ ctx -> float
-val ctx_num_shards : _ ctx -> int
 
 val ctx_schedule : 'a ctx -> at:float -> 'a -> unit
 (** Schedule on the current shard. Raises [Invalid_argument] if [at] is

@@ -23,8 +23,6 @@ val schedule_call : t -> float -> ('a -> unit) -> 'a -> unit
     queue keeps [f] and [x] in columns of their own, so scheduling
     allocates only the boxed time. *)
 
-val schedule_call_now : t -> ('a -> unit) -> 'a -> unit
-
 val run : t -> unit
 (** Execute events until the queue is empty. *)
 

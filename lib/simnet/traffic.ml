@@ -139,8 +139,8 @@ let handler m ctx ev =
       end
       else hop m ctx ~node ~dst ~injected ~hops
 
-let run ?(domains = 1) ?telemetry ?(seed = 17) ?(size = 64)
-    ?(machine = Machine.gcel) ~rows ~cols ~rate ~horizon ~pattern () =
+let run ?(domains = 1) ?telemetry ?(seed = 17) ?(size = 64) ~rows ~cols ~rate
+    ~horizon ~pattern () =
   if rows < 1 || cols < 1 || rows * cols < 2 then
     invalid_arg "Traffic.run: need at least 2 nodes";
   if not (rate > 0.0 && horizon > 0.0) then
@@ -154,7 +154,7 @@ let run ?(domains = 1) ?telemetry ?(seed = 17) ?(size = 64)
       horizon;
       size;
       pattern;
-      machine;
+      machine = Machine.gcel;
       prngs =
         Array.init n (fun i ->
             Prng.create

@@ -35,7 +35,6 @@ val run :
   ?telemetry:Par_engine.telemetry ->
   ?seed:int ->
   ?size:int ->
-  ?machine:Machine.t ->
   rows:int ->
   cols:int ->
   rate:float ->

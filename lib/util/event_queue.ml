@@ -199,22 +199,3 @@ let pop_exn h =
   Array.unsafe_set h.keys last slot;
   Obj.obj top
 
-let pop_min h =
-  if h.len = 0 then None
-  else
-    let prio = h.prios.(0) in
-    Some (prio, pop_exn h)
-
-let min_priority h = if h.len = 0 then None else Some h.prios.(0)
-
-(* Release every value, keeping the capacity. The heap's slots sit below
-   the free stack in [keys]; unpacking each key to its bare slot index
-   frees them. *)
-let clear h =
-  for i = 0 to h.len - 1 do
-    let slot = h.keys.(i) land slot_mask in
-    h.fsts.(slot) <- empty;
-    h.snds.(slot) <- empty;
-    h.keys.(i) <- slot
-  done;
-  h.len <- 0

@@ -3,7 +3,7 @@
     arrays (priorities, and keys packing a tie-break sequence number above
     a slot index); each entry's values sit in a slot of their own from
     insertion until they are popped, so sifting never moves a value and
-    neither insertion nor removal allocates. A popped or cleared value is
+    neither insertion nor removal allocates. A popped value is
     no longer referenced by the queue. Insertion order among equal
     priorities is preserved (FIFO): the pop sequence is the lexicographic
     (priority, insertion index) order — a total order — which makes
@@ -31,14 +31,9 @@ val insert2 : ('a, 'b) t2 -> float -> 'a -> 'b -> unit
 (** [insert2 h prio x y] adds the entry [(x, y)] with priority [prio]. Does
     not allocate (outside of capacity doubling). *)
 
-val pop_min : 'a t -> (float * 'a) option
-(** Removes and returns the minimum-priority element; FIFO among ties. *)
-
-val min_priority : ('a, 'b) t2 -> float option
-
 val min_priority_exn : ('a, 'b) t2 -> float
-(** The minimum priority without removing it. Non-allocating hot-path
-    variant of {!min_priority}; raises [Invalid_argument] when empty. *)
+(** The minimum priority without removing it; raises [Invalid_argument]
+    when empty. *)
 
 val min_snd_exn : ('a, 'b) t2 -> 'b
 (** The minimum entry's second value, without removing it. Raises
@@ -49,13 +44,9 @@ val pop_exn : ('a, 'b) t2 -> 'a
     allocating. Pair with {!min_priority_exn} and {!min_snd_exn} to read
     the rest of the entry first. Raises [Invalid_argument] when empty. *)
 
-val clear : ('a, 'b) t2 -> unit
-(** Empty the queue, keeping its capacity. Sequence numbers keep
-    advancing, so FIFO tie-break order spans a clear. *)
-
 val check_fits : pending:int -> inserts:int -> unit
 (** Raise [Invalid_argument], naming the limit, if [pending] entries
     exceed the key's slot field (2{^24}) or [inserts] insertions over the
     queue's life exceed its sequence field (2{^38} with 63-bit ints). The
     queue makes this check as it grows and as its sequence numbers
-    advance. *)
+    advance. Test-only: no test-sized run reaches either limit. *)

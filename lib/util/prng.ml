@@ -42,11 +42,3 @@ let hash2_int seed x ~bound =
   if bound <= 0 then invalid_arg "Prng.hash2_int: bound must be positive";
   let v = Int64.to_int (Int64.shift_right_logical (hash2 seed x) 2) in
   v mod bound
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -29,9 +29,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val hash2 : int64 -> int -> int64
 (** Stateless mix of a seed and an integer; used for per-object
     deterministic placement without storing generator state. *)

@@ -6,7 +6,6 @@ let maxf a = Array.fold_left Float.max neg_infinity a
 
 let percent num den = if den = 0.0 then 0.0 else 100.0 *. num /. den
 let ratio num den = if den = 0.0 then 0.0 else num /. den
-let log2 x = Float.log x /. Float.log 2.0
 
 let sorted_percentile p s =
   let n = Array.length s in

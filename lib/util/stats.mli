@@ -24,8 +24,6 @@ val sorted_percentile : float -> float array -> float
     without the copy and sort: several ranks of one sample set cost one
     sort. *)
 
-val log2 : float -> float
-
 val is_power_of_two : int -> bool
 
 val ilog2 : int -> int

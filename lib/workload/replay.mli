@@ -39,7 +39,9 @@ type t = private {
 
 val of_events :
   dims:int array -> seed:int -> Diva_obs.Trace.event list -> t
-(** Keep the replayed events of a traced run's event list. *)
+(** Keep the replayed events of a traced run's event list. Test-only:
+    tests and the golden generator replay an in-memory traced run, and
+    check {!read} against it. *)
 
 val read : string -> (t, string) result
 (** Read an event-trace file line by line, keeping only the replayed

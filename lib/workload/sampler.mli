@@ -18,6 +18,3 @@ val draw : t -> proc:int -> Diva_util.Prng.t -> int
 (** Draw a key (index in [0 .. num_vars-1]) for processor [proc],
     consuming exactly one [Prng.float] from the given stream. *)
 
-val weight : Spec.popularity -> n:int -> int -> float
-(** [weight pop ~n k] is the unnormalized popularity weight of the key of
-    global rank [k] in a key space of size [n] (exposed for tests). *)

@@ -18,6 +18,11 @@ module Streaming = Diva_obs.Streaming
 
 let eps = 1e-6
 
+(* Every term of a cost decomposition, summed. *)
+let total_cost (c : Analysis.cost) =
+  c.Analysis.startup_us +. c.Analysis.transfer_us +. c.Analysis.queue_us
+  +. c.Analysis.cpu_us
+
 (* Run one app with causal tracing on and return (overheads, events). *)
 let traced_run ?(faults = Diva_faults.Schedule.empty) run =
   let trace = Trace.create () in
@@ -37,7 +42,7 @@ let traced_run ?(faults = Diva_faults.Schedule.empty) run =
   (ov, Trace.events trace)
 
 let summarize ?num_windows ov events =
-  fst (Streaming.analyze_events ?num_windows ov events)
+  fst (Helpers.analyze_events ?num_windows ov events)
 
 (* Every app of the paper, small enough for the test suite. *)
 let apps =
@@ -266,7 +271,7 @@ let test_decomposition_sums () =
               ("transfer", c.Analysis.transfer_us);
               ("queue", c.Analysis.queue_us);
               ("cpu", c.Analysis.cpu_us) ];
-          let total = Analysis.total_cost c in
+          let total = total_cost c in
           let tol = eps *. Float.max 1.0 t.t_dur in
           if Float.abs (total -. t.t_dur) > tol then
             Alcotest.failf "%s: decomposition %g <> latency %g" where total
@@ -368,7 +373,7 @@ let test_critical_path_covers_makespan () =
       Alcotest.(check bool) "has transactions" true (c.Analysis.sc_txns > 0);
       Alcotest.(check (float 1e-3))
         "timeline total = makespan" c.Analysis.sc_end
-        (Analysis.total_cost c.Analysis.sc_cost)
+        (total_cost c.Analysis.sc_cost)
 
 let count p events = List.length (List.filter p events)
 
@@ -551,7 +556,7 @@ let test_to_json_roundtrip () =
   let ov, events =
     traced_run ((List.assoc "matmul" apps) (Dsm.access_tree ~arity:4 ()))
   in
-  let summary, _ = Streaming.analyze_events ~top_k:5 ~num_windows:3 ov events in
+  let summary, _ = Helpers.analyze_events ~top_k:5 ~num_windows:3 ov events in
   let j =
     Analysis.summary_to_json
       ~meta:[ ("app", Diva_obs.Json.String "matmul") ]

@@ -62,7 +62,10 @@ let run_capacity ~eviction () =
   let net = Network.create ~seed:11 ~rows:2 ~cols:2 () in
   let dsm =
     Dsm.create net
-      ~strategy:(Dsm.access_tree ~arity:4 ~capacity:cap ~eviction ())
+      ~strategy:
+        (Dsm.Access_tree
+           { Strategy.tree_defaults with
+             arity = 4; capacity = Some cap; eviction })
       ()
   in
   let vars =

@@ -187,7 +187,7 @@ let test_sync_tree () =
       ("4-ary", Dsm.access_tree ~arity:4 (), 15145.0);
       ("16-ary", Dsm.access_tree ~arity:16 (), 31660.0);
       ("fixed-home", Dsm.Fixed_home, 15145.0);
-      ("adaptive-home", Dsm.adaptive (), 15145.0) ]
+      ("adaptive-home", Dsm.Adaptive Diva_core.Strategy.adaptive_defaults, 15145.0) ]
   in
   let times =
     List.map

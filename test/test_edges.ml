@@ -14,10 +14,10 @@ let raises_invalid f =
 
 let test_mesh_argument_errors () =
   Alcotest.(check bool) "zero side" true
-    (raises_invalid (fun () -> Mesh.create ~rows:0 ~cols:3));
+    (raises_invalid (fun () -> Helpers.mesh2 ~rows:0 ~cols:3));
   Alcotest.(check bool) "empty dims" true
     (raises_invalid (fun () -> Mesh.create_nd ~dims:[||]));
-  let m = Mesh.create ~rows:2 ~cols:2 in
+  let m = Helpers.mesh2 ~rows:2 ~cols:2 in
   Alcotest.(check bool) "node_at out of range" true
     (raises_invalid (fun () -> Mesh.node_at m ~row:2 ~col:0));
   let m3 = Mesh.create_nd ~dims:[| 2; 2; 2 |] in
@@ -29,7 +29,7 @@ let test_mesh_argument_errors () =
     (raises_invalid (fun () -> Mesh.node_at_nd m [| 1 |]))
 
 let test_decomposition_argument_errors () =
-  let m = Mesh.create ~rows:4 ~cols:4 in
+  let m = Helpers.mesh2 ~rows:4 ~cols:4 in
   Alcotest.(check bool) "leaf_size 0" true
     (raises_invalid (fun () -> Deco.build m ~arity:Deco.Two ~leaf_size:0));
   Alcotest.(check bool) "arity 3" true
@@ -77,8 +77,7 @@ let test_zero_size_variable () =
 
 let test_large_variable_times () =
   (* A 1 MB variable takes about a second per link at 1 byte/us. *)
-  let machine = Machine.gcel in
-  let net = Network.create ~machine ~rows:1 ~cols:2 () in
+  let net = Network.create ~rows:1 ~cols:2 () in
   let dsm = Dsm.create net ~strategy:(Dsm.access_tree ~arity:2 ()) () in
   let v = Dsm.create_var dsm ~owner:0 ~size:1_000_000 7 in
   Network.spawn net 1 (fun () -> ignore (Dsm.read dsm 1 v));

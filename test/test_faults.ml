@@ -11,6 +11,7 @@ module Generator = Diva_workload.Generator
 module Oracle = Diva_workload.Oracle
 module Chaos = Diva_run.Chaos
 module Dsm = Diva_core.Dsm
+module Json = Diva_obs.Json
 
 let strategy_4ary = Dsm.access_tree ~arity:4 ()
 
@@ -27,15 +28,26 @@ let sample_schedule =
       Schedule.Node_crash { node = 2; w = { t0 = 4000.0; t1 = 8000.0 } };
     ]
 
+let schedule_string s = Json.to_string (Schedule.to_json s)
+
+(* Parse [doc] as a schedule file. *)
+let parse_schedule doc =
+  let path = Filename.temp_file "diva_faults" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc doc);
+      Schedule.read path)
+
 let test_schedule_roundtrip () =
   let s = sample_schedule in
-  let a = Schedule.to_string s in
+  let a = schedule_string s in
   let s' =
-    match Schedule.of_string a with
+    match parse_schedule a with
     | Ok s' -> s'
     | Error e -> Alcotest.failf "round-trip parse failed: %s" e
   in
-  Alcotest.(check string) "serialization is stable" a (Schedule.to_string s');
+  Alcotest.(check string) "serialization is stable" a (schedule_string s');
   Alcotest.(check int) "seed" s.Schedule.seed s'.Schedule.seed;
   Alcotest.(check int) "event count"
     (List.length s.Schedule.events)
@@ -73,10 +85,10 @@ let test_schedule_rejects_out_of_range_int () =
       "{\"format\":\"diva-faults\",\"version\":1,\"events\":[{\"kind\":\"node_pause\",\"node\":%s,\"from\":0,\"until\":1}]}"
       node
   in
-  (match Schedule.of_string (doc "2") with
+  (match parse_schedule (doc "2") with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "well-formed schedule rejected: %s" e);
-  match Schedule.of_string (doc "1e300") with
+  match parse_schedule (doc "1e300") with
   | Ok _ -> Alcotest.fail "\"node\":1e300 was accepted"
   | Error e ->
       Alcotest.(check string) "error" "fault event needs an integer \"node\"" e
@@ -84,15 +96,15 @@ let test_schedule_rejects_out_of_range_int () =
 let test_generate_deterministic () =
   let g () = Schedule.generate ~seed:5 ~num_nodes:16 ~num_links:48 () in
   let a = g () and b = g () in
-  Alcotest.(check string) "same seed, same schedule" (Schedule.to_string a)
-    (Schedule.to_string b);
+  Alcotest.(check string) "same seed, same schedule" (schedule_string a)
+    (schedule_string b);
   (match Schedule.validate a with
   | Ok () -> ()
   | Error e -> Alcotest.failf "generated schedule invalid: %s" e);
   Alcotest.(check bool) "never empty" false (Schedule.is_empty a);
   let c = Schedule.generate ~seed:6 ~num_nodes:16 ~num_links:48 () in
   Alcotest.(check bool) "different seed, different schedule" true
-    (Schedule.to_string a <> Schedule.to_string c)
+    (schedule_string a <> schedule_string c)
 
 let check_meas name (a : Runner.measurements) (b : Runner.measurements) =
   Alcotest.(check int) (name ^ ": total msgs") a.Runner.total_msgs
@@ -138,7 +150,12 @@ let faulted_matmul strategy =
       ~dims:[| 4; 4 |] ~block:256 strategy
   in
   let f = Option.get !captured in
-  (m, [ Faults.lost_total f; Faults.retransmits f; Faults.enveloped f;
+  let enveloped =
+    match List.assoc "enveloped_msgs" (Faults.report_fields f) with
+    | Json.Int n -> n
+    | _ -> Alcotest.fail "no enveloped_msgs field"
+  in
+  (m, [ Faults.lost_total f; Faults.retransmits f; enveloped;
         Faults.dsm_reissues f ])
 
 (* Same schedule + seed => bit-identical faulted run, for both strategies;

@@ -58,14 +58,57 @@ let test_runner_bh_phase_sums () =
   in
   Alcotest.(check int) "phase traffic sums" r.Runner.bh_total.Runner.total_msgs msum
 
+(* A phase row counts its own startups and DSM reads: they are taken at
+   the measurement marks. With no warmup the first mark opens the run and
+   the last closes it, so the phases sum to the whole run's counts; the
+   whole-run fields of [bh_total] keep counting the warmup steps. *)
+let test_runner_bh_phase_counters () =
+  let phases =
+    [ Barnes_hut.Build; Barnes_hut.Com; Barnes_hut.Partition; Barnes_hut.Force;
+      Barnes_hut.Advance; Barnes_hut.Space ]
+  in
+  let run warmup =
+    let cfg =
+      { (Barnes_hut.default_config ~nbodies:64) with
+        Barnes_hut.steps = 3; warmup }
+    in
+    Runner.run_barnes_hut ~dims:[| 2; 2 |] ~cfg (Dsm.access_tree ~arity:4 ())
+  in
+  let sum r f =
+    List.fold_left (fun acc ph -> acc + f (r.Runner.bh_phase ph)) 0 phases
+  in
+  let startups m = m.Runner.startups
+  and reads m = m.Runner.dsm_reads
+  and hits m = m.Runner.dsm_read_hits in
+  let all = run 0 and measured = run 1 in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check int) (what ^ ": phases sum to the run") (f all.Runner.bh_total)
+        (sum all f);
+      Alcotest.(check int) (what ^ ": warmup still in the total")
+        (f all.Runner.bh_total) (f measured.Runner.bh_total);
+      let s = sum measured f in
+      Alcotest.(check bool) (what ^ ": warmup left out of the phases") true
+        (s > 0 && s < sum all f))
+    [ ("startups", startups); ("reads", reads); ("read hits", hits) ];
+  List.iter
+    (fun ph ->
+      Alcotest.(check bool) "a phase is not the whole run" true
+        (startups (all.Runner.bh_phase ph) < startups all.Runner.bh_total))
+    phases
+
 let test_heatmap_accounts_all_traffic () =
   let net, dsm = make_dsm ~rows:4 ~cols:4 (Dsm.access_tree ~arity:4 ()) in
   let v = Dsm.create_var dsm ~owner:0 ~size:256 0 in
   run_procs net (fun p -> ignore (Dsm.read dsm p v));
-  let traffic = Heatmap.node_traffic net in
-  let sum = Array.fold_left ( + ) 0 traffic in
-  Alcotest.(check int) "outgoing sums to total bytes"
-    (Link_stats.total_bytes (Network.stats net))
+  let per = Link_stats.per_link_bytes (Network.stats net) in
+  let traffic =
+    Heatmap.nodes_of_link_values (Network.mesh net)
+      (Array.to_list (Array.mapi (fun l v -> (l, float_of_int v)) per))
+  in
+  let sum = Array.fold_left ( +. ) 0.0 traffic in
+  Alcotest.(check (float 0.0)) "outgoing sums to total bytes"
+    (float_of_int (Link_stats.total_bytes (Network.stats net)))
     sum
 
 let test_heatmap_render_shape () =
@@ -87,24 +130,26 @@ let test_heatmap_hottest_link () =
   let net, dsm = make_dsm ~rows:4 ~cols:4 Dsm.Fixed_home in
   let v = Dsm.create_var dsm ~owner:5 ~size:128 0 in
   run_procs net (fun p -> ignore (Dsm.read dsm p v));
-  (match Heatmap.hottest_link ~mode:Heatmap.Bytes net with
+  let hottest =
+    List.find_opt
+      (fun l -> contains l "hottest directed link")
+      (String.split_on_char '\n' (Heatmap.render net))
+  in
+  match hottest with
   | None -> Alcotest.fail "traffic but no hottest link"
-  | Some (link, src, dst, amount) ->
-      let per_link = Link_stats.per_link_bytes (Network.stats net) in
-      Array.iter
-        (fun b -> Alcotest.(check bool) "is the max" true (b <= amount))
-        per_link;
-      Alcotest.(check int) "amount matches stats" per_link.(link) amount;
-      let s, d = Diva_mesh.Mesh.link_endpoints (Network.mesh net) link in
-      Alcotest.(check int) "src" s src;
-      Alcotest.(check int) "dst" d dst);
-  (* Message mode counts crossings, not payload. *)
-  match Heatmap.hottest_link ~mode:Heatmap.Msgs net with
-  | None -> Alcotest.fail "no hottest link in msgs mode"
-  | Some (link, _, _, amount) ->
-      Alcotest.(check int) "msgs mode reads message stats"
-        (Link_stats.per_link_msgs (Network.stats net)).(link)
-        amount
+  | Some line ->
+      Scanf.sscanf line "hottest directed link: %d (%d -> %d), %d bytes"
+        (fun link src dst amount ->
+          let per_link = Link_stats.per_link_bytes (Network.stats net) in
+          Array.iteri
+            (fun l b ->
+              Alcotest.(check bool) "is the max, lowest id on ties" true
+                (b < amount || (b = amount && l >= link)))
+            per_link;
+          Alcotest.(check int) "amount matches stats" per_link.(link) amount;
+          let s, d = Diva_mesh.Mesh.link_endpoints (Network.mesh net) link in
+          Alcotest.(check int) "src" s src;
+          Alcotest.(check int) "dst" d dst)
 
 let test_heatmap_link_values_fold () =
   let mesh = Diva_mesh.Mesh.create_nd ~dims:[| 3; 3 |] in
@@ -281,6 +326,8 @@ let suite =
       test_runner_matmul_measurements;
     Alcotest.test_case "runner deterministic" `Quick test_runner_deterministic;
     Alcotest.test_case "BH phases sum to total" `Quick test_runner_bh_phase_sums;
+    Alcotest.test_case "BH phase counters are the phase's" `Quick
+      test_runner_bh_phase_counters;
     Alcotest.test_case "heatmap accounts all traffic" `Quick
       test_heatmap_accounts_all_traffic;
     Alcotest.test_case "heatmap render shape" `Quick test_heatmap_render_shape;

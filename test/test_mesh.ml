@@ -6,28 +6,28 @@ module Embedding = Diva_mesh.Embedding
 module Prng = Diva_util.Prng
 
 let test_coords_roundtrip () =
-  let m = Mesh.create ~rows:5 ~cols:7 in
+  let m = Helpers.mesh2 ~rows:5 ~cols:7 in
   for v = 0 to Mesh.num_nodes m - 1 do
     let r, c = Mesh.coords m v in
     Alcotest.(check int) "roundtrip" v (Mesh.node_at m ~row:r ~col:c)
   done
 
 let test_route_length () =
-  let m = Mesh.create ~rows:8 ~cols:8 in
+  let m = Helpers.mesh2 ~rows:8 ~cols:8 in
   let rng = Prng.create ~seed:1 in
   for _ = 1 to 200 do
     let src = Prng.int rng 64 and dst = Prng.int rng 64 in
-    let route = Mesh.route m ~src ~dst in
-    Alcotest.(check int) "shortest path" (Mesh.distance m src dst)
+    let route = Helpers.route m ~src ~dst in
+    Alcotest.(check int) "shortest path" (Helpers.distance m src dst)
       (List.length route)
   done
 
 let test_route_connected () =
-  let m = Mesh.create ~rows:6 ~cols:4 in
+  let m = Helpers.mesh2 ~rows:6 ~cols:4 in
   let rng = Prng.create ~seed:2 in
   for _ = 1 to 200 do
     let src = Prng.int rng 24 and dst = Prng.int rng 24 in
-    let route = Mesh.route m ~src ~dst in
+    let route = Helpers.route m ~src ~dst in
     let cur = ref src in
     List.iter
       (fun l ->
@@ -40,11 +40,11 @@ let test_route_connected () =
 
 let test_route_dimension_order () =
   (* Dimension 1 first: all column moves must precede all row moves. *)
-  let m = Mesh.create ~rows:8 ~cols:8 in
+  let m = Helpers.mesh2 ~rows:8 ~cols:8 in
   let rng = Prng.create ~seed:3 in
   for _ = 1 to 100 do
     let src = Prng.int rng 64 and dst = Prng.int rng 64 in
-    let route = Mesh.route m ~src ~dst in
+    let route = Helpers.route m ~src ~dst in
     let moves =
       List.map
         (fun l ->
@@ -62,8 +62,8 @@ let test_route_dimension_order () =
   done
 
 let test_route_self () =
-  let m = Mesh.create ~rows:3 ~cols:3 in
-  Alcotest.(check (list int)) "empty" [] (Mesh.route m ~src:4 ~dst:4)
+  let m = Helpers.mesh2 ~rows:3 ~cols:3 in
+  Alcotest.(check (list int)) "empty" [] (Helpers.route m ~src:4 ~dst:4)
 
 (* --- decomposition ------------------------------------------------- *)
 
@@ -73,21 +73,21 @@ let check_partition (d : Deco.t) id =
   let kids = d.Deco.children.(id) in
   if Array.length kids > 0 then begin
     let total =
-      Array.fold_left (fun acc k -> acc + Deco.size d.Deco.submesh.(k)) 0 kids
+      Array.fold_left (fun acc k -> acc + Helpers.submesh_size d.Deco.submesh.(k)) 0 kids
     in
-    Alcotest.(check int) "sizes add up" (Deco.size sm) total;
+    Alcotest.(check int) "sizes add up" (Helpers.submesh_size sm) total;
     Array.iter
       (fun k ->
         let ksm = d.Deco.submesh.(k) in
         Alcotest.(check bool) "child inside parent" true
-          (Deco.mem sm ksm.Deco.origin))
+          (Helpers.in_submesh sm ksm.Deco.origin))
       kids
   end
 
 let test_decomposition_partition () =
   List.iter
     (fun (rows, cols, arity, leaf) ->
-      let m = Mesh.create ~rows ~cols in
+      let m = Helpers.mesh2 ~rows ~cols in
       let d = Deco.build m ~arity ~leaf_size:leaf in
       for id = 0 to d.Deco.num_tree_nodes - 1 do
         check_partition d id
@@ -101,7 +101,7 @@ let test_decomposition_partition () =
 let test_decomposition_leaves () =
   List.iter
     (fun (rows, cols, arity, leaf) ->
-      let m = Mesh.create ~rows ~cols in
+      let m = Helpers.mesh2 ~rows ~cols in
       let d = Deco.build m ~arity ~leaf_size:leaf in
       (* Every processor has exactly one leaf, and it is a real leaf. *)
       let count = ref 0 in
@@ -119,7 +119,7 @@ let test_decomposition_leaves () =
       (4, 8, Deco.Sixteen, 1); (3, 5, Deco.Two, 4) ]
 
 let test_decomposition_parent_child_consistency () =
-  let m = Mesh.create ~rows:8 ~cols:8 in
+  let m = Helpers.mesh2 ~rows:8 ~cols:8 in
   let d = Deco.build m ~arity:Deco.Four ~leaf_size:4 in
   for id = 1 to d.Deco.num_tree_nodes - 1 do
     let p = d.Deco.parent.(id) in
@@ -131,7 +131,7 @@ let test_decomposition_parent_child_consistency () =
 let test_arity_matches () =
   (* On a 16x16 mesh every internal node of the 4-ary tree has exactly 4
      children (power-of-two square mesh). *)
-  let m = Mesh.create ~rows:16 ~cols:16 in
+  let m = Helpers.mesh2 ~rows:16 ~cols:16 in
   let d = Deco.build m ~arity:Deco.Four ~leaf_size:1 in
   for id = 0 to d.Deco.num_tree_nodes - 1 do
     if not (Deco.is_leaf d id) then
@@ -146,23 +146,23 @@ let test_arity_matches () =
 let test_terminated_leaf_size () =
   (* 2-4-ary: terminated submeshes have size <= 4 and their tree node has
      one child per processor. *)
-  let m = Mesh.create ~rows:8 ~cols:8 in
+  let m = Helpers.mesh2 ~rows:8 ~cols:8 in
   let d = Deco.build m ~arity:Deco.Two ~leaf_size:4 in
   for id = 0 to d.Deco.num_tree_nodes - 1 do
     let kids = d.Deco.children.(id) in
     if Array.length kids > 0 && Deco.is_leaf d kids.(0) then begin
       Alcotest.(check bool) "terminated size <= 4" true
-        (Deco.size d.Deco.submesh.(id) <= 4);
-      Alcotest.(check int) "one child per proc" (Deco.size d.Deco.submesh.(id))
+        (Helpers.submesh_size d.Deco.submesh.(id) <= 4);
+      Alcotest.(check int) "one child per proc" (Helpers.submesh_size d.Deco.submesh.(id))
         (Array.length kids)
     end
   done
 
 let test_height_decreases_with_arity () =
-  let m = Mesh.create ~rows:32 ~cols:32 in
-  let h2 = Deco.height (Deco.build m ~arity:Deco.Two ~leaf_size:1) in
-  let h4 = Deco.height (Deco.build m ~arity:Deco.Four ~leaf_size:1) in
-  let h16 = Deco.height (Deco.build m ~arity:Deco.Sixteen ~leaf_size:1) in
+  let m = Helpers.mesh2 ~rows:32 ~cols:32 in
+  let h2 = Helpers.tree_height (Deco.build m ~arity:Deco.Two ~leaf_size:1) in
+  let h4 = Helpers.tree_height (Deco.build m ~arity:Deco.Four ~leaf_size:1) in
+  let h16 = Helpers.tree_height (Deco.build m ~arity:Deco.Sixteen ~leaf_size:1) in
   Alcotest.(check bool) "2-ary taller than 4-ary" true (h2 > h4);
   Alcotest.(check bool) "4-ary taller than 16-ary" true (h4 > h16);
   Alcotest.(check int) "2-ary height of 32x32" 10 h2;
@@ -171,7 +171,7 @@ let test_height_decreases_with_arity () =
 let test_snake_order () =
   List.iter
     (fun (rows, cols) ->
-      let m = Mesh.create ~rows ~cols in
+      let m = Helpers.mesh2 ~rows ~cols in
       let order = Deco.snake_order m in
       Alcotest.(check int) "covers all" (rows * cols) (Array.length order);
       let sorted = Array.copy order in
@@ -181,14 +181,14 @@ let test_snake_order () =
       (* Locality: consecutive processors in snake order are close. *)
       let maxd = ref 0 in
       for i = 0 to Array.length order - 2 do
-        maxd := max !maxd (Mesh.distance m order.(i) order.(i + 1))
+        maxd := max !maxd (Helpers.distance m order.(i) order.(i + 1))
       done;
       Alcotest.(check bool) "consecutive are nearby" true
         (!maxd <= (rows + cols) / 2))
     [ (8, 8); (16, 16); (4, 8) ]
 
 let test_next_hop_and_subtree () =
-  let m = Mesh.create ~rows:8 ~cols:8 in
+  let m = Helpers.mesh2 ~rows:8 ~cols:8 in
   let d = Deco.build m ~arity:Deco.Two ~leaf_size:1 in
   let rng = Prng.create ~seed:4 in
   for _ = 1 to 500 do
@@ -198,7 +198,7 @@ let test_next_hop_and_subtree () =
       (* Walking next_hop from a must reach b in at most 2*height steps. *)
       let rec walk cur steps =
         if cur = b then steps
-        else if steps > 2 * (Deco.height d + 1) then -1
+        else if steps > 2 * (Helpers.tree_height d + 1) then -1
         else walk (Deco.next_hop d ~from:cur ~target:b) (steps + 1)
       in
       Alcotest.(check bool) "walk reaches target" true (walk a 0 >= 0)
@@ -215,18 +215,25 @@ let test_strategy_names () =
 
 (* --- embedding ----------------------------------------------------- *)
 
+(* A whole [Regular] placement per trial from {!Embedding.regular}; the
+   [Random] kind is only ever placed node by node. *)
 let test_embedding_in_submesh kind () =
   List.iter
     (fun (rows, cols, arity) ->
-      let m = Mesh.create ~rows ~cols in
+      let m = Helpers.mesh2 ~rows ~cols in
       let d = Deco.build m ~arity ~leaf_size:1 in
       let rng = Prng.create ~seed:5 in
-      for _ = 1 to 5 do
-        let e = Embedding.make kind d ~rng in
+      for trial = 1 to 5 do
+        let place =
+          match kind with
+          | Embedding.Regular -> Embedding.place (Embedding.regular d ~rng)
+          | Embedding.Random ->
+              Embedding.place_lazy kind d ~seed:(Int64.of_int trial)
+        in
         for id = 0 to d.Deco.num_tree_nodes - 1 do
-          let place = Embedding.place e id in
+          let place = place id in
           Alcotest.(check bool) "inside its submesh" true
-            (Deco.mem d.Deco.submesh.(id) (Mesh.coords_nd m place));
+            (Helpers.in_submesh d.Deco.submesh.(id) (Mesh.coords_nd m place));
           if Deco.is_leaf d id then
             Alcotest.(check int) "leaf on its own proc" d.Deco.proc.(id) place
         done
@@ -236,13 +243,13 @@ let test_embedding_in_submesh kind () =
 let test_lazy_embedding_in_submesh () =
   List.iter
     (fun kind ->
-      let m = Mesh.create ~rows:16 ~cols:16 in
+      let m = Helpers.mesh2 ~rows:16 ~cols:16 in
       let d = Deco.build m ~arity:Deco.Four ~leaf_size:1 in
       for seed = 1 to 20 do
         for id = 0 to d.Deco.num_tree_nodes - 1 do
           let place = Embedding.place_lazy kind d ~seed:(Int64.of_int seed) id in
           Alcotest.(check bool) "inside its submesh" true
-            (Deco.mem d.Deco.submesh.(id) (Mesh.coords_nd m place));
+            (Helpers.in_submesh d.Deco.submesh.(id) (Mesh.coords_nd m place));
           Alcotest.(check int) "deterministic" place
             (Embedding.place_lazy kind d ~seed:(Int64.of_int seed) id)
         done
@@ -251,7 +258,7 @@ let test_lazy_embedding_in_submesh () =
 
 let test_lazy_regular_roots_spread () =
   (* Different variables must get different root placements. *)
-  let m = Mesh.create ~rows:16 ~cols:16 in
+  let m = Helpers.mesh2 ~rows:16 ~cols:16 in
   let d = Deco.build m ~arity:Deco.Four ~leaf_size:1 in
   let roots = Hashtbl.create 64 in
   for seed = 1 to 256 do
@@ -265,7 +272,7 @@ let test_lazy_regular_roots_spread () =
 let test_regular_embedding_short_edges () =
   (* The regular embedding's tree edges should be shorter on average than
      the fully random embedding's (that is its purpose). *)
-  let m = Mesh.create ~rows:16 ~cols:16 in
+  let m = Helpers.mesh2 ~rows:16 ~cols:16 in
   let d = Deco.build m ~arity:Deco.Two ~leaf_size:1 in
   let total kind =
     let sum = ref 0 in
@@ -275,7 +282,7 @@ let test_regular_embedding_short_edges () =
         let pp =
           Embedding.place_lazy kind d ~seed:(Int64.of_int seed) d.Deco.parent.(id)
         in
-        sum := !sum + Mesh.distance m pl pp
+        sum := !sum + Helpers.distance m pl pp
       done
     done;
     !sum

@@ -30,8 +30,8 @@ let test_3d_route_properties () =
   let rng = Prng.create ~seed:1 in
   for _ = 1 to 300 do
     let src = Prng.int rng 64 and dst = Prng.int rng 64 in
-    let route = Mesh.route m ~src ~dst in
-    Alcotest.(check int) "shortest" (Mesh.distance m src dst) (List.length route);
+    let route = Helpers.route m ~src ~dst in
+    Alcotest.(check int) "shortest" (Helpers.distance m src dst) (List.length route);
     (* Connectivity. *)
     let cur = ref src in
     List.iter
@@ -51,12 +51,14 @@ let test_3d_route_dimension_order () =
   for _ = 1 to 200 do
     let src = Prng.int rng 27 and dst = Prng.int rng 27 in
     let dims_seen = ref [] in
-    Mesh.iter_route m ~src ~dst (fun l ->
+    List.iter
+      (fun l ->
         let a, b = Mesh.link_endpoints m l in
         let ca = Mesh.coords_nd m a and cb = Mesh.coords_nd m b in
         let dim = ref (-1) in
         Array.iteri (fun k x -> if x <> cb.(k) then dim := k) ca;
-        dims_seen := !dim :: !dims_seen);
+        dims_seen := !dim :: !dims_seen)
+      (Helpers.route m ~src ~dst);
     (* dims_seen is collected newest-first; reversed it must be
        non-increasing (dimension d, then d-1, ...). *)
     let order = List.rev !dims_seen in
@@ -70,8 +72,8 @@ let test_3d_route_dimension_order () =
 let test_1d_mesh () =
   (* A path network is just a 1-dimensional mesh. *)
   let m = Mesh.create_nd ~dims:[| 8 |] in
-  Alcotest.(check int) "distance" 7 (Mesh.distance m 0 7);
-  Alcotest.(check int) "route length" 7 (List.length (Mesh.route m ~src:0 ~dst:7))
+  Alcotest.(check int) "distance" 7 (Helpers.distance m 0 7);
+  Alcotest.(check int) "route length" 7 (List.length (Helpers.route m ~src:0 ~dst:7))
 
 let test_3d_decomposition () =
   let m = Mesh.create_nd ~dims:[| 4; 4; 4 |] in
@@ -85,17 +87,17 @@ let test_3d_decomposition () =
         else begin
           let total =
             Array.fold_left
-              (fun acc k -> acc + Deco.size d.Deco.submesh.(k))
+              (fun acc k -> acc + Helpers.submesh_size d.Deco.submesh.(k))
               0 d.Deco.children.(id)
           in
-          Alcotest.(check int) "partition" (Deco.size d.Deco.submesh.(id)) total
+          Alcotest.(check int) "partition" (Helpers.submesh_size d.Deco.submesh.(id)) total
         end
       done;
       Alcotest.(check int) "leaves" 64 !leaves)
     [ (Deco.Two, 1); (Deco.Four, 1); (Deco.Two, 8) ];
   (* The 2-ary decomposition of a 4x4x4 mesh has height log2(64) = 6. *)
   let d = Deco.build m ~arity:Deco.Two ~leaf_size:1 in
-  Alcotest.(check int) "height" 6 (Deco.height d)
+  Alcotest.(check int) "height" 6 (Helpers.tree_height d)
 
 let test_3d_snake_locality () =
   let m = Mesh.create_nd ~dims:[| 4; 4; 4 |] in
@@ -108,7 +110,7 @@ let test_3d_snake_locality () =
      average because every contiguous range maps into a subcube. *)
   let total = ref 0 in
   for i = 0 to 62 do
-    total := !total + Mesh.distance m order.(i) order.(i + 1)
+    total := !total + Helpers.distance m order.(i) order.(i + 1)
   done;
   let mean = float_of_int !total /. 63.0 in
   Alcotest.(check bool)

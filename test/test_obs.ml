@@ -135,10 +135,19 @@ let ts_values s =
 
 (* (c) The Chrome trace export is well-formed and timestamps are emitted in
    monotone (non-decreasing) order. *)
+(* The Chrome export as [Chrome_trace.write_file] writes it. *)
+let chrome_string ?metadata ~num_nodes events =
+  let path = Filename.temp_file "diva_chrome" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Diva_obs.Chrome_trace.write_file ?metadata ~num_nodes ~path events;
+      In_channel.with_open_bin path In_channel.input_all)
+
 let test_chrome_export () =
   let tr, _ = traced_run () in
   let s =
-    Diva_obs.Chrome_trace.to_string ~num_nodes:16
+    chrome_string ~num_nodes:16
       ~metadata:[ ("note", Json.String "test \"escape\" \n check") ]
       (Trace.events tr)
   in
@@ -163,6 +172,11 @@ let test_metrics_csv () =
   let m = run_matmul ~obs () in
   let csv = Metrics.to_csv metrics in
   let lines = String.split_on_char '\n' (String.trim csv) in
+  let stamps =
+    List.map
+      (fun row -> float_of_string (List.hd (String.split_on_char ',' row)))
+      (List.tl lines)
+  in
   (match lines with
   | header :: rows ->
       let cols = String.split_on_char ',' header in
@@ -181,7 +195,6 @@ let test_metrics_csv () =
       Alcotest.(check bool) "covers the run" true
         (float_of_int (List.length rows) >= m.Runner.time /. 500.0)
   | [] -> Alcotest.fail "empty csv");
-  let stamps = List.map fst (Metrics.rows metrics) in
   let rec mono = function
     | a :: (b :: _ as rest) -> a < b && mono rest
     | _ -> true
@@ -191,7 +204,7 @@ let test_metrics_csv () =
 (* Counter tracks and flow arrows added to the Chrome export. *)
 let test_chrome_counters_and_flows () =
   let tr, _ = traced_run () in
-  let s = Diva_obs.Chrome_trace.to_string ~num_nodes:16 (Trace.events tr) in
+  let s = chrome_string ~num_nodes:16 (Trace.events tr) in
   List.iter
     (fun needle ->
       let n = String.length needle and m = String.length s in
@@ -206,11 +219,11 @@ let test_chrome_counters_and_flows () =
 let test_prometheus_export () =
   let m = Metrics.create () in
   Alcotest.(check string) "empty registry" "" (Metrics.to_prometheus m);
-  let c = Metrics.counter m "msgs sent" in
+  let sent = ref 2.0 in
+  Metrics.gauge m "msgs sent" (fun () -> !sent);
   Metrics.gauge m "busy" (fun () -> 3.0);
-  Metrics.incr c ~by:2.0 ();
   Metrics.sample m ~ts:10.0;
-  Metrics.incr c ~by:5.0 ();
+  sent := 7.0;
   Metrics.sample m ~ts:250.0;
   let s = Metrics.to_prometheus m in
   List.iter
@@ -218,7 +231,7 @@ let test_prometheus_export () =
       Alcotest.(check bool) line true
         (List.mem line (String.split_on_char '\n' s)))
     [
-      "# TYPE diva_msgs_sent counter";
+      "# TYPE diva_msgs_sent gauge";
       "diva_msgs_sent 7";
       "# TYPE diva_busy gauge";
       "diva_busy 3";
@@ -235,10 +248,7 @@ let test_chrome_golden () =
     (Runner.run_matmul ~seed:17 ~dims:[| 2; 2 |] ~block:64
        ~obs:{ Runner.null_obs with Runner.obs_trace = tr }
        (Runner.Strategy strategy));
-  (* [write_file] (used by gen_golden) terminates the file with a newline. *)
-  let got =
-    Diva_obs.Chrome_trace.to_string ~num_nodes:4 (Trace.events tr) ^ "\n"
-  in
+  let got = chrome_string ~num_nodes:4 (Trace.events tr) in
   let path = "data/golden_chrome_2x2.json" in
   let ic = open_in_bin path in
   let want = really_input_string ic (in_channel_length ic) in

@@ -85,7 +85,7 @@ let ring_run ~domains ~shards =
       logs.(s) <- (Par_engine.ctx_now ctx, ttl) :: logs.(s);
       if ttl > 0 then
         Par_engine.ctx_post ctx
-          ~dst:((s + 1) mod Par_engine.ctx_num_shards ctx)
+          ~dst:((s + 1) mod shards)
           ~at:(Par_engine.ctx_now ctx +. 1.0)
           (ttl - 1));
   (Array.to_list (Array.map List.rev logs), Par_engine.events_executed eng)

@@ -62,14 +62,14 @@ let test_prof_zero_perturbation () =
   check_same_measurements "profiled" plain profiled;
   Alcotest.(check bool) "identical event streams" true
     (Trace.events tr_plain = Trace.events tr_prof);
-  Alcotest.(check bool) "window series recorded" true (Prof.num_samples p > 0)
+  Alcotest.(check bool) "window series recorded" true
+    (Prof.series_rows (Prof.to_json p) <> [])
 
 let test_prof_series_and_json () =
-  let p = Prof.create ~window_us:100.0 () in
+  let p = Prof.create () in
   for i = 1 to 40 do
-    Prof.sample p ~sim_us:(float_of_int i *. 100.0) ~events:(i * 10)
+    Prof.sample p ~sim_us:(float_of_int i *. Prof.window_us) ~events:(i * 10)
   done;
-  Alcotest.(check int) "row count" 40 (Prof.num_samples p);
   let doc = Prof.to_json p in
   let rows = Prof.series_rows doc in
   Alcotest.(check int) "series_rows count" 40 (List.length rows);
@@ -95,15 +95,13 @@ let test_prof_series_and_json () =
 
 let test_prof_subsystems_and_regions () =
   let p = Prof.create () in
-  Alcotest.(check string) "starts in host" "host"
-    (Prof.subsystem_name (Prof.cur_sub p));
+  Alcotest.(check bool) "starts in host" true (Prof.cur_sub p = Prof.Host);
   Prof.set_sub p Prof.Strategy;
-  Alcotest.(check string) "set_sub" "strategy"
-    (Prof.subsystem_name (Prof.cur_sub p));
+  Alcotest.(check bool) "set_sub" true (Prof.cur_sub p = Prof.Strategy);
   let r = Prof.with_sub p Prof.Analysis (fun () -> Prof.cur_sub p) in
-  Alcotest.(check string) "with_sub inside" "analysis" (Prof.subsystem_name r);
-  Alcotest.(check string) "with_sub restores" "strategy"
-    (Prof.subsystem_name (Prof.cur_sub p));
+  Alcotest.(check bool) "with_sub inside" true (r = Prof.Analysis);
+  Alcotest.(check bool) "with_sub restores" true
+    (Prof.cur_sub p = Prof.Strategy);
   ignore (Prof.region p "phase_a" (fun () -> 42));
   ignore (Prof.region p "phase_a" (fun () -> 43));
   ignore (Prof.region p "phase_b" (fun () -> 44));
@@ -154,8 +152,9 @@ let test_prof_books_fiber_to_app () =
   in
   let app = count "app" and strategy = count "strategy" in
   let total =
-    List.fold_left (fun a s -> a + count (Prof.subsystem_name s)) 0
-      Prof.[ Host; Event_loop; Dispatch; Protocol; Strategy; Analysis; App ]
+    List.fold_left (fun a s -> a + count s) 0
+      [ "host"; "event_loop"; "dispatch"; "protocol"; "strategy"; "analysis";
+        "app" ]
   in
   (* The sampler's period is rounded up to the kernel's timer tick, so
      count shares rather than expect [burn_s / period] samples. *)
@@ -181,21 +180,34 @@ let decl i =
     { ts = float_of_int i; var = i; var_name = Printf.sprintf "v%d" i;
       size = 8; owner = 0 }
 
+(* Dump [fl] and read the document back. *)
+let dump_doc fl ~reason =
+  Flight.dump fl ~reason;
+  let s = In_channel.with_open_bin (Flight.path fl) In_channel.input_all in
+  Sys.remove (Flight.path fl);
+  match Json.of_string s with Ok j -> j | Error e -> Alcotest.fail e
+
+let member_int name j =
+  match Option.bind (Json.member name j) Json.to_int with
+  | Some n -> n
+  | None -> Alcotest.failf "no int member %S" name
+
 let test_flight_ring_rotation () =
-  let fl = Flight.create ~events:8 ~path:(tmp_path "ring") () in
-  for i = 0 to 19 do
-    Flight.record fl (decl i)
+  let fl = Flight.create ~path:(tmp_path "ring") () in
+  let sink = Flight.wrap fl Trace.null in
+  for i = 0 to 519 do
+    Trace.emit sink (decl i)
   done;
-  Alcotest.(check int) "total recorded" 20 (Flight.event_count fl);
-  let kept = Flight.events fl in
-  Alcotest.(check int) "ring keeps capacity" 8 (List.length kept);
+  let doc = dump_doc fl ~reason:"probe" in
+  Alcotest.(check int) "total recorded" 520 (member_int "events_recorded" doc);
+  Alcotest.(check int) "ring capacity" 512 (member_int "ring_capacity" doc);
   let ids =
-    List.map
-      (function Trace.Var_decl { var; _ } -> var | _ -> -1)
-      kept
+    match Json.member "events" doc with
+    | Some (Json.List kept) -> List.map (member_int "v") kept
+    | _ -> Alcotest.fail "dump has no events"
   in
   Alcotest.(check (list int)) "oldest evicted, order preserved"
-    [ 12; 13; 14; 15; 16; 17; 18; 19 ] ids
+    (List.init 512 (fun i -> i + 8)) ids
 
 (* The wrapped sink records into the ring AND feeds the original sink
    unchanged; arming the recorder does not perturb the run. *)
@@ -204,7 +216,7 @@ let test_flight_wrap_identity () =
   let plain =
     run_matmul ~obs:{ Runner.null_obs with Runner.obs_trace = plain_tr } ()
   in
-  let fl = Flight.create ~events:64 ~path:(tmp_path "wrap") () in
+  let fl = Flight.create ~path:(tmp_path "wrap") () in
   (* [wrap] replaces the sink (own buffer); keep only the wrapped value. *)
   let wrapped = Flight.wrap fl (Trace.create ()) in
   let armed =
@@ -218,14 +230,15 @@ let test_flight_wrap_identity () =
   check_same_measurements "flight-armed" plain armed;
   Alcotest.(check bool) "wrapped sink buffers the same stream" true
     (Trace.events plain_tr = Trace.events wrapped);
-  Alcotest.(check bool) "ring saw the run" true (Flight.event_count fl > 0);
   Alcotest.(check bool) "health snapshots taken" true
-    (Flight.snapshots fl <> [])
+    (Flight.snapshots fl <> []);
+  Alcotest.(check bool) "ring saw the run" true
+    (member_int "events_recorded" (dump_doc fl ~reason:"probe") > 0)
 
 let test_flight_dump_first_trigger_wins () =
   let path = tmp_path "dump" in
-  let fl = Flight.create ~events:4 ~path () in
-  Flight.record fl (decl 1);
+  let fl = Flight.create ~path () in
+  Trace.emit (Flight.wrap fl Trace.null) (decl 1);
   Alcotest.(check bool) "not dumped yet" false (Flight.dumped fl);
   Flight.dump fl ~reason:"first failure";
   Alcotest.(check bool) "dumped" true (Flight.dumped fl);
@@ -256,15 +269,25 @@ let test_flight_dump_on_error () =
   let fl = Flight.create ~path:(tmp_path "err") () in
   Flight.dump_on_error fl ~label:"oracle" (Ok 42);
   Alcotest.(check bool) "Ok does not dump" false (Flight.dumped fl);
-  let doc = Flight.to_json fl ~reason:"probe" in
-  Alcotest.(check bool) "to_json does not count as dump" false
-    (Flight.dumped fl);
+  Alcotest.(check bool) "no file written" false
+    (Sys.file_exists (Flight.path fl));
+  Flight.dump_on_error fl ~label:"oracle" (Error "copies diverged");
+  Alcotest.(check bool) "Error dumps" true (Flight.dumped fl);
+  let doc =
+    match
+      Json.of_string
+        (In_channel.with_open_bin (Flight.path fl) In_channel.input_all)
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  Sys.remove (Flight.path fl);
   (match Option.bind (Json.member "schema" doc) Json.to_str with
   | Some s -> Alcotest.(check string) "schema" "diva-flight/1" s
   | None -> Alcotest.fail "no schema");
-  Flight.dump_on_error fl ~label:"oracle" (Error "copies diverged");
-  Alcotest.(check bool) "Error dumps" true (Flight.dumped fl);
-  Sys.remove (Flight.path fl)
+  match Option.bind (Json.member "reason" doc) Json.to_str with
+  | Some r -> Alcotest.(check string) "reason" "oracle: copies diverged" r
+  | None -> Alcotest.fail "no reason"
 
 (* Drop-heavy faults force DSM watchdog trips; with [dump_on_watchdog]
    the first trip must write the dump (Runner wires the trigger), and the
@@ -469,7 +492,7 @@ let test_merge_interleaves_runs () =
           (match Option.bind (Json.member "format" h) Json.to_str with
           | Some f ->
               Alcotest.(check string) "merged format"
-                Streaming.merged_format_name f
+                "diva-event-trace-merged" f
           | None -> Alcotest.fail "merged header has no format");
           (match Json.member "runs" h with
           | Some (Json.List rs) ->
@@ -528,6 +551,52 @@ let test_merge_rejects_bad_input () =
   Alcotest.(check bool) "output not created" false
     (Sys.file_exists (tmp_path "never_written"))
 
+(* The three samplers on the simulated clock — metrics rows every
+   [obs_sample_interval], the profiler's window series every 1000 us and
+   the flight recorder's health snapshots every 5000 us — stamp their own
+   boundaries and read the run's state at each. The values were captured
+   from a 2x2 matmul run (25654.5 us) when each sampler had its own loop. *)
+let test_sampler_boundaries () =
+  let m = Metrics.create () in
+  let p = Prof.create () in
+  let fl = Flight.create ~path:(tmp_path "sampler") () in
+  ignore
+    (Runner.run_matmul ~dims:[| 2; 2 |] ~block:16
+       ~obs:
+         { Runner.null_obs with
+           Runner.obs_metrics = Some m;
+           obs_sample_interval = 2500.0;
+           obs_prof = Some p;
+           obs_flight = Some fl }
+       (Runner.Strategy strategy));
+  let rows doc =
+    match Json.member "rows" doc with Some (Json.List l) -> l | _ -> []
+  in
+  let cell i = function
+    | Json.List l -> List.nth l i
+    | _ -> Alcotest.fail "row is not a list"
+  in
+  let num j = Option.get (Json.to_float j) in
+  let int j = Option.get (Json.to_int j) in
+  Alcotest.(check (list (float 0.0))) "metrics ts"
+    [ 2500.; 5000.; 7500.; 10000.; 12500.; 15000.; 17500.; 20000.; 22500.;
+      25000.; 25654.5 ]
+    (List.map (fun r -> num (cell 0 r)) (rows (Metrics.to_json m)));
+  let series = rows (Option.get (Json.member "series" (Prof.to_json p))) in
+  Alcotest.(check (list (pair (float 0.0) int))) "profiler sim_us, events"
+    (List.mapi
+       (fun i e -> (float_of_int ((i + 1) * 1000), e))
+       [ 6; 11; 14; 16; 17; 21; 24; 27; 31; 34; 37; 40; 42; 46; 48; 53; 56;
+         59; 60; 63; 65; 66; 68; 69; 71 ])
+    (List.map (fun r -> (num (cell 0 r), int (cell 2 r))) series);
+  Alcotest.(check (list (triple (float 0.0) int int)))
+    "flight sim_us, events, pending"
+    [ (5000., 17, 3); (10000., 34, 2); (15000., 48, 7); (20000., 63, 3);
+      (25000., 71, 1) ]
+    (List.map
+       (fun s -> Flight.(s.sn_sim_us, s.sn_events, s.sn_pending))
+       (Flight.snapshots fl))
+
 let suite =
   [
     Alcotest.test_case "profiling does not perturb the run" `Quick
@@ -566,4 +635,6 @@ let suite =
       test_merge_rejects_bad_input;
     Alcotest.test_case "fiber time after a miss books to app" `Quick
       test_prof_books_fiber_to_app;
+    Alcotest.test_case "samplers stamp their simulated boundaries" `Quick
+      test_sampler_boundaries;
   ]

@@ -113,6 +113,9 @@ let test_arrival_validate () =
 (* SLO order statistics                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The smallest sample set [Slo] reports a p999 for. *)
+let min_p999_samples = 1000
+
 let test_slo_exact () =
   (* 1..100 shuffled: nearest-rank percentiles are exactly the ranks. *)
   let a = Array.init 100 (fun i -> float_of_int (((i * 37) mod 100) + 1)) in
@@ -126,9 +129,9 @@ let test_slo_exact () =
 
 let test_slo_p999_guard () =
   let samples n = Array.init n (fun i -> float_of_int (i + 1)) in
-  let under = Slo.of_samples (samples (Slo.min_p999_samples - 1)) in
+  let under = Slo.of_samples (samples (min_p999_samples - 1)) in
   Alcotest.(check bool) "999 samples: guarded" true (under.Slo.p999_us = None);
-  let at = Slo.of_samples (samples Slo.min_p999_samples) in
+  let at = Slo.of_samples (samples min_p999_samples) in
   (match at.Slo.p999_us with
   | Some v -> Alcotest.(check (float 1e-9)) "1000 samples: exact rank" 999.0 v
   | None -> Alcotest.fail "1000 samples must report p999");
@@ -153,8 +156,8 @@ let prop_slo_one_sort =
       let* n =
         oneof
           [ oneofl
-              [ 0; 1; 2; Slo.min_p999_samples - 1; Slo.min_p999_samples;
-                Slo.min_p999_samples + 1 ];
+              [ 0; 1; 2; min_p999_samples - 1; min_p999_samples;
+                min_p999_samples + 1 ];
             int_range 0 3000 ]
       in
       let* distinct = oneofl [ 1; 3; 50; 1_000_000 ] in
@@ -173,8 +176,8 @@ let prop_slo_one_sort =
       && same s.Slo.p99_us (p 99.0)
       &&
       match s.Slo.p999_us with
-      | Some v -> Array.length a >= Slo.min_p999_samples && same v (p 99.9)
-      | None -> Array.length a < Slo.min_p999_samples)
+      | Some v -> Array.length a >= min_p999_samples && same v (p 99.9)
+      | None -> Array.length a < min_p999_samples)
 
 (* ------------------------------------------------------------------ *)
 (* Phase schedule                                                       *)
@@ -398,7 +401,7 @@ let test_engine_event_stream () =
       local_overhead = m.Diva_simnet.Machine.local_overhead }
   in
   let summary, _peak =
-    Diva_obs.Streaming.analyze_events ~num_windows:4 ov events
+    Helpers.analyze_events ~num_windows:4 ov events
   in
   Alcotest.(check bool) "live analysis matches the recorded stream's" true
     (summary = Diva_obs.Streaming.finalize live)

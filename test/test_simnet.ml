@@ -158,7 +158,7 @@ let test_timing_uncontended () =
   (* latency = send_overhead + (h-1)*hop_latency + size/bw, plus the
      receiver overhead before the handler runs. *)
   let machine = Machine.gcel in
-  let net = Network.create ~machine ~rows:1 ~cols:5 () in
+  let net = Network.create ~rows:1 ~cols:5 () in
   let at = ref 0.0 in
   Network.set_handler net 4 (fun n _ -> at := Network.now n);
   Network.send net ~src:0 ~dst:4 ~size:1000 (Ping 3);
@@ -174,7 +174,7 @@ let test_timing_uncontended () =
 let test_link_contention_serializes () =
   (* Two messages over the same link must be served one after another. *)
   let machine = Machine.gcel in
-  let net = Network.create ~machine ~rows:1 ~cols:2 () in
+  let net = Network.create ~rows:1 ~cols:2 () in
   let times = ref [] in
   Network.set_handler net 1 (fun n _ -> times := Network.now n :: !times);
   (* Two sends from node 0 at t=0: the second also waits for the sender's
@@ -198,7 +198,7 @@ let test_fiber_compute_and_time () =
       finished := Network.now net);
   Network.run net;
   Alcotest.(check (float 1e-9)) "computes add up" 150.0 !finished;
-  Alcotest.(check (float 1e-9)) "accounted" 150.0 (Network.compute_time net 0)
+  Alcotest.(check (float 1e-9)) "accounted" 150.0 (Network.compute_times net).(0)
 
 let test_fiber_charge_flush () =
   let net = Network.create ~rows:1 ~cols:1 () in
@@ -210,7 +210,7 @@ let test_fiber_charge_flush () =
       finished := Network.now net);
   Network.run net;
   Alcotest.(check (float 1e-9)) "charges folded in" 50.0 !finished;
-  Alcotest.(check (float 1e-9)) "accounted" 50.0 (Network.compute_time net 0)
+  Alcotest.(check (float 1e-9)) "accounted" 50.0 (Network.compute_times net).(0)
 
 let test_compute_rejects_non_finite () =
   let net = Network.create ~rows:1 ~cols:1 () in
@@ -226,7 +226,7 @@ let test_compute_rejects_non_finite () =
   Alcotest.(check int) "every bad time rejected" 3 !raised;
   Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Network.now net);
   Alcotest.(check (float 0.0)) "nothing accounted" 0.0
-    (Network.compute_time net 0)
+    (Network.compute_times net).(0)
 
 let test_charge_rejects_non_finite () =
   let net = Network.create ~rows:1 ~cols:1 () in
@@ -237,7 +237,7 @@ let test_charge_rejects_non_finite () =
       | exception Invalid_argument _ -> ())
     [ Float.nan; Float.infinity; -1.0 ];
   Alcotest.(check (float 0.0)) "nothing accounted" 0.0
-    (Network.compute_time net 0)
+    (Network.compute_times net).(0)
 
 let test_fiber_recv_blocks () =
   let net = Network.create ~rows:1 ~cols:2 () in
@@ -256,17 +256,13 @@ let test_fiber_recv_filter () =
   let net = Network.create ~rows:1 ~cols:2 () in
   let order = ref [] in
   Network.spawn net 1 (fun () ->
-      let m1 =
-        Network.recv net 1
-          ~where:(fun m -> match m.Network.m_payload with Ping i -> i = 2 | _ -> false)
-          ()
-      in
+      let m1 = Network.recv net 1 ~tag:2 () in
       (match m1.Network.m_payload with Ping i -> order := i :: !order | _ -> ());
       let m2 = Network.recv net 1 () in
       match m2.Network.m_payload with Ping i -> order := i :: !order | _ -> ());
   Network.spawn net 0 (fun () ->
-      Network.send net ~src:0 ~dst:1 ~size:8 (Ping 1);
-      Network.send net ~src:0 ~dst:1 ~size:8 (Ping 2));
+      Network.send net ~tag:1 ~src:0 ~dst:1 ~size:8 (Ping 1);
+      Network.send net ~tag:2 ~src:0 ~dst:1 ~size:8 (Ping 2));
   Network.run net;
   Alcotest.(check (list int)) "filtered then oldest" [ 2; 1 ] (List.rev !order)
 
@@ -360,7 +356,7 @@ let test_sim_schedule_call () =
   Sim.schedule_call s 1.0 push 10;
   Sim.schedule s 1.0 (fun () ->
       (* now-relative variant from inside an event *)
-      Sim.schedule_call_now s push 11);
+      Sim.schedule_now s (fun () -> push 11));
   Sim.run s;
   Alcotest.(check (list int)) "call/closure interleaving" [ 1; 10; 11; 2 ]
     (List.rev !log);
@@ -419,16 +415,6 @@ let test_recv_tag_blocks_until_match () =
     [ ("tagged", 2); ("untagged", 1) ]
     (List.rev !order)
 
-let test_recv_tag_where_exclusive () =
-  let net = Network.create ~rows:1 ~cols:1 () in
-  Network.spawn net 0 (fun () ->
-      match
-        Network.recv net 0 ~tag:1 ~where:(fun _ -> true) ()
-      with
-      | _ -> Alcotest.fail "expected Invalid_argument"
-      | exception Invalid_argument _ -> ());
-  Network.run net
-
 (* A tagged burst exercises the per-tag queues' lazy deletion: messages
    consumed by tag must also vanish from the arrival queue (and vice
    versa) without quadratic rescans. *)
@@ -466,10 +452,11 @@ let test_snapshot_diff () =
   let snap = Link_stats.snapshot (Network.stats net) in
   Network.send net ~src:0 ~dst:1 ~size:70 (Ping 2);
   Network.run net;
+  let since = Link_stats.diff ~base:snap (Link_stats.snapshot (Network.stats net)) in
   Alcotest.(check int) "since snapshot bytes" 70
-    (Link_stats.congestion_bytes ~since:snap (Network.stats net));
+    (Link_stats.snap_congestion_bytes since);
   Alcotest.(check int) "since snapshot msgs" 1
-    (Link_stats.congestion_msgs ~since:snap (Network.stats net));
+    (Link_stats.snap_congestion_msgs since);
   Alcotest.(check int) "full history" 120
     (Link_stats.congestion_bytes (Network.stats net))
 
@@ -500,8 +487,6 @@ let suite =
     Alcotest.test_case "schedule_call" `Quick test_sim_schedule_call;
     Alcotest.test_case "recv by tag" `Quick test_recv_by_tag;
     Alcotest.test_case "recv tag waiter" `Quick test_recv_tag_blocks_until_match;
-    Alcotest.test_case "recv tag+where rejected" `Quick
-      test_recv_tag_where_exclusive;
     Alcotest.test_case "recv tag burst linear" `Quick test_recv_tag_burst_linear;
     Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff;
     Alcotest.test_case "network allocation gate" `Quick test_network_alloc_gate;

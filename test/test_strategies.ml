@@ -408,7 +408,7 @@ let test_remap_placements_follow_events () =
         List.sort_uniq compare
           (List.map (Access_tree.place at tv) (Access_tree.copy_holders at tv))
       in
-      Alcotest.(check (list int)) (Dsm.var_name v ^ ": holder places") places
+      Alcotest.(check (list int)) ((Dsm.typed v).Diva_core.Types.name ^ ": holder places") places
         (Dsm.copy_holder_places dsm v))
     vars
 

@@ -199,8 +199,7 @@ let prop_deterministic (name, spec) =
 
 let suite =
   List.concat_map
-    (fun entry ->
-      let named = (entry.Registry.name, entry.Registry.spec) in
+    (fun named ->
       List.map QCheck_alcotest.to_alcotest
         [
           prop_linearizable named;
@@ -209,4 +208,4 @@ let suite =
           prop_quiescent_invariants named;
           prop_deterministic named;
         ])
-    Registry.entries
+    (Registry.contenders ())

@@ -7,6 +7,11 @@ module Dsm = Diva_core.Dsm
 module Strategy = Diva_core.Strategy
 module Registry = Diva_core.Registry
 
+(* The adaptive home with some thresholds off their defaults. *)
+let adaptive ?(replicate_after = Strategy.adaptive_defaults.replicate_after)
+    ?(migrate_after = Strategy.adaptive_defaults.migrate_after) () =
+  Dsm.Adaptive { Strategy.replicate_after; migrate_after }
+
 let test_registry_names () =
   Alcotest.(check (list string))
     "presentation order"
@@ -38,8 +43,8 @@ let test_registry_find () =
   | Some Dsm.Fixed_home -> ()
   | _ -> Alcotest.fail "fixed_home should resolve to Fixed_home");
   Alcotest.(check bool) "unknown name" true (Registry.find "bogus" = None);
-  Alcotest.(check int) "contenders cover every entry"
-    (List.length Registry.entries)
+  Alcotest.(check int) "contenders cover every name"
+    (List.length (Registry.names ()))
     (List.length (Registry.contenders ()))
 
 let test_display_names () =
@@ -70,8 +75,8 @@ let test_adaptive_policy_validation () =
       | _ -> Alcotest.failf "%s accepted" what
       | exception Invalid_argument _ -> ())
     [
-      ("replicate_after = 0", Dsm.adaptive ~replicate_after:0 ());
-      ("migrate_after = 0", Dsm.adaptive ~migrate_after:0 ());
+      ("replicate_after = 0", adaptive ~replicate_after:0 ());
+      ("migrate_after = 0", adaptive ~migrate_after:0 ());
     ]
 
 (* A writer on proc 0 and a reader on proc 1 alternate under barriers.
@@ -80,7 +85,7 @@ let test_adaptive_policy_validation () =
    least once — and correctness must survive the move. *)
 let test_adaptive_migration () =
   let net, dsm =
-    Helpers.make_dsm ~seed:5 ~rows:4 ~cols:4 (Dsm.adaptive ~migrate_after:8 ())
+    Helpers.make_dsm ~seed:5 ~rows:4 ~cols:4 (adaptive ~migrate_after:8 ())
   in
   let v = Dsm.create_var dsm ~owner:0 ~size:64 0 in
   Helpers.run_procs net (fun p ->

@@ -68,7 +68,7 @@ let summary_string s = Json.to_string (Analysis.summary_to_json s)
 let live_and_batch ?faults run =
   let live = Streaming.create ~ring:1 (overheads_of Machine.gcel) in
   let ov, events = traced_events ?faults ~live:(Streaming.feed live) run in
-  let batch, peak = Streaming.analyze_events ov events in
+  let batch, peak = Helpers.analyze_events ov events in
   (Streaming.finalize live, batch, peak, events)
 
 let test_stream_equals_batch () =
@@ -132,8 +132,8 @@ let test_peak_residency_bounded () =
   let sends = List.filter (function Trace.Msg_send _ -> true | _ -> false) in
   Alcotest.(check bool) "message count grew with run length" true
     (List.length (sends large) > 3 * List.length (sends small));
-  let _, p_small = Streaming.analyze_events ov small in
-  let _, p_large = Streaming.analyze_events ov large in
+  let _, p_small = Helpers.analyze_events ov small in
+  let _, p_large = Helpers.analyze_events ov large in
   Alcotest.(check bool)
     (Printf.sprintf "peak residency bounded (small %d, large %d)" p_small
        p_large)
@@ -423,17 +423,17 @@ let sample_header () =
 
 let test_header_roundtrip () =
   let h = sample_header () in
-  (match Streaming.parse_header (Json.to_string (Streaming.header_json h)) with
+  (match Helpers.read_header_line (Helpers.header_line h) with
   | Ok h' -> if h' <> h then Alcotest.fail "header drifted through round-trip"
   | Error e -> Alcotest.failf "header parse failed: %s" e);
   let reject what j =
-    match Streaming.parse_header (Json.to_string j) with
+    match Helpers.read_header_line (Json.to_string j) with
     | Ok _ -> Alcotest.failf "%s was accepted" what
     | Error _ -> ()
   in
   let fields v =
-    match Streaming.header_json h with
-    | Json.Obj kvs ->
+    match Json.of_string (Helpers.header_line h) with
+    | Ok (Json.Obj kvs) ->
         Json.Obj
           (List.map
              (fun (k, x) -> if k = "version" then (k, Json.Int v) else (k, x))
@@ -441,11 +441,11 @@ let test_header_roundtrip () =
     | _ -> assert false
   in
   reject "wrong format" (Json.Obj [ ("format", Json.String "diva-dsm-trace") ]);
-  reject "future version" (fields (Streaming.current_version + 1));
+  reject "future version" (fields (h.Streaming.h_version + 1));
   reject "missing overheads"
     (Json.Obj
        [ ("format", Json.String Streaming.format_name);
-         ("version", Json.Int Streaming.current_version) ])
+         ("version", Json.Int h.Streaming.h_version) ])
 
 (* Full offline path: record a run through the file sink, re-analyze the
    file from scratch, and get the live run's summary back bit for bit. *)
@@ -471,7 +471,7 @@ let test_offline_file_roundtrip () =
       Alcotest.(check int) "header seed" 17 h.Streaming.h_seed;
       Alcotest.(check string)
         "offline summary bit-identical"
-        (summary_string (fst (Streaming.analyze_events ov events)))
+        (summary_string (fst (Helpers.analyze_events ov events)))
         (summary_string summary);
       Alcotest.(check bool) "peak > 0" true (peak > 0));
   (* Blank lines are skipped by every reader, before the header too. *)
@@ -482,7 +482,7 @@ let test_offline_file_roundtrip () =
   (match (Streaming.probe padded, Streaming.analyze_file padded) with
   | Ok (), Ok (_, summary, _) ->
       Alcotest.(check string) "leading blank lines skipped"
-        (summary_string (fst (Streaming.analyze_events ov events)))
+        (summary_string (fst (Helpers.analyze_events ov events)))
         (summary_string summary)
   | Error e, _ | _, Error e -> Alcotest.failf "padded trace rejected: %s" e);
   Sys.remove padded;

@@ -5,6 +5,13 @@ module Heap = Diva_util.Event_queue
 module Stats = Diva_util.Stats
 module Table = Diva_util.Table
 
+(* Remove and return the minimum entry, or [None] on an empty queue. *)
+let pop_min h =
+  if Heap.is_empty h then None
+  else
+    let p = Heap.min_priority_exn h in
+    Some (p, Heap.pop_exn h)
+
 let test_prng_determinism () =
   let a = Prng.create ~seed:1 and b = Prng.create ~seed:1 in
   for _ = 1 to 100 do
@@ -58,14 +65,6 @@ let test_hash2_int_range () =
     Alcotest.(check bool) "in range" true (v >= 0 && v < 13)
   done
 
-let test_shuffle_permutation () =
-  let a = Prng.create ~seed:6 in
-  let arr = Array.init 50 Fun.id in
-  Prng.shuffle a arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
-
 (* Known answers: the streams are part of every golden, so the first
    outputs of each entry point are pinned. *)
 let test_prng_known_answers () =
@@ -109,7 +108,7 @@ let test_heap_ordering () =
   let count = ref 0 in
   let continue = ref true in
   while !continue do
-    match Heap.pop_min h with
+    match pop_min h with
     | None -> continue := false
     | Some (p, _) ->
         Alcotest.(check bool) "non-decreasing" true (p >= !last);
@@ -124,7 +123,7 @@ let test_heap_fifo_ties () =
     Heap.insert h 1.0 i
   done;
   for i = 0 to 9 do
-    match Heap.pop_min h with
+    match pop_min h with
     | Some (_, v) -> Alcotest.(check int) "fifo among ties" i v
     | None -> Alcotest.fail "heap empty early"
   done
@@ -133,15 +132,15 @@ let test_heap_interleaved () =
   let h = Heap.create () in
   Heap.insert h 5.0 `A;
   Heap.insert h 1.0 `B;
-  Alcotest.(check bool) "min priority" true (Heap.min_priority h = Some 1.0);
-  (match Heap.pop_min h with
+  Alcotest.(check bool) "min priority" true (Heap.min_priority_exn h = 1.0);
+  (match pop_min h with
   | Some (_, `B) -> ()
   | _ -> Alcotest.fail "expected B");
   Heap.insert h 0.5 `C;
-  (match Heap.pop_min h with
+  (match pop_min h with
   | Some (_, `C) -> ()
   | _ -> Alcotest.fail "expected C");
-  (match Heap.pop_min h with
+  (match pop_min h with
   | Some (_, `A) -> ()
   | _ -> Alcotest.fail "expected A");
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
@@ -153,7 +152,7 @@ let prop_heap_sorted =
       let h = Heap.create () in
       List.iter (fun (p, v) -> Heap.insert h p v) items;
       let rec drain acc =
-        match Heap.pop_min h with
+        match pop_min h with
         | None -> List.rev acc
         | Some (p, _) -> drain (p :: acc)
       in
@@ -172,7 +171,7 @@ let prop_heap_reference_model =
       let h = Heap.create () in
       List.iter (fun (p, v) -> Heap.insert h p v) items;
       let rec drain acc =
-        match Heap.pop_min h with
+        match pop_min h with
         | None -> List.rev acc
         | Some (p, v) -> drain ((p, v) :: acc)
       in
@@ -208,7 +207,7 @@ let prop_heap_interleaved_model =
                   !model [ (p, !seq, v) ];
               incr seq
           | None -> (
-              match (Heap.pop_min h, !model) with
+              match (pop_min h, !model) with
               | None, [] -> ()
               | Some (p, v), (mp, _, mv) :: rest ->
                   if p <> mp || v <> mv then ok := false else model := rest
@@ -240,7 +239,7 @@ let test_heap_growth () =
     expect;
   Alcotest.(check bool) "drained" true (Heap.is_empty h)
 
-let test_heap_exn_and_clear () =
+let test_heap_exn_and_limits () =
   let h = Heap.create () in
   (try
      ignore (Heap.min_priority_exn h);
@@ -254,13 +253,8 @@ let test_heap_exn_and_clear () =
   Heap.insert h 1.0 "y";
   Alcotest.(check (float 0.0)) "min_priority_exn" 1.0 (Heap.min_priority_exn h);
   Alcotest.(check string) "pop_exn" "y" (Heap.pop_exn h);
-  Heap.insert h 2.0 "z";
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h);
-  Alcotest.(check int) "cleared size" 0 (Heap.size h);
-  (* FIFO tie-break spans a clear: sequence numbers keep advancing. *)
-  Heap.insert h 1.0 "after";
-  Alcotest.(check string) "usable after clear" "after" (Heap.pop_exn h);
+  Alcotest.(check string) "pop_exn last" "x" (Heap.pop_exn h);
+  Alcotest.(check bool) "drained" true (Heap.is_empty h);
   (* A key packs the sequence number above the slot index: 24 bits of
      slot, the 38 bits up to the sign bit of sequence. *)
   Heap.check_fits ~pending:(1 lsl 24) ~inserts:(1 lsl 38);
@@ -275,11 +269,11 @@ let test_heap_exn_and_clear () =
         field (at most 274877906944)")
     (fun () -> Heap.check_fits ~pending:0 ~inserts:((1 lsl 38) + 1))
 
-(* Popped and cleared values must not stay reachable from the queue: each
+(* Popped values must not stay reachable from the queue: each
    value's slot is emptied when it leaves. [churn] runs in its own frame so
    that no register or stack slot of the checking code holds a value. *)
 let churn w h =
-  let n = Weak.length w / 3 in
+  let n = Weak.length w / 2 in
   let fill base =
     for i = 0 to n - 1 do
       let v = ref (base + i) in
@@ -293,13 +287,11 @@ let churn w h =
   done;
   fill n;
   for _ = 1 to n do
-    ignore (Sys.opaque_identity (Heap.pop_min h))
-  done;
-  fill (2 * n);
-  Heap.clear h
+    ignore (Sys.opaque_identity (pop_min h))
+  done
 
 let test_heap_releases_values () =
-  let w = Weak.create 30 in
+  let w = Weak.create 20 in
   let h = Heap.create () in
   churn w h;
   Gc.full_major ();
@@ -316,16 +308,16 @@ let test_heap_float_values () =
   let popped = List.init 4 (fun _ -> Heap.pop_exn h) in
   Alcotest.(check (list (float 0.0))) "values" [ 0.5; 0.5; 1.0; 1.5 ] popped
 
-(* Interleaved insert / pop / clear against a stable-sorted list model:
-   slots freed by pops and clears are reused without disturbing the
-   (priority, insertion) order. Entries carry two values, a function and
-   its argument, as the simulator's events do; each pop must hand back
-   the two that went in together. The script ends with a clear and
-   enough inserts to grow the queue past any capacity the script reached,
-   then drains: a clear must leave the free-slot stack whole for the
+(* Interleaved insert / pop / drain against a stable-sorted list model:
+   slots freed by pops are reused without disturbing the (priority,
+   insertion) order. Entries carry two values, a function and its
+   argument, as the simulator's events do; each pop must hand back the two
+   that went in together. The script ends with a drain and enough inserts
+   to grow the queue past any capacity the script reached, then drains
+   again: an empty queue must leave the free-slot stack whole for the
    growth that follows. *)
-let prop_heap_clear_model =
-  QCheck.Test.make ~count:300 ~name:"heap with clears matches model"
+let prop_heap_drain_model =
+  QCheck.Test.make ~count:300 ~name:"heap with drains matches model"
     QCheck.(list (pair (int_range 0 9) small_nat))
     (fun script ->
       let h = Heap.create () in
@@ -352,16 +344,17 @@ let prop_heap_clear_model =
             else model := rest
         | _ -> ok := false
       in
-      let clear () =
-        Heap.clear h;
-        model := []
+      let drain () =
+        while !ok && not (Heap.is_empty h) do
+          pop ()
+        done
       in
       List.iter
         (fun (op, v) ->
-          if op = 0 then clear () else if op <= 3 then pop () else insert v)
+          if op = 0 then drain () else if op <= 3 then pop () else insert v)
         script;
       let mid = !ok && Heap.size h = List.length !model in
-      clear ();
+      drain ();
       for v = 0 to 299 do
         insert v
       done;
@@ -432,7 +425,7 @@ let test_event_queue_basics () =
   let h = Diva_util.Event_queue.create () in
   Diva_util.Event_queue.insert h 2.0 "b";
   Diva_util.Event_queue.insert h 1.0 "a";
-  (match Diva_util.Event_queue.pop_min h with
+  (match pop_min h with
   | Some (_, "a") -> ()
   | _ -> Alcotest.fail "min-heap order violated");
   Alcotest.(check int) "size after pop" 1 (Diva_util.Event_queue.size h)
@@ -466,7 +459,6 @@ let suite =
     Alcotest.test_case "prng float range" `Quick test_prng_float_range;
     Alcotest.test_case "hash2 deterministic" `Quick test_hash2_deterministic;
     Alcotest.test_case "hash2 int range" `Quick test_hash2_int_range;
-    Alcotest.test_case "shuffle is permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "prng known answers" `Quick test_prng_known_answers;
     Alcotest.test_case "prng draws allocate nothing" `Quick test_prng_alloc_free;
     Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
@@ -476,11 +468,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heap_reference_model;
     QCheck_alcotest.to_alcotest prop_heap_interleaved_model;
     Alcotest.test_case "heap growth past 10k" `Quick test_heap_growth;
-    Alcotest.test_case "heap exn ops and clear" `Quick test_heap_exn_and_clear;
+    Alcotest.test_case "heap exn ops and limits" `Quick test_heap_exn_and_limits;
     Alcotest.test_case "heap releases popped values" `Quick
       test_heap_releases_values;
     Alcotest.test_case "heap float values" `Quick test_heap_float_values;
-    QCheck_alcotest.to_alcotest prop_heap_clear_model;
+    QCheck_alcotest.to_alcotest prop_heap_drain_model;
     Alcotest.test_case "heap allocation gate" `Quick test_heap_alloc_gate;
     Alcotest.test_case "stats helpers" `Quick test_stats;
     Alcotest.test_case "stats percentile" `Quick test_percentile;

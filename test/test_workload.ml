@@ -191,9 +191,8 @@ let test_trace_roundtrip () =
    future versions, bad lines, and programs replay could not execute. *)
 let test_trace_errors () =
   let header dims =
-    Json.to_string
-      (Streaming.header_json
-         (gcel_header ~app:"workload" ~dims ~strategy:"4-ary" ~seed:1 ()))
+    Helpers.header_line
+      (gcel_header ~app:"workload" ~dims ~strategy:"4-ary" ~seed:1 ())
   in
   let var own =
     Printf.sprintf {|{"e":"var","ts":0,"v":0,"name":"x","sz":8,"own":%d}|} own
@@ -314,7 +313,7 @@ let test_sampler_locality () =
     for _ = 1 to 50 do
       let k = Sampler.draw sampler ~proc:p rng in
       Alcotest.(check bool) "submesh key within radius" true
-        (Diva_mesh.Mesh.distance mesh p (k mod procs) <= 1)
+        (Helpers.distance mesh p (k mod procs) <= 1)
     done
   done;
   (* Too few keys for Proc_local on 16 procs: clear error. *)
@@ -340,7 +339,7 @@ let test_sampler_candidate_sets () =
   for p = 0 to procs - 1 do
     let expected = Hashtbl.create 32 in
     for k = 0 to num_vars - 1 do
-      if Diva_mesh.Mesh.distance mesh p (k mod procs) <= r then
+      if Helpers.distance mesh p (k mod procs) <= r then
         Hashtbl.replace expected k ()
     done;
     let seen = Hashtbl.create 32 in
