@@ -108,8 +108,6 @@ let empty_cell centre half =
   { center = centre; half; children = Array.make 8 Nil; com = Vec.zero;
     cmass = 0.0; ccost = 0; ready = false }
 
-let attraction = Nbody_geom.attraction
-
 (* ------------------------------------------------------------------ *)
 (* Setup                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -145,10 +143,6 @@ let setup dsm cfg =
 (* The per-processor program                                            *)
 (* ------------------------------------------------------------------ *)
 
-let flops net p n =
-  let machine = Network.machine net in
-  Network.charge net p (float_of_int n *. machine.Machine.flop_time)
-
 let mark t p =
   if p = 0 then begin
     let net = Dsm.net t.dsm in
@@ -172,6 +166,9 @@ let fiber t p =
   let net = Dsm.net dsm in
   let nprocs = Dsm.num_procs dsm in
   let cfg = t.cfg in
+  (* The compute charges, each boxed once per fiber. *)
+  let flops n = float_of_int n *. (Network.machine net).Machine.flop_time in
+  let f8 = flops 8 and f12 = flops 12 and f30 = flops 30 and f40 = flops 40 in
   (* Fiber-local state carried across time steps. *)
   let order = Deco.snake_order (Network.mesh net) in
   let my_bodies =
@@ -222,7 +219,7 @@ let fiber t p =
       let bpos = (Dsm.read dsm p bv).pos in
       let rec descend cv depth =
         let c = Dsm.read dsm p cv in
-        flops net p 8;
+        Network.charge net p f8;
         let o = octant c.center bpos in
         match c.children.(o) with
         | C sub -> descend sub (depth + 1)
@@ -288,7 +285,7 @@ let fiber t p =
                 acc := Vec.add !acc (Vec.scale cm cp);
                 cost := !cost + cc)
           c.children;
-        flops net p 40;
+        Network.charge net p f40;
         let com = if !m > 0.0 then Vec.scale (1.0 /. !m) !acc else c.center in
         Dsm.write dsm p cv
           { c with com; cmass = !m; ccost = !cost; ready = true })
@@ -320,38 +317,40 @@ let fiber t p =
     Dsm.barrier dsm p;
     mark t p;
     (* ---------------- Phase 4: force computation ------------------- *)
+    (* The walk allocates nothing of its own per visited cell. *)
     let accs =
       List.map
         (fun bv ->
           let b = Dsm.read dsm p bv in
-          let acc = ref Vec.zero and interactions = ref 0 in
+          let acc = Nbody_geom.acc () and interactions = ref 0 in
           let rec walk cv =
             let c = Dsm.read dsm p cv in
-            flops net p 8;
-            let d = Vec.norm (Vec.sub c.com b.pos) in
-            if 2.0 *. c.half < cfg.theta *. d then begin
-              acc := Vec.add !acc (attraction ~pos:b.pos ~m:c.cmass ~at:c.com);
+            Network.charge net p f8;
+            if
+              Nbody_geom.far_enough ~theta:cfg.theta ~half:c.half ~com:c.com
+                ~pos:b.pos
+            then begin
+              Nbody_geom.add_attraction acc ~pos:b.pos ~m:c.cmass ~at:c.com;
               incr interactions;
-              flops net p 30
+              Network.charge net p f30
             end
             else
-              Array.iter
-                (fun ch ->
-                  match ch with
-                  | Nil -> ()
-                  | B bv' ->
-                      if var_id bv' <> var_id bv then begin
-                        let b' = Dsm.read dsm p bv' in
-                        acc :=
-                          Vec.add !acc (attraction ~pos:b.pos ~m:b'.mass ~at:b'.pos);
-                        incr interactions;
-                        flops net p 30
-                      end
-                  | C sub -> walk sub)
-                c.children
+              for i = 0 to Array.length c.children - 1 do
+                match c.children.(i) with
+                | Nil -> ()
+                | B bv' ->
+                    if var_id bv' <> var_id bv then begin
+                      let b' = Dsm.read dsm p bv' in
+                      Nbody_geom.add_attraction acc ~pos:b.pos ~m:b'.mass
+                        ~at:b'.pos;
+                      incr interactions;
+                      Network.charge net p f30
+                    end
+                | C sub -> walk sub
+              done
           in
           walk root;
-          (bv, b, !acc, !interactions))
+          (bv, b, Nbody_geom.acc_vec acc, !interactions))
         !my_bodies
     in
     Dsm.barrier dsm p;
@@ -361,7 +360,7 @@ let fiber t p =
       (fun (bv, b, acc, interactions) ->
         let vel = Vec.add b.vel (Vec.scale cfg.dt acc) in
         let pos = Vec.add b.pos (Vec.scale cfg.dt vel) in
-        flops net p 12;
+        Network.charge net p f12;
         Dsm.write dsm p bv { b with pos; vel; cost = interactions })
       accs;
     Dsm.barrier dsm p;
@@ -439,15 +438,16 @@ let reference cfg =
   let pos = Array.map (fun (_, p, _) -> p) bodies in
   let vel = Array.map (fun (_, _, v) -> v) bodies in
   for _ = 1 to cfg.steps do
-    let acc = Array.make n Vec.zero in
+    let acc = Array.init n (fun _ -> Nbody_geom.acc ()) in
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
         if i <> j then
-          acc.(i) <- Vec.add acc.(i) (attraction ~pos:pos.(i) ~m:mass.(j) ~at:pos.(j))
+          Nbody_geom.add_attraction acc.(i) ~pos:pos.(i) ~m:mass.(j) ~at:pos.(j)
       done
     done;
     for i = 0 to n - 1 do
-      vel.(i) <- Vec.add vel.(i) (Vec.scale cfg.dt acc.(i));
+      let acc = Nbody_geom.acc_vec acc.(i) in
+      vel.(i) <- Vec.add vel.(i) (Vec.scale cfg.dt acc);
       pos.(i) <- Vec.add pos.(i) (Vec.scale cfg.dt vel.(i))
     done
   done;

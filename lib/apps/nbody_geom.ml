@@ -30,10 +30,30 @@ let bounding_cube positions =
   let half = 0.5 *. 1.0001 *. Float.max ext.Vec.x (Float.max ext.Vec.y ext.Vec.z) in
   (centre, Float.max half 1e-9)
 
-let attraction ~pos ~m ~at:q =
-  let r = Vec.sub q pos in
-  let d2 = Vec.norm2 r +. (softening *. softening) in
-  Vec.scale (m /. (d2 *. sqrt d2)) r
+type acc = { mutable ax : float; mutable ay : float; mutable az : float }
+
+let acc () = { ax = 0.0; ay = 0.0; az = 0.0 }
+
+(* The float operations of [r = at - pos], [|r|^2 + softening^2] and
+   [acc + (m / (d2 * sqrt d2)) r], in that order, with nothing boxed. *)
+let add_attraction a ~pos ~m ~at:(q : Vec.t) =
+  let rx = q.x -. pos.Vec.x
+  and ry = q.y -. pos.Vec.y
+  and rz = q.z -. pos.Vec.z in
+  let d2 =
+    ((rx *. rx) +. (ry *. ry) +. (rz *. rz)) +. (softening *. softening)
+  in
+  let s = m /. (d2 *. sqrt d2) in
+  a.ax <- a.ax +. (s *. rx);
+  a.ay <- a.ay +. (s *. ry);
+  a.az <- a.az +. (s *. rz)
+
+let acc_vec a = Vec.make a.ax a.ay a.az
+
+(* [2 half < theta |com - pos|], the norm as [Vec.norm] computes it. *)
+let far_enough ~theta ~half ~com:(c : Vec.t) ~pos:(p : Vec.t) =
+  let dx = c.x -. p.x and dy = c.y -. p.y and dz = c.z -. p.z in
+  2.0 *. half < theta *. sqrt ((dx *. dx) +. (dy *. dy) +. (dz *. dz))
 
 let on_sphere rng r =
   let z = (2.0 *. Prng.float rng 1.0) -. 1.0 in

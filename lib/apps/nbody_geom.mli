@@ -15,9 +15,24 @@ val bounding_cube : Vec.t array -> Vec.t * float
 (** Smallest (slightly padded) cube containing all points: (centre,
     half side). *)
 
-val attraction : pos:Vec.t -> m:float -> at:Vec.t -> Vec.t
-(** Softened gravitational acceleration exerted on a unit mass at [pos] by
-    a point mass [m] located at [at]. *)
+type acc = { mutable ax : float; mutable ay : float; mutable az : float }
+(** An acceleration being summed, unboxed. *)
+
+val acc : unit -> acc
+(** A zero acceleration. *)
+
+val add_attraction : acc -> pos:Vec.t -> m:float -> at:Vec.t -> unit
+(** [add_attraction a ~pos ~m ~at] adds to [a] the softened gravitational
+    acceleration exerted on a unit mass at [pos] by a point mass [m]
+    located at [at]. It allocates nothing. *)
+
+val acc_vec : acc -> Vec.t
+(** The sum so far, as a vector. *)
+
+val far_enough : theta:float -> half:float -> com:Vec.t -> pos:Vec.t -> bool
+(** The Barnes-Hut opening test: a cell of half-side [half] whose centre
+    of mass is at [com] is far enough from [pos] to act as one mass when
+    [2 half < theta |com - pos|]. *)
 
 val plummer : Diva_util.Prng.t -> float * Vec.t * Vec.t
 (** One Plummer-model body: (mass-weight 1.0 to be scaled by caller, pos,

@@ -8,6 +8,5 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t
 val norm : t -> float
-val norm2 : t -> float
 val min_pointwise : t -> t -> t
 val max_pointwise : t -> t -> t

@@ -95,10 +95,23 @@ type window = {
   w_finish : float;
   w_link_bytes : (int * float) list;
       (** per-link bytes attributed to the window, overlap-proportional;
-          ascending link id, zero links omitted *)
+          ascending link id, links whose sum is zero omitted *)
 }
-(** One of [n] equal time windows over the run — the data behind
-    time-lapse congestion heatmaps. *)
+(** One time window of the run — the data behind time-lapse congestion
+    heatmaps. For [n] windows:
+    - The width [W] is the smallest power of two number of us, at least
+      1, such that [n * W >= sm_end_us].
+    - The windows are [[iW, (i+1)W)] for [i = 0 .. ceil(sm_end_us / W) - 1],
+      the last clipped to end at [sm_end_us]: at most [n] windows, more
+      than [n / 2] once [W > 1], none past the run.
+    - The sums fold as crossings arrive. [W] starts at 1. Before each
+      counted crossing (one with a send, [msg >= 0]), while
+      [n * W < finish], windows [2j] and [2j + 1] of every link merge
+      into window [j], the even one added first, and [W] doubles. Then,
+      if [finish > start], the crossing's bytes spread over the windows
+      it overlaps in proportion to the overlap; the part before 0 is
+      dropped. At the end [W] widens the same way until
+      [n * W >= sm_end_us]. *)
 
 type op_row = {
   or_op : Trace.dsm_op;

@@ -138,25 +138,6 @@ module Txn_fold = struct
       t.best
 end
 
-(* Link crossings are kept for window binning in chunks of [chunk]: one
-   int packing link and size, and a (start, finish) float pair, each.
-   Chunks are never copied; only the newest is partly filled. *)
-let chunk = 4096
-
-(* A crossing's link and size share one int: size in the low 32 bits,
-   link (signed) above. The simulator's pairs always fit; a trace file
-   may carry any ints, so a pair that does not fit is stored as [wide],
-   which no fitting pair packs to (its size field is all ones), and kept
-   in a side table under the crossing's index. *)
-let size_bits = 32
-let size_mask = (1 lsl size_bits) - 1
-let wide = -1
-
-let pack ~link ~size =
-  if size >= 0 && size < size_mask && link >= -(1 lsl 30) && link < 1 lsl 30
-  then (link lsl size_bits) lor size
-  else wide
-
 type t = {
   ov : Analysis.overheads;
   top_k : int;
@@ -171,17 +152,16 @@ type t = {
   (* event-self-contained folds *)
   levels : (int, level_acc) Hashtbl.t;
   links : (int, link_acc) Hashtbl.t;
-  txn_fold : Txn_fold.t;
-  (* Every link crossing in emission order: window boundaries need the
-     end time, so binning waits for [finalize]. [x_keys]/[x_spans] is
-     the chunk being filled, [x_full] the filled ones, newest first;
-     [x_wide] holds the pairs [pack] cannot. All empty when
+  (* Per link crossed, its window sums in chunks of [chunk_len]: a chunk
+     no crossing has reached is [||] and reads as zeros. Empty when
      [num_windows <= 0]. *)
-  mutable x_keys : int array;
-  mutable x_spans : float array;
-  mutable x_full : (int array * float array) list;
-  mutable x_n : int;
-  x_wide : (int, int * int) Hashtbl.t;
+  wins : (int, float array array) Hashtbl.t;
+  txn_fold : Txn_fold.t;
+  (* Width of the link windows, a power of two of microseconds: see
+     {!Analysis.window}. *)
+  mutable w_us : float;
+  chunk_len : int;  (* windows per chunk of a link's sums *)
+  mutable spare : float array list;  (* chunks merged away, for reuse *)
   mutable n_msgs : int;
   mutable t_end : float;
   mutable peak : int;
@@ -201,8 +181,14 @@ and link_acc = {
   mutable lka_busy : float;
 }
 
-(* Binning allocates one table per window, so the count is capped. *)
+(* Every link holds up to one sum per window, so the count is capped. *)
 let max_windows = 10_000
+
+(* A link's sums come in chunks of 32 windows, allocated when a crossing
+   first reaches them, so that a link busy in few windows holds few
+   sums; up to 32 windows are one chunk. A chunk that a merge empties
+   is kept for the next one needed, rather than left to the GC. *)
+let max_chunk = 32
 
 let create ?(top_k = 10) ?(num_windows = 8) ?(ring = 1024) ov =
   if ring <= 0 then invalid_arg "Streaming.create: ring must be positive";
@@ -220,51 +206,15 @@ let create ?(top_k = 10) ?(num_windows = 8) ?(ring = 1024) ov =
     ring_len = 0;
     levels = Hashtbl.create 8;
     links = Hashtbl.create 64;
+    wins = Hashtbl.create 64;
     txn_fold = Txn_fold.create ();
-    x_keys = [||];
-    x_spans = [||];
-    x_full = [];
-    x_n = 0;
-    x_wide = Hashtbl.create 1;
+    w_us = 1.0;
+    chunk_len = max 1 (min num_windows max_chunk);
+    spare = [];
     n_msgs = 0;
     t_end = 0.0;
     peak = 0;
   }
-
-let push_xfer t ~link ~size ~start ~finish =
-  let i = t.x_n mod chunk in
-  if i = 0 then begin
-    if t.x_n > 0 then t.x_full <- (t.x_keys, t.x_spans) :: t.x_full;
-    t.x_keys <- Array.make chunk 0;
-    t.x_spans <- Array.make (2 * chunk) 0.0
-  end;
-  let key = pack ~link ~size in
-  if key = wide then Hashtbl.replace t.x_wide t.x_n (link, size);
-  t.x_keys.(i) <- key;
-  t.x_spans.(2 * i) <- start;
-  t.x_spans.((2 * i) + 1) <- finish;
-  t.x_n <- t.x_n + 1
-
-(* [f link size start finish] on every retained crossing, in emission
-   order. *)
-let iter_xfers t f =
-  let run base keys spans n =
-    for i = 0 to n - 1 do
-      let key = keys.(i) and s = spans.(2 * i) and e = spans.((2 * i) + 1) in
-      if key = wide then
-        let link, size = Hashtbl.find t.x_wide (base + i) in
-        f link size s e
-      else f (key asr size_bits) (key land size_mask) s e
-    done
-  in
-  let filled =
-    List.fold_left
-      (fun base (keys, spans) ->
-        run base keys spans chunk;
-        base + chunk)
-      0 (List.rev t.x_full)
-  in
-  run filled t.x_keys t.x_spans (t.x_n - filled)
 
 (* Records are sized exactly, so a crossing copies the float array into
    one two cells longer. *)
@@ -304,6 +254,93 @@ let link_acc t link =
       let a = { lka_msgs = 0; lka_bytes = 0; lka_busy = 0.0 } in
       Hashtbl.add t.links link a;
       a
+
+let link_wins t link =
+  match Hashtbl.find_opt t.wins link with
+  | Some w -> w
+  | None ->
+      let chunks = (t.num_windows + t.chunk_len - 1) / t.chunk_len in
+      let w = Array.make chunks [||] in
+      Hashtbl.add t.wins link w;
+      w
+
+(* The link windows fold as crossings arrive, as {!Analysis.window}
+   defines them. Doubling the width merges window [2j] and [2j + 1] of a
+   link into window [j], the even one first. *)
+let merge_pairs a =
+  let n = Array.length a in
+  for j = 0 to n - 1 do
+    let e = 2 * j in
+    a.(j) <-
+      (if e < n then a.(e) else 0.0) +. if e + 1 < n then a.(e + 1) else 0.0
+  done
+
+(* [merge_pairs] over a link's chunks, in place. A lone chunk merges as
+   is. Otherwise chunks hold [max_chunk] windows, and chunk [2k] and
+   [2k + 1] become chunk [k]: the pairs of the first fill its lower
+   half, those of the second its upper half, and a missing one gives
+   zeros, as [0.0 +. 0.0] does. *)
+let merge_chunks t win =
+  let n = Array.length win in
+  let get k = if k < n then win.(k) else [||] and h = max_chunk / 2 in
+  for k = 0 to n - 1 do
+    let a = get (2 * k) and b = get ((2 * k) + 1) in
+    win.(k) <-
+      (if Array.length a > 0 then begin
+         merge_pairs a;
+         if Array.length b > 0 then begin
+           for i = 0 to h - 1 do
+             a.(h + i) <- b.(2 * i) +. b.((2 * i) + 1)
+           done;
+           t.spare <- b :: t.spare
+         end;
+         a
+       end
+       else if Array.length b > 0 then begin
+         (* Downwards, so no pair is overwritten before it is read. *)
+         for i = h - 1 downto 0 do
+           b.(h + i) <- b.(2 * i) +. b.((2 * i) + 1)
+         done;
+         Array.fill b 0 h 0.0;
+         b
+       end
+       else [||])
+  done
+
+(* Double the width until the windows reach [limit]. A non-finite
+   [limit] stops at an infinite width, or at once for a NaN. *)
+let widen t limit =
+  let n = float_of_int t.num_windows in
+  while n *. t.w_us < limit do
+    Hashtbl.iter (fun _ w -> merge_chunks t w) t.wins;
+    t.w_us <- 2.0 *. t.w_us
+  done
+
+(* Spread a crossing's bytes over the windows it overlaps, in proportion
+   to the overlap; the part before 0 is dropped. The windows reach
+   [finish], so every index is below [num_windows]. *)
+let spread t win ~size ~start:s ~finish:f =
+  let w = t.w_us and c = t.chunk_len in
+  let rate = float_of_int size /. (f -. s) in
+  let first = if s > 0.0 then int_of_float (s /. w) else 0
+  and last = min (t.num_windows - 1) (int_of_float (f /. w)) in
+  for i = first to last do
+    let lo = Float.max s (float_of_int i *. w)
+    and hi = Float.min f (float_of_int (i + 1) *. w) in
+    if hi > lo then begin
+      let k = i / c and j = i mod c in
+      if Array.length win.(k) = 0 then
+        win.(k) <-
+          (match t.spare with
+          | x :: rest ->
+              t.spare <- rest;
+              Array.fill x 0 c 0.0;
+              x
+          | [] -> Array.make c 0.0);
+      let sums = win.(k) in
+      sums.(j) <- sums.(j) +. (rate *. (hi -. lo))
+    end
+  done
 
 let handled (r : srec) =
   if r.r_bits land handled_bit <> 0 then Some r.r_f.(2) else None
@@ -436,7 +473,12 @@ let feed t e =
         lk.lka_bytes <- lk.lka_bytes + size;
         lk.lka_busy <- lk.lka_busy +. (finish -. start);
         t.t_end <- Float.max t.t_end finish;
-        if t.num_windows > 0 then push_xfer t ~link ~size ~start ~finish;
+        if t.num_windows > 0 then begin
+          let win = link_wins t link in
+          widen t finish;
+          if finish > start && finish > 0.0 then
+            spread t win ~size ~start ~finish
+        end;
         match Hashtbl.find_opt t.msgs msg with
         | Some r -> push_rec_xfer r ~start ~finish
         | None -> ()
@@ -497,37 +539,49 @@ let top_links t =
          | c -> c)
        rows)
 
-(* Bin the retained crossings into [num_windows] equal windows over
-   [0, t_end], now that the end time is known: each crossing's bytes are
-   spread over the windows it overlaps in proportion to the overlap. *)
+(* The windows up to the end time, widened as [feed] widens but on a
+   copy of one link's sums at a time, laid out flat: [merge_pairs] on
+   the flat copy is [merge_chunks] on the chunks. *)
 let windows t =
   let n = t.num_windows in
   if n <= 0 || t.t_end <= 0.0 then []
   else begin
-    let w = t.t_end /. float_of_int n in
-    let tables = Array.init n (fun _ -> Hashtbl.create 32) in
-    iter_xfers t (fun link size s f ->
-        if f > s then begin
-          let rate = float_of_int size /. (f -. s) in
-          let first = max 0 (int_of_float (s /. w))
-          and last = min (n - 1) (int_of_float (f /. w)) in
-          for i = first to last do
-            let lo = Float.max s (float_of_int i *. w)
-            and hi = Float.min f (float_of_int (i + 1) *. w) in
-            if hi > lo then
-              let prev =
-                Option.value ~default:0.0 (Hashtbl.find_opt tables.(i) link)
-              in
-              Hashtbl.replace tables.(i) link (prev +. (rate *. (hi -. lo)))
-          done
-        end);
-    List.init n (fun i ->
+    let nf = float_of_int n in
+    let w = ref t.w_us and merges = ref 0 in
+    while nf *. !w < t.t_end do
+      w := 2.0 *. !w;
+      incr merges
+    done;
+    let w = !w in
+    let k =
+      let c = Float.ceil (t.t_end /. w) in
+      if c < nf then int_of_float c else n
+    in
+    let c = t.chunk_len in
+    let rows = Array.make k [] in
+    let sums = Array.make (c * ((n + c - 1) / c)) 0.0 in
+    (* Descending link order, so consing leaves each row ascending. *)
+    List.iter
+      (fun (link, win) ->
+        Array.iteri
+          (fun q chunk ->
+            if Array.length chunk = 0 then Array.fill sums (q * c) c 0.0
+            else Array.blit chunk 0 sums (q * c) c)
+          win;
+        for _ = 1 to !merges do
+          merge_pairs sums
+        done;
+        for i = 0 to k - 1 do
+          if sums.(i) <> 0.0 then rows.(i) <- (link, sums.(i)) :: rows.(i)
+        done)
+      (List.sort
+         (fun (l, _) (l', _) -> compare l' l)
+         (Hashtbl.fold (fun l w acc -> (l, w) :: acc) t.wins []));
+    List.init k (fun i ->
         {
           Analysis.w_start = float_of_int i *. w;
-          w_finish = float_of_int (i + 1) *. w;
-          w_link_bytes =
-            List.sort compare
-              (Hashtbl.fold (fun l b acc -> (l, b) :: acc) tables.(i) []);
+          w_finish = Float.min (float_of_int (i + 1) *. w) t.t_end;
+          w_link_bytes = rows.(i);
         })
   end
 
@@ -961,10 +1015,10 @@ let iter_file path ~f = Result.map fst (read_file path ~start:(fun _ -> ((), f))
 let probe path = with_lines path (fun ic -> Result.map ignore (read_header ic))
 
 (* Full offline post-mortem in a single pass over the file: the analyzer
-   is built from the header's overheads, retains each link crossing in
-   three words and bins them into windows at [finalize], once the end
-   time is known. Returns the header, the summary — bit-identical to the
-   live run's — and the peak message-record residency. *)
+   is built from the header's overheads and folds each link crossing
+   into its link's windows as it arrives. Returns the header, the
+   summary — bit-identical to the live run's — and the peak
+   message-record residency. *)
 let analyze_file ?top_k ?num_windows path =
   match num_windows with
   | Some n when n > max_windows ->

@@ -23,14 +23,14 @@
 type t
 
 val max_windows : int
-(** Upper bound on [num_windows] (10000): binning allocates one table per
-    window. *)
+(** Upper bound on [num_windows] (10000): every link crossed holds up to
+    one float per window. *)
 
 val create :
   ?top_k:int -> ?num_windows:int -> ?ring:int -> Analysis.overheads -> t
-(** [top_k] (default 10) links are reported, over [num_windows]
-    (default 8, at most {!max_windows}, else [Invalid_argument]) equal
-    time windows. [ring] (default 1024) bounds the set
+(** [top_k] (default 10) links are reported, over at most [num_windows]
+    (default 8, at most {!max_windows}, else [Invalid_argument]) time
+    windows of {!Analysis.window}. [ring] (default 1024) bounds the set
     of recently-completed transaction ids remembered to keep stray
     post-completion sends from repopulating the record table; eviction can
     only delay freeing such a record until the end, never change computed
@@ -50,10 +50,10 @@ val peak_msgs : t -> int
     returns the final value. *)
 
 val finalize : t -> Analysis.summary
-(** Non-destructive. The windowed link series is binned here, from the
-    crossings retained during the pass (three words per crossing, in
-    fixed-size chunks; none retained when [num_windows <= 0]), once the
-    run's end time is known. *)
+(** Non-destructive. The windowed link series folds during the pass: a
+    link crossed holds its window sums in chunks of 32 windows, allocated
+    when a crossing first reaches them, and nothing is kept per crossing.
+    Here the windows widen to the run's end time, on a copy. *)
 
 (** {2 On-disk JSONL trace format}
 
@@ -124,10 +124,9 @@ val analyze_file :
   string ->
   (header * Analysis.summary * int, string) result
 (** Full offline post-mortem of a saved trace in a single pass: the file
-    is read once, and the windowed link series folds at the end from the
-    crossings retained along the way. Returns the header, a summary
-    bit-identical to analyzing the live run, and the peak message-record
-    residency. A [num_windows] above {!max_windows} is an [Error]. *)
+    is read once, and the windowed link series folds along the way.
+    Returns the header, a summary bit-identical to analyzing the live
+    run, and the peak message-record residency. A [num_windows] above {!max_windows} is an [Error]. *)
 
 (** {2 Multi-run merge / compaction}
 

@@ -422,11 +422,16 @@ let test_windows_conserve_bytes () =
 module Int_map = Map.Make (Int)
 
 (* The windowed link series straight from the event list, as
-   {!Analysis.window} defines it: the run ends at the last local handler,
-   link release (acks excluded) or handler run; every crossing with a send
-   spreads its bytes over the windows it overlaps, in proportion to the
-   overlap, summed per link in emission order. Returns the end time and
-   the windows as (start, finish, per-link bytes). *)
+   {!Analysis.window} defines it. The run ends at the last local handler,
+   link release (acks excluded) or handler run. The width [w] starts at
+   1 us; before each crossing with a send, it doubles while the [n]
+   windows end before the crossing does, each window of the new width
+   summing the two it covers; then the crossing spreads its bytes over
+   the windows it overlaps, in proportion to the overlap. At the end the
+   width doubles likewise until the windows reach the end time. Sums are
+   kept per link as sparse maps from window index, so an absent window
+   stands for 0. Returns the end time and the windows up to it as
+   (start, finish, per-link non-zero bytes). *)
 let reference_windows n events =
   let t_end =
     List.fold_left
@@ -440,44 +445,88 @@ let reference_windows n events =
         | _ -> acc)
       0.0 events
   in
-  if t_end <= 0.0 then (t_end, [])
-  else begin
-    let w = t_end /. float_of_int n in
-    let bins = Array.make n Int_map.empty in
-    List.iter
-      (function
-        | Trace.Link_xfer { start = s; finish = f; link; msg; size; _ }
-          when msg >= 0 && f > s ->
-            let rate = float_of_int size /. (f -. s) in
-            for i = max 0 (int_of_float (s /. w)) to
+  let nf = float_of_int n in
+  let w = ref 1.0 and sums = ref Int_map.empty in
+  let halve m =
+    Int_map.fold
+      (fun i b acc ->
+        (* Ascending keys: the even window is added first. *)
+        Int_map.update (i / 2)
+          (function None -> Some b | Some b' -> Some (b' +. b))
+          acc)
+      m Int_map.empty
+  in
+  let reach limit =
+    while nf *. !w < limit do
+      sums := Int_map.map halve !sums;
+      w := 2.0 *. !w
+    done
+  in
+  List.iter
+    (function
+      | Trace.Link_xfer { start = s; finish = f; link; msg; size; _ }
+        when msg >= 0 ->
+          reach f;
+          let w = !w and rate = float_of_int size /. (f -. s) in
+          let windows =
+            ref (Option.value ~default:Int_map.empty (Int_map.find_opt link !sums))
+          in
+          if f > s && f > 0.0 then
+            for i = int_of_float (Float.max 0.0 (s /. w)) to
                 min (n - 1) (int_of_float (f /. w)) do
               let lo = Float.max s (float_of_int i *. w)
               and hi = Float.min f (float_of_int (i + 1) *. w) in
               if hi > lo then
-                bins.(i) <-
-                  Int_map.update link
+                windows :=
+                  Int_map.update i
                     (fun b ->
                       Some (Option.value ~default:0.0 b +. (rate *. (hi -. lo))))
-                    bins.(i)
-            done
-        | _ -> ())
-      events;
+                    !windows
+            done;
+          sums := Int_map.add link !windows !sums
+      | _ -> ())
+    events;
+  if t_end <= 0.0 then (t_end, [])
+  else begin
+    reach t_end;
+    let w = !w in
+    let k = min n (int_of_float (Float.ceil (t_end /. w))) in
     ( t_end,
-      List.init n (fun i ->
+      List.init k (fun i ->
           ( float_of_int i *. w,
-            float_of_int (i + 1) *. w,
-            Int_map.bindings bins.(i) )) )
+            Float.min (float_of_int (i + 1) *. w) t_end,
+            Int_map.fold
+              (fun link m acc ->
+                match Int_map.find_opt i m with
+                | Some b when b <> 0.0 -> (link, b) :: acc
+                | _ -> acc)
+              !sums []
+            |> List.rev )) )
   end
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* The engine's windows and end time against the reference, bit for
-   bit. *)
+   bit; and the shape the definition promises: at most [n] windows, more
+   than [n / 2] once wider than 1 us, the last one ending at the end
+   time. Returns the engine's summary. *)
 let check_windows what ov events n =
   let s = summarize ~num_windows:n ov events in
   let t_end, want = reference_windows n events in
   if not (same_float t_end s.Analysis.sm_end_us) then
     Alcotest.failf "%s: end %h, reference %h" what s.Analysis.sm_end_us t_end;
+  (match s.Analysis.sm_windows with
+  | [] -> ()
+  | w0 :: _ as ws ->
+      let k = List.length ws and last = List.nth ws (List.length ws - 1) in
+      if
+        k > n
+        || (w0.Analysis.w_finish > 1.0 && 2 * k <= n)
+        || not (same_float last.Analysis.w_finish t_end)
+      then
+        Alcotest.failf
+          "%s: %d windows of %g us for n = %d, the last ending at %g" what k
+          w0.Analysis.w_finish n last.Analysis.w_finish);
   Alcotest.(check int)
     (Printf.sprintf "%s: %d windows" what n)
     (List.length want)
@@ -495,21 +544,22 @@ let check_windows what ov events n =
       if not same then
         Alcotest.failf "%s: window %d of %d differs from the reference" what i
           n)
-    (List.combine want s.Analysis.sm_windows)
+    (List.combine want s.Analysis.sm_windows);
+  s
 
 (* Every run's windowed series is the reference's, bit for bit, from one
-   window up to the cap: the engine's retained crossings are the event
-   list's, in order. *)
+   window up to the cap. *)
 let test_windows_match_reference () =
   List.iter
     (fun (label, ov, events) ->
-      List.iter (check_windows label ov events) [ 1; 5; 8; Streaming.max_windows ])
+      List.iter
+        (fun n -> ignore (check_windows label ov events n))
+        [ 1; 5; 7; 8; 100; Streaming.max_windows ])
     (Lazy.force traced_runs)
 
-(* Crossings whose link or size does not pack into one int, across
-   several chunks of retained crossings: links at and past 30 bits
-   either way, sizes at and past 32 bits, negative ones, the extremes of
-   int. *)
+(* Crossings on arbitrary links with arbitrary sizes: links and sizes
+   at and past 30 and 32 bits either way, negative ones, the extremes
+   of int. *)
 let test_windows_wide_crossings () =
   let rng = Random.State.make [| 26 |] in
   let pick a = a.(Random.State.int rng (Array.length a)) in
@@ -531,7 +581,66 @@ let test_windows_wide_crossings () =
   let ov =
     { Analysis.send_overhead = 1.0; recv_overhead = 1.0; local_overhead = 0.5 }
   in
-  List.iter (check_windows "synthetic" ov events) [ 1; 7; Streaming.max_windows ]
+  List.iter
+    (fun n -> ignore (check_windows "synthetic" ov events n))
+    [ 1; 7; Streaming.max_windows ]
+
+let xfer ~link ~size start finish =
+  Trace.Link_xfer
+    { start; finish; link; msg = 0; txn = -1; level = -1; src = 0; dst = 1;
+      size }
+
+(* The fold at its edges, against the reference and by hand. Rate 10
+   bytes/us throughout: link 3 crosses [-4, 4), of which [0, 4) counts;
+   link 1's crossings end no later than they start, so they widen the
+   windows but add nothing; link 2 crosses [3, 20); a delivery at 100 us
+   ends the run after the last crossing. With 8 windows the width
+   doubles from 1 to 4 us during the fold and to 16 at the end: seven
+   windows, the last clipped to [96, 100). *)
+let test_window_fold_edges () =
+  let ov =
+    { Analysis.send_overhead = 1.0; recv_overhead = 1.0; local_overhead = 0.5 }
+  in
+  let events =
+    [ xfer ~link:3 ~size:80 (-4.0) 4.0;
+      xfer ~link:1 ~size:50 10.0 10.0;
+      xfer ~link:1 ~size:50 12.0 11.0;
+      xfer ~link:2 ~size:170 3.0 20.0;
+      Trace.Msg_deliver
+        { ts = 90.0; id = 0; txn = -1; handled = 100.0; src = 0; dst = 1;
+          size = 8 } ]
+  in
+  List.iter
+    (fun n -> ignore (check_windows "edges" ov events n))
+    [ 1; 5; 7; Streaming.max_windows ];
+  let s = check_windows "edges" ov events 8 in
+  let got =
+    List.map
+      (fun w ->
+        (w.Analysis.w_start, w.Analysis.w_finish, w.Analysis.w_link_bytes))
+      s.Analysis.sm_windows
+  and want =
+    [ (0.0, 16.0, [ (2, 130.0); (3, 40.0) ]); (16.0, 32.0, [ (2, 40.0) ]);
+      (32.0, 48.0, []); (48.0, 64.0, []); (64.0, 80.0, []); (80.0, 96.0, []);
+      (96.0, 100.0, []) ]
+  in
+  Alcotest.(
+    check (list (triple (float 0.0) (float 0.0) (list (pair int (float 0.0))))))
+    "8 windows of the edge cases" want got;
+  (* A crossing that ends at 1e300 us widens the windows about a
+     thousand times, and still ends. *)
+  let far = [ xfer ~link:0 ~size:8 0.0 1e300; xfer ~link:5 ~size:8 1.0 2.0 ] in
+  List.iter
+    (fun n ->
+      let s = check_windows "far" ov far n in
+      let bytes =
+        List.fold_left
+          (fun a w ->
+            List.fold_left (fun a (_, b) -> a +. b) a w.Analysis.w_link_bytes)
+          0.0 s.Analysis.sm_windows
+      in
+      Alcotest.(check (float 1e-9)) "far: bytes conserved" 16.0 bytes)
+    [ 1; 7; 8 ]
 
 (* The op table groups the same transactions the decomposition walks. *)
 let test_op_table_counts () =
@@ -742,6 +851,7 @@ let suite =
       test_windows_match_reference;
     Alcotest.test_case "windows of unpackable crossings" `Quick
       test_windows_wide_crossings;
+    Alcotest.test_case "window fold edge cases" `Quick test_window_fold_edges;
     Alcotest.test_case "side costs sum in send order" `Quick
       test_side_send_order;
   ]

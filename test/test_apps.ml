@@ -309,6 +309,27 @@ let test_bh_determinism () =
   Alcotest.(check (float 0.0)) "same end time" t1 t2;
   Alcotest.(check int) "same congestion" c1 c2
 
+(* Allocation gate on a small Barnes-Hut run (2x2 mesh, 200 bodies, two
+   steps, 4-ary tree), in minor words per simulated event. The force
+   walk allocated a
+   [Vec.sub], a boxed norm, an [Array.iter] closure and a boxed flop
+   charge per visited cell, and two vectors per interaction: 122.97
+   words per event. Summing into an unboxed accumulator with precomputed
+   charges: 51.88 (gate 54.5). *)
+let test_bh_allocation_gate () =
+  let cfg = bh_config ~n:200 ~steps:2 ~warmup:0 () in
+  let net, dsm = make_dsm ~rows:2 ~cols:2 (Dsm.access_tree ~arity:4 ()) in
+  let app = Barnes_hut.setup dsm cfg in
+  let sim = Network.sim net in
+  let w0 = Gc.minor_words () and e0 = Diva_simnet.Sim.events_executed sim in
+  run_procs net (fun p -> Barnes_hut.fiber app p);
+  let per_event =
+    (Gc.minor_words () -. w0)
+    /. float_of_int (Diva_simnet.Sim.events_executed sim - e0)
+  in
+  if per_event > 54.5 then
+    Alcotest.failf "%.2f minor words per event (gate 54.5)" per_event
+
 let test_bh_uniform_distribution () =
   let cfg =
     { (bh_config ~n:40 ~theta:0.0 ~steps:1 ~warmup:0 ()) with
@@ -437,6 +458,8 @@ let suite =
     Alcotest.test_case "BH mass conserved" `Quick test_bh_mass_conserved;
     Alcotest.test_case "BH intervals" `Quick test_bh_intervals_structure;
     Alcotest.test_case "BH determinism" `Quick test_bh_determinism;
+    Alcotest.test_case "BH allocation per event" `Quick
+      test_bh_allocation_gate;
     Alcotest.test_case "BH uniform distribution" `Quick test_bh_uniform_distribution;
     Alcotest.test_case "BH congestion ordering" `Quick
       test_bh_access_tree_beats_fixed_home_congestion;

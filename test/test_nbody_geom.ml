@@ -16,7 +16,7 @@ let test_vec_algebra () =
   let a = Vec.make 1.0 2.0 3.0 and b = Vec.make (-1.0) 0.5 2.0 in
   Alcotest.(check bool) "add/sub roundtrip" true
     (vclose a (Vec.sub (Vec.add a b) b));
-  Alcotest.(check (float 1e-12)) "norm2" 14.0 (Vec.norm2 a);
+  Alcotest.(check (float 1e-12)) "norm" (sqrt 14.0) (Vec.norm a);
   Alcotest.(check bool) "scale distributes" true
     (vclose (Vec.scale 2.0 (Vec.add a b)) (Vec.add (Vec.scale 2.0 a) (Vec.scale 2.0 b)));
   Alcotest.(check bool) "pointwise min/max" true
@@ -70,22 +70,28 @@ let test_bounding_cube () =
   (* Not wastefully large. *)
   Alcotest.(check bool) "tight-ish" true (half < 3.0)
 
+(* One attraction on its own, summed into a zero accumulator. *)
+let attraction ~pos ~m ~at =
+  let a = Geom.acc () in
+  Geom.add_attraction a ~pos ~m ~at;
+  Geom.acc_vec a
+
 let test_attraction_properties () =
   let p1 = Vec.make 0.0 0.0 0.0 and p2 = Vec.make 2.0 0.0 0.0 in
-  let a12 = Geom.attraction ~pos:p1 ~m:3.0 ~at:p2 in
+  let a12 = attraction ~pos:p1 ~m:3.0 ~at:p2 in
   (* Points toward the mass. *)
   Alcotest.(check bool) "direction" true (a12.Vec.x > 0.0);
   Alcotest.(check (float 1e-12)) "no lateral component" 0.0
     (Float.abs a12.Vec.y +. Float.abs a12.Vec.z);
   (* Linear in the mass. *)
-  let a2 = Geom.attraction ~pos:p1 ~m:6.0 ~at:p2 in
+  let a2 = attraction ~pos:p1 ~m:6.0 ~at:p2 in
   Alcotest.(check (float 1e-9)) "mass linear" (2.0 *. Vec.norm a12) (Vec.norm a2);
   (* Softening keeps the self-limit finite. *)
-  let self = Geom.attraction ~pos:p1 ~m:1.0 ~at:p1 in
+  let self = attraction ~pos:p1 ~m:1.0 ~at:p1 in
   Alcotest.(check (float 0.0)) "softened at zero distance" 0.0 (Vec.norm self);
   (* ~1/r^2 decay far away. *)
-  let near = Vec.norm (Geom.attraction ~pos:p1 ~m:1.0 ~at:(Vec.make 1.0 0.0 0.0)) in
-  let far = Vec.norm (Geom.attraction ~pos:p1 ~m:1.0 ~at:(Vec.make 2.0 0.0 0.0)) in
+  let near = Vec.norm (attraction ~pos:p1 ~m:1.0 ~at:(Vec.make 1.0 0.0 0.0)) in
+  let far = Vec.norm (attraction ~pos:p1 ~m:1.0 ~at:(Vec.make 2.0 0.0 0.0)) in
   Alcotest.(check bool) "decay" true (near > 3.5 *. far && near < 4.5 *. far)
 
 let prop_attraction_antisymmetric =
@@ -96,9 +102,26 @@ let prop_attraction_antisymmetric =
                  (float_range (-5.) 5.)))
     (fun ((x1, y1, z1), (x2, y2, z2)) ->
       let p1 = Vec.make x1 y1 z1 and p2 = Vec.make x2 y2 z2 in
-      let a = Geom.attraction ~pos:p1 ~m:1.0 ~at:p2 in
-      let b = Geom.attraction ~pos:p2 ~m:1.0 ~at:p1 in
+      let a = attraction ~pos:p1 ~m:1.0 ~at:p2 in
+      let b = attraction ~pos:p2 ~m:1.0 ~at:p1 in
       Vec.norm (Vec.add a b) < 1e-9 *. (1.0 +. Vec.norm a))
+
+(* The opening test computes the distance as [Vec.norm] does, bit for
+   bit. *)
+let prop_far_enough_is_vec_norm =
+  let coord = QCheck.float_range (-5.) 5. in
+  QCheck.Test.make ~name:"opening test uses Vec.norm's distance" ~count:500
+    QCheck.(pair (triple coord coord coord) (triple coord coord coord))
+    (fun ((x1, y1, z1), (x2, y2, z2)) ->
+      let com = Vec.make x1 y1 z1 and pos = Vec.make x2 y2 z2 in
+      let d = Vec.norm (Vec.sub com pos) in
+      let half = d /. 2.0 in
+      List.for_all
+        (fun (half, theta) ->
+          Geom.far_enough ~theta ~half ~com ~pos
+          = (2.0 *. half < theta *. d))
+        [ (half, 1.0); (Float.succ half, 1.0); (Float.pred half, 1.0);
+          (half, 0.5) ])
 
 let test_plummer_distribution () =
   let rng = Prng.create ~seed:7 in
@@ -142,6 +165,7 @@ let suite =
     Alcotest.test_case "bounding cube" `Quick test_bounding_cube;
     Alcotest.test_case "attraction properties" `Quick test_attraction_properties;
     QCheck_alcotest.to_alcotest prop_attraction_antisymmetric;
+    QCheck_alcotest.to_alcotest prop_far_enough_is_vec_norm;
     Alcotest.test_case "plummer distribution" `Quick test_plummer_distribution;
     Alcotest.test_case "uniform distribution" `Quick test_uniform_distribution_bounds;
   ]
