@@ -4,20 +4,29 @@ module Embedding = Diva_mesh.Embedding
 module Network = Diva_simnet.Network
 module Trace = Diva_obs.Trace
 
-type body =
-  | Rreq of { origin : int }
-  | Rrep of { origins : int list }
-  | Wreq of { origin : int }
+(* What a protocol message asks of the tree node it reaches. The kind
+   rides in the message's header word with the sender, the destination
+   and, for requests and write data, the origin (see [send_tree]). *)
+type kind =
+  | Rreq  (* read request of the origin's leaf *)
+  | Rrep  (* read reply: the one kind with a payload of its own *)
+  | Wreq  (* write request of the origin's leaf *)
   | Winv
   | Wack
-  | Wdata of { origin : int }
+  | Wdata  (* the written value on its way to the origin's leaf *)
   | Lreq
   | Ltok
   | Rmove  (* state transfer of a remapped tree node; no handler action *)
 
+let kinds = [| Rreq; Rrep; Wreq; Winv; Wack; Wdata; Lreq; Ltok; Rmove |]
+
+let kind_code = function
+  | Rreq -> 0 | Rrep -> 1 | Wreq -> 2 | Winv -> 3 | Wack -> 4 | Wdata -> 5
+  | Lreq -> 6 | Ltok -> 7 | Rmove -> 8
+
 (* A queued lock request at a tree node (Raymond's [lqueue]): a
-   neighbour asking for the token on behalf of its side of the tree, or
-   an acquirer waiting at this leaf. *)
+   neighbour (its neighbour code) asking for the token on behalf of its
+   side of the tree, or an acquirer waiting at this leaf. *)
 type lwait = Remote of int | Local of (unit -> unit)
 
 (* Transaction entry of a tree node: what a read in flight keeps there
@@ -65,8 +74,8 @@ type wtxn = {
   mutable w_u : int;  (* component node coordinating the invalidation *)
 }
 
-(* Per-variable control block, reached from the variable's slot and
-   carried by every protocol message: transaction control (writes are
+(* Per-variable control block, reached from the variable's slot, which
+   every protocol message carries: transaction control (writes are
    serialized against each other and against in-flight reads; cache hits
    bypass this entirely) plus all of the variable's tree-node state. *)
 type ctl = {
@@ -83,8 +92,8 @@ type ctl = {
 
 type Types.slot += Tree of ctl
 
-type Network.payload +=
-  | At of { ctl : ctl; from : int; tnode : int; body : body }
+(* A read reply's payload: the leaves it serves are data. *)
+type Network.payload += Reply of { ctl : ctl; origins : int list }
 
 type t = {
   net : Network.t;
@@ -123,6 +132,7 @@ let create net (c : Strategy.tree_config) =
   let max_children =
     Array.fold_left (fun m kids -> max m (Array.length kids)) 0 deco.Deco.children
   in
+  Node_table.check_header ~tree_nodes:deco.Deco.num_tree_nodes ~max_children;
   let extra =
     (match c.capacity with None -> 0 | Some _ -> 2)
     + match c.remap_threshold with None -> 0 | Some _ -> 1
@@ -225,7 +235,6 @@ let get_state t (ctl : ctl) tnode =
   end
 
 let toward t ctl tnode s = node_of t tnode (Node_table.toward ctl.nodes s)
-let set_toward t ctl tnode s nb = Node_table.set_toward ctl.nodes s (code_of t tnode nb)
 let add_edge t ctl tnode s nb = Node_table.add_edge ctl.nodes s (code_of t tnode nb)
 let place_of ctl s = Node_table.place ctl.nodes s
 
@@ -292,17 +301,30 @@ let trace_copy_drop t (ctl : ctl) tnode s reason =
 
 (* [s] is the sender's slot. Materialising the destination's state here
    rather than on arrival changes nothing: an untouched node's state is a
-   function of the owner and the node alone. *)
-let send_tree t (ctl : ctl) ~from ~s ~tnode ~size body =
+   function of the owner and the node alone. The header (kind, the sender
+   [from] as a neighbour code of [tnode], [tnode], and [origin], 0 for the
+   kinds without one) is the message's tag, and the payload is the
+   variable's own slot, so a message costs the network's record alone. *)
+let send_tree t (ctl : ctl) ~from ~s ~tnode ~size kind ~origin payload =
   let src = place_of ctl s and dst = place_of ctl (get_state t ctl tnode) in
+  let tag =
+    Node_table.header t.layout ~kind:(kind_code kind) ~from:(code_of t tnode from)
+      ~tnode ~origin
+  in
   Network.tag_level t.net t.deco.Deco.depth.(tnode);
-  Network.send t.net ~src ~dst ~size (At { ctl; from; tnode; body })
+  Network.send t.net ~tag ~src ~dst ~size payload
 
-let send_ctl t ctl ~from ~s ~tnode body =
-  send_tree t ctl ~from ~s ~tnode ~size:Types.control_size body
+let send_ctl t ctl ~from ~s ~tnode kind ~origin =
+  send_tree t ctl ~from ~s ~tnode ~size:Types.control_size kind ~origin
+    ctl.var.Types.slot
 
-let send_data t ctl ~from ~s ~tnode body =
-  send_tree t ctl ~from ~s ~tnode ~size:(Types.data_size ctl.var) body
+let send_data t ctl ~from ~s ~tnode kind ~origin =
+  send_tree t ctl ~from ~s ~tnode ~size:(Types.data_size ctl.var) kind ~origin
+    ctl.var.Types.slot
+
+let send_reply t ctl ~from ~s ~tnode origins =
+  send_tree t ctl ~from ~s ~tnode ~size:(Types.data_size ctl.var) Rrep ~origin:0
+    (Reply { ctl; origins })
 
 (* Send [Winv] along the node's component edges, newest first. The edges
    stay listed: each is removed by its neighbour's [Wack], so the edges
@@ -311,7 +333,8 @@ let send_data t ctl ~from ~s ~tnode body =
    afresh. *)
 let invalidate_edges t ctl tnode s n =
   for i = 0 to n - 1 do
-    send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode (Node_table.edge ctl.nodes s i)) Winv
+    send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode (Node_table.edge ctl.nodes s i))
+      Winv ~origin:0
   done
 
 (* ------------------------------------------------------------------ *)
@@ -458,7 +481,7 @@ and start_read t ctl p k =
     ()
   else begin
     Node_table.set_pending ctl.nodes s true;
-    send_ctl t ctl ~from:origin ~s ~tnode:(toward t ctl origin s) (Rreq { origin })
+    send_ctl t ctl ~from:origin ~s ~tnode:(toward t ctl origin s) Rreq ~origin
   end
 
 and start_write t ctl p value k =
@@ -470,7 +493,7 @@ and start_write t ctl p value k =
     touch t ctl s;
     begin_invalidation t ctl origin
   end
-  else send_data t ctl ~from:origin ~s ~tnode:(toward t ctl origin s) (Wreq { origin })
+  else send_data t ctl ~from:origin ~s ~tnode:(toward t ctl origin s) Wreq ~origin
 
 and begin_invalidation t ctl u =
   (match ctl.wtxn with Some w -> w.w_u <- u | None -> assert false);
@@ -490,7 +513,7 @@ and finish_invalidation t ctl =
     let s = get_state t ctl w.w_u in
     let nxt = Deco.next_hop t.deco ~from:w.w_u ~target:w.w_origin in
     add_edge t ctl w.w_u s nxt;
-    send_data t ctl ~from:w.w_u ~s ~tnode:nxt (Wdata { origin = w.w_origin })
+    send_data t ctl ~from:w.w_u ~s ~tnode:nxt Wdata ~origin:w.w_origin
   end
 
 and complete_write t ctl =
@@ -510,7 +533,7 @@ let on_rreq t ctl ~tnode ~origin =
     touch t ctl s;
     let nxt = Deco.next_hop t.deco ~from:tnode ~target:origin in
     add_edge t ctl tnode s nxt;
-    send_data t ctl ~from:tnode ~s ~tnode:nxt (Rrep { origins = [ origin ] })
+    send_reply t ctl ~from:tnode ~s ~tnode:nxt [ origin ]
   end
   else if Node_table.pending ctl.nodes s && t.combining then begin
     let x = txn_of t ctl tnode s in
@@ -518,14 +541,15 @@ let on_rreq t ctl ~tnode ~origin =
   end
   else begin
     if t.combining then Node_table.set_pending ctl.nodes s true;
-    send_ctl t ctl ~from:tnode ~s ~tnode:(toward t ctl tnode s) (Rreq { origin })
+    send_ctl t ctl ~from:tnode ~s ~tnode:(toward t ctl tnode s) Rreq ~origin
   end
 
+(* In the handlers, [from] is the sender's neighbour code at [tnode]. *)
 let on_rrep t ctl ~from ~tnode ~origins =
   let s = get_state t ctl tnode in
   add_copy t ctl tnode s;
   touch t ctl s;
-  add_edge t ctl tnode s from;
+  Node_table.add_edge ctl.nodes s from;
   Node_table.set_pending ctl.nodes s false;
   let x = find_txn t ctl tnode s in
   let parked = x.parked in
@@ -549,7 +573,7 @@ let on_rrep t ctl ~from ~tnode ~origins =
   Hashtbl.iter
     (fun nxt os ->
       add_edge t ctl tnode s nxt;
-      send_data t ctl ~from:tnode ~s ~tnode:nxt (Rrep { origins = os }))
+      send_reply t ctl ~from:tnode ~s ~tnode:nxt os)
     groups;
   Hashtbl.reset groups;
   (* Completions last: they may resume fibers that issue new operations. *)
@@ -562,7 +586,7 @@ let on_wreq t ctl ~tnode ~origin =
     touch t ctl s;
     begin_invalidation t ctl tnode
   end
-  else send_data t ctl ~from:tnode ~s ~tnode:(toward t ctl tnode s) (Wreq { origin })
+  else send_data t ctl ~from:tnode ~s ~tnode:(toward t ctl tnode s) Wreq ~origin
 
 (* An invalidation wave keeps its state in the component itself. A node
    the wave reaches drops its copy, points [toward] its predecessor (the
@@ -582,40 +606,40 @@ let on_winv t ctl ~from ~tnode =
        already reached has no copy either, but the wave reaches no node
        twice, so this one owes no acks. *)
     assert (Node_table.edge_count ctl.nodes s = 0);
-    set_toward t ctl tnode s from;
-    send_ctl t ctl ~from:tnode ~s ~tnode:from Wack
+    Node_table.set_toward ctl.nodes s from;
+    send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode from) Wack ~origin:0
   end
   else begin
     remove_copy t ctl tnode s;
-    set_toward t ctl tnode s from;
-    Node_table.remove_edge ctl.nodes s (code_of t tnode from);
+    Node_table.set_toward ctl.nodes s from;
+    Node_table.remove_edge ctl.nodes s from;
     let n = Node_table.edge_count ctl.nodes s in
-    if n = 0 then send_ctl t ctl ~from:tnode ~s ~tnode:from Wack
+    if n = 0 then send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode from) Wack ~origin:0
     else invalidate_edges t ctl tnode s n
   end
 
 let on_wack t ctl ~from ~tnode =
   let s = get_state t ctl tnode in
   let owed = Node_table.edge_count ctl.nodes s in
-  Node_table.remove_edge ctl.nodes s (code_of t tnode from);
+  Node_table.remove_edge ctl.nodes s from;
   let owed' = Node_table.edge_count ctl.nodes s in
   assert (owed' = owed - 1);
   if owed' = 0 then begin
     let pred = Node_table.toward ctl.nodes s in
     if pred = -1 then finish_invalidation t ctl
-    else send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode pred) Wack
+    else send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode pred) Wack ~origin:0
   end
 
 let on_wdata t ctl ~from ~tnode ~origin =
   let s = get_state t ctl tnode in
   add_copy t ctl tnode s;
   touch t ctl s;
-  Node_table.keep_edge ctl.nodes s (code_of t tnode from);
+  Node_table.keep_edge ctl.nodes s from;
   if tnode = origin then complete_write t ctl
   else begin
     let nxt = Deco.next_hop t.deco ~from:tnode ~target:origin in
     add_edge t ctl tnode s nxt;
-    send_data t ctl ~from:tnode ~s ~tnode:nxt (Wdata { origin })
+    send_data t ctl ~from:tnode ~s ~tnode:nxt Wdata ~origin
   end
 
 (* ------------------------------------------------------------------ *)
@@ -661,8 +685,8 @@ let rec assign_privilege t ctl tnode s =
         r.locked <- true;
         k ()
     | Remote next ->
-        Node_table.set_token ctl.nodes s (code_of t tnode next);
-        send_ctl t ctl ~from:tnode ~s ~tnode:next Ltok;
+        Node_table.set_token ctl.nodes s next;
+        send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode next) Ltok ~origin:0;
         make_request t ctl tnode s
   end
 
@@ -671,7 +695,7 @@ and make_request t ctl tnode s =
   let tok = Node_table.token ctl.nodes s in
   if tok <> -1 && (not (Queue.is_empty r.lqueue)) && not r.lasked then begin
     r.lasked <- true;
-    send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode tok) Lreq
+    send_ctl t ctl ~from:tnode ~s ~tnode:(node_of t tnode tok) Lreq ~origin:0
   end
 
 let settle_lock t ctl tnode s =
@@ -787,26 +811,40 @@ let maybe_remap t (ctl : ctl) tnode =
                    level = t.deco.Deco.depth.(tnode); from_node = old;
                    to_node = fresh });
           Network.tag_level t.net t.deco.Deco.depth.(tnode);
-          Network.send t.net ~src:old ~dst:fresh ~size
-            (At { ctl; from = tnode; tnode; body = Rmove })
+          Network.send t.net
+            ~tag:
+              (Node_table.header t.layout ~kind:(kind_code Rmove) ~from:0 ~tnode
+                 ~origin:0)
+            ~src:old ~dst:fresh ~size ctl.var.Types.slot
         end
       end
 
+(* Decode the header [h] straight into the handler; [origins] is a
+   reply's list, [[]] for the other kinds. *)
+let receive t ctl h origins =
+  if ctl.gone then failwith "Access_tree.handle: message for a retired variable";
+  let l = t.layout in
+  let from = Node_table.header_from l h and tnode = Node_table.header_tnode l h in
+  let kind = kinds.(Node_table.header_kind h) in
+  (match kind with
+  | Rreq -> on_rreq t ctl ~tnode ~origin:(Node_table.header_origin l h)
+  | Rrep -> on_rrep t ctl ~from ~tnode ~origins
+  | Wreq -> on_wreq t ctl ~tnode ~origin:(Node_table.header_origin l h)
+  | Winv -> on_winv t ctl ~from ~tnode
+  | Wack -> on_wack t ctl ~from ~tnode
+  | Wdata -> on_wdata t ctl ~from ~tnode ~origin:(Node_table.header_origin l h)
+  | Lreq -> on_lreq t ctl ~from ~tnode
+  | Ltok -> on_ltok t ctl ~tnode
+  | Rmove -> ());
+  match kind with Rmove -> () | _ -> maybe_remap t ctl tnode
+
 let handle t (msg : Network.msg) =
   match msg.Network.m_payload with
-  | At { ctl; from; tnode; body } ->
-      if ctl.gone then failwith "Access_tree.handle: message for a retired variable";
-      (match body with
-      | Rreq { origin } -> on_rreq t ctl ~tnode ~origin
-      | Rrep { origins } -> on_rrep t ctl ~from ~tnode ~origins
-      | Wreq { origin } -> on_wreq t ctl ~tnode ~origin
-      | Winv -> on_winv t ctl ~from ~tnode
-      | Wack -> on_wack t ctl ~from ~tnode
-      | Wdata { origin } -> on_wdata t ctl ~from ~tnode ~origin
-      | Lreq -> on_lreq t ctl ~from ~tnode
-      | Ltok -> on_ltok t ctl ~tnode
-      | Rmove -> ());
-      (match body with Rmove -> () | _ -> maybe_remap t ctl tnode);
+  | Tree ctl ->
+      receive t ctl msg.Network.m_tag [];
+      true
+  | Reply { ctl; origins } ->
+      receive t ctl msg.Network.m_tag origins;
       true
   | _ -> false
 

@@ -21,6 +21,25 @@ let check_fits ~tree_nodes ~mesh_nodes =
          "Node_table: %d tree nodes exceed the %d-bit node field (at most %d)"
          tree_nodes max_node_bits ((1 lsl max_node_bits) - 1))
 
+(* A protocol message's header word, from bit 0 up: the kind
+   ([kind_bits]), the sender as a neighbour code of the destination (as
+   wide as a stored code), then the destination tree node and the origin
+   (a node id each, as wide as the index's node field). It travels as a
+   non-negative int, so it has at most [header_bits]. *)
+let kind_bits = 4
+let header_bits = 62
+
+let rec width_for n b = if 1 lsl b > n then b else width_for n (b + 1)
+
+let check_header ~tree_nodes ~max_children =
+  let node_bits = (header_bits - kind_bits - width_for (max_children + 1) 1) / 2 in
+  if tree_nodes >= 1 lsl node_bits then
+    invalid_arg
+      (Printf.sprintf
+         "Node_table: %d tree nodes of up to %d children exceed the %d-bit message \
+          header (at most %d)"
+         tree_nodes max_children header_bits ((1 lsl node_bits) - 1))
+
 type layout = {
   bits : int;  (* width of one stored code *)
   mask : int;
@@ -34,6 +53,7 @@ type layout = {
   edge_words : int;
   stride : int;
   node_bits : int;  (* width of a tree node id, and of a slot plus one *)
+  node_mask : int;
   cell_mask : int;  (* one index cell: node, then slot plus one *)
   pair : int;  (* 1 if two cells share an index word, else 0 *)
 }
@@ -42,8 +62,6 @@ let pending_bit = 1
 let txn_bit = 2
 let lock_bit = 4
 let flags_width = 3
-
-let rec width_for n b = if 1 lsl b > n then b else width_for n (b + 1)
 
 let layout ~tree_nodes ~max_children ~extra =
   let cap = max_children + 1 in
@@ -61,6 +79,7 @@ let layout ~tree_nodes ~max_children ~extra =
   { bits; mask = (1 lsl bits) - 1; toward_at = flags_width;
     token_at = flags_width + bits; place_at = flags_width + (2 * bits); head;
     first; per_word; cap; edge_words; stride = edge_words + extra; node_bits;
+    node_mask = (1 lsl node_bits) - 1;
     cell_mask = (1 lsl (2 * node_bits)) - 1;
     pair = (if 4 * node_bits <= 63 then 1 else 0) }
 
@@ -110,7 +129,7 @@ let cell t key =
 let find t key =
   let l = t.layout in
   let e = get_cell l t.index (cell t key) in
-  if e = 0 then -1 else (e land ((1 lsl l.node_bits) - 1)) - 1
+  if e = 0 then -1 else (e land l.node_mask) - 1
 
 let iter_cells f l index cells =
   for i = 0 to cells - 1 do
@@ -144,9 +163,8 @@ let add t key ~toward ~token ~place =
 
 let iter f t =
   let l = t.layout in
-  let node_mask = (1 lsl l.node_bits) - 1 in
   iter_cells
-    (fun e -> f (e lsr l.node_bits) ((e land node_mask) - 1))
+    (fun e -> f (e lsr l.node_bits) ((e land l.node_mask) - 1))
     l t.index (1 lsl t.cells_log)
 
 let reset t =
@@ -261,3 +279,15 @@ let extra t slot k = t.words.((slot * t.layout.stride) + t.layout.edge_words + k
 
 let set_extra t slot k v =
   t.words.((slot * t.layout.stride) + t.layout.edge_words + k) <- v
+
+(* --- message header ---------------------------------------------------- *)
+
+let header l ~kind ~from ~tnode ~origin =
+  kind lor (from lsl kind_bits)
+  lor (tnode lsl (kind_bits + l.bits))
+  lor (origin lsl (kind_bits + l.bits + l.node_bits))
+
+let header_kind h = h land ((1 lsl kind_bits) - 1)
+let header_from l h = (h lsr kind_bits) land l.mask
+let header_tnode l h = (h lsr (kind_bits + l.bits)) land l.node_mask
+let header_origin l h = h lsr (kind_bits + l.bits + l.node_bits)

@@ -34,6 +34,11 @@ val check_fits : tree_nodes:int -> mesh_nodes:int -> unit
     exceeds the index's node field or the mesh-node count the placement
     field. *)
 
+val check_header : tree_nodes:int -> max_children:int -> unit
+(** Raise [Invalid_argument], naming the limit, if a tree of [tree_nodes]
+    nodes whose widest node has [max_children] children does not fit the
+    message header ({!header}): its fields must fit a non-negative int. *)
+
 type t
 
 val create : layout -> t
@@ -104,3 +109,16 @@ val extra : t -> int -> int -> int
 (** [extra t slot k] is the slot's [k]-th extra word. *)
 
 val set_extra : t -> int -> int -> int -> unit
+
+(** {2 The message header} An access-tree message's header packed into one
+    non-negative int, from bit 0 up: the kind (4 bits), the sender as the
+    destination's neighbour code, the destination tree node and the origin
+    tree node, the last two as wide as the layout's node ids. *)
+
+val header : layout -> kind:int -> from:int -> tnode:int -> origin:int -> int
+(** [kind] below 16, [from] a neighbour code of [tnode]. *)
+
+val header_kind : int -> int
+val header_from : layout -> int -> int
+val header_tnode : layout -> int -> int
+val header_origin : layout -> int -> int

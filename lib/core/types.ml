@@ -5,8 +5,9 @@ type proc = int
 (* Per-variable protocol state a strategy hangs off the variable itself,
    so its hot paths reach it without a table lookup. Each strategy adds
    its own constructor; a variable belongs to the one strategy instance
-   of the [Dsm] that created it. *)
-type slot = ..
+   of the [Dsm] that created it. A slot is a network payload, so a
+   strategy's messages can carry the variable's slot itself. *)
+type slot = Diva_simnet.Network.payload = ..
 type slot += No_slot
 
 type var = {

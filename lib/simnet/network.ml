@@ -13,7 +13,10 @@ type msg = {
   m_src : Mesh.node;
   m_dst : Mesh.node;
   m_size : int;
-  m_tag : int;  (* selective-receive key; -1 = untagged *)
+  m_tag : int;
+      (* the message's key word: the selective-receive tag of a message
+         delivered to a mailbox (-1 = untagged), the packed header of one
+         a protocol handler consumes *)
   m_id : int;  (* causal message id; -1 for acks *)
   m_txn : int;  (* DSM transaction the message serves; -1 for none *)
   m_payload : payload;

@@ -23,7 +23,12 @@ type msg = {
   m_src : Diva_mesh.Mesh.node;
   m_dst : Diva_mesh.Mesh.node;
   m_size : int;
-  m_tag : int;  (** selective-receive key set by [send ~tag]; [-1] = untagged *)
+  m_tag : int;
+      (** the message's key word, set by [send ~tag]: for a message
+          delivered to a mailbox, the selective-receive tag ([-1] =
+          untagged, see {!recv}); for one a protocol handler consumes,
+          the header it packs (the access tree's kind, sender, tree node
+          and origin). A consumed message never reaches a mailbox. *)
   m_id : int;
       (** causal message id (see {!cur_msg}); retransmissions keep it,
           acks of the reliable-delivery envelope carry [-1] *)
@@ -61,9 +66,10 @@ val send :
 (** Asynchronous send; charges the sender's CPU with the startup overhead,
     routes the message, charges the receiver's overhead, then invokes the
     destination handler. Callable from fibers and handlers alike. [tag]
-    (default [-1], untagged; tags must be [>= 0]) keys the receiver's
-    selective receive — see {!recv}. Tags survive the reliable-delivery
-    envelope under fault injection. *)
+    (default [-1], untagged; tags must be [>= 0]) is the message's
+    [m_tag]: it keys the receiver's selective receive (see {!recv}), or
+    carries a protocol's header to its handler. Tags survive the
+    reliable-delivery envelope under fault injection. *)
 
 val set_handler : t -> Diva_mesh.Mesh.node -> (t -> msg -> unit) -> unit
 (** Replace the node's message handler. The default handler enqueues into

@@ -3,6 +3,7 @@
    every access-tree variant and the fixed home strategy. *)
 
 module Network = Diva_simnet.Network
+module Sim = Diva_simnet.Sim
 module Dsm = Diva_core.Dsm
 module Access_tree = Diva_core.Access_tree
 module Deco = Diva_mesh.Decomposition
@@ -412,21 +413,27 @@ let test_lock_queue_fifo () =
   Alcotest.(check (list int)) "granted in FIFO order" (List.init n Fun.id)
     (List.rev !order)
 
+let live_words () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
 (* Live words retained per materialised (variable, tree node) state by
-   one run, with the heap compacted before and after it. The retained
-   words also hold the run's other leftovers (variable control blocks,
-   written values, grown queues, an app's own structures). *)
+   one run, setup included, with the heap compacted before the setup and
+   after the run. The retained words also hold the run's other leftovers
+   (variables and their control blocks, the values they hold, grown
+   queues, an app's own structures). Counting from before the setup
+   counts the values a run leaves behind: a window opened after it would
+   let every written value cancel the initial value it replaced, so
+   doubling the words of every value would not move it. *)
 let state_footprint ~rows ~cols strat setup fiber =
   let net, dsm = make_dsm ~rows ~cols strat in
+  let live0 = live_words () in
   let app = setup dsm in
   for p = 0 to Network.num_nodes net - 1 do
     Network.spawn net p (fun () -> fiber app p)
   done;
-  Gc.compact ();
-  let live0 = (Gc.stat ()).Gc.live_words in
   Network.run net;
-  Gc.compact ();
-  let live1 = (Gc.stat ()).Gc.live_words in
+  let live1 = live_words () in
   let states = Access_tree.states (Option.get (Dsm.access_tree_handle dsm)) in
   ignore (Sys.opaque_identity (net, dsm, app));
   float_of_int (live1 - live0) /. float_of_int states
@@ -451,21 +458,25 @@ let footprint_gate what words gate =
      packing.
    Since compute-off matmul holds one shared zero block instead of an
    input block and a written block per variable, the three measure 4.65,
-   7.64 and 6.60: unchanged, because the window starts after setup, where
-   each written block had replaced an input block one for one. *)
+   7.64 and 6.60: unchanged, because the window started after setup, where
+   each written block had replaced an input block one for one. With the
+   window opened before setup, so that the values count, the three
+   measure 5.60 (gate 5.65), 9.04 (gate 9.1) and 9.36 (gate 9.4), the
+   same before and after access-tree messages stopped allocating a
+   header block. *)
 let test_state_footprint_gate () =
   let words =
     state_footprint ~rows:16 ~cols:16 (Dsm.access_tree ~arity:4 ())
       (fun dsm -> Matmul.setup dsm { Matmul.block = 64; compute = false })
       Matmul.fiber
   in
-  footprint_gate "4-ary matmul" words 4.7;
+  footprint_gate "4-ary matmul" words 5.65;
   let words =
     state_footprint ~rows:16 ~cols:16 (Dsm.access_tree ~arity:16 ())
       (fun dsm -> Matmul.setup dsm { Matmul.block = 64; compute = false })
       Matmul.fiber
   in
-  footprint_gate "16-ary matmul" words 7.7;
+  footprint_gate "16-ary matmul" words 9.1;
   let cfg =
     { (Barnes_hut.default_config ~nbodies:256) with
       Barnes_hut.steps = 3; warmup = 1 }
@@ -475,14 +486,15 @@ let test_state_footprint_gate () =
       (fun dsm -> Barnes_hut.setup dsm cfg)
       Barnes_hut.fiber
   in
-  footprint_gate "4-ary Barnes-Hut" words 6.7
+  footprint_gate "4-ary Barnes-Hut" words 9.4
 
 (* DSM allocation gate: a steady loop on a 2x2 mesh where processor 3
    (the owner) writes, invalidating processor 0's copy, and processor 0
    then reads it back, a miss. Minor words are summed per operation over
    the whole transaction (protocol, network, fiber resume).
-   - The 4-ary access tree measures 194 words per read miss and 128 per
-     write, the gates. It measured 236 and 186 while each delivery
+   - The 4-ary access tree measures 178 words per read miss and 112 per
+     write, the gates. It measured 194 and 128 while every message
+     allocated a header block beside the network's record, 236 and 186 while each delivery
      allocated a context record and a queue cell and each invalidating
      node a transaction entry. It measured 247 and 205 before node state
      was packed into one int per node (238 and 188 with the packing
@@ -526,9 +538,53 @@ let test_dsm_alloc_gate () =
         Alcotest.failf "%s: %.2f words per write, over the gate of %.0f" what
           write write_gate)
     [
-      ("4-ary", Dsm.access_tree ~arity:4 (), 194.0, 128.0);
+      ("4-ary", Dsm.access_tree ~arity:4 (), 178.0, 112.0);
       ("fixed home", Dsm.Fixed_home, 137.0, 157.0);
     ]
+
+(* In-flight gate: the live words an access-tree message holds while it
+   waits in the event queue. A 16x16 compute-off matmul (4-ary, 64-int
+   blocks) runs twice, deterministically: the first run finds the instant
+   after which the most events are pending, which falls in the write
+   phase's invalidation waves; the second compacts the heap there and
+   once more after the run, and divides the difference by the pending
+   events. Subtracting the finished run leaves out what both instants
+   hold: the variables, their tree-node states and the queue's columns.
+   It measures 9.69 words per pending event (gate 10), and measured 15.69
+   while every message allocated a 6-word header block beside the
+   network's record. *)
+let inflight_words () =
+  let run at_instant =
+    let net, dsm = make_dsm ~rows:16 ~cols:16 (Dsm.access_tree ~arity:4 ()) in
+    let app = Matmul.setup dsm { Matmul.block = 64; compute = false } in
+    for p = 0 to Network.num_nodes net - 1 do
+      Network.spawn net p (fun () -> Matmul.fiber app p)
+    done;
+    let sim = Network.sim net in
+    Sim.add_advance_hook sim (fun clock _ -> at_instant clock (Sim.pending sim));
+    Network.run net;
+    let live = live_words () in
+    ignore (Sys.opaque_identity (net, dsm, app));
+    live
+  in
+  let peak = ref 0 and peak_at = ref 0.0 in
+  ignore
+    (run (fun clock n ->
+         if n > !peak then begin
+           peak := n;
+           peak_at := clock
+         end)
+      : int);
+  let live_peak = ref 0 in
+  let live_end =
+    run (fun clock _ -> if clock = !peak_at then live_peak := live_words ())
+  in
+  float_of_int (!live_peak - live_end) /. float_of_int !peak
+
+let test_inflight_gate () =
+  let words = inflight_words () in
+  if words > 10.0 then
+    Alcotest.failf "%.2f live words per pending event, over the gate of 10" words
 
 let suite =
   suite
@@ -539,6 +595,7 @@ let suite =
       Alcotest.test_case "lock queue fifo" `Quick test_lock_queue_fifo;
       Alcotest.test_case "state footprint gate" `Quick test_state_footprint_gate;
       Alcotest.test_case "dsm allocation gate" `Quick test_dsm_alloc_gate;
+      Alcotest.test_case "in-flight message gate" `Quick test_inflight_gate;
     ]
 
 (* --- Node_table against Hashtbl plus records and lists ------------------ *)
@@ -714,10 +771,36 @@ let test_node_table_limits () =
   Alcotest.(check int) "4-ary: one word" 1 (stride ~kids:4);
   Alcotest.(check int) "16-ary: two words" 2 (stride ~kids:16)
 
+(* The message header's limit, on the pure bound: the widest tree that
+   fits packs its largest fields into a non-negative int, and one more
+   node is refused, for the 4-ary and the 16-ary tree. *)
+let test_header_limit () =
+  List.iter
+    (fun (kids, limit) ->
+      Node_table.check_header ~tree_nodes:limit ~max_children:kids;
+      let l = Node_table.layout ~tree_nodes:limit ~max_children:kids ~extra:0 in
+      let h = Node_table.header l ~kind:15 ~from:kids ~tnode:(limit - 1) ~origin:(limit - 1) in
+      Alcotest.(check bool) "header non-negative" true (h >= 0);
+      Alcotest.(check (list int)) "header fields"
+        [ 15; kids; limit - 1; limit - 1 ]
+        [ Node_table.header_kind h; Node_table.header_from l h;
+          Node_table.header_tnode l h; Node_table.header_origin l h ];
+      Alcotest.check_raises "one node past the header"
+        (Invalid_argument
+           (Printf.sprintf
+              "Node_table: %d tree nodes of up to %d children exceed the 62-bit \
+               message header (at most %d)"
+              (limit + 1) kids limit))
+        (fun () -> Node_table.check_header ~tree_nodes:(limit + 1) ~max_children:kids))
+    [ (4, (1 lsl 27) - 1); (16, (1 lsl 26) - 1) ]
+
 let suite =
   suite
   @ List.map (fun shape -> QCheck_alcotest.to_alcotest (prop_node_table_model shape)) nt_shapes
-  @ [ Alcotest.test_case "node_table packing limits" `Quick test_node_table_limits ]
+  @ [
+      Alcotest.test_case "node_table packing limits" `Quick test_node_table_limits;
+      Alcotest.test_case "message header limit" `Quick test_header_limit;
+    ]
 
 (* Invalidation waves keep no transaction entry: a node's component edges
    stay listed until each neighbour's [Wack] removes its own, so the edge
