@@ -169,10 +169,30 @@ let pins =
         "--strategy"; "fixed-home"; "--events"; "ev.jsonl"; "--manifest";
         "man.json" ]
       [ "ev.jsonl"; "man.json" ];
+    pin "workload-shaped"
+      [ "workload"; "--mesh"; "4x4"; "--vars"; "32"; "--ops"; "24";
+        "--think"; "5"; "--burst"; "4:40"; "--barrier-every"; "6";
+        "--locality"; "submesh:1"; "--hot-cold"; "0.25:0.8"; "--events";
+        "ev.jsonl"; "--manifest"; "man.json" ]
+      [ "ev.jsonl"; "man.json" ];
+    pin ~inputs:trace_in "workload-replay-closed"
+      [ "workload"; "--replay"; "in.jsonl"; "--strategy"; "2-ary";
+        "--events"; "ev.jsonl"; "--manifest"; "man.json" ]
+      [ "ev.jsonl"; "man.json" ];
     pin "workload-smoke" [ "workload"; "--smoke" ] [];
     pin "serve"
       [ "serve"; "--mesh"; "4x4"; "--rate"; "3000"; "--horizon-ms"; "50";
         "--events"; "ev.jsonl"; "--manifest"; "man.json" ]
+      [ "ev.jsonl"; "man.json" ];
+    pin "serve-bursty"
+      [ "serve"; "--mesh"; "4x4"; "--rate"; "3000"; "--horizon-ms"; "50";
+        "--arrival"; "bursty"; "--scenario"; "hot-migrate"; "--events";
+        "ev.jsonl"; "--manifest"; "man.json" ]
+      [ "ev.jsonl"; "man.json" ];
+    pin "serve-diurnal"
+      [ "serve"; "--mesh"; "4x4"; "--rate"; "3000"; "--horizon-ms"; "50";
+        "--arrival"; "diurnal"; "--scenario"; "flash-crowd"; "--events";
+        "ev.jsonl"; "--manifest"; "man.json" ]
       [ "ev.jsonl"; "man.json" ];
     pin "serve-sweep"
       [ "serve"; "--mesh"; "2x2"; "--horizon-ms"; "20"; "--sweep";
