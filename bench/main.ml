@@ -392,7 +392,9 @@ let workload_zipf () =
     (fun results ->
       let latency (r : Run_spec.measured) =
         match r.Run_spec.result with
-        | Run_spec.Latency l -> (total r, Workload.Latency.quad l)
+        | Run_spec.Latency l ->
+            let open Workload.Latency in
+            (total r, (l.p50_us, l.p95_us, l.p99_us, l.max_us))
         | _ -> invalid_arg "workload_zipf: a cell without latency"
       in
       print_string

@@ -648,7 +648,7 @@ let measured c = Result.fold ~ok:Fun.id ~error:fail (Run_spec.measure c)
 let print_measured name (m : Run_spec.measured) =
   Printf.printf "-- %s --\n" name;
   Run_spec.print_measurements m.Run_spec.measurements;
-  print_string (Run_spec.report m.Run_spec.result)
+  print_string (Run_spec.report m)
 
 let smoke_strategies =
   [ ("fixed-home", Dsm.Fixed_home); ("4-ary", Dsm.access_tree ~arity:4 ()) ]

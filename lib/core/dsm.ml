@@ -33,7 +33,6 @@ type t = {
   mutable n_reads : int;
   mutable n_writes : int;
   mutable n_read_hits : int;
-  mutable n_write_hits : int;
 }
 
 type 'a var = {
@@ -78,7 +77,6 @@ let create network ~strategy () =
       n_reads = 0;
       n_writes = 0;
       n_read_hits = 0;
-      n_write_hits = 0;
     }
   in
   let dispatch =
@@ -241,7 +239,6 @@ let write t p var x =
     | Home h -> Home.sole_copy h p var.v
   in
   if sole then begin
-    t.n_write_hits <- t.n_write_hits + 1;
     Network.charge t.network p t.hit_cost;
     if traced t then
       trace_op t p (Some var.v) Trace.Write ~t0:(Network.now t.network) ~hit:true;
@@ -311,7 +308,6 @@ let peek var = var.proj var.v.Types.value
 let reads t = t.n_reads
 let writes t = t.n_writes
 let read_hits t = t.n_read_hits
-let write_hits t = t.n_write_hits
 
 let ncopies t var =
   match t.protocol with

@@ -80,9 +80,6 @@ val reads : t -> int
 val writes : t -> int
 val read_hits : t -> int
 
-val write_hits : t -> int
-(** Test-only: tests check which writes the protocol served locally. *)
-
 val evictions : t -> int
 (** Capacity evictions (always 0 for the home strategies). *)
 

@@ -60,18 +60,23 @@ val measurement_fields : measurements -> (string * Diva_obs.Json.t) list
 
 (** {2 Building blocks}
 
-    The pieces every runner is made of, exposed so that other drivers (the
-    workload engine's generator and trace replayer) measure runs exactly
-    the way the paper's runners do. *)
+    The pieces every runner is made of, exposed so that the load driver
+    ({!Diva_workload.Driver}) measures runs exactly the way the paper's
+    runners do. *)
 
 val install_obs : Diva_simnet.Network.t -> obs -> unit
 (** Install the trace sink and metrics sampler on a freshly created
     network, before any protocol layer or application state exists. *)
 
-val finish :
-  ?on_net:(Diva_simnet.Network.t -> unit) -> obs:obs -> Diva_simnet.Network.t -> unit
-(** Run the simulation to completion, take the final metrics sample, then
-    invoke [on_net]. *)
+val simulate :
+  seed:int -> obs:obs -> ?on_net:(Diva_simnet.Network.t -> unit) ->
+  dims:int array ->
+  (Diva_simnet.Network.t -> (int -> unit) * (unit -> 'a)) -> 'a
+(** [simulate ~seed ~obs ~dims setup]: the skeleton every runner shares.
+    Create the mesh and {!install_obs}; [setup] builds the run's state and
+    returns the per-processor fiber and how to read the result. Spawn the
+    fiber on every processor, run to completion, take the final metrics
+    sample, invoke [on_net], then read the result. *)
 
 val collect :
   Diva_simnet.Network.t -> Diva_core.Dsm.t option -> measurements

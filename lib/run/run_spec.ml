@@ -136,12 +136,14 @@ let fields m =
   | Plain -> []
   | Latency l ->
       let open Workload.Latency in
-      [ ("ops", Int l.ops); ("ops_per_sim_sec", Float (ops_per_sec l)) ]
+      [ ("ops", Int l.n);
+        ("ops_per_sim_sec",
+         Float (ops_per_sec ~duration_us:m.measurements.Runner.time l)) ]
       @ List.map
           (fun (k, v) -> (k, Float v))
-          [ ("lat_mean_us", l.mean); ("lat_p50_us", l.p50);
-            ("lat_p95_us", l.p95); ("lat_p99_us", l.p99);
-            ("lat_max_us", l.max) ]
+          [ ("lat_mean_us", l.mean_us); ("lat_p50_us", l.p50_us);
+            ("lat_p95_us", l.p95_us); ("lat_p99_us", l.p99_us);
+            ("lat_max_us", l.max_us) ]
   | Served r ->
       let module E = Service.Engine in
       [ ("arrivals", Int r.E.arrivals);
@@ -151,11 +153,13 @@ let fields m =
         ("goodput_per_s", Float r.E.goodput_per_s);
         ("queue_hwm", Int (E.max_queue_hwm r));
         ("makespan_us", Float r.E.makespan_us) ]
-      @ Service.Slo.to_fields r.E.slo
+      @ Workload.Latency.request_fields r.E.slo
 
-let report = function
+let report m =
+  match m.result with
   | Plain -> ""
-  | Latency l -> Workload.Latency.render l
+  | Latency l ->
+      Workload.Latency.render_ops ~duration_us:m.measurements.Runner.time l
   | Served r -> Service.Engine.render r
 
 type outcome = { measured : measured; net : Network.t }
@@ -199,11 +203,11 @@ let run ?oracle obs t =
            ~strategy:(strategy ()) { w with Workload.Spec.seed })
   | Replay { mode; trace; _ } ->
       generated
-        (Workload.Replay.run ~obs ~on_net ~seed ~mode ~strategy:(strategy ())
-           trace)
+        (Workload.Replay.run ~obs ~on_net ?oracle ~seed ~mode
+           ~strategy:(strategy ()) trace)
   | Serve { spec; _ } ->
       let r =
-        Service.Engine.run ~obs ~on_net ~dims ~strategy:(strategy ())
+        Service.Engine.run ~obs ~on_net ?oracle ~dims ~strategy:(strategy ())
           { spec with Service.Spec.seed }
       in
       outcome r.Service.Engine.measurements ~result:(Served r)
@@ -212,8 +216,9 @@ let measure ?prof ?oracle ?flight (t : t) =
   let* () = validate t in
   let* () =
     match (oracle, t.app) with
-    | None, _ | Some _, Workload _ -> Ok ()
-    | Some _, _ -> Error "only a generated workload records into an oracle"
+    | Some _, (Matmul _ | Bitonic _ | Barnes_hut _) ->
+        Error "a paper application records into no oracle"
+    | _ -> Ok ()
   in
   (* A flight recorder's ring is the only sink: nobody buffers events. *)
   let trace = Option.fold ~none:Fun.id ~some:Flight.wrap flight Trace.null in
@@ -319,7 +324,7 @@ let print_report out t o =
         (lost_total f) (lost_random f) (lost_link_down f) (lost_crashed f)
         (retransmits f) (dsm_reissues f))
     o.measured.faults;
-  print_string (report o.measured.result);
+  print_string (report o.measured);
   if out.phases then
     List.iter
       (fun (ph, m) ->

@@ -57,7 +57,7 @@ type measured = {
 val fields : measured -> (string * Diva_obs.Json.t) list
 (** The app result's fields in the run manifest and BENCH files. *)
 
-val report : app_result -> string
+val report : measured -> string
 (** The app result's block of the run report. *)
 
 val measure :
@@ -67,8 +67,9 @@ val measure :
   t ->
   (measured, string) result
 (** Validate [t], then simulate it through the same dispatch as
-    {!execute}, recording only into [prof], [oracle] (a generated
-    workload's operations; other apps are rejected) and [flight]'s ring.
+    {!execute}, recording only into [prof], [oracle] (the data
+    operations of a workload, replay or service run; the paper's
+    applications are rejected) and [flight]'s ring.
     [Error] is why the run was rejected. Runs share no state, so distinct
     specs may be measured on different domains at once. *)
 

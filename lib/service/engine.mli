@@ -30,13 +30,16 @@ type result = {
 val run :
   ?obs:Diva_harness.Runner.obs ->
   ?on_net:(Diva_simnet.Network.t -> unit) ->
+  ?oracle:Diva_workload.Oracle.t ->
   dims:int array ->
   strategy:Diva_core.Dsm.strategy ->
   Spec.t ->
   result
 (** Raises [Invalid_argument] when {!Spec.validate} fails. Composes with
     the full observability stack ([obs]): tracing, metrics, fault
-    schedules. *)
+    schedules. Runs on the shared load driver
+    ({!Diva_workload.Driver}): with [oracle], every served read and write
+    is recorded against the coherence {!Diva_workload.Oracle}. *)
 
 val max_queue_hwm : result -> int
 val render : result -> string

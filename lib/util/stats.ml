@@ -2,7 +2,6 @@ let sumf a = Array.fold_left ( +. ) 0.0 a
 
 let mean a = if Array.length a = 0 then 0.0 else sumf a /. float_of_int (Array.length a)
 
-let maxf a = Array.fold_left Float.max neg_infinity a
 
 let percent num den = if den = 0.0 then 0.0 else 100.0 *. num /. den
 let ratio num den = if den = 0.0 then 0.0 else num /. den

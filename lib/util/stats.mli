@@ -1,7 +1,6 @@
 (** Small numeric helpers shared by the harness and the tests. *)
 
 val mean : float array -> float
-val maxf : float array -> float
 
 val percent : float -> float -> float
 (** [percent num den] is [100 * num / den] (0 if [den] = 0). *)

@@ -8,57 +8,26 @@ type result = {
   latency : Latency.t;
 }
 
-(* Growing sample buffer shared by all fibers (cooperative scheduling: no
-   concurrency, just unknown completion interleaving). *)
-type samples = { mutable buf : float array; mutable n : int }
-
-let add_sample s x =
-  if s.n = Array.length s.buf then begin
-    let buf = Array.make (max 1024 (2 * Array.length s.buf)) 0.0 in
-    Array.blit s.buf 0 buf 0 s.n;
-    s.buf <- buf
-  end;
-  s.buf.(s.n) <- x;
-  s.n <- s.n + 1
-
 let proc_rng spec p =
   Prng.create ~seed:(Int64.to_int (Prng.hash2 (Int64.of_int Spec.(spec.seed)) (p + 1)))
 
-let fiber ?oracle net dsm spec sampler vars samples p =
+let fiber ld spec sampler vars p =
+  let net = Driver.net ld and dsm = Driver.dsm ld in
   let rng = proc_rng spec p in
   List.iter
     (fun (ph : Spec.phase) ->
       for i = 1 to ph.Spec.ops do
-        let vi = Sampler.draw sampler ~proc:p rng in
-        let v = vars.(vi) in
+        let key = Sampler.draw sampler ~proc:p rng in
+        let v = vars.(key) in
         let locked = Spec.(spec.lock_every) > 0 && i mod Spec.(spec.lock_every) = 0 in
-        let is_read = Prng.float rng 1.0 < ph.Spec.read_ratio in
+        let read = Prng.float rng 1.0 < ph.Spec.read_ratio in
+        (* A write draws its value even when the oracle substitutes its
+           own, so checked and unchecked runs draw the same stream. *)
+        let value = if read then 0 else Prng.int rng 1_000_000 in
         let t0 = Network.now net in
         if locked then Dsm.lock dsm p v;
-        (if is_read then begin
-           let x = Dsm.read dsm p v in
-           match oracle with
-           | Some o ->
-               Oracle.record_read o ~var:vi ~proc:p ~value:x ~t0
-                 ~t1:(Network.now net)
-           | None -> ()
-         end
-         else begin
-           (* The draw happens either way, so checked and unchecked runs
-              issue the identical operation sequence; the oracle only
-              substitutes run-unique values for the random ones. *)
-           let drawn = Prng.int rng 1_000_000 in
-           match oracle with
-           | Some o ->
-               let value = Oracle.next_write_value o in
-               let w0 = Network.now net in
-               Dsm.write dsm p v value;
-               Oracle.record_write o ~var:vi ~proc:p ~value ~t0:w0
-                 ~t1:(Network.now net)
-           | None -> Dsm.write dsm p v drawn
-         end);
+        Driver.issue ld p ~key v ~t0 ~read ~value;
         if locked then Dsm.unlock dsm p v;
-        add_sample samples (Network.now net -. t0);
         if Spec.(spec.barrier_every) > 0 && i mod Spec.(spec.barrier_every) = 0
         then Dsm.barrier dsm p;
         if ph.Spec.think > 0.0 then Network.compute net p ph.Spec.think;
@@ -73,32 +42,15 @@ let run ?(obs = Runner.null_obs) ?on_net ?oracle ~dims ~strategy spec =
   (match Spec.validate spec with
   | Ok () -> ()
   | Error e -> invalid_arg ("Diva_workload.Generator.run: " ^ e));
-  let net = Network.create_nd ~seed:Spec.(spec.seed) ~dims () in
-  Runner.install_obs net obs;
-  let dsm = Dsm.create net ~strategy () in
-  let procs = Network.num_nodes net in
-  let sampler = Sampler.create (Network.mesh net) spec in
-  let vars =
-    Array.init Spec.(spec.num_vars) (fun k ->
-        (match oracle with
-        | Some o -> Oracle.init_var o ~var:k ~value:0
-        | None -> ());
-        Dsm.create_var dsm
-          ~name:(Printf.sprintf "w%d" k)
-          ~owner:(k mod procs) ~size:Spec.(spec.var_size) 0)
+  let measurements, latency =
+    Driver.run ~obs ~on_net ~oracle ~seed:Spec.(spec.seed) ~dims ~strategy
+      ~capacity:(Array.fold_left ( * ) 1 dims * Spec.total_ops_per_proc spec)
+      (fun ld ->
+        let sampler = Sampler.create (Network.mesh (Driver.net ld)) spec in
+        let vars =
+          Driver.key_vars ld ~prefix:"w" ~size:Spec.(spec.var_size)
+            Spec.(spec.num_vars)
+        in
+        fiber ld spec sampler vars)
   in
-  let samples =
-    { buf = Array.make (max 1 (procs * Spec.total_ops_per_proc spec)) 0.0; n = 0 }
-  in
-  for p = 0 to procs - 1 do
-    Network.spawn net p (fun () ->
-        fiber ?oracle net dsm spec sampler vars samples p)
-  done;
-  Runner.finish ?on_net ~obs net;
-  let m = Runner.collect net (Some dsm) in
-  {
-    measurements = m;
-    latency =
-      Latency.of_samples ~duration_us:m.Runner.time
-        (Array.sub samples.buf 0 samples.n);
-  }
+  { measurements; latency }

@@ -27,9 +27,6 @@ val run :
     [Invalid_argument] on a spec that fails {!Spec.validate} or a
     locality model inconsistent with the mesh.
 
-    With [oracle], every completed read and write is recorded against the
-    coherence {!Oracle} as a real-time interval, and writes use
-    {!Oracle.next_write_value} in place of random payloads. The PRNG draw
-    still happens, so a run with an oracle issues the bit-identical
-    operation sequence (keys, op kinds, timing) as the same run without
-    one. *)
+    With [oracle], every read and write is recorded against the coherence
+    {!Oracle} as {!Driver.issue} describes; the random payload is still
+    drawn, so keys, op kinds and timing do not change. *)

@@ -1,29 +1,41 @@
-(** Per-operation latency and throughput report of one workload run.
+(** Latency summary of one load run, the one every load source reports.
 
-    Latency of an operation is the simulated time its fiber was blocked in
-    the DSM call (0 for cache hits, which only charge deferred CPU time);
-    percentiles are nearest-rank ({!Diva_util.Stats.percentile}).
-    Throughput is completed operations per simulated second. *)
+    A sample is one data operation's latency in simulated microseconds:
+    for the closed loop and replay, the time its fiber was blocked in the
+    DSM call (0 for cache hits, which only charge deferred CPU time); for
+    the open-loop service, arrival to completion. All percentiles are
+    exact nearest-rank order statistics on one sorted copy of the samples
+    ({!Diva_util.Stats.sorted_percentile}), never interpolation. The p999
+    carries a minimum-sample guard: with fewer than 1000 observations,
+    the smallest set in which the 99.9th rank is distinct from the
+    maximum, it is [None] instead of a number that looks more precise
+    than it is. *)
 
 type t = {
-  ops : int;  (** number of operations sampled *)
-  duration_us : float;  (** end-to-end simulated run time *)
-  mean : float;  (** microseconds, over all sampled ops *)
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
+  n : int;  (** samples *)
+  mean_us : float;
+  p50_us : float;
+  p95_us : float;
+  p99_us : float;
+  p999_us : float option;  (** [None] when [n < 1000] *)
+  max_us : float;
 }
 
-val of_samples : duration_us:float -> float array -> t
+val of_samples : float array -> t
+(** The input is not modified. An empty sample set yields zeros. *)
 
-val ops_per_sec : t -> float
-(** Operations per simulated {e second} (0 for an empty run). *)
+val ops_per_sec : duration_us:float -> t -> float
+(** Samples per simulated {e second} of a run lasting [duration_us]
+    (0 for an empty run). *)
 
-val quad : t -> float * float * float * float
-(** (p50, p95, p99, max) — the shape {!Diva_harness.Report.workload_table}
-    takes. *)
+val render_ops : duration_us:float -> t -> string
+(** The workload block of a run report: operations, throughput and
+    p50/p95/p99. *)
 
-val render : t -> string
-(** Multi-line human-readable block, aligned with the measurement printout
-    of the divasim CLI. *)
+val request_fields : t -> (string * Diva_obs.Json.t) list
+(** The service's machine-readable fields; [lat_p999_us] is omitted (not
+    null) when the guard withholds it, so downstream gates only ever see
+    numbers. *)
+
+val render_requests : t -> string
+(** The service block of a run report: requests and p50/p99/p999. *)

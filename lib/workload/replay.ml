@@ -95,80 +95,63 @@ let program_ops t =
       | _ -> None)
     t.events
 
-let run ?(obs = Runner.null_obs) ?on_net ?seed ?(mode = Closed_loop) ~strategy t =
+let run ?(obs = Runner.null_obs) ?on_net ?oracle ?seed ?(mode = Closed_loop)
+    ~strategy t =
   (match check t with Ok () -> () | Error e -> invalid_arg ("Replay.run: " ^ e));
-  let procs = num_procs t in
-  let seed = Option.value ~default:t.seed seed in
-  let net = Network.create_nd ~seed ~dims:t.dims () in
-  Runner.install_obs net obs;
-  let dsm = Dsm.create net ~strategy () in
-  (* Recreate every variable up front, in recorded id order. Creation is
-     free in the simulated cost model, so early creation does not perturb
-     replay even for traces of applications that allocated dynamically. *)
-  let decls =
-    List.stable_sort
-      (fun (a, _, _, _) (b, _, _, _) -> compare a b)
-      (List.filter_map
-         (function
-           | Trace.Var_decl { var; var_name; size; owner; _ } ->
-               Some (var, var_name, size, owner)
-           | _ -> None)
-         t.events)
-  in
-  let vars = Hashtbl.create (List.length decls) in
-  List.iter
-    (fun (var, name, size, owner) ->
-      Hashtbl.replace vars var (Dsm.create_var dsm ~name ~owner ~size 0))
-    decls;
   let ops = program_ops t in
-  (* One reducer per recorded wire size, created in deterministic order. *)
-  let reducers = Hashtbl.create 4 in
-  List.iter
-    (fun size ->
-      Hashtbl.replace reducers size
-        (Dsm.reducer dsm ~combine:(fun a _ -> (a : int)) ~size))
-    (List.sort_uniq compare
-       (List.filter_map
-          (fun o -> if o.op = Trace.Reduce then Some o.size else None)
-          ops));
-  (* Partition into per-processor programs, preserving order. *)
-  let programs = Array.make procs [] in
-  List.iter (fun o -> programs.(o.proc) <- o :: programs.(o.proc)) ops;
-  Array.iteri (fun p ops -> programs.(p) <- List.rev ops) programs;
-  let samples = Array.make (max 1 (List.length ops)) 0.0 in
-  let n_samples = ref 0 in
-  let fiber p =
+  let setup ld =
+    let net = Driver.net ld and dsm = Driver.dsm ld in
+    (* Recreate every variable up front, in recorded id order. Creation is
+       free in the simulated cost model, so early creation does not perturb
+       replay even for traces of applications that allocated dynamically. *)
+    let vars = Hashtbl.create 64 in
     List.iter
-      (fun o ->
-        (match mode with
-        | Open_loop when o.gap > 0.0 -> Network.compute net p o.gap
-        | _ -> ());
-        let t0 = Network.now net in
-        (match o.op with
-        | Trace.Read -> ignore (Dsm.read dsm p (Hashtbl.find vars o.var) : int)
-        | Trace.Write -> Dsm.write dsm p (Hashtbl.find vars o.var) 0
-        | Trace.Lock -> Dsm.lock dsm p (Hashtbl.find vars o.var)
-        | Trace.Unlock -> Dsm.unlock dsm p (Hashtbl.find vars o.var)
-        | Trace.Barrier -> Dsm.barrier dsm p
-        | Trace.Reduce ->
-            ignore (Dsm.reduce dsm p (Hashtbl.find reducers o.size) 0 : int));
-        (* Latency is reported over data operations only, matching the
-           synthetic generator, so replay and generation are comparable. *)
-        match o.op with
-        | Trace.Read | Trace.Write ->
-            samples.(!n_samples) <- Network.now net -. t0;
-            incr n_samples
-        | _ -> ())
-      programs.(p)
+      (fun (var, name, size, owner) ->
+        Hashtbl.replace vars var (Driver.var ld ~key:var ~name ~owner ~size))
+      (List.stable_sort
+         (fun (a, _, _, _) (b, _, _, _) -> compare a b)
+         (List.filter_map
+            (function
+              | Trace.Var_decl { var; var_name; size; owner; _ } ->
+                  Some (var, var_name, size, owner)
+              | _ -> None)
+            t.events));
+    (* One reducer per recorded wire size, created in deterministic order. *)
+    let reducers = Hashtbl.create 4 in
+    List.iter
+      (fun size ->
+        Hashtbl.replace reducers size
+          (Dsm.reducer dsm ~combine:(fun a _ -> (a : int)) ~size))
+      (List.sort_uniq compare
+         (List.filter_map
+            (fun o -> if o.op = Trace.Reduce then Some o.size else None)
+            ops));
+    (* Partition into per-processor programs, preserving order. *)
+    let programs = Array.make (num_procs t) [] in
+    List.iter (fun o -> programs.(o.proc) <- o :: programs.(o.proc)) ops;
+    Array.iteri (fun p ops -> programs.(p) <- List.rev ops) programs;
+    fun p ->
+      List.iter
+        (fun o ->
+          (match mode with
+          | Open_loop when o.gap > 0.0 -> Network.compute net p o.gap
+          | _ -> ());
+          (* Only data operations are sampled, matching the synthetic
+             generator, so replay and generation are comparable. *)
+          match o.op with
+          | Trace.Read | Trace.Write ->
+              Driver.issue ld p ~key:o.var (Hashtbl.find vars o.var)
+                ~t0:(Network.now net) ~read:(o.op = Trace.Read) ~value:0
+          | Trace.Lock -> Dsm.lock dsm p (Hashtbl.find vars o.var)
+          | Trace.Unlock -> Dsm.unlock dsm p (Hashtbl.find vars o.var)
+          | Trace.Barrier -> Dsm.barrier dsm p
+          | Trace.Reduce ->
+              ignore (Dsm.reduce dsm p (Hashtbl.find reducers o.size) 0 : int))
+        programs.(p)
   in
-  for p = 0 to procs - 1 do
-    Network.spawn net p (fun () -> fiber p)
-  done;
-  Runner.finish ?on_net ~obs net;
-  let m = Runner.collect net (Some dsm) in
-  {
-    Generator.measurements = m;
-    latency =
-      Latency.of_samples ~duration_us:m.Runner.time
-        (Array.sub samples 0 !n_samples);
-  }
+  let measurements, latency =
+    Driver.run ~obs ~on_net ~oracle
+      ~seed:(Option.value ~default:t.seed seed)
+      ~dims:t.dims ~strategy ~capacity:(List.length ops) setup
+  in
+  { Generator.measurements; latency }

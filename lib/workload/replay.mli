@@ -57,6 +57,7 @@ val num_ops : t -> int
 val run :
   ?obs:Diva_harness.Runner.obs ->
   ?on_net:(Diva_simnet.Network.t -> unit) ->
+  ?oracle:Oracle.t ->
   ?seed:int ->
   ?mode:mode ->
   strategy:Diva_core.Dsm.strategy ->
@@ -65,4 +66,7 @@ val run :
 (** Defaults: the trace's recorded network seed and [Closed_loop]. The
     mesh dimensions always come from the trace (the access stream is only
     meaningful on its recorded processor count). Raises
-    [Invalid_argument] on a program {!read} would have rejected. *)
+    [Invalid_argument] on a program {!read} would have rejected.
+
+    With [oracle], every replayed read and write is recorded against the
+    coherence {!Oracle} ({!Driver.issue}). *)

@@ -511,9 +511,12 @@ let alloc_per_op strategy =
   let v = Dsm.create_var dsm ~owner:3 ~size:8 0 in
   let ops = 2_000 in
   let words = Array.make 2 0.0 in  (* read misses, writes *)
+  let sole_writes = ref 0 in
   Network.spawn net 0 (fun () ->
       ignore (Dsm.read dsm 0 v);
       for i = 1 to ops do
+        (* Processor 0's copy is there for the write to invalidate. *)
+        if Dsm.ncopies dsm v < 2 then incr sole_writes;
         let w0 = Gc.minor_words () in
         Dsm.write dsm 3 v i;
         let w1 = Gc.minor_words () in
@@ -524,7 +527,7 @@ let alloc_per_op strategy =
       done);
   Network.run net;
   Alcotest.(check int) "every read a miss" 0 (Dsm.read_hits dsm);
-  Alcotest.(check int) "every write invalidates" 0 (Dsm.write_hits dsm);
+  Alcotest.(check int) "every write invalidates" 0 !sole_writes;
   (words.(0) /. float_of_int ops, words.(1) /. float_of_int ops)
 
 let test_dsm_alloc_gate () =

@@ -209,8 +209,58 @@ let measure_rejects () =
       | Error _, Ok () -> Alcotest.failf "execute accepted %s" what)
     (invalid ())
 
+(* Every load source feeds the linearizability oracle through the one
+   issue path: each served request or replayed data operation is
+   recorded, the history checks, and the run is the one measured without
+   an oracle. The paper's applications record nothing, so an oracle is
+   rejected for them. *)
+let oracle_every_source () =
+  let module Oracle = Workload.Oracle in
+  let checked what s ~expected =
+    let oracle = Oracle.create () in
+    match (Run_spec.measure ~oracle s, Run_spec.measure s) with
+    | Ok r, Ok plain ->
+        Alcotest.(check int) (what ^ ": every data op recorded") (expected r)
+          (Oracle.ops oracle);
+        Alcotest.(check bool) (what ^ ": ops recorded") true
+          (Oracle.ops oracle > 0);
+        (match Oracle.check oracle with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: %s" what e);
+        Alcotest.(check string) (what ^ ": same run as unchecked")
+          (Json.to_string (measured_json (Ok plain)))
+          (Json.to_string (measured_json (Ok r)))
+    | Error e, _ | _, Error e -> Alcotest.failf "%s rejected: %s" what e
+  in
+  checked "4x4 serve" (spec (serve [| 4; 4 |]) [| 4; 4 |]) ~expected:(fun r ->
+      match r.Run_spec.result with
+      | Run_spec.Served r -> r.Service.Engine.completions
+      | _ -> Alcotest.fail "serve reported no service result");
+  let replayed = replay Workload.Replay.Open_loop in
+  let data_ops =
+    match replayed with
+    | Run_spec.Replay { trace; _ } ->
+        List.length
+          (List.filter
+             (function
+               | Diva_obs.Trace.Dsm_access
+                   { op = Diva_obs.Trace.(Read | Write); _ } -> true
+               | _ -> false)
+             trace.Workload.Replay.events)
+    | _ -> assert false
+  in
+  checked "open-loop replay" (spec replayed [| 2; 2 |]) ~expected:(fun _ ->
+      data_ops);
+  match
+    Run_spec.measure ~oracle:(Oracle.create ()) (spec (matmul ()) [| 2; 2 |])
+  with
+  | Ok _ -> Alcotest.fail "matmul recorded into an oracle"
+  | Error _ -> ()
+
 let suite =
   [
+    Alcotest.test_case "the oracle checks every load source" `Quick
+      oracle_every_source;
     Alcotest.test_case "validate accepts every golden CLI run" `Quick accepted;
     Alcotest.test_case "validate rejects each rule's violation" `Quick rejected;
     Alcotest.test_case "measure gives the same results on 3 domains" `Quick

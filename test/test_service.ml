@@ -138,10 +138,10 @@ let test_slo_p999_guard () =
   (* The omitted field never reaches machine-readable output as null. *)
   Alcotest.(check bool)
     "guarded field omitted" true
-    (List.assoc_opt "lat_p999_us" (Slo.to_fields under) = None);
+    (List.assoc_opt "lat_p999_us" (Slo.request_fields under) = None);
   Alcotest.(check bool)
     "present when unguarded" true
-    (List.assoc_opt "lat_p999_us" (Slo.to_fields at) <> None);
+    (List.assoc_opt "lat_p999_us" (Slo.request_fields at) <> None);
   let empty = Slo.of_samples [||] in
   Alcotest.(check int) "empty n" 0 empty.Slo.n;
   Alcotest.(check (float 1e-9)) "empty p50" 0.0 empty.Slo.p50_us

@@ -35,7 +35,7 @@ type outcome = {
   reads : int;
   writes : int;
   read_hits : int;
-  write_hits : int;
+  startups : int;
   makespan : float;
   ncopies : int array;
   holders : int list array;
@@ -89,7 +89,7 @@ let run_mixed ?(trace = false) ~spec ~seed () =
       reads = Dsm.reads dsm;
       writes = Dsm.writes dsm;
       read_hits = Dsm.read_hits dsm;
-      write_hits = Dsm.write_hits dsm;
+      startups = Network.startups net;
       makespan = Network.now net;
       ncopies = Array.map (fun v -> Dsm.ncopies dsm v) vars;
       holders = Array.map (fun v -> Dsm.copy_holder_places dsm v) vars;

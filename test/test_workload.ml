@@ -107,8 +107,8 @@ let test_replay_synthetic () =
   in
   let r = Replay.run ~strategy:strategy_4ary t in
   check_meas "synthetic replay" r0.Generator.measurements r.Generator.measurements;
-  Alcotest.(check int) "same op count" r0.Generator.latency.Latency.ops
-    r.Generator.latency.Latency.ops
+  Alcotest.(check int) "same op count" r0.Generator.latency.Latency.n
+    r.Generator.latency.Latency.n
 
 (* Open-loop replay re-inserts recorded gaps: replaying a think-heavy
    workload open-loop takes at least as long as closed-loop. *)
@@ -391,14 +391,16 @@ let test_spec_validation () =
 let test_latency_report () =
   let r = Generator.run ~dims:[| 4; 4 |] ~strategy:strategy_4ary small_spec in
   let l = r.Generator.latency in
-  Alcotest.(check int) "every data op sampled" (16 * 60) l.Latency.ops;
+  let duration_us = r.Generator.measurements.Runner.time in
+  Alcotest.(check int) "every data op sampled" (16 * 60) l.Latency.n;
   Alcotest.(check bool) "percentiles ordered" true
-    (l.Latency.p50 <= l.Latency.p95
-    && l.Latency.p95 <= l.Latency.p99
-    && l.Latency.p99 <= l.Latency.max);
+    (l.Latency.p50_us <= l.Latency.p95_us
+    && l.Latency.p95_us <= l.Latency.p99_us
+    && l.Latency.p99_us <= l.Latency.max_us);
   Alcotest.(check bool) "max latency below run time" true
-    (l.Latency.max <= r.Generator.measurements.Runner.time);
-  Alcotest.(check bool) "throughput positive" true (Latency.ops_per_sec l > 0.0);
+    (l.Latency.max_us <= duration_us);
+  Alcotest.(check bool) "throughput positive" true
+    (Latency.ops_per_sec ~duration_us l > 0.0);
   let fields =
     Diva_run.Run_spec.fields
       { Diva_run.Run_spec.measurements = r.Generator.measurements;
