@@ -9,9 +9,7 @@ type row = {
   sw_offered : float;
   sw_goodput : float;
   sw_ratio : float;
-  sw_p50 : float;
-  sw_p99 : float;
-  sw_p999 : float option;
+  sw_latency : Slo.t;
   sw_qmax : int;
   sw_makespan : float;
   sw_diverged : bool;
@@ -52,9 +50,7 @@ let of_runs ?(threshold = default_threshold) measured cells =
           sw_offered = r.Engine.offered_per_s;
           sw_goodput = r.Engine.goodput_per_s;
           sw_ratio = ratio;
-          sw_p50 = r.Engine.slo.Slo.p50_us;
-          sw_p99 = r.Engine.slo.Slo.p99_us;
-          sw_p999 = r.Engine.slo.Slo.p999_us;
+          sw_latency = r.Engine.slo;
           sw_qmax = Engine.max_queue_hwm r;
           sw_makespan = r.Engine.makespan_us;
           sw_diverged = ratio < threshold;
@@ -81,10 +77,10 @@ let row_json r =
       ("offered_per_s", Float r.sw_offered);
       ("goodput_per_s", Float r.sw_goodput);
       ("achieved_ratio", Float r.sw_ratio);
-      ("lat_p50_us", Float r.sw_p50);
-      ("lat_p99_us", Float r.sw_p99);
+      ("lat_p50_us", Float r.sw_latency.Slo.p50_us);
+      ("lat_p99_us", Float r.sw_latency.Slo.p99_us);
       ( "lat_p999_us",
-        match r.sw_p999 with Some v -> Float v | None -> Null );
+        match r.sw_latency.Slo.p999_us with Some v -> Float v | None -> Null );
       ("queue_hwm", Int r.sw_qmax);
       ("makespan_us", Float r.sw_makespan);
       ("diverged", Bool r.sw_diverged);
@@ -125,9 +121,11 @@ let render t =
           Printf.sprintf "%.0f" r.sw_offered;
           Printf.sprintf "%.0f" r.sw_goodput;
           Printf.sprintf "%.3f" r.sw_ratio;
-          Table.fstr r.sw_p50;
-          Table.fstr r.sw_p99;
-          (match r.sw_p999 with Some v -> Table.fstr v | None -> "n/a");
+          Table.fstr r.sw_latency.Slo.p50_us;
+          Table.fstr r.sw_latency.Slo.p99_us;
+          (match r.sw_latency.Slo.p999_us with
+          | Some v -> Table.fstr v
+          | None -> "n/a");
           string_of_int r.sw_qmax;
           Table.fstr (r.sw_makespan /. 1e6);
           (if r.sw_diverged then "*" else "");

@@ -15,9 +15,7 @@ type row = {
   sw_offered : float;  (** measured arrivals per second *)
   sw_goodput : float;  (** in-horizon completions per second *)
   sw_ratio : float;  (** goodput / offered *)
-  sw_p50 : float;
-  sw_p99 : float;
-  sw_p999 : float option;  (** guarded: [None] under 1000 samples *)
+  sw_latency : Diva_workload.Latency.t;
   sw_qmax : int;  (** worst per-node queue depth high-water mark *)
   sw_makespan : float;
   sw_diverged : bool;  (** ratio below the threshold *)

@@ -39,7 +39,9 @@ let run ?(obs = Runner.null_obs) ?on_net ?oracle ~dims ~strategy spec =
   let setup ld =
     let net = Driver.net ld in
     let sim = Network.sim net in
-    let vars = Driver.key_vars ld ~prefix:"k" ~size:Spec.(spec.value_size) keys in
+    let vars =
+      Driver.key_vars ld ~prefix:"k" ~size:Spec.(spec.value_size) keys
+    in
     (* One sampler per phase, with the phase's shift: the phase schedule
        over key popularity reuses the workload sampler wholesale. *)
     let samplers =
@@ -147,6 +149,7 @@ let render r =
      horizon)\n\
      queue high-water      %d requests\n\
      makespan              %.3f s\n"
-    (Slo.render_requests r.slo) r.offered_per_s r.goodput_per_s r.arrivals r.in_horizon
+    (Slo.render_requests r.slo)
+    r.offered_per_s r.goodput_per_s r.arrivals r.in_horizon
     (max_queue_hwm r)
     (r.makespan_us /. 1e6)

@@ -61,6 +61,8 @@ let checked t o p ~key v ~read =
 
 let issue t p ~key v ~t0 ~read ~value =
   (match t.oracle with
-  | None -> if read then ignore (Dsm.read t.dsm p v : int) else Dsm.write t.dsm p v value
+  | None ->
+      if read then ignore (Dsm.read t.dsm p v : int)
+      else Dsm.write t.dsm p v value
   | Some o -> checked t o p ~key v ~read);
   add_sample t (Network.now t.net -. t0)

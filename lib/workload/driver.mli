@@ -31,7 +31,8 @@ val var :
   t -> key:int -> name:string -> owner:int -> size:int -> int Diva_core.Dsm.var
 (** A DSM variable with initial value 0, declared to the oracle as [key]. *)
 
-val key_vars : t -> prefix:string -> size:int -> int -> int Diva_core.Dsm.var array
+val key_vars :
+  t -> prefix:string -> size:int -> int -> int Diva_core.Dsm.var array
 (** [key_vars t ~prefix ~size n]: one {!var} per key [k < n], named
     [prefix ^ k] and homed on processor [k mod P]. *)
 

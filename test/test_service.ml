@@ -481,9 +481,7 @@ let test_sweep_reference () =
             sw_offered = r.Engine.offered_per_s;
             sw_goodput = r.Engine.goodput_per_s;
             sw_ratio = ratio;
-            sw_p50 = r.Engine.slo.Slo.p50_us;
-            sw_p99 = r.Engine.slo.Slo.p99_us;
-            sw_p999 = r.Engine.slo.Slo.p999_us;
+            sw_latency = r.Engine.slo;
             sw_qmax = Engine.max_queue_hwm r;
             sw_makespan = r.Engine.makespan_us;
             sw_diverged = ratio < Sweep.default_threshold })
@@ -501,7 +499,7 @@ let test_sweep_reference () =
     (fun (what, faults) ->
       let expected = reference faults in
       Alcotest.(check bool) (what ^ ": p999 guarded at 400 req/s") true
-        ((List.hd expected.Sweep.sv_rows).Sweep.sw_p999 = None);
+        ((List.hd expected.Sweep.sv_rows).Sweep.sw_latency.Slo.p999_us = None);
       List.iter
         (fun domains ->
           let sw = sweep ~faults ~domains ~rates spec in
