@@ -207,6 +207,73 @@ let test_fault_workload_determinism () =
       Alcotest.(check int) (name ^ ": retransmits") r1 r2)
     [ ("fixed-home", Dsm.Fixed_home); ("4-ary", strategy_4ary) ]
 
+(* The route walk's fault cases, one message 0 -> 3 on a 1x4 mesh under
+   a one-event schedule. The send is issued at 0 and injected at 500
+   (send overhead); 100 bytes take 100 us per link and the header 5 us
+   per hop, so the crossings start at 500, 505 and 510 and the tail
+   arrives at 610. Every window closes long before the first
+   retransmission (rto 20000), so the events up to the first [Msg_retry]
+   are the first attempt's alone. *)
+module Trace = Diva_obs.Trace
+
+let first_attempt event =
+  let net = Network.create ~seed:1 ~rows:1 ~cols:4 () in
+  let tr = Trace.create () in
+  Network.set_trace net tr;
+  Network.set_faults net (Faults.create (Schedule.make ~seed:3 [ event ]));
+  Network.send net ~src:0 ~dst:3 ~size:100 Network.Empty;
+  Network.run net;
+  let rec upto = function
+    | [] | Trace.Msg_retry _ :: _ -> []
+    | (Trace.Link_xfer { msg = 0; _ } as e) :: rest
+    | (Trace.Msg_lost { msg = 0; _ } as e) :: rest
+    | (Trace.Msg_deliver { id = 0; _ } as e) :: rest -> e :: upto rest
+    | _ :: rest -> upto rest
+  in
+  upto (Trace.events tr)
+
+let describe_walk =
+  List.map (function
+    | Trace.Link_xfer { start; finish; link; _ } ->
+        Printf.sprintf "xfer link %d [%g, %g)" link start finish
+    | Trace.Msg_lost { ts; reason; _ } ->
+        Printf.sprintf "lost %s at %g"
+          (match reason with
+          | Trace.Loss_random -> "drop"
+          | Trace.Loss_link_down -> "down"
+          | Trace.Loss_crashed -> "crash")
+          ts
+    | Trace.Msg_deliver { ts; _ } -> Printf.sprintf "deliver at %g" ts
+    | _ -> assert false)
+
+let test_walk_fault_cases () =
+  let l =
+    Array.of_list
+      (Helpers.route (Helpers.mesh2 ~rows:1 ~cols:4) ~src:0 ~dst:3)
+  in
+  let w = { Schedule.t0 = 0.0; t1 = 1000.0 } in
+  let xfer i start dur =
+    Printf.sprintf "xfer link %d [%g, %g)" l.(i) start (start +. dur)
+  in
+  let check what event expect =
+    Alcotest.(check (list string)) what expect
+      (describe_walk (first_attempt event))
+  in
+  check "second link down: one crossing, lost at its start"
+    (Schedule.Link_down { link = Some l.(1); w })
+    [ xfer 0 500.0 100.0; "lost down at 505" ];
+  check "destination crashed: every crossing, lost at delivery"
+    (Schedule.Node_crash { node = 3; w })
+    [ xfer 0 500.0 100.0; xfer 1 505.0 100.0; xfer 2 510.0 100.0;
+      "lost crash at 610" ];
+  check "second link slowed: its crossing lasts factor x transfer time"
+    (Schedule.Link_slow { link = Some l.(1); w; factor = 3.0 })
+    [ xfer 0 500.0 100.0; xfer 1 505.0 300.0; xfer 2 510.0 100.0;
+      "deliver at 610" ];
+  check "dropped: lost at injection, no crossing"
+    (Schedule.Msg_drop { prob = 1.0; w })
+    [ "lost drop at 500" ]
+
 (* ------------------------------------------------------------------ *)
 (* Coherence oracle                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -421,4 +488,6 @@ let suite =
       test_schedule_rejects_out_of_range_int;
     Alcotest.test_case "oracle reports the lowest-id violation" `Quick
       test_oracle_first_violation_lowest_id;
+    Alcotest.test_case "route walk fault cases on a 1x4 mesh" `Quick
+      test_walk_fault_cases;
   ]
