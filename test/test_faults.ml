@@ -252,6 +252,9 @@ let test_walk_fault_cases () =
       (Helpers.route (Helpers.mesh2 ~rows:1 ~cols:4) ~src:0 ~dst:3)
   in
   let w = { Schedule.t0 = 0.0; t1 = 1000.0 } in
+  (* Windows that open after injection: the queries must be made at the
+     header's arrival on the link and at delivery, not at injection. *)
+  let from t0 = { Schedule.t0; t1 = 1000.0 } in
   let xfer i start dur =
     Printf.sprintf "xfer link %d [%g, %g)" l.(i) start (start +. dur)
   in
@@ -260,10 +263,10 @@ let test_walk_fault_cases () =
       (describe_walk (first_attempt event))
   in
   check "second link down: one crossing, lost at its start"
-    (Schedule.Link_down { link = Some l.(1); w })
+    (Schedule.Link_down { link = Some l.(1); w = from 502.0 })
     [ xfer 0 500.0 100.0; "lost down at 505" ];
   check "destination crashed: every crossing, lost at delivery"
-    (Schedule.Node_crash { node = 3; w })
+    (Schedule.Node_crash { node = 3; w = from 600.0 })
     [ xfer 0 500.0 100.0; xfer 1 505.0 100.0; xfer 2 510.0 100.0;
       "lost crash at 610" ];
   check "second link slowed: its crossing lasts factor x transfer time"
