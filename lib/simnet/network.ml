@@ -74,11 +74,15 @@ type reliable = {
 (* All-float scratch record for the route walk. OCaml stores records whose
    fields are all floats flat, so these are unboxed mutable slots: the old
    per-send [float ref] accumulators boxed a fresh float on every hop.
+   The caller hands the walk its injection time in [wk_inject] and reads
+   the attempt's outcome from [wk_outcome]: a float argument or result
+   would be boxed on every message, as the walk is not inlined.
    Safe to share per network: the walk never re-enters [send]. *)
 type walk_scratch = {
+  mutable wk_inject : float;  (* in: when the attempt enters the network *)
   mutable wk_arrival : float;
-  mutable wk_last_start : float;
-  mutable wk_last_occupancy : float;
+  mutable wk_finish : float;  (* when the tail leaves the last link crossed *)
+  mutable wk_outcome : float;  (* out: the attempt's delivery or loss time *)
 }
 
 type t = {
@@ -86,7 +90,7 @@ type t = {
   mesh : Mesh.t;
   machine : Machine.t;
   root_rng : Prng.t;
-  route_buf : int array;  (* scratch for [Mesh.route_into] on send paths *)
+  route_buf : int array;  (* the route walk's scratch route *)
   walk : walk_scratch;
   link_free : float array;
   stats : Link_stats.t;
@@ -179,8 +183,8 @@ let fresh_msg_id t =
 
 let set_faults t f =
   (* Installing the empty schedule is a no-op: every query degenerates to
-     the identity, so the run stays bit-identical to a fault-free one and
-     we keep the (cheaper, envelope-free) legacy send path. *)
+     the identity, so the run stays bit-identical to a fault-free one, and
+     sends stay unenveloped. *)
   if Faults.active f then begin
     if t.rel <> None then invalid_arg "Network.set_faults: faults already installed";
     t.rel <-
@@ -293,6 +297,12 @@ let[@inline] reserve_cpu t node ~from dt =
   t.cpu_free.(node) <- fin;
   fin
 
+(* A remote send's startup: counted, and the sender's CPU reserved for
+   the send overhead from [from]. Returns the injection time. *)
+let[@inline] startup t src ~from =
+  t.startup_count <- t.startup_count + 1;
+  reserve_cpu t src ~from t.machine.Machine.send_overhead
+
 (* The hottest schedule site in the simulator is "run this message's
    handler at time T with its causal context": the message carries its id
    and transaction, so the delivery event is the network's one
@@ -318,8 +328,7 @@ and run_dispatch t msg =
   t.cur_msg <- -1;
   t.cur_txn <- -1
 
-(* Envelope layer between physical delivery and the node handler. Without
-   installed faults this is exactly the legacy handler call. *)
+(* Envelope layer between physical delivery and the node handler. *)
 and dispatch t msg =
   match t.rel with
   | None -> t.handlers.(msg.m_dst) t msg
@@ -334,129 +343,113 @@ and dispatch t msg =
           (* Always (re-)acknowledge — the previous ack may have been lost —
              but hand only the first copy to the handler. Acks have no
              [Msg_send] of their own, so they carry id [-1] (the sentinel
-             analyzers filter on) and inherit the envelope's transaction. *)
-          ignore
-            (transmit t rel ~level:(-1)
-               { m_src = msg.m_dst; m_dst = msg.m_src;
-                 m_size = Faults.ack_size; m_tag = -1; m_id = -1;
-                 m_txn = t.cur_txn; m_payload = Ack { seq } }
-              : float * float);
+             analyzers filter on) and inherit the envelope's transaction.
+             Acks are modelled as hardware-level control messages: they
+             occupy links like any flit but cost no CPU overhead on either
+             side and do not count as startups. Charging the full 500 us
+             send/recv overhead per ack doubles the CPU load of every hot
+             protocol node, which inflates latencies past the retry timeout
+             and feeds a spurious retransmission spiral. *)
+          t.walk.wk_inject <- Faults.defer rel.rl_faults ~node:msg.m_dst (now t);
+          transmit t ~level:(-1)
+            { m_src = msg.m_dst; m_dst = msg.m_src;
+              m_size = Faults.ack_size; m_tag = -1; m_id = -1;
+              m_txn = t.cur_txn; m_payload = Ack { seq } };
           if not (Hashtbl.mem rel.rl_seen seq) then begin
             Hashtbl.add rel.rl_seen seq ();
             t.handlers.(msg.m_dst) t { msg with m_payload = inner }
           end
       | _ -> t.handlers.(msg.m_dst) t msg)
 
-(* One physical transmission attempt under an installed fault schedule:
-   same wormhole model as the fault-free path, plus per-link slowdown
-   factors, outage and crash-window loss, and seeded probabilistic loss.
-   Lost messages are traced and counted, never delivered. Returns the
-   attempt's outcome time — delivery or loss — so retry timers can be
-   armed from when the attempt actually resolved rather than when it was
-   injected (a message queued behind congested links must not be
-   retransmitted while still in flight: that feedback loop melts the
-   network). Returns [(inject_at, outcome)].
+(* A lost transmission: counted and traced, never delivered. Only fault
+   schedules lose messages. *)
+and lose t f msg reason ts =
+  Faults.count_lost f reason;
+  if Trace.enabled t.trace then
+    Trace.emit t.trace
+      (Trace.Msg_lost
+         { ts; msg = msg.m_id; txn = msg.m_txn; src = msg.m_src;
+           dst = msg.m_dst; size = msg.m_size; reason });
+  t.walk.wk_outcome <- ts
 
-   [?inject] lets the caller reserve the sender's CPU (and account the
-   startup) itself before calling, so it can emit the [Msg_send] event
-   ahead of the attempt's link crossings. *)
-and transmit ?inject t rel ~level msg =
-  let f = rel.rl_faults in
+(* One physical transmission attempt, injected at [t.walk.wk_inject]: the
+   eager wormhole approximation. The header advances hop by hop, each link
+   is occupied for the full transfer time, and the tail leaves the last
+   link [occupancy] after the header entered it. The route is walked out
+   of a preallocated buffer with unboxed float accumulators, so the
+   fault-free walk allocates nothing but the delivery.
+
+   Under an installed fault schedule the attempt first draws its drop,
+   then meets per-link outages and slowdown factors hop by hop, then the
+   destination's crash windows: the drop draws consume the schedule's
+   seeded stream, so this order is part of a run's identity. Without one
+   the walk makes no fault query.
+
+   Leaves the attempt's outcome time, delivery or loss, in
+   [t.walk.wk_outcome], so retry timers can be armed from when the
+   attempt actually resolved rather than when it was injected (a message
+   queued behind congested links must not be retransmitted while still
+   in flight: that feedback loop melts the network). *)
+and transmit t ~level msg =
+  let rel = t.rel in
+  let wk = t.walk in
   let src = msg.m_src and dst = msg.m_dst and size = msg.m_size in
   let id = msg.m_id and txn = msg.m_txn in
-  (* Acks are modelled as hardware-level control messages: they occupy
-     links like any flit but cost no CPU overhead on either side and do
-     not count as startups. Charging the full 500 us send/recv overhead
-     per ack doubles the CPU load of every hot protocol node, which
-     inflates latencies past the retry timeout and feeds a spurious
-     retransmission spiral. *)
-  let is_ack = match msg.m_payload with Ack _ -> true | _ -> false in
-  let inject_at =
-    match inject with
-    | Some at -> at
-    | None ->
-        if is_ack then Faults.defer f ~node:src (now t)
-        else begin
-          t.startup_count <- t.startup_count + 1;
-          reserve_cpu t src ~from:(now t) t.machine.Machine.send_overhead
-        end
-  in
-  if Faults.draw_drop f ~now:inject_at then begin
-    Faults.count_lost f Trace.Loss_random;
-    if Trace.enabled t.trace then
-      Trace.emit t.trace
-        (Trace.Msg_lost
-           { ts = inject_at; msg = id; txn; src; dst; size;
-             reason = Trace.Loss_random });
-    (inject_at, inject_at)
-  end
-  else begin
-    let hops = Mesh.route_into t.mesh ~src ~dst t.route_buf in
-    let wk = t.walk in
-    wk.wk_arrival <- inject_at;
-    wk.wk_last_start <- inject_at;
-    wk.wk_last_occupancy <- 0.0;
-    let lost_at = ref None in
-    let h = ref 0 in
-    while !lost_at = None && !h < hops do
-      let link = t.route_buf.(!h) in
-      incr h;
-      let start = Float.max wk.wk_arrival t.link_free.(link) in
-      if Faults.link_down f ~link ~now:start then begin
-        lost_at := Some start;
-        Faults.count_lost f Trace.Loss_link_down;
-        if Trace.enabled t.trace then
-          Trace.emit t.trace
-            (Trace.Msg_lost
-               { ts = start; msg = id; txn; src; dst; size;
-                 reason = Trace.Loss_link_down })
+  let inject_at = wk.wk_inject in
+  match rel with
+  | Some r when Faults.draw_drop r.rl_faults ~now:inject_at ->
+      lose t r.rl_faults msg Trace.Loss_random inject_at
+  | _ ->
+      let occupancy = Machine.transfer_time t.machine size in
+      let hops = Mesh.route_into t.mesh ~src ~dst t.route_buf in
+      wk.wk_arrival <- inject_at;
+      (* [h] ends past [hops] iff a link outage lost the message. *)
+      let h = ref 0 in
+      while !h < hops do
+        let link = t.route_buf.(!h) in
+        let start = Float.max wk.wk_arrival t.link_free.(link) in
+        match rel with
+        | Some r when Faults.link_down r.rl_faults ~link ~now:start ->
+            lose t r.rl_faults msg Trace.Loss_link_down start;
+            h := hops + 1
+        | _ ->
+            let occupancy =
+              match rel with
+              | None -> occupancy
+              | Some r -> occupancy *. Faults.link_factor r.rl_faults ~link ~now:start
+            in
+            t.link_free.(link) <- start +. occupancy;
+            Link_stats.record t.stats ~link ~bytes:size;
+            if Trace.enabled t.trace then
+              Trace.emit t.trace
+                (Trace.Link_xfer
+                   { start; finish = start +. occupancy; link; msg = id; txn;
+                     level; src; dst; size });
+            wk.wk_finish <- start +. occupancy;
+            wk.wk_arrival <- start +. t.machine.Machine.hop_latency;
+            incr h
+      done;
+      if !h = hops then begin
+        let delivered_at = wk.wk_finish in
+        match rel with
+        | Some r when Faults.crashed r.rl_faults ~node:dst ~now:delivered_at ->
+            lose t r.rl_faults msg Trace.Loss_crashed delivered_at
+        | _ ->
+            let handled =
+              match msg.m_payload with
+              | Ack _ ->
+                  (* Hardware-level control message: no receive overhead,
+                     the envelope layer consumes it at arrival time. *)
+                  Sim.schedule_call t.sim delivered_at t.run_dispatch msg;
+                  delivered_at
+              | _ -> deliver t msg delivered_at
+            in
+            if Trace.enabled t.trace then
+              Trace.emit t.trace
+                (Trace.Msg_deliver
+                   { ts = delivered_at; id; txn; handled; src; dst; size });
+            wk.wk_outcome <- delivered_at
       end
-      else begin
-        let occupancy =
-          Machine.transfer_time t.machine size
-          *. Faults.link_factor f ~link ~now:start
-        in
-        t.link_free.(link) <- start +. occupancy;
-        Link_stats.record t.stats ~link ~bytes:size;
-        if Trace.enabled t.trace then
-          Trace.emit t.trace
-            (Trace.Link_xfer
-               { start; finish = start +. occupancy; link; msg = id; txn;
-                 level; src; dst; size });
-        wk.wk_last_start <- start;
-        wk.wk_last_occupancy <- occupancy;
-        wk.wk_arrival <- start +. t.machine.Machine.hop_latency
-      end
-    done;
-    match !lost_at with
-    | Some ts -> (inject_at, ts)
-    | None ->
-        let delivered_at = wk.wk_last_start +. wk.wk_last_occupancy in
-        if Faults.crashed f ~node:dst ~now:delivered_at then begin
-          Faults.count_lost f Trace.Loss_crashed;
-          if Trace.enabled t.trace then
-            Trace.emit t.trace
-              (Trace.Msg_lost
-                 { ts = delivered_at; msg = id; txn; src; dst; size;
-                   reason = Trace.Loss_crashed })
-        end
-        else begin
-          let handled =
-            if is_ack then begin
-              (* Hardware-level control message: no receive overhead, the
-                 envelope layer consumes it at arrival time. *)
-              Sim.schedule_call t.sim delivered_at t.run_dispatch msg;
-              delivered_at
-            end
-            else deliver t msg delivered_at
-          in
-          if Trace.enabled t.trace then
-            Trace.emit t.trace
-              (Trace.Msg_deliver
-                 { ts = delivered_at; id; txn; handled; src; dst; size })
-        end;
-        (inject_at, delivered_at)
-  end
 
 (* Retransmission timer, armed from the attempt's outcome time [from]
    (delivery or loss) with exponential backoff capped at rto * 2^6. The
@@ -479,8 +472,9 @@ and retransmit t rel seq p =
       (Trace.Msg_retry
          { ts = now t; msg = m.m_id; txn = m.m_txn; src = m.m_src;
            dst = m.m_dst; size = m.m_size; attempt = p.p_attempt });
-  let _, outcome = transmit t rel ~level:p.p_level m in
-  arm_timeout t rel seq p ~from:outcome
+  t.walk.wk_inject <- startup t m.m_src ~from:(now t);
+  transmit t ~level:p.p_level m;
+  arm_timeout t rel seq p ~from:t.walk.wk_outcome
 
 (* Defined after [run_dispatch]: the network keeps the one closure every
    delivery event applies to its message. *)
@@ -494,7 +488,8 @@ let create_nd ?(seed = 42) ~dims () =
     machine = Machine.gcel;
     root_rng = Prng.create ~seed;
     route_buf = Array.make (max 1 (Mesh.max_route_length mesh)) 0;
-    walk = { wk_arrival = 0.0; wk_last_start = 0.0; wk_last_occupancy = 0.0 };
+    walk =
+      { wk_inject = 0.0; wk_arrival = 0.0; wk_finish = 0.0; wk_outcome = 0.0 };
     link_free = Array.make nl 0.0;
     stats = Link_stats.create ~num_links:nl;
     cpu_free = Array.make n 0.0;
@@ -531,21 +526,29 @@ let send t ?(tag = -1) ~src ~dst ~size payload =
   in
   t.next_level <- -1;
   let t0 = now t in
-  if src = dst then begin
-    (* Node-local protocol hop: no startup, no network traffic. *)
-    let at = reserve_cpu t src ~from:t0 t.machine.Machine.local_overhead in
-    if Trace.enabled t.trace then
-      Trace.emit t.trace
-        (Trace.Msg_send
-           { ts = t0; id; parent; txn; inject = at; level; src; dst; size;
-             local = true });
+  let local = src = dst in
+  (* A node-local protocol hop costs no startup and no network traffic. *)
+  let inject_at =
+    if local then reserve_cpu t src ~from:t0 t.machine.Machine.local_overhead
+    else startup t src ~from:t0
+  in
+  (* Emitted before the message's link crossings (and a same-instant
+     delivery or loss): single-pass analyzers must see the message record
+     first. *)
+  if Trace.enabled t.trace then
+    Trace.emit t.trace
+      (Trace.Msg_send
+         { ts = t0; id; parent; txn; inject = inject_at; level; src; dst;
+           size; local });
+  if local then
     (* [run_dispatch] rather than a direct handler call: application
        payloads never match the (private) envelope constructors, so the
        envelope layer is a no-op for local messages. *)
-    Sim.schedule_call t.sim at t.run_dispatch msg
-  end
-  else
+    Sim.schedule_call t.sim inject_at t.run_dispatch msg
+  else begin
+    t.walk.wk_inject <- inject_at;
     match t.rel with
+    | None -> transmit t ~level msg
     | Some rel ->
         let seq = rel.rl_next_seq in
         rel.rl_next_seq <- seq + 1;
@@ -553,59 +556,9 @@ let send t ?(tag = -1) ~src ~dst ~size payload =
         let p = { p_msg = { msg with m_payload = Env { seq; inner = payload } };
                   p_level = level; p_attempt = 0; p_last_tx = t0 } in
         Hashtbl.add rel.rl_pending seq p;
-        (* Reserve the CPU here so [Msg_send] can be emitted before the
-           first attempt: single-pass analyzers must see the message
-           record before its link crossings (and a same-instant delivery
-           or loss). *)
-        t.startup_count <- t.startup_count + 1;
-        let inject_at =
-          reserve_cpu t src ~from:t0 t.machine.Machine.send_overhead
-        in
-        if Trace.enabled t.trace then
-          Trace.emit t.trace
-            (Trace.Msg_send
-               { ts = t0; id; parent; txn; inject = inject_at; level; src;
-                 dst; size; local = false });
-        let _, outcome = transmit ~inject:inject_at t rel ~level p.p_msg in
-        arm_timeout t rel seq p ~from:outcome
-    | None -> begin
-        t.startup_count <- t.startup_count + 1;
-        let inject_at = reserve_cpu t src ~from:t0 t.machine.Machine.send_overhead in
-        if Trace.enabled t.trace then
-          Trace.emit t.trace
-            (Trace.Msg_send
-               { ts = t0; id; parent; txn; inject = inject_at; level; src;
-                 dst; size; local = false });
-        let occupancy = Machine.transfer_time t.machine size in
-        (* Eager wormhole approximation: the header advances hop by hop, each
-           link is occupied for the full transfer time, the tail leaves the last
-           link [occupancy] after the header entered it. The route is walked
-           out of a preallocated buffer with unboxed float accumulators, so
-           the whole walk allocates nothing. *)
-        let hops = Mesh.route_into t.mesh ~src ~dst t.route_buf in
-        let wk = t.walk in
-        wk.wk_arrival <- inject_at;
-        wk.wk_last_start <- inject_at;
-        for h = 0 to hops - 1 do
-          let link = t.route_buf.(h) in
-          let start = Float.max wk.wk_arrival t.link_free.(link) in
-          t.link_free.(link) <- start +. occupancy;
-          Link_stats.record t.stats ~link ~bytes:size;
-          if Trace.enabled t.trace then
-            Trace.emit t.trace
-              (Trace.Link_xfer
-                 { start; finish = start +. occupancy; link; msg = id; txn;
-                   level; src; dst; size });
-          wk.wk_last_start <- start;
-          wk.wk_arrival <- start +. t.machine.Machine.hop_latency
-        done;
-        let delivered_at = wk.wk_last_start +. occupancy in
-        let handled = deliver t msg delivered_at in
-        if Trace.enabled t.trace then
-          Trace.emit t.trace
-            (Trace.Msg_deliver
-               { ts = delivered_at; id; txn; handled; src; dst; size })
-      end
+        transmit t ~level p.p_msg;
+        arm_timeout t rel seq p ~from:t.walk.wk_outcome
+  end
 
 (* Forced early retransmission of the envelopes still pending from [src],
    in seq order for determinism. The DSM watchdog calls this when a
@@ -635,6 +588,11 @@ type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
 let suspend register = Effect.perform (Suspend register)
 
+(* Two handlers, one chosen per fiber: one handler that asked [t.prof] at
+   every resume and suspension measured 181 words per 4-ary read miss in
+   the DSM allocation gate against 178 (and 10.9 live words per in-flight
+   message against 9.7): the closures built at each suspension then
+   capture the profiler hooks as well as the continuation. *)
 let spawn t node f =
   t.fibers <- t.fibers + 1;
   let open Effect.Deep in

@@ -377,43 +377,34 @@ let run ?(domains = 1) ?telemetry t ~handler =
       if m = Float.infinity then finished := true
       else window_end := Float.max (m +. t.lookahead) !window_end
   in
+  (* Under telemetry each window reads the clock five times: busy time is
+     event execution plus outbox drains, barrier time the two crossings.
+     Without it the worker reads no clock. *)
+  let timed = telemetry <> None in
+  let clock () = if timed then Unix.gettimeofday () else 0.0 in
   let worker d () =
     let w = waiter () in
     while not !finished do
       let w_end = !window_end in
+      let t0 = clock () in
       exec_window d w_end;
+      let t1 = clock () in
       (* All outboxes for this window are complete. *)
       cross barrier w (fun () -> ());
+      let t2 = clock () in
       for i = lo d to hi d - 1 do
         drain t.shards.(i)
       done;
-      cross barrier w pick_next
-    done
-  in
-  (* Telemetered twin: identical structure plus five clock reads per
-     window. Busy time is event execution + outbox drains; barrier time
-     is the two crossings. The plain worker stays clock-free. *)
-  let worker_timed d () =
-    let st = doms.(d) in
-    let w = waiter () in
-    while not !finished do
-      let w_end = !window_end in
-      let t0 = Unix.gettimeofday () in
-      exec_window d w_end;
-      let t1 = Unix.gettimeofday () in
-      cross barrier w (fun () -> ());
-      let t2 = Unix.gettimeofday () in
-      for i = lo d to hi d - 1 do
-        drain t.shards.(i)
-      done;
-      let t3 = Unix.gettimeofday () in
+      let t3 = clock () in
       cross barrier w pick_next;
-      let t4 = Unix.gettimeofday () in
-      st.d_busy_s <- st.d_busy_s +. (t1 -. t0) +. (t3 -. t2);
-      st.d_barrier_s <- st.d_barrier_s +. (t2 -. t1) +. (t4 -. t3)
+      let t4 = clock () in
+      if timed then begin
+        let st = doms.(d) in
+        st.d_busy_s <- st.d_busy_s +. (t1 -. t0) +. (t3 -. t2);
+        st.d_barrier_s <- st.d_barrier_s +. (t2 -. t1) +. (t4 -. t3)
+      end
     done
   in
-  let worker = match telemetry with Some _ -> worker_timed | None -> worker in
   if domains = 1 then worker 0 ()
   else begin
     let spawned =
