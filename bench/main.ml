@@ -750,11 +750,11 @@ let bench_json () =
   { title = "bench_json: writing BENCH_diva.json"; cells = bench_cells ();
     render }
 
-(* Regression gate: run the bench_json matrix in memory and compare it
-   against a committed baseline, loaded first so a bad path fails before
-   the matrix runs. Exits 2 on an unreadable baseline and 1 on any
-   regression, missing/extra metric or shape mismatch (see
-   Diva_harness.Bench_gate). *)
+(* Exact gate: run the bench_json matrix in memory and compare its
+   document with a committed baseline, byte for byte. The baseline is
+   loaded first so a bad path fails before the matrix runs. Exits 2 on an
+   unreadable baseline and 1, after naming every leaf that moved, on any
+   difference (see Diva_harness.Bench_gate). *)
 let bench_check path =
   let module Gate = Diva_harness.Bench_gate in
   match Gate.load path with
@@ -763,15 +763,12 @@ let bench_check path =
       exit 2
   | Ok baseline ->
       let render get =
-        let verdicts =
-          Gate.compare_docs ~baseline ~current:(bench_doc get) ()
-        in
-        print_string (Gate.render verdicts);
-        if Gate.failures verdicts <> [] then begin
-          Printf.printf "bench --check: FAILED against %s\n" path;
-          exit 1
-        end
-        else Printf.printf "bench --check: OK against %s\n" path
+        match Gate.check baseline (bench_doc get) with
+        | [] -> Printf.printf "bench --check: OK, byte-identical to %s\n" path
+        | moved ->
+            List.iter print_endline moved;
+            Printf.printf "bench --check: FAILED against %s\n" path;
+            exit 1
       in
       { title = Printf.sprintf "bench --check: comparing against %s" path;
         cells = bench_cells (); render }
@@ -841,15 +838,19 @@ let () =
         "comma-separated experiment names (fig3..fig11, matmul_arity, ...)" );
       ( "--check",
         Arg.String (fun s -> check_baseline := Some s),
-        "FILE  compare the bench_json matrix against a committed baseline \
-         and exit non-zero on regression" );
+        "FILE  exit 1 unless the bench_json matrix reproduces the committed \
+         baseline FILE byte for byte; alone it runs nothing else, with \
+         --only it runs after the named experiments" );
     ]
   in
   Arg.parse specs (bad "unexpected argument %S") "diva benchmark harness";
-  run
-    (match !check_baseline with
-    | Some path -> [ bench_check path ]
-    | None ->
+  let check = Option.map bench_check !check_baseline in
+  let named =
+    match (check, !only) with
+    | Some _, [] -> []
+    | _ ->
         List.filter_map
           (fun (n, e) -> if selected n then Some (e ()) else None)
-          experiments)
+          experiments
+  in
+  run (named @ Option.to_list check)

@@ -74,7 +74,7 @@ let draw_drop t ~now =
         | _ -> acc)
       1.0 t.sched.Schedule.events
   in
-  survive < 1.0 && Prng.float t.drop_rng 1.0 >= survive
+  survive < 1.0 && not (Prng.chance t.drop_rng survive)
 
 let stall_window node time = function
   | Schedule.Node_pause { node = n; w } | Schedule.Node_crash { node = n; w } ->

@@ -89,7 +89,7 @@ let generate ~seed ~num_nodes ~num_links () =
   in
   let link () =
     (* Mostly single links; sometimes the whole network degrades. *)
-    if num_links > 0 && Prng.float rng 1.0 < 0.8 then
+    if num_links > 0 && Prng.chance rng 0.8 then
       Some (Prng.int rng num_links)
     else None
   in

@@ -1,33 +1,23 @@
-(** Benchmark regression gate: compare a current BENCH_diva.json-style
-    document against a committed baseline.
+(** Benchmark gate: the simulated bench matrix must reproduce a committed
+    baseline byte for byte.
 
-    Every numeric leaf is compared under a per-metric {e relative}
-    tolerance with a direction — more time/congestion/startups is a
-    regression, fewer cache hits is a regression, improvements beyond the
-    tolerance are reported but never fail. Structural drift fails both
-    ways: a metric present only in the baseline ([MISSING]) or only in the
-    current run ([EXTRA] — regenerate the committed baseline in the same
-    change). The simulator is deterministic, so an unchanged tree
-    reproduces the baseline exactly; tolerances only absorb intentional
-    small shifts between PRs. *)
+    The simulator is deterministic, so an unchanged tree renders the
+    baseline exactly, and a moved number, however small and in either
+    direction, moves the paper's figures: the change that moves it
+    regenerates the baseline ([bench --only bench_json]) and shows the
+    moved leaves in its description. *)
 
-type status = Pass | Regressed | Improved | Missing | Extra | Mismatch
+type baseline = {
+  text : string;  (** the file's bytes *)
+  doc : Diva_obs.Json.t;  (** their parse *)
+}
 
-type verdict = { v_path : string; v_status : status; v_detail : string }
-
-val compare_docs :
-  baseline:Diva_obs.Json.t ->
-  current:Diva_obs.Json.t ->
-  unit ->
-  verdict list
-(** One verdict per leaf (document order), plus one per missing/extra
-    key. *)
-
-val failures : verdict list -> verdict list
-
-val load : string -> (Diva_obs.Json.t, string) result
+val load : string -> (baseline, string) result
 (** Read and parse a committed baseline; [Error] carries a one-line
     message (unreadable file or malformed JSON). *)
 
-val render : verdict list -> string
-(** Non-pass verdicts, one per line, plus a summary count line. *)
+val check : baseline -> Diva_obs.Json.t -> string list
+(** [[]] iff the document, written as {!Diva_obs.Json.to_file} writes it,
+    is the baseline's bytes. Otherwise one line per difference, in
+    document order: [path: baseline X, current Y] for a leaf (both values
+    as rendered), and a line naming each key only one side has. *)

@@ -97,4 +97,4 @@ let rec next g =
         +. (1.0 -. trough) *. 0.5
            *. (1.0 -. Float.cos (2.0 *. pi *. g.g_t /. period_us))
       in
-      if Prng.float g.g_rng 1.0 < frac then g.g_t else next g
+      if Prng.chance g.g_rng frac then g.g_t else next g

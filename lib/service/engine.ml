@@ -92,7 +92,7 @@ let run ?(obs = Runner.null_obs) ?on_net ?oracle ~dims ~strategy spec =
       let node = Prng.hash2_int (Int64.of_int Spec.(spec.seed)) c ~bound:procs in
       let sampler, shift = samplers.(Spec.index_at bounds t_arr) in
       let k = (Sampler.draw sampler ~proc:node req_rng + shift) mod keys in
-      let is_read = Prng.float req_rng 1.0 < Spec.(spec.read_ratio) in
+      let is_read = Prng.chance req_rng Spec.(spec.read_ratio) in
       Queue.push
         { rq_key = k; rq_read = is_read; rq_seq = !arrivals; rq_arrival = t_arr }
         queues.(node);

@@ -178,11 +178,11 @@ val attach_metrics : t -> ?interval:float -> Diva_obs.Metrics.t -> unit
     state after the last event before each boundary. *)
 
 val attach_prof : t -> Diva_obs.Prof.t -> unit
-(** Install a self-profiler: route {!run} through the event loop's
-    profiled twin, arm the statistical subsystem sampler, and drive the
-    profiler's window series from the same sampling loop as
-    {!attach_metrics} — one
-    row per {!Diva_obs.Prof.window_us} of simulated time. A profiled run is
+(** Install a self-profiler: make the event loop ({!Sim.set_prof}) and
+    the dispatch path store subsystem tags, arm the statistical
+    subsystem sampler, and drive the profiler's window series from the
+    same sampling loop as {!attach_metrics} — one row per
+    {!Diva_obs.Prof.window_us} of simulated time. A profiled run is
     byte-identical to an unprofiled one. Attach before creating protocol
     layers (the DSM captures the profiler once, at dispatch-closure
     creation); [Runner.install_obs] runs first and satisfies this. *)

@@ -37,10 +37,10 @@ val add_advance_hook : t -> (float -> float -> unit) -> unit
     recorder's health snapshots share the slot. *)
 
 val set_prof : t -> Diva_obs.Prof.t -> unit
-(** Route {!run} through its profiled twin: identical control flow plus
-    one subsystem-tag store per queue/dispatch transition, so the
-    statistical sampler can attribute CPU time. The unprofiled loop is a
-    separate function and pays nothing. *)
+(** Make {!run} store one subsystem tag per queue/dispatch transition, so
+    the statistical sampler can attribute CPU time; control flow is
+    unchanged. {!run} is one loop: without a profiler each event pays
+    only the test of an immutable local. *)
 
 val events_executed : t -> int
 

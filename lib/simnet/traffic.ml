@@ -88,7 +88,7 @@ let draw_dst m r node =
       if d = node then (node + 1) mod n else d
   | Hotspot ->
       (* 20% of traffic converges on node 0. *)
-      if Prng.float r 1.0 < 0.2 && node <> 0 then 0
+      if Prng.chance r 0.2 && node <> 0 then 0
       else
         let rec go () =
           let d = Prng.int r n in

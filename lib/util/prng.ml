@@ -29,9 +29,14 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod bound
 
-let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  bound *. (v /. 9007199254740992.0 (* 2^53 *))
+(* A uniform draw from [0, 1): the top 53 bits over 2^53. *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (bits64 t) 11)
+  /. 9007199254740992.0
+
+let float t bound = bound *. unit_float t
+
+let[@inline] chance t p = unit_float t < p
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

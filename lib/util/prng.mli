@@ -4,9 +4,9 @@
     produces the same embeddings, workloads and schedules. We therefore avoid
     the global [Stdlib.Random] state and thread explicit generator values.
     The generator is splitmix64, which is fast, has a 64-bit state, and
-    supports cheap independent sub-streams via {!split}. Drawing an [int] or
-    a [bool] allocates nothing; a [float] draw allocates only its boxed
-    result. *)
+    supports cheap independent sub-streams via {!split}. Drawing an [int],
+    a [bool] or a {!chance} allocates nothing; a [float] draw allocates
+    only its boxed result. *)
 
 type t
 
@@ -26,6 +26,10 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
+
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p], the same draw, without boxing the
+    float: one Bernoulli trial with success probability [p]. *)
 
 val bool : t -> bool
 

@@ -20,7 +20,7 @@ let fiber ld spec sampler vars p =
         let key = Sampler.draw sampler ~proc:p rng in
         let v = vars.(key) in
         let locked = Spec.(spec.lock_every) > 0 && i mod Spec.(spec.lock_every) = 0 in
-        let read = Prng.float rng 1.0 < ph.Spec.read_ratio in
+        let read = Prng.chance rng ph.Spec.read_ratio in
         (* A write draws its value even when the oracle substitutes its
            own, so checked and unchecked runs draw the same stream. *)
         let value = if read then 0 else Prng.int rng 1_000_000 in

@@ -492,20 +492,24 @@ let test_state_footprint_gate () =
    (the owner) writes, invalidating processor 0's copy, and processor 0
    then reads it back, a miss. Minor words are summed per operation over
    the whole transaction (protocol, network, fiber resume).
-   - The 4-ary access tree measures 178 words per read miss and 112 per
-     write, the gates. It measured 194 and 128 while every message
-     allocated a header block beside the network's record, 236 and 186 while each delivery
-     allocated a context record and a queue cell and each invalidating
-     node a transaction entry. It measured 247 and 205 before node state
-     was packed into one int per node (238 and 188 with the packing
-     alone, the rest is untraced operations no longer boxing their trace
+   - The 4-ary access tree measures 162 words per read miss and 96 per
+     write, the gates. It measured 178 and 112 while each delivery boxed
+     its time argument and result through a non-inlined call, 194 and
+     128 while every message allocated a header block beside the
+     network's record, 236 and 186 while each delivery allocated a
+     context record and a queue cell and each invalidating node a
+     transaction entry. It measured 247 and 205 before node state was
+     packed into one int per node (238 and 188 with the packing alone,
+     the rest is untraced operations no longer boxing their trace
      arguments), and 302 and 193 before node state was split into a core
      and sidecars.
-   - Fixed home measures 137 and 157, the gates. It measured 149 and 169
-     while every access and message looked its variable up in a Hashtbl
-     (six option boxes per operation). With the replication streak and
-     the migration tally kept although the preset needs neither, it
-     measures 143 and 159: the gate holds the preset to skipping them. *)
+   - Fixed home measures 121 and 141, the gates. It measured 137 and 157
+     with the boxing delivery call, and 149 and 169 while every access
+     and message looked its variable up in a Hashtbl (six option boxes
+     per operation). With the replication streak and the migration tally
+     kept although the preset needs neither, it measured 143 and 159
+     (against 137 and 157 then): the gate holds the preset to skipping
+     them. *)
 let alloc_per_op strategy =
   let net, dsm = make_dsm ~rows:2 ~cols:2 strategy in
   let v = Dsm.create_var dsm ~owner:3 ~size:8 0 in
@@ -541,8 +545,8 @@ let test_dsm_alloc_gate () =
         Alcotest.failf "%s: %.2f words per write, over the gate of %.0f" what
           write write_gate)
     [
-      ("4-ary", Dsm.access_tree ~arity:4 (), 178.0, 112.0);
-      ("fixed home", Dsm.Fixed_home, 137.0, 157.0);
+      ("4-ary", Dsm.access_tree ~arity:4 (), 162.0, 96.0);
+      ("fixed home", Dsm.Fixed_home, 121.0, 141.0);
     ]
 
 (* In-flight gate: the live words an access-tree message holds while it

@@ -166,106 +166,20 @@ let test_heatmap_link_values_fold () =
   let s = Heatmap.render_grid mesh ~label:"w" nodes in
   Alcotest.(check bool) "labelled" true (contains s "w (max")
 
-(* --- bench regression gate ---------------------------------------- *)
+(* --- bench gate ---------------------------------------------------- *)
 
 module Gate = Diva_harness.Bench_gate
 module Json = Diva_obs.Json
 
 let doc fields = Json.Obj [ ("apps", Json.Obj fields) ]
 
-let matmul_entry time congestion hits =
+let matmul_entry ?(events = 59441) time hits =
   ( "matmul",
     Json.Obj
       [ ("time_us", Json.Float time);
-        ("congestion_bytes", Json.Int congestion);
-        ("dsm_read_hits", Json.Int hits) ] )
-
-let test_gate_identical_passes () =
-  let d = doc [ matmul_entry 1000.0 5000 40 ] in
-  let vs = Gate.compare_docs ~baseline:d ~current:d () in
-  Alcotest.(check int) "no failures" 0 (List.length (Gate.failures vs));
-  Alcotest.(check bool) "compared something" true (List.length vs >= 3)
-
-let test_gate_flags_regression () =
-  let baseline = doc [ matmul_entry 1000.0 5000 40 ] in
-  (* 50% slower: far beyond the 10% tolerance. *)
-  let current = doc [ matmul_entry 1500.0 5000 40 ] in
-  let vs = Gate.compare_docs ~baseline ~current () in
-  (match Gate.failures vs with
-  | [ v ] ->
-      Alcotest.(check bool) "names the metric" true
-        (contains v.Gate.v_path "time_us");
-      Alcotest.(check bool) "is a regression" true
-        (v.Gate.v_status = Gate.Regressed)
-  | vs -> Alcotest.failf "expected exactly one failure, got %d" (List.length vs));
-  (* 50% faster is an improvement, never a failure. *)
-  let current = doc [ matmul_entry 500.0 5000 40 ] in
-  let vs = Gate.compare_docs ~baseline ~current () in
-  Alcotest.(check int) "improvement passes" 0 (List.length (Gate.failures vs));
-  Alcotest.(check bool) "reported as improved" true
-    (List.exists (fun v -> v.Gate.v_status = Gate.Improved) vs)
-
-let test_gate_direction_aware () =
-  (* Fewer cache hits is worse even though the number went down. *)
-  let baseline = doc [ matmul_entry 1000.0 5000 40 ] in
-  let current = doc [ matmul_entry 1000.0 5000 20 ] in
-  let vs = Gate.compare_docs ~baseline ~current () in
-  match Gate.failures vs with
-  | [ v ] ->
-      Alcotest.(check bool) "hits regressed" true
-        (contains v.Gate.v_path "dsm_read_hits")
-  | vs -> Alcotest.failf "expected exactly one failure, got %d" (List.length vs)
-
-let test_gate_structural_drift () =
-  let baseline = doc [ matmul_entry 1000.0 5000 40 ] in
-  let current =
-    doc
-      [ ( "matmul",
-          Json.Obj
-            [ ("time_us", Json.Float 1000.0);
-              ("congestion_bytes", Json.Int 5000);
-              ("startups", Json.Int 3) ] ) ]
-  in
-  let vs = Gate.compare_docs ~baseline ~current () in
-  let has st path =
-    List.exists
-      (fun v -> v.Gate.v_status = st && contains v.Gate.v_path path)
-      (Gate.failures vs)
-  in
-  Alcotest.(check bool) "dropped metric is MISSING" true
-    (has Gate.Missing "dsm_read_hits");
-  Alcotest.(check bool) "new metric is EXTRA" true (has Gate.Extra "startups");
-  let r = Gate.render vs in
-  Alcotest.(check bool) "render names them" true
-    (contains r "MISSING" && contains r "EXTRA")
-
-(* Event counts gate exactly, in both directions: one event more or less
-   means the protocol did something different. *)
-let test_gate_exact_events () =
-  let cell events =
-    doc
-      [ ( "matmul",
-          Json.Obj [ ("time_us", Json.Float 1000.0); ("events", Json.Int events) ]
-        ) ]
-  in
-  let baseline = cell 59441 in
-  Alcotest.(check int) "same count passes" 0
-    (List.length
-       (Gate.failures (Gate.compare_docs ~baseline ~current:baseline ())));
-  List.iter
-    (fun events ->
-      match
-        Gate.failures (Gate.compare_docs ~baseline ~current:(cell events) ())
-      with
-      | [ v ] ->
-          Alcotest.(check string) "names the count" "apps/matmul/events"
-            v.Gate.v_path;
-          Alcotest.(check bool) "is a regression" true
-            (v.Gate.v_status = Gate.Regressed)
-      | vs ->
-          Alcotest.failf "events %d: expected one failure, got %d" events
-            (List.length vs))
-    [ 59442; 59440 ]
+        ("congestion_bytes", Json.Int 5000);
+        ("dsm_read_hits", Json.Int hits);
+        ("events", Json.Int events) ] )
 
 let with_temp_file contents f =
   let path = Filename.temp_file "diva-baseline" ".json" in
@@ -277,6 +191,71 @@ let with_temp_file contents f =
       close_out oc;
       f path)
 
+(* The gate's answer for [current] against a baseline committed the way
+   [bench --only bench_json] commits it: written by [Json.to_file], read
+   back by [Gate.load]. *)
+let gate ~baseline current =
+  with_temp_file "" (fun path ->
+      Json.to_file path baseline;
+      match Gate.load path with
+      | Ok b -> Gate.check b current
+      | Error e -> Alcotest.failf "baseline rejected: %s" e)
+
+let base = doc [ matmul_entry 1000.1 40 ]
+
+let test_gate_identical_passes () =
+  Alcotest.(check (list string)) "no differences" [] (gate ~baseline:base base)
+
+(* Any move of a leaf fails, however small and in either direction, and
+   the report names the leaf with both values: a 50% drop in time is a
+   change to the figures like any other. *)
+let test_gate_flags_any_move () =
+  List.iter
+    (fun (what, time, current) ->
+      Alcotest.(check (list string)) what
+        [ "apps/matmul/time_us: baseline 1000.1, current " ^ current ]
+        (gate ~baseline:base (doc [ matmul_entry time 40 ])))
+    [ ("one ulp up", Float.succ 1000.1, "1000.1000000000001");
+      ("one ulp down", Float.pred 1000.1, "1000.0999999999999");
+      ("50% drop", 500.05, "500.05") ]
+
+(* One event more or less means the protocol did something different. *)
+let test_gate_exact_events () =
+  List.iter
+    (fun events ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d events" events)
+        [ Printf.sprintf "apps/matmul/events: baseline 59441, current %d" events ]
+        (gate ~baseline:base (doc [ matmul_entry ~events 1000.1 40 ])))
+    [ 59442; 59440 ]
+
+let test_gate_structural_drift () =
+  let current =
+    doc
+      [ ( "matmul",
+          Json.Obj
+            [ ("time_us", Json.Float 1000.1);
+              ("congestion_bytes", Json.Int 5000);
+              ("events", Json.Int 59441);
+              ("startups", Json.Int 3) ] ) ]
+  in
+  Alcotest.(check (list string)) "missing and extra keys named"
+    [ "apps/matmul/dsm_read_hits: in the baseline, missing from the current run";
+      "apps/matmul/startups: in the current run, absent from the baseline" ]
+    (gate ~baseline:base current);
+  let reordered =
+    doc
+      [ ( "matmul",
+          Json.Obj
+            [ ("events", Json.Int 59441);
+              ("dsm_read_hits", Json.Int 40);
+              ("congestion_bytes", Json.Int 5000);
+              ("time_us", Json.Float 1000.1) ] ) ]
+  in
+  Alcotest.(check (list string)) "key order counts"
+    [ "every leaf is equal, but the key order or the spelling differs" ]
+    (gate ~baseline:base reordered)
+
 let one_line what = function
   | Ok _ -> Alcotest.failf "%s: expected an error" what
   | Error e ->
@@ -284,12 +263,12 @@ let one_line what = function
       Alcotest.(check bool) (what ^ ": one line") false (String.contains e '\n')
 
 let test_gate_load () =
-  let d = doc [ matmul_entry 1000.0 5000 40 ] in
+  let d = doc [ matmul_entry 1000.0 40 ] in
   with_temp_file (Json.to_string d) (fun path ->
       match Gate.load path with
-      | Ok d' ->
+      | Ok b ->
           Alcotest.(check string) "round-trips" (Json.to_string d)
-            (Json.to_string d')
+            (Json.to_string b.Gate.doc)
       | Error e -> Alcotest.failf "valid baseline rejected: %s" e);
   let missing = Filename.concat (Filename.get_temp_dir_name ()) "diva-no-such.json" in
   one_line "missing file" (Gate.load missing);
@@ -336,10 +315,8 @@ let suite =
       test_heatmap_link_values_fold;
     Alcotest.test_case "bench gate: identical passes" `Quick
       test_gate_identical_passes;
-    Alcotest.test_case "bench gate: flags regression" `Quick
-      test_gate_flags_regression;
-    Alcotest.test_case "bench gate: direction aware" `Quick
-      test_gate_direction_aware;
+    Alcotest.test_case "bench gate: flags any move" `Quick
+      test_gate_flags_any_move;
     Alcotest.test_case "bench gate: structural drift" `Quick
       test_gate_structural_drift;
     Alcotest.test_case "report tables" `Quick test_report_tables;

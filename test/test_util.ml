@@ -97,6 +97,35 @@ let test_prng_alloc_free () =
   ignore (Sys.opaque_identity !sum);
   Alcotest.(check (float 0.0)) "minor words for 10 000 draws" 0.0 words
 
+(* [chance] is the [float r 1.0 < p] draw without boxing the drawn float:
+   no minor words over 10 000 draws, and the same answers as a second
+   stream on the same seed drawing [float r 1.0 < p]. *)
+let chances r p n =
+  let hits = ref 0 in
+  for _ = 1 to n do
+    if Prng.chance r p then incr hits
+  done;
+  !hits
+
+let test_prng_chance () =
+  let a = Prng.create ~seed:17 in
+  let w0 = Gc.minor_words () in
+  let hits =
+    chances a 0.0 2000 + chances a 0.2 2000 + chances a 0.5 2000
+    + chances a 0.8 2000 + chances a 1.0 2000
+  in
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity hits);
+  Alcotest.(check (float 0.0)) "minor words for 10 000 draws" 0.0 words;
+  let a = Prng.create ~seed:17 and b = Prng.create ~seed:17 in
+  List.iter
+    (fun p ->
+      for i = 1 to 2000 do
+        if Prng.chance a p <> (Prng.float b 1.0 < p) then
+          Alcotest.failf "draw %d (p = %g): chance disagrees with float" i p
+      done)
+    [ 0.0; 0.2; 0.5; 0.8; 1.0 ]
+
 let test_heap_ordering () =
   let h = Heap.create () in
   let rng = Prng.create ~seed:11 in
@@ -461,6 +490,7 @@ let suite =
     Alcotest.test_case "hash2 int range" `Quick test_hash2_int_range;
     Alcotest.test_case "prng known answers" `Quick test_prng_known_answers;
     Alcotest.test_case "prng draws allocate nothing" `Quick test_prng_alloc_free;
+    Alcotest.test_case "prng chance is the float draw" `Quick test_prng_chance;
     Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
     Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
     Alcotest.test_case "heap interleaved" `Quick test_heap_interleaved;
