@@ -287,7 +287,10 @@ let attach_flight t fl =
 let[@inline] reserve_cpu t node ~from dt =
   let pending = t.pending_compute.(node) in
   t.pending_compute.(node) <- 0.0;
-  let start = Float.max from t.cpu_free.(node) in
+  (* Times are never NaN or -0., so a plain comparison does what [Float.max]
+     does without its sign-bit tests. *)
+  let free = t.cpu_free.(node) in
+  let start = if from > free then from else free in
   let start =
     match t.rel with
     | Some r -> Faults.defer r.rl_faults ~node start
@@ -408,7 +411,8 @@ and transmit t ~level msg =
       let h = ref 0 in
       while !h < hops do
         let link = t.route_buf.(!h) in
-        let start = Float.max wk.wk_arrival t.link_free.(link) in
+        let free = t.link_free.(link) in
+        let start = if wk.wk_arrival > free then wk.wk_arrival else free in
         match rel with
         | Some r when Faults.link_down r.rl_faults ~link ~now:start ->
             lose t r.rl_faults msg Trace.Loss_link_down start;

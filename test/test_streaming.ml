@@ -474,7 +474,9 @@ let test_header_roundtrip () =
          ("version", Json.Int h.Streaming.h_version) ])
 
 (* Full offline path: record a run through the file sink, re-analyze the
-   file from scratch, and get the live run's summary back bit for bit. *)
+   file from scratch, and get the live run's summary back bit for bit, at
+   the default window count and at the cap, where binning runs over many
+   windows and many chunks of retained crossings. *)
 let test_offline_file_roundtrip () =
   let ov, events =
     traced_events (fun ~obs ~on_net ->
@@ -490,16 +492,20 @@ let test_offline_file_roundtrip () =
   (match Streaming.probe path with
   | Ok () -> ()
   | Error e -> Alcotest.failf "probe: %s" e);
-  (match Streaming.analyze_file path with
-  | Error e -> Alcotest.failf "analyze_file: %s" e
-  | Ok (h, summary, peak) ->
-      Alcotest.(check string) "header app" "matmul" h.Streaming.h_app;
-      Alcotest.(check int) "header seed" 17 h.Streaming.h_seed;
-      Alcotest.(check string)
-        "offline summary bit-identical"
-        (summary_string (fst (Helpers.analyze_events ov events)))
-        (summary_string summary);
-      Alcotest.(check bool) "peak > 0" true (peak > 0));
+  List.iter
+    (fun num_windows ->
+      match Streaming.analyze_file ?num_windows path with
+      | Error e -> Alcotest.failf "analyze_file: %s" e
+      | Ok (h, summary, peak) ->
+          Alcotest.(check string) "header app" "matmul" h.Streaming.h_app;
+          Alcotest.(check int) "header seed" 17 h.Streaming.h_seed;
+          Alcotest.(check string)
+            "offline summary bit-identical"
+            (summary_string
+               (fst (Helpers.analyze_events ?num_windows ov events)))
+            (summary_string summary);
+          Alcotest.(check bool) "peak > 0" true (peak > 0))
+    [ None; Some Streaming.max_windows ];
   (* Blank lines are skipped by every reader, before the header too. *)
   let padded = Filename.temp_file "diva_events" ".jsonl" in
   Out_channel.with_open_bin padded (fun oc ->
