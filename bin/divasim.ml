@@ -99,19 +99,16 @@ let int_conv ~ok ~expected =
 
 let pos_int = int_conv ~ok:(fun n -> n >= 1) ~expected:"a positive integer"
 
-let default_mesh = [| 8; 8 |]
-let default_strategy = Runner.Strategy (Dsm.access_tree ~arity:4 ())
-
 let mesh_t =
   Arg.(
     value
-    & opt mesh_conv default_mesh
+    & opt mesh_conv [| 8; 8 |]
     & info [ "mesh" ] ~docv:"RxC" ~doc:"Mesh size (any dimension, e.g. 4x4x4).")
 
 let strategy_t =
   Arg.(
     value
-    & opt strategy_conv default_strategy
+    & opt strategy_conv (Runner.Strategy (Dsm.access_tree ~arity:4 ()))
     & info [ "strategy" ] ~docv:"S" ~doc:"Data management strategy.")
 
 let seed_t =
@@ -119,26 +116,14 @@ let seed_t =
 
 let domains_t =
   Arg.(
-    value & opt int 1
+    value & opt pos_int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "OCaml domains to execute on. Results are identical for every \
            $(docv): the sharded traffic engine and run-level fan-out (chaos \
-           campaigns, serve sweeps) are deterministic by construction, and \
-           single protocol-coupled runs (matmul, bitonic, nbody, workload, \
-           serve without --sweep) are inherently serial — they note and \
-           ignore $(docv) > 1 (see docs/PERFORMANCE.md).")
-
-(* The DSM stack's wormhole model reserves a message's whole route at the
-   send instant — zero lookahead — so one protocol-coupled run cannot be
-   sharded without changing its results. Say so instead of silently
-   ignoring the flag. *)
-let note_serial ~what domains =
-  if domains > 1 then
-    Printf.printf
-      "note: %s is a single protocol-coupled run (zero lookahead); running \
-       serially, --domains %d has no effect here\n"
-      what domains
+           campaigns, serve sweeps) are deterministic by construction. A \
+           single serve run is one protocol-coupled run and stays serial; \
+           it notes and ignores $(docv) > 1 (see docs/PERFORMANCE.md).")
 
 (* ------------------------------------------------------------------ *)
 (* Observability artifacts                                             *)
@@ -298,30 +283,6 @@ let execute ?analyze out spec =
 let spec app dims strategy seed faults =
   { Run_spec.app; dims; strategy; seed; faults }
 
-(* A [--smoke] runs fixed cells without faults or artifacts: any such flag
-   it would ignore is an error, raised before anything is simulated.
-   [shaping] pairs each run-shaping flag the smoke fixes with whether it
-   was moved off its default. *)
-let reject_smoke_flags ~what ~shaping (out : Run_spec.outputs) faults =
-  let given =
-    shaping
-    @ [ ("--faults", not (Fault_schedule.is_empty faults));
-        ("--trace", out.trace_file <> None);
-        ("--metrics", out.metrics_file <> None);
-        ("--prom", out.prom_file <> None);
-        ("--manifest", out.manifest_file <> None);
-        ("--events", out.events_file <> None);
-        ("--prof", out.prof_file <> None);
-        ("--flight", out.flight_file <> None);
-        ("--ticker", out.ticker);
-        ("--sample-interval", out.sample_us <> Run_spec.no_outputs.sample_us);
-        ("--heatmap", out.heatmap) ]
-  in
-  match List.find_opt snd given with
-  | Some (flag, _) ->
-      fail (Printf.sprintf "%s --smoke does not take %s" what flag)
-  | None -> ()
-
 (* An event-trace argument ([--offline], [--replay]): existence and header
    (format + version) are validated at argument-parse time; the body
    parses after. *)
@@ -349,26 +310,22 @@ let matmul_cmd =
              and charge the operations. Without it only the block sizes \
              travel, and the run holds one shared zero block.")
   in
-  let run dims strategy block compute seed (out, faults) domains =
-    note_serial ~what:"matmul" domains;
+  let run dims strategy block compute seed (out, faults) =
     execute out (spec (Matmul { block; compute }) dims strategy seed faults)
   in
   Cmd.v (Cmd.info "matmul" ~doc:"Matrix squaring (paper 3.1)")
     Term.(
-      const run $ mesh_t $ strategy_t $ block $ compute $ seed_t $ obs_opts_t
-      $ domains_t)
+      const run $ mesh_t $ strategy_t $ block $ compute $ seed_t $ obs_opts_t)
 
 let bitonic_cmd =
   let keys =
     Arg.(value & opt int 4096 & info [ "keys" ] ~doc:"Keys per processor.")
   in
-  let run dims strategy keys seed (out, faults) domains =
-    note_serial ~what:"bitonic" domains;
+  let run dims strategy keys seed (out, faults) =
     execute out (spec (Bitonic { keys }) dims strategy seed faults)
   in
   Cmd.v (Cmd.info "bitonic" ~doc:"Bitonic sorting (paper 3.2)")
-    Term.(
-      const run $ mesh_t $ strategy_t $ keys $ seed_t $ obs_opts_t $ domains_t)
+    Term.(const run $ mesh_t $ strategy_t $ keys $ seed_t $ obs_opts_t)
 
 let nbody_cmd =
   let bodies =
@@ -381,8 +338,7 @@ let nbody_cmd =
   let phases =
     Arg.(value & flag & info [ "phases" ] ~doc:"Print the per-phase breakdown.")
   in
-  let run dims strategy bodies steps theta phases seed (out, faults) domains =
-    note_serial ~what:"nbody" domains;
+  let run dims strategy bodies steps theta phases seed (out, faults) =
     let cfg =
       { (Barnes_hut.default_config ~nbodies:bodies) with
         Barnes_hut.steps; theta }
@@ -393,7 +349,7 @@ let nbody_cmd =
   Cmd.v (Cmd.info "nbody" ~doc:"Barnes-Hut N-body simulation (paper 3.3)")
     Term.(
       const run $ mesh_t $ strategy_t $ bodies $ steps $ theta $ phases
-      $ seed_t $ obs_opts_t $ domains_t)
+      $ seed_t $ obs_opts_t)
 
 (* ------------------------------------------------------------------ *)
 (* analyze: span trees, critical path, congestion profiles             *)
@@ -504,8 +460,7 @@ let analyze_cmd =
              (time-lapse of where the congestion sits).")
   in
   let run dims strategy app block keys bodies steps input events top windows
-      json snapshots seed domains =
-    note_serial ~what:"analyze (trace re-simulation)" domains;
+      json snapshots seed =
     let analyze = { Run_spec.top; windows; json; snapshots } in
     let out = { Run_spec.no_outputs with events_file = events } in
     let empty = Fault_schedule.empty in
@@ -561,8 +516,7 @@ let analyze_cmd =
               bit-identically — without re-simulating." ])
     Term.(
       const run $ mesh_t $ strategy_t $ app_t $ block $ keys $ bodies $ steps
-      $ input_t $ events $ top $ wins $ json_out $ snapshots $ seed_t
-      $ domains_t)
+      $ input_t $ events $ top $ wins $ json_out $ snapshots $ seed_t)
 
 (* ------------------------------------------------------------------ *)
 (* Workload engine                                                     *)
@@ -641,18 +595,6 @@ let burst_conv =
   in
   Arg.conv (parse, fun ppf (n, g) -> Format.fprintf ppf "%d:%g" n g)
 
-(* Measure one cell of a smoke or a sweep; a rejected cell is an error
-   message and exit 1. *)
-let measured c = Result.fold ~ok:Fun.id ~error:fail (Run_spec.measure c)
-
-let print_measured name (m : Run_spec.measured) =
-  Printf.printf "-- %s --\n" name;
-  Run_spec.print_measurements m.Run_spec.measurements;
-  print_string (Run_spec.report m)
-
-let smoke_strategies =
-  [ ("fixed-home", Dsm.Fixed_home); ("4-ary", Dsm.access_tree ~arity:4 ()) ]
-
 let workload_cmd =
   let vars =
     Arg.(
@@ -664,10 +606,9 @@ let workload_cmd =
       value & opt int 64
       & info [ "var-size" ] ~docv:"BYTES" ~doc:"Payload bytes per variable.")
   in
-  let default_ops = 200 and default_phases = 1 in
   let ops =
     Arg.(
-      value & opt int default_ops
+      value & opt int 200
       & info [ "ops" ] ~docv:"N" ~doc:"Data operations per processor.")
   in
   let zipf =
@@ -747,7 +688,7 @@ let workload_cmd =
   in
   let phases =
     Arg.(
-      value & opt int default_phases
+      value & opt int 1
       & info [ "workload-phases" ] ~docv:"N"
           ~doc:"Repeat the load as $(docv) barrier-separated phases.")
   in
@@ -775,69 +716,33 @@ let workload_cmd =
             "$(b,closed): issue each op as soon as the previous completes; \
              $(b,open): re-insert the recorded inter-op gaps.")
   in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "CI smoke: run a small fixed workload on a 4x4 mesh under both \
-             the fixed-home and 4-ary strategies and print both reports.")
-  in
   let run dims strategy vars var_size ops popularity read_ratio locality
-      lock_every barrier_every think burst phases replay replay_mode smoke seed
-      (out, faults) domains =
-    if smoke then
-      reject_smoke_flags ~what:"workload" out faults
-        ~shaping:
-          [ ("--mesh", dims <> default_mesh);
-            ("--strategy", strategy <> default_strategy);
-            ("--ops", ops <> default_ops);
-            ("--think", think <> 0.0);
-            ("--burst", burst <> None);
-            ("--workload-phases", phases <> default_phases);
-            ("--replay", replay <> None);
-            ("--replay-mode", replay_mode <> Workload.Replay.Closed_loop) ];
-    note_serial ~what:"workload" domains;
-    let w =
-      Workload.Spec.make ~num_vars:vars ~var_size ~popularity ~locality
-        ~lock_every ~barrier_every
-        ~phases:
-          (List.init (max 1 phases) (fun _ ->
-               Workload.Spec.phase ~read_ratio ~think ?burst ops))
-        ~seed ()
-    in
-    if smoke then (
-      Result.iter_error fail (Workload.Spec.validate w);
-      let dims = [| 4; 4 |] in
-      let w =
-        { w with Workload.Spec.num_vars = min vars 64;
-          phases = [ Workload.Spec.phase ~read_ratio 100 ] }
-      in
-      Printf.printf "workload smoke: 4x4 mesh, %d keys, %d ops/proc\n"
-        w.Workload.Spec.num_vars 100;
-      List.iter2 print_measured (List.map fst smoke_strategies)
-        (Run_spec.campaign measured
-           (List.map
-              (fun (_, s) ->
-                spec (Workload w) dims (Runner.Strategy s) seed
-                  Fault_schedule.empty)
-              smoke_strategies)))
-    else
-      match replay with
-      | Some path ->
-          let trace = read_replay path in
-          execute out
-            (spec
-               (Replay { path; mode = replay_mode; trace })
-               trace.Workload.Replay.dims strategy seed faults)
-      | None -> execute out (spec (Workload w) dims strategy seed faults)
+      lock_every barrier_every think burst phases replay replay_mode seed
+      (out, faults) =
+    match replay with
+    | Some path ->
+        let trace = read_replay path in
+        execute out
+          (spec
+             (Replay { path; mode = replay_mode; trace })
+             trace.Workload.Replay.dims strategy seed faults)
+    | None ->
+        let w =
+          Workload.Spec.make ~num_vars:vars ~var_size ~popularity ~locality
+            ~lock_every ~barrier_every
+            ~phases:
+              (List.init (max 1 phases) (fun _ ->
+                   Workload.Spec.phase ~read_ratio ~think ?burst ops))
+            ~seed ()
+        in
+        execute out (spec (Workload w) dims strategy seed faults)
   in
   Cmd.v
     (Cmd.info "workload" ~doc:"Synthetic DSM load generator and trace replay")
     Term.(
       const run $ mesh_t $ strategy_t $ vars $ var_size $ ops $ popularity
       $ read_ratio $ locality $ lock_every $ barrier_every $ think $ burst
-      $ phases $ replay $ replay_mode $ smoke $ seed_t $ obs_opts_t $ domains_t)
+      $ phases $ replay $ replay_mode $ seed_t $ obs_opts_t)
 
 let chaos_cmd =
   let mesh =
@@ -892,14 +797,6 @@ let chaos_cmd =
             "Write the campaign's machine-readable JSON report, including \
              every generated fault schedule for replay.")
   in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "CI smoke: a reduced campaign (3 schedules, 30 ops/proc on a 4x4 \
-             mesh) with determinism verification on.")
-  in
   let strategy_names =
     Arg.(
       value & opt_all string []
@@ -922,7 +819,7 @@ let chaos_cmd =
              under injected faults). Forces serial evaluation.")
   in
   let run dims schedules seed ops vars lock_every read_ratio no_verify manifest
-      smoke strategy_names domains flight =
+      strategy_names domains flight =
     let strategies =
       match strategy_names with
       | [] -> Registry.contenders ()
@@ -950,12 +847,6 @@ let chaos_cmd =
         verify_determinism = not no_verify;
         strategies;
       }
-    in
-    let cfg =
-      if smoke then
-        { cfg with Chaos.dims = [| 4; 4 |]; schedules = 3; ops = 30;
-          verify_determinism = true }
-      else cfg
     in
     Printf.printf
       "chaos: %d fault schedules x %d strategies (%s) on %s, %d ops/proc, \
@@ -1000,7 +891,7 @@ let chaos_cmd =
        ~doc:"Fault-injection campaign validated by a coherence oracle")
     Term.(
       const run $ mesh $ schedules $ seed_t $ ops $ vars $ lock_every
-      $ read_ratio $ no_verify $ manifest $ smoke $ strategy_names $ domains_t
+      $ read_ratio $ no_verify $ manifest $ strategy_names $ domains_t
       $ flight_t)
 
 (* ------------------------------------------------------------------ *)
@@ -1039,15 +930,6 @@ let traffic_cmd =
       & info [ "pattern" ] ~docv:"P"
           ~doc:"Traffic pattern: uniform, transpose or hotspot.")
   in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "CI smoke: a fixed 16x16 run, executed with 1 and with \
-             --domains N domains, failing unless the reports are \
-             byte-identical.")
-  in
   let prof_t =
     Arg.(
       value
@@ -1059,70 +941,45 @@ let traffic_cmd =
              window count, shard imbalance). Render with $(b,divasim \
              profile FILE). Telemetry never changes the simulated results.")
   in
-  let run dims rate horizon size pattern smoke seed domains prof =
+  let run dims rate horizon size pattern seed domains prof =
     let rows, cols =
       match dims with
       | [| r; c |] -> (r, c)
       | _ -> fail "traffic needs a 2-D mesh"
     in
-    if smoke then begin
-      let domains = max domains 4 in
-      let go d =
-        Traffic.run ~domains:d ~seed ~size:64 ~rows:16 ~cols:16 ~rate:0.002
-          ~horizon:20_000.0 ~pattern:Traffic.Uniform ()
-      in
-      let t0 = Unix.gettimeofday () in
-      let serial = go 1 in
-      let t1 = Unix.gettimeofday () in
-      let par = go domains in
-      let t2 = Unix.gettimeofday () in
-      Printf.printf "traffic smoke: 16x16 uniform, seed %d\n" seed;
-      Printf.printf "  1 domain : %s  (%.0f ms)\n" (Traffic.render serial)
-        ((t1 -. t0) *. 1e3);
-      Printf.printf "  %d domains: %s  (%.0f ms)\n" domains
-        (Traffic.render par)
-        ((t2 -. t1) *. 1e3);
-      if Traffic.render serial <> Traffic.render par then begin
-        Printf.printf "traffic smoke: FAILED — reports differ across domains\n";
-        exit 1
-      end;
-      Printf.printf "traffic smoke: OK — byte-identical across domain counts\n"
-    end
-    else begin
-      let p = Option.map (fun _ -> Diva_obs.Prof.create ()) prof in
-      let telemetry =
-        Option.map
-          (fun _ -> Diva_simnet.Par_engine.telemetry_create ())
-          prof
-      in
-      Option.iter Diva_obs.Prof.arm p;
-      let t0 = Unix.gettimeofday () in
-      let go () =
-        Traffic.run ~domains ?telemetry ~seed ~size ~rows ~cols ~rate ~horizon
-          ~pattern ()
-      in
-      let r =
-        match p with
-        | Some p -> Diva_obs.Prof.region p "simulate" go
-        | None -> go ()
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      Printf.printf "traffic %dx%d, %s, rate %g/us/node, horizon %g us, %d \
-                     domain%s\n"
-        rows cols
-        (Traffic.pattern_name pattern)
-        rate horizon domains
-        (if domains = 1 then "" else "s");
-      Printf.printf "%s\n" (Traffic.render r);
-      Printf.printf "wall %.1f ms, %.0f events/sec\n" (wall *. 1e3)
-        (float_of_int r.Traffic.r_events /. wall);
-      match (prof, p, telemetry) with
-      | Some path, Some p, Some tl ->
-          Diva_obs.Prof.set_par p (Diva_simnet.Par_engine.telemetry_json tl);
-          Diva_obs.Json.to_file path (Diva_obs.Prof.to_json p);
-          Printf.printf "prof     -> %s\n" path
-      | _ -> ()
-    end
+    let p = Option.map (fun _ -> Diva_obs.Prof.create ()) prof in
+    let telemetry =
+      Option.map
+        (fun _ -> Diva_simnet.Par_engine.telemetry_create ())
+        prof
+    in
+    Option.iter Diva_obs.Prof.arm p;
+    let t0 = Unix.gettimeofday () in
+    let go () =
+      Traffic.run ~domains ?telemetry ~seed ~size ~rows ~cols ~rate ~horizon
+        ~pattern ()
+    in
+    let r =
+      match p with
+      | Some p -> Diva_obs.Prof.region p "simulate" go
+      | None -> go ()
+    in
+    let wall = Unix.gettimeofday () -. t0 in
+    Printf.printf "traffic %dx%d, %s, rate %g/us/node, horizon %g us, %d \
+                   domain%s\n"
+      rows cols
+      (Traffic.pattern_name pattern)
+      rate horizon domains
+      (if domains = 1 then "" else "s");
+    Printf.printf "%s\n" (Traffic.render r);
+    Printf.printf "wall %.1f ms, %.0f events/sec\n" (wall *. 1e3)
+      (float_of_int r.Traffic.r_events /. wall);
+    match (prof, p, telemetry) with
+    | Some path, Some p, Some tl ->
+        Diva_obs.Prof.set_par p (Diva_simnet.Par_engine.telemetry_json tl);
+        Diva_obs.Json.to_file path (Diva_obs.Prof.to_json p);
+        Printf.printf "prof     -> %s\n" path
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "traffic"
@@ -1140,8 +997,8 @@ let traffic_cmd =
               scaling; the DSM protocol stack itself has zero lookahead and \
               stays serial (see docs/PERFORMANCE.md)." ])
     Term.(
-      const run $ mesh_t $ rate $ horizon $ size $ pattern $ smoke $ seed_t
-      $ domains_t $ prof_t)
+      const run $ mesh_t $ rate $ horizon $ size $ pattern $ seed_t $ domains_t
+      $ prof_t)
 
 (* ------------------------------------------------------------------ *)
 (* Open-loop service scenario                                          *)
@@ -1149,42 +1006,26 @@ let traffic_cmd =
 
 module Service = Diva_service
 
-(* One saturation sweep per base run, every rate point of every sweep in
-   one campaign. *)
-let sweeps ?threshold ~domains ~rates bases =
-  let per_base = List.map (Sweep.cells ~rates) bases in
-  let cells = List.concat per_base in
-  let results =
-    List.combine cells (Run_spec.campaign ~domains measured cells)
-  in
-  List.map (Sweep.of_runs ?threshold (fun c -> List.assoc c results)) per_base
-
 let serve_cmd =
   let keys =
     Arg.(
       value & opt int 4096
       & info [ "keys" ] ~docv:"N" ~doc:"Key space size (one variable per key).")
   in
-  let default_value_size = 64
-  and default_clients = 1_000_000
-  and default_rate = 2_000.0
-  and default_horizon_ms = 400.0
-  and default_zipf = 0.9
-  and default_read_ratio = 0.95 in
   let value_size =
     Arg.(
-      value & opt int default_value_size
+      value & opt int 64
       & info [ "value-size" ] ~docv:"BYTES" ~doc:"Payload bytes per key.")
   in
   let clients =
     Arg.(
-      value & opt int default_clients
+      value & opt int 1_000_000
       & info [ "clients" ] ~docv:"N"
           ~doc:"Client population, hashed onto mesh entry nodes.")
   in
   let rate =
     Arg.(
-      value & opt float default_rate
+      value & opt float 2_000.0
       & info [ "rate" ] ~docv:"REQ_PER_S"
           ~doc:
             "Mean offered load in requests per simulated second. For scale: \
@@ -1193,7 +1034,7 @@ let serve_cmd =
   in
   let horizon_ms =
     Arg.(
-      value & opt float default_horizon_ms
+      value & opt float 400.0
       & info [ "horizon-ms" ] ~docv:"MS"
           ~doc:"Arrival horizon in simulated milliseconds; requests stop \
                 arriving after it, but queued ones still drain.")
@@ -1229,13 +1070,13 @@ let serve_cmd =
   in
   let zipf =
     Arg.(
-      value & opt zipf_conv default_zipf
+      value & opt zipf_conv 0.9
       & info [ "zipf" ] ~docv:"S" ~doc:"Steady-phase Zipf exponent.")
   in
   let read_ratio =
     Arg.(
       value
-      & opt (ratio_conv ~what:"read ratio") default_read_ratio
+      & opt (ratio_conv ~what:"read ratio") 0.95
       & info [ "read-ratio" ] ~docv:"R"
           ~doc:"Fraction of requests that are reads, in [0,1].")
   in
@@ -1286,126 +1127,68 @@ let serve_cmd =
             "A sweep point saturates when goodput/offered falls below \
              $(docv); the knee is the highest load still above it.")
   in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "CI smoke: a short Poisson run on a 4x4 mesh under both the \
-             fixed-home and 4-ary strategies, each run twice to verify \
-             bit-identical determinism, plus a mini saturation sweep per \
-             strategy (honors $(b,--sweep-out)).")
-  in
   let run dims strategy keys value_size clients rate horizon_ms arrival
-      scenario zipf read_ratio sweep sweep_out threshold smoke seed
-      (out, faults) domains =
-    if smoke then
-      reject_smoke_flags ~what:"serve" out faults
-        ~shaping:
-          [ ("--mesh", dims <> default_mesh);
-            ("--strategy", strategy <> default_strategy);
-            ("--value-size", value_size <> default_value_size);
-            ("--clients", clients <> default_clients);
-            ("--rate", rate <> default_rate);
-            ("--horizon-ms", horizon_ms <> default_horizon_ms);
-            ("--arrival", arrival <> `Poisson);
-            ("--scenario", scenario <> Service.Spec.Steady);
-            ("--zipf", zipf <> default_zipf);
-            ("--read-ratio", read_ratio <> default_read_ratio);
-            ("--sweep", sweep <> None);
-            ("--knee-threshold", threshold <> Sweep.default_threshold) ];
-    let write_sweeps ~params sweeps =
-      Option.iter
-        (fun path ->
-          Diva_obs.Json.to_file path (Sweep.to_json ~params sweeps);
-          Printf.printf "sweep    -> %s\n" path)
-        sweep_out
+      scenario zipf read_ratio sweep sweep_out threshold seed (out, faults)
+      domains =
+    let horizon_us = horizon_ms *. 1000.0 in
+    let shape =
+      match arrival with
+      | `Poisson -> Service.Arrival.Poisson
+      | `Bursty ->
+          Service.Arrival.Bursty
+            { mult = 8.0; mean_on_us = horizon_us /. 10.0;
+              mean_off_us = horizon_us /. 4.0 }
+      | `Diurnal ->
+          Service.Arrival.Diurnal { trough = 0.2; period_us = horizon_us }
     in
-    if smoke then begin
-      let dims = [| 4; 4 |] in
-      let keys = min keys 256 in
-      let horizon_us = 400_000.0 in
-      let service =
-        Service.Spec.make ~keys ~value_size:64 ~clients:10_000 ~rate:1_000.0
-          ~horizon_us ~arrival:Service.Arrival.Poisson ~read_ratio:0.95
-          ~phases:
-            (Service.Spec.scenario_phases Service.Spec.Steady ~keys ~procs:16
-               ~zipf:0.9)
-          ~seed ()
-      in
-      Printf.printf
-        "service smoke: 4x4 mesh, %d keys, poisson %.0f req/s for %.0f ms\n"
-        keys service.Service.Spec.rate (horizon_us /. 1000.0);
-      let cells =
-        List.map
-          (fun (_, s) ->
-            spec
-              (Serve { spec = service; scenario = Service.Spec.Steady })
-              dims (Runner.Strategy s) seed Fault_schedule.empty)
-          smoke_strategies
-      in
-      let ok = ref true in
-      List.iter2
-        (fun name (m, same) ->
-          if same then
-            print_measured (name ^ " (deterministic re-run verified)") m
-          else begin
-            ok := false;
-            Printf.printf "-- %s: NOT deterministic across re-runs\n" name
-          end)
-        (List.map fst smoke_strategies)
-        (Run_spec.campaign ~domains (Run_spec.repeatable measured) cells);
-      let sweeps = sweeps ~domains ~rates:[ 500.0; 1_500.0; 5_000.0 ] cells in
-      List.iter (fun sw -> print_string (Sweep.render sw)) sweeps;
-      List.iter
-        (fun sw ->
-          if sw.Sweep.sv_knee = None then begin
-            ok := false;
-            Printf.printf "-- %s: no sustainable load found\n"
-              sw.Sweep.sv_strategy
-          end)
-        sweeps;
-      write_sweeps ~params:(Service.Spec.to_params service) sweeps;
-      if not !ok then exit 1
-    end
-    else begin
-      let horizon_us = horizon_ms *. 1000.0 in
-      let shape =
-        match arrival with
-        | `Poisson -> Service.Arrival.Poisson
-        | `Bursty ->
-            Service.Arrival.Bursty
-              { mult = 8.0; mean_on_us = horizon_us /. 10.0;
-                mean_off_us = horizon_us /. 4.0 }
-        | `Diurnal ->
-            Service.Arrival.Diurnal { trough = 0.2; period_us = horizon_us }
-      in
-      let procs = Array.fold_left ( * ) 1 dims in
-      let service =
-        Service.Spec.make ~keys ~value_size ~clients ~rate ~horizon_us
-          ~arrival:shape ~read_ratio
-          ~phases:(Service.Spec.scenario_phases scenario ~keys ~procs ~zipf)
-          ~seed ()
-      in
-      let run =
-        spec (Serve { spec = service; scenario }) dims strategy seed faults
-      in
-      Result.iter_error fail (Run_spec.validate run);
-      match sweep with
-      | Some rates ->
-          let sw = sweeps ~threshold ~domains ~rates [ run ] in
-          Printf.printf "service sweep %s, strategy %s, scenario %s, %s\n"
-            (String.concat "x" (List.map string_of_int (Array.to_list dims)))
-            (Runner.name strategy)
-            (Service.Spec.scenario_name scenario)
-            (Service.Arrival.shape_name shape);
-          List.iter (fun sw -> print_string (Sweep.render sw)) sw;
-          write_sweeps ~params:(Run_spec.params run) sw
-      | None ->
-          note_serial ~what:"serve (single run; use --sweep to fan out)"
+    let procs = Array.fold_left ( * ) 1 dims in
+    let service =
+      Service.Spec.make ~keys ~value_size ~clients ~rate ~horizon_us
+        ~arrival:shape ~read_ratio
+        ~phases:(Service.Spec.scenario_phases scenario ~keys ~procs ~zipf)
+        ~seed ()
+    in
+    let run =
+      spec (Serve { spec = service; scenario }) dims strategy seed faults
+    in
+    Result.iter_error fail (Run_spec.validate run);
+    match sweep with
+    | Some rates ->
+        (* A rejected cell is an error message and exit 1. *)
+        let measured c =
+          Result.fold ~ok:Fun.id ~error:fail (Run_spec.measure c)
+        in
+        let cells = Sweep.cells ~rates run in
+        let results =
+          List.combine cells (Run_spec.campaign ~domains measured cells)
+        in
+        let sw =
+          Sweep.of_runs ~threshold (fun c -> List.assoc c results) cells
+        in
+        Printf.printf "service sweep %s, strategy %s, scenario %s, %s\n"
+          (String.concat "x" (List.map string_of_int (Array.to_list dims)))
+          (Runner.name strategy)
+          (Service.Spec.scenario_name scenario)
+          (Service.Arrival.shape_name shape);
+        print_string (Sweep.render sw);
+        Option.iter
+          (fun path ->
+            Diva_obs.Json.to_file path
+              (Sweep.to_json ~params:(Run_spec.params run) [ sw ]);
+            Printf.printf "sweep    -> %s\n" path)
+          sweep_out
+    | None ->
+        (* The DSM stack's wormhole model reserves a message's whole route
+           at the send instant (zero lookahead), so one protocol-coupled
+           run cannot be sharded without changing its results. Say so
+           instead of silently ignoring the flag. *)
+        if domains > 1 then
+          Printf.printf
+            "note: serve (single run; use --sweep to fan out) is a single \
+             protocol-coupled run (zero lookahead); running serially, \
+             --domains %d has no effect here\n"
             domains;
-          execute out run
-    end
+        execute out run
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1431,7 +1214,7 @@ let serve_cmd =
     Term.(
       const run $ mesh_t $ strategy_t $ keys $ value_size $ clients $ rate
       $ horizon_ms $ arrival $ scenario $ zipf $ read_ratio $ sweep $ sweep_out
-      $ threshold $ smoke $ seed_t $ obs_opts_t $ domains_t)
+      $ threshold $ seed_t $ obs_opts_t $ domains_t)
 
 (* ------------------------------------------------------------------ *)
 (* profile: render prof.json / flight-recorder dumps                   *)

@@ -57,9 +57,6 @@ type measured = {
 val fields : measured -> (string * Diva_obs.Json.t) list
 (** The app result's fields in the run manifest and BENCH files. *)
 
-val report : measured -> string
-(** The app result's block of the run report. *)
-
 val measure :
   ?prof:Diva_obs.Prof.t ->
   ?oracle:Diva_workload.Oracle.t ->
@@ -134,8 +131,6 @@ val analysis_report :
     per-window heatmaps and the analysis document, all described by the
     run's header. Raises [Sys_error] when the document cannot be
     written. *)
-
-val print_measurements : Diva_harness.Runner.measurements -> unit
 
 val with_flight : Diva_obs.Flight.t option -> (unit -> 'a) -> 'a
 (** Run [f]; if it raises, dump the recorder and re-raise. *)

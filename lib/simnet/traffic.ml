@@ -110,7 +110,10 @@ let hop m ctx ~node ~dst ~injected ~hops =
     else if drow > row then (m.free_s, node + m.cols)
     else (m.free_n, node - m.cols)
   in
-  let depart = Float.max now free.(node) in
+  (* Times are never NaN or -0., so plain comparisons do what [Float.max]
+     does without its sign-bit tests, here and in the latency maxima. *)
+  let busy = free.(node) in
+  let depart = if now > busy then now else busy in
   free.(node) <- depart +. Machine.transfer_time m.machine m.size;
   let at = depart +. m.machine.Machine.hop_latency in
   let arrive = Arrive { node = next; dst; injected; hops = hops + 1 } in
@@ -134,7 +137,7 @@ let handler m ctx ev =
         let lat = Par_engine.ctx_now ctx -. injected in
         st.st_delivered <- st.st_delivered + 1;
         st.st_lat_sum <- st.st_lat_sum +. lat;
-        st.st_lat_max <- Float.max st.st_lat_max lat;
+        if lat > st.st_lat_max then st.st_lat_max <- lat;
         st.st_hops <- st.st_hops + hops
       end
       else hop m ctx ~node ~dst ~injected ~hops
@@ -194,7 +197,7 @@ let run ?(domains = 1) ?telemetry ?(seed = 17) ?(size = 64) ~rows ~cols ~rate
       delivered := !delivered + st.st_delivered;
       hops := !hops + st.st_hops;
       lat_sum := !lat_sum +. st.st_lat_sum;
-      lat_max := Float.max !lat_max st.st_lat_max)
+      if st.st_lat_max > !lat_max then lat_max := st.st_lat_max)
     m.stats;
   {
     r_injected = !injected;

@@ -179,7 +179,14 @@ let pins =
       [ "workload"; "--replay"; "in.jsonl"; "--strategy"; "2-ary";
         "--events"; "ev.jsonl"; "--manifest"; "man.json" ]
       [ "ev.jsonl"; "man.json" ];
-    pin "workload-smoke" [ "workload"; "--smoke" ] [];
+    pin "workload-fixed-home"
+      [ "workload"; "--mesh"; "4x4"; "--vars"; "64"; "--ops"; "100";
+        "--strategy"; "fixed-home" ]
+      [];
+    pin "workload-4-ary"
+      [ "workload"; "--mesh"; "4x4"; "--vars"; "64"; "--ops"; "100";
+        "--strategy"; "4-ary" ]
+      [];
     pin "serve"
       [ "serve"; "--mesh"; "4x4"; "--rate"; "3000"; "--horizon-ms"; "50";
         "--events"; "ev.jsonl"; "--manifest"; "man.json" ]
@@ -199,6 +206,16 @@ let pins =
         "500,2000"; "--sweep-out"; "sw.json" ]
       [ "sw.json" ];
   ]
+  (* A 4x4 sweep per strategy whose knee line must name a sustainable
+     load. *)
+  @ List.map
+      (fun s ->
+        pin ("serve-sweep-" ^ s)
+          [ "serve"; "--mesh"; "4x4"; "--keys"; "256"; "--clients"; "10000";
+            "--rate"; "1000"; "--horizon-ms"; "400"; "--strategy"; s;
+            "--sweep"; "500,1500,5000" ]
+          [])
+      [ "fixed-home"; "4-ary" ]
 
 (* Every subcommand's [--help=plain]: no flag is added, removed or
    re-defaulted unseen. *)
@@ -302,26 +319,12 @@ let rejections =
       [ "analyze"; "--mesh"; "2x2"; "--json"; "no/such/dir/x" ];
     rejects "matmul --events into a missing directory"
       [ "matmul"; "--mesh"; "2x2"; "--events"; "no/such/dir/x" ];
-    rejects ~inputs:faults_in ~flag:"--faults" "workload --smoke --faults"
-      [ "workload"; "--smoke"; "--faults"; "faults.json" ];
-    rejects ~flag:"--manifest" "workload --smoke --manifest"
-      [ "workload"; "--smoke"; "--manifest"; "m.json" ];
-    rejects ~inputs:faults_in ~flag:"--faults" "serve --smoke --faults"
-      [ "serve"; "--smoke"; "--faults"; "faults.json" ];
-    rejects ~flag:"--manifest" "serve --smoke --manifest"
-      [ "serve"; "--smoke"; "--manifest"; "m.json" ];
-    rejects ~flag:"--strategy" "workload --smoke --strategy"
-      [ "workload"; "--smoke"; "--strategy"; "16-ary" ];
-    rejects ~flag:"--mesh" "workload --smoke --mesh"
-      [ "workload"; "--smoke"; "--mesh"; "2x2" ];
-    rejects ~flag:"--ops" "workload --smoke --ops"
-      [ "workload"; "--smoke"; "--ops"; "50" ];
-    rejects ~flag:"--strategy" "serve --smoke --strategy"
-      [ "serve"; "--smoke"; "--strategy"; "16-ary" ];
-    rejects ~flag:"--rate" "serve --smoke --rate"
-      [ "serve"; "--smoke"; "--rate"; "9000" ];
-    rejects ~flag:"--sweep" "serve --smoke --sweep"
-      [ "serve"; "--smoke"; "--sweep"; "500,1000" ];
+    rejects ~flag:"--domains" "traffic --domains 0"
+      [ "traffic"; "--mesh"; "4x4"; "--domains"; "0" ];
+    rejects ~flag:"--domains" "chaos --domains -1"
+      [ "chaos"; "--domains=-1" ];
+    rejects ~flag:"bogus" "chaos --strategy bogus"
+      [ "chaos"; "--strategy"; "bogus" ];
   ]
 
 let suite = pins @ helps @ [ host_timed; strategy_matrix ] @ rejections
